@@ -189,10 +189,7 @@ impl AssignmentEngine {
     /// it has no row for; post such tasks through
     /// [`AssignmentEngine::add_task_with_accuracies`] instead.
     pub fn add_task(&mut self, task: Task) -> Result<TaskId, EngineError> {
-        if matches!(self.accuracy, AccuracyModel::Table(_)) {
-            return Err(EngineError::MissingAccuracyRow);
-        }
-        self.add_task_common(task)
+        self.post_task(task, None)
     }
 
     /// Posts a new task mid-stream under a tabular accuracy model,
@@ -205,39 +202,20 @@ impl AssignmentEngine {
         task: Task,
         accuracies: &[f64],
     ) -> Result<TaskId, EngineError> {
-        let AccuracyModel::Table(table) = &mut self.accuracy else {
-            return Err(EngineError::UnexpectedAccuracyRow);
-        };
-        if accuracies.len() != table.n_workers() {
-            return Err(EngineError::BadAccuracyRow {
-                expected: table.n_workers(),
-                got: accuracies.len(),
-            });
-        }
-        if let Some(&value) = accuracies
-            .iter()
-            .find(|a| !(0.0..=1.0).contains(*a) || a.is_nan())
-        {
-            return Err(EngineError::AccuracyOutOfRange(value));
-        }
-        if !task.loc.is_finite() {
-            return Err(EngineError::BadTaskLocation);
-        }
-        if self.tasks.len() >= u32::MAX as usize {
-            return Err(EngineError::TooManyTasks);
-        }
-        table.push_task_row(accuracies);
-        self.add_task_common(task)
+        self.post_task(task, Some(accuracies))
     }
 
-    /// The model-independent part of posting a task: id allocation,
+    /// Both posting paths: validation, the table row, id allocation,
     /// quality/unit bookkeeping, and index insertion.
-    fn add_task_common(&mut self, task: Task) -> Result<TaskId, EngineError> {
-        if !task.loc.is_finite() {
-            return Err(EngineError::BadTaskLocation);
-        }
-        if self.tasks.len() >= u32::MAX as usize {
-            return Err(EngineError::TooManyTasks);
+    fn post_task(&mut self, task: Task, accuracies: Option<&[f64]>) -> Result<TaskId, EngineError> {
+        validate_post(
+            self.accuracy.table_workers(),
+            &task,
+            accuracies,
+            self.tasks.len(),
+        )?;
+        if let (AccuracyModel::Table(table), Some(row)) = (&mut self.accuracy, accuracies) {
+            table.push_task_row(row);
         }
         let id = self.tasks.len() as u32;
         self.tasks.push(task);
@@ -877,6 +855,43 @@ pub struct EngineState {
     /// it keeps the growth threshold armed exactly where it was instead
     /// of restarting the count from zero. Always `<= clamped_insertions`.
     pub clamp_mark: u64,
+}
+
+/// The checks a task post must pass, in their one order: the accuracy
+/// row (present exactly when the model is tabular — `table_workers` is
+/// its declared worker count — with that width and every value in
+/// `[0, 1]`), then the location, then the id space (`n_tasks` already
+/// posted). The engine's add paths run it, and so does the service when
+/// it admits a post, so every front-end rejects a post the same way.
+pub(crate) fn validate_post(
+    table_workers: Option<usize>,
+    task: &Task,
+    accuracies: Option<&[f64]>,
+    n_tasks: usize,
+) -> Result<(), EngineError> {
+    match (table_workers, accuracies) {
+        (None, None) => {}
+        (None, Some(_)) => return Err(EngineError::UnexpectedAccuracyRow),
+        (Some(_), None) => return Err(EngineError::MissingAccuracyRow),
+        (Some(expected), Some(row)) => {
+            if row.len() != expected {
+                return Err(EngineError::BadAccuracyRow {
+                    expected,
+                    got: row.len(),
+                });
+            }
+            if let Some(&value) = row.iter().find(|a| !(0.0..=1.0).contains(*a) || a.is_nan()) {
+                return Err(EngineError::AccuracyOutOfRange(value));
+            }
+        }
+    }
+    if !task.loc.is_finite() {
+        return Err(EngineError::BadTaskLocation);
+    }
+    if n_tasks >= u32::MAX as usize {
+        return Err(EngineError::TooManyTasks);
+    }
+    Ok(())
 }
 
 /// Why an [`AssignmentEngine`] operation failed.

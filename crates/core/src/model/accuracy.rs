@@ -36,6 +36,15 @@ impl AccuracyModel {
             AccuracyModel::Table(table) => table.acc(worker_idx, task_idx),
         }
     }
+
+    /// The declared worker count of a tabular model (the width every
+    /// posted task's accuracy row must have); `None` for the sigmoid.
+    pub(crate) fn table_workers(&self) -> Option<usize> {
+        match self {
+            AccuracyModel::Sigmoid => None,
+            AccuracyModel::Table(table) => Some(table.n_workers()),
+        }
+    }
 }
 
 /// Turns a predicted accuracy into the paper's quality contribution

@@ -2,9 +2,8 @@
 
 use super::facade::LtcService;
 use super::handle::ServiceHandle;
-use super::shard::Shard;
-use super::{Algorithm, ServiceError};
-use crate::engine::{AssignmentEngine, EngineError, EngineState};
+use super::{Algorithm, ServiceError, ServiceSnapshot};
+use crate::engine::{EngineError, EngineState};
 use crate::model::{AccuracyModel, Eligibility, Instance, ProblemParams, Task};
 use ltc_spatial::{BoundingBox, Point, ShardRouter};
 use std::num::NonZeroUsize;
@@ -75,7 +74,7 @@ pub struct ServiceBuilder {
     algorithm: Algorithm,
     shards: NonZeroUsize,
     cell_size: Option<f64>,
-    batch_capacity: usize,
+    mailbox_capacity: usize,
     accuracy: AccuracyModel,
     tasks: Vec<Task>,
     grow_clamps: Option<u64>,
@@ -93,7 +92,7 @@ impl ServiceBuilder {
             algorithm: Algorithm::Laf,
             shards: NonZeroUsize::MIN,
             cell_size: None,
-            batch_capacity: 1024,
+            mailbox_capacity: 1024,
             accuracy: AccuracyModel::Sigmoid,
             tasks: Vec::new(),
             grow_clamps: None,
@@ -146,26 +145,14 @@ impl ServiceBuilder {
         self
     }
 
-    /// Sets the maximum check-ins one [`LtcService::check_in_batch`]
-    /// dispatch wave may hold (default 1024). Larger slices are processed
-    /// in capacity-sized waves — the caller observes back-pressure as the
-    /// call not returning until every wave drained. For the pipelined
-    /// runtime this same bound sizes each shard's mailbox; see
-    /// [`ServiceBuilder::mailbox_capacity`].
-    pub fn batch_capacity(mut self, batch_capacity: usize) -> Self {
-        self.batch_capacity = batch_capacity.max(1);
-        self
-    }
-
     /// Sets how many pending entries each persistent shard mailbox may
     /// hold before [`ServiceHandle::submit_worker`] /
     /// [`ServiceHandle::post_task`] block (back-pressure, surfaced as
-    /// [`Lifecycle::ShardStalled`](super::Lifecycle::ShardStalled)).
-    /// Shares the [`ServiceBuilder::batch_capacity`] knob — the facade
-    /// reads it as a wave bound, the runtime as a mailbox bound; default
-    /// 1024.
-    pub fn mailbox_capacity(self, mailbox_capacity: usize) -> Self {
-        self.batch_capacity(mailbox_capacity)
+    /// [`Lifecycle::ShardStalled`](super::Lifecycle::ShardStalled));
+    /// default 1024, at least 1. Snapshots record it.
+    pub fn mailbox_capacity(mut self, mailbox_capacity: usize) -> Self {
+        self.mailbox_capacity = mailbox_capacity.max(1);
+        self
     }
 
     /// Enables **adaptive spatial-index growth**: a shard whose grid
@@ -244,30 +231,27 @@ impl ServiceBuilder {
         // Partition the seeded tasks: global ids follow the seeded order,
         // local ids follow each shard's insertion order, so within one
         // shard local order and global order agree (the property that
-        // makes local tie-breaks match global ones).
+        // makes local tie-breaks match global ones). The fresh service is
+        // then the restore of its own genesis snapshot.
         let mut task_map = Vec::with_capacity(self.tasks.len());
         let mut shard_tasks: Vec<Vec<Task>> = vec![Vec::new(); n_shards];
-        let mut globals: Vec<Vec<u32>> = vec![Vec::new(); n_shards];
-        for (g, task) in self.tasks.iter().enumerate() {
+        for task in &self.tasks {
             let s = if n_shards == 1 {
                 0
             } else {
                 router.shard_of(task.loc)
             };
             task_map.push((s as u32, shard_tasks[s].len() as u32));
-            globals[s].push(g as u32);
             shard_tasks[s].push(*task);
         }
-
-        let mut shards = Vec::with_capacity(n_shards);
-        for (s, tasks) in shard_tasks.into_iter().enumerate() {
-            let n = tasks.len();
-            let engine = AssignmentEngine::from_state(EngineState {
+        let engines = shard_tasks
+            .into_iter()
+            .map(|tasks| EngineState {
                 params: self.params,
                 accuracy: self.accuracy.clone(),
+                s: vec![0.0; tasks.len()],
+                completed: vec![false; tasks.len()],
                 tasks,
-                s: vec![0.0; n],
-                completed: vec![false; n],
                 assignments: Vec::new(),
                 next_arrival: 0,
                 index_geometry: match self.params.eligibility {
@@ -277,26 +261,21 @@ impl ServiceBuilder {
                 clamped_insertions: 0,
                 clamp_mark: 0,
             })
-            .map_err(ServiceError::Engine)?;
-            shards.push(Shard {
-                engine,
-                policy: self.algorithm.policy(s),
-                globals: std::mem::take(&mut globals[s]),
-                grow_clamps: self.grow_clamps,
-            });
-        }
-        Ok(LtcService::assemble(
-            self.params,
-            self.region,
-            self.algorithm,
+            .collect();
+        LtcService::restore(ServiceSnapshot {
+            params: self.params,
+            region: self.region,
+            algorithm: self.algorithm,
             cell_size,
-            self.batch_capacity,
-            self.grow_clamps,
-            self.rebalance_factor,
-            router,
-            shards,
+            batch_capacity: self.mailbox_capacity,
+            grow_clamps: self.grow_clamps,
+            rebalance_factor: self.rebalance_factor,
+            stripes: None,
+            next_arrival: 0,
             task_map,
-        ))
+            engines,
+            rng_draws: Vec::new(),
+        })
     }
 
     /// Validates the configuration and starts the pipelined runtime: one

@@ -1,15 +1,16 @@
-//! The synchronous service facade — deterministic, call-by-call service
-//! of the sharded core on the caller's thread.
+//! The synchronous service facade — the inline executor: every call
+//! runs the shared service state and the shards to completion on the
+//! caller's thread.
 
 use super::handle::ServiceHandle;
-use super::rebalance::{plan_rebalance, RebalanceOutcome, StripeLayout};
+use super::rebalance::{balanced_router, RebalanceOutcome};
 use super::shard::{
     append_merge_events, global_units, merge_and_truncate, Proposal, ProposeScratch, Shard,
 };
+use super::state::{Arrival, Progress, ServiceSnapshot, ServiceState};
 use super::{Algorithm, Event, ServiceBuilder, ServiceError, ServiceMetrics};
-use crate::engine::{AssignmentEngine, EngineState};
-use crate::model::{AccuracyModel, ProblemParams, Task, TaskId, Worker, WorkerId};
-use ltc_spatial::{BoundingBox, ShardRouter};
+use crate::model::{ProblemParams, Task, TaskId, Worker};
+use ltc_spatial::BoundingBox;
 
 /// The sharded online LTC service, served synchronously (see the module
 /// docs for the sharding model). Build one with [`ServiceBuilder`].
@@ -21,68 +22,18 @@ use ltc_spatial::{BoundingBox, ShardRouter};
 /// ([`ServiceBuilder::start`] or [`LtcService::into_handle`]) — it
 /// drives the very same shard core from persistent threads and commits
 /// identical assignments.
-///
-/// [`LtcService::check_in_batch`] processes a batch of check-ins with
-/// one scoped thread per shard (when `shards > 1`): each wave runs every
-/// *interior* worker first (concurrently across shards, in arrival order
-/// within each shard), then commits the wave's *boundary* workers
-/// serially in arrival order. A boundary worker is therefore served
-/// after **all** interior workers of its wave — including later arrivals
-/// on the very shards it touches — so within a wave the commit order is
-/// a documented relaxation of strict arrival order. Arrival *ids*, the
-/// per-worker capacity bound, and determinism (independent of thread
-/// scheduling) are always preserved; use [`LtcService::check_in`] when
-/// strict arrival-order semantics matter more than throughput.
-/// [`Algorithm::Aam`] batches fall back to the serial path: its regime
-/// switch reads the exact cross-shard worker-unit aggregate, which
-/// requires lockstep dispatch.
 #[derive(Debug)]
 pub struct LtcService {
-    params: ProblemParams,
-    region: BoundingBox,
-    algorithm: Algorithm,
-    cell_size: f64,
-    batch_capacity: usize,
-    /// Adaptive-index knob (see [`ServiceBuilder::grow_index_after`]).
-    grow_clamps: Option<u64>,
-    /// Auto-rebalance knob (see [`ServiceBuilder::rebalance_factor`]).
-    rebalance_factor: Option<f64>,
+    state: ServiceState,
+    shards: Vec<Shard>,
+    /// What the returned events have done so far.
+    progress: Progress,
     /// Posts since the last auto-rebalance load check.
     posts_since_balance_check: u64,
-    /// Stripe rebalances applied over the session's lifetime (surfaced
-    /// via [`ServiceMetrics::rebalances`]).
-    rebalances: u64,
-    router: ShardRouter,
-    shards: Vec<Shard>,
-    /// `task_map[global] = (shard, local)`.
-    task_map: Vec<(u32, u32)>,
-    /// Service-global arrival counter.
-    next_arrival: u64,
-    n_assignments: u64,
-    max_assigned_arrival: Option<u64>,
     /// Scratch buffers for the merge path.
     scratch: ProposeScratch,
     proposal_buf: Vec<Proposal>,
     completed_buf: Vec<u32>,
-}
-
-/// Everything a facade owns, handed to the pipelined runtime (and back)
-/// when converting between the two front-ends.
-pub(crate) struct ServiceParts {
-    pub(crate) params: ProblemParams,
-    pub(crate) region: BoundingBox,
-    pub(crate) algorithm: Algorithm,
-    pub(crate) cell_size: f64,
-    pub(crate) batch_capacity: usize,
-    pub(crate) grow_clamps: Option<u64>,
-    pub(crate) rebalance_factor: Option<f64>,
-    pub(crate) router: ShardRouter,
-    pub(crate) shards: Vec<Shard>,
-    pub(crate) task_map: Vec<(u32, u32)>,
-    pub(crate) next_arrival: u64,
-    pub(crate) n_assignments: u64,
-    pub(crate) max_assigned_arrival: Option<u64>,
-    pub(crate) rebalances: u64,
 }
 
 impl LtcService {
@@ -91,77 +42,16 @@ impl LtcService {
         ServiceBuilder::new(params, region)
     }
 
-    /// Assembles a freshly built (no traffic yet) service.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn assemble(
-        params: ProblemParams,
-        region: BoundingBox,
-        algorithm: Algorithm,
-        cell_size: f64,
-        batch_capacity: usize,
-        grow_clamps: Option<u64>,
-        rebalance_factor: Option<f64>,
-        router: ShardRouter,
-        shards: Vec<Shard>,
-        task_map: Vec<(u32, u32)>,
-    ) -> Self {
-        Self::from_parts(ServiceParts {
-            params,
-            region,
-            algorithm,
-            cell_size,
-            batch_capacity,
-            grow_clamps,
-            rebalance_factor,
-            router,
-            shards,
-            task_map,
-            next_arrival: 0,
-            n_assignments: 0,
-            max_assigned_arrival: None,
-            rebalances: 0,
-        })
-    }
-
-    pub(crate) fn from_parts(parts: ServiceParts) -> Self {
+    /// Runs a session state inline over its shards.
+    pub(crate) fn new(state: ServiceState, shards: Vec<Shard>, progress: Progress) -> Self {
         Self {
-            params: parts.params,
-            region: parts.region,
-            algorithm: parts.algorithm,
-            cell_size: parts.cell_size,
-            batch_capacity: parts.batch_capacity,
-            grow_clamps: parts.grow_clamps,
-            rebalance_factor: parts.rebalance_factor,
+            state,
+            shards,
+            progress,
             posts_since_balance_check: 0,
-            rebalances: parts.rebalances,
-            router: parts.router,
-            shards: parts.shards,
-            task_map: parts.task_map,
-            next_arrival: parts.next_arrival,
-            n_assignments: parts.n_assignments,
-            max_assigned_arrival: parts.max_assigned_arrival,
             scratch: ProposeScratch::default(),
             proposal_buf: Vec::new(),
             completed_buf: Vec::new(),
-        }
-    }
-
-    pub(crate) fn into_parts(self) -> ServiceParts {
-        ServiceParts {
-            params: self.params,
-            region: self.region,
-            algorithm: self.algorithm,
-            cell_size: self.cell_size,
-            batch_capacity: self.batch_capacity,
-            grow_clamps: self.grow_clamps,
-            rebalance_factor: self.rebalance_factor,
-            router: self.router,
-            shards: self.shards,
-            task_map: self.task_map,
-            next_arrival: self.next_arrival,
-            n_assignments: self.n_assignments,
-            max_assigned_arrival: self.max_assigned_arrival,
-            rebalances: self.rebalances,
         }
     }
 
@@ -171,25 +61,25 @@ impl LtcService {
     /// the facade stopped (same shards, counters, and RNG streams);
     /// [`ServiceHandle::shutdown`] converts back.
     pub fn into_handle(self) -> Result<ServiceHandle, ServiceError> {
-        ServiceHandle::from_facade(self)
+        ServiceHandle::start(self.state, self.shards, self.progress)
     }
 
     /// Platform parameters.
     #[inline]
     pub fn params(&self) -> &ProblemParams {
-        &self.params
+        &self.state.params
     }
 
     /// The completion threshold `δ`.
     #[inline]
     pub fn delta(&self) -> f64 {
-        self.params.delta()
+        self.state.params.delta()
     }
 
     /// The configured policy.
     #[inline]
     pub fn algorithm(&self) -> Algorithm {
-        self.algorithm
+        self.state.algorithm
     }
 
     /// Number of shards.
@@ -201,25 +91,25 @@ impl LtcService {
     /// The service region the router stripes over.
     #[inline]
     pub fn region(&self) -> BoundingBox {
-        self.region
+        self.state.region
     }
 
     /// Number of tasks posted so far (service-wide).
     #[inline]
     pub fn n_tasks(&self) -> usize {
-        self.task_map.len()
+        self.state.task_map.len()
     }
 
     /// Number of workers checked in so far.
     #[inline]
     pub fn n_workers_seen(&self) -> u64 {
-        self.next_arrival
+        self.state.next_arrival
     }
 
     /// Number of assignments committed so far.
     #[inline]
     pub fn n_assignments(&self) -> u64 {
-        self.n_assignments
+        self.progress.n_assignments
     }
 
     /// Number of tasks still below `δ`.
@@ -229,28 +119,24 @@ impl LtcService {
 
     /// Whether every posted task reached `δ`.
     pub fn all_completed(&self) -> bool {
-        self.shards.iter().all(|s| s.engine.all_completed())
+        self.state.all_completed(&self.progress)
     }
 
     /// The paper's objective — the largest arrival index over recruited
     /// workers — defined once every task completed.
     pub fn latency(&self) -> Option<u64> {
-        if self.all_completed() {
-            self.max_assigned_arrival
-        } else {
-            None
-        }
+        self.state.latency(&self.progress)
     }
 
     /// Accumulated quality `S[t]` of a (service-global) task.
     pub fn quality(&self, task: TaskId) -> f64 {
-        let (s, local) = self.locate(task);
+        let (s, local) = self.state.locate(task);
         self.shards[s].engine.quality(local)
     }
 
     /// Whether a (service-global) task reached `δ`.
     pub fn is_completed(&self, task: TaskId) -> bool {
-        let (s, local) = self.locate(task);
+        let (s, local) = self.state.locate(task);
         self.shards[s].engine.is_completed(local)
     }
 
@@ -258,33 +144,8 @@ impl LtcService {
     /// shard spatial indexes (see
     /// [`ServiceMetrics::clamped_insertions`]).
     pub fn metrics(&self) -> ServiceMetrics {
-        ServiceMetrics {
-            n_workers_seen: self.next_arrival,
-            n_assignments: self.n_assignments,
-            n_tasks: self.task_map.len() as u64,
-            n_completed: (self.task_map.len() - self.n_uncompleted()) as u64,
-            clamped_insertions: self
-                .shards
-                .iter()
-                .map(|s| s.engine.index_clamped_insertions())
-                .sum(),
-            rebalances: self.rebalances,
-            shard_loads: self
-                .shards
-                .iter()
-                .map(|s| s.engine.n_uncompleted() as u64)
-                .collect(),
-            latency: self.latency(),
-            wal_records: 0,
-            checkpoints: 0,
-            sessions_open: 1,
-            sessions_evicted: 0,
-        }
-    }
-
-    fn locate(&self, task: TaskId) -> (usize, TaskId) {
-        let (s, local) = self.task_map[task.index()];
-        (s as usize, TaskId(local))
+        self.state
+            .metrics(&self.progress, self.shards.iter().map(Shard::metrics))
     }
 
     /// Posts a new task mid-stream, routing it to the shard owning its
@@ -308,34 +169,10 @@ impl LtcService {
         task: Task,
         accuracies: Option<&[f64]>,
     ) -> Result<TaskId, ServiceError> {
-        if self.task_map.len() >= u32::MAX as usize {
-            return Err(ServiceError::Engine(
-                crate::engine::EngineError::TooManyTasks,
-            ));
-        }
-        let s = if self.shards.len() == 1 {
-            0
-        } else {
-            if !task.loc.is_finite() {
-                return Err(ServiceError::Engine(
-                    crate::engine::EngineError::BadTaskLocation,
-                ));
-            }
-            self.router.shard_of(task.loc)
-        };
-        let shard = &mut self.shards[s];
-        let local = match accuracies {
-            Some(row) => shard.engine.add_task_with_accuracies(task, row),
-            None => shard.engine.add_task(task),
-        }
-        .map_err(ServiceError::Engine)?;
-        let global = self.task_map.len() as u32;
-        debug_assert_eq!(local.index(), shard.globals.len());
-        shard.globals.push(global);
-        self.task_map.push((s as u32, local.0));
-        shard.maybe_grow_index();
+        let (s, global) = self.state.admit_post(&task, accuracies)?;
+        self.shards[s].post(global, task, accuracies);
         self.maybe_auto_rebalance();
-        Ok(TaskId(global))
+        Ok(global)
     }
 
     /// The facade's auto-rebalance trigger (see
@@ -345,7 +182,7 @@ impl LtcService {
     /// when it exceeds the configured factor. Cheap between triggers —
     /// one O(shards) scan of O(1) counters.
     fn maybe_auto_rebalance(&mut self) {
-        let Some(factor) = self.rebalance_factor else {
+        let Some(factor) = self.state.rebalance_factor else {
             return;
         };
         if self.shards.len() <= 1 {
@@ -384,7 +221,7 @@ impl LtcService {
                 live_xs.push(engine.tasks()[t.index()].loc.x);
             }
         }
-        if super::rebalance::balanced_router(self.region, &self.router, &live_xs) == self.router {
+        if balanced_router(self.state.region, &self.state.router, &live_xs) == self.state.router {
             return;
         }
         // Plan errors mean corrupt internal state, which `restore`
@@ -419,36 +256,13 @@ impl LtcService {
         if self.shards.len() <= 1 {
             return Ok(None);
         }
-        let states: Vec<EngineState> = self.shards.iter().map(|s| s.engine.to_state()).collect();
-        let Some(plan) = plan_rebalance(self.region, &self.router, &self.task_map, &states)? else {
-            return Ok(None);
-        };
-        // Build every engine before touching the service, so a failure
-        // (corrupt state — should be impossible) leaves it unchanged.
-        let mut engines = Vec::with_capacity(plan.engines.len());
-        for state in plan.engines {
-            engines.push(AssignmentEngine::from_state(state).map_err(ServiceError::Engine)?);
-        }
-        for ((shard, engine), globals) in self.shards.iter_mut().zip(engines).zip(plan.globals) {
-            shard.engine = engine;
-            shard.globals = globals;
-        }
-        self.router = plan.router;
-        self.task_map = plan.task_map;
-        self.rebalances += 1;
-        Ok(Some(plan.outcome))
-    }
-
-    /// The shards an arriving worker can reach (the routing rule shared
-    /// with the pipelined handle; see [`super::shard::reachable_shards`]).
-    fn reachable_shards(&self, worker: &Worker) -> std::ops::RangeInclusive<usize> {
-        super::shard::reachable_shards(&self.params, &self.router, self.shards.len(), worker)
-    }
-
-    /// Whether check-ins must carry the cross-shard worker-unit
-    /// aggregate into the policy (hybrid AAM on more than one shard).
-    fn hybrid_multi(&self) -> bool {
-        self.algorithm.needs_global_units() && self.shards.len() > 1
+        let states: Vec<_> = self.shards.iter().map(|s| s.engine.to_state()).collect();
+        let shards = &mut self.shards;
+        self.state.rebalance(&states, |s, engine, globals| {
+            shards[s].engine = engine;
+            shards[s].globals = globals;
+            Ok(())
+        })
     }
 
     /// Serves one worker check-in end to end and returns everything that
@@ -467,40 +281,13 @@ impl LtcService {
     /// clear and reuse one buffer and keep the whole serve path free of
     /// per-call heap allocations once warmed up.
     pub fn check_in_into(&mut self, worker: &Worker, events: &mut Vec<Event>) {
-        let w = self.take_arrival_id();
-        self.check_in_as(w, worker, events);
-    }
-
-    fn take_arrival_id(&mut self) -> WorkerId {
-        let w = WorkerId(self.next_arrival);
-        self.next_arrival = self
-            .next_arrival
-            .checked_add(1)
-            .expect("worker arrival index exceeded the u64 id space");
-        w
-    }
-
-    fn check_in_as(&mut self, w: WorkerId, worker: &Worker, events: &mut Vec<Event>) {
-        let range = self.reachable_shards(worker);
+        let arrival = self.state.admit_worker(worker);
         let start = events.len();
-        if !self.hybrid_multi() && range.start() == range.end() {
-            self.shards[*range.start()].check_in_local(w, worker, events);
-        } else {
-            self.check_in_merge(w, worker, range, events);
+        match arrival.local_shard() {
+            Some(s) => self.shards[s].check_in_local(arrival.id, worker, events),
+            None => self.check_in_merge(arrival, worker, events),
         }
-        self.note_events(&events[start..]);
-    }
-
-    /// Updates service-wide counters from freshly emitted events.
-    fn note_events(&mut self, events: &[Event]) {
-        for e in events {
-            if let Event::Assigned { worker, .. } = e {
-                self.n_assignments += 1;
-                let idx = worker.arrival_index();
-                self.max_assigned_arrival =
-                    Some(self.max_assigned_arrival.map_or(idx, |m| m.max(idx)));
-            }
-        }
+        self.progress.note(&events[start..]);
     }
 
     /// The merge path: every reachable shard proposes its policy's
@@ -509,19 +296,14 @@ impl LtcService {
     /// descending (ties toward the smaller global task id), and the best
     /// `K` are committed in ascending global-id order — the same commit
     /// order the engine uses.
-    fn check_in_merge(
-        &mut self,
-        w: WorkerId,
-        worker: &Worker,
-        range: std::ops::RangeInclusive<usize>,
-        events: &mut Vec<Event>,
-    ) {
-        let k = self.params.capacity as usize;
-        let units = self.hybrid_multi().then(|| global_units(&self.shards));
+    fn check_in_merge(&mut self, arrival: Arrival, worker: &Worker, events: &mut Vec<Event>) {
+        let w = arrival.id;
+        let k = self.state.params.capacity as usize;
+        let units = arrival.hybrid.then(|| global_units(&self.shards));
         let mut scratch = std::mem::take(&mut self.scratch);
         let mut proposals = std::mem::take(&mut self.proposal_buf);
         proposals.clear();
-        for s in range {
+        for s in arrival.reach {
             let shard = &mut self.shards[s];
             if let Some(units) = units {
                 shard.set_hybrid_units(units);
@@ -543,82 +325,6 @@ impl LtcService {
         append_merge_events(w, &proposals, &completed, events);
         self.completed_buf = completed;
         self.proposal_buf = proposals;
-    }
-
-    /// Serves a slice of check-ins, returning each worker's events in
-    /// arrival order. With `shards > 1` the slice is processed in
-    /// [`ServiceBuilder::batch_capacity`]-sized waves: each wave
-    /// dispatches interior workers to their shards on scoped threads
-    /// (one per shard) and then commits boundary workers serially — see
-    /// the type-level docs for the exact ordering contract (and why
-    /// [`Algorithm::Aam`] takes the serial path instead).
-    pub fn check_in_batch(&mut self, workers: &[Worker]) -> Vec<Vec<Event>> {
-        let mut out: Vec<Vec<Event>> = Vec::with_capacity(workers.len());
-        if self.shards.len() == 1 || self.hybrid_multi() {
-            // Single shard needs no dispatch; hybrid AAM needs the exact
-            // global regime aggregate, which only lockstep service gives.
-            for worker in workers {
-                out.push(self.check_in(worker));
-            }
-            return out;
-        }
-        for wave in workers.chunks(self.batch_capacity) {
-            self.dispatch_wave(wave, &mut out);
-        }
-        out
-    }
-
-    /// One multi-shard dispatch wave.
-    fn dispatch_wave(&mut self, wave: &[Worker], out: &mut Vec<Vec<Event>>) {
-        let base = out.len();
-        out.resize_with(base + wave.len(), Vec::new);
-        // (slot, arrival id, worker) per shard; boundary workers kept in
-        // arrival order for the serial phase.
-        let mut queues: Vec<Vec<(usize, WorkerId, Worker)>> = vec![Vec::new(); self.shards.len()];
-        let mut boundary: Vec<(usize, WorkerId, Worker)> = Vec::new();
-        for (i, worker) in wave.iter().enumerate() {
-            let w = self.take_arrival_id();
-            let range = self.reachable_shards(worker);
-            if range.start() == range.end() {
-                queues[*range.start()].push((base + i, w, *worker));
-            } else {
-                boundary.push((base + i, w, *worker));
-            }
-        }
-
-        // Phase A: shard-local traffic in parallel. Each thread owns one
-        // shard mutably (disjoint borrows via iter_mut), so no locking.
-        let shard_events: Vec<Vec<(usize, Vec<Event>)>> = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (shard, queue) in self.shards.iter_mut().zip(&queues) {
-                if queue.is_empty() {
-                    continue;
-                }
-                handles.push(scope.spawn(move || {
-                    let mut results = Vec::with_capacity(queue.len());
-                    for (slot, w, worker) in queue {
-                        let mut events = Vec::new();
-                        shard.check_in_local(*w, worker, &mut events);
-                        results.push((*slot, events));
-                    }
-                    results
-                }));
-            }
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        for (slot, events) in shard_events.into_iter().flatten() {
-            self.note_events(&events);
-            out[slot] = events;
-        }
-
-        // Phase B: boundary workers serially through the merge path.
-        for (slot, w, worker) in boundary {
-            let mut events = Vec::new();
-            let range = self.reachable_shards(&worker);
-            self.check_in_merge(w, &worker, range, &mut events);
-            self.note_events(&events);
-            out[slot] = events;
-        }
     }
 
     /// Extracts the full durable service state (configuration, shard
@@ -652,180 +358,15 @@ impl LtcService {
     /// assert_eq!(service.check_in(&worker), restored.check_in(&worker));
     /// ```
     pub fn snapshot(&self) -> ServiceSnapshot {
-        ServiceSnapshot {
-            params: self.params,
-            region: self.region,
-            algorithm: self.algorithm,
-            cell_size: self.cell_size,
-            batch_capacity: self.batch_capacity,
-            grow_clamps: self.grow_clamps,
-            rebalance_factor: self.rebalance_factor,
-            stripes: stripe_record(&self.router, self.shards.len(), self.cell_size, self.region),
-            next_arrival: self.next_arrival,
-            task_map: self.task_map.clone(),
-            engines: self.shards.iter().map(|s| s.engine.to_state()).collect(),
-            rng_draws: self.shards.iter().map(|s| s.policy.rng_draws()).collect(),
-        }
+        self.state.snapshot(self.shards.iter().map(Shard::state))
     }
 
     /// Rebuilds a service from a [`ServiceSnapshot`] (the inverse of
     /// [`LtcService::snapshot`]).
     pub fn restore(snapshot: ServiceSnapshot) -> Result<Self, ServiceError> {
-        snapshot.params.validate().map_err(ServiceError::Params)?;
-        let n_shards = snapshot.engines.len();
-        if n_shards == 0 {
-            return Err(ServiceError::BadSnapshot(
-                "a service needs at least one shard",
-            ));
-        }
-        if !(snapshot.cell_size.is_finite() && snapshot.cell_size > 0.0) {
-            return Err(ServiceError::BadCellSize(snapshot.cell_size));
-        }
-        if !snapshot.rng_draws.is_empty() && snapshot.rng_draws.len() != n_shards {
-            return Err(ServiceError::BadSnapshot(
-                "rng stream positions disagree with the shard count",
-            ));
-        }
-        let router = match snapshot.stripes {
-            None => ShardRouter::new(n_shards, snapshot.cell_size, snapshot.region),
-            Some(layout) => {
-                let router = layout
-                    .into_router()
-                    .map_err(|_| ServiceError::BadSnapshot("invalid stripe layout"))?;
-                if router.n_shards() != n_shards {
-                    return Err(ServiceError::BadSnapshot(
-                        "stripe layout disagrees with the shard count",
-                    ));
-                }
-                router
-            }
-        };
-        // Enforce the same invariant as `ServiceBuilder::build`: tabular
-        // accuracy models index workers globally and cannot be sharded —
-        // a snapshot claiming otherwise is corrupt, not restorable.
-        if n_shards > 1
-            && snapshot
-                .engines
-                .iter()
-                .any(|e| matches!(e.accuracy, AccuracyModel::Table(_)))
-        {
-            return Err(ServiceError::TabularNeedsSingleShard);
-        }
-        // Rebuild each shard's local→global map from the task map and
-        // validate the mapping is a bijection onto the engines' tasks.
-        let mut globals: Vec<Vec<u32>> = vec![Vec::new(); n_shards];
-        for (g, &(s, local)) in snapshot.task_map.iter().enumerate() {
-            let s = s as usize;
-            if s >= n_shards {
-                return Err(ServiceError::BadSnapshot("task routed to unknown shard"));
-            }
-            if local as usize != globals[s].len() {
-                return Err(ServiceError::BadSnapshot(
-                    "task map out of order for its shard",
-                ));
-            }
-            globals[s].push(g as u32);
-        }
-        let mut n_assignments = 0u64;
-        let mut max_assigned_arrival: Option<u64> = None;
-        let mut shards = Vec::with_capacity(n_shards);
-        for (s, state) in snapshot.engines.into_iter().enumerate() {
-            if state.tasks.len() != globals[s].len() {
-                return Err(ServiceError::BadSnapshot(
-                    "task map disagrees with a shard engine's task count",
-                ));
-            }
-            let engine =
-                crate::engine::AssignmentEngine::from_state(state).map_err(ServiceError::Engine)?;
-            for a in engine.arrangement().assignments() {
-                n_assignments += 1;
-                let idx = a.worker.arrival_index();
-                max_assigned_arrival = Some(max_assigned_arrival.map_or(idx, |m| m.max(idx)));
-            }
-            let mut policy = snapshot.algorithm.policy(s);
-            if let Some(draws) = snapshot.rng_draws.get(s).copied().flatten() {
-                if !policy.advance_rng(draws) {
-                    return Err(ServiceError::BadSnapshot(
-                        "rng stream position recorded for a deterministic policy",
-                    ));
-                }
-            }
-            shards.push(Shard {
-                engine,
-                policy,
-                globals: std::mem::take(&mut globals[s]),
-                grow_clamps: snapshot.grow_clamps,
-            });
-        }
-        Ok(Self::from_parts(ServiceParts {
-            params: snapshot.params,
-            region: snapshot.region,
-            algorithm: snapshot.algorithm,
-            cell_size: snapshot.cell_size,
-            batch_capacity: snapshot.batch_capacity.max(1),
-            grow_clamps: snapshot.grow_clamps,
-            rebalance_factor: snapshot.rebalance_factor,
-            router,
-            shards,
-            task_map: snapshot.task_map,
-            next_arrival: snapshot.next_arrival,
-            n_assignments,
-            max_assigned_arrival,
-            rebalances: 0,
-        }))
+        let (state, shards, progress) = ServiceState::restore(snapshot)?;
+        Ok(Self::new(state, shards, progress))
     }
-}
-
-/// The stripe record a snapshot needs: `None` while the router still
-/// has the layout `ShardRouter::new` derives from the configuration
-/// (which keeps pre-rebalance snapshots byte-identical across
-/// versions), the explicit layout after any rebalance.
-pub(crate) fn stripe_record(
-    router: &ShardRouter,
-    n_shards: usize,
-    cell_size: f64,
-    region: BoundingBox,
-) -> Option<StripeLayout> {
-    let uniform = ShardRouter::new(n_shards, cell_size, region);
-    (*router != uniform).then(|| StripeLayout::of(router))
-}
-
-/// The durable state of an [`LtcService`]; plain data, serialized by
-/// [`crate::snapshot`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServiceSnapshot {
-    /// Platform parameters.
-    pub params: ProblemParams,
-    /// The service region routing stripes over.
-    pub region: BoundingBox,
-    /// The configured policy.
-    pub algorithm: Algorithm,
-    /// Routing/index tile size.
-    pub cell_size: f64,
-    /// Batch dispatch capacity / runtime mailbox bound.
-    pub batch_capacity: usize,
-    /// Adaptive-index growth threshold
-    /// ([`ServiceBuilder::grow_index_after`]); `None` = disabled.
-    pub grow_clamps: Option<u64>,
-    /// Auto-rebalance skew factor
-    /// ([`ServiceBuilder::rebalance_factor`]); `None` = disabled.
-    pub rebalance_factor: Option<f64>,
-    /// The router's stripe layout, when it differs from the default
-    /// equal-width striping of `region` (i.e. after a rebalance);
-    /// `None` restores the uniform layout. Serialized as the optional
-    /// `stripes` group of the `config` record.
-    pub stripes: Option<StripeLayout>,
-    /// The service-global arrival counter.
-    pub next_arrival: u64,
-    /// `task_map[global] = (shard, local)`.
-    pub task_map: Vec<(u32, u32)>,
-    /// Per-shard engine state.
-    pub engines: Vec<EngineState>,
-    /// Per-shard RNG stream positions (raw draws consumed), present for
-    /// [`Algorithm::Random`] policies so resume is bit-exact; `None`
-    /// entries for deterministic policies. Either empty or one entry per
-    /// shard.
-    pub rng_draws: Vec<Option<u64>>,
 }
 
 #[cfg(test)]
@@ -833,7 +374,7 @@ mod tests {
     use super::super::{Algorithm, Event, ServiceBuilder, ServiceError};
     use super::*;
     use crate::engine::AssignmentEngine;
-    use crate::model::{Instance, ProblemParams};
+    use crate::model::{Instance, ProblemParams, WorkerId};
     use crate::online::Aam;
     use ltc_spatial::Point;
     use std::num::NonZeroUsize;
@@ -919,8 +460,8 @@ mod tests {
             .unwrap();
         assert_eq!(service.n_tasks(), 2);
         assert_ne!(
-            service.task_map[far_left.index()].0,
-            service.task_map[far_right.index()].0,
+            service.state.task_map[far_left.index()].0,
+            service.state.task_map[far_right.index()].0,
             "opposite region ends must land on different shards"
         );
         // Drive both to completion with co-located workers.
@@ -954,98 +495,6 @@ mod tests {
             }]
         );
         assert_eq!(service.n_workers_seen(), 1);
-    }
-
-    #[test]
-    fn batch_equals_serial_on_a_single_shard() {
-        let tasks: Vec<Task> = (0..10)
-            .map(|i| Task::new(Point::new(i as f64 * 50.0, 500.0)))
-            .collect();
-        let workers: Vec<Worker> = (0..60)
-            .map(|i| Worker::new(Point::new((i % 10) as f64 * 50.0, 501.0), 0.9))
-            .collect();
-        let build = || {
-            ServiceBuilder::new(params(2), region())
-                .tasks(tasks.clone())
-                .build()
-                .unwrap()
-        };
-        let mut serial = build();
-        let mut batched = build();
-        let a: Vec<Vec<Event>> = workers.iter().map(|w| serial.check_in(w)).collect();
-        let b = batched.check_in_batch(&workers);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn multi_shard_batch_preserves_capacity_and_ids() {
-        let tasks: Vec<Task> = (0..40)
-            .map(|i| Task::new(Point::new((i % 20) as f64 * 50.0, (i / 20) as f64 * 500.0)))
-            .collect();
-        let workers: Vec<Worker> = (0..300)
-            .map(|i| {
-                Worker::new(
-                    Point::new((i % 40) as f64 * 25.0, (i % 2) as f64 * 500.0),
-                    0.9,
-                )
-            })
-            .collect();
-        let mut service = ServiceBuilder::new(params(2), region())
-            .tasks(tasks)
-            .shards(shards(4))
-            .batch_capacity(64)
-            .build()
-            .unwrap();
-        let out = service.check_in_batch(&workers);
-        assert_eq!(out.len(), workers.len());
-        // Arrival ids are dense and in order.
-        let mut per_worker: std::collections::HashMap<u64, usize> = Default::default();
-        for (i, events) in out.iter().enumerate() {
-            for e in events {
-                match e {
-                    Event::Assigned { worker, .. } | Event::WorkerIdle { worker } => {
-                        assert_eq!(worker.0 as usize, i, "events landed in the wrong slot");
-                        if let Event::Assigned { .. } = e {
-                            *per_worker.entry(worker.0).or_default() += 1;
-                        }
-                    }
-                    Event::TaskCompleted { .. } => {}
-                }
-            }
-        }
-        assert!(per_worker.values().all(|&n| n <= 2), "capacity violated");
-        assert_eq!(service.n_workers_seen(), workers.len() as u64);
-    }
-
-    #[test]
-    fn aam_batch_equals_serial_lockstep() {
-        // Hybrid AAM batches take the serial path (the regime switch
-        // needs the exact global aggregate) — output must equal serial.
-        let tasks: Vec<Task> = (0..24)
-            .map(|i| Task::new(Point::new((i % 12) as f64 * 80.0, (i / 12) as f64 * 600.0)))
-            .collect();
-        let workers: Vec<Worker> = (0..200)
-            .map(|i| {
-                Worker::new(
-                    Point::new((i % 25) as f64 * 40.0, (i % 3) as f64 * 300.0),
-                    0.85 + (i % 4) as f64 * 0.03,
-                )
-            })
-            .collect();
-        let build = || {
-            ServiceBuilder::new(params(2), region())
-                .tasks(tasks.clone())
-                .algorithm(Algorithm::Aam)
-                .shards(shards(4))
-                .batch_capacity(32)
-                .build()
-                .unwrap()
-        };
-        let mut serial = build();
-        let mut batched = build();
-        let a: Vec<Vec<Event>> = workers.iter().map(|w| serial.check_in(w)).collect();
-        let b = batched.check_in_batch(&workers);
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -1175,7 +624,7 @@ mod tests {
         let mut single = build(1);
         let mut sharded = build(2);
         assert_ne!(
-            sharded.task_map[0].0, sharded.task_map[1].0,
+            sharded.state.task_map[0].0, sharded.state.task_map[1].0,
             "clusters must land on different shards for the test to bite"
         );
         for (i, w) in workers.iter().enumerate() {

@@ -1,25 +1,16 @@
-//! The pipelined session API: a handle over persistent shard threads.
+//! The pipelined session API: the threaded executor — the shared
+//! service state in front of persistent shard threads.
 
-use super::facade::{LtcService, ServiceParts, ServiceSnapshot};
-use super::rebalance::{plan_rebalance, RebalanceOutcome};
-use super::runtime::{
-    collector_loop, shard_loop, CollectorMsg, Rendezvous, RuntimeStats, ShardMetrics, ShardMsg,
-    ShardState,
-};
+use super::facade::LtcService;
+use super::rebalance::RebalanceOutcome;
+use super::runtime::{CollectorMsg, Rendezvous, Runtime, ShardMsg};
+use super::shard::Shard;
+use super::state::{Progress, ServiceSnapshot, ServiceState};
 use super::{Algorithm, EventStream, Lifecycle, ServiceError, ServiceMetrics};
-use crate::engine::{AssignmentEngine, EngineError, EngineState};
-use crate::model::{AccuracyModel, ProblemParams, Task, TaskId, Worker, WorkerId};
-use ltc_spatial::{BoundingBox, ShardRouter};
-use std::sync::atomic::Ordering;
-use std::sync::mpsc::{self, Sender, SyncSender, TrySendError};
+use crate::model::{ProblemParams, Task, TaskId, Worker, WorkerId};
+use ltc_spatial::BoundingBox;
+use std::sync::mpsc;
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
-
-/// How long a drain waits for the runtime before concluding it is
-/// wedged (a shard thread died or a mailbox deadlocked — bugs, not
-/// back-pressure).
-const DRAIN_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// A live, pipelined LTC service session: persistent per-shard threads
 /// behind bounded mailboxes. Created by
@@ -69,203 +60,89 @@ const DRAIN_TIMEOUT: Duration = Duration::from_secs(60);
 /// ```
 #[derive(Debug)]
 pub struct ServiceHandle {
-    params: ProblemParams,
-    region: BoundingBox,
-    algorithm: Algorithm,
-    cell_size: f64,
-    batch_capacity: usize,
-    grow_clamps: Option<u64>,
-    rebalance_factor: Option<f64>,
-    router: ShardRouter,
-    n_shards: usize,
-    /// `task_map[global] = (shard, local)` — maintained at submission.
-    task_map: Vec<(u32, u32)>,
-    /// Next local task id per shard.
-    shard_task_counts: Vec<u32>,
-    next_arrival: u64,
-    next_seq: u64,
-    /// `Some(n_workers)` when the accuracy model is tabular.
-    table_workers: Option<usize>,
-    /// Stripe rebalances applied on this handle (plus any the facade it
-    /// was adopted from had already run).
-    rebalances: u64,
-    shard_txs: Vec<SyncSender<ShardMsg>>,
-    shard_joins: Vec<JoinHandle<super::shard::Shard>>,
-    collector_tx: Option<Sender<CollectorMsg>>,
-    collector_join: Option<JoinHandle<()>>,
-    stats: Arc<RuntimeStats>,
+    state: ServiceState,
+    runtime: Runtime,
 }
 
 impl ServiceHandle {
-    /// Spins the runtime up over a facade's shards (the handle continues
-    /// exactly where the facade stopped).
-    pub(crate) fn from_facade(svc: LtcService) -> Result<Self, ServiceError> {
-        let parts = svc.into_parts();
-        let stats = Arc::new(RuntimeStats::default());
-        stats
-            .n_assignments
-            .store(parts.n_assignments, Ordering::Relaxed);
-        stats
-            .max_assigned_arrival
-            .store(parts.max_assigned_arrival.unwrap_or(0), Ordering::Relaxed);
-        let completed: u64 = parts
-            .shards
-            .iter()
-            .map(|s| (s.engine.n_tasks() - s.engine.n_uncompleted()) as u64)
-            .sum();
-        stats.completed_tasks.store(completed, Ordering::Relaxed);
+    /// Spins the runtime up over a session's shards (the handle
+    /// continues exactly where the facade stopped).
+    pub(crate) fn start(
+        state: ServiceState,
+        shards: Vec<Shard>,
+        progress: Progress,
+    ) -> Result<Self, ServiceError> {
         // Every facade check-in was served (and its events returned)
         // synchronously, so the whole-session delivered count starts at
-        // the adopted arrival counter — `Lifecycle::Drained` reports
-        // totals consistent with `n_workers_seen`.
-        stats
-            .workers_released
-            .store(parts.next_arrival, Ordering::Relaxed);
-
-        let table_workers = parts
-            .shards
-            .first()
-            .and_then(|s| match s.engine.accuracy_model() {
-                AccuracyModel::Table(t) => Some(t.n_workers()),
-                AccuracyModel::Sigmoid => None,
-            });
-        let shard_task_counts: Vec<u32> = parts
-            .shards
-            .iter()
-            .map(|s| s.globals.len() as u32)
-            .collect();
-
-        let (collector_tx, collector_rx) = mpsc::channel();
-        let collector_join = {
-            let stats = Arc::clone(&stats);
-            std::thread::Builder::new()
-                .name("ltc-collector".into())
-                .spawn(move || collector_loop(collector_rx, stats))
-                .map_err(|_| ServiceError::RuntimeStopped("could not spawn the collector"))?
-        };
-
-        let n_shards = parts.shards.len();
-        let mut shard_txs = Vec::with_capacity(n_shards);
-        let mut shard_joins = Vec::with_capacity(n_shards);
-        for (i, shard) in parts.shards.into_iter().enumerate() {
-            let (tx, rx) = mpsc::sync_channel(parts.batch_capacity);
-            let rt = super::runtime::ShardRuntime::new(shard, i, collector_tx.clone());
-            let join = std::thread::Builder::new()
-                .name(format!("ltc-shard-{i}"))
-                .spawn(move || shard_loop(rt, rx))
-                .map_err(|_| ServiceError::RuntimeStopped("could not spawn a shard thread"))?;
-            shard_txs.push(tx);
-            shard_joins.push(join);
-        }
-
-        Ok(Self {
-            params: parts.params,
-            region: parts.region,
-            algorithm: parts.algorithm,
-            cell_size: parts.cell_size,
-            batch_capacity: parts.batch_capacity,
-            grow_clamps: parts.grow_clamps,
-            rebalance_factor: parts.rebalance_factor,
-            router: parts.router,
-            n_shards,
-            task_map: parts.task_map,
-            shard_task_counts,
-            next_arrival: parts.next_arrival,
-            next_seq: 0,
-            table_workers,
-            rebalances: parts.rebalances,
-            shard_txs,
-            shard_joins,
-            collector_tx: Some(collector_tx),
-            collector_join: Some(collector_join),
-            stats,
-        })
+        // the arrival counter — `Lifecycle::Drained` reports totals
+        // consistent with `n_workers_seen`.
+        let runtime = Runtime::start(shards, state.mailbox_capacity, progress, state.next_arrival)?;
+        Ok(Self { state, runtime })
     }
 
     /// Restores a session from a snapshot and starts its runtime (the
     /// pipelined analogue of [`LtcService::restore`]).
     pub fn restore(snapshot: ServiceSnapshot) -> Result<Self, ServiceError> {
-        LtcService::restore(snapshot)?.into_handle()
+        let (state, shards, progress) = ServiceState::restore(snapshot)?;
+        Self::start(state, shards, progress)
     }
 
     /// Platform parameters.
     #[inline]
     pub fn params(&self) -> &ProblemParams {
-        &self.params
+        &self.state.params
     }
 
     /// The configured policy.
     #[inline]
     pub fn algorithm(&self) -> Algorithm {
-        self.algorithm
+        self.state.algorithm
     }
 
     /// Number of shards (= persistent shard threads).
     #[inline]
     pub fn n_shards(&self) -> usize {
-        self.n_shards
+        self.state.n_shards()
     }
 
     /// The service region the router stripes over.
     #[inline]
     pub fn region(&self) -> BoundingBox {
-        self.region
+        self.state.region
     }
 
     /// Number of tasks posted so far.
     #[inline]
     pub fn n_tasks(&self) -> usize {
-        self.task_map.len()
+        self.state.task_map.len()
     }
 
     /// Number of check-ins submitted so far (they may still be in
     /// flight; see [`ServiceHandle::drain`]).
     #[inline]
     pub fn n_workers_seen(&self) -> u64 {
-        self.next_arrival
+        self.state.next_arrival
     }
 
     /// Assignments committed and released so far. Lags submissions by
     /// the in-flight window; exact after a [`drain`](ServiceHandle::drain).
     #[inline]
     pub fn n_assignments(&self) -> u64 {
-        self.stats.n_assignments.load(Ordering::Relaxed)
+        self.runtime.progress().n_assignments
     }
 
     /// Whether every posted task has been observed to reach `δ`.
     /// Conservative while work is in flight; exact after a
     /// [`drain`](ServiceHandle::drain).
     pub fn all_completed(&self) -> bool {
-        self.stats.completed_tasks.load(Ordering::Relaxed) == self.task_map.len() as u64
+        self.state.all_completed(&self.runtime.progress())
     }
 
     /// The paper's objective — the largest arrival index over recruited
     /// workers — defined once every task completed (exact after a
     /// [`drain`](ServiceHandle::drain)).
     pub fn latency(&self) -> Option<u64> {
-        if self.all_completed() {
-            self.stats.max_assigned()
-        } else {
-            None
-        }
-    }
-
-    fn take_seq(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        seq
-    }
-
-    fn collector(&self) -> Result<&Sender<CollectorMsg>, ServiceError> {
-        self.collector_tx
-            .as_ref()
-            .ok_or(ServiceError::RuntimeStopped("the runtime is shut down"))
-    }
-
-    fn announce(&self, lifecycle: Lifecycle) {
-        if let Some(tx) = &self.collector_tx {
-            tx.send(CollectorMsg::Lifecycle(lifecycle)).ok();
-        }
+        self.state.latency(&self.runtime.progress())
     }
 
     /// Announces an out-of-band [`Lifecycle`] notice to every
@@ -275,38 +152,7 @@ impl ServiceHandle {
     /// [`Lifecycle::Checkpointed`] this way). Advisory delivery, like
     /// every non-`Drained` lifecycle notice; a no-op after shutdown.
     pub fn announce_lifecycle(&self, lifecycle: Lifecycle) {
-        self.announce(lifecycle);
-    }
-
-    /// Sends to a shard mailbox, announcing back-pressure the moment the
-    /// bounded channel is full, then blocking until the shard catches up.
-    /// After shutdown the mailboxes are gone: a late submission (a
-    /// server thread racing an eviction) is a clean refusal, never a
-    /// panic.
-    fn send_shard(&self, shard: usize, msg: ShardMsg) -> Result<(), ServiceError> {
-        let Some(tx) = self.shard_txs.get(shard) else {
-            return Err(ServiceError::RuntimeStopped("the runtime is shut down"));
-        };
-        match tx.try_send(msg) {
-            Ok(()) => Ok(()),
-            Err(TrySendError::Full(msg)) => {
-                self.announce(Lifecycle::ShardStalled {
-                    shard,
-                    capacity: self.batch_capacity,
-                });
-                tx.send(msg)
-                    .map_err(|_| ServiceError::RuntimeStopped("a shard mailbox disconnected"))
-            }
-            Err(TrySendError::Disconnected(_)) => {
-                Err(ServiceError::RuntimeStopped("a shard mailbox disconnected"))
-            }
-        }
-    }
-
-    /// The shards an arriving worker can reach (the routing rule shared
-    /// with the facade; see [`super::shard::reachable_shards`]).
-    fn reachable_shards(&self, worker: &Worker) -> std::ops::RangeInclusive<usize> {
-        super::shard::reachable_shards(&self.params, &self.router, self.n_shards, worker)
+        self.runtime.announce(lifecycle);
     }
 
     /// Enqueues one check-in and returns its service-global arrival id
@@ -314,52 +160,37 @@ impl ServiceHandle {
     /// submission order) once its shard(s) process it. Blocks only when
     /// the target mailbox is full.
     pub fn submit_worker(&mut self, worker: &Worker) -> Result<WorkerId, ServiceError> {
-        let w = WorkerId(self.next_arrival);
-        self.next_arrival = self
-            .next_arrival
-            .checked_add(1)
-            .expect("worker arrival index exceeded the u64 id space");
-        let seq = self.take_seq();
-        let range = self.reachable_shards(worker);
-        let hybrid = self.algorithm.needs_global_units() && self.n_shards > 1;
-        if !hybrid && range.start() == range.end() {
-            return self
-                .send_shard(
-                    *range.start(),
-                    ShardMsg::Local {
-                        seq,
-                        w,
-                        worker: *worker,
-                    },
-                )
-                .map(|()| w);
+        let arrival = self.state.admit_worker(worker);
+        let (w, seq) = (arrival.id, self.runtime.take_seq());
+        if let Some(s) = arrival.local_shard() {
+            let msg = ShardMsg::Local {
+                seq,
+                w,
+                worker: *worker,
+            };
+            return self.runtime.send(s, msg).map(|()| w);
         }
         // Cross-shard decision: every participant synchronizes at this
         // worker through a rendezvous. Hybrid AAM involves all shards
         // (the regime aggregate is global); otherwise only the stripes
         // the worker's disk touches.
-        let participants = if hybrid {
-            0..=self.n_shards - 1
+        let participants = if arrival.hybrid {
+            0..=self.state.n_shards() - 1
         } else {
-            range.clone()
+            arrival.reach.clone()
         };
         let expected = participants.end() - participants.start() + 1;
-        let rv = Arc::new(Rendezvous::new(
-            self.params.capacity as usize,
-            expected,
-            hybrid,
-        ));
+        let k = self.state.params.capacity as usize;
+        let rv = Arc::new(Rendezvous::new(k, expected, arrival.hybrid));
         for s in participants {
-            self.send_shard(
-                s,
-                ShardMsg::Gather {
-                    seq,
-                    w,
-                    worker: *worker,
-                    propose: range.contains(&s),
-                    rv: Arc::clone(&rv),
-                },
-            )?;
+            let msg = ShardMsg::Gather {
+                seq,
+                w,
+                worker: *worker,
+                propose: arrival.reach.contains(&s),
+                rv: Arc::clone(&rv),
+            };
+            self.runtime.send(s, msg)?;
         }
         Ok(w)
     }
@@ -388,56 +219,21 @@ impl ServiceHandle {
         task: Task,
         accuracies: Option<&[f64]>,
     ) -> Result<TaskId, ServiceError> {
-        // Validation happens here, on the caller's thread, replicating
-        // the engine's checks — the shard thread then cannot fail.
-        if !task.loc.is_finite() {
-            return Err(ServiceError::Engine(EngineError::BadTaskLocation));
-        }
-        if self.task_map.len() >= u32::MAX as usize {
-            return Err(ServiceError::Engine(EngineError::TooManyTasks));
-        }
-        match (self.table_workers, accuracies) {
-            (None, None) => {}
-            (None, Some(_)) => {
-                return Err(ServiceError::Engine(EngineError::UnexpectedAccuracyRow))
-            }
-            (Some(_), None) => return Err(ServiceError::Engine(EngineError::MissingAccuracyRow)),
-            (Some(expected), Some(row)) => {
-                if row.len() != expected {
-                    return Err(ServiceError::Engine(EngineError::BadAccuracyRow {
-                        expected,
-                        got: row.len(),
-                    }));
-                }
-                if let Some(&value) = row.iter().find(|a| !(0.0..=1.0).contains(*a) || a.is_nan()) {
-                    return Err(ServiceError::Engine(EngineError::AccuracyOutOfRange(value)));
-                }
-            }
-        }
-        let s = if self.n_shards == 1 {
-            0
-        } else {
-            self.router.shard_of(task.loc)
+        // Admission validates on the caller's thread, so the shard
+        // thread's append cannot fail.
+        let (s, global) = self.state.admit_post(&task, accuracies)?;
+        let msg = ShardMsg::PostTask {
+            seq: self.runtime.take_seq(),
+            global,
+            task,
+            accuracies: accuracies.map(<[f64]>::to_vec),
         };
-        let global = self.task_map.len() as u32;
-        let seq = self.take_seq();
-        self.send_shard(
-            s,
-            ShardMsg::PostTask {
-                seq,
-                global,
-                task,
-                accuracies: accuracies.map(<[f64]>::to_vec),
-            },
-        )?;
-        self.task_map.push((s as u32, self.shard_task_counts[s]));
-        self.shard_task_counts[s] += 1;
-        if !self.region.contains(task.loc) {
-            self.announce(Lifecycle::TaskOutOfRegion {
-                task: TaskId(global),
-            });
+        self.runtime.send(s, msg)?;
+        if !self.state.region.contains(task.loc) {
+            self.runtime
+                .announce(Lifecycle::TaskOutOfRegion { task: global });
         }
-        Ok(TaskId(global))
+        Ok(global)
     }
 
     /// Attaches a subscriber. It receives every event produced from now
@@ -475,7 +271,8 @@ impl ServiceHandle {
     /// ```
     pub fn subscribe(&mut self) -> Result<EventStream, ServiceError> {
         let (tx, rx) = mpsc::channel();
-        self.collector()?
+        self.runtime
+            .collector()?
             .send(CollectorMsg::Subscribe { tx })
             .map_err(|_| ServiceError::RuntimeStopped("the collector disconnected"))?;
         Ok(EventStream::new(rx))
@@ -486,18 +283,7 @@ impl ServiceHandle {
     /// [`Lifecycle::Drained`]. After a drain the progress accessors are
     /// exact and the mailboxes are empty.
     pub fn drain(&mut self) -> Result<(), ServiceError> {
-        let seq = self.take_seq();
-        let (ack_tx, ack_rx) = mpsc::sync_channel(1);
-        self.collector()?
-            .send(CollectorMsg::Flush {
-                seq,
-                announce: true,
-                ack: ack_tx,
-            })
-            .map_err(|_| ServiceError::RuntimeStopped("the collector disconnected"))?;
-        ack_rx.recv_timeout(DRAIN_TIMEOUT).map_err(|_| {
-            ServiceError::RuntimeStopped("drain timed out — a shard is stalled or died")
-        })
+        self.runtime.drain()
     }
 
     /// Quiesces the runtime ([`drain`](ServiceHandle::drain)) and
@@ -507,43 +293,11 @@ impl ServiceHandle {
     /// session keeps running afterwards.
     pub fn snapshot(&mut self) -> Result<ServiceSnapshot, ServiceError> {
         self.drain()?;
-        let mut replies = Vec::with_capacity(self.n_shards);
-        for s in 0..self.n_shards {
-            let (tx, rx) = mpsc::sync_channel(1);
-            self.send_shard(s, ShardMsg::Snapshot { reply: tx })?;
-            replies.push(rx);
-        }
-        let mut engines = Vec::with_capacity(self.n_shards);
-        let mut rng_draws = Vec::with_capacity(self.n_shards);
-        for rx in replies {
-            let ShardState {
-                engine,
-                rng_draws: draws,
-            } = rx
-                .recv()
-                .map_err(|_| ServiceError::RuntimeStopped("a shard died during snapshot"))?;
-            engines.push(engine);
-            rng_draws.push(draws);
-        }
-        Ok(ServiceSnapshot {
-            params: self.params,
-            region: self.region,
-            algorithm: self.algorithm,
-            cell_size: self.cell_size,
-            batch_capacity: self.batch_capacity,
-            grow_clamps: self.grow_clamps,
-            rebalance_factor: self.rebalance_factor,
-            stripes: super::facade::stripe_record(
-                &self.router,
-                self.n_shards,
-                self.cell_size,
-                self.region,
-            ),
-            next_arrival: self.next_arrival,
-            task_map: self.task_map.clone(),
-            engines,
-            rng_draws,
-        })
+        let shards = self.runtime.ask(
+            |reply| ShardMsg::Snapshot { reply },
+            "a shard died during snapshot",
+        )?;
+        Ok(self.state.snapshot(shards))
     }
 
     /// Quiesces the runtime and runs a load-aware stripe rebalance: the
@@ -559,52 +313,33 @@ impl ServiceHandle {
     /// drain, so the caller picks the quiesce points (the CLI's
     /// `stream --rebalance N` does it every `N` check-ins).
     pub fn rebalance(&mut self) -> Result<Option<RebalanceOutcome>, ServiceError> {
-        if self.n_shards <= 1 {
+        if self.state.n_shards() <= 1 {
             return Ok(None);
         }
         self.drain()?;
-        let mut replies = Vec::with_capacity(self.n_shards);
-        for s in 0..self.n_shards {
-            let (tx, rx) = mpsc::sync_channel(1);
-            self.send_shard(s, ShardMsg::Snapshot { reply: tx })?;
-            replies.push(rx);
-        }
-        let mut states: Vec<EngineState> = Vec::with_capacity(self.n_shards);
-        for rx in replies {
-            states.push(
-                rx.recv()
-                    .map_err(|_| ServiceError::RuntimeStopped("a shard died during rebalance"))?
-                    .engine,
-            );
-        }
-        let Some(plan) = plan_rebalance(self.region, &self.router, &self.task_map, &states)? else {
+        let states: Vec<_> = self
+            .runtime
+            .ask(
+                |reply| ShardMsg::Snapshot { reply },
+                "a shard died during rebalance",
+            )?
+            .into_iter()
+            .map(|s| s.engine)
+            .collect();
+        let runtime = &self.runtime;
+        let Some(outcome) = self.state.rebalance(&states, |s, engine, globals| {
+            let engine = Box::new(engine);
+            runtime.send(s, ShardMsg::Install { engine, globals })
+        })?
+        else {
             return Ok(None);
         };
-        // Build every engine before installing any, so a failure leaves
-        // the running shards untouched.
-        let mut engines = Vec::with_capacity(plan.engines.len());
-        for state in plan.engines {
-            engines.push(AssignmentEngine::from_state(state).map_err(ServiceError::Engine)?);
-        }
-        self.shard_task_counts = plan.globals.iter().map(|g| g.len() as u32).collect();
-        for (s, (engine, globals)) in engines.into_iter().zip(plan.globals).enumerate() {
-            self.send_shard(
-                s,
-                ShardMsg::Install {
-                    engine: Box::new(engine),
-                    globals,
-                },
-            )?;
-        }
-        self.router = plan.router;
-        self.task_map = plan.task_map;
-        self.rebalances += 1;
-        self.announce(Lifecycle::Rebalanced {
-            moved_tasks: plan.outcome.moved_tasks,
-            max_load: plan.outcome.max_load(),
-            mean_load: plan.outcome.mean_load(),
+        self.runtime.announce(Lifecycle::Rebalanced {
+            moved_tasks: outcome.moved_tasks,
+            max_load: outcome.max_load(),
+            mean_load: outcome.mean_load(),
         });
-        Ok(Some(plan.outcome))
+        Ok(Some(outcome))
     }
 
     /// Live operational counters (the clamp telemetry is read from the
@@ -612,35 +347,20 @@ impl ServiceHandle {
     /// counters, which lag in-flight work — drain first for exact
     /// values).
     pub fn metrics(&mut self) -> Result<ServiceMetrics, ServiceError> {
-        let mut clamped = 0u64;
-        let mut shard_loads = Vec::with_capacity(self.n_shards);
-        let mut replies = Vec::with_capacity(self.n_shards);
-        for s in 0..self.n_shards {
-            let (tx, rx) = mpsc::sync_channel(1);
-            self.send_shard(s, ShardMsg::Metrics { reply: tx })?;
-            replies.push(rx);
-        }
-        for rx in replies {
-            let ShardMetrics { clamped: c, live } = rx
-                .recv()
-                .map_err(|_| ServiceError::RuntimeStopped("a shard died during metrics"))?;
-            clamped += c;
-            shard_loads.push(live);
-        }
-        Ok(ServiceMetrics {
-            n_workers_seen: self.next_arrival,
-            n_assignments: self.stats.n_assignments.load(Ordering::Relaxed),
-            n_tasks: self.task_map.len() as u64,
-            n_completed: self.stats.completed_tasks.load(Ordering::Relaxed),
-            clamped_insertions: clamped,
-            rebalances: self.rebalances,
-            shard_loads,
-            latency: self.latency(),
-            wal_records: 0,
-            checkpoints: 0,
-            sessions_open: 1,
-            sessions_evicted: 0,
-        })
+        let shards = self.runtime.ask(
+            |reply| ShardMsg::Metrics { reply },
+            "a shard died during metrics",
+        )?;
+        Ok(self.state.metrics(&self.runtime.progress(), shards))
+    }
+
+    /// The graceful end both [`shutdown`](ServiceHandle::shutdown) and
+    /// [`close`](ServiceHandle::close) share: drain, announce
+    /// [`Lifecycle::ShuttingDown`], stop every thread.
+    fn stop(&mut self) -> Result<Vec<Shard>, ServiceError> {
+        self.drain()?;
+        self.runtime.announce(Lifecycle::ShuttingDown);
+        self.runtime.stop()
     }
 
     /// Drains, announces [`Lifecycle::ShuttingDown`], stops every
@@ -649,36 +369,9 @@ impl ServiceHandle {
     /// counters, and RNG streams), ready for replay work or
     /// [`LtcService::into_handle`] again.
     pub fn shutdown(mut self) -> Result<LtcService, ServiceError> {
-        self.drain()?;
-        self.announce(Lifecycle::ShuttingDown);
-        self.shard_txs.clear();
-        let mut shards = Vec::with_capacity(self.shard_joins.len());
-        for join in self.shard_joins.drain(..) {
-            shards.push(
-                join.join()
-                    .map_err(|_| ServiceError::RuntimeStopped("a shard thread panicked"))?,
-            );
-        }
-        drop(self.collector_tx.take());
-        if let Some(join) = self.collector_join.take() {
-            join.join().ok();
-        }
-        Ok(LtcService::from_parts(ServiceParts {
-            params: self.params,
-            region: self.region,
-            algorithm: self.algorithm,
-            cell_size: self.cell_size,
-            batch_capacity: self.batch_capacity,
-            grow_clamps: self.grow_clamps,
-            rebalance_factor: self.rebalance_factor,
-            router: self.router.clone(),
-            shards,
-            task_map: std::mem::take(&mut self.task_map),
-            next_arrival: self.next_arrival,
-            n_assignments: self.stats.n_assignments.load(Ordering::Relaxed),
-            max_assigned_arrival: self.stats.max_assigned(),
-            rebalances: self.rebalances,
-        }))
+        let shards = self.stop()?;
+        let progress = self.runtime.progress();
+        Ok(LtcService::new(self.state, shards, progress))
     }
 
     /// Ends the session in place: drains, announces
@@ -688,37 +381,12 @@ impl ServiceHandle {
     /// of [`shutdown`](ServiceHandle::shutdown) — it backs
     /// [`Session::shutdown`](super::Session::shutdown), where the
     /// session is behind a `dyn` pointer and cannot be consumed.
+    /// Dropping a handle without either stops the threads too, without
+    /// the drain.
     pub fn close(&mut self) -> Result<(), ServiceError> {
-        if self.collector_tx.is_none() {
-            return Ok(()); // already closed
+        if self.runtime.is_stopped() {
+            return Ok(());
         }
-        self.drain()?;
-        self.announce(Lifecycle::ShuttingDown);
-        self.shard_txs.clear();
-        for join in self.shard_joins.drain(..) {
-            join.join()
-                .map_err(|_| ServiceError::RuntimeStopped("a shard thread panicked"))?;
-        }
-        drop(self.collector_tx.take());
-        if let Some(join) = self.collector_join.take() {
-            join.join().ok();
-        }
-        Ok(())
-    }
-}
-
-impl Drop for ServiceHandle {
-    /// Best-effort teardown for handles dropped without
-    /// [`shutdown`](ServiceHandle::shutdown): disconnect the mailboxes
-    /// (threads exit after finishing their queues) and join everything.
-    fn drop(&mut self) {
-        self.shard_txs.clear();
-        for join in self.shard_joins.drain(..) {
-            join.join().ok();
-        }
-        drop(self.collector_tx.take());
-        if let Some(join) = self.collector_join.take() {
-            join.join().ok();
-        }
+        self.stop().map(drop)
     }
 }

@@ -1,15 +1,17 @@
 //! The sharded service layer — the primary public API of the crate.
 //!
-//! Two front-ends drive the same spatially-sharded core:
+//! One service state — the configuration, the shard router, the global
+//! task map, and the session counters — runs under two executors:
 //!
-//! * [`LtcService`] — the **synchronous facade** for batch/replay work:
-//!   every call runs to completion on the caller's thread, so output is
-//!   deterministic call by call and `shards = 1` is bit-identical to
-//!   driving [`AssignmentEngine`](crate::engine::AssignmentEngine)
-//!   directly. Built with [`ServiceBuilder::build`].
-//! * [`ServiceHandle`] — the **pipelined session API** for continuous
-//!   traffic: [`ServiceBuilder::start`] spins up one persistent thread
-//!   per shard, each fed by a bounded mailbox, so
+//! * **inline**: [`LtcService`], the **synchronous facade** for
+//!   batch/replay work. Every call runs to completion on the caller's
+//!   thread, so output is deterministic call by call and `shards = 1` is
+//!   bit-identical to driving
+//!   [`AssignmentEngine`](crate::engine::AssignmentEngine) directly.
+//!   Built with [`ServiceBuilder::build`].
+//! * **threaded**: [`ServiceHandle`], the **pipelined session API** for
+//!   continuous traffic. [`ServiceBuilder::start`] spins up one
+//!   persistent thread per shard, each fed by a bounded mailbox, so
 //!   [`submit_worker`](ServiceHandle::submit_worker) and
 //!   [`post_task`](ServiceHandle::post_task) enqueue and return
 //!   immediately (blocking only when a mailbox is full — back-pressure,
@@ -21,7 +23,13 @@
 //!   stays bit-exact mid-stream), [`shutdown`](ServiceHandle::shutdown)
 //!   (returns the synchronous facade) — keeps the session manageable.
 //!
-//! Both front-ends commit **identical assignments**: the handle's shard
+//! Admission (validating and routing a task post, numbering a check-in
+//! and choosing the shards it reaches), snapshots, rebalances and
+//! metrics are written once, on the shared state, so the executors
+//! cannot drift apart; [`LtcService::into_handle`] and
+//! [`ServiceHandle::shutdown`] move the state and its shards whole.
+//!
+//! Both executors commit **identical assignments**: the handle's shard
 //! threads process their mailboxes in submission order and synchronize
 //! through a rendezvous whenever a decision needs more than one shard,
 //! so a pipelined run is event-for-event equal to feeding the same
@@ -73,13 +81,15 @@ mod rebalance;
 mod runtime;
 mod session;
 mod shard;
+mod state;
 
 pub use builder::ServiceBuilder;
 pub use events::{Event, EventStream, Lifecycle, ServiceMetrics, StreamEvent};
-pub use facade::{LtcService, ServiceSnapshot};
+pub use facade::LtcService;
 pub use handle::ServiceHandle;
 pub use rebalance::{RebalanceOutcome, StripeLayout};
 pub use session::{Session, SessionInfo, WindowAck};
+pub use state::ServiceSnapshot;
 
 use crate::engine::EngineError;
 use crate::online::{Aam, AamStrategy, Laf, OnlineAlgorithm, RandomAssign};

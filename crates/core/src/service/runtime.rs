@@ -16,15 +16,24 @@
 //! result: a pipelined run is event-for-event identical to the same
 //! submissions fed through `LtcService::check_in`.
 
-use super::shard::{append_merge_events, merge_and_truncate, Proposal, ProposeScratch, Shard};
-use super::{Event, Lifecycle, StreamEvent};
-use crate::engine::EngineState;
+use super::shard::{
+    append_merge_events, merge_and_truncate, Proposal, ProposeScratch, Shard, ShardMetrics,
+    ShardState,
+};
+use super::state::Progress;
+use super::{Event, Lifecycle, ServiceError, StreamEvent};
 use crate::model::{Task, TaskId, Worker, WorkerId};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender, SyncSender};
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// How long a drain waits for the runtime before concluding it is
+/// wedged (a shard thread died or a mailbox deadlocked — bugs, not
+/// back-pressure).
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Upper bound on one rendezvous wait. A healthy peer reaches the
 /// barrier within its mailbox backlog (micro- to millisecond-scale
@@ -34,29 +43,221 @@ use std::time::Duration;
 /// joinable failure that `drain` reports as `RuntimeStopped`.
 const RENDEZVOUS_TIMEOUT: Duration = Duration::from_secs(60);
 
-/// Counters the collector maintains as it releases event batches, shared
-/// with the handle through an `Arc`. All loads/stores are relaxed: the
-/// values are monotone counters read for reporting, not for
-/// synchronization (ordering guarantees come from the channels).
+/// The [`Progress`] counters the collector maintains as it releases
+/// event batches, shared with the handle through an `Arc`. All
+/// loads/stores are relaxed: the values are monotone counters read for
+/// reporting, not for synchronization (ordering guarantees come from
+/// the channels).
 #[derive(Debug, Default)]
-pub(crate) struct RuntimeStats {
+struct RuntimeStats {
     /// Assignments committed (counted at event release).
-    pub(crate) n_assignments: AtomicU64,
+    n_assignments: AtomicU64,
     /// Tasks that crossed their completion threshold.
-    pub(crate) completed_tasks: AtomicU64,
+    completed_tasks: AtomicU64,
     /// `max(arrival index of any assigned worker) `, offset by nothing —
     /// arrival indexes are 1-based, so `0` means "none assigned yet".
-    pub(crate) max_assigned_arrival: AtomicU64,
+    max_assigned_arrival: AtomicU64,
     /// Check-in event batches released so far.
-    pub(crate) workers_released: AtomicU64,
+    workers_released: AtomicU64,
 }
 
 impl RuntimeStats {
-    pub(crate) fn max_assigned(&self) -> Option<u64> {
-        match self.max_assigned_arrival.load(Ordering::Relaxed) {
-            0 => None,
-            m => Some(m),
+    fn add(&self, batch: &Progress) {
+        self.n_assignments
+            .fetch_add(batch.n_assignments, Ordering::Relaxed);
+        self.completed_tasks
+            .fetch_add(batch.n_completed, Ordering::Relaxed);
+        if let Some(m) = batch.max_assigned {
+            self.max_assigned_arrival.fetch_max(m, Ordering::Relaxed);
         }
+    }
+
+    fn progress(&self) -> Progress {
+        Progress {
+            n_assignments: self.n_assignments.load(Ordering::Relaxed),
+            n_completed: self.completed_tasks.load(Ordering::Relaxed),
+            max_assigned: match self.max_assigned_arrival.load(Ordering::Relaxed) {
+                0 => None,
+                m => Some(m),
+            },
+        }
+    }
+}
+
+/// The threaded executor: one persistent thread per shard behind a
+/// bounded mailbox, plus the collector thread and the counters it
+/// releases into. Stopping it hands the shards back.
+#[derive(Debug)]
+pub(crate) struct Runtime {
+    shard_txs: Vec<SyncSender<ShardMsg>>,
+    shard_joins: Vec<JoinHandle<Shard>>,
+    collector_tx: Option<Sender<CollectorMsg>>,
+    collector_join: Option<JoinHandle<()>>,
+    stats: Arc<RuntimeStats>,
+    /// The mailbox bound, reported with back-pressure notices.
+    capacity: usize,
+    /// Next submission sequence number (orders event delivery).
+    next_seq: u64,
+}
+
+impl Runtime {
+    /// Spins up the threads over `shards`, with the collector's counters
+    /// continuing from `progress` and `released` delivered check-ins.
+    pub(crate) fn start(
+        shards: Vec<Shard>,
+        capacity: usize,
+        progress: Progress,
+        released: u64,
+    ) -> Result<Self, ServiceError> {
+        let stats = Arc::new(RuntimeStats::default());
+        stats.add(&progress);
+        stats.workers_released.store(released, Ordering::Relaxed);
+        let (collector_tx, collector_rx) = mpsc::channel();
+        let mut runtime = Self {
+            shard_txs: Vec::with_capacity(shards.len()),
+            shard_joins: Vec::with_capacity(shards.len()),
+            collector_tx: Some(collector_tx.clone()),
+            collector_join: None,
+            stats: Arc::clone(&stats),
+            capacity,
+            next_seq: 0,
+        };
+        runtime.collector_join = Some(
+            std::thread::Builder::new()
+                .name("ltc-collector".into())
+                .spawn(move || collector_loop(collector_rx, stats))
+                .map_err(|_| ServiceError::RuntimeStopped("could not spawn the collector"))?,
+        );
+        for (i, shard) in shards.into_iter().enumerate() {
+            let (tx, rx) = mpsc::sync_channel(capacity);
+            let rt = ShardRuntime::new(shard, i, collector_tx.clone());
+            let join = std::thread::Builder::new()
+                .name(format!("ltc-shard-{i}"))
+                .spawn(move || shard_loop(rt, rx))
+                .map_err(|_| ServiceError::RuntimeStopped("could not spawn a shard thread"))?;
+            runtime.shard_txs.push(tx);
+            runtime.shard_joins.push(join);
+        }
+        Ok(runtime)
+    }
+
+    /// The released-event counters.
+    pub(crate) fn progress(&self) -> Progress {
+        self.stats.progress()
+    }
+
+    /// Whether the runtime was stopped.
+    pub(crate) fn is_stopped(&self) -> bool {
+        self.collector_tx.is_none()
+    }
+
+    pub(crate) fn take_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    pub(crate) fn collector(&self) -> Result<&Sender<CollectorMsg>, ServiceError> {
+        self.collector_tx
+            .as_ref()
+            .ok_or(ServiceError::RuntimeStopped("the runtime is shut down"))
+    }
+
+    /// Broadcasts an advisory lifecycle notice (a no-op once stopped).
+    pub(crate) fn announce(&self, lifecycle: Lifecycle) {
+        if let Some(tx) = &self.collector_tx {
+            tx.send(CollectorMsg::Lifecycle(lifecycle)).ok();
+        }
+    }
+
+    /// Sends to a shard mailbox, announcing back-pressure the moment the
+    /// bounded channel is full, then blocking until the shard catches up.
+    /// Once stopped the mailboxes are gone: a late submission (a server
+    /// thread racing an eviction) is a clean refusal, never a panic.
+    pub(crate) fn send(&self, shard: usize, msg: ShardMsg) -> Result<(), ServiceError> {
+        let Some(tx) = self.shard_txs.get(shard) else {
+            return Err(ServiceError::RuntimeStopped("the runtime is shut down"));
+        };
+        match tx.try_send(msg) {
+            Ok(()) => Ok(()),
+            Err(TrySendError::Full(msg)) => {
+                self.announce(Lifecycle::ShardStalled {
+                    shard,
+                    capacity: self.capacity,
+                });
+                tx.send(msg)
+                    .map_err(|_| ServiceError::RuntimeStopped("a shard mailbox disconnected"))
+            }
+            Err(TrySendError::Disconnected(_)) => {
+                Err(ServiceError::RuntimeStopped("a shard mailbox disconnected"))
+            }
+        }
+    }
+
+    /// A control round trip to every shard, replies in shard order;
+    /// `died` describes a shard that never answered.
+    pub(crate) fn ask<T>(
+        &self,
+        request: fn(SyncSender<T>) -> ShardMsg,
+        died: &'static str,
+    ) -> Result<Vec<T>, ServiceError> {
+        let mut replies = Vec::with_capacity(self.shard_txs.len());
+        for s in 0..self.shard_txs.len() {
+            let (tx, rx) = mpsc::sync_channel(1);
+            self.send(s, request(tx))?;
+            replies.push(rx);
+        }
+        replies
+            .into_iter()
+            .map(|rx| rx.recv().map_err(|_| ServiceError::RuntimeStopped(died)))
+            .collect()
+    }
+
+    /// Blocks until every submission so far has been processed and its
+    /// events delivered, then announces [`Lifecycle::Drained`].
+    pub(crate) fn drain(&mut self) -> Result<(), ServiceError> {
+        let seq = self.take_seq();
+        let (ack_tx, ack_rx) = mpsc::sync_channel(1);
+        self.collector()?
+            .send(CollectorMsg::Flush {
+                seq,
+                announce: true,
+                ack: ack_tx,
+            })
+            .map_err(|_| ServiceError::RuntimeStopped("the collector disconnected"))?;
+        ack_rx.recv_timeout(DRAIN_TIMEOUT).map_err(|_| {
+            ServiceError::RuntimeStopped("drain timed out — a shard is stalled or died")
+        })
+    }
+
+    /// Stops every thread and hands back the shards: disconnect the
+    /// mailboxes (shard threads exit after finishing their queues), join
+    /// them, then the collector. Idempotent; a panicked shard thread is
+    /// joined with the rest and then reported.
+    pub(crate) fn stop(&mut self) -> Result<Vec<Shard>, ServiceError> {
+        self.shard_txs.clear();
+        let mut shards = Vec::with_capacity(self.shard_joins.len());
+        let mut panicked = false;
+        for join in self.shard_joins.drain(..) {
+            match join.join() {
+                Ok(shard) => shards.push(shard),
+                Err(_) => panicked = true,
+            }
+        }
+        drop(self.collector_tx.take());
+        if let Some(join) = self.collector_join.take() {
+            join.join().ok();
+        }
+        if panicked {
+            return Err(ServiceError::RuntimeStopped("a shard thread panicked"));
+        }
+        Ok(shards)
+    }
+}
+
+impl Drop for Runtime {
+    fn drop(&mut self) {
+        self.stop().ok();
     }
 }
 
@@ -87,12 +288,12 @@ pub(crate) enum ShardMsg {
         /// The shared barrier state.
         rv: Arc<Rendezvous>,
     },
-    /// Append a task posted mid-stream (pre-validated by the handle).
+    /// Append a task posted mid-stream (admitted by the handle).
     PostTask {
         /// Submission sequence number.
         seq: u64,
         /// The task's service-global id.
-        global: u32,
+        global: TaskId,
         /// The task itself.
         task: Task,
         /// Its accuracy-table row, when the model is tabular.
@@ -119,21 +320,6 @@ pub(crate) enum ShardMsg {
         /// Where to send the counters.
         reply: SyncSender<ShardMetrics>,
     },
-}
-
-/// One shard's contribution to [`ServiceMetrics`](super::ServiceMetrics),
-/// read at the shard thread's current mailbox position.
-pub(crate) struct ShardMetrics {
-    /// Cumulative border-clamp counter of the shard's spatial index.
-    pub(crate) clamped: u64,
-    /// Live (uncompleted) tasks the shard currently holds.
-    pub(crate) live: u64,
-}
-
-/// One shard's contribution to a quiesced snapshot.
-pub(crate) struct ShardState {
-    pub(crate) engine: EngineState,
-    pub(crate) rng_draws: Option<u64>,
 }
 
 /// The barrier through which all shards involved in one worker's
@@ -174,15 +360,15 @@ impl Rendezvous {
 }
 
 /// Everything one persistent shard thread owns.
-pub(crate) struct ShardRuntime {
-    pub(crate) shard: Shard,
-    pub(crate) shard_id: usize,
-    pub(crate) collector: Sender<CollectorMsg>,
+struct ShardRuntime {
+    shard: Shard,
+    shard_id: usize,
+    collector: Sender<CollectorMsg>,
     scratch: ProposeScratch,
 }
 
 impl ShardRuntime {
-    pub(crate) fn new(shard: Shard, shard_id: usize, collector: Sender<CollectorMsg>) -> Self {
+    fn new(shard: Shard, shard_id: usize, collector: Sender<CollectorMsg>) -> Self {
         Self {
             shard,
             shard_id,
@@ -195,7 +381,7 @@ impl ShardRuntime {
 /// The body of one persistent shard thread: drain the mailbox in order
 /// until the handle disconnects it, then hand the shard back (so a
 /// shutdown can reassemble the synchronous facade).
-pub(crate) fn shard_loop(mut rt: ShardRuntime, rx: Receiver<ShardMsg>) -> Shard {
+fn shard_loop(mut rt: ShardRuntime, rx: Receiver<ShardMsg>) -> Shard {
     while let Ok(msg) = rx.recv() {
         match msg {
             ShardMsg::Local { seq, w, worker } => {
@@ -218,36 +404,16 @@ pub(crate) fn shard_loop(mut rt: ShardRuntime, rx: Receiver<ShardMsg>) -> Shard 
                 task,
                 accuracies,
             } => {
-                let local = match accuracies {
-                    Some(row) => rt.shard.engine.add_task_with_accuracies(task, &row),
-                    None => rt.shard.engine.add_task(task),
-                }
-                .expect("the handle pre-validates posted tasks");
-                debug_assert_eq!(local.index(), rt.shard.globals.len());
-                rt.shard.globals.push(global);
-                rt.shard.maybe_grow_index();
+                rt.shard.post(global, task, accuracies.as_deref());
                 rt.collector
-                    .send(CollectorMsg::TaskPosted {
-                        seq,
-                        task: TaskId(global),
-                    })
+                    .send(CollectorMsg::TaskPosted { seq, task: global })
                     .ok();
             }
             ShardMsg::Snapshot { reply } => {
-                reply
-                    .send(ShardState {
-                        engine: rt.shard.engine.to_state(),
-                        rng_draws: rt.shard.policy.rng_draws(),
-                    })
-                    .ok();
+                reply.send(rt.shard.state()).ok();
             }
             ShardMsg::Metrics { reply } => {
-                reply
-                    .send(ShardMetrics {
-                        clamped: rt.shard.engine.index_clamped_insertions(),
-                        live: rt.shard.engine.n_uncompleted() as u64,
-                    })
-                    .ok();
+                reply.send(rt.shard.metrics()).ok();
             }
             ShardMsg::Install { engine, globals } => {
                 rt.shard.engine = *engine;
@@ -408,7 +574,7 @@ enum PendingRelease {
 /// sequence, maintains the shared counters, and fans events out to
 /// subscribers. Exits when every producer (all shards and the handle)
 /// has disconnected.
-pub(crate) fn collector_loop(rx: Receiver<CollectorMsg>, stats: Arc<RuntimeStats>) {
+fn collector_loop(rx: Receiver<CollectorMsg>, stats: Arc<RuntimeStats>) {
     let mut pending: BTreeMap<u64, PendingRelease> = BTreeMap::new();
     let mut next = 0u64;
     let mut subscribers: Vec<Sender<StreamEvent>> = Vec::new();
@@ -432,26 +598,9 @@ pub(crate) fn collector_loop(rx: Receiver<CollectorMsg>, stats: Arc<RuntimeStats
             next += 1;
             match release {
                 PendingRelease::Worker { w, events } => {
-                    let mut assigned = 0u64;
-                    let mut completed = 0u64;
-                    for e in &events {
-                        match e {
-                            Event::Assigned { .. } => assigned += 1,
-                            Event::TaskCompleted { .. } => completed += 1,
-                            Event::WorkerIdle { .. } => {}
-                        }
-                    }
-                    if assigned > 0 {
-                        stats.n_assignments.fetch_add(assigned, Ordering::Relaxed);
-                        stats
-                            .max_assigned_arrival
-                            .fetch_max(w.arrival_index(), Ordering::Relaxed);
-                    }
-                    if completed > 0 {
-                        stats
-                            .completed_tasks
-                            .fetch_add(completed, Ordering::Relaxed);
-                    }
+                    let mut batch = Progress::default();
+                    batch.note(&events);
+                    stats.add(&batch);
                     stats.workers_released.fetch_add(1, Ordering::Relaxed);
                     broadcast(&mut subscribers, &StreamEvent::Worker { worker: w, events });
                 }

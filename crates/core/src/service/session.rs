@@ -38,10 +38,9 @@
 //! submission sequence driven through any two implementations must yield
 //! byte-identical event streams (see `crates/proto/tests/loopback.rs`).
 
-use super::facade::ServiceSnapshot;
 use super::handle::ServiceHandle;
 use super::rebalance::RebalanceOutcome;
-use super::{Algorithm, EventStream, ServiceError, ServiceMetrics};
+use super::{Algorithm, EventStream, ServiceError, ServiceMetrics, ServiceSnapshot};
 use crate::model::{ProblemParams, Task, TaskId, Worker, WorkerId};
 
 /// Static facts about a [`Session`], fixed when the session (or its

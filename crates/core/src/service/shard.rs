@@ -5,14 +5,14 @@
 //! construction.
 
 use super::{Event, Policy};
-use crate::engine::Candidate;
-use crate::model::{TaskId, Worker, WorkerId};
+use crate::engine::{AssignmentEngine, Candidate, EngineState};
+use crate::model::{Task, TaskId, Worker, WorkerId};
 
 /// One spatial shard: a full engine over its task subset, its policy
 /// instance, and the local→global id map.
 #[derive(Debug)]
 pub(crate) struct Shard {
-    pub(crate) engine: crate::engine::AssignmentEngine,
+    pub(crate) engine: AssignmentEngine,
     pub(crate) policy: Policy,
     /// `globals[local] = global` task id. Strictly increasing: within a
     /// shard, local insertion order follows global posting order (the
@@ -24,6 +24,20 @@ pub(crate) struct Shard {
     /// since the last growth. `None` keeps the PR-3 fixed-extent
     /// behavior.
     pub(crate) grow_clamps: Option<u64>,
+}
+
+/// One shard's contribution to a snapshot or a rebalance plan.
+pub(crate) struct ShardState {
+    pub(crate) engine: EngineState,
+    pub(crate) rng_draws: Option<u64>,
+}
+
+/// One shard's contribution to [`ServiceMetrics`](super::ServiceMetrics).
+pub(crate) struct ShardMetrics {
+    /// Cumulative border-clamp counter of the shard's spatial index.
+    pub(crate) clamped: u64,
+    /// Live (uncompleted) tasks the shard currently holds.
+    pub(crate) live: u64,
 }
 
 /// Reusable buffers for [`Shard::propose`] (candidate enumeration and
@@ -49,6 +63,41 @@ pub(crate) struct Proposal {
 }
 
 impl Shard {
+    /// Appends a task the service already admitted (with the engine's
+    /// own checks), then applies the adaptive-index policy: grow the
+    /// spatial index once the configured clamp threshold is crossed
+    /// (decision-neutral; see [`AssignmentEngine::maybe_grow_index`]).
+    /// Every post runs this, so growth points depend only on the
+    /// submission sequence, never on scheduling.
+    pub(crate) fn post(&mut self, global: TaskId, task: Task, accuracies: Option<&[f64]>) {
+        let local = match accuracies {
+            Some(row) => self.engine.add_task_with_accuracies(task, row),
+            None => self.engine.add_task(task),
+        }
+        .expect("admission validates posts with the engine's checks");
+        debug_assert_eq!(local.index(), self.globals.len());
+        self.globals.push(global.0);
+        if let Some(threshold) = self.grow_clamps {
+            self.engine.maybe_grow_index(threshold);
+        }
+    }
+
+    /// The shard's durable state.
+    pub(crate) fn state(&self) -> ShardState {
+        ShardState {
+            engine: self.engine.to_state(),
+            rng_draws: self.policy.rng_draws(),
+        }
+    }
+
+    /// The shard's live operational counters.
+    pub(crate) fn metrics(&self) -> ShardMetrics {
+        ShardMetrics {
+            clamped: self.engine.index_clamped_insertions(),
+            live: self.engine.n_uncompleted() as u64,
+        }
+    }
+
     /// Serves one worker entirely shard-locally (the worker's disk lies
     /// inside this shard's stripe) under the global arrival id `w`.
     pub(crate) fn check_in_local(&mut self, w: WorkerId, worker: &Worker, out: &mut Vec<Event>) {
@@ -121,43 +170,6 @@ impl Shard {
     /// policy before an `assign` call (no-op for other policies).
     pub(crate) fn set_hybrid_units(&mut self, units: (f64, f64)) {
         self.policy.set_global_units(units);
-    }
-
-    /// Applies the adaptive-index policy after a task post: grows the
-    /// engine's spatial index once the configured clamp threshold is
-    /// crossed (decision-neutral; see
-    /// [`AssignmentEngine::maybe_grow_index`](crate::engine::AssignmentEngine::maybe_grow_index)).
-    /// Both front-ends call this from their post paths, so growth points
-    /// depend only on the submission sequence, never on scheduling.
-    pub(crate) fn maybe_grow_index(&mut self) -> bool {
-        match self.grow_clamps {
-            Some(threshold) => self.engine.maybe_grow_index(threshold),
-            None => false,
-        }
-    }
-}
-
-/// The shards an arriving worker can reach: every shard under the
-/// unrestricted policy, otherwise the stripes intersecting the worker's
-/// `d_max` disk (a non-finite location degenerates to shard 0, which
-/// will find no candidates). The single routing rule both front-ends
-/// share — the pipelined-equals-serial guarantee depends on them never
-/// drifting apart.
-pub(crate) fn reachable_shards(
-    params: &crate::model::ProblemParams,
-    router: &ltc_spatial::ShardRouter,
-    n_shards: usize,
-    worker: &Worker,
-) -> std::ops::RangeInclusive<usize> {
-    match params.eligibility {
-        crate::model::Eligibility::Unrestricted => 0..=n_shards - 1,
-        crate::model::Eligibility::WithinRange => {
-            if worker.loc.is_finite() {
-                router.shards_within(worker.loc, params.d_max)
-            } else {
-                0..=0
-            }
-        }
     }
 }
 

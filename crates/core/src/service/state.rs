@@ -1,0 +1,387 @@
+//! The service state both front-ends share: configuration, routing, the
+//! global task map, and the session counters. The facade runs it
+//! inline next to its shards; the handle runs it next to its shard
+//! threads. Switching front-ends moves it whole.
+
+use super::rebalance::{plan_rebalance, RebalanceOutcome, StripeLayout};
+use super::shard::{Shard, ShardMetrics, ShardState};
+use super::{Algorithm, Event, ServiceError, ServiceMetrics};
+use crate::engine::{validate_post, AssignmentEngine, EngineState};
+use crate::model::{AccuracyModel, Eligibility, ProblemParams, Task, TaskId, Worker, WorkerId};
+use ltc_spatial::{BoundingBox, ShardRouter};
+use std::ops::RangeInclusive;
+
+/// The durable state of an [`LtcService`](super::LtcService); plain
+/// data, serialized by [`crate::snapshot`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct ServiceSnapshot {
+    /// Platform parameters.
+    pub params: ProblemParams,
+    /// The service region routing stripes over.
+    pub region: BoundingBox,
+    /// The configured policy.
+    pub algorithm: Algorithm,
+    /// Routing/index tile size.
+    pub cell_size: f64,
+    /// The shard mailbox bound
+    /// ([`ServiceBuilder::mailbox_capacity`](super::ServiceBuilder::mailbox_capacity)).
+    pub batch_capacity: usize,
+    /// Adaptive-index growth threshold
+    /// ([`ServiceBuilder::grow_index_after`](super::ServiceBuilder::grow_index_after));
+    /// `None` = disabled.
+    pub grow_clamps: Option<u64>,
+    /// Auto-rebalance skew factor
+    /// ([`ServiceBuilder::rebalance_factor`](super::ServiceBuilder::rebalance_factor));
+    /// `None` = disabled.
+    pub rebalance_factor: Option<f64>,
+    /// The router's stripe layout, when it differs from the default
+    /// equal-width striping of `region` (i.e. after a rebalance);
+    /// `None` restores the uniform layout. Serialized as the optional
+    /// `stripes` group of the `config` record.
+    pub stripes: Option<StripeLayout>,
+    /// The service-global arrival counter.
+    pub next_arrival: u64,
+    /// `task_map[global] = (shard, local)`.
+    pub task_map: Vec<(u32, u32)>,
+    /// Per-shard engine state.
+    pub engines: Vec<EngineState>,
+    /// Per-shard RNG stream positions (raw draws consumed), present for
+    /// [`Algorithm::Random`] policies so resume is bit-exact; `None`
+    /// entries for deterministic policies. Either empty or one entry per
+    /// shard.
+    pub rng_draws: Vec<Option<u64>>,
+}
+
+/// What the released events have done so far. The facade counts them
+/// as it returns them; the handle's collector counts them as it
+/// releases them.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct Progress {
+    pub(crate) n_assignments: u64,
+    pub(crate) n_completed: u64,
+    /// The largest arrival index over recruited workers.
+    pub(crate) max_assigned: Option<u64>,
+}
+
+impl Progress {
+    /// Counts one check-in's events.
+    pub(crate) fn note(&mut self, events: &[Event]) {
+        for e in events {
+            match e {
+                Event::Assigned { worker, .. } => {
+                    self.n_assignments += 1;
+                    let idx = worker.arrival_index();
+                    self.max_assigned = Some(self.max_assigned.map_or(idx, |m| m.max(idx)));
+                }
+                Event::TaskCompleted { .. } => self.n_completed += 1,
+                Event::WorkerIdle { .. } => {}
+            }
+        }
+    }
+}
+
+/// How an admitted check-in is served.
+pub(crate) struct Arrival {
+    /// The worker's service-global arrival id.
+    pub(crate) id: WorkerId,
+    /// The shards whose stripes the worker's disk reaches.
+    pub(crate) reach: RangeInclusive<usize>,
+    /// Whether the policy needs the cross-shard worker-unit aggregate
+    /// (hybrid AAM on more than one shard), which involves every shard.
+    pub(crate) hybrid: bool,
+}
+
+impl Arrival {
+    /// The one shard that serves the worker alone, if no other shard
+    /// takes part in its decision.
+    pub(crate) fn local_shard(&self) -> Option<usize> {
+        (!self.hybrid && self.reach.start() == self.reach.end()).then_some(*self.reach.start())
+    }
+}
+
+/// The configuration, routing and counters of one service session.
+#[derive(Debug)]
+pub(crate) struct ServiceState {
+    pub(crate) params: ProblemParams,
+    pub(crate) region: BoundingBox,
+    pub(crate) algorithm: Algorithm,
+    cell_size: f64,
+    pub(crate) mailbox_capacity: usize,
+    grow_clamps: Option<u64>,
+    pub(crate) rebalance_factor: Option<f64>,
+    pub(crate) router: ShardRouter,
+    /// `task_map[global] = (shard, local)`.
+    pub(crate) task_map: Vec<(u32, u32)>,
+    /// Tasks per shard (the next local id of each).
+    shard_tasks: Vec<u32>,
+    /// `Some(n_workers)` when the accuracy model is tabular.
+    table_workers: Option<usize>,
+    /// Service-global arrival counter.
+    pub(crate) next_arrival: u64,
+    /// Stripe rebalances applied over the session's lifetime.
+    rebalances: u64,
+}
+
+impl ServiceState {
+    /// Rebuilds a session from a snapshot: its state, its shards, and
+    /// the progress the shards' arrangements record.
+    pub(crate) fn restore(
+        snapshot: ServiceSnapshot,
+    ) -> Result<(Self, Vec<Shard>, Progress), ServiceError> {
+        snapshot.params.validate().map_err(ServiceError::Params)?;
+        let n_shards = snapshot.engines.len();
+        if n_shards == 0 {
+            return Err(ServiceError::BadSnapshot(
+                "a service needs at least one shard",
+            ));
+        }
+        if !(snapshot.cell_size.is_finite() && snapshot.cell_size > 0.0) {
+            return Err(ServiceError::BadCellSize(snapshot.cell_size));
+        }
+        if !snapshot.rng_draws.is_empty() && snapshot.rng_draws.len() != n_shards {
+            return Err(ServiceError::BadSnapshot(
+                "rng stream positions disagree with the shard count",
+            ));
+        }
+        let router = match snapshot.stripes {
+            None => ShardRouter::new(n_shards, snapshot.cell_size, snapshot.region),
+            Some(layout) => {
+                let router = layout
+                    .into_router()
+                    .map_err(|_| ServiceError::BadSnapshot("invalid stripe layout"))?;
+                if router.n_shards() != n_shards {
+                    return Err(ServiceError::BadSnapshot(
+                        "stripe layout disagrees with the shard count",
+                    ));
+                }
+                router
+            }
+        };
+        // Tabular accuracy models index workers globally and cannot be
+        // sharded — a snapshot claiming otherwise is corrupt.
+        if n_shards > 1
+            && snapshot
+                .engines
+                .iter()
+                .any(|e| matches!(e.accuracy, AccuracyModel::Table(_)))
+        {
+            return Err(ServiceError::TabularNeedsSingleShard);
+        }
+        // Rebuild each shard's local→global map from the task map and
+        // validate the mapping is a bijection onto the engines' tasks.
+        let mut globals: Vec<Vec<u32>> = vec![Vec::new(); n_shards];
+        for (g, &(s, local)) in snapshot.task_map.iter().enumerate() {
+            let s = s as usize;
+            if s >= n_shards {
+                return Err(ServiceError::BadSnapshot("task routed to unknown shard"));
+            }
+            if local as usize != globals[s].len() {
+                return Err(ServiceError::BadSnapshot(
+                    "task map out of order for its shard",
+                ));
+            }
+            globals[s].push(g as u32);
+        }
+        let table_workers = snapshot.engines[0].accuracy.table_workers();
+        let mut progress = Progress::default();
+        let mut shards = Vec::with_capacity(n_shards);
+        for (s, state) in snapshot.engines.into_iter().enumerate() {
+            if state.tasks.len() != globals[s].len() {
+                return Err(ServiceError::BadSnapshot(
+                    "task map disagrees with a shard engine's task count",
+                ));
+            }
+            let engine = AssignmentEngine::from_state(state).map_err(ServiceError::Engine)?;
+            for a in engine.arrangement().assignments() {
+                progress.n_assignments += 1;
+                let idx = a.worker.arrival_index();
+                progress.max_assigned = Some(progress.max_assigned.map_or(idx, |m| m.max(idx)));
+            }
+            progress.n_completed += (engine.n_tasks() - engine.n_uncompleted()) as u64;
+            let mut policy = snapshot.algorithm.policy(s);
+            if let Some(draws) = snapshot.rng_draws.get(s).copied().flatten() {
+                if !policy.advance_rng(draws) {
+                    return Err(ServiceError::BadSnapshot(
+                        "rng stream position recorded for a deterministic policy",
+                    ));
+                }
+            }
+            shards.push(Shard {
+                engine,
+                policy,
+                globals: std::mem::take(&mut globals[s]),
+                grow_clamps: snapshot.grow_clamps,
+            });
+        }
+        let state = Self {
+            params: snapshot.params,
+            region: snapshot.region,
+            algorithm: snapshot.algorithm,
+            cell_size: snapshot.cell_size,
+            mailbox_capacity: snapshot.batch_capacity.max(1),
+            grow_clamps: snapshot.grow_clamps,
+            rebalance_factor: snapshot.rebalance_factor,
+            router,
+            task_map: snapshot.task_map,
+            shard_tasks: shards.iter().map(|s| s.globals.len() as u32).collect(),
+            table_workers,
+            next_arrival: snapshot.next_arrival,
+            rebalances: 0,
+        };
+        Ok((state, shards, progress))
+    }
+
+    /// Number of shards.
+    #[inline]
+    pub(crate) fn n_shards(&self) -> usize {
+        self.shard_tasks.len()
+    }
+
+    /// `(shard, local id)` of a service-global task.
+    pub(crate) fn locate(&self, task: TaskId) -> (usize, TaskId) {
+        let (s, local) = self.task_map[task.index()];
+        (s as usize, TaskId(local))
+    }
+
+    /// Whether every posted task reached `δ`.
+    pub(crate) fn all_completed(&self, progress: &Progress) -> bool {
+        progress.n_completed == self.task_map.len() as u64
+    }
+
+    /// The paper's objective, defined once every task completed.
+    pub(crate) fn latency(&self, progress: &Progress) -> Option<u64> {
+        if self.all_completed(progress) {
+            progress.max_assigned
+        } else {
+            None
+        }
+    }
+
+    /// Admits a task post: validates it with the engine's checks,
+    /// routes it to the shard owning its tile, and records it in the
+    /// task map. Returns the shard and the task's service-global id.
+    pub(crate) fn admit_post(
+        &mut self,
+        task: &Task,
+        accuracies: Option<&[f64]>,
+    ) -> Result<(usize, TaskId), ServiceError> {
+        validate_post(self.table_workers, task, accuracies, self.task_map.len())
+            .map_err(ServiceError::Engine)?;
+        let s = if self.n_shards() == 1 {
+            0
+        } else {
+            self.router.shard_of(task.loc)
+        };
+        let global = TaskId(self.task_map.len() as u32);
+        self.task_map.push((s as u32, self.shard_tasks[s]));
+        self.shard_tasks[s] += 1;
+        Ok((s, global))
+    }
+
+    /// Admits a check-in: the next arrival id and the shards that take
+    /// part in its decision. Every shard under the unrestricted policy,
+    /// otherwise the stripes intersecting the worker's `d_max` disk (a
+    /// non-finite location degenerates to shard 0, which will find no
+    /// candidates).
+    pub(crate) fn admit_worker(&mut self, worker: &Worker) -> Arrival {
+        let id = WorkerId(self.next_arrival);
+        self.next_arrival = self
+            .next_arrival
+            .checked_add(1)
+            .expect("worker arrival index exceeded the u64 id space");
+        let n_shards = self.n_shards();
+        let reach = match self.params.eligibility {
+            Eligibility::Unrestricted => 0..=n_shards - 1,
+            Eligibility::WithinRange if worker.loc.is_finite() => {
+                self.router.shards_within(worker.loc, self.params.d_max)
+            }
+            Eligibility::WithinRange => 0..=0,
+        };
+        Arrival {
+            id,
+            reach,
+            hybrid: self.algorithm.needs_global_units() && n_shards > 1,
+        }
+    }
+
+    /// The full durable state, from every shard's state in shard order.
+    pub(crate) fn snapshot(&self, shards: impl IntoIterator<Item = ShardState>) -> ServiceSnapshot {
+        let (engines, rng_draws) = shards.into_iter().map(|s| (s.engine, s.rng_draws)).unzip();
+        // The stripe record stays absent while the router has the layout
+        // the configuration derives (which keeps pre-rebalance snapshots
+        // byte-identical across versions).
+        let uniform = ShardRouter::new(self.n_shards(), self.cell_size, self.region);
+        ServiceSnapshot {
+            params: self.params,
+            region: self.region,
+            algorithm: self.algorithm,
+            cell_size: self.cell_size,
+            batch_capacity: self.mailbox_capacity,
+            grow_clamps: self.grow_clamps,
+            rebalance_factor: self.rebalance_factor,
+            stripes: (self.router != uniform).then(|| StripeLayout::of(&self.router)),
+            next_arrival: self.next_arrival,
+            task_map: self.task_map.clone(),
+            engines,
+            rng_draws,
+        }
+    }
+
+    /// Plans a load-aware rebalance over quiesced shard engine states
+    /// and, when it moves anything, hands every shard its rebuilt engine
+    /// and local→global map through `install`, then switches the
+    /// routing. Every engine is built before the first install, so a
+    /// corrupt plan leaves the session untouched.
+    pub(crate) fn rebalance(
+        &mut self,
+        states: &[EngineState],
+        mut install: impl FnMut(usize, AssignmentEngine, Vec<u32>) -> Result<(), ServiceError>,
+    ) -> Result<Option<RebalanceOutcome>, ServiceError> {
+        let Some(plan) = plan_rebalance(self.region, &self.router, &self.task_map, states)? else {
+            return Ok(None);
+        };
+        let engines = plan
+            .engines
+            .into_iter()
+            .map(AssignmentEngine::from_state)
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(ServiceError::Engine)?;
+        self.shard_tasks = plan.globals.iter().map(|g| g.len() as u32).collect();
+        for (s, (engine, globals)) in engines.into_iter().zip(plan.globals).enumerate() {
+            install(s, engine, globals)?;
+        }
+        self.router = plan.router;
+        self.task_map = plan.task_map;
+        self.rebalances += 1;
+        Ok(Some(plan.outcome))
+    }
+
+    /// Operational counters, from the released progress and every
+    /// shard's counters in shard order.
+    pub(crate) fn metrics(
+        &self,
+        progress: &Progress,
+        shards: impl IntoIterator<Item = ShardMetrics>,
+    ) -> ServiceMetrics {
+        let mut clamped_insertions = 0;
+        let mut shard_loads = Vec::with_capacity(self.n_shards());
+        for s in shards {
+            clamped_insertions += s.clamped;
+            shard_loads.push(s.live);
+        }
+        ServiceMetrics {
+            n_workers_seen: self.next_arrival,
+            n_assignments: progress.n_assignments,
+            n_tasks: self.task_map.len() as u64,
+            n_completed: progress.n_completed,
+            clamped_insertions,
+            rebalances: self.rebalances,
+            shard_loads,
+            latency: self.latency(progress),
+            wal_records: 0,
+            checkpoints: 0,
+            sessions_open: 1,
+            sessions_evicted: 0,
+        }
+    }
+}

@@ -158,6 +158,10 @@ fn pipelined_matches_facade_on_interleaved_ops() {
             assert_eq!(facade.n_assignments(), handle.n_assignments());
             assert_eq!(facade.all_completed(), handle.all_completed());
             assert_eq!(facade.latency(), handle.latency());
+            // Both front-ends run one service state: the drained handle
+            // reports the facade's counters and durable state exactly.
+            assert_eq!(facade.metrics(), handle.metrics().unwrap());
+            assert_eq!(facade.snapshot(), handle.snapshot().unwrap());
             // And the handle folds back into an equivalent facade.
             let folded = handle.shutdown().unwrap();
             assert_eq!(folded.n_assignments(), facade.n_assignments());

@@ -34,7 +34,6 @@
 mod bbox;
 mod grid;
 mod hull;
-mod kdtree;
 mod point;
 mod shard;
 
@@ -43,6 +42,5 @@ pub use bbox::BoundingBox;
 pub use grid::reference::ReferenceGrid;
 pub use grid::GridIndex;
 pub use hull::{convex_hull, ConvexPolygon};
-pub use kdtree::KdTree;
 pub use point::Point;
 pub use shard::ShardRouter;

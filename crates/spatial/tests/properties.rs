@@ -1,6 +1,6 @@
 //! Property-based tests for the spatial substrate.
 
-use ltc_spatial::{convex_hull, ConvexPolygon, GridIndex, KdTree, Point};
+use ltc_spatial::{convex_hull, ConvexPolygon, GridIndex, Point};
 use proptest::prelude::*;
 
 fn arb_point() -> impl Strategy<Value = Point> {
@@ -71,73 +71,6 @@ proptest! {
                 prop_assert!(poly.contains(s));
             }
         }
-    }
-
-    /// The KD-tree range query returns exactly the brute-force set.
-    #[test]
-    fn kdtree_range_matches_brute_force(
-        pts in prop::collection::vec(arb_point(), 0..150),
-        center in arb_point(),
-        radius in 0.0f64..500.0,
-    ) {
-        let labelled: Vec<(u32, Point)> = pts.iter().copied().enumerate()
-            .map(|(i, p)| (i as u32, p)).collect();
-        let tree = KdTree::build(labelled.iter().copied());
-        let mut got = tree.within(center, radius);
-        got.sort_unstable();
-        let mut expect: Vec<u32> = labelled.iter()
-            .filter(|(_, p)| p.distance(center) <= radius)
-            .map(|(i, _)| *i)
-            .collect();
-        expect.sort_unstable();
-        prop_assert_eq!(got, expect);
-    }
-
-    /// KD-tree kNN returns the k smallest distances (as a multiset).
-    #[test]
-    fn kdtree_knn_matches_brute_force(
-        pts in prop::collection::vec(arb_point(), 1..120),
-        center in arb_point(),
-        k in 1usize..10,
-    ) {
-        let labelled: Vec<(u32, Point)> = pts.iter().copied().enumerate()
-            .map(|(i, p)| (i as u32, p)).collect();
-        let tree = KdTree::build(labelled.iter().copied());
-        let got = tree.nearest(center, k);
-        prop_assert_eq!(got.len(), k.min(pts.len()));
-        // Compare distance multisets (ids may differ on exact ties).
-        let mut got_d: Vec<f64> = got.iter()
-            .map(|&id| labelled[id as usize].1.distance(center)).collect();
-        let mut all_d: Vec<f64> = labelled.iter().map(|(_, p)| p.distance(center)).collect();
-        all_d.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        got_d.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        for (g, e) in got_d.iter().zip(all_d.iter()) {
-            prop_assert!((g - e).abs() < 1e-9, "kNN distance {} vs brute {}", g, e);
-        }
-        // Closest-first ordering.
-        let ordered: Vec<f64> = got.iter()
-            .map(|&id| labelled[id as usize].1.distance(center)).collect();
-        for w in ordered.windows(2) {
-            prop_assert!(w[0] <= w[1] + 1e-12);
-        }
-    }
-
-    /// Grid index and KD-tree agree on every range query.
-    #[test]
-    fn grid_and_kdtree_agree(
-        pts in prop::collection::vec(arb_point(), 0..150),
-        center in arb_point(),
-        radius in 0.0f64..400.0,
-    ) {
-        let labelled: Vec<(u32, Point)> = pts.iter().copied().enumerate()
-            .map(|(i, p)| (i as u32, p)).collect();
-        let grid = GridIndex::build(50.0, labelled.iter().copied());
-        let tree = KdTree::build(labelled.iter().copied());
-        let mut a: Vec<u32> = grid.within(center, radius).collect();
-        let mut b = tree.within(center, radius);
-        a.sort_unstable();
-        b.sort_unstable();
-        prop_assert_eq!(a, b);
     }
 
     /// count_within agrees with the iterator length.

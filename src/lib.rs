@@ -158,7 +158,7 @@
 //! supported low-level substrate the service and the offline algorithms
 //! run on, but new callers should go through
 //! [`ServiceBuilder`](core::service::ServiceBuilder) — it is the only
-//! entry point that gets sharding, typed events, batching, and
+//! entry point that gets sharding, typed events, pipelining, and
 //! snapshotting right by construction.
 
 #![forbid(unsafe_code)]
