@@ -156,7 +156,6 @@ fn main() {
             DurableOptions {
                 sync: SyncPolicy::Os,
                 checkpoint_every: 0,
-                ..DurableOptions::default()
             },
         ),
         (
@@ -164,7 +163,6 @@ fn main() {
             DurableOptions {
                 sync: SyncPolicy::Every(64),
                 checkpoint_every: 0,
-                ..DurableOptions::default()
             },
         ),
         (
@@ -172,7 +170,6 @@ fn main() {
             DurableOptions {
                 sync: SyncPolicy::Always,
                 checkpoint_every: 0,
-                ..DurableOptions::default()
             },
         ),
         (

@@ -1,5 +1,6 @@
 //! Argument parsing for the `ltc` tool (std-only, no CLI framework).
 
+use ltc_durable::{DurableOptions, SyncPolicy};
 use std::fmt;
 
 /// Usage text shown by `ltc help` and on parse errors.
@@ -23,8 +24,7 @@ USAGE:
   ltc serve    --input FILE --algo <aam|laf|random> --addr HOST:PORT
                [--seed S] [--shards N]
                [--max-sessions N [--idle-timeout SECS]]
-               [--wal DIR [--sync POLICY]
-               [--checkpoint-every N] [--checkpoint-format text|binary]]
+               [--wal DIR [--sync POLICY] [--checkpoint-every N]]
   ltc sessions --connect HOST:PORT
   ltc recover  --wal DIR [--snapshot-out FILE]
   ltc exact    --input FILE [--budget NODES]
@@ -103,16 +103,14 @@ before it is applied, and periodic checkpoints bound the replay work.
 --sync picks the fsync policy: `always` (fsync per record), `every=N`
 (fsync every N records), or `os` (leave flushing to the kernel; default
 — survives process crashes, not host power loss). --checkpoint-every N
-checkpoints after every N logged records (default 4096);
---checkpoint-format picks the snapshot encoding (`text` = the golden
-`ltc-snapshot v1` form, default; `binary` = the compact encoding). A
-DIR that already holds a log resumes it: the dataset is only used on
-first initialization. `recover --wal DIR` repairs and replays such a
-log without serving: it truncates a torn tail, restores the newest
-valid checkpoint, replays the suffix, writes a fresh covering
-checkpoint, compacts the log, and prints a summary line (optionally
-writing the recovered state to --snapshot-out as `ltc-snapshot v1`
-text, resumable with `ltc resume`).";
+checkpoints after every N logged records (default 4096), each one an
+`ltc-snapshot v1` text file. A DIR that already holds a log resumes
+it: the dataset is only used on first initialization. `recover --wal
+DIR` repairs and replays such a log without serving: it truncates a
+torn tail, restores the newest valid checkpoint, replays the suffix,
+writes a fresh covering checkpoint, compacts the log, and prints a
+summary line (optionally writing the recovered state to --snapshot-out
+as `ltc-snapshot v1` text, resumable with `ltc resume`).";
 
 /// Which arrangement algorithm a command should run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -175,54 +173,21 @@ impl Preset {
     }
 }
 
-/// The WAL fsync policy of `ltc serve --wal` (parsed here, interpreted
-/// by the `ltc-durable` layer).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SyncChoice {
-    /// fsync after every appended record.
-    Always,
-    /// fsync after every N appended records.
-    Every(u64),
-    /// Never fsync explicitly; the kernel flushes on its own schedule.
-    Os,
-}
-
-impl SyncChoice {
-    fn parse(s: &str) -> Result<Self, ParseError> {
-        match s {
-            "always" => Ok(SyncChoice::Always),
-            "os" => Ok(SyncChoice::Os),
-            other => {
-                let n = other.strip_prefix("every=").unwrap_or(other);
-                match n.parse::<u64>() {
-                    Ok(0) => Err(ParseError("--sync every=N needs N >= 1".into())),
-                    Ok(n) => Ok(SyncChoice::Every(n)),
-                    Err(_) => Err(ParseError(format!(
-                        "unknown sync policy `{other}` (always, os, every=N)"
-                    ))),
-                }
+/// Parses `--sync`: `always`, `os`, or `every=N` (bare `N` also
+/// accepted, `N >= 1`).
+fn parse_sync(s: &str) -> Result<SyncPolicy, ParseError> {
+    match s {
+        "always" => Ok(SyncPolicy::Always),
+        "os" => Ok(SyncPolicy::Os),
+        other => {
+            let n = other.strip_prefix("every=").unwrap_or(other);
+            match n.parse::<u64>() {
+                Ok(0) => Err(ParseError("--sync every=N needs N >= 1".into())),
+                Ok(n) => Ok(SyncPolicy::Every(n)),
+                Err(_) => Err(ParseError(format!(
+                    "unknown sync policy `{other}` (always, os, every=N)"
+                ))),
             }
-        }
-    }
-}
-
-/// The checkpoint snapshot encoding of `ltc serve --wal`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CheckpointFormat {
-    /// The golden `ltc-snapshot v1` text form.
-    Text,
-    /// The compact `ltc-snapshot-bin v1` form.
-    Binary,
-}
-
-impl CheckpointFormat {
-    fn parse(s: &str) -> Result<Self, ParseError> {
-        match s {
-            "text" => Ok(CheckpointFormat::Text),
-            "binary" | "bin" => Ok(CheckpointFormat::Binary),
-            other => Err(ParseError(format!(
-                "unknown checkpoint format `{other}` (text, binary)"
-            ))),
         }
     }
 }
@@ -232,13 +197,8 @@ impl CheckpointFormat {
 pub struct WalChoice {
     /// The log directory.
     pub dir: String,
-    /// The fsync policy.
-    pub sync: SyncChoice,
-    /// Checkpoint after every this many logged records (`None` = the
-    /// `ltc-durable` default).
-    pub checkpoint_every: Option<u64>,
-    /// The checkpoint snapshot encoding.
-    pub format: CheckpointFormat,
+    /// The fsync policy and checkpoint cadence.
+    pub options: DurableOptions,
 }
 
 /// Where `ltc stream`/`ltc snapshot` get their session from.
@@ -261,7 +221,7 @@ pub enum StreamSource {
         /// The server address (`HOST:PORT`).
         addr: String,
         /// Named session to bind on a multi-session server (opened on
-        /// first use; `None` = the default session, plain `ltc-proto v1`).
+        /// first use; `None` = the server's default session).
         session: Option<String>,
     },
 }
@@ -592,7 +552,6 @@ impl Command {
                     "--wal",
                     "--sync",
                     "--checkpoint-every",
-                    "--checkpoint-format",
                 ])?;
                 let StreamSource::Dataset {
                     input,
@@ -775,42 +734,32 @@ fn parse_sessions(flags: &mut Flags<'_>) -> Result<(usize, Option<u64>), ParseEr
     Ok((max_sessions, idle_timeout))
 }
 
-/// The `--wal DIR [--sync POLICY] [--checkpoint-every N]
-/// [--checkpoint-format F]` group of `serve`. The satellites are only
+/// The `--wal DIR [--sync POLICY] [--checkpoint-every N]` group of
+/// `serve`. The satellites are only
 /// meaningful with `--wal`; given without it they would silently do
 /// nothing, so that is an error.
 fn parse_wal(flags: &mut Flags<'_>) -> Result<Option<WalChoice>, ParseError> {
     let Some(dir) = flags.value("--wal")? else {
-        for needs_wal in ["--sync", "--checkpoint-every", "--checkpoint-format"] {
+        for needs_wal in ["--sync", "--checkpoint-every"] {
             if flags.present(needs_wal) {
                 return Err(ParseError(format!("{needs_wal} requires --wal DIR")));
             }
         }
         return Ok(None);
     };
-    let sync = match flags.value("--sync")? {
-        Some(v) => SyncChoice::parse(v)?,
-        None => SyncChoice::Os,
-    };
-    let checkpoint_every = match flags.value("--checkpoint-every")? {
-        Some(v) => {
-            let every = parse_num::<u64>(v, "checkpoint interval")?;
-            if every == 0 {
-                return Err(ParseError("--checkpoint-every must be positive".into()));
-            }
-            Some(every)
+    let mut options = DurableOptions::default();
+    if let Some(v) = flags.value("--sync")? {
+        options.sync = parse_sync(v)?;
+    }
+    if let Some(v) = flags.value("--checkpoint-every")? {
+        options.checkpoint_every = parse_num::<u64>(v, "checkpoint interval")?;
+        if options.checkpoint_every == 0 {
+            return Err(ParseError("--checkpoint-every must be positive".into()));
         }
-        None => None,
-    };
-    let format = match flags.value("--checkpoint-format")? {
-        Some(v) => CheckpointFormat::parse(v)?,
-        None => CheckpointFormat::Text,
-    };
+    }
     Ok(Some(WalChoice {
         dir: dir.to_string(),
-        sync,
-        checkpoint_every,
-        format,
+        options,
     }))
 }
 
@@ -1125,27 +1074,23 @@ mod tests {
         assert!(matches!(
             cmd,
             Command::Serve {
-                wal: Some(WalChoice {
-                    ref dir,
-                    sync: SyncChoice::Os,
-                    checkpoint_every: None,
-                    format: CheckpointFormat::Text,
-                }),
+                wal: Some(WalChoice { ref dir, options }),
                 ..
-            } if dir == "w"
+            } if dir == "w" && options == DurableOptions::default()
         ));
         let cmd = Command::parse(&argv(
             "serve --input x.tsv --algo laf --addr 127.0.0.1:0 --wal w \
-             --sync every=64 --checkpoint-every 100 --checkpoint-format binary",
+             --sync every=64 --checkpoint-every 100",
         ))
         .unwrap();
         assert!(matches!(
             cmd,
             Command::Serve {
                 wal: Some(WalChoice {
-                    sync: SyncChoice::Every(64),
-                    checkpoint_every: Some(100),
-                    format: CheckpointFormat::Binary,
+                    options: DurableOptions {
+                        sync: SyncPolicy::Every(64),
+                        checkpoint_every: 100,
+                    },
                     ..
                 }),
                 ..
@@ -1155,15 +1100,12 @@ mod tests {
 
     #[test]
     fn sync_policies_parse_and_reject_nonsense() {
-        assert_eq!(SyncChoice::parse("always").unwrap(), SyncChoice::Always);
-        assert_eq!(SyncChoice::parse("os").unwrap(), SyncChoice::Os);
-        assert_eq!(
-            SyncChoice::parse("every=32").unwrap(),
-            SyncChoice::Every(32)
-        );
-        assert_eq!(SyncChoice::parse("8").unwrap(), SyncChoice::Every(8));
-        assert!(SyncChoice::parse("every=0").is_err());
-        assert!(SyncChoice::parse("sometimes").is_err());
+        assert_eq!(parse_sync("always").unwrap(), SyncPolicy::Always);
+        assert_eq!(parse_sync("os").unwrap(), SyncPolicy::Os);
+        assert_eq!(parse_sync("every=32").unwrap(), SyncPolicy::Every(32));
+        assert_eq!(parse_sync("8").unwrap(), SyncPolicy::Every(8));
+        assert!(parse_sync("every=0").is_err());
+        assert!(parse_sync("sometimes").is_err());
     }
 
     #[test]
@@ -1171,7 +1113,6 @@ mod tests {
         for orphan in [
             "serve --input x.tsv --algo laf --addr 127.0.0.1:0 --sync os",
             "serve --input x.tsv --algo laf --addr 127.0.0.1:0 --checkpoint-every 10",
-            "serve --input x.tsv --algo laf --addr 127.0.0.1:0 --checkpoint-format text",
         ] {
             assert!(Command::parse(&argv(orphan)).is_err(), "{orphan}");
         }

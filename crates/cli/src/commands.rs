@@ -1,8 +1,6 @@
 //! Execution of parsed `ltc` commands.
 
-use crate::args::{
-    AlgoChoice, CheckpointFormat, Command, Preset, StreamSource, SyncChoice, WalChoice,
-};
+use crate::args::{AlgoChoice, Command, Preset, StreamSource, WalChoice};
 use ltc_core::bounds::{batch_size, latency_lower_bound, latency_upper_bound};
 use ltc_core::metrics::ArrangementStats;
 use ltc_core::model::{Instance, RunOutcome, Worker};
@@ -13,7 +11,7 @@ use ltc_core::service::{
     Session, StreamEvent, WindowAck,
 };
 use ltc_core::snapshot as snapshot_format;
-use ltc_durable::{DurableHandle, DurableOptions, SnapshotFormat, SyncPolicy};
+use ltc_durable::{DurableHandle, DurableOptions};
 use ltc_proto::{LtcClient, LtcServer, SessionConfig, SessionFactory, SessionTable};
 use ltc_sim::{infer_em, infer_majority, simulate, AnswerSet, EmConfig, GroundTruth};
 use ltc_spatial::Point;
@@ -338,13 +336,8 @@ fn stream_cmd(
             shards,
         } => Box::new(start_dataset_session(input, *algo, *seed, *shards)?),
         StreamSource::Connect { addr, session } => match session {
-            // Windowed submission rides the `v2` `"seq"` member, so a
-            // window above 1 upgrades the bare connection to `v2` (still
-            // bound to the default session — same NDJSON, byte for byte).
-            None if window <= 1 => Box::new(
-                LtcClient::connect(addr.as_str())
-                    .map_err(|e| format!("cannot reach `{addr}`: {e}"))?,
-            ),
+            // Without --session the stream binds to the server's default
+            // session.
             None => Box::new(
                 LtcClient::connect_v2(addr.as_str())
                     .map_err(|e| format!("cannot reach `{addr}`: {e}"))?,
@@ -389,24 +382,6 @@ fn resume_cmd(
         metrics_out,
         out,
     )
-}
-
-/// Translates the CLI's durability flags into `ltc-durable` terms.
-fn durable_options(choice: &WalChoice) -> DurableOptions {
-    DurableOptions {
-        sync: match choice.sync {
-            SyncChoice::Always => SyncPolicy::Always,
-            SyncChoice::Every(n) => SyncPolicy::Every(n),
-            SyncChoice::Os => SyncPolicy::Os,
-        },
-        checkpoint_every: choice
-            .checkpoint_every
-            .unwrap_or(ltc_durable::DEFAULT_CHECKPOINT_EVERY),
-        format: match choice.format {
-            CheckpointFormat::Text => SnapshotFormat::Text,
-            CheckpointFormat::Binary => SnapshotFormat::Binary,
-        },
-    }
 }
 
 /// Builds the session factory a multi-session server opens named
@@ -492,7 +467,7 @@ fn serve_cmd(
         }
         Some(choice) => {
             let dir = std::path::Path::new(&choice.dir);
-            let options = durable_options(choice);
+            let options = choice.options;
             let mut wal_note = String::from(",\"wal\":");
             ltc_proto::json::push_escaped(&mut wal_note, &choice.dir);
             let session = if DurableHandle::is_initialized(dir) {

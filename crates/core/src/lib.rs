@@ -128,7 +128,7 @@
 //!
 //! handle.drain().unwrap(); // every submission processed & delivered
 //! assert!(handle.all_completed());
-//! let assigned = std::iter::from_fn(|| events.try_next())
+//! let assigned = std::iter::from_fn(|| events.try_recv())
 //!     .filter_map(|e| match e {
 //!         StreamEvent::Worker { events, .. } => Some(events),
 //!         _ => None,

@@ -148,8 +148,8 @@ pub enum StreamEvent {
 /// Receiving is pull-based and never loses events: the runtime buffers
 /// per-subscriber without bound, so slow consumers trade memory, not
 /// correctness. Iterate it, or poll with
-/// [`try_next`](EventStream::try_next) /
-/// [`next_timeout`](EventStream::next_timeout).
+/// [`try_recv`](EventStream::try_recv) /
+/// [`recv_timeout`](EventStream::recv_timeout).
 #[derive(Debug)]
 pub struct EventStream {
     rx: Receiver<StreamEvent>,
@@ -172,17 +172,6 @@ impl EventStream {
     /// has shut down and every buffered event was consumed.
     pub fn next_event(&self) -> Option<StreamEvent> {
         self.rx.recv().ok()
-    }
-
-    /// Returns an already-delivered event without blocking (`None` when
-    /// nothing is buffered right now — the stream may still be live).
-    pub fn try_next(&self) -> Option<StreamEvent> {
-        self.try_recv()
-    }
-
-    /// Blocks up to `timeout` for the next event.
-    pub fn next_timeout(&self, timeout: Duration) -> Option<StreamEvent> {
-        self.recv_timeout(timeout)
     }
 
     /// Non-blocking receive: an already-delivered event, or `None` when

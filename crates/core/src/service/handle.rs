@@ -53,7 +53,7 @@ use std::sync::Arc;
 /// }
 /// handle.drain().unwrap();
 /// assert!(handle.all_completed());
-/// let deliveries: Vec<StreamEvent> = std::iter::from_fn(|| events.try_next()).collect();
+/// let deliveries: Vec<StreamEvent> = std::iter::from_fn(|| events.try_recv()).collect();
 /// assert!(!deliveries.is_empty());
 /// let service = handle.shutdown().unwrap(); // back to the sync facade
 /// assert!(service.latency().is_some());
@@ -260,8 +260,8 @@ impl ServiceHandle {
     ///
     /// // Deliveries arrive in exact submission order: the post, then
     /// // the check-in's full event batch.
-    /// assert_eq!(events.try_next(), Some(StreamEvent::TaskPosted { task }));
-    /// match events.try_next() {
+    /// assert_eq!(events.try_recv(), Some(StreamEvent::TaskPosted { task }));
+    /// match events.try_recv() {
     ///     Some(StreamEvent::Worker { worker: w, events }) => {
     ///         assert_eq!(w, worker);
     ///         assert!(matches!(events[0], Event::Assigned { .. }));

@@ -108,7 +108,7 @@ fn run_handle(handle: &mut ServiceHandle, ops: &[Op]) -> Vec<Delivery> {
         }
     }
     handle.drain().unwrap();
-    std::iter::from_fn(|| stream.try_next())
+    std::iter::from_fn(|| stream.try_recv())
         .filter_map(|e| match e {
             StreamEvent::Worker { events, .. } => Some(Delivery::Worker(events)),
             StreamEvent::TaskPosted { task } => Some(Delivery::Task(task)),
@@ -211,7 +211,7 @@ fn drain_with_inflight_mailbox_entries_delivers_everything_in_order() {
     handle.drain().unwrap();
     let mut deliveries = Vec::new();
     let mut drained_seen = false;
-    while let Some(e) = stream.try_next() {
+    while let Some(e) = stream.try_recv() {
         match e {
             StreamEvent::Lifecycle(Lifecycle::Drained { workers_seen }) => {
                 assert_eq!(workers_seen, n_checks);
@@ -261,7 +261,7 @@ fn full_mailbox_announces_backpressure_and_still_serves_everything() {
     handle.drain().unwrap();
     let mut stalls = 0u64;
     let mut served = 0u64;
-    while let Some(e) = stream.try_next() {
+    while let Some(e) = stream.try_recv() {
         match e {
             StreamEvent::Lifecycle(Lifecycle::ShardStalled { shard, capacity }) => {
                 assert_eq!(shard, 0);
@@ -338,7 +338,7 @@ fn out_of_region_tasks_announce_clamping() {
     handle.drain().unwrap();
     let mut clamped = Vec::new();
     let mut assigned_far = false;
-    while let Some(e) = stream.try_next() {
+    while let Some(e) = stream.try_recv() {
         match e {
             StreamEvent::Lifecycle(Lifecycle::TaskOutOfRegion { task }) => clamped.push(task),
             StreamEvent::Worker { events, .. } => {
@@ -375,7 +375,7 @@ fn submissions_after_completion_idle_cleanly() {
     let w = handle.submit_worker(&worker).unwrap();
     handle.drain().unwrap();
     assert_eq!(w, WorkerId(submitted));
-    let first = std::iter::from_fn(|| stream.try_next())
+    let first = std::iter::from_fn(|| stream.try_recv())
         .find(|e| matches!(e, StreamEvent::Worker { .. }))
         .unwrap();
     assert_eq!(

@@ -163,7 +163,7 @@ fn handle_rebalance_matches_facade_and_announces_lifecycle() {
     handle.drain().unwrap();
     let mut got = Vec::new();
     let mut announced = 0u64;
-    while let Some(e) = stream.try_next() {
+    while let Some(e) = stream.try_recv() {
         match e {
             StreamEvent::Worker { events, .. } => got.push(Delivery::Worker(events)),
             StreamEvent::TaskPosted { task } => got.push(Delivery::Task(task)),

@@ -1,46 +1,28 @@
 //! Checkpoints: whole-state snapshots written next to the log.
 //!
-//! A checkpoint file `checkpoint-<seq>.ltc` (text) or `.ltcb`
-//! ([`binsnap`] binary) holds the service state after
-//! every operation below sequence number `seq` — so recovery restores
-//! it and replays only the log records stamped `seq` and above. Files
-//! are written to a temporary name and renamed into place, so a crash
-//! mid-checkpoint leaves at most a stray `*.tmp` that the loader
-//! ignores; the previous checkpoint stays intact and recovery simply
-//! replays a longer suffix.
+//! A checkpoint file `checkpoint-<seq>.ltc` holds the service state,
+//! as `ltc-snapshot v1` text, after every operation below sequence
+//! number `seq` — so recovery restores it and replays only the log
+//! records stamped `seq` and above. Files are written to a temporary
+//! name and renamed into place, so a crash mid-checkpoint leaves at
+//! most a stray `*.tmp` that the loader ignores; the previous
+//! checkpoint stays intact and recovery simply replays a longer suffix.
 //!
 //! [`load_latest`] walks the checkpoints newest-first and takes the
 //! first one that decodes, skipping damaged ones — a half-written or
 //! bit-rotted newest checkpoint costs replay time, never correctness.
 
-use crate::{binsnap, wal, DurableError};
+use crate::{wal, DurableError};
 use ltc_core::service::ServiceSnapshot;
 use ltc_core::snapshot::{read_snapshot, write_snapshot, SNAPSHOT_HEADER};
 use std::fs::{self, File};
 use std::io::{BufReader, Read};
 use std::path::{Path, PathBuf};
 
-/// On-disk encoding of a checkpoint. Either decodes to the same
-/// [`ServiceSnapshot`]; text is the golden, diffable, debuggable form,
-/// binary the compact one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SnapshotFormat {
-    /// `ltc-snapshot v1` text (`.ltc`).
-    #[default]
-    Text,
-    /// `ltc-snapshot-bin v1` (`.ltcb`): the lossless token-level
-    /// recoding of the text form.
-    Binary,
-}
-
 /// The path a checkpoint covering `seq` is written to. The sequence is
 /// zero-padded so lexicographic directory order is sequence order.
-pub fn checkpoint_path(dir: &Path, seq: u64, format: SnapshotFormat) -> PathBuf {
-    let ext = match format {
-        SnapshotFormat::Text => "ltc",
-        SnapshotFormat::Binary => "ltcb",
-    };
-    dir.join(format!("checkpoint-{seq:020}.{ext}"))
+pub fn checkpoint_path(dir: &Path, seq: u64) -> PathBuf {
+    dir.join(format!("checkpoint-{seq:020}.ltc"))
 }
 
 /// Writes a checkpoint atomically (temp file, fsync, rename, directory
@@ -49,29 +31,12 @@ pub fn write_checkpoint(
     dir: &Path,
     seq: u64,
     snapshot: &ServiceSnapshot,
-    format: SnapshotFormat,
 ) -> Result<PathBuf, DurableError> {
     let mut text = Vec::new();
     write_snapshot(snapshot, &mut text)?;
-    let bytes = match format {
-        SnapshotFormat::Text => text,
-        SnapshotFormat::Binary => {
-            let text = String::from_utf8(text).expect("snapshot text is UTF-8");
-            let bin = binsnap::encode(&text).map_err(|what| DurableError::Corrupt {
-                path: dir.to_path_buf(),
-                what: format!("snapshot text not binsnap-encodable: {what}"),
-            })?;
-            // The whole point of the token-level codec is that
-            // losslessness is checkable, so check it: a checkpoint that
-            // would not decode back to its own text must never reach
-            // disk.
-            debug_assert_eq!(binsnap::decode(&bin).as_deref(), Ok(text.as_str()));
-            bin
-        }
-    };
-    let path = checkpoint_path(dir, seq, format);
+    let path = checkpoint_path(dir, seq);
     let tmp = path.with_extension("tmp");
-    fs::write(&tmp, &bytes)?;
+    fs::write(&tmp, &text)?;
     File::open(&tmp)?.sync_all()?;
     fs::rename(&tmp, &path)?;
     wal::sync_dir(dir);
@@ -89,10 +54,7 @@ pub fn list_checkpoints(dir: &Path) -> Result<Vec<(u64, PathBuf)>, DurableError>
         let name = name.to_string_lossy();
         if let Some(seq) = name
             .strip_prefix("checkpoint-")
-            .and_then(|rest| {
-                rest.strip_suffix(".ltc")
-                    .or_else(|| rest.strip_suffix(".ltcb"))
-            })
+            .and_then(|rest| rest.strip_suffix(".ltc"))
             .and_then(|digits| digits.parse::<u64>().ok())
         {
             found.push((seq, entry.path()));
@@ -102,8 +64,7 @@ pub fn list_checkpoints(dir: &Path) -> Result<Vec<(u64, PathBuf)>, DurableError>
     Ok(found)
 }
 
-/// Loads one checkpoint file, auto-detecting text vs binary by its
-/// header line (the extension is advisory). The read is capped at
+/// Loads one checkpoint file. The read is capped at
 /// [`wal::MAX_RECORD`] × 64 bytes so a garbage file cannot balloon
 /// memory — far above any real snapshot, far below pathology.
 pub fn load_checkpoint(path: &Path) -> Result<ServiceSnapshot, DurableError> {
@@ -122,13 +83,8 @@ pub fn load_checkpoint(path: &Path) -> Result<ServiceSnapshot, DurableError> {
         path: path.to_path_buf(),
         what,
     };
-    let text: String;
-    let text = if bytes.starts_with(binsnap::BINSNAP_HEADER.as_bytes()) {
-        text = binsnap::decode(&bytes).map_err(corrupt)?;
-        text.as_str()
-    } else {
-        std::str::from_utf8(&bytes).map_err(|_| corrupt("checkpoint is not UTF-8".into()))?
-    };
+    let text =
+        std::str::from_utf8(&bytes).map_err(|_| corrupt("checkpoint is not UTF-8".into()))?;
     if !text.starts_with(SNAPSHOT_HEADER) {
         return Err(corrupt(format!(
             "checkpoint does not open with \"{SNAPSHOT_HEADER}\""
@@ -209,13 +165,13 @@ mod tests {
     }
 
     #[test]
-    fn both_formats_round_trip_and_newest_valid_wins() {
+    fn checkpoints_round_trip_and_newest_valid_wins() {
         let dir = temp_dir("roundtrip");
         let snap = sample_snapshot();
-        write_checkpoint(&dir, 0, &snap, SnapshotFormat::Text).unwrap();
-        write_checkpoint(&dir, 7, &snap, SnapshotFormat::Binary).unwrap();
+        write_checkpoint(&dir, 0, &snap).unwrap();
+        write_checkpoint(&dir, 7, &snap).unwrap();
         // A newer checkpoint that is pure garbage must be skipped.
-        fs::write(checkpoint_path(&dir, 9, SnapshotFormat::Text), "garbage").unwrap();
+        fs::write(checkpoint_path(&dir, 9), "garbage").unwrap();
 
         let (seq, loaded, skipped) = load_latest(&dir).unwrap().unwrap();
         assert_eq!(seq, 7);
@@ -229,7 +185,7 @@ mod tests {
         let dir = temp_dir("compact");
         let snap = sample_snapshot();
         for seq in [0, 3, 9] {
-            write_checkpoint(&dir, seq, &snap, SnapshotFormat::Text).unwrap();
+            write_checkpoint(&dir, seq, &snap).unwrap();
         }
         assert_eq!(compact_checkpoints(&dir, 9).unwrap(), 2);
         let left = list_checkpoints(&dir).unwrap();
@@ -242,7 +198,7 @@ mod tests {
     fn a_stray_tmp_file_is_invisible_to_the_loader() {
         let dir = temp_dir("tmp");
         let snap = sample_snapshot();
-        write_checkpoint(&dir, 4, &snap, SnapshotFormat::Binary).unwrap();
+        write_checkpoint(&dir, 4, &snap).unwrap();
         fs::write(
             dir.join("checkpoint-00000000000000000009.tmp"),
             "half-written",

@@ -8,21 +8,22 @@
 //! has to reach disk on the hot path, only the *inputs*. This crate
 //! packages that observation as three pieces:
 //!
-//! * [`wal`] — the `ltc-wal v1` append-only event log. Every
+//! * [`wal`] — the `ltc-wal v2` append-only event log. Every
 //!   state-changing session call (worker check-in, task post,
 //!   rebalance) is appended as one NDJSON record *before* it is applied,
-//!   with floats carried as bit patterns exactly like the `ltc-proto v1`
-//!   wire format. A configurable [`SyncPolicy`] decides how eagerly
-//!   records reach the kernel and the platter: the eager policies
-//!   survive `kill -9` record by record, while the default `Os` policy
-//!   buffers between the session's quiesce points (drain, snapshot,
-//!   checkpoint, shutdown) and keeps the hot path syscall-free.
+//!   with floats carried as bit patterns exactly like the `ltc-proto`
+//!   wire format, and sealed with a CRC-32 of its own bytes. A
+//!   configurable [`SyncPolicy`] decides how eagerly records reach the
+//!   kernel and the platter: the eager policies survive `kill -9`
+//!   record by record, while the default `Os` policy buffers between
+//!   the session's quiesce points (drain, snapshot, checkpoint,
+//!   shutdown) and keeps the hot path syscall-free.
 //! * [`checkpoint`] — periodic snapshots taken at drained quiesce
 //!   points, written atomically next to the log. A checkpoint covering
 //!   sequence number `S` makes every log record below `S` dead weight,
 //!   so the log rotates to a fresh segment at each checkpoint and fully
 //!   covered segments are deleted. Checkpoints are the engine's own
-//!   `ltc-snapshot v1` text, or the compact [`binsnap`] recoding of it.
+//!   `ltc-snapshot v1` text.
 //! * [`recover`](recover()) — restores the newest readable checkpoint,
 //!   truncates a torn final record if the crash left one, and replays
 //!   the surviving log suffix through the ordinary session API. The
@@ -36,13 +37,11 @@
 //!
 //! [`ServiceHandle`]: ltc_core::service::ServiceHandle
 
-pub mod binsnap;
 pub mod checkpoint;
 mod recovery;
 mod session;
 pub mod wal;
 
-pub use checkpoint::SnapshotFormat;
 pub use recovery::{recover, Recovery};
 pub use session::{DurableHandle, DurableOptions, ResumeReport, DEFAULT_CHECKPOINT_EVERY};
 pub use wal::SyncPolicy;

@@ -10,8 +10,14 @@
 //! calls pass straight through. Callers — the TCP server, the CLI —
 //! drive the result as a plain [`Session`] and never know durability
 //! is underneath.
+//!
+//! The handle fails closed: after the first log or checkpoint error the
+//! log no longer provably describes the service, so every later call
+//! that would log, drain, snapshot or checkpoint is refused without
+//! touching either. A client retrying a refused call therefore cannot
+//! apply it twice.
 
-use crate::checkpoint::{self, SnapshotFormat};
+use crate::checkpoint;
 use crate::wal::{self, SyncPolicy, WalRecord, WalWriter};
 use crate::{recovery, DurableError, Recovery};
 use ltc_core::model::{Task, TaskId, Worker, WorkerId};
@@ -34,9 +40,6 @@ pub struct DurableOptions {
     /// periodic checkpoints entirely (the log then only rotates at
     /// resume and shutdown). Default [`DEFAULT_CHECKPOINT_EVERY`].
     pub checkpoint_every: u64,
-    /// Checkpoint encoding (default [`SnapshotFormat::Text`], the
-    /// golden form).
-    pub format: SnapshotFormat,
 }
 
 impl Default for DurableOptions {
@@ -44,7 +47,6 @@ impl Default for DurableOptions {
         Self {
             sync: SyncPolicy::Os,
             checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
-            format: SnapshotFormat::Text,
         }
     }
 }
@@ -88,6 +90,9 @@ pub struct DurableHandle {
     since_checkpoint: u64,
     checkpoints: u64,
     closed: bool,
+    /// The first log or checkpoint failure, which every later durable
+    /// call is refused with.
+    failed: Option<String>,
 }
 
 impl DurableHandle {
@@ -105,7 +110,7 @@ impl DurableHandle {
             return Err(DurableError::AlreadyInitialized(dir.to_path_buf()));
         }
         let snapshot = inner.snapshot()?;
-        checkpoint::write_checkpoint(dir, 0, &snapshot, options.format)?;
+        checkpoint::write_checkpoint(dir, 0, &snapshot)?;
         let wal = WalWriter::new_segment(dir, 0, 0, options.sync)?;
         inner.announce_lifecycle(Lifecycle::Checkpointed { seq: 0 });
         Ok(Self {
@@ -116,6 +121,7 @@ impl DurableHandle {
             since_checkpoint: 0,
             checkpoints: 1,
             closed: false,
+            failed: None,
         })
     }
 
@@ -138,7 +144,7 @@ impl DurableHandle {
             next_segment,
         } = recovery::recover(dir)?;
         let snapshot = inner.snapshot()?;
-        checkpoint::write_checkpoint(dir, next_seq, &snapshot, options.format)?;
+        checkpoint::write_checkpoint(dir, next_seq, &snapshot)?;
         let mut wal = WalWriter::new_segment(dir, next_segment, next_seq, options.sync)?;
         wal.compact()?;
         checkpoint::compact_checkpoints(dir, next_seq)?;
@@ -159,6 +165,7 @@ impl DurableHandle {
                 since_checkpoint: 0,
                 checkpoints: 1,
                 closed: false,
+                failed: None,
             },
             report,
         ))
@@ -190,10 +197,36 @@ impl DurableHandle {
         self.checkpoints
     }
 
+    /// Refuses once a log or checkpoint call has failed.
+    fn healthy(&self) -> Result<(), ServiceError> {
+        match &self.failed {
+            None => Ok(()),
+            Some(cause) => Err(ServiceError::Transport(format!(
+                "refused after an earlier durability failure: {cause}"
+            ))),
+        }
+    }
+
+    /// Records `e` as the failure every later durable call is refused
+    /// with, and passes it on.
+    fn fail(&mut self, e: ServiceError) -> ServiceError {
+        self.failed.get_or_insert_with(|| e.to_string());
+        e
+    }
+
     fn log(&mut self, record: &WalRecord) -> Result<(), ServiceError> {
-        self.wal.append(record).map_err(wal_failed)?;
+        self.healthy()?;
+        if let Err(e) = self.wal.append(record) {
+            return Err(self.fail(wal_failed(e)));
+        }
         self.since_checkpoint += 1;
         Ok(())
+    }
+
+    /// Pushes the log to the kernel ahead of a quiesce point.
+    fn handoff(&mut self) -> Result<(), ServiceError> {
+        self.healthy()?;
+        self.wal.handoff().map_err(|e| self.fail(wal_failed(e)))
     }
 
     fn maybe_checkpoint(&mut self) -> Result<(), ServiceError> {
@@ -210,18 +243,29 @@ impl DurableHandle {
     /// checkpoints, and announce [`Lifecycle::Checkpointed`] to
     /// subscribers. Returns the covered sequence number.
     pub fn checkpoint_now(&mut self) -> Result<u64, ServiceError> {
+        self.healthy()?;
         let seq = self.wal.next_seq();
         let snapshot = self.inner.snapshot()?;
-        checkpoint::write_checkpoint(&self.dir, seq, &snapshot, self.options.format)
-            .map_err(durable_failed)?;
-        self.wal.rotate().map_err(wal_failed)?;
-        self.wal.compact().map_err(wal_failed)?;
-        checkpoint::compact_checkpoints(&self.dir, seq).map_err(durable_failed)?;
+        self.commit_checkpoint(seq, &snapshot)
+            .map_err(|e| self.fail(e))?;
         self.since_checkpoint = 0;
         self.checkpoints += 1;
         self.inner
             .announce_lifecycle(Lifecycle::Checkpointed { seq });
         Ok(seq)
+    }
+
+    /// Writes the checkpoint covering `seq`, then rotates and compacts.
+    fn commit_checkpoint(
+        &mut self,
+        seq: u64,
+        snapshot: &ServiceSnapshot,
+    ) -> Result<(), ServiceError> {
+        checkpoint::write_checkpoint(&self.dir, seq, snapshot).map_err(durable_failed)?;
+        self.wal.rotate().map_err(wal_failed)?;
+        self.wal.compact().map_err(wal_failed)?;
+        checkpoint::compact_checkpoints(&self.dir, seq).map_err(durable_failed)?;
+        Ok(())
     }
 }
 
@@ -269,7 +313,7 @@ impl Session for DurableHandle {
     /// power-loss window fsync alone would close, and which opted out
     /// of fsync by name).
     fn drain(&mut self) -> Result<(), ServiceError> {
-        self.wal.handoff().map_err(wal_failed)?;
+        self.handoff()?;
         self.inner.drain()
     }
 
@@ -277,7 +321,7 @@ impl Session for DurableHandle {
     /// handed to the kernel first, so the returned snapshot never
     /// describes state a process crash could lose.
     fn snapshot(&mut self) -> Result<ServiceSnapshot, ServiceError> {
-        self.wal.handoff().map_err(wal_failed)?;
+        self.handoff()?;
         self.inner.snapshot()
     }
 
@@ -299,11 +343,14 @@ impl Session for DurableHandle {
     }
 
     /// Seals the log with a final covering checkpoint (so the next
-    /// start replays nothing), fsyncs, and shuts the service down.
+    /// start replays nothing), fsyncs, and shuts the service down. After
+    /// a durability failure it refuses instead, leaving the directory
+    /// as a crash would for recovery to handle.
     fn shutdown(&mut self) -> Result<(), ServiceError> {
         if self.closed {
             return Ok(());
         }
+        self.healthy()?;
         self.closed = true;
         let sealed = self.checkpoint_now().map(|_| ());
         let synced = self.wal.sync().map_err(wal_failed);
@@ -317,12 +364,12 @@ impl Session for DurableHandle {
 }
 
 impl Drop for DurableHandle {
-    /// Best-effort fsync of the log tail. Deliberately *not* a
-    /// shutdown: a handle dropped mid-flight (a panicking server) must
-    /// leave the directory exactly as a crash would, for recovery to
-    /// handle.
+    /// Best-effort fsync of the log tail, skipped after a durability
+    /// failure. Deliberately *not* a shutdown: a handle dropped
+    /// mid-flight (a panicking server) must leave the directory exactly
+    /// as a crash would, for recovery to handle.
     fn drop(&mut self) {
-        if !self.closed {
+        if !self.closed && self.failed.is_none() {
             self.wal.sync().ok();
         }
     }

@@ -25,10 +25,7 @@
 //! The `crc` member is always the record's final member: it covers the
 //! line with the member itself spliced out (everything before
 //! `,"crc":…` plus the closing `}`), so verification needs no
-//! re-encoding. Segments headed `"v":1` — logs written before the
-//! checksum existed — still load; their records simply carry no `crc`
-//! and get no verification beyond the sequence check. Under a `v2`
-//! header a missing or mismatched `crc` on an *interior* record is
+//! re-encoding. A missing or mismatched `crc` on an *interior* record is
 //! corruption (bit rot that JSON parsing alone would miss — a flipped
 //! hex digit still parses, but replays different bits); on the final
 //! record of the final segment it is a torn tail, repaired by
@@ -73,13 +70,10 @@ use std::path::{Path, PathBuf};
 /// Format name in every segment header.
 pub const WAL_NAME: &str = "ltc-wal";
 
-/// Format version written in every new segment header (`v2`: every
-/// record seals itself with a [`crc32`] member).
+/// Format version of every segment header, written and read (`v2`:
+/// every record seals itself with a [`crc32`] member). Segments headed
+/// with any other version refuse to load.
 pub const WAL_VERSION: u64 = 2;
-
-/// The checksum-less original format. Still readable: a `v1`-headed
-/// segment's records carry no `crc` and get none checked.
-pub const WAL_VERSION_V1: u64 = 1;
 
 /// Upper bound on one log line, delimiter included — the same cap as an
 /// `ltc-proto v1` frame, enforced *while reading* so a hostile or
@@ -202,7 +196,7 @@ fn push_record_crc(out: &mut String, body_start: usize) {
     out.push_str("\"}");
 }
 
-/// Checks a `v2` record line's `crc` seal without decoding it. The
+/// Checks a record line's `crc` seal without decoding it. The
 /// member is always the line's final member, so the covered bytes are
 /// everything before the suffix plus the closing brace.
 fn verify_record_crc(line: &str) -> Result<(), String> {
@@ -510,9 +504,6 @@ pub struct SegmentInfo {
     pub base_seq: u64,
     /// Path to the segment file.
     pub path: PathBuf,
-    /// Format version the header announced ([`WAL_VERSION_V1`] records
-    /// carry no `crc`; [`WAL_VERSION`] seals every record).
-    pub version: u64,
 }
 
 /// Reads one `\n`-terminated line of at most [`MAX_RECORD`] bytes.
@@ -597,16 +588,16 @@ fn read_header(
         Ok(header) => header,
         Err(e) => return physically_torn(format!("bad header: {e}")),
     };
-    let version = match (
+    match (
         header.get("wal").and_then(Json::as_str),
         header.get("v").and_then(Json::as_u64),
     ) {
-        (Some(WAL_NAME), Some(ver @ (WAL_VERSION_V1 | WAL_VERSION))) => ver,
+        (Some(WAL_NAME), Some(WAL_VERSION)) => {}
         (Some(WAL_NAME), Some(ver)) => {
             return Err(corrupt(format!("unsupported {WAL_NAME} version {ver}")))
         }
         _ => return Err(corrupt("header does not announce ltc-wal".into())),
-    };
+    }
     let header_index = header
         .get("segment")
         .and_then(Json::as_u64)
@@ -625,7 +616,6 @@ fn read_header(
             index,
             base_seq,
             path: path.to_path_buf(),
-            version,
         },
         consumed,
     )))
@@ -742,12 +732,10 @@ pub fn scan(dir: &Path) -> Result<LogScan, DurableError> {
         debug_assert_eq!(skipped_header.map(|h| h.2), Some(header_len));
         let mut offset = header_len;
         while let Some((line, terminated, consumed)) = read_record_line(&mut reader)? {
-            let parsed = if !terminated {
-                Err("no terminating newline".into())
-            } else if info.version >= WAL_VERSION {
+            let parsed = if terminated {
                 verify_record_crc(&line).and_then(|()| decode_record(&line))
             } else {
-                decode_record(&line)
+                Err("no terminating newline".into())
             };
             match parsed {
                 Ok((seq, record)) if seq == next_seq => {
@@ -1045,64 +1033,52 @@ mod tests {
         }
     }
 
-    /// The record line as `ltc-wal` v1 wrote it: the `crc` suffix
-    /// spliced out.
+    /// The record line with its `crc` suffix spliced out.
     fn strip_crc(line: &str) -> String {
         assert!(line.len() > CRC_SUFFIX_LEN && line.ends_with("\"}"));
         format!("{}}}", &line[..line.len() - CRC_SUFFIX_LEN])
     }
 
-    /// Hand-writes a v1 segment — header announcing `"v":1` and crc-less
-    /// record lines — as an ltc-wal v1 writer would have left it.
-    fn write_v1_segment(dir: &Path, index: u64, base_seq: u64, records: &[WalRecord]) {
-        let mut bytes = format!(
-            "{{\"wal\":\"{WAL_NAME}\",\"v\":{WAL_VERSION_V1},\"segment\":{index},\"base_seq\":{base_seq}}}\n"
-        );
-        for (i, r) in records.iter().enumerate() {
-            bytes.push_str(&strip_crc(&encode_record(base_seq + i as u64, r)));
-            bytes.push('\n');
-        }
-        fs::write(segment_path(dir, index), bytes).unwrap();
-    }
-
     #[test]
-    fn v1_segments_still_load_and_resumed_logs_mix_versions() {
-        let dir = temp_dir("v1-mixed");
+    fn v1_segments_and_crcless_records_refuse_to_load() {
+        let dir = temp_dir("v1");
         let records = sample_records();
-        write_v1_segment(&dir, 0, 0, &records[..2]);
-        let log = scan(&dir).unwrap();
-        assert_eq!(log.next_seq, 2);
-        assert!(log.torn.is_none());
-        assert_eq!(log.segments[0].version, WAL_VERSION_V1);
-
-        // Resume appends into a fresh (v2) segment, as recovery does.
-        let mut w = WalWriter::new_segment(&dir, 1, 2, SyncPolicy::Os).unwrap();
-        for r in &records[2..] {
+        let mut w = WalWriter::new_segment(&dir, 0, 0, SyncPolicy::Os).unwrap();
+        for r in &records {
             w.append(r).unwrap();
         }
         drop(w);
-        let log = scan(&dir).unwrap();
-        assert_eq!(log.next_seq, 4);
-        assert!(log.torn.is_none());
-        assert_eq!(
-            log.segments.iter().map(|s| s.version).collect::<Vec<_>>(),
-            vec![WAL_VERSION_V1, WAL_VERSION]
-        );
-        for (i, (seq, r)) in log.records.iter().enumerate() {
-            assert_eq!(*seq, i as u64);
-            assert_eq!(encode_record(*seq, r), encode_record(*seq, &records[i]));
-        }
-
-        // A crc-less line under a v2 header, by contrast, is corruption.
-        let v2_path = segment_path(&dir, 1);
-        let text = fs::read_to_string(&v2_path).unwrap();
+        let path = segment_path(&dir, 0);
+        let text = fs::read_to_string(&path).unwrap();
         let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
-        lines[1] = strip_crc(&lines[1]);
-        fs::write(&v2_path, format!("{}\n", lines.join("\n"))).unwrap();
+
+        // A crc-less interior record is corruption.
+        let sealed = lines[1].clone();
+        lines[1] = strip_crc(&sealed);
+        fs::write(&path, format!("{}\n", lines.join("\n"))).unwrap();
         match scan(&dir) {
             Err(DurableError::Corrupt { what, .. }) => assert!(what.contains("crc")),
-            other => panic!("a v2 record without a crc must refuse to load, got {other:?}"),
+            other => panic!("a record without a crc must refuse to load, got {other:?}"),
         }
+
+        // A segment headed `"v":1` (checksum-less records) is refused
+        // whole, and neither scanning nor listing touches the file.
+        lines[1] = sealed;
+        lines[0] = lines[0].replace("\"v\":2", "\"v\":1");
+        let v1 = format!("{}\n", lines.join("\n"));
+        fs::write(&path, &v1).unwrap();
+        for refused in [scan(&dir).map(|_| ()), list_segments(&dir).map(|_| ())] {
+            match refused {
+                Err(DurableError::Corrupt { what, .. }) => {
+                    assert!(
+                        what.contains("unsupported ltc-wal version 1"),
+                        "got: {what}"
+                    )
+                }
+                other => panic!("a v1 segment must refuse to load, got {other:?}"),
+            }
+        }
+        assert_eq!(fs::read_to_string(&path).unwrap(), v1);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1118,7 +1094,7 @@ mod tests {
         let mut bytes = fs::read(&path).unwrap();
         // Flip one payload hex digit in the *first* record: the line
         // still parses as JSON with the right seq, so only the crc can
-        // tell — this exact damage loaded silently under v1.
+        // tell.
         let x_pos = bytes
             .windows(5)
             .position(|w| w == b"\"x\":\"")

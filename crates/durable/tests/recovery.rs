@@ -4,14 +4,13 @@
 //! The contract under test is the one `docs/DURABILITY.md` promises: a
 //! recovered session is **byte-identical**, as `ltc-snapshot v1` text,
 //! to an uninterrupted session fed the same prefix of operations — for
-//! every policy, shard count, sync policy, checkpoint cadence, snapshot
-//! encoding, and crash point, including a crash that tears the final
-//! log record (or even a just-rotated segment's header) mid-write.
+//! every policy, shard count, sync policy, checkpoint cadence, and
+//! crash point, including a crash that tears the final log record (or
+//! even a just-rotated segment's header) mid-write.
 
 use ltc_core::model::{ProblemParams, Task, Worker};
 use ltc_core::service::{Algorithm, ServiceBuilder, ServiceHandle, Session};
 use ltc_core::snapshot::write_snapshot;
-use ltc_durable::checkpoint::SnapshotFormat;
 use ltc_durable::{recover, DurableHandle, DurableOptions, SyncPolicy};
 use ltc_spatial::{BoundingBox, Point};
 use proptest::prelude::*;
@@ -144,7 +143,6 @@ fn shutdown_resume_continues_bit_identically() {
     let options = DurableOptions {
         sync: SyncPolicy::Every(2),
         checkpoint_every: 8,
-        format: SnapshotFormat::Text,
     };
 
     let mut durable = DurableHandle::create(fresh(algo, 4), &dir, options).unwrap();
@@ -173,16 +171,16 @@ fn shutdown_resume_continues_bit_identically() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Binary checkpoints restore exactly like text ones.
+/// A crash right after the last of several periodic checkpoints
+/// restores that checkpoint alone, with nothing left to replay.
 #[test]
-fn binary_checkpoints_restore_like_text() {
-    let dir = temp_dir("binary-checkpoint");
+fn periodic_checkpoints_restore_after_a_crash() {
+    let dir = temp_dir("periodic-checkpoint");
     let algo = Algorithm::Aam;
     let ops = mixed_ops(7, 40);
     let options = DurableOptions {
         sync: SyncPolicy::Os,
         checkpoint_every: 5,
-        format: SnapshotFormat::Binary,
     };
     let mut durable = DurableHandle::create(fresh(algo, 2), &dir, options).unwrap();
     for op in &ops {
@@ -192,6 +190,8 @@ fn binary_checkpoints_restore_like_text() {
 
     let recovery = recover(&dir).unwrap();
     assert_eq!(recovery.next_seq, 40);
+    assert_eq!(recovery.checkpoint_seq, 40);
+    assert_eq!(recovery.replayed, 0);
     let mut handle = recovery.handle;
     let text = snapshot_text(&mut handle);
     handle.close().unwrap();
@@ -258,6 +258,46 @@ fn accuracy_rows_replay_bit_exactly() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The first log or checkpoint failure closes the handle: later calls
+/// are refused without being applied or logged, so a client retrying a
+/// refused submit cannot apply it twice.
+#[test]
+fn a_durability_failure_closes_the_handle() {
+    let dir = temp_dir("fail-closed");
+    let options = DurableOptions {
+        checkpoint_every: 2,
+        ..DurableOptions::default()
+    };
+    let mut durable = DurableHandle::create(fresh(Algorithm::Laf, 2), &dir, options).unwrap();
+    durable
+        .post_task(Task::new(Point::new(10.0, 10.0)))
+        .unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    let worker = Worker::new(Point::new(500.0, 500.0), 0.9);
+    let mut seen = Vec::new();
+    for _ in 0..6 {
+        assert!(durable.submit_worker(&worker).is_err());
+        seen.push((
+            durable.metrics().unwrap().n_workers_seen,
+            durable.wal_records(),
+        ));
+    }
+    // The first submit was logged and applied before its checkpoint
+    // failed; nothing after it moved either counter.
+    assert_eq!(seen, vec![(1, 2); 6]);
+    assert!(durable.post_task(Task::new(Point::new(1.0, 1.0))).is_err());
+    assert!(durable.rebalance().is_err());
+    assert!(durable.drain().is_err());
+    assert!(durable.snapshot().is_err());
+    assert!(durable.checkpoint_now().is_err());
+    assert_eq!(durable.metrics().unwrap().n_workers_seen, 1);
+    assert_eq!(durable.wal_records(), 2);
+    assert!(durable.shutdown().is_err());
+    drop(durable);
+    assert!(!dir.exists());
+}
+
 fn arb_op() -> impl Strategy<Value = Op> {
     (0u8..11, 0.0f64..1000.0, 0.0f64..1000.0, 0.70f64..0.99).prop_map(
         |(kind, x, y, p)| match kind {
@@ -291,7 +331,6 @@ proptest! {
         four_shards in any::<bool>(),
         checkpoint_every in 0u64..6,
         sync_choice in 0u8..3,
-        binary in any::<bool>(),
         cut_frac in 0.0f64..=1.0,
     ) {
         let n_shards = if four_shards { 4 } else { 1 };
@@ -302,7 +341,6 @@ proptest! {
                 _ => SyncPolicy::Os,
             },
             checkpoint_every,
-            format: if binary { SnapshotFormat::Binary } else { SnapshotFormat::Text },
         };
         let dir = temp_dir("proptest");
 

@@ -76,7 +76,7 @@
 //! }
 //! handle.drain().unwrap();
 //!
-//! for delivery in std::iter::from_fn(|| events.try_next()) {
+//! for delivery in std::iter::from_fn(|| events.try_recv()) {
 //!     if let StreamEvent::Worker { events, .. } = delivery {
 //!         for event in events {
 //!             match event {

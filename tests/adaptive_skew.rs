@@ -120,7 +120,7 @@ fn hotspot_drift_pipelined_snapshot_across_rebalance_is_bit_exact() {
             }
         }
         handle.drain().unwrap();
-        std::iter::from_fn(|| stream.try_next())
+        std::iter::from_fn(|| stream.try_recv())
             .filter_map(|e| match e {
                 StreamEvent::Worker { worker, events } => Some((worker.0, events)),
                 _ => None,

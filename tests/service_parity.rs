@@ -127,7 +127,7 @@ fn stream_events_pipelined(handle: &mut ServiceHandle, instance: &Instance) -> V
         handle.submit_worker(worker).unwrap();
     }
     handle.drain().unwrap();
-    std::iter::from_fn(|| stream.try_next())
+    std::iter::from_fn(|| stream.try_recv())
         .filter_map(|e| match e {
             StreamEvent::Worker { events, .. } => Some(events),
             _ => None,
