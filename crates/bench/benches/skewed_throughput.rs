@@ -14,7 +14,9 @@
 //!   the whole hotspot;
 //! * **4 shards, adaptive** — `grow_index_after` rebuilds the index
 //!   over the live tasks once clamp telemetry crosses the threshold,
-//!   and `rebalance_factor` re-splits the stripes by live-task mass.
+//!   and every 64 posts the driver rebalances (re-splits the stripes
+//!   by live-task mass) when the heaviest shard holds more than 1.4x
+//!   the mean live load.
 //!
 //! The run **asserts** the adaptivity acceptance criteria (identical
 //! assignments, steady-state clamping, post-rebalance load skew ≤ 1.5x),
@@ -36,8 +38,14 @@ use ltc_workload::{DriftEvent, HotspotDriftConfig};
 use std::num::NonZeroUsize;
 use std::time::Instant;
 
+/// The adaptive driver's rebalance policy: every `REBALANCE_CHECK_POSTS`
+/// posts, rebalance when max live load > `REBALANCE_FACTOR` x mean.
+const REBALANCE_CHECK_POSTS: usize = 64;
+const REBALANCE_FACTOR: f64 = 1.4;
+
 struct Measurement {
     events: u64,
+    rebalances: u64,
     assignments: u64,
     secs: f64,
     max_clamped: u64,
@@ -54,9 +62,10 @@ fn run(
         .algorithm(Algorithm::Laf)
         .shards(NonZeroUsize::new(shards).unwrap());
     if adaptive {
-        builder = builder.grow_index_after(256).rebalance_factor(1.4);
+        builder = builder.grow_index_after(256);
     }
     let mut service = builder.build().expect("hotspot configs always build");
+    let mut posts = 0usize;
     let probe_at = 5 * events.len() / 6;
     let mut max_clamped = 0u64;
     let mut probe_clamped = 0u64;
@@ -65,6 +74,10 @@ fn run(
         match event {
             DriftEvent::Post(t) => {
                 service.post_task(*t).expect("drift tasks are valid");
+                posts += 1;
+                if adaptive && posts.is_multiple_of(REBALANCE_CHECK_POSTS) {
+                    rebalance_if_skewed(&mut service);
+                }
             }
             DriftEvent::CheckIn(w) => {
                 service.check_in(w);
@@ -75,14 +88,31 @@ fn run(
         }
     }
     let secs = start.elapsed().as_secs_f64();
-    let clamped = service.metrics().clamped_insertions;
+    let metrics = service.metrics();
+    let clamped = metrics.clamped_insertions;
     max_clamped = max_clamped.max(clamped).max(probe_clamped);
     Measurement {
         events: events.len() as u64,
+        rebalances: metrics.rebalances,
         assignments: service.n_assignments(),
         secs,
         max_clamped,
         late_clamped: clamped.saturating_sub(probe_clamped),
+    }
+}
+
+/// Rebalances when the heaviest shard's live load exceeds
+/// `REBALANCE_FACTOR` x the mean (pools under four live tasks per shard
+/// are left alone).
+fn rebalance_if_skewed(service: &mut LtcService) {
+    let loads = service.metrics().shard_loads;
+    let total: u64 = loads.iter().sum();
+    let max = loads.iter().copied().max().unwrap_or(0);
+    let mean = total as f64 / loads.len() as f64;
+    if total >= 4 * loads.len() as u64 && max as f64 > REBALANCE_FACTOR * mean {
+        service
+            .rebalance()
+            .expect("rebalance planning cannot fail on live state");
     }
 }
 
@@ -97,11 +127,12 @@ fn report(label: &str, m: &Measurement, baseline_secs: f64, show_ratio: bool) {
     };
     println!(
         "  {label:<22} {:>8} events in {:>7.3}s  =  {:>9.0} events/sec  \
-         ({} assignments, clamped max {} / late {}{ratio})",
+         ({} assignments, {} rebalances, clamped max {} / late {}{ratio})",
         m.events,
         m.secs,
         m.events as f64 / m.secs.max(f64::EPSILON),
         m.assignments,
+        m.rebalances,
         m.max_clamped,
         m.late_clamped,
     );

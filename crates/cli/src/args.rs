@@ -48,9 +48,9 @@ ending with a summary line. Check-ins below the spam threshold are
 skipped. --shards N partitions the task pool spatially over N engine
 shards (default 1; single-shard output is bit-identical to the engine).
 --pipeline D keeps up to D check-ins in flight across the shard threads
-(default 1 = lockstep, byte-stable output; with D > 1 the stream may
-consume up to D-1 extra check-ins past completion — they assign nothing,
-but the summary's worker count includes them). --window W requests a
+(default 1 = lockstep); like --window below, it shrinks to
+ceil(remaining-tasks / capacity) near completion, so the whole output is
+byte-identical to --pipeline 1. --window W requests a
 remote submission window: over --connect, up to W check-in frames are
 fired before their acknowledgements arrive (clamped to what the server
 advertises). The server applies frames in arrival order either way, and

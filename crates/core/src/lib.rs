@@ -30,7 +30,7 @@
 //!   [`service::StreamEvent`]s in exact submission order, and
 //!   [`service::ServiceHandle::drain`] /
 //!   [`service::ServiceHandle::snapshot`] /
-//!   [`service::ServiceHandle::shutdown`] give explicit lifecycle
+//!   [`service::ServiceHandle::close`] give explicit lifecycle
 //!   control — the snapshot quiesces the mailboxes first, so the
 //!   versioned `ltc-snapshot v1` format (see [`snapshot`]) stays
 //!   bit-exact mid-stream, RNG stream positions included.
@@ -40,9 +40,9 @@
 //!   caller's thread. Pipelining never changes decisions — a handle run
 //!   is event-for-event identical to feeding the same sequence through
 //!   [`service::LtcService::check_in`], and `shards = 1` is
-//!   bit-identical to the raw engine. The two front-ends convert into
-//!   each other mid-stream ([`service::LtcService::into_handle`],
-//!   [`service::ServiceHandle::shutdown`]).
+//!   bit-identical to the raw engine. Both front-ends are the restore of
+//!   a [`service::ServiceSnapshot`], so a session moves between them
+//!   mid-stream as snapshot → `restore`.
 //!
 //! * **[`engine::AssignmentEngine`] — the owned, incremental core** each
 //!   shard runs. It tracks per-task quality `S`, evicts completed tasks
@@ -80,8 +80,8 @@
 //! grid index over the live tasks once border-clamp telemetry
 //! ([`service::ServiceMetrics::clamped_insertions`]) crosses the
 //! threshold, and [`service::LtcService::rebalance`] /
-//! [`service::ServiceHandle::rebalance`] (automated by
-//! [`service::ServiceBuilder::rebalance_factor`]) re-split the shard
+//! [`service::ServiceHandle::rebalance`] (called whenever the caller
+//! chooses) re-split the shard
 //! stripes by live-task mass, migrating tasks exactly — assignments
 //! never change, and a rebalanced layout round-trips through snapshots.
 //! See `docs/ARCHITECTURE.md` and `docs/SNAPSHOT_FORMAT.md` in the
@@ -138,7 +138,7 @@
 //!     .count();
 //! assert!(assigned > 0);
 //! println!("all tasks done after {} workers", handle.latency().unwrap());
-//! # handle.shutdown().unwrap();
+//! # handle.close().unwrap();
 //! ```
 //!
 //! The synchronous facade serves the same core call by call when replay

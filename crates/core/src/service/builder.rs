@@ -37,9 +37,10 @@ use std::num::NonZeroUsize;
 /// ```
 ///
 /// Under skewed or drifting traffic, opt into the adaptive spatial
-/// layer — index growth when the region guess turns out wrong, stripe
-/// rebalancing when one shard absorbs the load (both are exact: the
-/// committed assignments never change; see `docs/ARCHITECTURE.md`):
+/// layer — index growth when the region guess turns out wrong, and a
+/// stripe [`rebalance`](LtcService::rebalance) when one shard absorbs
+/// the load (both are exact: the committed assignments never change;
+/// see `docs/ARCHITECTURE.md`):
 ///
 /// ```
 /// use ltc_core::model::{ProblemParams, Task};
@@ -53,7 +54,6 @@ use std::num::NonZeroUsize;
 ///     .algorithm(Algorithm::Laf)
 ///     .shards(NonZeroUsize::new(4).unwrap())
 ///     .grow_index_after(512)   // rebucket once 512 inserts clamp
-///     .rebalance_factor(1.5)   // re-stripe when max > 1.5 x mean load
 ///     .build()
 ///     .unwrap();
 ///
@@ -73,12 +73,10 @@ pub struct ServiceBuilder {
     region: BoundingBox,
     algorithm: Algorithm,
     shards: NonZeroUsize,
-    cell_size: Option<f64>,
     mailbox_capacity: usize,
     accuracy: AccuracyModel,
     tasks: Vec<Task>,
     grow_clamps: Option<u64>,
-    rebalance_factor: Option<f64>,
 }
 
 impl ServiceBuilder {
@@ -91,12 +89,10 @@ impl ServiceBuilder {
             region,
             algorithm: Algorithm::Laf,
             shards: NonZeroUsize::MIN,
-            cell_size: None,
             mailbox_capacity: 1024,
             accuracy: AccuracyModel::Sigmoid,
             tasks: Vec::new(),
             grow_clamps: None,
-            rebalance_factor: None,
         }
     }
 
@@ -137,14 +133,6 @@ impl ServiceBuilder {
         self
     }
 
-    /// Sets the routing/index tile size (default `d_max`). Smaller cells
-    /// stripe the region more finely; the eligibility radius still
-    /// queries exactly.
-    pub fn cell_size(mut self, cell_size: f64) -> Self {
-        self.cell_size = Some(cell_size);
-        self
-    }
-
     /// Sets how many pending entries each persistent shard mailbox may
     /// hold before [`ServiceHandle::submit_worker`] /
     /// [`ServiceHandle::post_task`] block (back-pressure, surfaced as
@@ -170,22 +158,6 @@ impl ServiceBuilder {
         self
     }
 
-    /// Enables **automatic stripe rebalancing** on the synchronous
-    /// facade: every
-    /// [`AUTO_REBALANCE_POST_INTERVAL`](LtcService::AUTO_REBALANCE_POST_INTERVAL)
-    /// posted tasks the facade compares the heaviest shard's live-task
-    /// load against the mean, and runs
-    /// [`LtcService::rebalance`] when `max > max_over_mean · mean`
-    /// (the factor is clamped to at least 1.0; loads below four live
-    /// tasks per shard never trigger). Disabled by default. The
-    /// pipelined handle does not auto-rebalance — a rebalance drains the
-    /// mailboxes, so the handle leaves the timing to the caller
-    /// ([`ServiceHandle::rebalance`](super::ServiceHandle::rebalance)).
-    pub fn rebalance_factor(mut self, max_over_mean: f64) -> Self {
-        self.rebalance_factor = max_over_mean.is_finite().then_some(max_over_mean.max(1.0));
-        self
-    }
-
     /// Sets the accuracy model (default the paper's Eq. 1 sigmoid).
     /// Tabular models require `shards = 1`.
     pub fn accuracy_model(mut self, accuracy: AccuracyModel) -> Self {
@@ -202,6 +174,20 @@ impl ServiceBuilder {
 
     /// Validates the configuration and builds the synchronous facade.
     pub fn build(self) -> Result<LtcService, ServiceError> {
+        LtcService::restore(self.genesis()?)
+    }
+
+    /// Validates the configuration and starts the pipelined runtime: one
+    /// persistent thread per shard behind bounded mailboxes, plus an
+    /// event collector. The returned [`ServiceHandle`] commits the same
+    /// assignments the facade would for the same submission sequence.
+    pub fn start(self) -> Result<ServiceHandle, ServiceError> {
+        ServiceHandle::restore(self.genesis()?)
+    }
+
+    /// Validates the configuration and returns the fresh session's
+    /// snapshot: both executors are the restore of it.
+    fn genesis(self) -> Result<ServiceSnapshot, ServiceError> {
         self.params.validate().map_err(ServiceError::Params)?;
         let n_shards = self.shards.get();
         if n_shards > 1 && matches!(self.accuracy, AccuracyModel::Table(_)) {
@@ -222,17 +208,15 @@ impl ServiceBuilder {
                 return Err(ServiceError::Engine(EngineError::BadTaskLocation));
             }
         }
-        let cell_size = self.cell_size.unwrap_or(self.params.d_max);
-        if !(cell_size.is_finite() && cell_size > 0.0) {
-            return Err(ServiceError::BadCellSize(cell_size));
-        }
+        // Routing and index tiles are `d_max` wide, which `validate`
+        // already checked is finite and positive.
+        let cell_size = self.params.d_max;
         let router = ShardRouter::new(n_shards, cell_size, self.region);
 
         // Partition the seeded tasks: global ids follow the seeded order,
         // local ids follow each shard's insertion order, so within one
         // shard local order and global order agree (the property that
-        // makes local tie-breaks match global ones). The fresh service is
-        // then the restore of its own genesis snapshot.
+        // makes local tie-breaks match global ones).
         let mut task_map = Vec::with_capacity(self.tasks.len());
         let mut shard_tasks: Vec<Vec<Task>> = vec![Vec::new(); n_shards];
         for task in &self.tasks {
@@ -262,27 +246,18 @@ impl ServiceBuilder {
                 clamp_mark: 0,
             })
             .collect();
-        LtcService::restore(ServiceSnapshot {
+        Ok(ServiceSnapshot {
             params: self.params,
             region: self.region,
             algorithm: self.algorithm,
             cell_size,
             batch_capacity: self.mailbox_capacity,
             grow_clamps: self.grow_clamps,
-            rebalance_factor: self.rebalance_factor,
             stripes: None,
             next_arrival: 0,
             task_map,
             engines,
             rng_draws: Vec::new(),
         })
-    }
-
-    /// Validates the configuration and starts the pipelined runtime: one
-    /// persistent thread per shard behind bounded mailboxes, plus an
-    /// event collector. The returned [`ServiceHandle`] commits the same
-    /// assignments the facade would for the same submission sequence.
-    pub fn start(self) -> Result<ServiceHandle, ServiceError> {
-        self.build()?.into_handle()
     }
 }

@@ -250,10 +250,9 @@ pub struct ServiceMetrics {
     /// Durable: snapshots carry it (per-shard `clamped` groups), and a
     /// rebalance migrates tasks without resetting it.
     pub clamped_insertions: u64,
-    /// Stripe rebalances applied on this front-end instance (explicit or
-    /// automatic; no-op calls that moved nothing are not counted). A
-    /// session-lifetime operational counter — it survives
-    /// facade↔handle conversion but not snapshots.
+    /// Stripe rebalances applied since this executor was built or
+    /// restored (no-op calls that moved nothing are not counted). An
+    /// operational counter: snapshots do not carry it.
     pub rebalances: u64,
     /// Live (uncompleted) task count per shard, in shard order — the
     /// load distribution the rebalancer equalizes. On a live handle the

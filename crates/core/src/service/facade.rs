@@ -2,8 +2,7 @@
 //! runs the shared service state and the shards to completion on the
 //! caller's thread.
 
-use super::handle::ServiceHandle;
-use super::rebalance::{balanced_router, RebalanceOutcome};
+use super::rebalance::RebalanceOutcome;
 use super::shard::{
     append_merge_events, global_units, merge_and_truncate, Proposal, ProposeScratch, Shard,
 };
@@ -18,18 +17,15 @@ use ltc_spatial::BoundingBox;
 /// This is the **batch/replay** front-end: every call runs to completion
 /// on the caller's thread, so its output is deterministic call by call
 /// and `shards = 1` is bit-identical to the raw engine. For continuous
-/// traffic prefer the pipelined [`ServiceHandle`]
-/// ([`ServiceBuilder::start`] or [`LtcService::into_handle`]) — it
-/// drives the very same shard core from persistent threads and commits
-/// identical assignments.
+/// traffic prefer the pipelined [`ServiceHandle`](super::ServiceHandle)
+/// ([`ServiceBuilder::start`]) — it drives the very same shard core
+/// from persistent threads and commits identical assignments.
 #[derive(Debug)]
 pub struct LtcService {
     state: ServiceState,
     shards: Vec<Shard>,
     /// What the returned events have done so far.
     progress: Progress,
-    /// Posts since the last auto-rebalance load check.
-    posts_since_balance_check: u64,
     /// Scratch buffers for the merge path.
     scratch: ProposeScratch,
     proposal_buf: Vec<Proposal>,
@@ -40,28 +36,6 @@ impl LtcService {
     /// Starts building a service; see [`ServiceBuilder`].
     pub fn builder(params: ProblemParams, region: BoundingBox) -> ServiceBuilder {
         ServiceBuilder::new(params, region)
-    }
-
-    /// Runs a session state inline over its shards.
-    pub(crate) fn new(state: ServiceState, shards: Vec<Shard>, progress: Progress) -> Self {
-        Self {
-            state,
-            shards,
-            progress,
-            posts_since_balance_check: 0,
-            scratch: ProposeScratch::default(),
-            proposal_buf: Vec::new(),
-            completed_buf: Vec::new(),
-        }
-    }
-
-    /// Moves this service onto the pipelined runtime: persistent shard
-    /// threads with bounded mailboxes, an ordered event stream, and
-    /// explicit lifecycle control. The handle continues exactly where
-    /// the facade stopped (same shards, counters, and RNG streams);
-    /// [`ServiceHandle::shutdown`] converts back.
-    pub fn into_handle(self) -> Result<ServiceHandle, ServiceError> {
-        ServiceHandle::start(self.state, self.shards, self.progress)
     }
 
     /// Platform parameters.
@@ -171,69 +145,8 @@ impl LtcService {
     ) -> Result<TaskId, ServiceError> {
         let (s, global) = self.state.admit_post(&task, accuracies)?;
         self.shards[s].post(global, task, accuracies);
-        self.maybe_auto_rebalance();
         Ok(global)
     }
-
-    /// The facade's auto-rebalance trigger (see
-    /// [`ServiceBuilder::rebalance_factor`]): every
-    /// [`Self::AUTO_REBALANCE_POST_INTERVAL`] posts, compare the
-    /// heaviest shard's live-task load against the mean and rebalance
-    /// when it exceeds the configured factor. Cheap between triggers —
-    /// one O(shards) scan of O(1) counters.
-    fn maybe_auto_rebalance(&mut self) {
-        let Some(factor) = self.state.rebalance_factor else {
-            return;
-        };
-        if self.shards.len() <= 1 {
-            return;
-        }
-        self.posts_since_balance_check += 1;
-        if self.posts_since_balance_check < Self::AUTO_REBALANCE_POST_INTERVAL {
-            return;
-        }
-        self.posts_since_balance_check = 0;
-        let mut total = 0usize;
-        let mut max = 0usize;
-        for s in &self.shards {
-            let live = s.engine.n_uncompleted();
-            total += live;
-            max = max.max(live);
-        }
-        // Don't churn a nearly empty pool.
-        if total < 4 * self.shards.len() {
-            return;
-        }
-        let mean = total as f64 / self.shards.len() as f64;
-        if (max as f64) <= factor * mean {
-            return;
-        }
-        // Cheap no-op guard before the real thing: a skewed-but-
-        // unsplittable pool (all mass in one column) would otherwise pay
-        // a full engine-state clone every interval forever. This
-        // recomputes exactly the layout `plan_rebalance` would
-        // (`rebalance::balanced_router` is shared), from an O(live)
-        // scan instead of an O(total history) deep copy.
-        let mut live_xs = Vec::with_capacity(total);
-        for shard in &self.shards {
-            let engine = &shard.engine;
-            for t in engine.uncompleted_tasks() {
-                live_xs.push(engine.tasks()[t.index()].loc.x);
-            }
-        }
-        if balanced_router(self.state.region, &self.state.router, &live_xs) == self.state.router {
-            return;
-        }
-        // Plan errors mean corrupt internal state, which `restore`
-        // and the engines would also reject; the auto path has no
-        // error channel, so leave the service as it was (the next
-        // explicit call surfaces the error).
-        let _ = self.rebalance();
-    }
-
-    /// How often (in posted tasks) the auto-rebalance policy re-checks
-    /// the load skew; see [`ServiceBuilder::rebalance_factor`].
-    pub const AUTO_REBALANCE_POST_INTERVAL: u64 = 64;
 
     /// Re-splits the router's tile columns by observed **live-task
     /// mass** and migrates tasks between shards — the load-balancing
@@ -251,7 +164,7 @@ impl LtcService {
     /// number of rebalances (see `crates/core/tests/rebalance.rs`).
     ///
     /// The pipelined front-end exposes the same operation at a quiesced
-    /// point: [`ServiceHandle::rebalance`].
+    /// point: [`ServiceHandle::rebalance`](super::ServiceHandle::rebalance).
     pub fn rebalance(&mut self) -> Result<Option<RebalanceOutcome>, ServiceError> {
         if self.shards.len() <= 1 {
             return Ok(None);
@@ -365,7 +278,14 @@ impl LtcService {
     /// [`LtcService::snapshot`]).
     pub fn restore(snapshot: ServiceSnapshot) -> Result<Self, ServiceError> {
         let (state, shards, progress) = ServiceState::restore(snapshot)?;
-        Ok(Self::new(state, shards, progress))
+        Ok(Self {
+            state,
+            shards,
+            progress,
+            scratch: ProposeScratch::default(),
+            proposal_buf: Vec::new(),
+            completed_buf: Vec::new(),
+        })
     }
 }
 

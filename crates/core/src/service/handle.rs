@@ -1,11 +1,9 @@
 //! The pipelined session API: the threaded executor — the shared
 //! service state in front of persistent shard threads.
 
-use super::facade::LtcService;
 use super::rebalance::RebalanceOutcome;
 use super::runtime::{CollectorMsg, Rendezvous, Runtime, ShardMsg};
-use super::shard::Shard;
-use super::state::{Progress, ServiceSnapshot, ServiceState};
+use super::state::{ServiceSnapshot, ServiceState};
 use super::{Algorithm, EventStream, Lifecycle, ServiceError, ServiceMetrics};
 use crate::model::{ProblemParams, Task, TaskId, Worker, WorkerId};
 use ltc_spatial::BoundingBox;
@@ -14,9 +12,9 @@ use std::sync::Arc;
 
 /// A live, pipelined LTC service session: persistent per-shard threads
 /// behind bounded mailboxes. Created by
-/// [`ServiceBuilder::start`](super::ServiceBuilder::start)
-/// (fresh), [`LtcService::into_handle`] (adopting a facade mid-stream),
-/// or [`ServiceHandle::restore`] (from a snapshot).
+/// [`ServiceBuilder::start`](super::ServiceBuilder::start) (fresh) or
+/// [`ServiceHandle::restore`] (from a snapshot, e.g. one a
+/// [`LtcService`](super::LtcService) took).
 ///
 /// Ingestion ([`submit_worker`](ServiceHandle::submit_worker),
 /// [`post_task`](ServiceHandle::post_task)) enqueues and returns
@@ -25,8 +23,9 @@ use std::sync::Arc;
 /// [`Lifecycle::ShardStalled`]). Results stream to
 /// [`subscribe`](ServiceHandle::subscribe)rs in exact submission order,
 /// and the committed assignments are **identical** to feeding the same
-/// sequence through [`LtcService::check_in`] — pipelining changes
-/// latency, never decisions (see the `service` module docs).
+/// sequence through
+/// [`LtcService::check_in`](super::LtcService::check_in) — pipelining
+/// changes latency, never decisions (see the `service` module docs).
 ///
 /// Accessors reporting progress ([`n_assignments`](ServiceHandle::n_assignments),
 /// [`all_completed`](ServiceHandle::all_completed),
@@ -55,8 +54,8 @@ use std::sync::Arc;
 /// assert!(handle.all_completed());
 /// let deliveries: Vec<StreamEvent> = std::iter::from_fn(|| events.try_recv()).collect();
 /// assert!(!deliveries.is_empty());
-/// let service = handle.shutdown().unwrap(); // back to the sync facade
-/// assert!(service.latency().is_some());
+/// assert!(handle.latency().is_some());
+/// handle.close().unwrap();
 /// ```
 #[derive(Debug)]
 pub struct ServiceHandle {
@@ -65,26 +64,16 @@ pub struct ServiceHandle {
 }
 
 impl ServiceHandle {
-    /// Spins the runtime up over a session's shards (the handle
-    /// continues exactly where the facade stopped).
-    pub(crate) fn start(
-        state: ServiceState,
-        shards: Vec<Shard>,
-        progress: Progress,
-    ) -> Result<Self, ServiceError> {
-        // Every facade check-in was served (and its events returned)
-        // synchronously, so the whole-session delivered count starts at
-        // the arrival counter — `Lifecycle::Drained` reports totals
-        // consistent with `n_workers_seen`.
-        let runtime = Runtime::start(shards, state.mailbox_capacity, progress, state.next_arrival)?;
-        Ok(Self { state, runtime })
-    }
-
     /// Restores a session from a snapshot and starts its runtime (the
-    /// pipelined analogue of [`LtcService::restore`]).
+    /// pipelined analogue of [`LtcService::restore`](super::LtcService::restore)).
     pub fn restore(snapshot: ServiceSnapshot) -> Result<Self, ServiceError> {
         let (state, shards, progress) = ServiceState::restore(snapshot)?;
-        Self::start(state, shards, progress)
+        // Every arrival in the snapshot was served before it was taken,
+        // so the whole-session delivered count starts at the arrival
+        // counter — `Lifecycle::Drained` reports totals consistent with
+        // `n_workers_seen`.
+        let runtime = Runtime::start(shards, state.mailbox_capacity, progress, state.next_arrival)?;
+        Ok(Self { state, runtime })
     }
 
     /// Platform parameters.
@@ -301,7 +290,8 @@ impl ServiceHandle {
     }
 
     /// Quiesces the runtime and runs a load-aware stripe rebalance: the
-    /// same exact task migration as [`LtcService::rebalance`], applied
+    /// same exact task migration as
+    /// [`LtcService::rebalance`](super::LtcService::rebalance), applied
     /// at a drained point — the mailboxes are empty when the shard
     /// engines are swapped, so the session continues pipelining
     /// immediately with identical decisions and better load placement.
@@ -354,39 +344,18 @@ impl ServiceHandle {
         Ok(self.state.metrics(&self.runtime.progress(), shards))
     }
 
-    /// The graceful end both [`shutdown`](ServiceHandle::shutdown) and
-    /// [`close`](ServiceHandle::close) share: drain, announce
-    /// [`Lifecycle::ShuttingDown`], stop every thread.
-    fn stop(&mut self) -> Result<Vec<Shard>, ServiceError> {
-        self.drain()?;
-        self.runtime.announce(Lifecycle::ShuttingDown);
-        self.runtime.stop()
-    }
-
-    /// Drains, announces [`Lifecycle::ShuttingDown`], stops every
-    /// thread, and hands back the synchronous [`LtcService`] facade —
-    /// positioned exactly where the session stopped (same shards,
-    /// counters, and RNG streams), ready for replay work or
-    /// [`LtcService::into_handle`] again.
-    pub fn shutdown(mut self) -> Result<LtcService, ServiceError> {
-        let shards = self.stop()?;
-        let progress = self.runtime.progress();
-        Ok(LtcService::new(self.state, shards, progress))
-    }
-
     /// Ends the session in place: drains, announces
     /// [`Lifecycle::ShuttingDown`], and stops every runtime thread,
     /// leaving the handle inert (subsequent operations report
-    /// [`ServiceError::RuntimeStopped`]). The `&mut`-compatible sibling
-    /// of [`shutdown`](ServiceHandle::shutdown) — it backs
-    /// [`Session::shutdown`](super::Session::shutdown), where the
-    /// session is behind a `dyn` pointer and cannot be consumed.
-    /// Dropping a handle without either stops the threads too, without
-    /// the drain.
+    /// [`ServiceError::RuntimeStopped`]). It backs
+    /// [`Session::shutdown`](super::Session::shutdown). Dropping a handle
+    /// without closing it stops the threads too, without the drain.
     pub fn close(&mut self) -> Result<(), ServiceError> {
         if self.runtime.is_stopped() {
             return Ok(());
         }
-        self.stop().map(drop)
+        self.drain()?;
+        self.runtime.announce(Lifecycle::ShuttingDown);
+        self.runtime.stop()
     }
 }

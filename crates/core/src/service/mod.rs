@@ -20,14 +20,18 @@
 //!   in exact submission order, and explicit lifecycle control —
 //!   [`drain`](ServiceHandle::drain), [`snapshot`](ServiceHandle::snapshot)
 //!   (quiesces the mailboxes so the versioned `ltc-snapshot v1` format
-//!   stays bit-exact mid-stream), [`shutdown`](ServiceHandle::shutdown)
-//!   (returns the synchronous facade) — keeps the session manageable.
+//!   stays bit-exact mid-stream), [`close`](ServiceHandle::close) —
+//!   keeps the session manageable.
 //!
+//! Both executors are the restore of a [`ServiceSnapshot`]: the builder
+//! turns one configuration into one genesis snapshot, and
+//! [`LtcService::restore`] / [`ServiceHandle::restore`] run it inline or
+//! threaded, so one configuration yields one session under either.
+//! Moving a session between executors is the same snapshot → restore.
 //! Admission (validating and routing a task post, numbering a check-in
 //! and choosing the shards it reaches), snapshots, rebalances and
 //! metrics are written once, on the shared state, so the executors
-//! cannot drift apart; [`LtcService::into_handle`] and
-//! [`ServiceHandle::shutdown`] move the state and its shards whole.
+//! cannot drift apart.
 //!
 //! Both executors commit **identical assignments**: the handle's shard
 //! threads process their mailboxes in submission order and synchronize
@@ -59,9 +63,9 @@
 //! The spatial layout is **adaptive**: clamp telemetry can trigger
 //! exact index regrowth ([`ServiceBuilder::grow_index_after`]) and the
 //! stripes can be re-split by live-task mass with exact task migration
-//! ([`LtcService::rebalance`] / [`ServiceHandle::rebalance`], automated
-//! by [`ServiceBuilder::rebalance_factor`]) — both decision-neutral,
-//! both durable across snapshots. See `docs/ARCHITECTURE.md`.
+//! ([`LtcService::rebalance`] / [`ServiceHandle::rebalance`], called
+//! whenever the caller chooses) — both decision-neutral, both durable
+//! across snapshots. See `docs/ARCHITECTURE.md`.
 //!
 //! [`Algorithm::Aam`]'s regime switch reads *global* remaining-unit
 //! statistics: a multi-shard service aggregates the per-shard O(1)

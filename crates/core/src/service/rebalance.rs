@@ -132,16 +132,7 @@ pub(crate) struct RebalancePlan {
 /// The load-balanced router for a live-task x distribution: tiled
 /// extent = `region ∪ live_xs` (coarsening past the column cap),
 /// stripes cut by per-column mass.
-///
-/// This is the single source of truth for "what layout would a
-/// rebalance produce" — [`plan_rebalance`] and the facade's cheap
-/// auto-rebalance pre-check both call it, so the pre-check can never
-/// skip a rebalance the planner would have applied (or vice versa).
-pub(crate) fn balanced_router(
-    region: BoundingBox,
-    router: &ShardRouter,
-    live_xs: &[f64],
-) -> ShardRouter {
+fn balanced_router(region: BoundingBox, router: &ShardRouter, live_xs: &[f64]) -> ShardRouter {
     let n_shards = router.n_shards();
     let mut x_lo = region.min.x;
     let mut x_hi = region.max.x;

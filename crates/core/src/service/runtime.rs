@@ -39,7 +39,7 @@ const DRAIN_TIMEOUT: Duration = Duration::from_secs(60);
 /// barrier within its mailbox backlog (micro- to millisecond-scale
 /// work per entry); a peer that takes this long is dead or deadlocked,
 /// and panicking here turns a silent permanent hang — which would also
-/// wedge `ServiceHandle::shutdown`/`Drop` on `join` — into a loud,
+/// wedge `ServiceHandle::close`/`Drop` on `join` — into a loud,
 /// joinable failure that `drain` reports as `RuntimeStopped`.
 const RENDEZVOUS_TIMEOUT: Duration = Duration::from_secs(60);
 
@@ -86,11 +86,11 @@ impl RuntimeStats {
 
 /// The threaded executor: one persistent thread per shard behind a
 /// bounded mailbox, plus the collector thread and the counters it
-/// releases into. Stopping it hands the shards back.
+/// releases into.
 #[derive(Debug)]
 pub(crate) struct Runtime {
     shard_txs: Vec<SyncSender<ShardMsg>>,
-    shard_joins: Vec<JoinHandle<Shard>>,
+    shard_joins: Vec<JoinHandle<()>>,
     collector_tx: Option<Sender<CollectorMsg>>,
     collector_join: Option<JoinHandle<()>>,
     stats: Arc<RuntimeStats>,
@@ -230,19 +230,15 @@ impl Runtime {
         })
     }
 
-    /// Stops every thread and hands back the shards: disconnect the
-    /// mailboxes (shard threads exit after finishing their queues), join
-    /// them, then the collector. Idempotent; a panicked shard thread is
-    /// joined with the rest and then reported.
-    pub(crate) fn stop(&mut self) -> Result<Vec<Shard>, ServiceError> {
+    /// Stops every thread: disconnect the mailboxes (shard threads exit
+    /// after finishing their queues), join them, then the collector.
+    /// Idempotent; a panicked shard thread is joined with the rest and
+    /// then reported.
+    pub(crate) fn stop(&mut self) -> Result<(), ServiceError> {
         self.shard_txs.clear();
-        let mut shards = Vec::with_capacity(self.shard_joins.len());
         let mut panicked = false;
         for join in self.shard_joins.drain(..) {
-            match join.join() {
-                Ok(shard) => shards.push(shard),
-                Err(_) => panicked = true,
-            }
+            panicked |= join.join().is_err();
         }
         drop(self.collector_tx.take());
         if let Some(join) = self.collector_join.take() {
@@ -251,7 +247,7 @@ impl Runtime {
         if panicked {
             return Err(ServiceError::RuntimeStopped("a shard thread panicked"));
         }
-        Ok(shards)
+        Ok(())
     }
 }
 
@@ -379,9 +375,8 @@ impl ShardRuntime {
 }
 
 /// The body of one persistent shard thread: drain the mailbox in order
-/// until the handle disconnects it, then hand the shard back (so a
-/// shutdown can reassemble the synchronous facade).
-fn shard_loop(mut rt: ShardRuntime, rx: Receiver<ShardMsg>) -> Shard {
+/// until the handle disconnects it.
+fn shard_loop(mut rt: ShardRuntime, rx: Receiver<ShardMsg>) {
     while let Ok(msg) = rx.recv() {
         match msg {
             ShardMsg::Local { seq, w, worker } => {
@@ -421,7 +416,6 @@ fn shard_loop(mut rt: ShardRuntime, rx: Receiver<ShardMsg>) -> Shard {
             }
         }
     }
-    rt.shard
 }
 
 /// One shard's participation in a cross-shard worker decision. Blocks on

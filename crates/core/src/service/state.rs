@@ -1,7 +1,7 @@
 //! The service state both front-ends share: configuration, routing, the
-//! global task map, and the session counters. The facade runs it
-//! inline next to its shards; the handle runs it next to its shard
-//! threads. Switching front-ends moves it whole.
+//! global task map, and the session counters. Both are the restore of a
+//! [`ServiceSnapshot`]: the facade runs the state inline next to its
+//! shards; the handle runs it next to its shard threads.
 
 use super::rebalance::{plan_rebalance, RebalanceOutcome, StripeLayout};
 use super::shard::{Shard, ShardMetrics, ShardState};
@@ -30,10 +30,6 @@ pub struct ServiceSnapshot {
     /// ([`ServiceBuilder::grow_index_after`](super::ServiceBuilder::grow_index_after));
     /// `None` = disabled.
     pub grow_clamps: Option<u64>,
-    /// Auto-rebalance skew factor
-    /// ([`ServiceBuilder::rebalance_factor`](super::ServiceBuilder::rebalance_factor));
-    /// `None` = disabled.
-    pub rebalance_factor: Option<f64>,
     /// The router's stripe layout, when it differs from the default
     /// equal-width striping of `region` (i.e. after a rebalance);
     /// `None` restores the uniform layout. Serialized as the optional
@@ -108,8 +104,7 @@ pub(crate) struct ServiceState {
     cell_size: f64,
     pub(crate) mailbox_capacity: usize,
     grow_clamps: Option<u64>,
-    pub(crate) rebalance_factor: Option<f64>,
-    pub(crate) router: ShardRouter,
+    router: ShardRouter,
     /// `task_map[global] = (shard, local)`.
     pub(crate) task_map: Vec<(u32, u32)>,
     /// Tasks per shard (the next local id of each).
@@ -220,7 +215,6 @@ impl ServiceState {
             cell_size: snapshot.cell_size,
             mailbox_capacity: snapshot.batch_capacity.max(1),
             grow_clamps: snapshot.grow_clamps,
-            rebalance_factor: snapshot.rebalance_factor,
             router,
             task_map: snapshot.task_map,
             shard_tasks: shards.iter().map(|s| s.globals.len() as u32).collect(),
@@ -318,7 +312,6 @@ impl ServiceState {
             cell_size: self.cell_size,
             batch_capacity: self.mailbox_capacity,
             grow_clamps: self.grow_clamps,
-            rebalance_factor: self.rebalance_factor,
             stripes: (self.router != uniform).then(|| StripeLayout::of(&self.router)),
             next_arrival: self.next_arrival,
             task_map: self.task_map.clone(),

@@ -16,7 +16,7 @@
 //! params <eps> <K> <d_max> <min_acc> <within|unrestricted> <hoeffding|fixed> [th]
 //! region <min_x> <min_y> <max_x> <max_y>
 //! config <algo...> <cell_size> <batch_capacity> <next_arrival>
-//!        [grow <clamps>] [rebalance <factor>]
+//!        [grow <clamps>]
 //!        [stripes <n> <cell_size> <origin_x> <cols> <start ...>]
 //! taskmap <n> <shard-of-task ...>            // local ids are implied
 //! shard <i> <n_tasks> <next_arrival> [rng <draws>] [clamped <total> <mark>]
@@ -30,7 +30,7 @@
 //! end
 //! ```
 //!
-//! Three optional groups extend `v1` backward-compatibly (each is
+//! Four optional groups extend `v1` backward-compatibly (each is
 //! written only when its feature is in use, so snapshots of services
 //! that never enabled it stay byte-identical across versions, and older
 //! files without the group still parse):
@@ -39,10 +39,8 @@
 //!   stream position (raw draws consumed), so a restored random
 //!   baseline continues its stream bit-exactly instead of restarting
 //!   from the seed;
-//! * `grow <clamps>` / `rebalance <factor>` — the adaptive-index and
-//!   auto-rebalance policy knobs
-//!   ([`ServiceBuilder::grow_index_after`](crate::service::ServiceBuilder::grow_index_after),
-//!   [`ServiceBuilder::rebalance_factor`](crate::service::ServiceBuilder::rebalance_factor)),
+//! * `grow <clamps>` — the adaptive-index threshold
+//!   ([`ServiceBuilder::grow_index_after`](crate::service::ServiceBuilder::grow_index_after)),
 //!   so a restored service keeps adapting the way the original did;
 //! * `stripes ...` — the router's explicit stripe layout
 //!   ([`StripeLayout`]), present once a
@@ -173,9 +171,6 @@ pub fn write_snapshot<W: Write>(snap: &ServiceSnapshot, mut out: W) -> io::Resul
     )?;
     if let Some(clamps) = snap.grow_clamps {
         write!(out, " grow {clamps}")?;
-    }
-    if let Some(factor) = snap.rebalance_factor {
-        write!(out, " rebalance {}", bits(factor))?;
     }
     if let Some(stripes) = &snap.stripes {
         write!(
@@ -328,12 +323,10 @@ pub fn read_snapshot<R: BufRead>(reader: R) -> Result<ServiceSnapshot, SnapshotE
     // Optional trailing config groups (absent in older snapshots and
     // whenever the feature is unused — see the module docs).
     let mut grow_clamps = None;
-    let mut rebalance_factor = None;
     let mut stripes = None;
     while let Some(group) = tk.maybe_word() {
         match group {
             "grow" => grow_clamps = Some(tk.u64()?),
-            "rebalance" => rebalance_factor = Some(tk.f64()?),
             "stripes" => {
                 let n = tk.u64()? as usize;
                 if n > MAX_SHARDS {
@@ -536,7 +529,6 @@ pub fn read_snapshot<R: BufRead>(reader: R) -> Result<ServiceSnapshot, SnapshotE
         cell_size,
         batch_capacity,
         grow_clamps,
-        rebalance_factor,
         stripes,
         next_arrival,
         task_map,
@@ -796,7 +788,6 @@ mod tests {
         let mut service = ServiceBuilder::new(params, region)
             .shards(NonZeroUsize::new(3).unwrap())
             .grow_index_after(128)
-            .rebalance_factor(1.4)
             .build()
             .unwrap();
         // Skew the pool into one stripe and rebalance so the layout is
@@ -812,13 +803,11 @@ mod tests {
         service.rebalance().unwrap().expect("the pool is skewed");
         let snap = service.snapshot();
         assert_eq!(snap.grow_clamps, Some(128));
-        assert_eq!(snap.rebalance_factor, Some(1.4));
         assert!(snap.stripes.is_some(), "rebalanced layout must persist");
         let mut buf = Vec::new();
         write_snapshot(&snap, &mut buf).unwrap();
         let text = String::from_utf8(buf.clone()).unwrap();
         assert!(text.contains(" grow 128 "), "{text}");
-        assert!(text.contains(" rebalance "), "{text}");
         assert!(text.contains(" stripes 3 "), "{text}");
         let decoded = read_snapshot(io::Cursor::new(buf)).unwrap();
         assert_eq!(snap, decoded);
@@ -858,6 +847,15 @@ mod tests {
                 "accepted malformed config `{config}`"
             );
         }
+        // The retired auto-rebalance group is refused, not skipped.
+        let text = format!(
+            "{prelude}config laf 403e000000000000 64 0 rebalance 3ff6666666666666\ntaskmap 0\nend\n"
+        );
+        let err = read_snapshot(io::Cursor::new(text.into_bytes())).unwrap_err();
+        assert!(
+            err.to_string().contains("unknown config group `rebalance`"),
+            "{err}"
+        );
         // An invalid stripe layout parses but must fail restoration.
         let text = format!(
             "{prelude}config laf 403e000000000000 64 0 stripes 1 403e000000000000 \

@@ -9,7 +9,8 @@
 //! * **lifecycle edges** — drain with in-flight mailbox entries,
 //!   snapshot-during-stream → restore → continue equals an uninterrupted
 //!   run (bit-exact through the text format, RNG streams included),
-//!   shutdown mid-stream hands back a live facade, and a full mailbox
+//!   a session moves handle → facade → handle through its snapshot
+//!   mid-stream, and a full mailbox
 //!   announces back-pressure instead of failing;
 //! * **telemetry** — out-of-region tasks surface as `TaskOutOfRegion`
 //!   lifecycle events and as the `clamped_insertions` metric.
@@ -162,10 +163,6 @@ fn pipelined_matches_facade_on_interleaved_ops() {
             // reports the facade's counters and durable state exactly.
             assert_eq!(facade.metrics(), handle.metrics().unwrap());
             assert_eq!(facade.snapshot(), handle.snapshot().unwrap());
-            // And the handle folds back into an equivalent facade.
-            let folded = handle.shutdown().unwrap();
-            assert_eq!(folded.n_assignments(), facade.n_assignments());
-            assert_eq!(folded.latency(), facade.latency());
         }
     }
 }
@@ -178,7 +175,7 @@ fn four_shard_pipelined_laf_matches_single_shard() {
     let run = |n: usize| {
         let mut handle = builder(Algorithm::Laf, n, seed_tasks()).start().unwrap();
         let out = run_handle(&mut handle, &ops);
-        (out, handle.shutdown().unwrap())
+        (out, handle)
     };
     let (one, one_svc) = run(1);
     let (four, four_svc) = run(4);
@@ -304,20 +301,22 @@ fn snapshot_mid_stream_restore_continue_equals_uninterrupted() {
 }
 
 #[test]
-fn shutdown_mid_stream_hands_back_a_live_facade() {
+fn a_session_moves_between_executors_through_its_snapshot() {
     let ops = mixed_ops(31, 400);
     let mut facade_only = builder(Algorithm::Aam, 3, seed_tasks()).build().unwrap();
     let expect = run_facade(&mut facade_only, &ops);
 
     let mut handle = builder(Algorithm::Aam, 3, seed_tasks()).start().unwrap();
     let mut got = run_handle(&mut handle, &ops[..200]);
-    let mut folded = handle.shutdown().unwrap();
-    got.extend(run_facade(&mut folded, &ops[200..]));
-    assert_eq!(expect, got, "handle → facade continuation diverged");
-    assert_eq!(facade_only.latency(), folded.latency());
+    let mut facade = LtcService::restore(handle.snapshot().unwrap()).unwrap();
+    handle.close().unwrap();
+    got.extend(run_facade(&mut facade, &ops[200..300]));
     // And back onto the runtime once more.
-    let handle_again = folded.into_handle().unwrap();
-    assert_eq!(handle_again.n_assignments(), facade_only.n_assignments());
+    let mut handle_again = ServiceHandle::restore(facade.snapshot()).unwrap();
+    got.extend(run_handle(&mut handle_again, &ops[300..]));
+    assert_eq!(expect, got, "handle → facade → handle diverged");
+    assert_eq!(facade_only.latency(), handle_again.latency());
+    assert_eq!(facade_only.snapshot(), handle_again.snapshot().unwrap());
 }
 
 #[test]

@@ -2,9 +2,9 @@
 //! stripe rebalancing:
 //!
 //! * **rebalanced ≡ never-rebalanced** — a multi-shard service that
-//!   rebalances mid-stream (facade or pipelined handle, manual or
-//!   automatic) commits, event for event, exactly what a 1-shard service
-//!   that never rebalances commits for the same submission sequence —
+//!   rebalances mid-stream (facade or pipelined handle) commits, event
+//!   for event, exactly what a 1-shard service that never rebalances
+//!   commits for the same submission sequence —
 //!   migration preserves the local-order-follows-global-order invariant
 //!   the N-shard ≡ 1-shard guarantee rests on;
 //! * **growth is decision-neutral** — adaptive index growth changes
@@ -144,7 +144,11 @@ fn handle_rebalance_matches_facade_and_announces_lifecycle() {
     let mut facade = builder(1).build().unwrap();
     let expect: Vec<Delivery> = ops.iter().map(|op| apply_facade(&mut facade, op)).collect();
 
-    let mut handle = builder(3).start().unwrap();
+    // The handle and a 3-shard facade twin share one configuration,
+    // index growth included, and one rebalance cadence.
+    let adaptive = || builder(3).grow_index_after(16);
+    let mut handle = adaptive().start().unwrap();
+    let mut twin = adaptive().build().unwrap();
     let stream = handle.subscribe().unwrap();
     let mut rebalances = 0u64;
     for (i, op) in ops.iter().enumerate() {
@@ -156,11 +160,17 @@ fn handle_rebalance_matches_facade_and_announces_lifecycle() {
                 handle.post_task(*t).unwrap();
             }
         }
-        if i % 120 == 119 && handle.rebalance().unwrap().is_some() {
-            rebalances += 1;
+        apply_facade(&mut twin, op);
+        if i % 120 == 119 {
+            let applied = handle.rebalance().unwrap();
+            assert_eq!(applied, twin.rebalance().unwrap(), "op {i}");
+            rebalances += u64::from(applied.is_some());
         }
     }
     handle.drain().unwrap();
+    // Both executors end in the same state, not just the same events.
+    assert_eq!(handle.snapshot().unwrap(), twin.snapshot());
+    assert_eq!(handle.metrics().unwrap(), twin.metrics());
     let mut got = Vec::new();
     let mut announced = 0u64;
     while let Some(e) = stream.try_recv() {
@@ -286,29 +296,18 @@ fn adaptive_growth_stops_clamping_without_changing_decisions() {
 }
 
 #[test]
-fn auto_rebalance_knob_balances_hot_stripes() {
-    // Posts cycle over four fixed hot columns inside two stripes, so the
-    // live-mass proportions are stationary: the auto policy fires once
-    // and later plans find nothing left to move.
+fn rebalance_balances_hot_stripes_to_a_fixed_point() {
+    // Posts cycle over four fixed hot columns inside two stripes: one
+    // rebalance spreads them, and a second finds the same stripe cuts
+    // and does nothing.
     let hot_xs = [500.0, 540.0, 580.0, 620.0];
-    let post_at = |service: &mut LtcService, i: usize| {
+    let mut service = builder(4).build().unwrap();
+    for i in 0..192 {
         let x = hot_xs[i % hot_xs.len()];
         let y = 200.0 + (i % 50) as f64 * 10.0;
         service.post_task(Task::new(Point::new(x, y))).unwrap();
-    };
-    let n_posts = 3 * LtcService::AUTO_REBALANCE_POST_INTERVAL as usize;
-
-    let mut auto = builder(4).rebalance_factor(1.2).build().unwrap();
-    let mut manual = builder(4).build().unwrap();
-    for i in 0..n_posts {
-        post_at(&mut auto, i);
-        post_at(&mut manual, i);
     }
-    // The auto service already balanced itself: a manual pass finds the
-    // same stripe cuts and does nothing.
-    assert_eq!(auto.rebalance().unwrap(), None, "auto policy never fired");
-    // The knob-less twin is skewed until explicitly rebalanced.
-    let outcome = manual
+    let outcome = service
         .rebalance()
         .unwrap()
         .expect("the hot stripes must need rebalancing");
@@ -319,6 +318,7 @@ fn auto_rebalance_knob_balances_hot_stripes() {
         outcome.max_mean_ratio(),
         outcome.live_loads
     );
+    assert_eq!(service.rebalance().unwrap(), None, "layout must settle");
 }
 
 #[test]
@@ -345,17 +345,19 @@ fn poisoned_far_task_coarsens_instead_of_crashing() {
 
 #[test]
 fn unsplittable_hot_column_settles_instead_of_thrashing() {
-    // Every post lands in ONE routing column: after the first auto
-    // rebalance isolates it, the load stays skewed but the layout is a
-    // fixed point — the cheap pre-check must keep skipping (no O(pool)
-    // engine-state clones every interval) and an explicit rebalance
-    // finds nothing to do.
-    let mut service = builder(4).rebalance_factor(1.2).build().unwrap();
-    for i in 0..(3 * LtcService::AUTO_REBALANCE_POST_INTERVAL as usize) {
+    // Every post lands in ONE routing column: once a rebalance isolates
+    // it, the load stays skewed but the layout is a fixed point, so the
+    // next rebalance finds nothing to do.
+    let mut service = builder(4).build().unwrap();
+    for i in 0..192 {
         service
             .post_task(Task::new(Point::new(515.0, (i % 100) as f64 * 10.0)))
             .unwrap();
     }
+    service
+        .rebalance()
+        .unwrap()
+        .expect("the hot column must first be isolated");
     assert_eq!(service.rebalance().unwrap(), None, "layout must settle");
 }
 

@@ -35,7 +35,7 @@
 //! [`StreamEvent`](core::service::StreamEvent)s in exact submission
 //! order; [`drain`](core::service::ServiceHandle::drain) /
 //! [`snapshot`](core::service::ServiceHandle::snapshot) /
-//! [`shutdown`](core::service::ServiceHandle::shutdown) give lifecycle
+//! [`close`](core::service::ServiceHandle::close) give lifecycle
 //! control, with snapshots quiesced so the wire format stays bit-exact
 //! mid-stream. Pipelining never changes decisions: a handle run is
 //! event-for-event identical to the synchronous facade fed the same
@@ -45,10 +45,9 @@
 //! [`ServiceBuilder::grow_index_after`](core::service::ServiceBuilder::grow_index_after)
 //! rebuckets a shard's grid index over the live tasks once clamp
 //! telemetry shows the declared region under-covers the workload, and
-//! [`rebalance`](core::service::ServiceHandle::rebalance) (or the
-//! [`rebalance_factor`](core::service::ServiceBuilder::rebalance_factor)
-//! auto-policy) re-splits the shard stripes by live-task mass and
-//! migrates tasks exactly at a quiesced point
+//! [`rebalance`](core::service::ServiceHandle::rebalance), called
+//! whenever the caller chooses, re-splits the shard stripes by
+//! live-task mass and migrates tasks exactly at a quiesced point
 //! ([`Lifecycle::Rebalanced`](core::service::Lifecycle)). Both are
 //! decision-neutral: assignments stay bit-identical; only telemetry,
 //! per-query cost, and load placement change. The full design is in
@@ -92,8 +91,8 @@
 //!     }
 //! }
 //! println!("latency = {} workers", handle.latency().unwrap());
-//! let service = handle.shutdown().unwrap(); // → the synchronous facade
-//! assert!(service.all_completed());
+//! assert!(handle.all_completed());
+//! handle.close().unwrap();
 //! ```
 //!
 //! The same runtime powers the CLI: `ltc stream --shards N --pipeline D`
@@ -123,10 +122,9 @@
 //! serves the same sharded core call by call on the calling thread —
 //! the right tool for deterministic replays, differential tests, and
 //! one-shot experiments. With `shards = 1` its output is bit-identical
-//! to driving the low-level engine by hand, and
-//! [`into_handle`](core::service::LtcService::into_handle) /
-//! [`shutdown`](core::service::ServiceHandle::shutdown) convert between
-//! the two front-ends mid-stream.
+//! to driving the low-level engine by hand. Both front-ends are the
+//! restore of a [`ServiceSnapshot`](core::service::ServiceSnapshot), so
+//! a session moves between them mid-stream as snapshot → `restore`.
 //!
 //! ## Batch quickstart
 //!

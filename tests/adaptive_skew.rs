@@ -39,19 +39,20 @@ fn hotspot_drift_adaptive_service_matches_static_single_shard() {
     let cfg = config();
     let events = cfg.events();
     let mut single = builder(&cfg, 1).build().unwrap();
-    let mut adaptive = builder(&cfg, 4)
-        .grow_index_after(64)
-        .rebalance_factor(1.4)
-        .build()
-        .unwrap();
+    let mut adaptive = builder(&cfg, 4).grow_index_after(64).build().unwrap();
 
     let mut clamp_trace = Vec::new();
+    let mut posts = 0usize;
     for (i, event) in events.iter().enumerate() {
         match event {
             DriftEvent::Post(t) => {
                 let a = single.post_task(*t).unwrap();
                 let b = adaptive.post_task(*t).unwrap();
                 assert_eq!(a, b);
+                posts += 1;
+                if posts.is_multiple_of(64) {
+                    adaptive.rebalance().unwrap();
+                }
             }
             DriftEvent::CheckIn(w) => {
                 assert_eq!(
@@ -82,8 +83,8 @@ fn hotspot_drift_adaptive_service_matches_static_single_shard() {
     // And growth actually had something to do at some point.
     assert!(*clamp_trace.iter().max().unwrap() > 0);
 
-    // A final explicit rebalance leaves the load within the 1.5x target
-    // (or finds the auto policy already balanced it).
+    // A final rebalance leaves the load within the 1.5x target (or finds
+    // the periodic ones already balanced it).
     if let Some(outcome) = adaptive.rebalance().unwrap() {
         assert!(
             outcome.max_mean_ratio() <= 1.5,

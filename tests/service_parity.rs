@@ -152,7 +152,7 @@ fn pipelined_laf_four_shards_matches_one_shard_and_the_facade() {
                 .start()
                 .unwrap();
             let events = stream_events_pipelined(&mut handle, &inst);
-            (events, handle.shutdown().unwrap())
+            (events, handle)
         };
         let (one, one_svc) = pipelined(1);
         let (four, four_svc) = pipelined(4);
