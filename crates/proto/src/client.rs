@@ -113,10 +113,13 @@ pub struct LtcClient {
     /// one response carrying this `"seq"`.
     pending: VecDeque<(u64, PendingKind)>,
     /// Windowed frames batched for the next send: fires coalesce into
-    /// one `write` per stall instead of one per frame, which is most of
-    /// the windowed throughput win. Invariant: non-empty only while
-    /// `pending` is non-empty, and always flushed before a blocking
-    /// wait, so the server never owes a response to bytes still here.
+    /// one `write` per blocking wait instead of one per frame, which is
+    /// most of the windowed throughput win. Invariant: non-empty only
+    /// while `pending` is non-empty, and the client never blocks while
+    /// holding unsent frames — the buffer is flushed before every
+    /// blocking wait (an ack that already arrived is taken without one:
+    /// it answers a frame already sent), so the server never owes a
+    /// response to bytes still here.
     send_buf: Vec<u8>,
 }
 
@@ -172,7 +175,16 @@ impl LtcClient {
                         match wire::decode_event(&frame) {
                             Ok(event) => {
                                 let mut subs = lock_recovering(&fanout);
-                                subs.retain(|tx| tx.send(event.clone()).is_ok());
+                                // The usual single subscriber takes the
+                                // decoded event itself; only a real
+                                // fan-out pays for clones.
+                                if let [only] = subs.as_slice() {
+                                    if only.send(event).is_err() {
+                                        subs.clear();
+                                    }
+                                } else {
+                                    subs.retain(|tx| tx.send(event.clone()).is_ok());
+                                }
                             }
                             Err(what) => {
                                 response_tx
@@ -380,14 +392,22 @@ impl LtcClient {
     /// echoed `"seq"` is not the head of the window — is a protocol
     /// corruption that fails the whole session.
     fn await_oldest(&mut self) -> Result<WindowAck, ServiceError> {
-        // Batched fires must be on the wire before anything blocks on
-        // their responses.
-        self.flush_sends()?;
+        // An ack that already arrived answers a frame already sent
+        // (responses are FIFO), so taking it needs no flush. Only a
+        // blocking wait must first put the batched fires on the wire.
+        let ready = match self.responses.try_recv() {
+            Ok(response) => Ok(response),
+            Err(mpsc::TryRecvError::Empty) => {
+                self.flush_sends()?;
+                self.responses.recv_timeout(self.timeout)
+            }
+            Err(mpsc::TryRecvError::Disconnected) => Err(mpsc::RecvTimeoutError::Disconnected),
+        };
         let (seq, kind) = self
             .pending
             .pop_front()
             .expect("await_oldest requires an in-flight window");
-        let response = match self.responses.recv_timeout(self.timeout) {
+        let response = match ready {
             Ok(Ok(response)) => response,
             Ok(Err(what)) => {
                 self.closed = true;

@@ -53,7 +53,10 @@
 //! [`Session::subscribe`] stream on its bound session, pumped to the
 //! socket by a dedicated forwarder thread (events and responses
 //! interleave on the wire; frames are written atomically under the
-//! connection's writer lock). Delivery per subscriber is in exact
+//! connection's writer lock). The forwarder writes in batches: each
+//! wake-up sends the event it woke for plus every event already
+//! waiting, as whole frames in one `write`, and it only blocks on the
+//! stream with nothing left unsent. Delivery per subscriber is in exact
 //! submission order — the runtime's collector guarantees it, the
 //! forwarder preserves it. The forwarder paces its waits so it can
 //! notice a departed peer, a stopping server, or an evicted session
@@ -75,7 +78,7 @@
 
 use crate::session_table::{SessionConfig, SessionEntry, SessionTable};
 use crate::wire::{self, Request, Response};
-use ltc_core::service::{ServiceError, Session};
+use ltc_core::service::{EventStream, ServiceError, Session, StreamEvent};
 use std::io::{self, BufReader};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -392,7 +395,7 @@ fn converse(
         // (A partial frame in the read buffer means its remainder is
         // already in flight from a client that writes whole frames
         // before awaiting, so waiting for it cannot deadlock.)
-        if !acks.is_empty() && reader.buffer().is_empty() && flush_acks(writer, &mut acks).is_err()
+        if !acks.is_empty() && reader.buffer().is_empty() && flush_batch(writer, &mut acks).is_err()
         {
             return;
         }
@@ -440,14 +443,14 @@ fn converse(
             // position.
             acks.extend_from_slice(encoded.as_bytes());
             acks.push(b'\n');
-            if acks.len() >= ACK_BATCH_CAP && flush_acks(writer, &mut acks).is_err() {
+            if acks.len() >= ACK_BATCH_CAP && flush_batch(writer, &mut acks).is_err() {
                 return;
             }
             continue;
         }
         // Lockstep responses keep their immediate write, behind any
         // batched acks still owed (FIFO across the whole connection).
-        if !acks.is_empty() && flush_acks(writer, &mut acks).is_err() {
+        if !acks.is_empty() && flush_batch(writer, &mut acks).is_err() {
             return;
         }
         // The requester hears the outcome *before* the acceptor stops —
@@ -463,18 +466,45 @@ fn converse(
     }
 }
 
-/// Flush threshold for batched windowed acknowledgements.
+/// Flush threshold for a batch of whole frames: windowed
+/// acknowledgements on the connection thread, events on the forwarder.
 const ACK_BATCH_CAP: usize = 64 * 1024;
 
-/// Writes the batched windowed acknowledgements in one locked `write`
-/// (events from the forwarder still interleave only at frame
-/// boundaries).
-fn flush_acks(writer: &Arc<Mutex<TcpStream>>, acks: &mut Vec<u8>) -> io::Result<()> {
+/// Writes a batch of whole frames in one locked `write` (responses and
+/// events from the two writer threads still interleave only at frame
+/// boundaries) and empties it for reuse.
+fn flush_batch(writer: &Arc<Mutex<TcpStream>>, batch: &mut Vec<u8>) -> io::Result<()> {
     use std::io::Write as _;
     let mut stream = lock_recovering(writer);
-    let result = stream.write_all(acks);
-    acks.clear();
+    let result = stream.write_all(batch);
+    batch.clear();
     result
+}
+
+/// Appends `first`, then every event the stream already has ready, to
+/// `batch` as whole `\n`-terminated event frames — carrying `sid` on
+/// `v2`, byte-identical to the `v1` grammar without one. Stops once the
+/// batch reaches [`ACK_BATCH_CAP`] (at a frame boundary; the rest stays
+/// queued for the next batch) or nothing more is ready.
+fn fill_event_batch(
+    stream: &EventStream,
+    first: StreamEvent,
+    sid: Option<&str>,
+    batch: &mut Vec<u8>,
+) {
+    let mut next = Some(first);
+    while let Some(event) = next {
+        let mut frame = wire::encode_event(&event);
+        if let Some(sid) = sid {
+            frame = wire::with_sid(frame, sid);
+        }
+        batch.extend_from_slice(frame.as_bytes());
+        batch.push(b'\n');
+        if batch.len() >= ACK_BATCH_CAP {
+            return;
+        }
+        next = stream.try_recv();
+    }
 }
 
 /// The `v2` addressing rules (and their `v1` absence): session verbs
@@ -622,18 +652,15 @@ fn execute(
                     // every other frame; `v1` events stay byte-identical
                     // to the `v1` grammar.
                     let sid = (version == wire::PROTO_VERSION_V2).then(|| entry.name().to_string());
-                    let emit = |event: &_, writer: &Arc<Mutex<TcpStream>>| {
-                        let mut frame = wire::encode_event(event);
-                        if let Some(sid) = &sid {
-                            frame = wire::with_sid(frame, sid);
-                        }
-                        let mut sock = lock_recovering(writer);
-                        wire::write_frame(&mut *sock, &frame)
-                    };
+                    // Events that are already waiting go out together in
+                    // one locked `write`; the forwarder only blocks (on
+                    // the stream) with nothing left to send.
+                    let mut batch: Vec<u8> = Vec::new();
                     loop {
                         match stream.recv_timeout(FORWARDER_POLL) {
                             Some(event) => {
-                                if emit(&event, &writer).is_err() {
+                                fill_event_batch(&stream, event, sid.as_deref(), &mut batch);
+                                if flush_batch(&writer, &mut batch).is_err() {
                                     return;
                                 }
                             }
@@ -648,7 +675,13 @@ fn execute(
                                     || shared.stopping.load(Ordering::SeqCst)
                                 {
                                     while let Some(event) = stream.try_recv() {
-                                        if emit(&event, &writer).is_err() {
+                                        fill_event_batch(
+                                            &stream,
+                                            event,
+                                            sid.as_deref(),
+                                            &mut batch,
+                                        );
+                                        if flush_batch(&writer, &mut batch).is_err() {
                                             return;
                                         }
                                     }
@@ -796,6 +829,95 @@ mod tests {
             .unwrap();
         let region = BoundingBox::new(Point::ORIGIN, Point::new(100.0, 100.0));
         ServiceBuilder::new(params, region).start().unwrap()
+    }
+
+    /// Feeds `events` into a fresh stream (the sender is dropped, so
+    /// the stream holds exactly these).
+    fn stream_of(events: &[StreamEvent]) -> EventStream {
+        let (tx, rx) = std::sync::mpsc::channel();
+        for event in events {
+            tx.send(event.clone()).unwrap();
+        }
+        EventStream::from_receiver(rx)
+    }
+
+    fn posted(n: u32) -> Vec<StreamEvent> {
+        (0..n)
+            .map(|i| StreamEvent::TaskPosted {
+                task: ltc_core::model::TaskId(i),
+            })
+            .collect()
+    }
+
+    /// Splits a batch into its frames, checking every one is whole.
+    fn lines(batch: &[u8]) -> Vec<&str> {
+        let text = std::str::from_utf8(batch).unwrap();
+        let body = text
+            .strip_suffix('\n')
+            .expect("a batch ends on a frame boundary");
+        body.split('\n').collect()
+    }
+
+    #[test]
+    fn an_event_batch_holds_every_ready_event_in_order() {
+        let events = posted(40);
+        let stream = stream_of(&events);
+        let mut batch = Vec::new();
+        let first = stream.try_recv().unwrap();
+        fill_event_batch(&stream, first, Some("west"), &mut batch);
+        assert_eq!(
+            stream.try_recv(),
+            None,
+            "every ready event joined the batch"
+        );
+        let frames = lines(&batch);
+        assert_eq!(frames.len(), events.len());
+        for (frame, event) in frames.iter().zip(&events) {
+            assert_eq!(&wire::decode_event(frame).unwrap(), event);
+            assert!(frame.ends_with(",\"sid\":\"west\"}"), "{frame}");
+        }
+    }
+
+    #[test]
+    fn a_v1_event_batch_is_byte_identical_to_single_frames() {
+        let events = posted(5);
+        let stream = stream_of(&events);
+        let mut batch = Vec::new();
+        fill_event_batch(&stream, stream.try_recv().unwrap(), None, &mut batch);
+        let expected: String = events
+            .iter()
+            .map(|e| format!("{}\n", wire::encode_event(e)))
+            .collect();
+        assert_eq!(String::from_utf8(batch).unwrap(), expected);
+    }
+
+    #[test]
+    fn a_burst_beyond_the_cap_splits_at_a_frame_boundary() {
+        let events = posted(10_000);
+        let frame_len = wire::encode_event(&events[events.len() - 1]).len() + 1;
+        assert!(
+            events.len() * frame_len > 2 * ACK_BATCH_CAP,
+            "the burst must overflow"
+        );
+        let stream = stream_of(&events);
+        let mut batch = Vec::new();
+        let mut decoded = Vec::new();
+        let mut batches = 0;
+        while let Some(first) = stream.try_recv() {
+            fill_event_batch(&stream, first, None, &mut batch);
+            assert!(
+                batch.len() < ACK_BATCH_CAP + frame_len,
+                "{} bytes",
+                batch.len()
+            );
+            for frame in lines(&batch) {
+                decoded.push(wire::decode_event(frame).unwrap());
+            }
+            batch.clear();
+            batches += 1;
+        }
+        assert!(batches >= 3, "{batches} batches");
+        assert_eq!(decoded, events);
     }
 
     /// Regression: a connection thread panicking while it holds a

@@ -313,10 +313,14 @@ pub fn read_frame<R: BufRead>(reader: &mut R) -> io::Result<Option<String>> {
 
 /// Writes one frame and flushes it (frames are the unit of progress;
 /// buffering across them would deadlock lockstep request/response use).
+/// Frame and delimiter go out in a single `write_all`, so an unbuffered
+/// `TCP_NODELAY` socket sends one segment, not two.
 pub fn write_frame<W: Write>(writer: &mut W, frame: &str) -> io::Result<()> {
     debug_assert!(!frame.contains('\n'), "frames are single lines");
-    writer.write_all(frame.as_bytes())?;
-    writer.write_all(b"\n")?;
+    let mut line = Vec::with_capacity(frame.len() + 1);
+    line.extend_from_slice(frame.as_bytes());
+    line.push(b'\n');
+    writer.write_all(&line)?;
     writer.flush()
 }
 
@@ -1472,6 +1476,38 @@ mod tests {
 
         let mut non_utf8 = io::Cursor::new(vec![0xFF, 0xFE, b'\n']);
         assert!(read_frame(&mut non_utf8).is_err());
+    }
+
+    /// A `Write` that records every `write` call separately.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn one_frame_is_one_write() {
+        // On a `TCP_NODELAY` socket every `write` is a segment: the frame
+        // and its delimiter must leave together.
+        for frame in [
+            encode_hello_v2(),
+            Request::Drain.encode(),
+            encode_event(&StreamEvent::TaskPosted { task: TaskId(7) }),
+        ] {
+            let mut sink = CountingWriter::default();
+            write_frame(&mut sink, &frame).unwrap();
+            assert_eq!(sink.writes, vec![format!("{frame}\n").into_bytes()]);
+        }
     }
 
     #[test]

@@ -1117,6 +1117,100 @@ fn out_of_range_window_acks_fail_the_session_cleanly() {
     join.join().unwrap();
 }
 
+/// The windowed-flush tests' window, and how many submits they make
+/// (ten full windows).
+const FLUSH_WINDOW: u64 = 8;
+const FLUSH_TOTAL: u64 = 10 * FLUSH_WINDOW;
+
+/// A fake server script for the windowed-flush tests: reads
+/// [`FLUSH_TOTAL`] windowed submits and acks them in groups — `first`
+/// frames first, then a window at a time (the last group takes what is
+/// left) — never answering a group before it has read all of it.
+fn ack_in_groups(
+    first: u64,
+) -> impl FnOnce(std::net::TcpStream, BufReader<std::net::TcpStream>) + Send + 'static {
+    move |mut conn, mut reader| {
+        use std::io::Write as _;
+        let mut read = 0;
+        let mut group = first;
+        while read < FLUSH_TOTAL {
+            let mut acks = String::new();
+            for _ in 0..group.min(FLUSH_TOTAL - read) {
+                let frame = wire::read_frame(&mut reader)
+                    .unwrap()
+                    .expect("the client sends every frame it awaits");
+                let seq = match wire::Request::decode(&frame) {
+                    Ok(wire::Request::Submit { seq: Some(seq), .. }) => seq,
+                    other => panic!("expected a windowed submit, got {other:?}"),
+                };
+                assert_eq!(seq, read, "frames arrive in order");
+                let ack = wire::Response::Submit {
+                    worker: WorkerId(seq),
+                    seq: Some(seq),
+                };
+                acks.push_str(&ack.encode());
+                acks.push('\n');
+                read += 1;
+            }
+            conn.write_all(acks.as_bytes()).unwrap();
+            group = FLUSH_WINDOW;
+        }
+        while let Ok(Some(_)) = wire::read_frame(&mut reader) {}
+    }
+}
+
+/// Drives ten full windows of submits plus a final `flush_window`
+/// against `script`: the client must put every frame it awaits on the
+/// wire, so this finishes promptly with every `seq` verified — a frame
+/// stranded in the send batch would show up as the 5 s timeout.
+fn windowed_run_against(
+    script: impl FnOnce(std::net::TcpStream, BufReader<std::net::TcpStream>) + Send + 'static,
+) {
+    let hello = wire::Response::Hello {
+        info: fake_info(),
+        win: wire::MAX_WINDOW,
+    }
+    .encode();
+    let (addr, join) = fake_server(hello, script);
+    let timeout = Duration::from_secs(5);
+    let mut client = LtcClient::connect_v2(addr).unwrap().with_timeout(timeout);
+    let window = FLUSH_WINDOW as usize;
+    assert_eq!(client.set_window(window).unwrap(), window);
+    let started = std::time::Instant::now();
+    let mut acked = Vec::new();
+    for w in workers(FLUSH_TOTAL as usize, 9) {
+        if let Some(ack) = client.submit_worker_windowed(&w).unwrap() {
+            acked.push(ack);
+        }
+    }
+    acked.extend(client.flush_window().unwrap());
+    assert!(
+        started.elapsed() < timeout / 2,
+        "took {:?}",
+        started.elapsed()
+    );
+    assert_eq!(
+        worker_ids(acked),
+        (0..FLUSH_TOTAL).map(WorkerId).collect::<Vec<_>>()
+    );
+    drop(client);
+    join.join().unwrap();
+}
+
+#[test]
+fn a_windowed_client_flushes_before_awaiting_a_withheld_window() {
+    // The server answers nothing until it has read a whole window.
+    windowed_run_against(ack_in_groups(FLUSH_WINDOW));
+}
+
+#[test]
+fn a_ready_ack_never_strands_the_send_batch() {
+    // The first ack comes at once, later ones only per whole window
+    // read: acks taken while already ready skip the flush, and a later
+    // wait must then put the batched frames on the wire.
+    windowed_run_against(ack_in_groups(1));
+}
+
 #[test]
 fn mid_frame_connection_drop_is_a_clean_error() {
     // Hostile-input satellite: a connection torn down halfway through a
