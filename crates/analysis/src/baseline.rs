@@ -8,8 +8,9 @@
 //! *content* of the offending line, not its number, so unrelated edits
 //! above a grandfathered site don't churn the file. An entry absorbs at
 //! most `count` findings; extra findings at the same site still fail,
-//! and an entry whose site was scanned but produced nothing is reported
-//! stale so the baseline can only shrink.
+//! and an entry whose site was scanned but produced nothing, or whose
+//! file no longer exists, is reported stale so the baseline can only
+//! shrink.
 
 use std::collections::BTreeMap;
 
@@ -120,7 +121,7 @@ impl Baseline {
 
 /// Mutable matching state over a baseline: each entry absorbs up to
 /// `count` findings; [`Matcher::stale`] lists entries left unconsumed
-/// for paths that were actually scanned.
+/// for the paths its caller counts as checked.
 pub struct Matcher<'a> {
     baseline: &'a Baseline,
     remaining: Vec<usize>,
@@ -146,15 +147,15 @@ impl<'a> Matcher<'a> {
         false
     }
 
-    /// Entries (still holding budget) whose path is in `scanned` — the
-    /// site was linted and produced fewer findings than budgeted, so the
-    /// baseline should shrink.
-    pub fn stale(&self, scanned: &dyn Fn(&str) -> bool) -> Vec<&'a Entry> {
+    /// Entries (still holding budget) whose path `checked` accepts —
+    /// the site was linted, or its file is gone, and produced fewer
+    /// findings than budgeted, so the baseline should shrink.
+    pub fn stale(&self, checked: &dyn Fn(&str) -> bool) -> Vec<&'a Entry> {
         self.baseline
             .entries
             .iter()
             .enumerate()
-            .filter(|(i, e)| self.remaining[*i] == e.count && scanned(&e.path))
+            .filter(|(i, e)| self.remaining[*i] == e.count && checked(&e.path))
             .map(|(_, e)| e)
             .collect()
     }
@@ -168,16 +169,8 @@ mod tests {
     fn round_trips_and_sorts() {
         let b = Baseline::from_findings(
             [
-                (
-                    "L006",
-                    "vendor/criterion/src/lib.rs",
-                    "let t = Instant::now();",
-                ),
-                (
-                    "L006",
-                    "vendor/criterion/src/lib.rs",
-                    "let t = Instant::now();",
-                ),
+                ("L006", "vendor/shim/src/lib.rs", "let t = Instant::now();"),
+                ("L006", "vendor/shim/src/lib.rs", "let t = Instant::now();"),
                 ("L003", "crates/x/src/lib.rs", "m.lock().unwrap();"),
             ]
             .into_iter(),

@@ -49,7 +49,8 @@ pub struct PathFinding {
 pub struct WorkspaceReport {
     /// Findings not absorbed by a waiver or the baseline, sorted.
     pub findings: Vec<PathFinding>,
-    /// Baseline entries whose (scanned) site is now clean.
+    /// Baseline entries whose site is now clean: it was scanned and
+    /// produced nothing, or its file no longer exists.
     pub stale_baseline: Vec<baseline::Entry>,
     pub files_scanned: usize,
     /// Findings absorbed by inline waivers.
@@ -183,7 +184,7 @@ pub fn lint_workspace(
     }
     findings.sort();
     let stale_baseline = matcher
-        .stale(&|p: &str| scanned.contains(p))
+        .stale(&|p: &str| scanned.contains(p) || !root.join(p).exists())
         .into_iter()
         .cloned()
         .collect();

@@ -21,7 +21,7 @@ pub fn text(report: &WorkspaceReport) -> String {
     for s in &report.stale_baseline {
         let _ = writeln!(
             out,
-            "{}: stale baseline entry ({} x{}) — site now clean, remove it:\n    {}",
+            "{}: stale baseline entry ({} x{}) — site now clean or file gone, remove it:\n    {}",
             s.path, s.code, s.count, s.snippet
         );
     }

@@ -158,13 +158,49 @@ fn baseline_round_trips_and_reports_stale_entries() {
     assert_eq!(fixed.stale_baseline[0].code, "L003");
     assert!(fixed.is_dirty());
 
-    // A baseline entry for a path outside this run's scan set (the
+    // A baseline entry for a file outside this run's scan set (the
     // vendor workflow) is not reported stale.
+    fs::create_dir_all(root.join("vendor/shim/src")).unwrap();
+    fs::write(
+        root.join("vendor/shim/src/lib.rs"),
+        "pub fn now() -> std::time::Instant {\n    std::time::Instant::now()\n}\n",
+    )
+    .unwrap();
     let vendor = Baseline::parse(
         "# ltc-lint baseline\nL006\tvendor/shim/src/lib.rs\t1\tInstant::now();\tvendor shim\n",
     )
     .unwrap();
     let rep = lint_workspace(&root, &Options::default(), &vendor).unwrap();
     assert!(rep.stale_baseline.is_empty());
+    fs::remove_dir_all(&root).unwrap();
+}
+
+#[test]
+fn baseline_entries_for_deleted_files_are_stale() {
+    let root = corpus_workspace("deleted");
+    let raw = lint_workspace(&root, &Options::default(), &Baseline::default()).unwrap();
+    let baseline = Baseline::from_findings(
+        raw.findings
+            .iter()
+            .map(|f| (f.code, f.path.as_str(), f.snippet.as_str())),
+    );
+
+    // Deleting a baselined file leaves its entry with nothing to absorb:
+    // the run is dirty until the entry goes, like a fixed site.
+    fs::remove_file(root.join("src/l003_lock_unwrap.rs")).unwrap();
+    let rep = lint_workspace(&root, &Options::default(), &baseline).unwrap();
+    assert!(rep.findings.is_empty(), "{:?}", rep.findings);
+    assert_eq!(rep.stale_baseline.len(), 1);
+    assert_eq!(rep.stale_baseline[0].path, "src/l003_lock_unwrap.rs");
+    assert!(rep.is_dirty());
+
+    // The same holds for a deleted file the run would not scan anyway.
+    let vendor = Baseline::parse(
+        "# ltc-lint baseline\nL006\tvendor/gone/src/lib.rs\t1\tInstant::now();\tvendor shim\n",
+    )
+    .unwrap();
+    let rep = lint_workspace(&root, &Options::default(), &vendor).unwrap();
+    assert_eq!(rep.stale_baseline.len(), 1);
+    assert_eq!(rep.stale_baseline[0].path, "vendor/gone/src/lib.rs");
     fs::remove_dir_all(&root).unwrap();
 }

@@ -328,12 +328,13 @@ fn ablation_batch(opts: Options) {
     println!();
 }
 
-/// AAM strategy ablation: the hybrid against its two halves.
+/// AAM strategy ablation: latency and runtime of the hybrid against its
+/// two halves.
 fn ablation_aam(opts: Options) {
     println!("== Ablation — AAM switching rule ==");
     println!(
-        "{:>12}\t{:>9}\t{:>12}\t{:>10}",
-        "strategy", "latency", "assignments", "overshoot"
+        "{:>12}\t{:>9}\t{:>10}\t{:>12}\t{:>10}",
+        "strategy", "latency", "time (s)", "assignments", "overshoot"
     );
     let instance = SyntheticConfig::default()
         .scaled_down(opts.scale)
@@ -343,10 +344,12 @@ fn ablation_aam(opts: Options) {
         AamStrategy::AlwaysLgf,
         AamStrategy::AlwaysLrf,
     ] {
+        let started = std::time::Instant::now(); // ltc-lint: allow(L006) bench stopwatch: measuring wall-clock is the point
         let outcome = run_online(&instance, &mut Aam::with_strategy(strategy));
+        let secs = started.elapsed().as_secs_f64();
         let stats = ltc_core::metrics::ArrangementStats::new(&instance, &outcome.arrangement);
         println!(
-            "{:>12}\t{:>9}\t{:>12}\t{:>10.3}",
+            "{:>12}\t{:>9}\t{secs:>10.4}\t{:>12}\t{:>10.3}",
             format!("{strategy:?}"),
             outcome
                 .latency()
@@ -369,12 +372,13 @@ fn ablation_aam(opts: Options) {
 /// the POI *guesses* (true accuracy 0.5) while the platform weights them
 /// as a confident anti-expert. The second error column simulates that
 /// misestimation: far answers are coin flips, voting weights stay at the
-/// model's `2·Acc − 1`.
+/// model's `2·Acc − 1`. The time column covers the LAF run only, not
+/// the simulations.
 fn ablation_eligibility(opts: Options) {
     println!("== Ablation — eligibility policy (LAF) ==");
     println!(
-        "{:>14}\t{:>9}\t{:>16}\t{:>18}",
-        "policy", "latency", "err(model acc)", "err(far = guess)"
+        "{:>14}\t{:>9}\t{:>10}\t{:>16}\t{:>18}",
+        "policy", "latency", "time (s)", "err(model acc)", "err(far = guess)"
     );
     for (name, eligibility) in [
         ("within-range", Eligibility::WithinRange),
@@ -386,12 +390,14 @@ fn ablation_eligibility(opts: Options) {
         }
         .scaled_down(opts.scale)
         .generate();
+        let started = std::time::Instant::now(); // ltc-lint: allow(L006) bench stopwatch: measuring wall-clock is the point
         let outcome = run_online(&instance, &mut Laf::new());
+        let secs = started.elapsed().as_secs_f64();
         let truth = GroundTruth::random(instance.n_tasks(), 17);
         let report = simulate(&instance, &outcome.arrangement, &truth, 300, 23);
         let guess_err = simulate_with_guessing_far_workers(&instance, &outcome, &truth, 300);
         println!(
-            "{name:>14}\t{:>9}\t{:>16.4}\t{:>18.4}",
+            "{name:>14}\t{:>9}\t{secs:>10.4}\t{:>16.4}\t{:>18.4}",
             outcome
                 .latency()
                 .map_or_else(|| "inc.".to_string(), |l| l.to_string()),

@@ -10,11 +10,11 @@
 //! ```json
 //! {
 //!   "schema": "ltc-bench/v1",
-//!   "bench": "hotpath",
+//!   "bench": "wire",
 //!   "scale": 1,
-//!   "cores": 8,
+//!   "cores": 1,
 //!   "rows": [
-//!     { "name": "table-iv/default", "workers": 9982, "secs": 0.004, ... }
+//!     { "name": "in-process/x1", "workers": 16634, "secs": 0.018, ... }
 //!   ]
 //! }
 //! ```
@@ -219,8 +219,8 @@ fn push_value(out: &mut String, value: &Value) {
 /// Parses an optional `--out PATH` from the process arguments — the
 /// shared convention by which `cargo bench -p ltc-bench --bench X --
 /// --out BENCH_X.json` asks a print-only bench to also commit its
-/// measurements as a report. Criterion-style flags that cargo forwards
-/// (e.g. `--bench`) are ignored.
+/// measurements as a report. Harness flags that cargo forwards (e.g.
+/// `--bench`) are ignored.
 pub fn out_path_from_args() -> Option<std::path::PathBuf> {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -280,7 +280,7 @@ mod tests {
     use super::*;
 
     fn sample() -> BenchReport {
-        let mut report = BenchReport::new("hotpath", 4);
+        let mut report = BenchReport::new("wire", 4);
         report.push_row(
             Row::new("table-iv/default")
                 .field("workers", 128u64)

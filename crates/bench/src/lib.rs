@@ -1,10 +1,12 @@
 //! Shared harness for the LTC experiment suite.
 //!
-//! Provides the pieces every bench target and the `experiments` binary
-//! need: a byte-counting global allocator (the paper's *Memory (MB)*
-//! metric), a uniform runner over the five algorithms of the evaluation
-//! (Base-off, MCF-LTC, Random, LAF, AAM), and plain-text panel printing
-//! that mirrors the figures of Sec. V.
+//! Provides the pieces the `experiments` binary, the benches and
+//! `perfbench` need: a byte- and event-counting global allocator (the
+//! paper's *Memory (MB)* metric and the allocation gates), a uniform
+//! runner over the five algorithms of the evaluation (Base-off, MCF-LTC,
+//! Random, LAF, AAM), and the `ltc-bench/v1` report schema. Every timing
+//! has one source: figure panels are timed by `experiments`, engine and
+//! served-path rungs by `perfbench`.
 
 #![warn(missing_docs)]
 
@@ -15,9 +17,10 @@ pub mod runner;
 pub use json::{BenchReport, Row};
 pub use runner::{measure, Algo, Measurement, ALL_ALGOS};
 
-/// Down-scaling factor used by the Criterion benches, overridable with the
-/// `LTC_BENCH_SCALE` environment variable (1 = the paper's cardinalities).
-/// The default of 64 keeps a full `cargo bench` run in the minutes range.
+/// Down-scaling factor used by the `skewed_throughput`, `wire_throughput`
+/// and `wal_overhead` benches, overridable with the `LTC_BENCH_SCALE`
+/// environment variable (1 = the paper's cardinalities; default 64, which
+/// is also the largest factor those benches use).
 pub fn bench_scale() -> usize {
     std::env::var("LTC_BENCH_SCALE")
         .ok()

@@ -181,7 +181,8 @@ fn engine_run(instance: &Instance, algo: RefAlgo) -> (Vec<RefAssignment>, Option
 }
 
 /// Seeded synthetic instances spanning several shapes: dense and sparse,
-/// different ε / K, a couple of hundred workers each.
+/// different ε / K, a couple of hundred workers each, plus the Table-IV
+/// default at 1/64 scale and its long tail (ε = 0.06).
 fn parity_instances() -> Vec<(String, Instance)> {
     let mut out = Vec::new();
     for (seed, n_tasks, n_workers, capacity, epsilon, grid) in [
@@ -203,6 +204,13 @@ fn parity_instances() -> Vec<(String, Instance)> {
             format!("seed{seed}_t{n_tasks}_w{n_workers}_k{capacity}_e{epsilon}"),
             cfg.generate(),
         ));
+    }
+    for epsilon in [0.14, 0.06] {
+        let cfg = SyntheticConfig {
+            epsilon,
+            ..SyntheticConfig::default().scaled_down(64)
+        };
+        out.push((format!("table_iv_1_64_e{epsilon}"), cfg.generate()));
     }
     out
 }
