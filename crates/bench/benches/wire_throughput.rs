@@ -52,40 +52,12 @@ fn run_in_process(instance: &Instance, shards: usize) -> Measurement {
     }
 }
 
-/// One request/response round trip per submission — the lockstep cost
-/// an interactive client pays.
-fn run_remote_lockstep(instance: &Instance, shards: usize, stop_at: u64) -> Measurement {
-    let server = LtcServer::bind("127.0.0.1:0", start_handle(instance, shards))
-        .expect("bind loopback")
-        .spawn()
-        .expect("spawn server");
-    let mut client = LtcClient::connect(server.addr()).expect("connect");
-    let start = Instant::now();
-    let mut workers = 0u64;
-    for worker in instance.workers() {
-        if workers >= stop_at {
-            break;
-        }
-        client.submit_worker(worker).expect("submit");
-        workers += 1;
-    }
-    client.drain().expect("drain");
-    let secs = start.elapsed().as_secs_f64();
-    let metrics = client.metrics().expect("metrics");
-    client.shutdown().expect("shutdown");
-    server.wait().expect("server stops");
-    Measurement {
-        workers,
-        assignments: metrics.n_assignments,
-        secs,
-    }
-}
-
-/// Windowed submission over `v2`: up to `window` submit frames in
-/// flight before their acknowledgements arrive. The stream of applied
-/// decisions is identical to lockstep (the server applies frames in
-/// arrival order either way); what changes is how many TCP round trips
-/// the client's wall clock absorbs.
+/// Windowed submission: up to `window` submit frames in flight before
+/// their acknowledgements arrive; `window` 1 is lockstep, one
+/// request/response round trip per submission — the cost an interactive
+/// client pays. The stream of applied decisions is identical at every
+/// window (the server applies frames in arrival order either way); what
+/// changes is how many TCP round trips the client's wall clock absorbs.
 fn run_remote_windowed(
     instance: &Instance,
     shards: usize,
@@ -231,7 +203,7 @@ fn main() {
         // The in-process driver stops within its in-flight window of
         // completion; feed the remote run exactly as many workers so
         // the decision streams are comparable.
-        let remote = run_remote_lockstep(&instance, shards, local.workers);
+        let remote = run_remote_windowed(&instance, shards, local.workers, 1);
         report(&format!("remote lockstep x{shards}"), &remote);
         assert_eq!(
             remote.assignments, local.assignments,
@@ -250,15 +222,14 @@ fn main() {
             &remote,
         ));
     }
-    // Windowed submission at 1 shard: the lockstep row above is the
-    // W = 1 baseline's semantic twin (same round-trip cadence over the
-    // v1 handshake); the wider windows show what the in-flight pipeline
-    // buys. Identical assignment counts prove the stream of decisions
-    // never changed — only the waiting did.
+    // Windowed submission at 1 shard: the wider windows show what the
+    // in-flight pipeline buys over a fresh lockstep (W = 1) baseline.
+    // Identical assignment counts prove the stream of decisions never
+    // changed — only the waiting did.
     {
         let shards = 1usize;
         let baseline = run_in_process(&instance, shards);
-        let lockstep = run_remote_lockstep(&instance, shards, baseline.workers);
+        let lockstep = run_remote_windowed(&instance, shards, baseline.workers, 1);
         for window in [1usize, 16, 256] {
             let windowed = run_remote_windowed(&instance, shards, baseline.workers, window);
             report(&format!("remote windowed w={window}"), &windowed);

@@ -13,11 +13,11 @@ USAGE:
   ltc run      --input FILE --algo <aam|laf|random|mcf-ltc|base-off> [--stats]
   ltc stream   ( --input FILE --algo <aam|laf|random> [--seed S] [--shards N]
                | --connect HOST:PORT [--session NAME] )
-               [--checkins FILE] [--pipeline D] [--window W] [--rebalance N]
+               [--checkins FILE] [--pipeline D] [--rebalance N]
                [--snapshot-out FILE] [--metrics-out FILE]
   ltc snapshot ( --input FILE --algo <aam|laf|random> [--seed S] [--shards N]
                | --connect HOST:PORT [--session NAME] ) --out FILE
-               [--checkins FILE] [--pipeline D] [--window W] [--rebalance N]
+               [--checkins FILE] [--pipeline D] [--rebalance N]
                [--metrics-out FILE]
   ltc resume   --snapshot FILE [--checkins FILE] [--pipeline D]
                [--rebalance N] [--snapshot-out FILE] [--metrics-out FILE]
@@ -47,18 +47,15 @@ worker's committed assignments are emitted immediately as one NDJSON line,
 ending with a summary line. Check-ins below the spam threshold are
 skipped. --shards N partitions the task pool spatially over N engine
 shards (default 1; single-shard output is bit-identical to the engine).
---pipeline D keeps up to D check-ins in flight across the shard threads
-(default 1 = lockstep); like --window below, it shrinks to
-ceil(remaining-tasks / capacity) near completion, so the whole output is
-byte-identical to --pipeline 1. --window W requests a
-remote submission window: over --connect, up to W check-in frames are
-fired before their acknowledgements arrive (clamped to what the server
-advertises). The server applies frames in arrival order either way, and
-the batch shrinks to ceil(remaining-tasks / capacity) as the instance
-nears completion, so the whole output — event lines and summary,
-workers-read count included — is byte-identical to --window 1.
-In-process sessions are their own acknowledgement, so --window is a
-no-op there (granted 1). --rebalance N quiesces
+--pipeline D keeps up to D check-ins in flight (default 1 = lockstep).
+In process they overlap across the shard threads; over --connect D is
+also the submission window: up to D check-in frames are fired before
+their acknowledgements arrive (clamped to what the server advertises;
+`ltc serve` grants up to 256). The session applies check-ins in
+submission order either way, and the depth shrinks to
+ceil(remaining-tasks / capacity) as the instance nears completion, so
+the whole output — event lines and summary, workers-read count included
+— is byte-identical to --pipeline 1. --rebalance N quiesces
 the session every N accepted check-ins and re-splits the shard stripes
 by live-task load (task migration is exact, so assignments are
 unchanged; skipped rebalances print nothing, applied ones emit a
@@ -258,12 +255,10 @@ pub enum Command {
         source: StreamSource,
         /// Check-in source (`None` = stdin).
         checkins: Option<String>,
-        /// Check-ins kept in flight across the session (1 = lockstep,
-        /// byte-stable output).
+        /// Check-ins kept in flight across the session — and, remotely,
+        /// the requested submission window (1 = lockstep, byte-stable
+        /// output).
         pipeline: usize,
-        /// Requested remote submission window (1 = lockstep requests;
-        /// clamped to what the server grants, always 1 in process).
-        window: usize,
         /// Rebalance the shard stripes every this many accepted
         /// check-ins (`None` = never).
         rebalance: Option<u64>,
@@ -473,7 +468,6 @@ impl Command {
                         "--seed",
                         "--shards",
                         "--pipeline",
-                        "--window",
                         "--rebalance",
                         "--snapshot-out",
                         "--metrics-out",
@@ -488,7 +482,6 @@ impl Command {
                         "--seed",
                         "--shards",
                         "--pipeline",
-                        "--window",
                         "--rebalance",
                         "--out",
                         "--metrics-out",
@@ -497,7 +490,6 @@ impl Command {
                 flags.reject_unknown(known)?;
                 let source = parse_stream_source(&mut flags, cmd)?;
                 let pipeline = parse_pipeline(&mut flags)?;
-                let window = parse_window(&mut flags)?;
                 let rebalance = parse_rebalance(&mut flags)?;
                 let snapshot_out = if cmd == "stream" {
                     flags.value("--snapshot-out")?.map(str::to_string)
@@ -513,7 +505,6 @@ impl Command {
                     source,
                     checkins: flags.value("--checkins")?.map(str::to_string),
                     pipeline,
-                    window,
                     rebalance,
                     snapshot_out,
                     metrics_out: flags.value("--metrics-out")?.map(str::to_string),
@@ -774,17 +765,6 @@ fn parse_pipeline(flags: &mut Flags<'_>) -> Result<usize, ParseError> {
     Ok(pipeline)
 }
 
-fn parse_window(flags: &mut Flags<'_>) -> Result<usize, ParseError> {
-    let window = match flags.value("--window")? {
-        Some(v) => parse_num::<usize>(v, "submission window")?,
-        None => 1,
-    };
-    if window == 0 {
-        return Err(ParseError("--window must be positive".into()));
-    }
-    Ok(window)
-}
-
 fn parse_rebalance(flags: &mut Flags<'_>) -> Result<Option<u64>, ParseError> {
     match flags.value("--rebalance")? {
         Some(v) => {
@@ -916,7 +896,6 @@ mod tests {
                 },
                 checkins: None,
                 pipeline: 1,
-                window: 1,
                 rebalance: None,
                 snapshot_out: None,
                 metrics_out: None,
@@ -938,7 +917,6 @@ mod tests {
                 },
                 checkins: Some("c.tsv".into()),
                 pipeline: 32,
-                window: 1,
                 rebalance: None,
                 snapshot_out: Some("s.ltc".into()),
                 metrics_out: Some("m.json".into()),
@@ -959,7 +937,6 @@ mod tests {
                 },
                 checkins: Some("c.tsv".into()),
                 pipeline: 1,
-                window: 1,
                 rebalance: None,
                 snapshot_out: None,
                 metrics_out: None,
@@ -1164,18 +1141,25 @@ mod tests {
 
     #[test]
     fn window_parses_and_rejects_zero() {
-        let cmd = Command::parse(&argv("stream --connect 127.0.0.1:7171 --window 256")).unwrap();
-        assert!(matches!(cmd, Command::Stream { window: 256, .. }));
-        // Accepted (and harmless) in process, where the session grants 1.
-        let cmd = Command::parse(&argv("stream --input x.tsv --algo aam --window 16")).unwrap();
-        assert!(matches!(cmd, Command::Stream { window: 16, .. }));
+        // The remote submission window is the pipeline depth.
+        let cmd = Command::parse(&argv("stream --connect 127.0.0.1:7171 --pipeline 256")).unwrap();
+        assert!(matches!(cmd, Command::Stream { pipeline: 256, .. }));
+        let cmd = Command::parse(&argv("stream --input x.tsv --algo aam --pipeline 16")).unwrap();
+        assert!(matches!(cmd, Command::Stream { pipeline: 16, .. }));
         assert!(Command::parse(&argv(
-            "snapshot --connect 127.0.0.1:1 --out s.ltc --window 16"
+            "snapshot --connect 127.0.0.1:1 --out s.ltc --pipeline 16"
         ))
         .is_ok());
-        assert!(Command::parse(&argv("stream --input x.tsv --algo aam --window 0")).is_err());
-        // resume drives an in-process session only — no window flag.
-        assert!(Command::parse(&argv("resume --snapshot s.ltc --window 4")).is_err());
+        assert!(Command::parse(&argv("stream --connect 127.0.0.1:1 --pipeline 0")).is_err());
+        // There is no second knob for the same depth.
+        for cmd in [
+            "stream --input x.tsv --algo aam --window 4",
+            "snapshot --connect 127.0.0.1:1 --out s.ltc --window 4",
+            "resume --snapshot s.ltc --window 4",
+        ] {
+            let err = Command::parse(&argv(cmd)).unwrap_err();
+            assert_eq!(err.to_string(), "unknown flag `--window`", "{cmd}");
+        }
     }
 
     #[test]
@@ -1201,7 +1185,6 @@ mod tests {
                 },
                 checkins: None,
                 pipeline: 1,
-                window: 1,
                 rebalance: None,
                 snapshot_out: Some("s.ltc".into()),
                 metrics_out: None,

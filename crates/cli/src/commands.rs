@@ -38,7 +38,6 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> CmdResult {
             source,
             checkins,
             pipeline,
-            window,
             rebalance,
             snapshot_out,
             metrics_out,
@@ -46,7 +45,6 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> CmdResult {
             &source,
             checkins.as_deref(),
             pipeline,
-            window,
             rebalance,
             snapshot_out.as_deref(),
             metrics_out.as_deref(),
@@ -317,12 +315,10 @@ fn start_dataset_session(
 /// through a [`Session`] — the in-process pipelined runtime for
 /// `--input`, a remote `ltc serve` process for `--connect`; both run
 /// the same [`drive_stream`] code path and emit identical NDJSON.
-#[allow(clippy::too_many_arguments)]
 fn stream_cmd(
     source: &StreamSource,
     checkins: Option<&str>,
     pipeline: usize,
-    window: usize,
     rebalance: Option<u64>,
     snapshot_out: Option<&str>,
     metrics_out: Option<&str>,
@@ -349,7 +345,6 @@ fn stream_cmd(
         session.as_mut(),
         checkins,
         pipeline,
-        window,
         rebalance,
         snapshot_out,
         metrics_out,
@@ -376,7 +371,6 @@ fn resume_cmd(
         session.as_mut(),
         checkins,
         pipeline,
-        1,
         rebalance,
         snapshot_out,
         metrics_out,
@@ -679,22 +673,24 @@ fn register_acks(acks: Vec<WindowAck>, mine: &mut std::collections::HashSet<u64>
 /// in-flight work, and polling a remote one per line would cost a round
 /// trip).
 ///
-/// A `window` above 1 additionally batches *submissions*: up to
-/// `max(window, pipeline)` check-ins are fired through
-/// [`Session::submit_worker_windowed`] before the loop stops to collect
-/// their deferred acknowledgements and pump their events — the acks must
-/// land first, because the subscription is filtered by the arrival ids
-/// they carry. Near the end of the instance the batch shrinks to
-/// `ceil(remaining_tasks / capacity)`, so the window never submits a
-/// check-in lockstep would not have read. Output stays byte-identical
-/// to lockstep, summary line included: events are still written in
-/// submission order, only the request/ack cadence changes.
-#[allow(clippy::too_many_arguments)]
+/// The depth is also requested as the session's submission window, and
+/// the grant picks the cadence. An in-process session grants 1 (it is
+/// its own acknowledgement) and gets the *sliding* cadence: each
+/// submission is acked at once, and events are pumped whenever
+/// `pipeline` check-ins are in flight. A remote session grants a real
+/// window and gets the *batch* cadence: check-ins are fired through
+/// [`Session::submit_worker_windowed`] until the depth is reached, then
+/// the loop collects their deferred acknowledgements and pumps their
+/// events — the acks must land first, because the subscription is
+/// filtered by the arrival ids they carry. Near the end of the instance
+/// either depth shrinks to `ceil(remaining_tasks / capacity)`, so no
+/// check-in is submitted that lockstep would not have read. Output stays
+/// byte-identical to lockstep, summary line included: events are still
+/// written in submission order, only the request/ack cadence changes.
 fn drive_stream(
     session: &mut dyn Session,
     checkins: Option<&str>,
     pipeline: usize,
-    window: usize,
     rebalance_every: Option<u64>,
     snapshot_out: Option<&str>,
     metrics_out: Option<&str>,
@@ -723,14 +719,10 @@ fn drive_stream(
     let mut completed_tasks = opening.n_completed;
     let total_tasks = opening.n_tasks;
 
-    // Negotiate the submission window first (a remote session clamps to
-    // what its server advertises; in-process sessions grant 1).
-    let window = if window > 1 {
-        session.set_window(window)?
-    } else {
-        1
-    };
-    let depth = pipeline.max(window).max(1);
+    // The depth doubles as the requested submission window; the grant
+    // picks the cadence below (a remote session clamps to what its
+    // server advertises; in-process sessions grant 1).
+    let window = session.set_window(pipeline)?;
     // One check-in completes at most `capacity` tasks, so with
     // `remaining` tasks open, fewer than ceil(remaining / capacity)
     // check-ins in flight cannot have finished the instance: capping
@@ -738,7 +730,7 @@ fn drive_stream(
     // not read.
     let cap = |completed: u64| {
         let remaining = total_tasks.saturating_sub(completed);
-        depth.min(remaining.div_ceil(capacity).max(1) as usize)
+        pipeline.min(remaining.div_ceil(capacity).max(1) as usize)
     };
     let events = session.subscribe()?;
     let started = std::time::Instant::now(); // ltc-lint: allow(L006) informational elapsed-time summary; the event stream and totals are clock-free
@@ -778,7 +770,7 @@ fn drive_stream(
         in_flight += 1;
         accepted += 1;
         if window > 1 {
-            // Batch cadence: fire a full window, then settle it — the
+            // Batch cadence: fire up to the depth, then settle it — the
             // acks (all buffered by now; firing ran ahead of them) and
             // then the events. Draining the whole batch keeps the next
             // window's sends free of per-submission round trips.
@@ -792,7 +784,7 @@ fn drive_stream(
                 }
             }
         } else {
-            // The same cap, re-read after every pump.
+            // Sliding cadence: the same cap, re-read after every pump.
             while in_flight >= cap(completed_tasks) {
                 completed_tasks += pump_worker_event(&events, &mut mine, &mut in_flight, out)?;
             }
@@ -1339,21 +1331,35 @@ mod tests {
         let checkin_path = temp_path("windowed_summary_checkins.tsv");
         write_parity_fixture(&data_path, &checkin_path);
         let mut outputs = Vec::new();
-        for window in [1usize, 256] {
+        for pipeline in [1usize, 256] {
             let server = spawn_server(&data_path, 4);
             let (code, out) = run_cli(&format!(
-                "stream --connect {} --checkins {checkin_path} --window {window}",
+                "stream --connect {} --checkins {checkin_path} --pipeline {pipeline}",
                 server.addr()
             ));
-            assert_eq!(code, 0, "window={window}: {out}");
+            assert_eq!(code, 0, "pipeline={pipeline}: {out}");
             server.stop().unwrap();
             assert!(out.contains("\"completed\":true"), "{out}");
             outputs.push(strip_elapsed(&out));
         }
         assert_eq!(
             outputs[0], outputs[1],
-            "window=256 output (summary included) diverged from lockstep"
+            "pipeline=256 output (summary included) diverged from lockstep"
         );
+        // In process the same depths take the sliding cadence (the
+        // session grants a window of 1) and print the same bytes.
+        for pipeline in [1usize, 32] {
+            let (code, out) = run_cli(&format!(
+                "stream --input {data_path} --algo laf --shards 4 \
+                 --checkins {checkin_path} --pipeline {pipeline}"
+            ));
+            assert_eq!(code, 0, "in-process pipeline={pipeline}: {out}");
+            assert_eq!(
+                strip_elapsed(&out),
+                outputs[0],
+                "in-process pipeline={pipeline} diverged from remote lockstep"
+            );
+        }
         std::fs::remove_file(&data_path).ok();
         std::fs::remove_file(&checkin_path).ok();
     }
@@ -1434,7 +1440,7 @@ mod tests {
         assert!(out.contains("\"completed\":true"), "{out}");
 
         use ltc_core::service::Session as _;
-        let mut closer = LtcClient::connect(addr.as_str()).unwrap();
+        let mut closer = LtcClient::connect_v2(addr.as_str()).unwrap();
         closer.shutdown().unwrap();
         let (code, serve_out) = serve_thread.join().unwrap();
         assert_eq!(code, 0, "{serve_out}");
@@ -1509,7 +1515,7 @@ mod tests {
         assert_eq!(lines[3], "{\"sessions\":true,\"open\":3}", "{listing}");
 
         use ltc_core::service::Session as _;
-        let mut closer = LtcClient::connect(addr.as_str()).unwrap();
+        let mut closer = LtcClient::connect_v2(addr.as_str()).unwrap();
         closer.shutdown().unwrap();
         let (code, serve_out) = serve_thread.join().unwrap();
         assert_eq!(code, 0, "{serve_out}");

@@ -22,7 +22,7 @@
 //! `--input` (persistent shard threads, submission-ordered NDJSON
 //! output, exact mid-stream snapshots, optional periodic stripe
 //! rebalancing), or a remote `ltc serve` process for `--connect`, with
-//! byte-identical output either way (`ltc-proto v1`; see
+//! byte-identical output either way (`ltc-proto v2`; see
 //! `docs/PROTOCOL.md`). The batch commands (`run`, `exact`, `simulate`,
 //! `bounds`) replay recorded instances. See `docs/ARCHITECTURE.md` for
 //! the layering.

@@ -1,6 +1,7 @@
 //! The remote [`Session`] implementation: a TCP client speaking
-//! `ltc-proto` (`v1`, or `v2` with its session namespace) to an
-//! `ltc serve` process.
+//! `ltc-proto v2` (the session namespace and windowed submission) to an
+//! `ltc serve` process. The server also serves `v1` clients; this
+//! client never speaks it.
 
 use crate::session_table::SessionConfig;
 use crate::wire::{self, Request, Response, SessionStat};
@@ -64,9 +65,9 @@ fn transport(what: impl Into<String>) -> ServiceError {
 /// differential tests assert byte-identical NDJSON output through both
 /// paths.
 ///
-/// A `v2` client ([`LtcClient::connect_v2`]) is additionally a citizen
-/// of the server's session namespace: it starts bound to the default
-/// session and can [`open_session`](LtcClient::open_session) /
+/// The client is also a citizen of the server's session namespace: it
+/// starts bound to the default session and can
+/// [`open_session`](LtcClient::open_session) /
 /// [`attach_session`](LtcClient::attach_session) to rebind, every frame
 /// it sends and receives carrying the bound session's `"sid"`.
 ///
@@ -74,8 +75,8 @@ fn transport(what: impl Into<String>) -> ServiceError {
 ///
 /// By default every request is lockstep: one frame out, one response
 /// awaited. [`Session::set_window`] negotiates a submission window of
-/// up to W (clamped to what the server's hello advertised; `v1` servers
-/// advertise nothing and stay lockstep), after which
+/// up to W (clamped to what the server's hello advertised; a server
+/// that advertises nothing stays lockstep), after which
 /// [`submit_worker_windowed`](Session::submit_worker_windowed) /
 /// [`post_task_windowed`](Session::post_task_windowed) fire their
 /// frames immediately and defer the acknowledgements. Each windowed
@@ -94,9 +95,7 @@ pub struct LtcClient {
     subscribers: Arc<Mutex<Vec<Sender<StreamEvent>>>>,
     reader: Option<JoinHandle<()>>,
     info: SessionInfo,
-    version: u64,
-    /// The bound session's id (meaningful on `v2`; `v1` keeps the
-    /// default it can never leave).
+    /// The bound session's id.
     sid: String,
     subscribed: bool,
     closed: bool,
@@ -105,7 +104,7 @@ pub struct LtcClient {
     timeout: Duration,
     /// The granted submission window (1 = lockstep).
     window: usize,
-    /// The largest window the server's hello advertised (1 on `v1`).
+    /// The largest window the server's hello advertised.
     server_window: usize,
     /// The next windowed frame's `"seq"` correlation number.
     next_seq: u64,
@@ -124,30 +123,15 @@ pub struct LtcClient {
 }
 
 impl LtcClient {
-    /// Connects and runs the `ltc-proto v1` handshake. The returned
-    /// client is ready to submit; [`Session::subscribe`] starts the
-    /// event flow.
-    pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, ServiceError> {
-        Self::connect_version(addr, wire::PROTO_VERSION)
-    }
-
-    /// Connects with the `ltc-proto v2` handshake: same session surface,
-    /// plus the session verbs. The connection starts bound to the
-    /// server's default session.
+    /// Connects and runs the `ltc-proto v2` handshake. The connection
+    /// starts bound to the server's default session and is ready to
+    /// submit; [`Session::subscribe`] starts the event flow. A hello
+    /// reply in any other version is refused as a transport error.
     pub fn connect_v2(addr: impl ToSocketAddrs) -> Result<Self, ServiceError> {
-        Self::connect_version(addr, wire::PROTO_VERSION_V2)
-    }
-
-    fn connect_version(addr: impl ToSocketAddrs, version: u64) -> Result<Self, ServiceError> {
         let mut stream =
             TcpStream::connect(addr).map_err(|e| transport(format!("connect: {e}")))?;
         stream.set_nodelay(true).ok();
-        let hello = if version == wire::PROTO_VERSION_V2 {
-            wire::encode_hello_v2()
-        } else {
-            wire::encode_hello()
-        };
-        wire::write_frame(&mut stream, &hello)
+        wire::write_frame(&mut stream, &wire::encode_hello_v2())
             .map_err(|e| transport(format!("handshake send: {e}")))?;
 
         let mut reader = BufReader::new(
@@ -218,7 +202,6 @@ impl LtcClient {
             subscribers,
             reader: Some(reader),
             info,
-            version,
             sid: wire::DEFAULT_SESSION.to_string(),
             subscribed: false,
             closed: false,
@@ -244,7 +227,7 @@ impl LtcClient {
 
     /// The largest submission window the server's hello advertised
     /// (what [`Session::set_window`] requests are clamped to; 1 on a
-    /// `v1` or pre-windowing server).
+    /// pre-windowing server).
     pub fn server_window(&self) -> usize {
         self.server_window
     }
@@ -271,17 +254,15 @@ impl LtcClient {
         &self.sid
     }
 
-    /// Creates (and binds to) a named session on the server — the `v2`
+    /// Creates (and binds to) a named session on the server — the
     /// `open` verb. Knobs left `None` in `config` inherit the server's
-    /// template. Fails on a `v1` connection, after
-    /// [`subscribe`](Session::subscribe), on a duplicate or illegal
-    /// name, and on a full or fixed session table.
+    /// template. Fails after [`subscribe`](Session::subscribe), on a
+    /// duplicate or illegal name, and on a full or fixed session table.
     pub fn open_session(
         &mut self,
         sid: &str,
         config: &SessionConfig,
     ) -> Result<SessionInfo, ServiceError> {
-        self.require_v2()?;
         match self.request(&Request::Open {
             sid: sid.to_string(),
             algorithm: config.algorithm,
@@ -297,10 +278,9 @@ impl LtcClient {
         }
     }
 
-    /// Binds this connection to an existing named session — the `v2`
+    /// Binds this connection to an existing named session — the
     /// `attach` verb.
     pub fn attach_session(&mut self, sid: &str) -> Result<SessionInfo, ServiceError> {
-        self.require_v2()?;
         match self.request(&Request::Attach {
             sid: sid.to_string(),
         })? {
@@ -313,11 +293,10 @@ impl LtcClient {
         }
     }
 
-    /// Quiesces and evicts a named session — the `v2` `close` verb. The
+    /// Quiesces and evicts a named session — the `close` verb. The
     /// connection's own binding is untouched (closing the bound session
     /// leaves later requests failing with `RuntimeStopped`).
     pub fn close_session(&mut self, sid: &str) -> Result<(), ServiceError> {
-        self.require_v2()?;
         match self.request(&Request::Close {
             sid: sid.to_string(),
         })? {
@@ -326,24 +305,12 @@ impl LtcClient {
         }
     }
 
-    /// Lists the server's live sessions — the `v2` `sessions` verb.
+    /// Lists the server's live sessions — the `sessions` verb.
     pub fn list_sessions(&mut self) -> Result<Vec<SessionStat>, ServiceError> {
-        self.require_v2()?;
         match self.request(&Request::Sessions)? {
             Response::Sessions { sessions } => Ok(sessions),
             other => Err(Self::unexpected(other)),
         }
-    }
-
-    fn require_v2(&self) -> Result<(), ServiceError> {
-        if self.version != wire::PROTO_VERSION_V2 {
-            return Err(ServiceError::Session(format!(
-                "session verbs require {} v{} (connect with `connect_v2`)",
-                wire::PROTO_NAME,
-                wire::PROTO_VERSION_V2
-            )));
-        }
-        Ok(())
     }
 
     fn request(&mut self, request: &Request) -> Result<Response, ServiceError> {
@@ -359,16 +326,13 @@ impl LtcClient {
             self.await_oldest()?;
         }
         let mut frame = request.encode();
-        if self.version == wire::PROTO_VERSION_V2 {
-            // The session verbs already carry their target `"sid"`;
-            // everything else addresses the bound session.
-            let carries_sid = matches!(
-                request,
-                Request::Open { .. } | Request::Attach { .. } | Request::Close { .. }
-            );
-            if !carries_sid {
-                frame = wire::with_sid(frame, &self.sid);
-            }
+        // The session verbs already carry their target `"sid"`;
+        // everything else addresses the bound session.
+        if !matches!(
+            request,
+            Request::Open { .. } | Request::Attach { .. } | Request::Close { .. }
+        ) {
+            frame = wire::with_sid(frame, &self.sid);
         }
         wire::write_frame(&mut (&self.stream), &frame)
             .map_err(|e| transport(format!("send: {e}")))?;
@@ -475,9 +439,6 @@ impl LtcClient {
         } else {
             None
         };
-        // A granted window above 1 implies a v2 connection (v1 servers
-        // advertise no window), so the frame always carries the sid.
-        debug_assert_eq!(self.version, wire::PROTO_VERSION_V2);
         let frame = wire::with_sid(request.encode(), &self.sid);
         self.send_buf.extend_from_slice(frame.as_bytes());
         self.send_buf.push(b'\n');

@@ -1,7 +1,9 @@
-//! `ltc-proto` — the wire protocol (`v1` single-session, `v2` session
-//! namespace) that lifts the [`Session`](ltc_core::service::Session)
-//! API onto a transport, so requesters and workers can be remote
-//! processes instead of linking `ltc_core`.
+//! `ltc-proto` — the wire protocol that lifts the
+//! [`Session`](ltc_core::service::Session) API onto a transport, so
+//! requesters and workers can be remote processes instead of linking
+//! `ltc_core`. Inside this crate there is one dialect, `v2` (a session
+//! namespace); the server also serves `v1` (one implicit session) as a
+//! translation at the connection edge, with byte-identical frames.
 //!
 //! Four layers, bottom up:
 //!
@@ -13,9 +15,8 @@
 //!   `{"proto":"ltc-proto","v":N}` handshake, [`wire::Request`] /
 //!   [`wire::Response`] / event frames, every `f64` as its IEEE-754 bit
 //!   pattern so remote observations are **bit-identical** to local
-//!   ones. `v2` frames carry a trailing `"sid"` member naming their
-//!   session; `v1` frames stay byte-identical to what they always were.
-//!   `v2` `submit`/`post` frames may additionally carry a `"seq"`
+//!   ones. Frames carry a trailing `"sid"` member naming their session.
+//!   `submit`/`post` frames may additionally carry a `"seq"`
 //!   member for **windowed** submission — up to a negotiated W frames
 //!   in flight before the client awaits an acknowledgement, FIFO-
 //!   matched by the echoed `"seq"`, with back-pressure surfacing as
@@ -32,13 +33,13 @@
 //!   [`Session`](ltc_core::service::Session) trait remotely — one code
 //!   path drives in-process and remote runs, differentially tested
 //!   byte-identical (`tests/loopback.rs`, plus the CLI parity tests),
-//!   with `v2` session verbs ([`LtcClient::open_session`] /
+//!   with the session verbs ([`LtcClient::open_session`] /
 //!   `attach_session` / `close_session` / `list_sessions`) on top.
 //!
 //! The CLI front-ends: `ltc serve --addr … --shards …
 //! [--max-sessions N [--idle-timeout SECS]]` runs the server,
-//! `ltc stream --connect HOST:PORT [--session NAME] [--window W]`
-//! drives one of its sessions (windowed past `--window 1`),
+//! `ltc stream --connect HOST:PORT [--session NAME] [--pipeline D]`
+//! drives one of its sessions (windowed past `--pipeline 1`),
 //! `ltc sessions --connect HOST:PORT` lists them.
 //! `docs/PROTOCOL.md` has the full grammar, ordering/back-pressure
 //! semantics, and the compatibility policy.
@@ -56,7 +57,7 @@
 //! let server = LtcServer::bind("127.0.0.1:0", handle).unwrap().spawn().unwrap();
 //!
 //! // Client side (any process):
-//! let mut session = LtcClient::connect(server.addr()).unwrap();
+//! let mut session = LtcClient::connect_v2(server.addr()).unwrap();
 //! let events = session.subscribe().unwrap();
 //! session.post_task(Task::new(Point::new(10.0, 10.0))).unwrap();
 //! session.submit_worker(&Worker::new(Point::new(10.5, 10.0), 0.95)).unwrap();

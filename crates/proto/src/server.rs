@@ -6,16 +6,21 @@
 //!
 //! ## Sessions
 //!
-//! Every connection is **bound to exactly one session** at a time. A
-//! `v1` connection is bound to the default session by the handshake and
-//! stays there — the `v1` serving model is a special case of the table.
-//! A `v2` connection starts on the default session and may rebind with
-//! the `open`/`attach` verbs (until it subscribes — a subscribed
-//! connection's event stream belongs to one session, so rebinding is
-//! refused). Each `v2` request must carry the bound session's `"sid"`;
-//! every `v2` response and event carries it back. A connection bound to
-//! session A never observes session B's events — isolation falls out of
-//! the binding, not filtering.
+//! Every connection is **bound to exactly one session** at a time. It
+//! starts on the default session and may rebind with the `open`/`attach`
+//! verbs (until it subscribes — a subscribed connection's event stream
+//! belongs to one session, so rebinding is refused). Each request must
+//! carry the bound session's `"sid"`; every response and event carries
+//! it back. A connection bound to session A never observes session B's
+//! events — isolation falls out of the binding, not filtering.
+//!
+//! That is `v2`, the only dialect past the connection edge. A `v1`
+//! connection is translated there: [`admit`] refuses what `v1` never
+//! had (`"sid"`, `"seq"`, the session verbs) and addresses every other
+//! frame to the bound default session, which a `v1` connection can
+//! therefore never leave; [`Binding::sid`] keeps the sid off every frame
+//! it is sent. The `v1` serving model is the single-session special case
+//! of the table, with byte-identical frames.
 //!
 //! ## Ordering model
 //!
@@ -70,7 +75,7 @@
 //! ([`Lifecycle::ShuttingDown`](ltc_core::service::Lifecycle::ShuttingDown)
 //! ends the streams), and its name becomes free. The idle policy
 //! ([`SessionTable::with_factory`]) evicts the same way, from a reaper
-//! thread. A `shutdown` request (either version) still ends the *whole
+//! thread. A `shutdown` request (either dialect) still ends the *whole
 //! server*: every session shuts down, subscribers' streams end, the
 //! requester gets its response, and then the acceptor stops. Requests
 //! on surviving connections get an error response (never a hang); their
@@ -278,12 +283,22 @@ fn reap_idle(shared: &Shared, timeout: Duration) {
 /// restarts the session's idle clock.
 struct Binding {
     entry: Arc<SessionEntry>,
+    /// The connection said `v1` in its hello: set by the handshake,
+    /// read only by [`admit`] and [`Binding::sid`].
+    v1: bool,
 }
 
 impl Binding {
-    fn new(entry: Arc<SessionEntry>) -> Self {
+    fn new(entry: Arc<SessionEntry>, v1: bool) -> Self {
         entry.bind();
-        Self { entry }
+        Self { entry, v1 }
+    }
+
+    /// The `"sid"` every frame sent on this connection carries — the
+    /// hello, each response, each event: the bound session's on `v2`,
+    /// none on `v1`.
+    fn sid(&self) -> Option<&str> {
+        (!self.v1).then(|| self.entry.name())
     }
 
     fn rebind(&mut self, entry: Arc<SessionEntry>) {
@@ -333,55 +348,46 @@ fn converse(
     shared: &Arc<Shared>,
     forwarder: &mut Option<JoinHandle<()>>,
 ) {
-    // Handshake: exactly one hello, version-checked. Both versions bind
-    // the default session; `v2` echoes its sid.
+    // Handshake: exactly one hello, version-checked. Both dialects bind
+    // the default session.
     let Ok(Some(hello)) = wire::read_frame(reader) else {
         return;
     };
-    let (version, reply) = match wire::decode_hello(&hello) {
-        Ok(version @ (wire::PROTO_VERSION | wire::PROTO_VERSION_V2)) => {
-            let entry = shared.table.default_entry();
-            let info = entry.lock().info();
-            let frame = if version == wire::PROTO_VERSION {
-                Response::Hello { info, win: 1 }.encode()
-            } else {
-                // A `v2` hello advertises the submission window the
-                // server honors; `v1` stays byte-identical (lockstep).
-                wire::with_sid(
-                    wire::encode_hello_response_v2(&info, wire::MAX_WINDOW),
-                    entry.name(),
-                )
-            };
-            (Some((version, entry)), frame)
-        }
-        Ok(version) => (
-            None,
-            Response::Err {
-                message: format!(
+    let v1 = match wire::decode_hello(&hello) {
+        Ok(wire::PROTO_VERSION_V1) => true,
+        Ok(wire::PROTO_VERSION_V2) => false,
+        refused => {
+            let message = match refused {
+                Ok(version) => format!(
                     "unsupported {} version {version} (serving {} and {})",
                     wire::PROTO_NAME,
-                    wire::PROTO_VERSION,
+                    wire::PROTO_VERSION_V1,
                     wire::PROTO_VERSION_V2
                 ),
+                Err(what) => format!("bad handshake: {what}"),
+            };
+            write_frame(writer, Response::Err { message }.encode()).ok();
+            return;
+        }
+    };
+    let mut binding = Binding::new(shared.table.default_entry(), v1);
+    let info = binding.entry.lock().info();
+    let reply = match binding.sid() {
+        // A `v2` hello advertises the submission window the server
+        // honors; `v1`'s stays byte-identical (lockstep).
+        Some(sid) => wire::with_sid(
+            Response::Hello {
+                info,
+                win: wire::MAX_WINDOW,
             }
             .encode(),
+            sid,
         ),
-        Err(what) => (
-            None,
-            Response::Err {
-                message: format!("bad handshake: {what}"),
-            }
-            .encode(),
-        ),
+        None => wire::encode_hello_response_v1(&info),
     };
-    let written = write_frame(writer, reply);
-    let Some((version, entry)) = version else {
-        return;
-    };
-    if written.is_err() {
+    if write_frame(writer, reply).is_err() {
         return;
     }
-    let mut binding = Binding::new(entry);
 
     // Acknowledgements to windowed frames batch here and go out in one
     // `write` when the pipelined burst is exhausted (or a lockstep
@@ -418,24 +424,16 @@ fn converse(
                 },
                 false,
             ),
-            Ok((request, sid)) => match check_sid(&request, sid.as_deref(), version, &binding) {
+            Ok((request, sid)) => match admit(&request, sid.as_deref(), &binding) {
                 Err(message) => (Response::Err { message }, false),
-                Ok(()) => execute(
-                    &request,
-                    shared,
-                    writer,
-                    gone,
-                    forwarder,
-                    &mut binding,
-                    version,
-                ),
+                Ok(()) => execute(&request, shared, writer, gone, forwarder, &mut binding),
             },
         };
         // Responses carry the *post-execution* binding's sid, so a
         // successful open/attach is acknowledged under its new session.
         let mut encoded = response.encode();
-        if version == wire::PROTO_VERSION_V2 {
-            encoded = wire::with_sid(encoded, binding.entry.name());
+        if let Some(sid) = binding.sid() {
+            encoded = wire::with_sid(encoded, sid);
         }
         if windowed {
             // Windowed acks (including refusals of windowed frames) are
@@ -482,8 +480,8 @@ fn flush_batch(writer: &Arc<Mutex<TcpStream>>, batch: &mut Vec<u8>) -> io::Resul
 }
 
 /// Appends `first`, then every event the stream already has ready, to
-/// `batch` as whole `\n`-terminated event frames — carrying `sid` on
-/// `v2`, byte-identical to the `v1` grammar without one. Stops once the
+/// `batch` as whole `\n`-terminated event frames, each carrying `sid`
+/// when there is one ([`Binding::sid`]). Stops once the
 /// batch reaches [`ACK_BATCH_CAP`] (at a frame boundary; the rest stays
 /// queued for the next batch) or nothing more is ready.
 fn fill_event_batch(
@@ -507,48 +505,41 @@ fn fill_event_batch(
     }
 }
 
-/// The `v2` addressing rules (and their `v1` absence): session verbs
-/// need `v2`; a `v2` frame's `"sid"` must name the bound session —
-/// except on the session verbs themselves, where it *is* the target.
-fn check_sid(
-    request: &Request,
-    sid: Option<&str>,
-    version: u64,
-    binding: &Binding,
-) -> Result<(), String> {
+/// The connection edge every decoded request passes before it runs.
+/// A `v1` frame is translated onto `v2` first: refused if it uses
+/// anything `v1` never had (a session verb, `"sid"`, windowed `"seq"`),
+/// otherwise addressed to the bound default session. Then the `v2`
+/// rule applies: the frame's `"sid"` must name the bound session —
+/// except on open/attach/close, where it *is* the target.
+fn admit(request: &Request, sid: Option<&str>, binding: &Binding) -> Result<(), String> {
     let session_verb = matches!(
         request,
         Request::Open { .. } | Request::Attach { .. } | Request::Close { .. } | Request::Sessions
     );
-    if version == wire::PROTO_VERSION {
-        if session_verb {
-            return Err(format!(
-                "session verbs require {} v{}",
-                wire::PROTO_NAME,
-                wire::PROTO_VERSION_V2
-            ));
-        }
-        if sid.is_some() {
-            return Err(format!(
-                "`sid` requires {} v{}",
-                wire::PROTO_NAME,
-                wire::PROTO_VERSION_V2
-            ));
-        }
-        if matches!(
+    let sid = if binding.v1 {
+        let v2_only = if session_verb {
+            Some("session verbs require")
+        } else if sid.is_some() {
+            Some("`sid` requires")
+        } else if matches!(
             request,
             Request::Submit { seq: Some(_), .. } | Request::Post { seq: Some(_), .. }
         ) {
+            Some("windowed submission (`seq`) requires")
+        } else {
+            None
+        };
+        if let Some(what) = v2_only {
             return Err(format!(
-                "windowed submission (`seq`) requires {} v{}",
+                "{what} {} v{}",
                 wire::PROTO_NAME,
                 wire::PROTO_VERSION_V2
             ));
         }
-        return Ok(());
-    }
-    // Open/attach/close address their target; everything else must
-    // address the session this connection is bound to.
+        Some(binding.entry.name())
+    } else {
+        sid
+    };
     if matches!(request, Request::Sessions) || !session_verb {
         let bound = binding.entry.name();
         match sid {
@@ -603,7 +594,6 @@ fn execute(
     gone: &Arc<AtomicBool>,
     forwarder: &mut Option<JoinHandle<()>>,
     binding: &mut Binding,
-    version: u64,
 ) -> (Response, bool) {
     let response = match request {
         Request::Submit { worker, seq } => {
@@ -645,13 +635,10 @@ fn execute(
             let gone = Arc::clone(gone);
             let shared = Arc::clone(shared);
             let entry = Arc::clone(&binding.entry);
+            let sid = binding.sid().map(str::to_owned);
             let join = std::thread::Builder::new()
                 .name("ltc-serve-events".into())
                 .spawn(move || {
-                    // `v2` events carry the bound session's sid like
-                    // every other frame; `v1` events stay byte-identical
-                    // to the `v1` grammar.
-                    let sid = (version == wire::PROTO_VERSION_V2).then(|| entry.name().to_string());
                     // Events that are already waiting go out together in
                     // one locked `write`; the forwarder only blocks (on
                     // the stream) with nothing left to send.
@@ -945,7 +932,7 @@ mod tests {
         assert!(shared.table.default_entry().is_poisoned());
 
         // Every later client must still get served, end to end.
-        let mut client = LtcClient::connect(running.addr()).unwrap();
+        let mut client = LtcClient::connect_v2(running.addr()).unwrap();
         let id = client
             .submit_worker(&Worker::new(Point::new(1.0, 1.0), 0.9))
             .unwrap();

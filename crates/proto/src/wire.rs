@@ -1,5 +1,6 @@
-//! The `ltc-proto` message vocabulary and its NDJSON codec (versions
-//! [`PROTO_VERSION`] and [`PROTO_VERSION_V2`]).
+//! The `ltc-proto` message vocabulary and its NDJSON codec: the `v2`
+//! dialect ([`PROTO_VERSION_V2`]), plus the one `v1` frame the server
+//! cannot derive from it ([`encode_hello_response_v1`]).
 //!
 //! ## Framing
 //!
@@ -10,8 +11,9 @@
 //! direction is the version handshake:
 //!
 //! ```text
-//! client → {"proto":"ltc-proto","v":1}
-//! server → {"proto":"ltc-proto","v":1,"info":{…}}     (or {"err":…} + close)
+//! client → {"proto":"ltc-proto","v":2}
+//! server → {"proto":"ltc-proto","v":2,"info":{…},"win":W,"sid":"default"}
+//!                                                     (or {"err":…} + close)
 //! ```
 //!
 //! After the handshake the client sends [`Request`] frames (`"op"` key)
@@ -21,30 +23,34 @@
 //! server→client interleaved between responses; the `"ev"`/`"ok"`/
 //! `"err"` key is the demultiplexer.
 //!
-//! ## Sessions (`v2`)
+//! ## Sessions
 //!
-//! A `v2` connection speaks to a **named session** on a multi-session
-//! server. The handshake is `{"proto":"ltc-proto","v":2}`, the
-//! connection starts bound to the [`DEFAULT_SESSION`], and the
-//! session verbs [`Request::Open`] / [`Request::Attach`] /
-//! [`Request::Close`] / [`Request::Sessions`] manage the server's
-//! session table. Every `v2` request, response, and event frame carries
-//! the session id as a trailing `"sid"` member ([`with_sid`]); `v1`
-//! frames stay byte-identical to what they always were, and a `v1`
-//! hello binds the default session.
+//! A connection speaks to a **named session** on a multi-session
+//! server. It starts bound to the [`DEFAULT_SESSION`], and the session
+//! verbs [`Request::Open`] / [`Request::Attach`] / [`Request::Close`] /
+//! [`Request::Sessions`] manage the server's session table. Every
+//! request, response, and event frame carries the session id as a
+//! trailing `"sid"` member ([`with_sid`]).
 //!
-//! ## Windowed submission (`v2`)
+//! ## `v1`
 //!
-//! A `v2` server advertises the largest submission window it accepts as
+//! The server still serves `v1` clients (`{"proto":"ltc-proto","v":1}`)
+//! as a translation at the connection edge: a `v1` connection is bound
+//! to the default session, its frames are the `v2` frames without
+//! `"sid"`, and `"sid"`, `"seq"` and the session verbs are refused.
+//! Every `v1` frame stays byte-identical to what it always was.
+//!
+//! ## Windowed submission
+//!
+//! A server advertises the largest submission window it accepts as
 //! a `"win"` member of its hello response ([`MAX_WINDOW`]; absent means
 //! 1, i.e. lockstep only). A windowed client then fires up to that many
 //! `submit`/`post` frames without awaiting their responses, tagging
 //! each with a monotonically increasing `"seq"` member; the server
 //! echoes the `"seq"` back on the matching response, so the client can
 //! verify the FIFO response order against its in-flight window. `"seq"`
-//! never changes what an operation does — untagged `v2` frames (and all
-//! of `v1`, where `"seq"` is refused like `"sid"`) stay lockstep and
-//! byte-identical to what they always were.
+//! never changes what an operation does — untagged frames stay lockstep
+//! and byte-identical to what they always were.
 //!
 //! ## Exactness
 //!
@@ -57,10 +63,10 @@
 //!
 //! ## Compatibility policy
 //!
-//! See `docs/PROTOCOL.md` for the full grammar. In short: `v1` evolves
-//! by adding optional object members (readers ignore unknown members);
-//! anything else bumps `v`, and a server refuses unknown versions in
-//! the handshake rather than guessing.
+//! See `docs/PROTOCOL.md` for the full grammar. In short: a version
+//! evolves by adding optional object members (readers ignore unknown
+//! members); anything else bumps `v`, and a server refuses unknown
+//! versions in the handshake rather than guessing.
 
 use crate::json::{self, Json};
 use ltc_core::model::{ProblemParams, QualityModel, Task, TaskId, Worker, WorkerId};
@@ -72,12 +78,13 @@ use std::io::{self, BufRead, Read, Write};
 
 /// The protocol name, sent in both handshake frames.
 pub const PROTO_NAME: &str = "ltc-proto";
-/// The baseline protocol version: one implicit session per server.
-pub const PROTO_VERSION: u64 = 1;
+/// The baseline protocol version: one implicit session per server. The
+/// server still accepts it in the handshake; nothing else speaks it.
+pub const PROTO_VERSION_V1: u64 = 1;
 /// The session-namespace protocol version: named sessions behind one
 /// server, a `"sid"` member on every frame.
 pub const PROTO_VERSION_V2: u64 = 2;
-/// The session a `v1` hello (or a fresh `v2` connection) is bound to.
+/// The session a fresh connection (and every `v1` one) is bound to.
 pub const DEFAULT_SESSION: &str = "default";
 /// The largest submission window a server grants (and advertises in its
 /// `v2` hello response): how many `submit`/`post` frames one connection
@@ -95,7 +102,7 @@ pub fn valid_session_name(name: &str) -> bool {
             .all(|b| b.is_ascii_alphanumeric() || matches!(b, b'.' | b'_' | b'-'))
 }
 
-/// Appends the trailing `"sid"` member every `v2` frame carries. The
+/// Appends the trailing `"sid"` member every frame carries. The
 /// frame must be one JSON object (every encoder here emits exactly
 /// that) and the sid a [`valid_session_name`], so no escaping is
 /// needed.
@@ -325,23 +332,16 @@ pub fn write_frame<W: Write>(writer: &mut W, frame: &str) -> io::Result<()> {
 }
 
 /// The client half of the version handshake.
-pub fn encode_hello() -> String {
-    format!("{{\"proto\":\"{PROTO_NAME}\",\"v\":{PROTO_VERSION}}}")
-}
-
-/// The client half of a `v2` handshake.
 pub fn encode_hello_v2() -> String {
     format!("{{\"proto\":\"{PROTO_NAME}\",\"v\":{PROTO_VERSION_V2}}}")
 }
 
-/// The server half of a `v2` handshake (the caller appends the bound
-/// session's sid with [`with_sid`], like on every other `v2` frame).
-/// `win` advertises the largest submission window the server grants
-/// (1 = lockstep only; servers built here say [`MAX_WINDOW`]).
-pub fn encode_hello_response_v2(info: &SessionInfo, win: u64) -> String {
-    let mut out = format!("{{\"proto\":\"{PROTO_NAME}\",\"v\":{PROTO_VERSION_V2},\"info\":");
+/// The server half of a `v1` handshake: the [`Response::Hello`] frame
+/// with `"v":1` and no window advertisement — exactly what `v1` clients
+/// have always been sent.
+pub fn encode_hello_response_v1(info: &SessionInfo) -> String {
+    let mut out = format!("{{\"proto\":\"{PROTO_NAME}\",\"v\":{PROTO_VERSION_V1},\"info\":");
     encode_info(&mut out, info);
-    out.push_str(&format!(",\"win\":{win}"));
     out.push('}');
     out
 }
@@ -362,8 +362,8 @@ pub enum Request {
     Submit {
         /// The check-in.
         worker: Worker,
-        /// `v2` windowed submission: the client's correlation number,
-        /// echoed on the response. `None` = lockstep (all of `v1`).
+        /// Windowed submission: the client's correlation number,
+        /// echoed on the response. `None` = lockstep.
         seq: Option<u64>,
     },
     /// `post_task` (with the accuracy-table row under tabular models).
@@ -372,7 +372,7 @@ pub enum Request {
         task: Task,
         /// Per-worker accuracies, when the model is tabular.
         row: Option<Vec<f64>>,
-        /// `v2` windowed submission correlation number (see
+        /// Windowed submission correlation number (see
         /// [`Request::Submit`]).
         seq: Option<u64>,
     },
@@ -498,8 +498,9 @@ impl Request {
     }
 
     /// Parses a request frame, also returning its `"sid"` member — the
-    /// session a `v2` request addresses (for the session verbs, the
-    /// target session). `None` on `v1` frames.
+    /// session the request addresses (for the session verbs, the
+    /// target session); `None` when the frame carries none (every `v1`
+    /// frame).
     pub fn decode_with_sid(frame: &str) -> Result<(Request, Option<String>), WireError> {
         if let Some(decoded) = fast_decode_submit(frame) {
             return Ok(decoded);
@@ -508,15 +509,6 @@ impl Request {
         let sid = frame_sid(&v)?.map(str::to_owned);
         let request = Self::decode_value(&v)?;
         Ok((request, sid))
-    }
-
-    /// Parses a request frame.
-    pub fn decode(frame: &str) -> Result<Request, WireError> {
-        if let Some((request, _)) = fast_decode_submit(frame) {
-            return Ok(request);
-        }
-        let v = json::parse(frame).map_err(|e| e.to_string())?;
-        Self::decode_value(&v)
     }
 
     fn decode_value(v: &Json) -> Result<Request, WireError> {
@@ -618,12 +610,15 @@ fn required_sid(v: &Json) -> Result<String, WireError> {
 /// per connection.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
-    /// The handshake reply, describing the served session.
+    /// The handshake reply, describing the served session (the server
+    /// appends the bound session's sid with [`with_sid`], like on every
+    /// other frame).
     Hello {
         /// The session description.
         info: SessionInfo,
         /// The largest submission window the server grants (absent on
-        /// the wire means 1 — lockstep only; see [`MAX_WINDOW`]).
+        /// the wire means 1 — lockstep only; servers built here say
+        /// [`MAX_WINDOW`]).
         win: u64,
     },
     /// A worker was accepted under this arrival id.
@@ -820,14 +815,9 @@ impl Response {
         match self {
             Response::Hello { info, win } => {
                 let mut out =
-                    format!("{{\"proto\":\"{PROTO_NAME}\",\"v\":{PROTO_VERSION},\"info\":");
+                    format!("{{\"proto\":\"{PROTO_NAME}\",\"v\":{PROTO_VERSION_V2},\"info\":");
                 encode_info(&mut out, info);
-                // The `v1` hello never advertised a window; keep it
-                // byte-identical for the lockstep-only default.
-                if *win != 1 {
-                    out.push_str(&format!(",\"win\":{win}"));
-                }
-                out.push('}');
+                out.push_str(&format!(",\"win\":{win}}}"));
                 out
             }
             Response::Submit { worker, seq } => {
@@ -950,17 +940,18 @@ impl Response {
             });
         }
         if v.get("proto").is_some() {
+            // The client only ever says `v2`: any other version in the
+            // reply is a peer that does not speak our dialect.
             let version = uint("v", v.get("v"))?;
-            if version != PROTO_VERSION && version != PROTO_VERSION_V2 {
+            if version != PROTO_VERSION_V2 {
                 return Err(format!(
-                    "server speaks {PROTO_NAME} v{version}, this client v{PROTO_VERSION}\
-                     /v{PROTO_VERSION_V2}"
+                    "server answered {PROTO_NAME} v{version} to a v{PROTO_VERSION_V2} hello"
                 ));
             }
             return Ok(Response::Hello {
                 info: decode_info(v.get("info").ok_or("missing `info`")?)?,
-                // Absent on pre-windowing servers (and every v1 hello):
-                // lockstep only, per the add-optional-members policy.
+                // Absent on pre-windowing servers: lockstep only, per
+                // the add-optional-members policy.
                 // Present-but-malformed is refused, not coerced — a
                 // garbled advertisement means a garbled peer.
                 win: match v.get("win") {
@@ -1229,7 +1220,7 @@ mod tests {
         ];
         for req in cases {
             let frame = req.encode();
-            assert_eq!(Request::decode(&frame).unwrap(), req, "{frame}");
+            assert_eq!(Request::decode_with_sid(&frame).unwrap().0, req, "{frame}");
         }
     }
 
@@ -1240,7 +1231,7 @@ mod tests {
         let (req, sid) = Request::decode_with_sid(&framed).unwrap();
         assert_eq!(req, Request::Drain);
         assert_eq!(sid.as_deref(), Some("s-1"));
-        // v1 frames carry no sid.
+        // A frame without the member decodes to no sid.
         assert_eq!(
             Request::decode_with_sid(&Request::Drain.encode())
                 .unwrap()
@@ -1266,7 +1257,7 @@ mod tests {
         // Illegal ids are rejected, not smuggled.
         assert!(Request::decode_with_sid("{\"op\":\"drain\",\"sid\":\"a b\"}").is_err());
         assert!(Request::decode_with_sid("{\"op\":\"attach\",\"sid\":7}").is_err());
-        assert!(Request::decode("{\"op\":\"attach\"}").is_err());
+        assert!(Request::decode_with_sid("{\"op\":\"attach\"}").is_err());
         assert!(!valid_session_name(""));
         assert!(!valid_session_name(&"x".repeat(65)));
         assert!(!valid_session_name("a\"b"));
@@ -1444,7 +1435,11 @@ mod tests {
 
     #[test]
     fn handshake_frames_validate() {
-        assert_eq!(decode_hello(&encode_hello()).unwrap(), PROTO_VERSION);
+        assert_eq!(decode_hello(&encode_hello_v2()).unwrap(), PROTO_VERSION_V2);
+        assert_eq!(
+            decode_hello("{\"proto\":\"ltc-proto\",\"v\":1}").unwrap(),
+            PROTO_VERSION_V1
+        );
         assert!(decode_hello("{\"proto\":\"other\",\"v\":1}").is_err());
         assert!(decode_hello("{\"v\":1}").is_err());
         assert!(decode_hello("garbage").is_err());
@@ -1520,7 +1515,10 @@ mod tests {
             "{\"op\":\"submit\",\"x\":1.5,\"y\":\"0\",\"acc\":\"0\"}",
             "{\"op\":\"post\",\"x\":\"3ff0000000000000\",\"y\":\"3ff0000000000000\",\"row\":3}",
         ] {
-            assert!(Request::decode(frame).is_err(), "accepted {frame:?}");
+            assert!(
+                Request::decode_with_sid(frame).is_err(),
+                "accepted {frame:?}"
+            );
         }
         for frame in [
             "",
@@ -1578,7 +1576,7 @@ mod tests {
             "{\"op\":\"submit\", \"x\":\"4074400000000000\",\"y\":\"4074400000000000\",\"acc\":\"3fea000000000000\"}",
         ] {
             assert_eq!(fast_decode_submit(frame), None, "{frame}");
-            assert!(Request::decode(frame).is_ok(), "{frame}");
+            assert!(Request::decode_with_sid(frame).is_ok(), "{frame}");
         }
         // Acknowledgements, both verbs, all tail combinations.
         let acks = [
@@ -1644,7 +1642,6 @@ mod tests {
     /// bytes into. Returning `Err` is fine; panicking or wedging is the
     /// failure mode under test.
     fn exercise_decoders(frame: &str) {
-        let _ = Request::decode(frame);
         let _ = Request::decode_with_sid(frame);
         let _ = Response::decode(frame);
         let _ = decode_event(frame);
@@ -1753,7 +1750,10 @@ mod tests {
                 "{{\"op\":\"submit\",\"x\":\"{x}\",\"y\":\"{x}\",\"acc\":\"{x}\",\"seq\":{seq}}}",
                 x = hex(1.0)
             );
-            assert!(Request::decode(&request).is_err(), "accepted {request}");
+            assert!(
+                Request::decode_with_sid(&request).is_err(),
+                "accepted {request}"
+            );
             let response = format!("{{\"ok\":\"submit\",\"worker\":3,\"seq\":{seq}}}");
             assert!(Response::decode(&response).is_err(), "accepted {response}");
         }
@@ -1765,7 +1765,11 @@ mod tests {
             n_shards: 1,
             n_tasks: 0,
         };
-        let hello = encode_hello_response_v2(&info, MAX_WINDOW);
+        let hello = Response::Hello {
+            info,
+            win: MAX_WINDOW,
+        }
+        .encode();
         assert!(matches!(
             Response::decode(&hello).unwrap(),
             Response::Hello { win, .. } if win == MAX_WINDOW

@@ -1,6 +1,6 @@
-//! Loopback differential tests for the `ltc-proto` transport (`v1`
-//! and the `v2` session namespace): a session driven through
-//! `LtcClient` → TCP → `LtcServer` must be observationally identical
+//! Loopback differential tests for the `ltc-proto` transport (the `v2`
+//! session namespace, and `v1` frames at the edge): a session driven
+//! through `LtcClient` → TCP → `LtcServer` must be observationally identical
 //! to driving the `ServiceHandle` in process — event for event, bit
 //! for bit — because the server assigns arrival ids in request-arrival
 //! order and every float crosses the wire as its bit pattern. The same
@@ -110,7 +110,7 @@ fn remote_session_is_event_for_event_identical_to_in_process() {
             .unwrap()
             .spawn()
             .unwrap();
-        let mut remote = LtcClient::connect(server.addr()).unwrap();
+        let mut remote = LtcClient::connect_v2(server.addr()).unwrap();
         let mut local = handle(n_shards, algorithm);
 
         assert_eq!(Session::info(&remote), Session::info(&local));
@@ -165,13 +165,13 @@ fn two_concurrent_clients_equal_a_single_session_replay() {
 
     // The observer subscribes before any submission, so it sees the
     // complete interleaved history.
-    let mut observer = LtcClient::connect(server.addr()).unwrap();
+    let mut observer = LtcClient::connect_v2(server.addr()).unwrap();
     let events = observer.subscribe().unwrap();
 
     let submit = |salt: u64| {
         let addr = server.addr();
         std::thread::spawn(move || {
-            let mut client = LtcClient::connect(addr).unwrap();
+            let mut client = LtcClient::connect_v2(addr).unwrap();
             let mut sent = Vec::new();
             for w in workers(150, salt) {
                 let id = client.submit_worker(&w).unwrap();
@@ -218,7 +218,7 @@ fn server_side_snapshot_mid_stream_restores_bit_exact() {
         .unwrap()
         .spawn()
         .unwrap();
-    let mut remote = LtcClient::connect(server.addr()).unwrap();
+    let mut remote = LtcClient::connect_v2(server.addr()).unwrap();
     let remote_events = remote.subscribe().unwrap();
 
     let stream = workers(240, 5);
@@ -264,7 +264,7 @@ fn remote_rebalance_and_metrics_round_trip() {
         .unwrap()
         .spawn()
         .unwrap();
-    let mut remote = LtcClient::connect(server.addr()).unwrap();
+    let mut remote = LtcClient::connect_v2(server.addr()).unwrap();
     // Skew the pool: an out-of-region cluster on the right.
     for i in 0..16 {
         remote
@@ -315,7 +315,7 @@ fn version_mismatch_is_refused_cleanly() {
     drop(reader);
 
     // A well-versed client still gets in afterwards.
-    let mut ok = LtcClient::connect(server.addr()).unwrap();
+    let mut ok = LtcClient::connect_v2(server.addr()).unwrap();
     ok.drain().unwrap();
     ok.shutdown().unwrap();
     server.wait().unwrap();
@@ -369,8 +369,8 @@ fn two_sessions_on_one_server_equal_two_dedicated_servers() {
         sess_a.open_session("a", &config(Algorithm::Laf)).unwrap();
         let mut sess_b = LtcClient::connect_v2(shared.addr()).unwrap();
         sess_b.open_session("b", &config(Algorithm::Aam)).unwrap();
-        let mut solo_a = LtcClient::connect(dedicated_a.addr()).unwrap();
-        let mut solo_b = LtcClient::connect(dedicated_b.addr()).unwrap();
+        let mut solo_a = LtcClient::connect_v2(dedicated_a.addr()).unwrap();
+        let mut solo_b = LtcClient::connect_v2(dedicated_b.addr()).unwrap();
         assert_eq!(Session::info(&sess_a), Session::info(&solo_a));
         assert_eq!(Session::info(&sess_b), Session::info(&solo_b));
 
@@ -514,61 +514,182 @@ fn concurrent_clients_per_session_match_their_replays() {
     server.wait().unwrap();
 }
 
+/// One raw frame-level connection: writes literal request frames and
+/// reads the reply to each, setting aside any event frames that arrive
+/// in between (their order against a response is not fixed).
+struct RawConn {
+    conn: std::net::TcpStream,
+    reader: BufReader<std::net::TcpStream>,
+    events: Vec<String>,
+}
+
+impl RawConn {
+    fn open(addr: std::net::SocketAddr) -> Self {
+        let conn = std::net::TcpStream::connect(addr).unwrap();
+        let reader = BufReader::new(conn.try_clone().unwrap());
+        Self {
+            conn,
+            reader,
+            events: Vec::new(),
+        }
+    }
+
+    fn ask(&mut self, frame: &str) -> String {
+        wire::write_frame(&mut self.conn, frame).unwrap();
+        loop {
+            let reply = wire::read_frame(&mut self.reader)
+                .unwrap()
+                .expect("a reply");
+            if !wire::is_event_frame(&reply) {
+                return reply;
+            }
+            self.events.push(reply);
+        }
+    }
+
+    fn next_event(&mut self) -> String {
+        if !self.events.is_empty() {
+            return self.events.remove(0);
+        }
+        let event = wire::read_frame(&mut self.reader)
+            .unwrap()
+            .expect("an event");
+        assert!(wire::is_event_frame(&event), "{event}");
+        event
+    }
+}
+
 #[test]
 fn v1_clients_bind_the_default_session_with_unchanged_frames() {
-    // Backward-compat regression: a raw v1 conversation — the literal
-    // frames a PR-5-era client writes — binds the default session and
-    // gets byte-identical replies; no `sid` ever rides a v1 frame, and
-    // the v2 session verbs are refused with a pointer at v2.
+    // Backward-compat regression: a whole raw v1 conversation — the
+    // literal frames an external v1 client writes and reads — binds the
+    // default session and gets byte-identical replies. No `sid` ever
+    // rides a v1 frame, and `"sid"`, `"seq"` and the four v2 session
+    // verbs are refused with a pointer at v2, changing nothing.
     let server = LtcServer::bind("127.0.0.1:0", handle(1, Algorithm::Laf))
         .unwrap()
         .spawn()
         .unwrap();
-    let mut conn = std::net::TcpStream::connect(server.addr()).unwrap();
-    let mut reader = BufReader::new(conn.try_clone().unwrap());
-    let mut ask = |frame: &str| -> String {
-        wire::write_frame(&mut conn, frame).unwrap();
-        wire::read_frame(&mut reader).unwrap().expect("a reply")
-    };
+    let mut v1 = RawConn::open(server.addr());
+    const PARAMS: &str = "\"params\":{\"epsilon\":\"3fd0000000000000\",\"capacity\":2,\
+                          \"d_max\":\"403e000000000000\",\"min_accuracy\":\"3fe51eb851eb851f\",\
+                          \"eligibility\":\"within\",\"quality\":\"hoeffding\"}";
 
-    let hello = ask("{\"proto\":\"ltc-proto\",\"v\":1}");
-    assert!(
-        hello.starts_with(
-            "{\"proto\":\"ltc-proto\",\"v\":1,\"info\":{\"algo\":\"laf\",\
-             \"shards\":1,\"tasks\":24,\"params\":{"
-        ),
-        "{hello}"
-    );
-    assert!(!hello.contains("\"sid\""), "{hello}");
-
-    // v1 responses are the exact pre-session literals.
-    assert_eq!(ask("{\"op\":\"drain\"}"), "{\"ok\":\"drain\"}");
     assert_eq!(
-        ask("{\"op\":\"post\",\"x\":\"4080000000000000\",\"y\":\"4080000000000000\"}"),
+        v1.ask("{\"proto\":\"ltc-proto\",\"v\":1}"),
+        format!(
+            "{{\"proto\":\"ltc-proto\",\"v\":1,\"info\":{{\"algo\":\"laf\",\"shards\":1,\
+             \"tasks\":24,{PARAMS}}}}}"
+        )
+    );
+
+    // The state-touching verbs answer with the exact pre-session literals.
+    let submit = "{\"op\":\"submit\",\"x\":\"4040000000000000\",\
+                  \"y\":\"4040000000000000\",\"acc\":\"3fee666666666666\"}";
+    assert_eq!(v1.ask(submit), "{\"ok\":\"submit\",\"worker\":0}");
+    assert_eq!(
+        v1.ask("{\"op\":\"post\",\"x\":\"4080000000000000\",\"y\":\"4080000000000000\"}"),
         "{\"ok\":\"post\",\"task\":24}"
     );
+    assert_eq!(v1.ask("{\"op\":\"drain\"}"), "{\"ok\":\"drain\"}");
 
-    // Session verbs — and explicit sids on any verb — are v2-only.
-    for refused in [
-        "{\"op\":\"sessions\"}",
-        "{\"op\":\"attach\",\"sid\":\"default\"}",
-        "{\"op\":\"open\",\"sid\":\"fresh\"}",
-        "{\"op\":\"drain\",\"sid\":\"default\"}",
+    // Session verbs, explicit sids and windowed `"seq"` are v2-only.
+    let verbs = "{\"err\":\"session verbs require ltc-proto v2\"}";
+    let sid = "{\"err\":\"`sid` requires ltc-proto v2\"}";
+    let seq = "{\"err\":\"windowed submission (`seq`) requires ltc-proto v2\"}";
+    for (refused, reply) in [
+        ("{\"op\":\"open\",\"sid\":\"fresh\"}", verbs),
+        ("{\"op\":\"attach\",\"sid\":\"default\"}", verbs),
+        ("{\"op\":\"close\",\"sid\":\"fresh\"}", verbs),
+        ("{\"op\":\"sessions\"}", verbs),
+        ("{\"op\":\"drain\",\"sid\":\"default\"}", sid),
+        (
+            "{\"op\":\"submit\",\"x\":\"4040000000000000\",\"y\":\"4040000000000000\",\
+             \"acc\":\"3fee666666666666\",\"seq\":0}",
+            seq,
+        ),
+        (
+            "{\"op\":\"post\",\"x\":\"4080000000000000\",\"y\":\"4080000000000000\",\"seq\":1}",
+            seq,
+        ),
     ] {
-        let reply = ask(refused);
-        assert!(reply.starts_with("{\"err\":"), "{refused} → {reply}");
-        assert!(reply.contains("v2"), "{refused} → {reply}");
+        assert_eq!(v1.ask(refused), reply, "{refused}");
     }
 
-    // Events reach a v1 subscriber in the v1 shape: no session id.
-    assert_eq!(ask("{\"op\":\"subscribe\"}"), "{\"ok\":\"subscribe\"}");
-    let mut feeder = LtcClient::connect(server.addr()).unwrap();
-    feeder.submit_worker(&workers(1, 6)[0]).unwrap();
-    let event = wire::read_frame(&mut reader).unwrap().expect("an event");
-    assert!(event.starts_with("{\"ev\":"), "{event}");
-    assert!(!event.contains("\"sid\""), "{event}");
+    // The refusals applied nothing: one worker, 24 + 1 tasks.
+    assert_eq!(
+        v1.ask("{\"op\":\"metrics\"}"),
+        "{\"ok\":\"metrics\",\"workers\":1,\"assignments\":0,\"tasks\":25,\"completed\":0,\
+         \"clamped\":0,\"rebalances\":0,\"loads\":[25],\"latency\":null,\"wal\":0,\
+         \"checkpoints\":0,\"sessions_open\":1,\"sessions_evicted\":0}"
+    );
+    assert_eq!(
+        v1.ask("{\"op\":\"rebalance\"}"),
+        "{\"ok\":\"rebalance\",\"outcome\":null}"
+    );
+    let task_xy: String = (0..24)
+        .map(|i| {
+            let t = &tasks()[i];
+            format!(" {} {}", wire::hex(t.loc.x), wire::hex(t.loc.y))
+        })
+        .collect();
+    assert_eq!(
+        v1.ask("{\"op\":\"snapshot\"}"),
+        format!(
+            "{{\"ok\":\"snapshot\",\"data\":\"ltc-snapshot v1\\n\
+             params 3fd0000000000000 2 403e000000000000 3fe51eb851eb851f within hoeffding\\n\
+             region 0000000000000000 0000000000000000 408f400000000000 408f400000000000\\n\
+             config laf 403e000000000000 1024 1\\n\
+             taskmap 25{}\\n\
+             shard 0 25 0 index 403e000000000000 0000000000000000 0000000000000000 \
+             408f400000000000 408f400000000000\\n\
+             tasks{task_xy} 4080000000000000 4080000000000000\\n\
+             quality{}\\n\
+             completed {}\\n\
+             accuracy sigmoid\\n\
+             assignments 0\\n\
+             end\\n\"}}",
+            " 0".repeat(25),
+            " 0000000000000000".repeat(25),
+            "0".repeat(25),
+        )
+    );
 
-    feeder.shutdown().unwrap();
+    // Events reach a v1 subscriber in the v1 shape: the v2 frame for
+    // the same event minus its session id.
+    let mut v2 = RawConn::open(server.addr());
+    v2.ask("{\"proto\":\"ltc-proto\",\"v\":2}");
+    assert_eq!(
+        v2.ask("{\"op\":\"subscribe\",\"sid\":\"default\"}"),
+        "{\"ok\":\"subscribe\",\"sid\":\"default\"}"
+    );
+    assert_eq!(v1.ask("{\"op\":\"subscribe\"}"), "{\"ok\":\"subscribe\"}");
+    let mut feeder = LtcClient::connect_v2(server.addr()).unwrap();
+    feeder
+        .submit_worker(&Worker::new(Point::new(20.0, 10.0), 0.95))
+        .unwrap();
+    let event = v1.next_event();
+    assert_eq!(
+        event,
+        "{\"ev\":\"worker\",\"worker\":1,\"batch\":[{\"k\":\"assign\",\"task\":0,\
+         \"acc\":\"3fee666665594805\",\"gain\":\"3fe9eb851aef7e27\"}]}"
+    );
+    assert_eq!(v2.next_event().replace(",\"sid\":\"default\"", ""), event);
+
+    // `shutdown` is acknowledged; whatever farewell events make it out
+    // before the socket closes are v1-shaped lifecycle frames.
+    assert_eq!(v1.ask("{\"op\":\"shutdown\"}"), "{\"ok\":\"shutdown\"}");
+    for event in &v1.events {
+        assert!(
+            [
+                "{\"ev\":\"life\",\"kind\":\"drained\",\"workers\":2}",
+                "{\"ev\":\"life\",\"kind\":\"bye\"}"
+            ]
+            .contains(&event.as_str()),
+            "{event}"
+        );
+    }
+    drop(feeder);
     server.wait().unwrap();
 }
 
@@ -586,7 +707,7 @@ fn worker_ids(acks: Vec<WindowAck>) -> Vec<WorkerId> {
 #[test]
 fn windowed_submission_is_byte_identical_to_lockstep() {
     // The tentpole bar: the same submission sequence driven windowed at
-    // any W and lockstep through v1 must produce byte-identical event
+    // any W and lockstep must produce byte-identical event
     // streams, identical arrival ids (delivered FIFO through the
     // deferred acks), and bit-identical final snapshots.
     for window in [2usize, 16, 256] {
@@ -601,8 +722,8 @@ fn windowed_submission_is_byte_identical_to_lockstep() {
         let mut windowed = LtcClient::connect_v2(w_server.addr()).unwrap();
         assert_eq!(windowed.server_window(), wire::MAX_WINDOW as usize);
         assert_eq!(windowed.set_window(window).unwrap(), window);
-        let mut lockstep = LtcClient::connect(l_server.addr()).unwrap();
-        assert_eq!(lockstep.server_window(), 1, "v1 advertises no window");
+        let mut lockstep = LtcClient::connect_v2(l_server.addr()).unwrap();
+        assert_eq!(lockstep.window(), 1, "lockstep until a window is set");
 
         let w_events = windowed.subscribe().unwrap();
         let l_events = lockstep.subscribe().unwrap();
@@ -677,7 +798,7 @@ fn windowed_concurrent_clients_equal_a_single_session_replay() {
         .unwrap()
         .spawn()
         .unwrap();
-    let mut observer = LtcClient::connect(server.addr()).unwrap();
+    let mut observer = LtcClient::connect_v2(server.addr()).unwrap();
     let events = observer.subscribe().unwrap();
 
     let submit = |salt: u64, window: usize| {
@@ -1049,7 +1170,7 @@ fn with_timeout_fails_a_wedged_server_in_seconds() {
         // until the client gives up and disconnects.
         while let Ok(Some(_)) = wire::read_frame(&mut reader) {}
     });
-    let mut client = LtcClient::connect(addr)
+    let mut client = LtcClient::connect_v2(addr)
         .unwrap()
         .with_timeout(Duration::from_millis(250));
     let started = std::time::Instant::now();
@@ -1068,6 +1189,20 @@ fn with_timeout_fails_a_wedged_server_in_seconds() {
 }
 
 #[test]
+fn a_v1_hello_reply_to_a_v2_hello_is_refused() {
+    // The client speaks only v2: a server answering its hello in v1 is
+    // a protocol violation, refused as a transport error at connect.
+    let hello = wire::encode_hello_response_v1(&fake_info());
+    let (addr, join) = fake_server(hello, |_conn, _reader| {});
+    let err = LtcClient::connect_v2(addr).expect_err("a v1 reply must be refused");
+    assert!(
+        matches!(&err, ServiceError::Transport(what) if what.contains("v1")),
+        "unexpected error: {err}"
+    );
+    join.join().unwrap();
+}
+
+#[test]
 fn out_of_range_window_acks_fail_the_session_cleanly() {
     // Hostile-input satellite: a server echoing a `"seq"` that is not
     // the head of the in-flight window is a protocol corruption — the
@@ -1082,8 +1217,8 @@ fn out_of_range_window_acks_fail_the_session_cleanly() {
         // Answer the first windowed submit with a shifted seq, then
         // drain the socket until the client leaves.
         if let Ok(Some(frame)) = wire::read_frame(&mut reader) {
-            let seq = match wire::Request::decode(&frame) {
-                Ok(wire::Request::Submit { seq: Some(seq), .. }) => seq,
+            let seq = match wire::Request::decode_with_sid(&frame) {
+                Ok((wire::Request::Submit { seq: Some(seq), .. }, _)) => seq,
                 other => panic!("expected a windowed submit, got {other:?}"),
             };
             let lie = wire::Response::Submit {
@@ -1139,8 +1274,8 @@ fn ack_in_groups(
                 let frame = wire::read_frame(&mut reader)
                     .unwrap()
                     .expect("the client sends every frame it awaits");
-                let seq = match wire::Request::decode(&frame) {
-                    Ok(wire::Request::Submit { seq: Some(seq), .. }) => seq,
+                let seq = match wire::Request::decode_with_sid(&frame) {
+                    Ok((wire::Request::Submit { seq: Some(seq), .. }, _)) => seq,
                     other => panic!("expected a windowed submit, got {other:?}"),
                 };
                 assert_eq!(seq, read, "frames arrive in order");
@@ -1228,7 +1363,7 @@ fn mid_frame_connection_drop_is_a_clean_error() {
         conn.flush().unwrap();
         conn.shutdown(std::net::Shutdown::Both).ok();
     });
-    let mut client = LtcClient::connect(addr)
+    let mut client = LtcClient::connect_v2(addr)
         .unwrap()
         .with_timeout(Duration::from_secs(5));
     let err = client
@@ -1248,8 +1383,8 @@ fn shutdown_ends_the_session_for_every_client() {
         .unwrap()
         .spawn()
         .unwrap();
-    let mut a = LtcClient::connect(server.addr()).unwrap();
-    let mut b = LtcClient::connect(server.addr()).unwrap();
+    let mut a = LtcClient::connect_v2(server.addr()).unwrap();
+    let mut b = LtcClient::connect_v2(server.addr()).unwrap();
     let b_events = b.subscribe().unwrap();
     a.submit_worker(&workers(1, 3)[0]).unwrap();
     a.shutdown().unwrap();

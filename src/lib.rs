@@ -17,7 +17,7 @@
 //! | [`mod@core`] | model + engine + **`LtcService` facade** + all six algorithms |
 //! | [`spatial`] | geometry, evicting grid index, shard router, KD-tree, hulls |
 //! | [`mcmf`] | min-cost max-flow (SSPA) |
-//! | [`proto`] | the `ltc-proto v1` wire protocol: TCP server + remote client |
+//! | [`proto`] | the `ltc-proto` wire protocol: TCP server + remote client |
 //! | [`workload`] | Table IV / Table V dataset generators |
 //! | [`sim`] | ground truth, voting, error rates, truth inference |
 //!
