@@ -8,8 +8,12 @@
 //! resources on its own threads. This binary therefore holds exactly
 //! one test, which runs the checks one after another while no other
 //! test thread exists. Keep it the only test here.
+//!
+//! Each measured buffer passes through [`black_box`]: a release build
+//! would otherwise elide an allocation nothing reads.
 
 use ltc_bench::alloc::{current_bytes, peak_bytes, reset_peak};
+use std::hint::black_box;
 
 #[test]
 fn peak_bytes_track_the_live_heap() {
@@ -20,7 +24,7 @@ fn peak_bytes_track_the_live_heap() {
 
 fn counts_a_large_allocation() {
     let baseline = reset_peak();
-    let v = vec![0u8; 1 << 20];
+    let v = black_box(vec![0u8; 1 << 20]);
     assert!(peak_bytes() >= baseline + (1 << 20));
     drop(v);
     assert!(current_bytes() < baseline + (1 << 20));
@@ -29,7 +33,7 @@ fn counts_a_large_allocation() {
 fn peak_survives_deallocation() {
     let baseline = reset_peak();
     {
-        let _v = vec![0u64; 100_000];
+        let _v = black_box(vec![0u64; 100_000]);
     }
     assert!(peak_bytes() >= baseline + 800_000);
 }
@@ -38,5 +42,6 @@ fn realloc_tracks_growth() {
     let baseline = reset_peak();
     let mut v: Vec<u8> = Vec::with_capacity(16);
     v.extend(std::iter::repeat_n(1u8, 1 << 18));
+    black_box(&mut v);
     assert!(peak_bytes() >= baseline + (1 << 18));
 }

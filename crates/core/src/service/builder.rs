@@ -137,7 +137,9 @@ impl ServiceBuilder {
     /// hold before [`ServiceHandle::submit_worker`] /
     /// [`ServiceHandle::post_task`] block (back-pressure, surfaced as
     /// [`Lifecycle::ShardStalled`](super::Lifecycle::ShardStalled));
-    /// default 1024, at least 1. Snapshots record it.
+    /// default 1024, at least 1. A blocked submitter resumes once the
+    /// shard has drained its mailbox to half this bound, so each stall
+    /// episode is announced once. Snapshots record it.
     pub fn mailbox_capacity(mut self, mailbox_capacity: usize) -> Self {
         self.mailbox_capacity = mailbox_capacity.max(1);
         self
@@ -187,7 +189,7 @@ impl ServiceBuilder {
 
     /// Validates the configuration and returns the fresh session's
     /// snapshot: both executors are the restore of it.
-    fn genesis(self) -> Result<ServiceSnapshot, ServiceError> {
+    pub(crate) fn genesis(self) -> Result<ServiceSnapshot, ServiceError> {
         self.params.validate().map_err(ServiceError::Params)?;
         let n_shards = self.shards.get();
         if n_shards > 1 && matches!(self.accuracy, AccuracyModel::Table(_)) {

@@ -50,8 +50,11 @@ pub enum Lifecycle {
         workers_seen: u64,
     },
     /// A submission found a shard mailbox full and is now applying
-    /// back-pressure (the submit call blocks until the shard catches
-    /// up). Delivered promptly, not ordered against worker events.
+    /// back-pressure: the submit call blocks until the shard has
+    /// drained the mailbox to half its bound, so the submissions after
+    /// it go straight in until the mailbox fills again. Announced once
+    /// per such stall episode. Delivered promptly, not ordered against
+    /// worker events.
     ShardStalled {
         /// The stalled shard.
         shard: usize,

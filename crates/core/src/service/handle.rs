@@ -19,8 +19,8 @@ use std::sync::Arc;
 /// Ingestion ([`submit_worker`](ServiceHandle::submit_worker),
 /// [`post_task`](ServiceHandle::post_task)) enqueues and returns
 /// immediately; when a shard mailbox is full the call blocks until the
-/// shard catches up (back-pressure, announced to subscribers as
-/// [`Lifecycle::ShardStalled`]). Results stream to
+/// shard has drained it to half its bound (back-pressure, announced to
+/// subscribers as [`Lifecycle::ShardStalled`]). Results stream to
 /// [`subscribe`](ServiceHandle::subscribe)rs in exact submission order,
 /// and the committed assignments are **identical** to feeding the same
 /// sequence through
@@ -168,9 +168,8 @@ impl ServiceHandle {
         } else {
             arrival.reach.clone()
         };
-        let expected = participants.end() - participants.start() + 1;
         let k = self.state.params.capacity as usize;
-        let rv = Arc::new(Rendezvous::new(k, expected, arrival.hybrid));
+        let rv = Arc::new(Rendezvous::new(k, participants.clone(), arrival.hybrid));
         for s in participants {
             let msg = ShardMsg::Gather {
                 seq,

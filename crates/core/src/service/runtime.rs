@@ -15,6 +15,18 @@
 //! and the collector re-orders those by submission sequence number. The
 //! result: a pipelined run is event-for-event identical to the same
 //! submissions fed through `LtcService::check_in`.
+//!
+//! ## Wake-ups per batch, not per check-in
+//!
+//! The in-process hops follow the socket writers' rule, "flush only
+//! before blocking". A shard collects its finished check-ins and posts
+//! in a reused buffer and hands the whole buffer to the collector when
+//! it is about to block (empty mailbox, rendezvous, control reply) or
+//! the buffer reaches [`BATCH_CAP`]; the collector sends the emptied
+//! buffer back. A submitter that finds a mailbox full announces one
+//! stall and sleeps until the shard has drained it to half its bound,
+//! instead of refilling one freed slot per wake-up. Only the grouping
+//! of deliveries changes; decisions and delivery order do not.
 
 use super::shard::{
     append_merge_events, merge_and_truncate, Proposal, ProposeScratch, Shard, ShardMetrics,
@@ -23,10 +35,11 @@ use super::shard::{
 use super::state::Progress;
 use super::{Event, Lifecycle, ServiceError, StreamEvent};
 use crate::model::{Task, TaskId, Worker, WorkerId};
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TrySendError};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::collections::VecDeque;
+use std::ops::RangeInclusive;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TryRecvError, TrySendError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -42,6 +55,101 @@ const DRAIN_TIMEOUT: Duration = Duration::from_secs(60);
 /// wedge `ServiceHandle::close`/`Drop` on `join` — into a loud,
 /// joinable failure that `drain` reports as `RuntimeStopped`.
 const RENDEZVOUS_TIMEOUT: Duration = Duration::from_secs(60);
+
+/// How often a rendezvous wait looks up from the barrier to check
+/// whether a peer shard thread has exited, so a dead peer ends the wait
+/// promptly rather than after [`RENDEZVOUS_TIMEOUT`].
+const PEER_POLL: Duration = Duration::from_millis(10);
+
+/// A shard hands its finished submissions to the collector at the
+/// latest once this many have collected, so delivery lag stays bounded
+/// while the mailbox never runs empty.
+const BATCH_CAP: usize = 64;
+
+/// Emptied release buffers the collector keeps queued for each shard to
+/// reuse (it frees any beyond this); a shard that finds none allocates
+/// a fresh one. Enough to cover the small batches a shard flushes while
+/// the collector waits for a core.
+const RECYCLED_BUFFERS: usize = 16;
+
+/// One shard mailbox's back-pressure state, shared by the submitter and
+/// the shard thread.
+#[derive(Debug)]
+struct Mailbox {
+    /// Messages sent to the shard and not yet received by it (briefly
+    /// one more while a send is in progress).
+    queued: AtomicUsize,
+    /// The low watermark: a stalled submitter resumes once `queued` has
+    /// come down to it (half the mailbox bound).
+    low: usize,
+    /// Set when the shard thread has exited, normally or by a panic.
+    dead: AtomicBool,
+    /// Guards the submitter's sleep against a lost wake-up.
+    lock: Mutex<()>,
+    /// Signalled when `queued` reaches `low`, and when the shard exits.
+    room: Condvar,
+}
+
+impl Mailbox {
+    fn new(capacity: usize) -> Self {
+        Self {
+            queued: AtomicUsize::new(0),
+            low: capacity / 2,
+            dead: AtomicBool::new(false),
+            lock: Mutex::new(()),
+            room: Condvar::new(),
+        }
+    }
+
+    fn wake(&self) {
+        let _guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+        self.room.notify_all();
+    }
+
+    /// Counts one message taken off the mailbox by the shard, waking a
+    /// stalled submitter when this reaches the low watermark.
+    fn took_one(&self) {
+        if self.queued.fetch_sub(1, Ordering::SeqCst) == self.low + 1 {
+            self.wake();
+        }
+    }
+
+    /// Blocks until the shard has drained to the low watermark. `false`
+    /// when the shard thread exited instead.
+    fn wait_for_room(&self) -> bool {
+        let mut guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+        loop {
+            if self.is_dead() {
+                return false;
+            }
+            if self.queued.load(Ordering::SeqCst) <= self.low {
+                return true;
+            }
+            guard = self
+                .room
+                .wait(guard)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    fn is_dead(&self) -> bool {
+        self.dead.load(Ordering::SeqCst)
+    }
+}
+
+/// Marks its shard dead when the shard thread leaves [`shard_loop`],
+/// whether it returns or unwinds, and wakes every waiter: a stalled
+/// submitter then reports [`ServiceError::RuntimeStopped`], and a peer
+/// blocked in a rendezvous with this shard gives up at its next poll.
+struct ExitGuard(Arc<[Mailbox]>, usize);
+
+impl Drop for ExitGuard {
+    fn drop(&mut self) {
+        let mailbox = &self.0[self.1];
+        mailbox.dead.store(true, Ordering::SeqCst);
+        mailbox.wake();
+    }
+}
 
 /// The [`Progress`] counters the collector maintains as it releases
 /// event batches, shared with the handle through an `Arc`. All
@@ -90,6 +198,7 @@ impl RuntimeStats {
 #[derive(Debug)]
 pub(crate) struct Runtime {
     shard_txs: Vec<SyncSender<ShardMsg>>,
+    mailboxes: Arc<[Mailbox]>,
     shard_joins: Vec<JoinHandle<()>>,
     collector_tx: Option<Sender<CollectorMsg>>,
     collector_join: Option<JoinHandle<()>>,
@@ -113,8 +222,14 @@ impl Runtime {
         stats.add(&progress);
         stats.workers_released.store(released, Ordering::Relaxed);
         let (collector_tx, collector_rx) = mpsc::channel();
+        let mailboxes: Arc<[Mailbox]> = shards.iter().map(|_| Mailbox::new(capacity)).collect();
+        let (recycle_txs, recycle_rxs): (Vec<_>, Vec<_>) = shards
+            .iter()
+            .map(|_| mpsc::sync_channel(RECYCLED_BUFFERS))
+            .unzip();
         let mut runtime = Self {
             shard_txs: Vec::with_capacity(shards.len()),
+            mailboxes: Arc::clone(&mailboxes),
             shard_joins: Vec::with_capacity(shards.len()),
             collector_tx: Some(collector_tx.clone()),
             collector_join: None,
@@ -125,12 +240,20 @@ impl Runtime {
         runtime.collector_join = Some(
             std::thread::Builder::new()
                 .name("ltc-collector".into())
-                .spawn(move || collector_loop(collector_rx, stats))
+                .spawn(move || collector_loop(collector_rx, recycle_txs, stats))
                 .map_err(|_| ServiceError::RuntimeStopped("could not spawn the collector"))?,
         );
-        for (i, shard) in shards.into_iter().enumerate() {
+        for ((i, shard), recycled) in shards.into_iter().enumerate().zip(recycle_rxs) {
             let (tx, rx) = mpsc::sync_channel(capacity);
-            let rt = ShardRuntime::new(shard, i, collector_tx.clone());
+            let rt = ShardRuntime {
+                shard,
+                shard_id: i,
+                collector: collector_tx.clone(),
+                released: Vec::with_capacity(BATCH_CAP),
+                recycled,
+                mailboxes: Arc::clone(&mailboxes),
+                scratch: ProposeScratch::default(),
+            };
             let join = std::thread::Builder::new()
                 .name(format!("ltc-shard-{i}"))
                 .spawn(move || shard_loop(rt, rx))
@@ -170,28 +293,42 @@ impl Runtime {
         }
     }
 
-    /// Sends to a shard mailbox, announcing back-pressure the moment the
-    /// bounded channel is full, then blocking until the shard catches up.
+    /// Sends to a shard mailbox. A full mailbox starts a stall episode:
+    /// back-pressure is announced once, then the submitter sleeps until
+    /// the shard has drained the mailbox to half its bound, so the next
+    /// half-mailbox of sends goes through without a wake-up each. A
+    /// shard thread that exits ends the wait with `RuntimeStopped`.
     /// Once stopped the mailboxes are gone: a late submission (a server
     /// thread racing an eviction) is a clean refusal, never a panic.
     pub(crate) fn send(&self, shard: usize, msg: ShardMsg) -> Result<(), ServiceError> {
         let Some(tx) = self.shard_txs.get(shard) else {
             return Err(ServiceError::RuntimeStopped("the runtime is shut down"));
         };
-        match tx.try_send(msg) {
-            Ok(()) => Ok(()),
-            Err(TrySendError::Full(msg)) => {
-                self.announce(Lifecycle::ShardStalled {
-                    shard,
-                    capacity: self.capacity,
-                });
-                tx.send(msg)
-                    .map_err(|_| ServiceError::RuntimeStopped("a shard mailbox disconnected"))
-            }
+        let mailbox = &self.mailboxes[shard];
+        // Counted before it can be received, so the shard's decrement
+        // never runs ahead of this increment.
+        mailbox.queued.fetch_add(1, Ordering::SeqCst);
+        let msg = match tx.try_send(msg) {
+            Ok(()) => return Ok(()),
+            Err(TrySendError::Full(msg)) => msg,
             Err(TrySendError::Disconnected(_)) => {
-                Err(ServiceError::RuntimeStopped("a shard mailbox disconnected"))
+                return Err(ServiceError::RuntimeStopped("a shard mailbox disconnected"))
             }
+        };
+        // Not in the mailbox after all. The handle is the only
+        // submitter, so if this decrement reaches the low watermark the
+        // check in `wait_for_room` sees it.
+        mailbox.queued.fetch_sub(1, Ordering::SeqCst);
+        self.announce(Lifecycle::ShardStalled {
+            shard,
+            capacity: self.capacity,
+        });
+        if !mailbox.wait_for_room() {
+            return Err(ServiceError::RuntimeStopped("a shard thread exited"));
         }
+        mailbox.queued.fetch_add(1, Ordering::SeqCst);
+        tx.send(msg)
+            .map_err(|_| ServiceError::RuntimeStopped("a shard mailbox disconnected"))
     }
 
     /// A control round trip to every shard, replies in shard order;
@@ -325,6 +462,8 @@ pub(crate) enum ShardMsg {
 /// picks and ship the ordered event batch (last committer sends).
 pub(crate) struct Rendezvous {
     k: usize,
+    /// The shards taking part; a wait gives up once one of them exits.
+    participants: RangeInclusive<usize>,
     expected: usize,
     hybrid: bool,
     state: Mutex<RvState>,
@@ -344,10 +483,11 @@ struct RvState {
 }
 
 impl Rendezvous {
-    pub(crate) fn new(k: usize, expected: usize, hybrid: bool) -> Self {
+    pub(crate) fn new(k: usize, participants: RangeInclusive<usize>, hybrid: bool) -> Self {
         Self {
             k,
-            expected,
+            expected: participants.clone().count(),
+            participants,
             hybrid,
             state: Mutex::new(RvState::default()),
             cv: Condvar::new(),
@@ -360,31 +500,68 @@ struct ShardRuntime {
     shard: Shard,
     shard_id: usize,
     collector: Sender<CollectorMsg>,
+    /// Finished submissions not yet handed to the collector.
+    released: Vec<Release>,
+    /// Emptied buffers coming back from the collector.
+    recycled: Receiver<Vec<Release>>,
+    /// Every shard's mailbox state (this shard's, and its peers' exit
+    /// flags for the rendezvous).
+    mailboxes: Arc<[Mailbox]>,
     scratch: ProposeScratch,
 }
 
 impl ShardRuntime {
-    fn new(shard: Shard, shard_id: usize, collector: Sender<CollectorMsg>) -> Self {
-        Self {
-            shard,
-            shard_id,
-            collector,
-            scratch: ProposeScratch::default(),
+    fn release(&mut self, seq: u64, item: Pending) {
+        self.released.push(Release { seq, item });
+        if self.released.len() >= BATCH_CAP {
+            self.flush();
         }
+    }
+
+    /// Hands the collected releases to the collector in one message,
+    /// swapping in a recycled buffer (a fresh one only while the
+    /// collector has none to give back).
+    fn flush(&mut self) {
+        if self.released.is_empty() {
+            return;
+        }
+        let spare = self
+            .recycled
+            .try_recv()
+            .unwrap_or_else(|_| Vec::with_capacity(BATCH_CAP));
+        let batch = std::mem::replace(&mut self.released, spare);
+        self.collector
+            .send(CollectorMsg::Released {
+                shard: self.shard_id,
+                batch,
+            })
+            .ok();
     }
 }
 
 /// The body of one persistent shard thread: drain the mailbox in order
-/// until the handle disconnects it.
+/// until the handle disconnects it, flushing finished work to the
+/// collector before every point where the thread could block.
 fn shard_loop(mut rt: ShardRuntime, rx: Receiver<ShardMsg>) {
-    while let Ok(msg) = rx.recv() {
+    let _exit = ExitGuard(Arc::clone(&rt.mailboxes), rt.shard_id);
+    loop {
+        let msg = match rx.try_recv() {
+            Ok(msg) => msg,
+            Err(TryRecvError::Empty) => {
+                rt.flush();
+                match rx.recv() {
+                    Ok(msg) => msg,
+                    Err(_) => break,
+                }
+            }
+            Err(TryRecvError::Disconnected) => break,
+        };
+        rt.mailboxes[rt.shard_id].took_one();
         match msg {
             ShardMsg::Local { seq, w, worker } => {
                 let mut events = Vec::new();
                 rt.shard.check_in_local(w, &worker, &mut events);
-                rt.collector
-                    .send(CollectorMsg::Worker { seq, w, events })
-                    .ok();
+                rt.release(seq, Pending::Worker { w, events });
             }
             ShardMsg::Gather {
                 seq,
@@ -392,7 +569,10 @@ fn shard_loop(mut rt: ShardRuntime, rx: Receiver<ShardMsg>) {
                 worker,
                 propose,
                 rv,
-            } => serve_rendezvous(&mut rt, seq, w, &worker, propose, &rv),
+            } => {
+                rt.flush();
+                serve_rendezvous(&mut rt, seq, w, &worker, propose, &rv);
+            }
             ShardMsg::PostTask {
                 seq,
                 global,
@@ -400,14 +580,14 @@ fn shard_loop(mut rt: ShardRuntime, rx: Receiver<ShardMsg>) {
                 accuracies,
             } => {
                 rt.shard.post(global, task, accuracies.as_deref());
-                rt.collector
-                    .send(CollectorMsg::TaskPosted { seq, task: global })
-                    .ok();
+                rt.release(seq, Pending::Task { task: global });
             }
             ShardMsg::Snapshot { reply } => {
+                rt.flush();
                 reply.send(rt.shard.state()).ok();
             }
             ShardMsg::Metrics { reply } => {
+                rt.flush();
                 reply.send(rt.shard.metrics()).ok();
             }
             ShardMsg::Install { engine, globals } => {
@@ -416,11 +596,12 @@ fn shard_loop(mut rt: ShardRuntime, rx: Receiver<ShardMsg>) {
             }
         }
     }
+    rt.flush();
 }
 
 /// One shard's participation in a cross-shard worker decision. Blocks on
 /// the barrier's condvar while peers catch up to this worker's position
-/// in their own mailboxes.
+/// in their own mailboxes; the caller has flushed its releases first.
 fn serve_rendezvous(
     rt: &mut ShardRuntime,
     seq: u64,
@@ -443,9 +624,7 @@ fn serve_rendezvous(
         if st.units_in == rv.expected {
             rv.cv.notify_all();
         }
-        while st.units_in < rv.expected {
-            st = wait_for_peers(rv, st);
-        }
+        let st = wait_for_peers(rv, st, &rt.mailboxes, |st| st.units_in == rv.expected);
         Some((st.units_sum, st.units_max))
     } else {
         None
@@ -471,9 +650,7 @@ fn serve_rendezvous(
             st.decided = true;
             rv.cv.notify_all();
         }
-        while !st.decided {
-            st = wait_for_peers(rv, st);
-        }
+        let st = wait_for_peers(rv, st, &rt.mailboxes, |st| st.decided);
         st.proposals
             .iter()
             .filter(|p| p.shard == rt.shard_id)
@@ -500,43 +677,51 @@ fn serve_rendezvous(
         let mut events = Vec::new();
         append_merge_events(w, &st.proposals, &st.completed, &mut events);
         drop(st);
-        rt.collector
-            .send(CollectorMsg::Worker { seq, w, events })
-            .ok();
+        rt.release(seq, Pending::Worker { w, events });
     }
 }
 
-/// One bounded condvar wait at a rendezvous barrier. Panics (killing
-/// this shard thread in a joinable way) when no peer makes progress
-/// within [`RENDEZVOUS_TIMEOUT`] — a peer died, and waiting forever
-/// would wedge every `join` on the handle.
-fn wait_for_peers<'a>(rv: &'a Rendezvous, st: MutexGuard<'a, RvState>) -> MutexGuard<'a, RvState> {
-    let (st, timeout) = rv.cv.wait_timeout(st, RENDEZVOUS_TIMEOUT).unwrap();
-    assert!(
-        !timeout.timed_out(),
-        "cross-shard rendezvous abandoned: a peer shard thread died or stalled \
-         for {RENDEZVOUS_TIMEOUT:?}"
-    );
+/// Waits at a rendezvous barrier until `done` holds. Panics (killing
+/// this shard thread in a joinable way) when a participating shard
+/// thread has exited, checked every [`PEER_POLL`], or when no peer
+/// makes progress within [`RENDEZVOUS_TIMEOUT`] — waiting forever would
+/// wedge every `join` on the handle.
+fn wait_for_peers<'a>(
+    rv: &'a Rendezvous,
+    mut st: MutexGuard<'a, RvState>,
+    mailboxes: &[Mailbox],
+    done: impl Fn(&RvState) -> bool,
+) -> MutexGuard<'a, RvState> {
+    let mut idle = Duration::ZERO;
+    while !done(&st) {
+        assert!(
+            !rv.participants.clone().any(|s| mailboxes[s].is_dead()),
+            "cross-shard rendezvous abandoned: a peer shard thread exited"
+        );
+        assert!(
+            idle < RENDEZVOUS_TIMEOUT,
+            "cross-shard rendezvous abandoned: no peer progress for {RENDEZVOUS_TIMEOUT:?}"
+        );
+        let (guard, timeout) = rv.cv.wait_timeout(st, PEER_POLL).unwrap();
+        st = guard;
+        idle = if timeout.timed_out() {
+            idle + PEER_POLL
+        } else {
+            Duration::ZERO
+        };
+    }
     st
 }
 
 /// A message for the collector thread.
 pub(crate) enum CollectorMsg {
-    /// A finished check-in (exactly one per submitted worker).
-    Worker {
-        /// Submission sequence number.
-        seq: u64,
-        /// The worker's arrival id.
-        w: WorkerId,
-        /// Its ordered event batch.
-        events: Vec<Event>,
-    },
-    /// A finished task post (exactly one per posted task).
-    TaskPosted {
-        /// Submission sequence number.
-        seq: u64,
-        /// The task's service-global id.
-        task: TaskId,
+    /// A shard's finished submissions, in its processing order (exactly
+    /// one release per submitted worker and per posted task overall).
+    Released {
+        /// The shard that sends the emptied buffer back for reuse.
+        shard: usize,
+        /// The releases, each with its submission sequence number.
+        batch: Vec<Release>,
     },
     /// A drain/quiesce marker: acknowledged once every earlier
     /// submission's events have been released.
@@ -558,55 +743,70 @@ pub(crate) enum CollectorMsg {
     Lifecycle(Lifecycle),
 }
 
-enum PendingRelease {
+/// One submission's outcome, waiting for its turn in submission order.
+pub(crate) struct Release {
+    seq: u64,
+    item: Pending,
+}
+
+enum Pending {
     Worker { w: WorkerId, events: Vec<Event> },
     Task { task: TaskId },
     Flush { announce: bool, ack: SyncSender<()> },
 }
 
-/// The collector thread: re-orders finished batches by submission
-/// sequence, maintains the shared counters, and fans events out to
+/// The collector thread: re-orders finished submissions by sequence
+/// number, maintains the shared counters, and fans events out to
 /// subscribers. Exits when every producer (all shards and the handle)
 /// has disconnected.
-fn collector_loop(rx: Receiver<CollectorMsg>, stats: Arc<RuntimeStats>) {
-    let mut pending: BTreeMap<u64, PendingRelease> = BTreeMap::new();
+fn collector_loop(
+    rx: Receiver<CollectorMsg>,
+    recycle: Vec<SyncSender<Vec<Release>>>,
+    stats: Arc<RuntimeStats>,
+) {
+    // `pending[i]` holds submission `next + i` once it has finished; the
+    // ring keeps its capacity, so re-ordering allocates nothing once it
+    // has grown to the in-flight window.
+    let mut pending: VecDeque<Option<Pending>> = VecDeque::new();
     let mut next = 0u64;
     let mut subscribers: Vec<Sender<StreamEvent>> = Vec::new();
     while let Ok(msg) = rx.recv() {
         match msg {
-            CollectorMsg::Worker { seq, w, events } => {
-                pending.insert(seq, PendingRelease::Worker { w, events });
-            }
-            CollectorMsg::TaskPosted { seq, task } => {
-                pending.insert(seq, PendingRelease::Task { task });
+            CollectorMsg::Released { shard, mut batch } => {
+                for Release { seq, item } in batch.drain(..) {
+                    park(&mut pending, next, seq, item);
+                }
+                recycle[shard].try_send(batch).ok();
             }
             CollectorMsg::Flush { seq, announce, ack } => {
-                pending.insert(seq, PendingRelease::Flush { announce, ack });
+                park(&mut pending, next, seq, Pending::Flush { announce, ack });
             }
             CollectorMsg::Subscribe { tx } => subscribers.push(tx),
             CollectorMsg::Lifecycle(l) => {
-                broadcast(&mut subscribers, &StreamEvent::Lifecycle(l));
+                broadcast(&mut subscribers, StreamEvent::Lifecycle(l));
             }
         }
-        while let Some(release) = pending.remove(&next) {
+        while let Some(slot) = pending.front_mut() {
+            let Some(release) = slot.take() else { break };
+            pending.pop_front();
             next += 1;
             match release {
-                PendingRelease::Worker { w, events } => {
+                Pending::Worker { w, events } => {
                     let mut batch = Progress::default();
                     batch.note(&events);
                     stats.add(&batch);
                     stats.workers_released.fetch_add(1, Ordering::Relaxed);
-                    broadcast(&mut subscribers, &StreamEvent::Worker { worker: w, events });
+                    broadcast(&mut subscribers, StreamEvent::Worker { worker: w, events });
                 }
-                PendingRelease::Task { task } => {
-                    broadcast(&mut subscribers, &StreamEvent::TaskPosted { task });
+                Pending::Task { task } => {
+                    broadcast(&mut subscribers, StreamEvent::TaskPosted { task });
                 }
-                PendingRelease::Flush { announce, ack } => {
+                Pending::Flush { announce, ack } => {
                     if announce {
                         let workers_seen = stats.workers_released.load(Ordering::Relaxed);
                         broadcast(
                             &mut subscribers,
-                            &StreamEvent::Lifecycle(Lifecycle::Drained { workers_seen }),
+                            StreamEvent::Lifecycle(Lifecycle::Drained { workers_seen }),
                         );
                     }
                     ack.send(()).ok();
@@ -616,6 +816,164 @@ fn collector_loop(rx: Receiver<CollectorMsg>, stats: Arc<RuntimeStats>) {
     }
 }
 
-fn broadcast(subscribers: &mut Vec<Sender<StreamEvent>>, event: &StreamEvent) {
-    subscribers.retain(|tx| tx.send(event.clone()).is_ok());
+/// Parks submission `seq`'s outcome in the re-order ring whose front
+/// slot is submission `next`.
+fn park(pending: &mut VecDeque<Option<Pending>>, next: u64, seq: u64, item: Pending) {
+    let at = (seq - next) as usize;
+    if at >= pending.len() {
+        pending.resize_with(at + 1, || None);
+    }
+    pending[at] = Some(item);
+}
+
+/// Delivers `event` to every live subscriber: a clone for each but the
+/// last, which receives the event itself. Disconnected subscribers are
+/// dropped.
+fn broadcast(subscribers: &mut Vec<Sender<StreamEvent>>, event: StreamEvent) {
+    let mut i = 0;
+    while i + 1 < subscribers.len() {
+        if subscribers[i].send(event.clone()).is_ok() {
+            i += 1;
+        } else {
+            subscribers.remove(i);
+        }
+    }
+    if subscribers.last().is_some_and(|tx| tx.send(event).is_err()) {
+        subscribers.pop();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::model::ProblemParams;
+    use crate::service::state::ServiceState;
+    use crate::service::ServiceBuilder;
+    use ltc_spatial::{BoundingBox, Point};
+    use std::num::NonZeroUsize;
+    use std::time::Instant;
+
+    fn runtime(n_shards: usize, capacity: usize) -> Runtime {
+        let params = ProblemParams::builder()
+            .epsilon(0.3)
+            .capacity(2)
+            .build()
+            .unwrap();
+        let region = BoundingBox::new(Point::ORIGIN, Point::new(100.0, 100.0));
+        let snapshot = ServiceBuilder::new(params, region)
+            .shards(NonZeroUsize::new(n_shards).unwrap())
+            .mailbox_capacity(capacity)
+            .genesis()
+            .unwrap();
+        let (_, shards, progress) = ServiceState::restore(snapshot).unwrap();
+        Runtime::start(shards, capacity, progress, 0).unwrap()
+    }
+
+    fn worker() -> Worker {
+        Worker::new(Point::new(50.0, 50.0), 0.9)
+    }
+
+    fn local(seq: u64) -> ShardMsg {
+        ShardMsg::Local {
+            seq,
+            w: WorkerId(seq),
+            worker: worker(),
+        }
+    }
+
+    /// A post the shard's engine rejects (a sigmoid engine takes no
+    /// accuracy row): admission never lets one through, so receiving it
+    /// panics the shard thread.
+    fn poison() -> ShardMsg {
+        ShardMsg::PostTask {
+            seq: 0,
+            global: TaskId(0),
+            task: Task::new(Point::new(1.0, 1.0)),
+            accuracies: Some(vec![0.5]),
+        }
+    }
+
+    fn wait_until(what: &str, done: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting until {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_stalled_submit_fails_promptly_when_its_shard_exits() {
+        let capacity = 4;
+        let runtime = Arc::new(runtime(1, capacity));
+        let (events_tx, events) = mpsc::channel();
+        runtime
+            .collector()
+            .unwrap()
+            .send(CollectorMsg::Subscribe { tx: events_tx })
+            .unwrap();
+        // Park the shard on a control reply nobody reads yet, with its
+        // mailbox empty behind it.
+        let (reply_tx, reply_rx) = mpsc::sync_channel(0);
+        runtime
+            .send(0, ShardMsg::Metrics { reply: reply_tx })
+            .unwrap();
+        wait_until("the shard takes the request", || {
+            runtime.mailboxes[0].queued.load(Ordering::SeqCst) == 0
+        });
+        // Not a scoped thread: a submit that never returns must fail
+        // this test, not hang it.
+        let (outcome_tx, outcome_rx) = mpsc::channel();
+        let submitter = Arc::clone(&runtime);
+        std::thread::spawn(move || {
+            // The poison first, so the shard dies on its first receive,
+            // well above the low watermark.
+            submitter.send(0, poison()).unwrap();
+            for seq in 1..capacity as u64 {
+                submitter.send(0, local(seq)).unwrap();
+            }
+            outcome_tx.send(submitter.send(0, local(capacity as u64)))
+        });
+        loop {
+            let event = events.recv_timeout(Duration::from_secs(10)).unwrap();
+            if matches!(
+                event,
+                StreamEvent::Lifecycle(Lifecycle::ShardStalled { .. })
+            ) {
+                break;
+            }
+        }
+        reply_rx.recv().unwrap();
+        let outcome = outcome_rx
+            .recv_timeout(Duration::from_secs(1))
+            .expect("the stalled submit still waits 1 s after its shard exited");
+        assert!(
+            matches!(outcome, Err(ServiceError::RuntimeStopped(_))),
+            "a submit stalled on a dead shard returned {outcome:?}"
+        );
+    }
+
+    #[test]
+    fn a_rendezvous_gives_up_promptly_when_a_peer_exits() {
+        let runtime = runtime(2, 8);
+        let rv = Arc::new(Rendezvous::new(2, 0..=1, false));
+        let gather = ShardMsg::Gather {
+            seq: 0,
+            w: WorkerId(0),
+            worker: worker(),
+            propose: false,
+            rv,
+        };
+        // Shard 0 waits at the barrier for shard 1, which dies instead.
+        runtime.send(0, gather).unwrap();
+        let killed = Instant::now();
+        runtime.send(1, poison()).unwrap();
+        wait_until("the waiting shard gives up", || {
+            runtime.mailboxes[0].is_dead()
+        });
+        assert!(
+            killed.elapsed() < Duration::from_secs(1),
+            "the rendezvous took {:?} to notice the dead peer",
+            killed.elapsed()
+        );
+    }
 }

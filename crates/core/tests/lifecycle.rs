@@ -274,6 +274,57 @@ fn full_mailbox_announces_backpressure_and_still_serves_everything() {
 }
 
 #[test]
+fn a_stall_episode_lasts_until_half_the_mailbox_drains() {
+    // The same slow shard behind an eight-entry mailbox. A stalled
+    // submitter resumes only once the shard is down to four queued
+    // entries, so every stall episode after the first is preceded by at
+    // least four sends that went straight in: at most n/4 + 1 notices
+    // for n submissions, however the threads are scheduled.
+    let tasks: Vec<Task> = (0..800)
+        .map(|i| {
+            Task::new(Point::new(
+                500.0 + (i % 40) as f64 * 0.5,
+                500.0 + (i / 40) as f64 * 0.5,
+            ))
+        })
+        .collect();
+    let mut handle = ServiceBuilder::new(params(1, 0.01), region())
+        .tasks(tasks)
+        .mailbox_capacity(8)
+        .start()
+        .unwrap();
+    let stream = handle.subscribe().unwrap();
+    let n = 400u64;
+    for i in 0..n {
+        let worker = Worker::new(Point::new(505.0 + (i % 7) as f64, 505.0), 0.9);
+        handle.submit_worker(&worker).unwrap();
+    }
+    handle.drain().unwrap();
+    let mut stalls = 0u64;
+    let mut served = 0u64;
+    while let Some(e) = stream.try_recv() {
+        match e {
+            StreamEvent::Lifecycle(Lifecycle::ShardStalled { shard, capacity }) => {
+                assert_eq!((shard, capacity), (0, 8));
+                stalls += 1;
+            }
+            StreamEvent::Worker { .. } => served += 1,
+            _ => {}
+        }
+    }
+    assert_eq!(served, n);
+    assert!(
+        stalls > 0,
+        "an eight-entry mailbox under load never stalled"
+    );
+    assert!(
+        stalls <= n / 4 + 1,
+        "{stalls} stall notices for {n} submissions: a stalled submitter must \
+         wait for half the mailbox to drain"
+    );
+}
+
+#[test]
 fn snapshot_mid_stream_restore_continue_equals_uninterrupted() {
     // The quiesced-snapshot differential, through the text wire format,
     // with the random policy so the RNG stream positions matter.
