@@ -208,9 +208,9 @@ fn verify_record_crc(line: &str) -> Result<(), String> {
     if !suffix.starts_with(b",\"crc\":\"") || !suffix.ends_with(b"\"}") {
         return Err("record is missing its \"crc\" seal".into());
     }
-    let stored = std::str::from_utf8(&suffix[8..16])
-        .ok()
-        .and_then(|h| u32::from_str_radix(h, 16).ok())
+    // Eight hex digits always fit a `u32`.
+    let stored = json::hex_digits(&suffix[8..16])
+        .map(|crc| crc as u32)
         .ok_or("record carries an unparsable \"crc\"")?;
     let actual = !crc32_update(crc32_update(!0, covered), b"}");
     if stored != actual {
@@ -232,57 +232,28 @@ pub fn encode_record(seq: u64, record: &WalRecord) -> String {
     out
 }
 
-/// Appends a decimal `u64` without going through the `fmt` machinery —
-/// the log's append path runs once per submission and is benchmarked
-/// against the unlogged service, so every nanosecond here is visible.
-fn push_decimal(out: &mut String, mut v: u64) {
-    let mut buf = [0u8; 20];
-    let mut i = buf.len();
-    loop {
-        i -= 1;
-        buf[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    out.push_str(std::str::from_utf8(&buf[i..]).expect("decimal digits are ASCII"));
-}
-
-/// Appends an `f64`'s bit pattern as 16 lowercase hex digits — the
-/// same discipline as `wire::hex`, minus the allocation.
-fn push_hex_bits(out: &mut String, v: f64) {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
-    let bits = v.to_bits();
-    let mut buf = [0u8; 16];
-    for (i, digit) in buf.iter_mut().enumerate() {
-        *digit = HEX[((bits >> (60 - 4 * i)) & 0xF) as usize];
-    }
-    out.push_str(std::str::from_utf8(&buf).expect("hex digits are ASCII"));
-}
-
 /// [`encode_record`] into a caller-owned buffer — the hot-path form
 /// ([`WalWriter::append`] reuses one buffer so steady-state logging
 /// allocates nothing).
 fn encode_record_into(out: &mut String, seq: u64, record: &WalRecord) {
     let body_start = out.len();
     out.push_str("{\"seq\":");
-    push_decimal(out, seq);
+    json::push_u64(out, seq);
     match record {
         WalRecord::Submit { worker } => {
             out.push_str(",\"op\":\"submit\",\"x\":\"");
-            push_hex_bits(out, worker.loc.x);
+            wire::push_hex(out, worker.loc.x);
             out.push_str("\",\"y\":\"");
-            push_hex_bits(out, worker.loc.y);
+            wire::push_hex(out, worker.loc.y);
             out.push_str("\",\"acc\":\"");
-            push_hex_bits(out, worker.accuracy);
+            wire::push_hex(out, worker.accuracy);
             out.push_str("\"}");
         }
         WalRecord::Post { task, row } => {
             out.push_str(",\"op\":\"post\",\"x\":\"");
-            push_hex_bits(out, task.loc.x);
+            wire::push_hex(out, task.loc.x);
             out.push_str("\",\"y\":\"");
-            push_hex_bits(out, task.loc.y);
+            wire::push_hex(out, task.loc.y);
             out.push('"');
             if let Some(row) = row {
                 out.push_str(",\"row\":[");
@@ -291,7 +262,7 @@ fn encode_record_into(out: &mut String, seq: u64, record: &WalRecord) {
                         out.push(',');
                     }
                     out.push('"');
-                    push_hex_bits(out, *acc);
+                    wire::push_hex(out, *acc);
                     out.push('"');
                 }
                 out.push(']');
@@ -1031,6 +1002,23 @@ mod tests {
             );
             assert!(verify_record_crc(&stripped).is_err());
         }
+    }
+
+    #[test]
+    fn a_signed_crc_seal_is_refused() {
+        // `from_str_radix` reads `+` plus seven digits as the same value
+        // as `0` plus those seven, so a seal whose crc starts with `0`
+        // would verify with its first digit replaced by `+`.
+        let record = &sample_records()[0];
+        let line = (0u64..)
+            .map(|seq| encode_record(seq, record))
+            .find(|line| line.as_bytes()[line.len() - 10] == b'0')
+            .expect("one crc in sixteen starts with a zero digit");
+        verify_record_crc(&line).unwrap();
+        let at = line.len() - 10;
+        let signed = format!("{}+{}", &line[..at], &line[at + 1..]);
+        let err = verify_record_crc(&signed).expect_err("a signed crc must be refused");
+        assert!(err.contains("unparsable"), "{err}");
     }
 
     /// The record line with its `crc` suffix spliced out.

@@ -119,7 +119,7 @@ pub struct LtcClient {
     /// blocking wait (an ack that already arrived is taken without one:
     /// it answers a frame already sent), so the server never owes a
     /// response to bytes still here.
-    send_buf: Vec<u8>,
+    send_buf: String,
 }
 
 impl LtcClient {
@@ -153,44 +153,48 @@ impl LtcClient {
         let fanout = Arc::clone(&subscribers);
         let reader = std::thread::Builder::new()
             .name("ltc-client-reader".into())
-            .spawn(move || loop {
-                match wire::read_frame(&mut reader) {
-                    Ok(Some(frame)) if wire::is_event_frame(&frame) => {
-                        match wire::decode_event(&frame) {
-                            Ok(event) => {
-                                let mut subs = lock_recovering(&fanout);
-                                // The usual single subscriber takes the
-                                // decoded event itself; only a real
-                                // fan-out pays for clones.
-                                if let [only] = subs.as_slice() {
-                                    if only.send(event).is_err() {
-                                        subs.clear();
+            .spawn(move || {
+                // Every frame is read into this one buffer.
+                let mut line = Vec::new();
+                loop {
+                    match wire::read_frame_into(&mut reader, &mut line) {
+                        Ok(Some(frame)) if wire::is_event_frame(frame) => {
+                            match wire::decode_event(frame) {
+                                Ok(event) => {
+                                    let mut subs = lock_recovering(&fanout);
+                                    // The usual single subscriber takes the
+                                    // decoded event itself; only a real
+                                    // fan-out pays for clones.
+                                    if let [only] = subs.as_slice() {
+                                        if only.send(event).is_err() {
+                                            subs.clear();
+                                        }
+                                    } else {
+                                        subs.retain(|tx| tx.send(event.clone()).is_ok());
                                     }
-                                } else {
-                                    subs.retain(|tx| tx.send(event.clone()).is_ok());
+                                }
+                                Err(what) => {
+                                    response_tx
+                                        .send(Err(format!("bad event frame: {what}")))
+                                        .ok();
+                                    return;
                                 }
                             }
-                            Err(what) => {
-                                response_tx
-                                    .send(Err(format!("bad event frame: {what}")))
-                                    .ok();
+                        }
+                        Ok(Some(frame)) => {
+                            let decoded = Response::decode(frame)
+                                .map_err(|what| format!("bad frame: {what}"));
+                            let failed = decoded.is_err();
+                            response_tx.send(decoded).ok();
+                            if failed {
                                 return;
                             }
                         }
-                    }
-                    Ok(Some(frame)) => {
-                        let decoded =
-                            Response::decode(&frame).map_err(|what| format!("bad frame: {what}"));
-                        let failed = decoded.is_err();
-                        response_tx.send(decoded).ok();
-                        if failed {
+                        Ok(None) => return, // clean close: drop the channels
+                        Err(e) => {
+                            response_tx.send(Err(format!("read: {e}"))).ok();
                             return;
                         }
-                    }
-                    Ok(None) => return, // clean close: drop the channels
-                    Err(e) => {
-                        response_tx.send(Err(format!("read: {e}"))).ok();
-                        return;
                     }
                 }
             })
@@ -210,7 +214,7 @@ impl LtcClient {
             server_window: advertised.clamp(1, wire::MAX_WINDOW) as usize,
             next_seq: 0,
             pending: VecDeque::new(),
-            send_buf: Vec::new(),
+            send_buf: String::new(),
         })
     }
 
@@ -439,9 +443,7 @@ impl LtcClient {
         } else {
             None
         };
-        let frame = wire::with_sid(request.encode(), &self.sid);
-        self.send_buf.extend_from_slice(frame.as_bytes());
-        self.send_buf.push(b'\n');
+        request.encode_into(&mut self.send_buf, Some(&self.sid));
         self.pending.push_back((seq, kind));
         // Unusually large batches (posts with wide probability rows) go
         // out early rather than ballooning the buffer.
@@ -459,7 +461,7 @@ impl LtcClient {
             return Ok(());
         }
         use std::io::Write as _;
-        let result = (&self.stream).write_all(&self.send_buf);
+        let result = (&self.stream).write_all(self.send_buf.as_bytes());
         self.send_buf.clear();
         if let Err(e) = result {
             self.closed = true;

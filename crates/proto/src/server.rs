@@ -395,7 +395,9 @@ fn converse(
     // throughput win. The client never blocks on bytes held here: it
     // only awaits acks for frames it finished sending, and the batch is
     // flushed before this thread blocks on the next read.
-    let mut acks: Vec<u8> = Vec::new();
+    let mut acks = String::new();
+    // Every request frame is read into this one buffer.
+    let mut line = Vec::new();
     loop {
         // About to block? Everything batched must be on the wire first.
         // (A partial frame in the read buffer means its remainder is
@@ -405,11 +407,11 @@ fn converse(
         {
             return;
         }
-        let frame = match wire::read_frame(reader) {
+        let frame = match wire::read_frame_into(reader, &mut line) {
             Ok(Some(frame)) => frame,
             _ => return, // EOF, socket shutdown, or an oversized frame
         };
-        let decoded = Request::decode_with_sid(&frame);
+        let decoded = Request::decode(frame);
         let windowed = matches!(
             &decoded,
             Ok((
@@ -431,20 +433,19 @@ fn converse(
         };
         // Responses carry the *post-execution* binding's sid, so a
         // successful open/attach is acknowledged under its new session.
-        let mut encoded = response.encode();
-        if let Some(sid) = binding.sid() {
-            encoded = wire::with_sid(encoded, sid);
-        }
         if windowed {
             // Windowed acks (including refusals of windowed frames) are
-            // tiny and never `stop_after`; they ride the batch in FIFO
-            // position.
-            acks.extend_from_slice(encoded.as_bytes());
-            acks.push(b'\n');
+            // tiny and never `stop_after`; they are encoded straight
+            // into the batch, in FIFO position.
+            response.encode_into(&mut acks, binding.sid());
             if acks.len() >= ACK_BATCH_CAP && flush_batch(writer, &mut acks).is_err() {
                 return;
             }
             continue;
+        }
+        let mut encoded = response.encode();
+        if let Some(sid) = binding.sid() {
+            encoded = wire::with_sid(encoded, sid);
         }
         // Lockstep responses keep their immediate write, behind any
         // batched acks still owed (FIFO across the whole connection).
@@ -471,33 +472,28 @@ const ACK_BATCH_CAP: usize = 64 * 1024;
 /// Writes a batch of whole frames in one locked `write` (responses and
 /// events from the two writer threads still interleave only at frame
 /// boundaries) and empties it for reuse.
-fn flush_batch(writer: &Arc<Mutex<TcpStream>>, batch: &mut Vec<u8>) -> io::Result<()> {
+fn flush_batch(writer: &Arc<Mutex<TcpStream>>, batch: &mut String) -> io::Result<()> {
     use std::io::Write as _;
     let mut stream = lock_recovering(writer);
-    let result = stream.write_all(batch);
+    let result = stream.write_all(batch.as_bytes());
     batch.clear();
     result
 }
 
 /// Appends `first`, then every event the stream already has ready, to
-/// `batch` as whole `\n`-terminated event frames, each carrying `sid`
-/// when there is one ([`Binding::sid`]). Stops once the
-/// batch reaches [`ACK_BATCH_CAP`] (at a frame boundary; the rest stays
-/// queued for the next batch) or nothing more is ready.
+/// `batch` as whole `\n`-terminated event frames, encoded in place,
+/// each carrying `sid` when there is one ([`Binding::sid`]). Stops once
+/// the batch reaches [`ACK_BATCH_CAP`] (at a frame boundary; the rest
+/// stays queued for the next batch) or nothing more is ready.
 fn fill_event_batch(
     stream: &EventStream,
     first: StreamEvent,
     sid: Option<&str>,
-    batch: &mut Vec<u8>,
+    batch: &mut String,
 ) {
     let mut next = Some(first);
     while let Some(event) = next {
-        let mut frame = wire::encode_event(&event);
-        if let Some(sid) = sid {
-            frame = wire::with_sid(frame, sid);
-        }
-        batch.extend_from_slice(frame.as_bytes());
-        batch.push(b'\n');
+        wire::encode_event_into(batch, &event, sid);
         if batch.len() >= ACK_BATCH_CAP {
             return;
         }
@@ -642,7 +638,7 @@ fn execute(
                     // Events that are already waiting go out together in
                     // one locked `write`; the forwarder only blocks (on
                     // the stream) with nothing left to send.
-                    let mut batch: Vec<u8> = Vec::new();
+                    let mut batch = String::new();
                     loop {
                         match stream.recv_timeout(FORWARDER_POLL) {
                             Some(event) => {
@@ -837,9 +833,8 @@ mod tests {
     }
 
     /// Splits a batch into its frames, checking every one is whole.
-    fn lines(batch: &[u8]) -> Vec<&str> {
-        let text = std::str::from_utf8(batch).unwrap();
-        let body = text
+    fn lines(batch: &str) -> Vec<&str> {
+        let body = batch
             .strip_suffix('\n')
             .expect("a batch ends on a frame boundary");
         body.split('\n').collect()
@@ -849,7 +844,7 @@ mod tests {
     fn an_event_batch_holds_every_ready_event_in_order() {
         let events = posted(40);
         let stream = stream_of(&events);
-        let mut batch = Vec::new();
+        let mut batch = String::new();
         let first = stream.try_recv().unwrap();
         fill_event_batch(&stream, first, Some("west"), &mut batch);
         assert_eq!(
@@ -869,13 +864,13 @@ mod tests {
     fn a_v1_event_batch_is_byte_identical_to_single_frames() {
         let events = posted(5);
         let stream = stream_of(&events);
-        let mut batch = Vec::new();
+        let mut batch = String::new();
         fill_event_batch(&stream, stream.try_recv().unwrap(), None, &mut batch);
         let expected: String = events
             .iter()
             .map(|e| format!("{}\n", wire::encode_event(e)))
             .collect();
-        assert_eq!(String::from_utf8(batch).unwrap(), expected);
+        assert_eq!(batch, expected);
     }
 
     #[test]
@@ -887,7 +882,7 @@ mod tests {
             "the burst must overflow"
         );
         let stream = stream_of(&events);
-        let mut batch = Vec::new();
+        let mut batch = String::new();
         let mut decoded = Vec::new();
         let mut batches = 0;
         while let Some(first) = stream.try_recv() {

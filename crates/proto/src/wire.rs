@@ -74,6 +74,7 @@ use ltc_core::service::{
     Algorithm, Event, Lifecycle, RebalanceOutcome, ServiceMetrics, SessionInfo, StreamEvent,
 };
 use ltc_spatial::{BoundingBox, Point};
+use std::borrow::Cow;
 use std::io::{self, BufRead, Read, Write};
 
 /// The protocol name, sent in both handshake frames.
@@ -107,14 +108,32 @@ pub fn valid_session_name(name: &str) -> bool {
 /// that) and the sid a [`valid_session_name`], so no escaping is
 /// needed.
 pub fn with_sid(frame: String, sid: &str) -> String {
-    debug_assert!(frame.ends_with('}'), "{frame}");
-    debug_assert!(valid_session_name(sid), "{sid}");
     let mut out = frame;
+    push_sid(&mut out, sid);
+    out
+}
+
+/// [`with_sid`] on the frame that ends `out`.
+// ltc-lint: hot-path
+fn push_sid(out: &mut String, sid: &str) {
+    debug_assert!(out.ends_with('}'), "{out}");
+    debug_assert!(valid_session_name(sid), "{sid}");
     out.pop();
     out.push_str(",\"sid\":\"");
     out.push_str(sid);
     out.push_str("\"}");
-    out
+}
+
+/// Closes a frame an in-place encoder just appended to `out`: the
+/// `"sid"` member when there is one, then the `\n` delimiter. The
+/// bytes are exactly [`with_sid`] of the `String` encoder's frame,
+/// plus `\n`.
+// ltc-lint: hot-path
+fn finish_frame(out: &mut String, sid: Option<&str>) {
+    if let Some(sid) = sid {
+        push_sid(out, sid);
+    }
+    out.push('\n');
 }
 
 /// The `"sid"` member of a frame, if present and well-formed.
@@ -142,7 +161,22 @@ pub type WireError = String;
 /// every layer that persists or transmits floats (the `ltc-durable`
 /// write-ahead log reuses it verbatim).
 pub fn hex(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
+    let mut out = String::with_capacity(16);
+    push_hex(&mut out, v);
+    out
+}
+
+/// Appends [`hex`]`(v)` to `out` without allocating — the form every
+/// in-place encoder (and the write-ahead log) uses.
+// ltc-lint: hot-path
+pub fn push_hex(out: &mut String, v: f64) {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let bits = v.to_bits();
+    let mut buf = [0u8; 16];
+    for (i, digit) in buf.iter_mut().enumerate() {
+        *digit = DIGITS[((bits >> (60 - 4 * i)) & 0xF) as usize];
+    }
+    out.push_str(std::str::from_utf8(&buf).expect("hex digits are ASCII"));
 }
 
 /// Parses a [`hex`]-rendered bit pattern back into the identical `f64`,
@@ -152,12 +186,16 @@ pub fn unhex(field: &'static str, v: Option<&Json>) -> Result<f64, WireError> {
     let s = v
         .and_then(Json::as_str)
         .ok_or_else(|| format!("missing or non-string `{field}`"))?;
-    if s.len() != 16 {
-        return Err(format!("`{field}` is not a 16-hex-digit f64 bit pattern"));
+    parse_hex16(s.as_bytes())
+        .ok_or_else(|| format!("`{field}` is not a 16-hex-digit f64 bit pattern"))
+}
+
+/// Exactly 16 ASCII hex digits, read as an `f64` bit pattern.
+fn parse_hex16(digits: &[u8]) -> Option<f64> {
+    if digits.len() != 16 {
+        return None;
     }
-    u64::from_str_radix(s, 16)
-        .map(f64::from_bits)
-        .map_err(|_| format!("`{field}` is not a 16-hex-digit f64 bit pattern"))
+    json::hex_digits(digits).map(f64::from_bits)
 }
 
 fn uint(field: &'static str, v: Option<&Json>) -> Result<u64, WireError> {
@@ -171,30 +209,31 @@ fn word<'a>(field: &'static str, v: Option<&'a Json>) -> Result<&'a str, WireErr
 }
 
 // ---------------------------------------------------------------------
-// Exact-layout fast paths for the two frame shapes that dominate a
-// streaming connection: the submission request and its acknowledgement.
-// Each accepts precisely the byte layout our own encoders emit (fixed
-// member order, optional `"seq"`/`"sid"` tails) and decodes to exactly
-// what the generic JSON route would produce; any deviation returns
-// `None` and falls back to the generic parser, so foreign-but-valid
-// framings still work and hostile input hits the same guarded path it
-// always did. The differential unit test pins the agreement.
+// Exact-layout fast paths for the frames that flow once per check-in on
+// a streaming connection: the `submit`/`post` request, its
+// acknowledgement, and the `worker`/`task` event. Each accepts
+// precisely the byte layout our own encoders emit (fixed member order,
+// canonical integers, optional `"seq"`/`"sid"` tails) and decodes to
+// exactly what the generic JSON route would produce, without building
+// a `Json` tree; any deviation returns `None` and falls back to the
+// generic parser, so foreign-but-valid framings still work and hostile
+// input hits the same guarded path it always did. The differential
+// unit tests pin the agreement.
 
 /// Consumes exactly 16 hex digits (a [`hex`]-rendered `f64`).
+// ltc-lint: hot-path
 fn eat_hex16(rest: &[u8]) -> Option<(f64, &[u8])> {
     if rest.len() < 16 {
         return None;
     }
     let (digits, rest) = rest.split_at(16);
-    let mut bits = 0u64;
-    for &b in digits {
-        bits = (bits << 4) | (b as char).to_digit(16)? as u64;
-    }
-    Some((f64::from_bits(bits), rest))
+    Some((parse_hex16(digits)?, rest))
 }
 
 /// Consumes a canonical JSON unsigned integer (no sign, no leading
-/// zeros — anything else falls back to the generic parser).
+/// zeros, at most `u64::MAX` — anything else falls back to the generic
+/// parser).
+// ltc-lint: hot-path
 fn eat_u64(rest: &[u8]) -> Option<(u64, &[u8])> {
     let end = rest
         .iter()
@@ -203,11 +242,24 @@ fn eat_u64(rest: &[u8]) -> Option<(u64, &[u8])> {
     if end == 0 || (end > 1 && rest[0] == b'0') {
         return None;
     }
-    let n: u64 = std::str::from_utf8(&rest[..end]).ok()?.parse().ok()?;
+    let mut n = 0u64;
+    for &digit in &rest[..end] {
+        n = n.checked_mul(10)?.checked_add(u64::from(digit - b'0'))?;
+    }
     Some((n, &rest[end..]))
 }
 
+/// Consumes a task id. Our encoders only ever emit a `u32` there; a
+/// larger id falls back to the generic route, which truncates it
+/// `as u32`.
+// ltc-lint: hot-path
+fn eat_task_id(rest: &[u8]) -> Option<(TaskId, &[u8])> {
+    let (id, rest) = eat_u64(rest)?;
+    Some((TaskId(u32::try_from(id).ok()?), rest))
+}
+
 /// Consumes the optional `,"seq":N` tail.
+// ltc-lint: hot-path
 fn eat_seq(rest: &[u8]) -> Option<(Option<u64>, &[u8])> {
     match rest.strip_prefix(b",\"seq\":") {
         None => Some((None, rest)),
@@ -220,6 +272,7 @@ fn eat_seq(rest: &[u8]) -> Option<(Option<u64>, &[u8])> {
 
 /// Consumes the optional `,"sid":"name"` tail ([`valid_session_name`]
 /// enforced, like [`frame_sid`]).
+// ltc-lint: hot-path
 fn eat_sid(rest: &[u8]) -> Option<(Option<&str>, &[u8])> {
     match rest.strip_prefix(b",\"sid\":\"") {
         None => Some((None, rest)),
@@ -234,62 +287,147 @@ fn eat_sid(rest: &[u8]) -> Option<(Option<&str>, &[u8])> {
     }
 }
 
-/// The submission-request fast path (see the block comment above).
-fn fast_decode_submit(frame: &str) -> Option<(Request, Option<String>)> {
-    let rest = frame
-        .as_bytes()
-        .strip_prefix(b"{\"op\":\"submit\",\"x\":\"")?;
+/// The request fast path (see the block comment above): `submit`, and
+/// `post` without an accuracy row, each with its optional tails.
+// ltc-lint: hot-path
+fn fast_decode_request(frame: &str) -> Option<(Request, Option<&str>)> {
+    let bytes = frame.as_bytes();
+    let (submit, rest) = match bytes.strip_prefix(b"{\"op\":\"submit\",\"x\":\"") {
+        Some(rest) => (true, rest),
+        None => (false, bytes.strip_prefix(b"{\"op\":\"post\",\"x\":\"")?),
+    };
     let (x, rest) = eat_hex16(rest)?;
     let rest = rest.strip_prefix(b"\",\"y\":\"")?;
     let (y, rest) = eat_hex16(rest)?;
-    let rest = rest.strip_prefix(b"\",\"acc\":\"")?;
-    let (acc, rest) = eat_hex16(rest)?;
+    let (acc, rest) = if submit {
+        let rest = rest.strip_prefix(b"\",\"acc\":\"")?;
+        let (acc, rest) = eat_hex16(rest)?;
+        (Some(acc), rest)
+    } else {
+        (None, rest)
+    };
     let rest = rest.strip_prefix(b"\"")?;
     let (seq, rest) = eat_seq(rest)?;
-    let (sid, rest) = eat_sid(rest)?;
-    if rest != b"}" {
-        return None;
-    }
-    Some((
-        Request::Submit {
+    let request = match acc {
+        Some(acc) => Request::Submit {
             worker: Worker::new(Point::new(x, y), acc),
             seq,
         },
-        sid.map(str::to_owned),
-    ))
+        None => Request::Post {
+            task: Task::new(Point::new(x, y)),
+            row: None,
+            seq,
+        },
+    };
+    let (sid, rest) = eat_sid(rest)?;
+    (rest == b"}").then_some((request, sid))
 }
 
 /// The acknowledgement fast path (see the block comment above): the
 /// `submit`/`post` success responses, whose `"sid"` the client ignores
 /// exactly like the generic route does.
+// ltc-lint: hot-path
 fn fast_decode_ack(frame: &str) -> Option<Response> {
     let bytes = frame.as_bytes();
-    let (is_submit, rest) = if let Some(r) = bytes.strip_prefix(b"{\"ok\":\"submit\",\"worker\":") {
-        (true, r)
-    } else if let Some(r) = bytes.strip_prefix(b"{\"ok\":\"post\",\"task\":") {
-        (false, r)
+    let (response, rest) = if let Some(rest) = bytes.strip_prefix(b"{\"ok\":\"submit\",\"worker\":")
+    {
+        let (id, rest) = eat_u64(rest)?;
+        let (seq, rest) = eat_seq(rest)?;
+        (
+            Response::Submit {
+                worker: WorkerId(id),
+                seq,
+            },
+            rest,
+        )
     } else {
-        return None;
+        let rest = bytes.strip_prefix(b"{\"ok\":\"post\",\"task\":")?;
+        let (task, rest) = eat_task_id(rest)?;
+        let (seq, rest) = eat_seq(rest)?;
+        (Response::Post { task, seq }, rest)
     };
-    let (id, rest) = eat_u64(rest)?;
-    let (seq, rest) = eat_seq(rest)?;
     let (_sid, rest) = eat_sid(rest)?;
-    if rest != b"}" {
-        return None;
-    }
-    Some(if is_submit {
-        Response::Submit {
-            worker: WorkerId(id),
-            seq,
-        }
-    } else {
-        Response::Post {
-            // The generic route truncates the same way (`as u32`).
-            task: TaskId(id as u32),
-            seq,
-        }
-    })
+    (rest == b"}").then_some(response)
 }
+
+/// The event fast path (see the block comment above): `worker` frames
+/// (`assign`/`done`/`idle` entries) and `task` frames, whose `"sid"`
+/// the client ignores exactly like the generic route does. The batch's
+/// `Vec` is its only allocation.
+// ltc-lint: hot-path
+fn fast_decode_event(frame: &str) -> Option<StreamEvent> {
+    let bytes = frame.as_bytes();
+    if let Some(rest) = bytes.strip_prefix(b"{\"ev\":\"task\",\"task\":") {
+        let (task, rest) = eat_task_id(rest)?;
+        let (_sid, rest) = eat_sid(rest)?;
+        return (rest == b"}").then_some(StreamEvent::TaskPosted { task });
+    }
+    let rest = bytes.strip_prefix(b"{\"ev\":\"worker\",\"worker\":")?;
+    let (id, rest) = eat_u64(rest)?;
+    let worker = WorkerId(id);
+    let mut rest = rest.strip_prefix(b",\"batch\":[")?;
+    // Entries are flat objects, so the braces before the first `]`
+    // count them and the batch is sized once.
+    let entries = rest
+        .iter()
+        .take_while(|&&b| b != b']')
+        .filter(|&&b| b == b'{')
+        .count();
+    // ltc-lint: allow(L004) the delivered batch owns its events: one allocation per frame, sized up front
+    let mut events = Vec::with_capacity(entries);
+    if let Some(r) = rest.strip_prefix(b"]") {
+        rest = r;
+    } else {
+        loop {
+            let (event, r) = eat_batch_entry(rest, worker)?;
+            events.push(event);
+            if let Some(r) = r.strip_prefix(b",") {
+                rest = r;
+            } else {
+                rest = r.strip_prefix(b"]")?;
+                break;
+            }
+        }
+    }
+    let (_sid, rest) = eat_sid(rest)?;
+    (rest == b"}").then_some(StreamEvent::Worker { worker, events })
+}
+
+/// Consumes one entry of a `worker` frame's batch.
+// ltc-lint: hot-path
+fn eat_batch_entry(rest: &[u8], worker: WorkerId) -> Option<(Event, &[u8])> {
+    if let Some(r) = rest.strip_prefix(b"{\"k\":\"assign\",\"task\":") {
+        let (task, r) = eat_task_id(r)?;
+        let r = r.strip_prefix(b",\"acc\":\"")?;
+        let (acc, r) = eat_hex16(r)?;
+        let r = r.strip_prefix(b"\",\"gain\":\"")?;
+        let (gain, r) = eat_hex16(r)?;
+        let r = r.strip_prefix(b"\"}")?;
+        Some((
+            Event::Assigned {
+                worker,
+                task,
+                acc,
+                gain,
+            },
+            r,
+        ))
+    } else if let Some(r) = rest.strip_prefix(b"{\"k\":\"done\",\"task\":") {
+        let (task, r) = eat_task_id(r)?;
+        let r = r.strip_prefix(b",\"latency\":")?;
+        let (latency, r) = eat_u64(r)?;
+        let r = r.strip_prefix(b"}")?;
+        Some((Event::TaskCompleted { task, latency }, r))
+    } else {
+        let r = rest.strip_prefix(b"{\"k\":\"idle\"}")?;
+        Some((Event::WorkerIdle { worker }, r))
+    }
+}
+
+/// Capacity a reused frame buffer keeps between frames: far above any
+/// per-check-in frame, so only a rare large frame (a snapshot) makes
+/// [`read_frame_into`] give memory back.
+const REUSED_FRAME_KEEP: usize = 64 * 1024;
 
 /// Reads one frame (without its trailing `\n`), enforcing [`MAX_FRAME`]
 /// while reading. `Ok(None)` is a clean end of stream at a frame
@@ -297,8 +435,21 @@ fn fast_decode_ack(frame: &str) -> Option<Response> {
 /// error.
 pub fn read_frame<R: BufRead>(reader: &mut R) -> io::Result<Option<String>> {
     let mut buf = Vec::new();
+    Ok(read_frame_into(reader, &mut buf)?.map(str::to_owned))
+}
+
+/// [`read_frame`] into a caller-owned buffer, for reader loops: the
+/// buffer keeps its capacity from one frame to the next, so a stream
+/// of small frames is read without allocating. A buffer a large frame
+/// grew past 64 KiB is shrunk back before the next read.
+pub fn read_frame_into<'b, R: BufRead>(
+    reader: &mut R,
+    buf: &'b mut Vec<u8>,
+) -> io::Result<Option<&'b str>> {
+    buf.clear();
+    buf.shrink_to(REUSED_FRAME_KEEP);
     let mut limited = reader.take(MAX_FRAME as u64);
-    let n = limited.read_until(b'\n', &mut buf)?;
+    let n = limited.read_until(b'\n', buf)?;
     if n == 0 {
         return Ok(None);
     }
@@ -313,7 +464,7 @@ pub fn read_frame<R: BufRead>(reader: &mut R) -> io::Result<Option<String>> {
         ));
     }
     buf.pop();
-    String::from_utf8(buf)
+    std::str::from_utf8(buf)
         .map(Some)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame is not UTF-8"))
 }
@@ -418,45 +569,22 @@ pub enum Request {
     Sessions,
 }
 
+/// Appends the optional `,"seq":N` member of a windowed frame.
+// ltc-lint: hot-path
+fn push_seq(out: &mut String, seq: Option<u64>) {
+    if let Some(seq) = seq {
+        out.push_str(",\"seq\":");
+        json::push_u64(out, seq);
+    }
+}
+
 impl Request {
     /// Serializes the request as one frame.
     pub fn encode(&self) -> String {
         match self {
-            Request::Submit { worker, seq } => {
-                let mut out = format!(
-                    "{{\"op\":\"submit\",\"x\":\"{}\",\"y\":\"{}\",\"acc\":\"{}\"",
-                    hex(worker.loc.x),
-                    hex(worker.loc.y),
-                    hex(worker.accuracy)
-                );
-                if let Some(seq) = seq {
-                    out.push_str(&format!(",\"seq\":{seq}"));
-                }
-                out.push('}');
-                out
-            }
-            Request::Post { task, row, seq } => {
-                let mut out = format!(
-                    "{{\"op\":\"post\",\"x\":\"{}\",\"y\":\"{}\"",
-                    hex(task.loc.x),
-                    hex(task.loc.y)
-                );
-                if let Some(row) = row {
-                    out.push_str(",\"row\":[");
-                    for (i, &a) in row.iter().enumerate() {
-                        if i > 0 {
-                            out.push(',');
-                        }
-                        out.push('"');
-                        out.push_str(&hex(a));
-                        out.push('"');
-                    }
-                    out.push(']');
-                }
-                if let Some(seq) = seq {
-                    out.push_str(&format!(",\"seq\":{seq}"));
-                }
-                out.push('}');
+            Request::Submit { .. } | Request::Post { .. } => {
+                let mut out = String::with_capacity(96);
+                self.push_hot(&mut out);
                 out
             }
             Request::Subscribe => "{\"op\":\"subscribe\"}".into(),
@@ -497,16 +625,77 @@ impl Request {
         }
     }
 
+    /// Appends the request to `out` as one whole frame: the
+    /// [`encode`](Request::encode) bytes, then `sid` as
+    /// [`with_sid`] would add it, then the `\n` delimiter. The
+    /// per-check-in kinds (`submit`, `post`) are written in place, so a
+    /// warm buffer takes them without allocating.
+    pub fn encode_into(&self, out: &mut String, sid: Option<&str>) {
+        if !self.push_hot(out) {
+            out.push_str(&self.encode());
+        }
+        finish_frame(out, sid);
+    }
+
+    /// Appends the frame in place if it is a per-check-in kind
+    /// (`submit`, `post`); `false` leaves `out` untouched.
+    // ltc-lint: hot-path
+    fn push_hot(&self, out: &mut String) -> bool {
+        match self {
+            Request::Submit { worker, seq } => {
+                out.push_str("{\"op\":\"submit\",\"x\":\"");
+                push_hex(out, worker.loc.x);
+                out.push_str("\",\"y\":\"");
+                push_hex(out, worker.loc.y);
+                out.push_str("\",\"acc\":\"");
+                push_hex(out, worker.accuracy);
+                out.push('"');
+                push_seq(out, *seq);
+            }
+            Request::Post { task, row, seq } => {
+                out.push_str("{\"op\":\"post\",\"x\":\"");
+                push_hex(out, task.loc.x);
+                out.push_str("\",\"y\":\"");
+                push_hex(out, task.loc.y);
+                out.push('"');
+                if let Some(row) = row {
+                    out.push_str(",\"row\":[");
+                    for (i, &a) in row.iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        out.push('"');
+                        push_hex(out, a);
+                        out.push('"');
+                    }
+                    out.push(']');
+                }
+                push_seq(out, *seq);
+            }
+            _ => return false,
+        }
+        out.push('}');
+        true
+    }
+
     /// Parses a request frame, also returning its `"sid"` member — the
     /// session the request addresses (for the session verbs, the
     /// target session); `None` when the frame carries none (every `v1`
     /// frame).
     pub fn decode_with_sid(frame: &str) -> Result<(Request, Option<String>), WireError> {
-        if let Some(decoded) = fast_decode_submit(frame) {
-            return Ok(decoded);
+        let (request, sid) = Self::decode(frame)?;
+        Ok((request, sid.map(Cow::into_owned)))
+    }
+
+    /// [`decode_with_sid`](Request::decode_with_sid) with the `"sid"`
+    /// borrowed from the frame where it can be: a `submit` or row-less
+    /// `post` in our own layout decodes without allocating.
+    pub fn decode(frame: &str) -> Result<(Request, Option<Cow<'_, str>>), WireError> {
+        if let Some((request, sid)) = fast_decode_request(frame) {
+            return Ok((request, sid.map(Cow::Borrowed)));
         }
         let v = json::parse(frame).map_err(|e| e.to_string())?;
-        let sid = frame_sid(&v)?.map(str::to_owned);
+        let sid = frame_sid(&v)?.map(|sid| Cow::Owned(sid.to_owned()));
         let request = Self::decode_value(&v)?;
         Ok((request, sid))
     }
@@ -820,20 +1009,9 @@ impl Response {
                 out.push_str(&format!(",\"win\":{win}}}"));
                 out
             }
-            Response::Submit { worker, seq } => {
-                let mut out = format!("{{\"ok\":\"submit\",\"worker\":{}", worker.0);
-                if let Some(seq) = seq {
-                    out.push_str(&format!(",\"seq\":{seq}"));
-                }
-                out.push('}');
-                out
-            }
-            Response::Post { task, seq } => {
-                let mut out = format!("{{\"ok\":\"post\",\"task\":{}", task.0);
-                if let Some(seq) = seq {
-                    out.push_str(&format!(",\"seq\":{seq}"));
-                }
-                out.push('}');
+            Response::Submit { .. } | Response::Post { .. } => {
+                let mut out = String::with_capacity(64);
+                self.push_hot(&mut out);
                 out
             }
             Response::Subscribe => "{\"ok\":\"subscribe\"}".into(),
@@ -919,6 +1097,39 @@ impl Response {
                 out
             }
         }
+    }
+
+    /// Appends the response to `out` as one whole frame: the
+    /// [`encode`](Response::encode) bytes, then `sid` as [`with_sid`]
+    /// would add it, then the `\n` delimiter. The `submit`/`post`
+    /// acknowledgements are written in place, so a warm buffer takes
+    /// them without allocating.
+    pub fn encode_into(&self, out: &mut String, sid: Option<&str>) {
+        if !self.push_hot(out) {
+            out.push_str(&self.encode());
+        }
+        finish_frame(out, sid);
+    }
+
+    /// Appends the frame in place if it is a `submit`/`post`
+    /// acknowledgement; `false` leaves `out` untouched.
+    // ltc-lint: hot-path
+    fn push_hot(&self, out: &mut String) -> bool {
+        match self {
+            Response::Submit { worker, seq } => {
+                out.push_str("{\"ok\":\"submit\",\"worker\":");
+                json::push_u64(out, worker.0);
+                push_seq(out, *seq);
+            }
+            Response::Post { task, seq } => {
+                out.push_str("{\"ok\":\"post\",\"task\":");
+                json::push_u64(out, u64::from(task.0));
+                push_seq(out, *seq);
+            }
+            _ => return false,
+        }
+        out.push('}');
+        true
     }
 
     /// Parses a response frame (which must not be an event frame).
@@ -1052,9 +1263,30 @@ pub fn is_event_frame(frame: &str) -> bool {
 
 /// Serializes one subscription delivery as an event frame.
 pub fn encode_event(event: &StreamEvent) -> String {
+    let mut out = String::with_capacity(128);
+    push_event(&mut out, event);
+    out
+}
+
+/// Appends one event frame to `out`: the [`encode_event`] bytes, then
+/// `sid` as [`with_sid`] would add it, then the `\n` delimiter. Every
+/// kind is written in place, so a warm buffer takes it without
+/// allocating.
+// ltc-lint: hot-path
+pub fn encode_event_into(out: &mut String, event: &StreamEvent, sid: Option<&str>) {
+    push_event(out, event);
+    finish_frame(out, sid);
+}
+
+/// Appends the event frame itself, the layout [`encode_event`] and
+/// [`encode_event_into`] share.
+// ltc-lint: hot-path
+fn push_event(out: &mut String, event: &StreamEvent) {
     match event {
         StreamEvent::Worker { worker, events } => {
-            let mut out = format!("{{\"ev\":\"worker\",\"worker\":{},\"batch\":[", worker.0);
+            out.push_str("{\"ev\":\"worker\",\"worker\":");
+            json::push_u64(out, worker.0);
+            out.push_str(",\"batch\":[");
             for (i, e) in events.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
@@ -1062,54 +1294,86 @@ pub fn encode_event(event: &StreamEvent) -> String {
                 match e {
                     Event::Assigned {
                         task, acc, gain, ..
-                    } => out.push_str(&format!(
-                        "{{\"k\":\"assign\",\"task\":{},\"acc\":\"{}\",\"gain\":\"{}\"}}",
-                        task.0,
-                        hex(*acc),
-                        hex(*gain)
-                    )),
-                    Event::TaskCompleted { task, latency } => out.push_str(&format!(
-                        "{{\"k\":\"done\",\"task\":{},\"latency\":{latency}}}",
-                        task.0
-                    )),
+                    } => {
+                        out.push_str("{\"k\":\"assign\",\"task\":");
+                        json::push_u64(out, u64::from(task.0));
+                        out.push_str(",\"acc\":\"");
+                        push_hex(out, *acc);
+                        out.push_str("\",\"gain\":\"");
+                        push_hex(out, *gain);
+                        out.push_str("\"}");
+                    }
+                    Event::TaskCompleted { task, latency } => {
+                        out.push_str("{\"k\":\"done\",\"task\":");
+                        json::push_u64(out, u64::from(task.0));
+                        out.push_str(",\"latency\":");
+                        json::push_u64(out, *latency);
+                        out.push('}');
+                    }
                     Event::WorkerIdle { .. } => out.push_str("{\"k\":\"idle\"}"),
                 }
             }
             out.push_str("]}");
-            out
         }
-        StreamEvent::TaskPosted { task } => format!("{{\"ev\":\"task\",\"task\":{}}}", task.0),
-        StreamEvent::Lifecycle(l) => match l {
-            Lifecycle::Drained { workers_seen } => {
-                format!("{{\"ev\":\"life\",\"kind\":\"drained\",\"workers\":{workers_seen}}}")
+        StreamEvent::TaskPosted { task } => {
+            out.push_str("{\"ev\":\"task\",\"task\":");
+            json::push_u64(out, u64::from(task.0));
+            out.push('}');
+        }
+        StreamEvent::Lifecycle(l) => {
+            out.push_str("{\"ev\":\"life\",\"kind\":");
+            match l {
+                Lifecycle::Drained { workers_seen } => {
+                    out.push_str("\"drained\",\"workers\":");
+                    json::push_u64(out, *workers_seen);
+                }
+                Lifecycle::ShardStalled { shard, capacity } => {
+                    out.push_str("\"stalled\",\"shard\":");
+                    json::push_u64(out, *shard as u64);
+                    out.push_str(",\"capacity\":");
+                    json::push_u64(out, *capacity as u64);
+                }
+                Lifecycle::TaskOutOfRegion { task } => {
+                    out.push_str("\"oor\",\"task\":");
+                    json::push_u64(out, u64::from(task.0));
+                }
+                Lifecycle::Rebalanced {
+                    moved_tasks,
+                    max_load,
+                    mean_load,
+                } => {
+                    out.push_str("\"rebalanced\",\"moved\":");
+                    json::push_u64(out, *moved_tasks);
+                    out.push_str(",\"max\":");
+                    json::push_u64(out, *max_load);
+                    out.push_str(",\"mean\":\"");
+                    push_hex(out, *mean_load);
+                    out.push('"');
+                }
+                Lifecycle::Checkpointed { seq } => {
+                    out.push_str("\"checkpointed\",\"seq\":");
+                    json::push_u64(out, *seq);
+                }
+                Lifecycle::SessionEvicted => out.push_str("\"evicted\""),
+                Lifecycle::ShuttingDown => out.push_str("\"bye\""),
             }
-            Lifecycle::ShardStalled { shard, capacity } => format!(
-                "{{\"ev\":\"life\",\"kind\":\"stalled\",\"shard\":{shard},\
-                 \"capacity\":{capacity}}}"
-            ),
-            Lifecycle::TaskOutOfRegion { task } => {
-                format!("{{\"ev\":\"life\",\"kind\":\"oor\",\"task\":{}}}", task.0)
-            }
-            Lifecycle::Rebalanced {
-                moved_tasks,
-                max_load,
-                mean_load,
-            } => format!(
-                "{{\"ev\":\"life\",\"kind\":\"rebalanced\",\"moved\":{moved_tasks},\
-                 \"max\":{max_load},\"mean\":\"{}\"}}",
-                hex(*mean_load)
-            ),
-            Lifecycle::Checkpointed { seq } => {
-                format!("{{\"ev\":\"life\",\"kind\":\"checkpointed\",\"seq\":{seq}}}")
-            }
-            Lifecycle::SessionEvicted => "{\"ev\":\"life\",\"kind\":\"evicted\"}".into(),
-            Lifecycle::ShuttingDown => "{\"ev\":\"life\",\"kind\":\"bye\"}".into(),
-        },
+            out.push('}');
+        }
     }
 }
 
 /// Parses an event frame back into the typed delivery.
 pub fn decode_event(frame: &str) -> Result<StreamEvent, WireError> {
+    if let Some(event) = fast_decode_event(frame) {
+        return Ok(event);
+    }
+    decode_event_generic(frame)
+}
+
+/// The generic JSON route [`decode_event`] falls back to when the
+/// frame is not a hot-path event (also exercised directly by the
+/// fast-path differential test).
+fn decode_event_generic(frame: &str) -> Result<StreamEvent, WireError> {
     let v = json::parse(frame).map_err(|e| e.to_string())?;
     match word("ev", v.get("ev"))? {
         "worker" => {
@@ -1172,9 +1436,9 @@ mod tests {
     use super::*;
     use ltc_core::model::Eligibility;
 
-    #[test]
-    fn requests_round_trip() {
-        let cases = vec![
+    /// One request of every kind, hot kinds with and without their tails.
+    fn sample_requests() -> Vec<Request> {
+        vec![
             Request::Submit {
                 worker: Worker::new(Point::new(1.5, -0.25), 0.875),
                 seq: None,
@@ -1217,8 +1481,12 @@ mod tests {
             Request::Attach { sid: "a".into() },
             Request::Close { sid: "a".into() },
             Request::Sessions,
-        ];
-        for req in cases {
+        ]
+    }
+
+    #[test]
+    fn requests_round_trip() {
+        for req in sample_requests() {
             let frame = req.encode();
             assert_eq!(Request::decode_with_sid(&frame).unwrap().0, req, "{frame}");
         }
@@ -1264,8 +1532,8 @@ mod tests {
         assert!(valid_session_name("Region_7.east-2"));
     }
 
-    #[test]
-    fn responses_round_trip() {
+    /// One response of every kind, hot kinds with and without `"seq"`.
+    fn sample_responses() -> Vec<Response> {
         let info = SessionInfo {
             algorithm: Algorithm::Random { seed: u64::MAX },
             params: ProblemParams {
@@ -1282,7 +1550,7 @@ mod tests {
         let info2 = info.clone();
         let info3 = info.clone();
         let info4 = info.clone();
-        let cases = vec![
+        vec![
             Response::Hello { info, win: 1 },
             Response::Hello {
                 info: info4,
@@ -1362,18 +1630,23 @@ mod tests {
             Response::Err {
                 message: "engine error: task has a non-finite location".into(),
             },
-        ];
-        for resp in cases {
+        ]
+    }
+
+    #[test]
+    fn responses_round_trip() {
+        for resp in sample_responses() {
             let frame = resp.encode();
             assert!(!frame.contains('\n'), "{frame}");
             assert_eq!(Response::decode(&frame).unwrap(), resp, "{frame}");
         }
     }
 
-    #[test]
-    fn events_round_trip_bit_exactly() {
+    /// Every event kind: `worker` frames with each entry kind (and an
+    /// empty batch), `task`, and every [`Lifecycle`].
+    fn sample_events() -> Vec<StreamEvent> {
         let w = WorkerId(3);
-        let cases = vec![
+        vec![
             StreamEvent::Worker {
                 worker: w,
                 events: vec![
@@ -1393,7 +1666,14 @@ mod tests {
                 worker: w,
                 events: vec![Event::WorkerIdle { worker: w }],
             },
+            StreamEvent::Worker {
+                worker: WorkerId(u64::MAX),
+                events: vec![],
+            },
             StreamEvent::TaskPosted { task: TaskId(0) },
+            StreamEvent::TaskPosted {
+                task: TaskId(u32::MAX),
+            },
             StreamEvent::Lifecycle(Lifecycle::Drained { workers_seen: 12 }),
             StreamEvent::Lifecycle(Lifecycle::ShardStalled {
                 shard: 2,
@@ -1408,8 +1688,12 @@ mod tests {
             StreamEvent::Lifecycle(Lifecycle::Checkpointed { seq: u64::MAX }),
             StreamEvent::Lifecycle(Lifecycle::SessionEvicted),
             StreamEvent::Lifecycle(Lifecycle::ShuttingDown),
-        ];
-        for event in cases {
+        ]
+    }
+
+    #[test]
+    fn events_round_trip_bit_exactly() {
+        for event in sample_events() {
             let frame = encode_event(&event);
             assert!(is_event_frame(&frame), "{frame}");
             assert_eq!(decode_event(&frame).unwrap(), event, "{frame}");
@@ -1535,12 +1819,36 @@ mod tests {
         }
     }
 
+    /// The generic route's verdict on a request frame, sid owned.
+    fn generic_request(frame: &str) -> Result<(Request, Option<String>), WireError> {
+        let v = json::parse(frame).map_err(|e| e.to_string())?;
+        Ok((
+            Request::decode_value(&v)?,
+            frame_sid(&v)?.map(str::to_owned),
+        ))
+    }
+
+    /// The fast paths' one rule: whatever a fast decoder accepts, the
+    /// generic route decodes to the identical value.
+    fn assert_fast_implies_generic(frame: &str) {
+        if let Some((request, sid)) = fast_decode_request(frame) {
+            let fast = (request, sid.map(str::to_owned));
+            assert_eq!(generic_request(frame), Ok(fast), "{frame:?}");
+        }
+        if let Some(ack) = fast_decode_ack(frame) {
+            assert_eq!(Response::decode_generic(frame), Ok(ack), "{frame:?}");
+        }
+        if let Some(event) = fast_decode_event(frame) {
+            assert_eq!(decode_event_generic(frame), Ok(event), "{frame:?}");
+        }
+    }
+
     #[test]
     fn fast_paths_agree_with_the_generic_parser() {
         // Requests: every hot-frame variant (seq/sid tails, windowed or
         // not) plus near-misses that must fall back — the fast path may
         // only ever accept frames the generic route parses identically.
-        let submits = [
+        let requests = [
             Request::Submit {
                 worker: Worker::new(Point::new(325.0, -0.125), 0.83),
                 seq: None,
@@ -1559,24 +1867,42 @@ mod tests {
                 .encode(),
                 "Region_7.east-2",
             ),
+            Request::Post {
+                task: Task::new(Point::new(-0.0, 7.5)),
+                row: None,
+                seq: None,
+            }
+            .encode(),
+            with_sid(
+                Request::Post {
+                    task: Task::new(Point::new(12.5, 1e-300)),
+                    row: None,
+                    seq: Some(17),
+                }
+                .encode(),
+                "default",
+            ),
         ];
-        for frame in &submits {
-            let v = json::parse(frame).unwrap();
-            let generic = (
-                Request::decode_value(&v).unwrap(),
-                frame_sid(&v).unwrap().map(str::to_owned),
-            );
-            assert_eq!(fast_decode_submit(frame), Some(generic.clone()), "{frame}");
+        for frame in &requests {
+            let generic = generic_request(frame).unwrap();
+            let (request, sid) = fast_decode_request(frame).expect(frame);
+            assert_eq!((request, sid.map(str::to_owned)), generic, "{frame}");
             assert_eq!(Request::decode_with_sid(frame).unwrap(), generic, "{frame}");
         }
         // Foreign-but-valid framings (reordered members, whitespace,
-        // uppercase hex) must fall back and still parse.
-        for frame in [
-            "{\"x\":\"4074400000000000\",\"op\":\"submit\",\"y\":\"4074400000000000\",\"acc\":\"3feA000000000000\"}",
-            "{\"op\":\"submit\", \"x\":\"4074400000000000\",\"y\":\"4074400000000000\",\"acc\":\"3fea000000000000\"}",
+        // uppercase keys, leading zeros, a `post` row) must fall back;
+        // the generic route still parses the valid ones.
+        for (frame, valid) in [
+            ("{\"x\":\"4074400000000000\",\"op\":\"submit\",\"y\":\"4074400000000000\",\"acc\":\"3feA000000000000\"}", true),
+            ("{\"op\":\"submit\", \"x\":\"4074400000000000\",\"y\":\"4074400000000000\",\"acc\":\"3fea000000000000\"}", true),
+            ("{\"op\":\"submit\",\"X\":\"4074400000000000\",\"y\":\"4074400000000000\",\"acc\":\"3fea000000000000\"}", false),
+            ("{\"op\":\"post\",\"x\":\"4074400000000000\",\"y\":\"4074400000000000\",\"seq\":007}", true),
+            ("{\"op\":\"post\",\"y\":\"4074400000000000\",\"x\":\"4074400000000000\",\"seq\":7}", true),
+            ("{\"op\":\"post\",\"x\":\"4074400000000000\",\"y\":\"4074400000000000\",\"row\":[],\"seq\":7}", true),
+            ("{\"op\":\"post\",\"x\":\"4074400000000000\",\"y\":\"4074400000000000\",\"seq\":18446744073709551616}", false),
         ] {
-            assert_eq!(fast_decode_submit(frame), None, "{frame}");
-            assert!(Request::decode_with_sid(frame).is_ok(), "{frame}");
+            assert_eq!(fast_decode_request(frame), None, "{frame}");
+            assert_eq!(Request::decode_with_sid(frame).is_ok(), valid, "{frame}");
         }
         // Acknowledgements, both verbs, all tail combinations.
         let acks = [
@@ -1600,7 +1926,7 @@ mod tests {
             .encode(),
             with_sid(
                 Response::Post {
-                    task: TaskId(1),
+                    task: TaskId(u32::MAX),
                     seq: None,
                 }
                 .encode(),
@@ -1613,12 +1939,210 @@ mod tests {
             assert_eq!(Response::decode(frame).unwrap(), generic, "{frame}");
         }
         // Near-misses fall back to the generic route's verdict.
-        for frame in [
-            "{\"ok\":\"submit\",\"worker\":007}",
-            "{\"ok\":\"submit\",\"worker\":3,\"seq\":-1}",
-            "{\"ok\":\"post\",\"task\":3,\"sid\":\"no spaces\"}",
+        for (frame, valid) in [
+            ("{\"ok\":\"submit\",\"worker\":007}", true),
+            ("{\"ok\":\"submit\",\"worker\":3,\"seq\":-1}", false),
+            ("{\"ok\":\"post\",\"task\":3,\"sid\":\"no spaces\"}", true),
+            ("{\"OK\":\"submit\",\"worker\":3}", false),
+            ("{\"ok\":\"submit\", \"worker\":3}", true),
+            ("{\"worker\":3,\"ok\":\"submit\"}", true),
+            ("{\"ok\":\"post\",\"task\":4294967296}", true),
         ] {
             assert_eq!(fast_decode_ack(frame), None, "{frame}");
+            assert_eq!(Response::decode(frame).is_ok(), valid, "{frame}");
+        }
+        // Above `u32::MAX` a task id truncates on the generic route.
+        assert_eq!(
+            Response::decode("{\"ok\":\"post\",\"task\":4294967297}").unwrap(),
+            Response::Post {
+                task: TaskId(1),
+                seq: None
+            }
+        );
+        // Events: every `worker` and `task` frame, with and without sid.
+        for event in sample_events() {
+            for sid in [None, Some("Region_7.east-2")] {
+                let mut frame = encode_event(&event);
+                if let Some(sid) = sid {
+                    frame = with_sid(frame, sid);
+                }
+                let generic = decode_event_generic(&frame).unwrap();
+                let hot = matches!(
+                    event,
+                    StreamEvent::Worker { .. } | StreamEvent::TaskPosted { .. }
+                );
+                let fast = fast_decode_event(&frame);
+                assert_eq!(fast.is_some(), hot, "{frame}");
+                if let Some(fast) = fast {
+                    assert_eq!(fast, generic, "{frame}");
+                }
+                assert_eq!(decode_event(&frame).unwrap(), generic, "{frame}");
+            }
+        }
+        for (frame, valid) in [
+            ("{\"ev\":\"task\", \"task\":3}", true),
+            ("{\"task\":3,\"ev\":\"task\"}", true),
+            ("{\"ev\":\"task\",\"Task\":3}", false),
+            ("{\"ev\":\"task\",\"task\":03}", true),
+            ("{\"ev\":\"task\",\"task\":4294967296}", true),
+            ("{\"ev\":\"worker\",\"Worker\":3,\"batch\":[]}", false),
+            ("{\"ev\":\"worker\",\"worker\":03,\"batch\":[{\"k\":\"idle\"}]}", true),
+            ("{\"ev\":\"worker\",\"batch\":[{\"k\":\"idle\"}],\"worker\":3}", true),
+            ("{\"ev\":\"worker\",\"worker\":3,\"batch\":[{\"k\":\"IDLE\"}]}", false),
+            ("{\"ev\":\"worker\",\"worker\":3,\"batch\":[{\"k\":\"idle\"} ]}", true),
+            ("{\"ev\":\"worker\",\"worker\":3,\"batch\":[{\"k\":\"idle\"},]}", false),
+            ("{\"ev\":\"worker\",\"worker\":3,\"batch\":[{\"task\":1,\"k\":\"done\",\"latency\":4}]}", true),
+            ("{\"ev\":\"worker\",\"worker\":3,\"batch\":[{\"k\":\"done\",\"task\":4294967297,\"latency\":4}]}", true),
+            ("{\"ev\":\"worker\",\"worker\":18446744073709551616,\"batch\":[]}", false),
+            ("{\"ev\":\"worker\",\"worker\":3,\"batch\":[{\"k\":\"assign\",\"task\":1,\"acc\":\"+fe0000000000000\",\"gain\":\"3fe0000000000000\"}]}", false),
+        ] {
+            assert_eq!(fast_decode_event(frame), None, "{frame}");
+            assert_eq!(decode_event(frame).is_ok(), valid, "{frame}");
+        }
+        assert_eq!(
+            decode_event("{\"ev\":\"task\",\"task\":4294967297}").unwrap(),
+            StreamEvent::TaskPosted { task: TaskId(1) }
+        );
+    }
+
+    #[test]
+    fn in_place_encoders_write_the_string_encoders_bytes() {
+        // Each in-place encoder appends exactly `with_sid(encode(..))`
+        // plus `\n`, after whatever the buffer already holds.
+        for sid in [None, Some("s-1")] {
+            let frame = |encoded: String| match sid {
+                Some(sid) => format!("prior\n{}\n", with_sid(encoded, sid)),
+                None => format!("prior\n{encoded}\n"),
+            };
+            for event in sample_events() {
+                let mut out = String::from("prior\n");
+                encode_event_into(&mut out, &event, sid);
+                assert_eq!(out, frame(encode_event(&event)));
+            }
+            for request in sample_requests() {
+                let mut out = String::from("prior\n");
+                request.encode_into(&mut out, sid);
+                assert_eq!(out, frame(request.encode()));
+            }
+            for response in sample_responses() {
+                let mut out = String::from("prior\n");
+                response.encode_into(&mut out, sid);
+                assert_eq!(out, frame(response.encode()));
+            }
+        }
+    }
+
+    #[test]
+    fn hot_frames_keep_their_byte_layout() {
+        // The exact bytes the per-check-in frames have always had; the
+        // fast decoders scan for precisely these layouts.
+        let w = WorkerId(12);
+        let cases = [
+            (
+                Request::Submit {
+                    worker: Worker::new(Point::new(1.0, -2.0), 0.5),
+                    seq: Some(7),
+                }
+                .encode(),
+                r#"{"op":"submit","x":"3ff0000000000000","y":"c000000000000000","acc":"3fe0000000000000","seq":7}"#,
+            ),
+            (
+                Request::Post {
+                    task: Task::new(Point::new(0.5, 0.25)),
+                    row: Some(vec![1.0, 0.0]),
+                    seq: None,
+                }
+                .encode(),
+                r#"{"op":"post","x":"3fe0000000000000","y":"3fd0000000000000","row":["3ff0000000000000","0000000000000000"]}"#,
+            ),
+            (
+                Response::Submit {
+                    worker: WorkerId(40),
+                    seq: Some(3),
+                }
+                .encode(),
+                r#"{"ok":"submit","worker":40,"seq":3}"#,
+            ),
+            (
+                Response::Post {
+                    task: TaskId(9),
+                    seq: None,
+                }
+                .encode(),
+                r#"{"ok":"post","task":9}"#,
+            ),
+            (
+                encode_event(&StreamEvent::Worker {
+                    worker: w,
+                    events: vec![
+                        Event::Assigned {
+                            worker: w,
+                            task: TaskId(5),
+                            acc: 0.75,
+                            gain: 0.25,
+                        },
+                        Event::TaskCompleted {
+                            task: TaskId(5),
+                            latency: 12,
+                        },
+                    ],
+                }),
+                r#"{"ev":"worker","worker":12,"batch":[{"k":"assign","task":5,"acc":"3fe8000000000000","gain":"3fd0000000000000"},{"k":"done","task":5,"latency":12}]}"#,
+            ),
+            (
+                encode_event(&StreamEvent::Worker {
+                    worker: w,
+                    events: vec![Event::WorkerIdle { worker: w }],
+                }),
+                r#"{"ev":"worker","worker":12,"batch":[{"k":"idle"}]}"#,
+            ),
+            (
+                encode_event(&StreamEvent::TaskPosted { task: TaskId(0) }),
+                r#"{"ev":"task","task":0}"#,
+            ),
+            (
+                encode_event(&StreamEvent::Lifecycle(Lifecycle::ShardStalled {
+                    shard: 1,
+                    capacity: 1024,
+                })),
+                r#"{"ev":"life","kind":"stalled","shard":1,"capacity":1024}"#,
+            ),
+            (
+                encode_event(&StreamEvent::Lifecycle(Lifecycle::Rebalanced {
+                    moved_tasks: 6,
+                    max_load: 3,
+                    mean_load: 2.5,
+                })),
+                r#"{"ev":"life","kind":"rebalanced","moved":6,"max":3,"mean":"4004000000000000"}"#,
+            ),
+            (
+                encode_event(&StreamEvent::Lifecycle(Lifecycle::ShuttingDown)),
+                r#"{"ev":"life","kind":"bye"}"#,
+            ),
+        ];
+        for (encoded, expected) in cases {
+            assert_eq!(encoded, expected);
+        }
+    }
+
+    #[test]
+    fn unhex_takes_exactly_sixteen_hex_digits() {
+        let ok = Json::Str("3fe0000000000000".into());
+        assert_eq!(unhex("x", Some(&ok)), Ok(0.5));
+        let upper = Json::Str("3FE0000000000000".into());
+        assert_eq!(unhex("x", Some(&upper)), Ok(0.5));
+        // `from_str_radix` would read `+3fe000000000000` (16 bytes, 15
+        // digits) as 0x03fe000000000000.
+        for bad in [
+            "+3fe000000000000",
+            "-3fe000000000000",
+            " 3fe000000000000",
+            "3fe000000000000",
+            "3fe00000000000000",
+            "0x3fe00000000000",
+        ] {
+            let v = Json::Str(bad.into());
+            assert!(unhex("x", Some(&v)).is_err(), "accepted {bad:?}");
         }
     }
 
@@ -1640,8 +2164,10 @@ mod tests {
 
     /// Every decoder entry point the server or client feeds untrusted
     /// bytes into. Returning `Err` is fine; panicking or wedging is the
-    /// failure mode under test.
+    /// failure mode under test, and so is a fast path accepting a frame
+    /// the generic route decodes differently.
     fn exercise_decoders(frame: &str) {
+        assert_fast_implies_generic(frame);
         let _ = Request::decode_with_sid(frame);
         let _ = Response::decode(frame);
         let _ = decode_event(frame);
@@ -1675,10 +2201,12 @@ mod tests {
     #[test]
     fn fuzz_truncations_and_mutations_of_valid_frames_error_cleanly() {
         // Every prefix and a spray of single-byte corruptions of real
-        // frames (windowed submits included) must decode to a clean
-        // error or a different valid value — never a panic. Truncated
-        // frames fed to the reader without their delimiter must surface
-        // the mid-frame error, not hang or fabricate a frame.
+        // frames (every hot frame included) must decode to a clean error
+        // or a different valid value — never a panic, and never a fast
+        // path disagreeing with the generic route. Truncated frames fed
+        // to the reader without their delimiter must surface the
+        // mid-frame error, not hang or fabricate a frame.
+        let w = WorkerId(1 << 40);
         let corpus: Vec<String> = vec![
             Request::Submit {
                 worker: Worker::new(Point::new(13.25, -4.5), 0.875),
@@ -1705,6 +2233,65 @@ mod tests {
             }
             .encode(),
             encode_event(&StreamEvent::Lifecycle(Lifecycle::SessionEvicted)),
+            encode_event(&StreamEvent::Worker {
+                worker: w,
+                events: vec![
+                    Event::Assigned {
+                        worker: w,
+                        task: TaskId(90),
+                        acc: 0.875,
+                        gain: 0.5625,
+                    },
+                    Event::TaskCompleted {
+                        task: TaskId(90),
+                        latency: 1 << 40,
+                    },
+                ],
+            }),
+            with_sid(
+                encode_event(&StreamEvent::Worker {
+                    worker: w,
+                    events: vec![
+                        Event::Assigned {
+                            worker: w,
+                            task: TaskId(3),
+                            acc: 0.75,
+                            gain: 0.25,
+                        },
+                        Event::WorkerIdle { worker: w },
+                    ],
+                }),
+                "sess-9",
+            ),
+            with_sid(
+                encode_event(&StreamEvent::Worker {
+                    worker: w,
+                    events: vec![Event::WorkerIdle { worker: w }],
+                }),
+                "default",
+            ),
+            encode_event(&StreamEvent::TaskPosted { task: TaskId(12) }),
+            with_sid(
+                encode_event(&StreamEvent::TaskPosted { task: TaskId(12) }),
+                "sess-9",
+            ),
+            with_sid(
+                Request::Post {
+                    task: Task::new(Point::new(-3.5, 99.0)),
+                    row: None,
+                    seq: Some(1 << 33),
+                }
+                .encode(),
+                "sess-9",
+            ),
+            with_sid(
+                Response::Post {
+                    task: TaskId(12),
+                    seq: Some(1 << 33),
+                }
+                .encode(),
+                "sess-9",
+            ),
         ];
         let mut rng = XorShift(0x1CDE_2018_0000_0002);
         for frame in &corpus {
@@ -1722,6 +2309,19 @@ mod tests {
                 let at = (rng.next() as usize) % bytes.len();
                 bytes[at] = (rng.next() >> 32) as u8;
                 exercise_decoders(&String::from_utf8_lossy(&bytes));
+            }
+        }
+        // A second spray replaces with bytes that keep a mutated frame
+        // close to a valid one, so the fast paths meet near-misses, not
+        // just garbage.
+        const NEAR: &[u8] = b"0123456789abcdefABCDEF+-\",:{}[] ";
+        let mut rng = XorShift(0x1CDE_2018_0000_0003);
+        for frame in &corpus {
+            for _ in 0..256 {
+                let mut bytes = frame.clone().into_bytes();
+                let at = (rng.next() as usize) % bytes.len();
+                bytes[at] = NEAR[(rng.next() as usize) % NEAR.len()];
+                exercise_decoders(std::str::from_utf8(&bytes).expect("ASCII stays UTF-8"));
             }
         }
     }
