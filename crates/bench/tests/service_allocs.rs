@@ -1,21 +1,21 @@
 //! Allocation gate for the served path: `ServiceHandle` end to end.
 //!
-//! The served path allocates on its shard and collector threads, so
-//! this gate reads the process-wide [`alloc_count`], not the per-thread
-//! counter. A process-wide count is only exact while nothing else runs:
-//! under the parallel test harness another test's allocations would
-//! land in the window. This binary therefore holds exactly one test.
-//! Keep it the only test here.
+//! The served path allocates on its shard threads, so this gate reads
+//! the process-wide [`alloc_count`], not the per-thread counter. A
+//! process-wide count is only exact while nothing else runs: under the
+//! parallel test harness another test's allocations would land in the
+//! window. This binary therefore holds exactly one test. Keep it the
+//! only test here.
 //!
 //! What a check-in may cost, in steady state: the `Vec<Event>` the
 //! subscriber receives and owns, plus a share of the unbounded
-//! channels' block allocations (one block per 31 messages). Everything
-//! else — the shard→collector hop's buffers, the collector's re-order
-//! window, the subscriber delivery — must reuse what it already holds.
-//! The gate covers shard-local check-ins: both task clusters below sit
-//! well inside one stripe each, the way `hotspot-sharded` serves every
-//! check-in on one shard. A cross-shard decision allocates its
-//! rendezvous barrier and is not gated here.
+//! subscriber channel's block allocations (one block per 31 delivered
+//! batches). Everything else — the shard inboxes, the re-order ring,
+//! the batches the subscriber hands back — must reuse what it already
+//! holds. The gate covers shard-local check-ins: both task clusters
+//! below sit well inside one stripe each, the way `hotspot-sharded`
+//! serves every check-in on one shard. Cross-shard decisions allocate
+//! their rendezvous barrier; `service_allocs_boundary` gates those.
 
 use ltc_bench::alloc::alloc_count;
 use ltc_core::model::{ProblemParams, Task, Worker};

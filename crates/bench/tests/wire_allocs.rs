@@ -1,14 +1,14 @@
 //! Allocation gates for `ltc-proto`'s per-check-in frames.
 //!
-//! A windowed check-in crosses the wire as three frames: the `submit`
-//! (or `post`) request, its acknowledgement, and the `worker` (or
-//! `task`) event. Each is encoded straight into a batch buffer and
-//! decoded by an exact-layout scan from a reused read buffer, so in
-//! steady state:
+//! A check-in crosses the wire as three frames: the `submit` (or
+//! `post`) request, its acknowledgement, and the `worker` (or `task`)
+//! event. Windowed or lockstep, each is encoded straight into a reused
+//! buffer and decoded by an exact-layout scan from a reused read
+//! buffer, so in steady state:
 //!
 //! * decoding a `worker` event frame allocates once, for the
 //!   `Vec<Event>` the subscriber receives and owns;
-//! * decoding a `task` event, a windowed `submit` or `post`, or an
+//! * decoding a `task` event, a `submit` or `post`, or an
 //!   acknowledgement allocates nothing;
 //! * encoding any of them into a warm buffer allocates nothing.
 //!
@@ -48,19 +48,27 @@ fn worker_event(id: u64, assigns: u32) -> StreamEvent {
     StreamEvent::Worker { worker, events }
 }
 
-fn windowed_submit(seq: u64) -> Request {
+fn submit(n: u64, seq: Option<u64>) -> Request {
     Request::Submit {
-        worker: Worker::new(Point::new(12.5 + seq as f64, 80.25), 0.9),
-        seq: Some(seq),
+        worker: Worker::new(Point::new(12.5 + n as f64, 80.25), 0.9),
+        seq,
     }
 }
 
-fn windowed_post(seq: u64) -> Request {
+fn post(n: u64, seq: Option<u64>) -> Request {
     Request::Post {
-        task: Task::new(Point::new(3.0, 4.0 + seq as f64)),
+        task: Task::new(Point::new(3.0, 4.0 + n as f64)),
         row: None,
-        seq: Some(seq),
+        seq,
     }
+}
+
+fn windowed_submit(seq: u64) -> Request {
+    submit(seq, Some(seq))
+}
+
+fn windowed_post(seq: u64) -> Request {
+    post(seq, Some(seq))
 }
 
 /// `frames` as one byte stream, each with the session id and `\n`.
@@ -106,27 +114,29 @@ fn decoding_event_frames_allocates_only_the_worker_batch() {
 }
 
 #[test]
-fn decoding_windowed_requests_and_acks_allocates_nothing() {
-    let requests: Vec<Request> = (0..32)
-        .map(|seq| {
-            if seq % 6 == 5 {
-                windowed_post(seq)
+fn decoding_requests_and_acks_allocates_nothing() {
+    // Windowed frames, then the same kinds lockstep (no `seq`).
+    let seq = |n: u64| (n < 32).then_some(n);
+    let requests: Vec<Request> = (0..48)
+        .map(|n| {
+            if n % 6 == 5 {
+                post(n, seq(n))
             } else {
-                windowed_submit(seq)
+                submit(n, seq(n))
             }
         })
         .collect();
-    let acks: Vec<Response> = (0..32)
-        .map(|seq| {
-            if seq % 6 == 5 {
+    let acks: Vec<Response> = (0..48)
+        .map(|n| {
+            if n % 6 == 5 {
                 Response::Post {
-                    task: TaskId(seq as u32),
-                    seq: Some(seq),
+                    task: TaskId(n as u32),
+                    seq: seq(n),
                 }
             } else {
                 Response::Submit {
-                    worker: WorkerId(seq << 30),
-                    seq: Some(seq),
+                    worker: WorkerId(n << 30),
+                    seq: seq(n),
                 }
             }
         })
@@ -195,8 +205,22 @@ fn encoding_hot_frames_into_a_warm_batch_allocates_nothing() {
             task: TaskId(9),
             seq: Some(3),
         },
+        // A lockstep submit's and post's acknowledgements.
+        Response::Submit {
+            worker: WorkerId(41),
+            seq: None,
+        },
+        Response::Post {
+            task: TaskId(u32::MAX),
+            seq: None,
+        },
     ];
-    let requests = [windowed_submit(u64::MAX), windowed_post(0)];
+    let requests = [
+        windowed_submit(u64::MAX),
+        windowed_post(0),
+        submit(7, None),
+        post(8, None),
+    ];
     let mut batch = String::new();
     let fill = |batch: &mut String| {
         batch.clear();

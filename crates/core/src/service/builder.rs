@@ -180,9 +180,11 @@ impl ServiceBuilder {
     }
 
     /// Validates the configuration and starts the pipelined runtime: one
-    /// persistent thread per shard behind bounded mailboxes, plus an
-    /// event collector. The returned [`ServiceHandle`] commits the same
-    /// assignments the facade would for the same submission sequence.
+    /// persistent thread per shard behind bounded mailboxes, and no
+    /// other thread: the shards deliver events to subscribers
+    /// themselves, in submission order. The returned [`ServiceHandle`]
+    /// commits the same assignments the facade would for the same
+    /// submission sequence.
     pub fn start(self) -> Result<ServiceHandle, ServiceError> {
         ServiceHandle::restore(self.genesis()?)
     }

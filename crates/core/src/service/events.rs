@@ -1,7 +1,9 @@
 //! Typed events and the subscription stream of the service layer.
 
 use crate::model::{TaskId, WorkerId};
-use std::sync::mpsc::Receiver;
+use std::cell::RefCell;
+use std::collections::VecDeque;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// One thing that happened while serving a check-in — the typed
@@ -145,36 +147,271 @@ pub enum StreamEvent {
     Lifecycle(Lifecycle),
 }
 
+/// Emptied batch buffers each stream keeps for its producer to refill;
+/// any beyond this are freed.
+const RECYCLED_BATCHES: usize = 4;
+
+/// A batch buffer that grew past this many events is freed once
+/// emptied rather than handed back, so one burst does not pin its
+/// memory for the rest of the session.
+const RECYCLED_BATCH_CAP: usize = 256;
+
+/// Room a fresh batch buffer starts with, in events, so that later
+/// small deliveries coalesce into it while the stream has not taken it
+/// yet.
+const FRESH_BATCH: usize = 64;
+
+/// Locks a stream's queue, recovering from poisoning: the queue holds
+/// plain buffers that stay consistent at every point a panic could
+/// unwind through.
+fn lock(queue: &Mutex<Queue>) -> MutexGuard<'_, Queue> {
+    queue.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// What one stream and its producer share.
+#[derive(Debug, Default)]
+struct Channel {
+    queue: Mutex<Queue>,
+    /// Signalled when a batch arrives or the producer leaves, if the
+    /// stream is waiting.
+    ready: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct Queue {
+    /// Delivered events the stream has not taken yet, in batches,
+    /// oldest first. A delivery that fits in the newest batch's spare
+    /// room joins it.
+    batches: VecDeque<Vec<StreamEvent>>,
+    /// Emptied batch buffers the stream handed back.
+    spares: Vec<Vec<StreamEvent>>,
+    /// The stream is blocked waiting for a batch.
+    waiting: bool,
+    /// The producer is gone: no batch will follow those queued.
+    closed: bool,
+    /// The stream is gone: deliveries are refused.
+    detached: bool,
+}
+
 /// A subscription to a [`ServiceHandle`](super::ServiceHandle)'s event
-/// flow, created by [`subscribe`](super::ServiceHandle::subscribe).
+/// flow, created by [`subscribe`](super::ServiceHandle::subscribe) (or
+/// by an [`EventFanout`], for other [`Session`](super::Session)
+/// implementations).
 ///
-/// Receiving is pull-based and never loses events: the runtime buffers
-/// per-subscriber without bound, so slow consumers trade memory, not
-/// correctness. Iterate it, or poll with
-/// [`try_recv`](EventStream::try_recv) /
+/// Receiving is pull-based and never loses events: the producer
+/// buffers per-subscriber without bound, so slow consumers trade
+/// memory, not correctness. Events arrive in batches — each delivery is
+/// an in-order run of events, and deliveries the stream has not taken
+/// yet share a batch where they fit — and the stream yields them one at
+/// a time, handing each emptied batch buffer back for reuse. Iterate
+/// it, or poll with [`try_recv`](EventStream::try_recv) /
 /// [`recv_timeout`](EventStream::recv_timeout).
 #[derive(Debug)]
 pub struct EventStream {
-    rx: Receiver<StreamEvent>,
+    channel: Arc<Channel>,
+    /// The batch being yielded, reversed so `pop` returns the next event.
+    held: RefCell<Vec<StreamEvent>>,
+}
+
+/// The producer's end of one [`EventStream`].
+#[derive(Debug)]
+pub(crate) struct EventSink(Arc<Channel>);
+
+/// A connected sink and stream.
+pub(crate) fn event_channel() -> (EventSink, EventStream) {
+    let channel = Arc::new(Channel::default());
+    let stream = EventStream {
+        channel: Arc::clone(&channel),
+        held: RefCell::default(),
+    };
+    (EventSink(channel), stream)
+}
+
+impl EventSink {
+    /// Queues `events` for the stream, moving them out when `last`
+    /// (leaving the buffer empty, with its capacity) and cloning them
+    /// otherwise. `false` once the stream is gone.
+    fn send(&self, events: &mut Vec<StreamEvent>, last: bool) -> bool {
+        let mut queue = lock(&self.0.queue);
+        if queue.detached {
+            return false;
+        }
+        let n = events.len();
+        let fits = queue
+            .batches
+            .back()
+            .is_some_and(|tail| tail.capacity() - tail.len() >= n);
+        if !fits {
+            let fresh = queue
+                .spares
+                .pop()
+                .unwrap_or_else(|| Vec::with_capacity(n.max(FRESH_BATCH)));
+            queue.batches.push_back(fresh);
+        }
+        let batch = queue
+            .batches
+            .back_mut()
+            .expect("a batch with room for the events is queued");
+        if last {
+            batch.append(events);
+        } else {
+            batch.extend_from_slice(events);
+        }
+        // Woken after the unlock, the stream finds the queue free.
+        let waiting = queue.waiting;
+        drop(queue);
+        if waiting {
+            self.0.ready.notify_one();
+        }
+        true
+    }
+}
+
+impl Drop for EventSink {
+    fn drop(&mut self) {
+        let mut queue = lock(&self.0.queue);
+        queue.closed = true;
+        let waiting = queue.waiting;
+        drop(queue);
+        if waiting {
+            self.0.ready.notify_one();
+        }
+    }
+}
+
+impl Drop for EventStream {
+    fn drop(&mut self) {
+        let mut queue = lock(&self.channel.queue);
+        queue.detached = true;
+        queue.batches.clear();
+        queue.spares.clear();
+    }
+}
+
+/// The delivering end of any number of [`EventStream`]s: every stream
+/// receives every batch, in delivery order. The in-process runtime
+/// delivers through one, and so does a remote
+/// [`Session`](super::Session) whose transport reader decodes events.
+/// Dropping it ends the streams once they have yielded what was
+/// delivered.
+///
+/// ```
+/// use ltc_core::model::TaskId;
+/// use ltc_core::service::{EventFanout, StreamEvent};
+///
+/// let mut fanout = EventFanout::default();
+/// let stream = fanout.subscribe();
+/// let mut batch: Vec<StreamEvent> = (0..3)
+///     .map(|i| StreamEvent::TaskPosted { task: TaskId(i) })
+///     .collect();
+/// fanout.deliver(&mut batch);
+/// assert!(batch.is_empty()); // ready to be refilled
+/// drop(fanout);
+/// let got: Vec<StreamEvent> = stream.collect();
+/// assert_eq!(got.len(), 3);
+/// assert_eq!(got[2], StreamEvent::TaskPosted { task: TaskId(2) });
+/// ```
+#[derive(Debug, Default)]
+pub struct EventFanout {
+    sinks: Vec<EventSink>,
+}
+
+impl EventFanout {
+    /// Attaches a new stream. It receives every batch delivered from
+    /// now on.
+    pub fn subscribe(&mut self) -> EventStream {
+        let (sink, stream) = event_channel();
+        self.attach(sink);
+        stream
+    }
+
+    pub(crate) fn attach(&mut self, sink: EventSink) {
+        self.sinks.push(sink);
+    }
+
+    /// Delivers `batch` to every attached stream as one in-order run
+    /// and empties it, keeping its capacity for the caller to refill:
+    /// each stream but the last receives copies, the last the events
+    /// themselves. Streams that were dropped are detached.
+    pub fn deliver(&mut self, batch: &mut Vec<StreamEvent>) {
+        if batch.is_empty() {
+            return;
+        }
+        let mut i = 0;
+        while i + 1 < self.sinks.len() {
+            if self.sinks[i].send(batch, false) {
+                i += 1;
+            } else {
+                self.sinks.remove(i);
+            }
+        }
+        if self
+            .sinks
+            .last()
+            .is_some_and(|last| !last.send(batch, true))
+        {
+            self.sinks.pop();
+        }
+        batch.clear();
+    }
+}
+
+/// How long [`EventStream::take`] may wait for a batch.
+#[derive(Clone, Copy)]
+enum Wait {
+    No,
+    For(Duration),
+    Forever,
 }
 
 impl EventStream {
-    pub(crate) fn new(rx: Receiver<StreamEvent>) -> Self {
-        Self { rx }
+    /// The next event of the batch being yielded.
+    fn pop(&self) -> Option<StreamEvent> {
+        self.held.borrow_mut().pop()
     }
 
-    /// Wraps a raw receiver as an event stream — the adapter remote
-    /// [`Session`](super::Session) implementations use to expose their
-    /// transport-delivered events through the same subscription type the
-    /// in-process runtime hands out.
-    pub fn from_receiver(rx: Receiver<StreamEvent>) -> Self {
-        Self::new(rx)
+    /// Hands the emptied batch back and takes the next one, waiting as
+    /// `wait` allows, then yields its first event.
+    fn take(&self, wait: Wait) -> Option<StreamEvent> {
+        let channel = &*self.channel;
+        let mut queue = lock(&channel.queue);
+        let emptied = std::mem::take(&mut *self.held.borrow_mut());
+        if emptied.capacity() > 0
+            && emptied.capacity() <= RECYCLED_BATCH_CAP
+            && queue.spares.len() < RECYCLED_BATCHES
+        {
+            queue.spares.push(emptied);
+        }
+        let idle = |queue: &mut Queue| queue.batches.is_empty() && !queue.closed;
+        if !matches!(wait, Wait::No) && idle(&mut queue) {
+            queue.waiting = true;
+            queue = match wait {
+                Wait::No => queue,
+                Wait::For(timeout) => {
+                    channel
+                        .ready
+                        .wait_timeout_while(queue, timeout, idle)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0
+                }
+                Wait::Forever => channel
+                    .ready
+                    .wait_while(queue, idle)
+                    .unwrap_or_else(PoisonError::into_inner),
+            };
+            queue.waiting = false;
+        }
+        let mut batch = queue.batches.pop_front()?;
+        drop(queue);
+        batch.reverse();
+        *self.held.borrow_mut() = batch;
+        self.pop()
     }
 
-    /// Blocks until the next event, or returns `None` once the runtime
-    /// has shut down and every buffered event was consumed.
+    /// Blocks until the next event, or returns `None` once the producer
+    /// has shut down and every delivered event was consumed.
     pub fn next_event(&self) -> Option<StreamEvent> {
-        self.rx.recv().ok()
+        self.pop().or_else(|| self.take(Wait::Forever))
     }
 
     /// Non-blocking receive: an already-delivered event, or `None` when
@@ -209,15 +446,15 @@ impl EventStream {
     /// assert_eq!(events.try_recv(), None); // buffer empty again
     /// ```
     pub fn try_recv(&self) -> Option<StreamEvent> {
-        self.rx.try_recv().ok()
+        self.pop().or_else(|| self.take(Wait::No))
     }
 
     /// Bounded-blocking receive: waits up to `timeout` for the next
-    /// event, `None` on timeout or once the runtime has shut down and
+    /// event, `None` on timeout or once the producer has shut down and
     /// the buffer is empty. (The runtime internals pace their own waits
     /// with the same primitive; this is the public handle on it.)
     pub fn recv_timeout(&self, timeout: Duration) -> Option<StreamEvent> {
-        self.rx.recv_timeout(timeout).ok()
+        self.pop().or_else(|| self.take(Wait::For(timeout)))
     }
 }
 

@@ -2,12 +2,11 @@
 //! service state in front of persistent shard threads.
 
 use super::rebalance::RebalanceOutcome;
-use super::runtime::{CollectorMsg, Rendezvous, Runtime, ShardMsg};
+use super::runtime::{Rendezvous, Runtime, ShardMsg};
 use super::state::{ServiceSnapshot, ServiceState};
 use super::{Algorithm, EventStream, Lifecycle, ServiceError, ServiceMetrics};
 use crate::model::{ProblemParams, Task, TaskId, Worker, WorkerId};
 use ltc_spatial::BoundingBox;
-use std::sync::mpsc;
 use std::sync::Arc;
 
 /// A live, pipelined LTC service session: persistent per-shard threads
@@ -210,6 +209,12 @@ impl ServiceHandle {
         // Admission validates on the caller's thread, so the shard
         // thread's append cannot fail.
         let (s, global) = self.state.admit_post(&task, accuracies)?;
+        // Queued before the post is sent, so the post's own release
+        // carries the notice out.
+        if !self.state.region.contains(task.loc) {
+            self.runtime
+                .announce_with_next(Lifecycle::TaskOutOfRegion { task: global });
+        }
         let msg = ShardMsg::PostTask {
             seq: self.runtime.take_seq(),
             global,
@@ -217,10 +222,6 @@ impl ServiceHandle {
             accuracies: accuracies.map(<[f64]>::to_vec),
         };
         self.runtime.send(s, msg)?;
-        if !self.state.region.contains(task.loc) {
-            self.runtime
-                .announce(Lifecycle::TaskOutOfRegion { task: global });
-        }
         Ok(global)
     }
 
@@ -258,12 +259,7 @@ impl ServiceHandle {
     /// }
     /// ```
     pub fn subscribe(&mut self) -> Result<EventStream, ServiceError> {
-        let (tx, rx) = mpsc::channel();
-        self.runtime
-            .collector()?
-            .send(CollectorMsg::Subscribe { tx })
-            .map_err(|_| ServiceError::RuntimeStopped("the collector disconnected"))?;
-        Ok(EventStream::new(rx))
+        self.runtime.subscribe()
     }
 
     /// Blocks until every submission made so far has been fully

@@ -88,7 +88,7 @@ mod shard;
 mod state;
 
 pub use builder::ServiceBuilder;
-pub use events::{Event, EventStream, Lifecycle, ServiceMetrics, StreamEvent};
+pub use events::{Event, EventFanout, EventStream, Lifecycle, ServiceMetrics, StreamEvent};
 pub use facade::LtcService;
 pub use handle::ServiceHandle;
 pub use rebalance::{RebalanceOutcome, StripeLayout};

@@ -1,7 +1,7 @@
 //! Internals of the pipelined runtime: persistent per-shard worker
 //! threads fed by bounded mailboxes, a cross-shard rendezvous for
-//! decisions that need more than one shard, and a collector thread that
-//! restores submission order before delivering events to subscribers.
+//! decisions that need more than one shard, and shared delivery state
+//! through which finished work reaches subscribers in submission order.
 //!
 //! ## Why this is deterministic
 //!
@@ -12,40 +12,50 @@
 //! position** through a [`Rendezvous`] barrier. Shard state therefore
 //! evolves exactly as it would under the serial facade, independent of
 //! thread scheduling; only *delivery* of finished event batches races,
-//! and the collector re-orders those by submission sequence number. The
-//! result: a pipelined run is event-for-event identical to the same
+//! and a re-order ring restores submission order by sequence number.
+//! The result: a pipelined run is event-for-event identical to the same
 //! submissions fed through `LtcService::check_in`.
 //!
-//! ## Wake-ups per batch, not per check-in
+//! ## Delivery without a delivery thread
 //!
-//! The in-process hops follow the socket writers' rule, "flush only
-//! before blocking". A shard collects its finished check-ins and posts
-//! in a reused buffer and hands the whole buffer to the collector when
-//! it is about to block (empty mailbox, rendezvous, control reply) or
-//! the buffer reaches [`BATCH_CAP`]; the collector sends the emptied
-//! buffer back. A submitter that finds a mailbox full announces one
-//! stall and sleeps until the shard has drained it to half its bound,
-//! instead of refilling one freed slot per wake-up. Only the grouping
-//! of deliveries changes; decisions and delivery order do not.
+//! There is no thread between a shard and a subscriber. A shard
+//! collects its finished check-ins and posts in a reused buffer and
+//! appends them to its own inbox when it is about to block (empty
+//! mailbox, rendezvous, control reply) or the buffer reaches
+//! [`BATCH_CAP`]. The handle has an inbox too, for drain markers, new
+//! subscribers and lifecycle notices. Whoever has just filled an inbox
+//! then tries to deliver: it takes the re-order ring with `try_lock`,
+//! parks every inbox's releases by sequence number, and sends the
+//! in-order prefix they complete to each subscriber as one batch. A
+//! thread that finds the ring taken returns at once; the holder
+//! re-checks every inbox after unlocking, so nothing is left behind
+//! (flat combining: Hendler et al., SPAA 2010). No shard ever waits
+//! behind another's delivery.
+//!
+//! A submitter that finds a mailbox full announces one stall and
+//! sleeps until the shard has drained it to half its bound, instead of
+//! refilling one freed slot per wake-up. Only the grouping of
+//! deliveries changes; decisions and delivery order do not.
 
+use super::events::{event_channel, EventSink};
 use super::shard::{
     append_merge_events, merge_and_truncate, Proposal, ProposeScratch, Shard, ShardMetrics,
     ShardState,
 };
 use super::state::Progress;
-use super::{Event, Lifecycle, ServiceError, StreamEvent};
+use super::{Event, EventFanout, EventStream, Lifecycle, ServiceError, StreamEvent};
 use crate::model::{Task, TaskId, Worker, WorkerId};
 use std::collections::VecDeque;
 use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TryRecvError, TrySendError};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TryRecvError, TrySendError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// How long a drain waits for the runtime before concluding it is
-/// wedged (a shard thread died or a mailbox deadlocked — bugs, not
-/// back-pressure).
+/// How long a drain waits for a live runtime before concluding it is
+/// wedged (a mailbox deadlocked — a bug, not back-pressure). A shard
+/// thread that exits ends the wait at the next [`PEER_POLL`] instead.
 const DRAIN_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Upper bound on one rendezvous wait. A healthy peer reaches the
@@ -56,21 +66,27 @@ const DRAIN_TIMEOUT: Duration = Duration::from_secs(60);
 /// joinable failure that `drain` reports as `RuntimeStopped`.
 const RENDEZVOUS_TIMEOUT: Duration = Duration::from_secs(60);
 
-/// How often a rendezvous wait looks up from the barrier to check
-/// whether a peer shard thread has exited, so a dead peer ends the wait
-/// promptly rather than after [`RENDEZVOUS_TIMEOUT`].
+/// How often a rendezvous wait or a drain looks up to check whether a
+/// shard thread has exited, so a dead shard ends the wait promptly
+/// rather than after [`RENDEZVOUS_TIMEOUT`] or [`DRAIN_TIMEOUT`].
 const PEER_POLL: Duration = Duration::from_millis(10);
 
-/// A shard hands its finished submissions to the collector at the
-/// latest once this many have collected, so delivery lag stays bounded
-/// while the mailbox never runs empty.
+/// A shard hands its finished submissions to delivery at the latest
+/// once this many have collected, so delivery lag stays bounded while
+/// the mailbox never runs empty.
 const BATCH_CAP: usize = 64;
 
-/// Emptied release buffers the collector keeps queued for each shard to
-/// reuse (it frees any beyond this); a shard that finds none allocates
-/// a fresh one. Enough to cover the small batches a shard flushes while
-/// the collector waits for a core.
-const RECYCLED_BUFFERS: usize = 16;
+/// A delivery hands subscribers at most this many events at once: a
+/// long in-order prefix (one that waited behind a slow rendezvous) goes
+/// out in several batches, so delivery buffers stay near this size.
+const DELIVERY_CAP: usize = 4 * BATCH_CAP;
+
+/// Locks an inbox or the ring, recovering from poisoning: both hold
+/// plain queues that stay consistent at every point a panic could
+/// unwind through.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// One shard mailbox's back-pressure state, shared by the submitter and
 /// the shard thread.
@@ -151,11 +167,11 @@ impl Drop for ExitGuard {
     }
 }
 
-/// The [`Progress`] counters the collector maintains as it releases
-/// event batches, shared with the handle through an `Arc`. All
-/// loads/stores are relaxed: the values are monotone counters read for
-/// reporting, not for synchronization (ordering guarantees come from
-/// the channels).
+/// The [`Progress`] counters delivery maintains as it releases event
+/// batches, shared with the handle. All loads/stores are relaxed: the
+/// values are monotone counters read for reporting, not for
+/// synchronization (ordering guarantees come from the ring's lock and
+/// the drain acknowledgement).
 #[derive(Debug, Default)]
 struct RuntimeStats {
     /// Assignments committed (counted at event release).
@@ -192,17 +208,67 @@ impl RuntimeStats {
     }
 }
 
+/// Delivery state the shard threads and the handle share: an inbox
+/// each for finished work, and the re-order ring with the subscribers,
+/// held by whichever thread is delivering.
+#[derive(Debug)]
+struct Delivery {
+    /// One inbox per shard, then the handle's.
+    inboxes: Box<[Mutex<Vec<Release>>]>,
+    /// Taken only with `try_lock` while the runtime runs.
+    ring: Mutex<Ring>,
+    stats: RuntimeStats,
+}
+
+impl Delivery {
+    /// Appends `releases` to inbox `inbox` (leaving the vector empty
+    /// for reuse) and delivers.
+    fn post(&self, inbox: usize, releases: &mut Vec<Release>) {
+        lock(&self.inboxes[inbox]).append(releases);
+        self.deliver();
+    }
+
+    /// Appends one release to the handle's inbox, the last one.
+    fn queue_from_handle(&self, release: Release) {
+        lock(&self.inboxes[self.inboxes.len() - 1]).push(release);
+    }
+
+    /// Appends one release to the handle's inbox and delivers.
+    fn post_from_handle(&self, release: Release) {
+        self.queue_from_handle(release);
+        self.deliver();
+    }
+
+    /// Delivers the in-order prefix the inboxes complete, unless another
+    /// thread holds the ring: that thread re-checks every inbox after it
+    /// unlocks, so what was just posted is delivered either way and
+    /// nobody waits. (A poster whose inbox append came after the
+    /// holder's re-check of that inbox locked it then, so its
+    /// `try_lock` follows the holder's unlock and cannot fail on it.)
+    fn deliver(&self) {
+        loop {
+            match self.ring.try_lock() {
+                Ok(mut ring) => ring.combine(&self.inboxes, &self.stats),
+                Err(TryLockError::Poisoned(ring)) => {
+                    ring.into_inner().combine(&self.inboxes, &self.stats);
+                }
+                Err(TryLockError::WouldBlock) => return,
+            }
+            if self.inboxes.iter().all(|inbox| lock(inbox).is_empty()) {
+                return;
+            }
+        }
+    }
+}
+
 /// The threaded executor: one persistent thread per shard behind a
-/// bounded mailbox, plus the collector thread and the counters it
-/// releases into.
+/// bounded mailbox, and the delivery state they share with the handle.
 #[derive(Debug)]
 pub(crate) struct Runtime {
     shard_txs: Vec<SyncSender<ShardMsg>>,
     mailboxes: Arc<[Mailbox]>,
     shard_joins: Vec<JoinHandle<()>>,
-    collector_tx: Option<Sender<CollectorMsg>>,
-    collector_join: Option<JoinHandle<()>>,
-    stats: Arc<RuntimeStats>,
+    delivery: Arc<Delivery>,
     /// The mailbox bound, reported with back-pressure notices.
     capacity: usize,
     /// Next submission sequence number (orders event delivery).
@@ -210,47 +276,39 @@ pub(crate) struct Runtime {
 }
 
 impl Runtime {
-    /// Spins up the threads over `shards`, with the collector's counters
-    /// continuing from `progress` and `released` delivered check-ins.
+    /// Spins up the shard threads over `shards`, with the delivery
+    /// counters continuing from `progress` and `released` delivered
+    /// check-ins.
     pub(crate) fn start(
         shards: Vec<Shard>,
         capacity: usize,
         progress: Progress,
         released: u64,
     ) -> Result<Self, ServiceError> {
-        let stats = Arc::new(RuntimeStats::default());
+        let stats = RuntimeStats::default();
         stats.add(&progress);
         stats.workers_released.store(released, Ordering::Relaxed);
-        let (collector_tx, collector_rx) = mpsc::channel();
+        let delivery = Arc::new(Delivery {
+            inboxes: (0..=shards.len()).map(|_| Mutex::default()).collect(),
+            ring: Mutex::default(),
+            stats,
+        });
         let mailboxes: Arc<[Mailbox]> = shards.iter().map(|_| Mailbox::new(capacity)).collect();
-        let (recycle_txs, recycle_rxs): (Vec<_>, Vec<_>) = shards
-            .iter()
-            .map(|_| mpsc::sync_channel(RECYCLED_BUFFERS))
-            .unzip();
         let mut runtime = Self {
             shard_txs: Vec::with_capacity(shards.len()),
             mailboxes: Arc::clone(&mailboxes),
             shard_joins: Vec::with_capacity(shards.len()),
-            collector_tx: Some(collector_tx.clone()),
-            collector_join: None,
-            stats: Arc::clone(&stats),
+            delivery: Arc::clone(&delivery),
             capacity,
             next_seq: 0,
         };
-        runtime.collector_join = Some(
-            std::thread::Builder::new()
-                .name("ltc-collector".into())
-                .spawn(move || collector_loop(collector_rx, recycle_txs, stats))
-                .map_err(|_| ServiceError::RuntimeStopped("could not spawn the collector"))?,
-        );
-        for ((i, shard), recycled) in shards.into_iter().enumerate().zip(recycle_rxs) {
+        for (i, shard) in shards.into_iter().enumerate() {
             let (tx, rx) = mpsc::sync_channel(capacity);
             let rt = ShardRuntime {
                 shard,
                 shard_id: i,
-                collector: collector_tx.clone(),
+                delivery: Arc::clone(&delivery),
                 released: Vec::with_capacity(BATCH_CAP),
-                recycled,
                 mailboxes: Arc::clone(&mailboxes),
                 scratch: ProposeScratch::default(),
             };
@@ -266,12 +324,19 @@ impl Runtime {
 
     /// The released-event counters.
     pub(crate) fn progress(&self) -> Progress {
-        self.stats.progress()
+        self.delivery.stats.progress()
     }
 
     /// Whether the runtime was stopped.
     pub(crate) fn is_stopped(&self) -> bool {
-        self.collector_tx.is_none()
+        self.shard_txs.is_empty()
+    }
+
+    fn live(&self) -> Result<(), ServiceError> {
+        if self.is_stopped() {
+            return Err(ServiceError::RuntimeStopped("the runtime is shut down"));
+        }
+        Ok(())
     }
 
     pub(crate) fn take_seq(&mut self) -> u64 {
@@ -280,16 +345,30 @@ impl Runtime {
         seq
     }
 
-    pub(crate) fn collector(&self) -> Result<&Sender<CollectorMsg>, ServiceError> {
-        self.collector_tx
-            .as_ref()
-            .ok_or(ServiceError::RuntimeStopped("the runtime is shut down"))
+    /// Attaches a subscriber; it receives every delivery from its
+    /// attachment on.
+    pub(crate) fn subscribe(&self) -> Result<EventStream, ServiceError> {
+        self.live()?;
+        let (sink, stream) = event_channel();
+        self.delivery.post_from_handle(Release::Subscribe(sink));
+        Ok(stream)
     }
 
     /// Broadcasts an advisory lifecycle notice (a no-op once stopped).
     pub(crate) fn announce(&self, lifecycle: Lifecycle) {
-        if let Some(tx) = &self.collector_tx {
-            tx.send(CollectorMsg::Lifecycle(lifecycle)).ok();
+        if !self.is_stopped() {
+            self.delivery.post_from_handle(Release::Announce(lifecycle));
+        }
+    }
+
+    /// Queues an advisory notice about the submission the caller sends
+    /// next, to go out with the next delivery. That submission's own
+    /// release delivers it, so the submitter does no delivery work for
+    /// it (a no-op once stopped).
+    pub(crate) fn announce_with_next(&self, lifecycle: Lifecycle) {
+        if !self.is_stopped() {
+            self.delivery
+                .queue_from_handle(Release::Announce(lifecycle));
         }
     }
 
@@ -351,36 +430,51 @@ impl Runtime {
     }
 
     /// Blocks until every submission so far has been processed and its
-    /// events delivered, then announces [`Lifecycle::Drained`].
+    /// events delivered, then announces [`Lifecycle::Drained`]. A shard
+    /// thread that has exited fails the drain within a [`PEER_POLL`].
     pub(crate) fn drain(&mut self) -> Result<(), ServiceError> {
+        self.live()?;
         let seq = self.take_seq();
-        let (ack_tx, ack_rx) = mpsc::sync_channel(1);
-        self.collector()?
-            .send(CollectorMsg::Flush {
-                seq,
-                announce: true,
-                ack: ack_tx,
-            })
-            .map_err(|_| ServiceError::RuntimeStopped("the collector disconnected"))?;
-        ack_rx.recv_timeout(DRAIN_TIMEOUT).map_err(|_| {
-            ServiceError::RuntimeStopped("drain timed out — a shard is stalled or died")
-        })
+        let (ack, acked) = mpsc::sync_channel(1);
+        self.delivery
+            .post_from_handle(Release::Due(seq, Pending::Flush { ack }));
+        let mut waited = Duration::ZERO;
+        loop {
+            match acked.recv_timeout(PEER_POLL) {
+                Ok(()) => return Ok(()),
+                Err(RecvTimeoutError::Disconnected) => {
+                    return Err(ServiceError::RuntimeStopped("the drain marker was dropped"))
+                }
+                Err(RecvTimeoutError::Timeout) => {}
+            }
+            if self.mailboxes.iter().any(Mailbox::is_dead) {
+                return match acked.try_recv() {
+                    Ok(()) => Ok(()),
+                    Err(_) => Err(ServiceError::RuntimeStopped("a shard thread exited")),
+                };
+            }
+            waited += PEER_POLL;
+            if waited >= DRAIN_TIMEOUT {
+                return Err(ServiceError::RuntimeStopped(
+                    "drain timed out — a shard is stalled",
+                ));
+            }
+        }
     }
 
     /// Stops every thread: disconnect the mailboxes (shard threads exit
-    /// after finishing their queues), join them, then the collector.
-    /// Idempotent; a panicked shard thread is joined with the rest and
-    /// then reported.
+    /// after finishing their queues) and join them, then deliver what
+    /// they left and end the subscribers' streams. Idempotent; a
+    /// panicked shard thread is joined with the rest and then reported.
     pub(crate) fn stop(&mut self) -> Result<(), ServiceError> {
         self.shard_txs.clear();
         let mut panicked = false;
         for join in self.shard_joins.drain(..) {
             panicked |= join.join().is_err();
         }
-        drop(self.collector_tx.take());
-        if let Some(join) = self.collector_join.take() {
-            join.join().ok();
-        }
+        // Every shard thread has exited, so nothing else holds the ring.
+        self.delivery.deliver();
+        lock(&self.delivery.ring).subscribers = EventFanout::default();
         if panicked {
             return Err(ServiceError::RuntimeStopped("a shard thread panicked"));
         }
@@ -459,7 +553,8 @@ pub(crate) enum ShardMsg {
 /// decision exchange statistics, proposals, and commit results. Three
 /// phases, each a lock+condvar round: (1) deposit worker-unit statistics
 /// (hybrid AAM only), (2) deposit proposals and merge, (3) commit own
-/// picks and ship the ordered event batch (last committer sends).
+/// picks and release the ordered event batch (the last committer
+/// releases it).
 pub(crate) struct Rendezvous {
     k: usize,
     /// The shards taking part; a wait gives up once one of them exits.
@@ -499,11 +594,9 @@ impl Rendezvous {
 struct ShardRuntime {
     shard: Shard,
     shard_id: usize,
-    collector: Sender<CollectorMsg>,
-    /// Finished submissions not yet handed to the collector.
+    delivery: Arc<Delivery>,
+    /// Finished submissions not yet handed to delivery.
     released: Vec<Release>,
-    /// Emptied buffers coming back from the collector.
-    recycled: Receiver<Vec<Release>>,
     /// Every shard's mailbox state (this shard's, and its peers' exit
     /// flags for the rendezvous).
     mailboxes: Arc<[Mailbox]>,
@@ -512,36 +605,24 @@ struct ShardRuntime {
 
 impl ShardRuntime {
     fn release(&mut self, seq: u64, item: Pending) {
-        self.released.push(Release { seq, item });
+        self.released.push(Release::Due(seq, item));
         if self.released.len() >= BATCH_CAP {
             self.flush();
         }
     }
 
-    /// Hands the collected releases to the collector in one message,
-    /// swapping in a recycled buffer (a fresh one only while the
-    /// collector has none to give back).
+    /// Appends the collected releases to this shard's inbox (the buffer
+    /// keeps its capacity) and delivers what they complete.
     fn flush(&mut self) {
-        if self.released.is_empty() {
-            return;
+        if !self.released.is_empty() {
+            self.delivery.post(self.shard_id, &mut self.released);
         }
-        let spare = self
-            .recycled
-            .try_recv()
-            .unwrap_or_else(|_| Vec::with_capacity(BATCH_CAP));
-        let batch = std::mem::replace(&mut self.released, spare);
-        self.collector
-            .send(CollectorMsg::Released {
-                shard: self.shard_id,
-                batch,
-            })
-            .ok();
     }
 }
 
 /// The body of one persistent shard thread: drain the mailbox in order
-/// until the handle disconnects it, flushing finished work to the
-/// collector before every point where the thread could block.
+/// until the handle disconnects it, flushing finished work to delivery
+/// before every point where the thread could block.
 fn shard_loop(mut rt: ShardRuntime, rx: Receiver<ShardMsg>) {
     let _exit = ExitGuard(Arc::clone(&rt.mailboxes), rt.shard_id);
     loop {
@@ -659,9 +740,9 @@ fn serve_rendezvous(
     };
 
     // Phase 3: commit own picks; the last committer assembles the
-    // globally-ordered event batch and ships it. Nobody waits here — a
-    // shard may move on to its next mailbox entry immediately (delivery
-    // order is restored by the collector's sequence numbers).
+    // globally-ordered event batch and releases it. Nobody waits here —
+    // a shard may move on to its next mailbox entry immediately
+    // (delivery order is restored by the ring's sequence numbers).
     let mut completed = Vec::new();
     for p in &my_picks {
         rt.shard.engine.commit(w, worker, p.local);
@@ -713,133 +794,116 @@ fn wait_for_peers<'a>(
     st
 }
 
-/// A message for the collector thread.
-pub(crate) enum CollectorMsg {
-    /// A shard's finished submissions, in its processing order (exactly
-    /// one release per submitted worker and per posted task overall).
-    Released {
-        /// The shard that sends the emptied buffer back for reuse.
-        shard: usize,
-        /// The releases, each with its submission sequence number.
-        batch: Vec<Release>,
-    },
-    /// A drain/quiesce marker: acknowledged once every earlier
-    /// submission's events have been released.
-    Flush {
-        /// Submission sequence number.
-        seq: u64,
-        /// Whether to announce [`Lifecycle::Drained`] to subscribers.
-        announce: bool,
-        /// Acknowledged once the marker is released in order.
-        ack: SyncSender<()>,
-    },
-    /// Attach a new subscriber.
-    Subscribe {
-        /// The subscriber's channel.
-        tx: Sender<StreamEvent>,
-    },
-    /// Broadcast an advisory lifecycle notification immediately
+/// Work handed to delivery through an inbox.
+#[derive(Debug)]
+enum Release {
+    /// Submission `seq`'s outcome, delivered in sequence order
+    /// (exactly one per submitted worker, posted task and drain).
+    Due(u64, Pending),
+    /// A new subscriber, attached before the next delivery.
+    Subscribe(EventSink),
+    /// An advisory lifecycle notice, delivered with the next batch
     /// (unordered).
-    Lifecycle(Lifecycle),
+    Announce(Lifecycle),
 }
 
 /// One submission's outcome, waiting for its turn in submission order.
-pub(crate) struct Release {
-    seq: u64,
-    item: Pending,
-}
-
+#[derive(Debug)]
 enum Pending {
-    Worker { w: WorkerId, events: Vec<Event> },
-    Task { task: TaskId },
-    Flush { announce: bool, ack: SyncSender<()> },
+    Worker {
+        w: WorkerId,
+        events: Vec<Event>,
+    },
+    Task {
+        task: TaskId,
+    },
+    /// A drain marker: acknowledged once every earlier submission's
+    /// events, and the [`Lifecycle::Drained`] notice, are delivered.
+    Flush {
+        ack: SyncSender<()>,
+    },
 }
 
-/// The collector thread: re-orders finished submissions by sequence
-/// number, maintains the shared counters, and fans events out to
-/// subscribers. Exits when every producer (all shards and the handle)
-/// has disconnected.
-fn collector_loop(
-    rx: Receiver<CollectorMsg>,
-    recycle: Vec<SyncSender<Vec<Release>>>,
-    stats: Arc<RuntimeStats>,
-) {
-    // `pending[i]` holds submission `next + i` once it has finished; the
-    // ring keeps its capacity, so re-ordering allocates nothing once it
-    // has grown to the in-flight window.
-    let mut pending: VecDeque<Option<Pending>> = VecDeque::new();
-    let mut next = 0u64;
-    let mut subscribers: Vec<Sender<StreamEvent>> = Vec::new();
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            CollectorMsg::Released { shard, mut batch } => {
-                for Release { seq, item } in batch.drain(..) {
-                    park(&mut pending, next, seq, item);
+/// The re-order ring and everything a delivery uses, owned by whichever
+/// thread is delivering. Every buffer here keeps its capacity, so
+/// re-ordering and delivery allocate nothing once they have grown to
+/// the in-flight window.
+#[derive(Debug, Default)]
+struct Ring {
+    /// `pending[i]` holds submission `next + i` once it has finished.
+    pending: VecDeque<Option<Pending>>,
+    next: u64,
+    subscribers: EventFanout,
+    /// An inbox's releases, swapped out of it for parking (the inbox
+    /// gets this buffer, emptied, in exchange).
+    taken: Vec<Release>,
+    /// The delivery being assembled.
+    out: Vec<StreamEvent>,
+    /// Drains the delivery covers, acknowledged once it is sent.
+    acks: Vec<SyncSender<()>>,
+}
+
+impl Ring {
+    /// Takes every inbox's releases — the shards' first, so a
+    /// subscriber attached before a submission is seen no later than
+    /// that submission's release — and delivers the in-order prefix
+    /// they complete to every subscriber as one batch (several past
+    /// [`DELIVERY_CAP`]), adding it to the counters first. Only the
+    /// ring's holder writes the counters.
+    fn combine(&mut self, inboxes: &[Mutex<Vec<Release>>], stats: &RuntimeStats) {
+        for inbox in inboxes {
+            std::mem::swap(&mut *lock(inbox), &mut self.taken);
+            let mut taken = std::mem::take(&mut self.taken);
+            for release in taken.drain(..) {
+                match release {
+                    Release::Due(seq, item) => self.park(seq, item),
+                    Release::Subscribe(sink) => self.subscribers.attach(sink),
+                    Release::Announce(l) => self.out.push(StreamEvent::Lifecycle(l)),
                 }
-                recycle[shard].try_send(batch).ok();
             }
-            CollectorMsg::Flush { seq, announce, ack } => {
-                park(&mut pending, next, seq, Pending::Flush { announce, ack });
-            }
-            CollectorMsg::Subscribe { tx } => subscribers.push(tx),
-            CollectorMsg::Lifecycle(l) => {
-                broadcast(&mut subscribers, StreamEvent::Lifecycle(l));
-            }
+            self.taken = taken;
         }
-        while let Some(slot) = pending.front_mut() {
-            let Some(release) = slot.take() else { break };
-            pending.pop_front();
-            next += 1;
-            match release {
+        let mut progress = Progress::default();
+        let mut workers_seen = stats.workers_released.load(Ordering::Relaxed);
+        while let Some(slot) = self.pending.front_mut() {
+            let Some(item) = slot.take() else { break };
+            self.pending.pop_front();
+            self.next += 1;
+            let event = match item {
                 Pending::Worker { w, events } => {
-                    let mut batch = Progress::default();
-                    batch.note(&events);
-                    stats.add(&batch);
-                    stats.workers_released.fetch_add(1, Ordering::Relaxed);
-                    broadcast(&mut subscribers, StreamEvent::Worker { worker: w, events });
+                    progress.note(&events);
+                    workers_seen += 1;
+                    StreamEvent::Worker { worker: w, events }
                 }
-                Pending::Task { task } => {
-                    broadcast(&mut subscribers, StreamEvent::TaskPosted { task });
+                Pending::Task { task } => StreamEvent::TaskPosted { task },
+                Pending::Flush { ack } => {
+                    self.acks.push(ack);
+                    StreamEvent::Lifecycle(Lifecycle::Drained { workers_seen })
                 }
-                Pending::Flush { announce, ack } => {
-                    if announce {
-                        let workers_seen = stats.workers_released.load(Ordering::Relaxed);
-                        broadcast(
-                            &mut subscribers,
-                            StreamEvent::Lifecycle(Lifecycle::Drained { workers_seen }),
-                        );
-                    }
-                    ack.send(()).ok();
-                }
+            };
+            self.out.push(event);
+            if self.out.len() >= DELIVERY_CAP {
+                self.subscribers.deliver(&mut self.out);
             }
         }
-    }
-}
-
-/// Parks submission `seq`'s outcome in the re-order ring whose front
-/// slot is submission `next`.
-fn park(pending: &mut VecDeque<Option<Pending>>, next: u64, seq: u64, item: Pending) {
-    let at = (seq - next) as usize;
-    if at >= pending.len() {
-        pending.resize_with(at + 1, || None);
-    }
-    pending[at] = Some(item);
-}
-
-/// Delivers `event` to every live subscriber: a clone for each but the
-/// last, which receives the event itself. Disconnected subscribers are
-/// dropped.
-fn broadcast(subscribers: &mut Vec<Sender<StreamEvent>>, event: StreamEvent) {
-    let mut i = 0;
-    while i + 1 < subscribers.len() {
-        if subscribers[i].send(event.clone()).is_ok() {
-            i += 1;
-        } else {
-            subscribers.remove(i);
+        stats.add(&progress);
+        stats
+            .workers_released
+            .store(workers_seen, Ordering::Relaxed);
+        self.subscribers.deliver(&mut self.out);
+        for ack in self.acks.drain(..) {
+            ack.send(()).ok();
         }
     }
-    if subscribers.last().is_some_and(|tx| tx.send(event).is_err()) {
-        subscribers.pop();
+
+    /// Parks submission `seq`'s outcome in the slot `seq - next` from
+    /// the front.
+    fn park(&mut self, seq: u64, item: Pending) {
+        let at = (seq - self.next) as usize;
+        if at >= self.pending.len() {
+            self.pending.resize_with(at + 1, || None);
+        }
+        self.pending[at] = Some(item);
     }
 }
 
@@ -905,12 +969,7 @@ mod tests {
     fn a_stalled_submit_fails_promptly_when_its_shard_exits() {
         let capacity = 4;
         let runtime = Arc::new(runtime(1, capacity));
-        let (events_tx, events) = mpsc::channel();
-        runtime
-            .collector()
-            .unwrap()
-            .send(CollectorMsg::Subscribe { tx: events_tx })
-            .unwrap();
+        let events = runtime.subscribe().unwrap();
         // Park the shard on a control reply nobody reads yet, with its
         // mailbox empty behind it.
         let (reply_tx, reply_rx) = mpsc::sync_channel(0);
@@ -934,7 +993,9 @@ mod tests {
             outcome_tx.send(submitter.send(0, local(capacity as u64)))
         });
         loop {
-            let event = events.recv_timeout(Duration::from_secs(10)).unwrap();
+            let event = events
+                .recv_timeout(Duration::from_secs(10))
+                .expect("no stall notice within 10 s");
             if matches!(
                 event,
                 StreamEvent::Lifecycle(Lifecycle::ShardStalled { .. })
@@ -975,5 +1036,175 @@ mod tests {
             "the rendezvous took {:?} to notice the dead peer",
             killed.elapsed()
         );
+    }
+
+    #[test]
+    fn a_drain_fails_promptly_when_a_shard_died() {
+        let mut runtime = runtime(1, 8);
+        // The poison takes a real sequence number, so the drain marker
+        // waits behind a submission that will never be released.
+        assert_eq!(runtime.take_seq(), 0);
+        runtime.send(0, poison()).unwrap();
+        let (outcome_tx, outcome_rx) = mpsc::channel();
+        // Not a scoped thread: a drain that never returns must fail this
+        // test, not hang it.
+        std::thread::spawn(move || outcome_tx.send(runtime.drain()));
+        let outcome = outcome_rx
+            .recv_timeout(Duration::from_secs(1))
+            .expect("the drain still waits 1 s after its shard died");
+        assert!(
+            matches!(outcome, Err(ServiceError::RuntimeStopped(_))),
+            "a drain over a dead shard returned {outcome:?}"
+        );
+    }
+
+    #[test]
+    fn deliveries_wait_for_the_earliest_unfinished_submission() {
+        let mut runtime = runtime(2, 16);
+        let events = runtime.subscribe().unwrap();
+        // Park shard 0 on a control reply nobody reads yet.
+        let (reply_tx, reply_rx) = mpsc::sync_channel(0);
+        runtime
+            .send(0, ShardMsg::Metrics { reply: reply_tx })
+            .unwrap();
+        wait_until("shard 0 takes the request", || {
+            runtime.mailboxes[0].queued.load(Ordering::SeqCst) == 0
+        });
+        // Submission 0 queues behind the parked shard; shard 1 finishes
+        // every later one.
+        let first = runtime.take_seq();
+        runtime.send(0, local(first)).unwrap();
+        let later = 8;
+        for _ in 0..later {
+            let seq = runtime.take_seq();
+            runtime.send(1, local(seq)).unwrap();
+        }
+        // A control reply follows a flush, so once shard 1 answers, its
+        // releases have been handed to delivery.
+        let (reply_1, replied_1) = mpsc::sync_channel(1);
+        runtime
+            .send(1, ShardMsg::Metrics { reply: reply_1 })
+            .unwrap();
+        replied_1.recv().unwrap();
+        assert_eq!(events.try_recv(), None, "delivered past a gap");
+        assert_eq!(runtime.progress(), Progress::default());
+
+        reply_rx.recv().unwrap();
+        let delivered: Vec<u64> = (0..=later)
+            .map(|_| match events.recv_timeout(Duration::from_secs(10)) {
+                Some(StreamEvent::Worker { worker, .. }) => worker.0,
+                other => panic!("expected a worker's events, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(delivered, (0..=later as u64).collect::<Vec<_>>());
+        assert_eq!(events.try_recv(), None);
+    }
+
+    /// Everything `events` holds right now.
+    fn buffered(events: &EventStream) -> Vec<StreamEvent> {
+        std::iter::from_fn(|| events.try_recv()).collect()
+    }
+
+    #[test]
+    fn subscribers_see_identical_sequences_and_a_dropped_one_disturbs_nothing() {
+        let params = ProblemParams::builder()
+            .epsilon(0.3)
+            .capacity(2)
+            .build()
+            .unwrap();
+        let region = BoundingBox::new(Point::ORIGIN, Point::new(100.0, 100.0));
+        let at = |i: u64| Point::new((i * 37 % 100) as f64, (i * 61 % 100) as f64);
+        let mut handle = ServiceBuilder::new(params, region)
+            .shards(NonZeroUsize::new(2).unwrap())
+            .tasks((0..40).map(|i| Task::new(at(i))).collect())
+            .start()
+            .unwrap();
+        let kept = handle.subscribe().unwrap();
+        let dropped = handle.subscribe().unwrap();
+        let mut serve = |from: u64| {
+            for i in from..from + 200 {
+                if i % 10 == 0 {
+                    handle.post_task(Task::new(at(i + 7))).unwrap();
+                }
+                handle.submit_worker(&Worker::new(at(i), 0.9)).unwrap();
+            }
+            handle.drain().unwrap();
+        };
+        serve(0);
+        let seen = buffered(&kept);
+        assert_eq!(seen.len(), 200 + 20 + 1);
+        assert_eq!(buffered(&dropped), seen);
+
+        drop(dropped);
+        serve(200);
+        let workers: Vec<u64> = seen
+            .into_iter()
+            .chain(buffered(&kept))
+            .filter_map(|event| match event {
+                StreamEvent::Worker { worker, .. } => Some(worker.0),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(workers, (0..400).collect::<Vec<_>>());
+        handle.close().unwrap();
+    }
+
+    /// The names of this process's threads.
+    #[cfg(target_os = "linux")]
+    fn thread_names() -> Vec<String> {
+        std::fs::read_dir("/proc/self/task")
+            .unwrap()
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .map(|name| name.trim_end().to_owned())
+            .collect()
+    }
+
+    /// Counts the runtime's threads; only meaningful in a process where
+    /// no other test runs, which is how the test below runs it.
+    #[cfg(target_os = "linux")]
+    #[test]
+    #[ignore = "run alone in a child process by a_handle_runs_exactly_one_thread_per_shard"]
+    fn runtime_thread_census() {
+        let params = ProblemParams::builder().build().unwrap();
+        let region = BoundingBox::new(Point::ORIGIN, Point::new(100.0, 100.0));
+        for n in [1, 2, 4] {
+            let mut handle = ServiceBuilder::new(params, region)
+                .shards(NonZeroUsize::new(n).unwrap())
+                .start()
+                .unwrap();
+            // A thread names itself once it runs.
+            wait_until("every shard thread is named", || {
+                thread_names()
+                    .iter()
+                    .filter(|t| t.starts_with("ltc-"))
+                    .count()
+                    >= n
+            });
+            let names = thread_names();
+            let runtime: Vec<&String> = names.iter().filter(|t| t.starts_with("ltc-")).collect();
+            assert_eq!(runtime.len(), n, "{n} shard(s) run {runtime:?}");
+            assert!(
+                runtime.iter().all(|t| t.starts_with("ltc-shard-")),
+                "{runtime:?}"
+            );
+            handle.close().unwrap();
+        }
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_handle_runs_exactly_one_thread_per_shard() {
+        let census = std::process::Command::new(std::env::current_exe().unwrap())
+            .args([
+                "--exact",
+                "service::runtime::tests::runtime_thread_census",
+                "--ignored",
+                "--test-threads=1",
+            ])
+            .output()
+            .unwrap();
+        let report = String::from_utf8_lossy(&census.stdout);
+        assert!(census.status.success(), "{report}");
+        assert!(report.contains("1 passed"), "{report}");
     }
 }

@@ -49,8 +49,8 @@ pub struct ServiceSnapshot {
 }
 
 /// What the released events have done so far. The facade counts them
-/// as it returns them; the handle's collector counts them as it
-/// releases them.
+/// as it returns them; the handle's runtime counts them as it delivers
+/// them in submission order.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub(crate) struct Progress {
     pub(crate) n_assignments: u64,

@@ -7,13 +7,13 @@ use crate::session_table::SessionConfig;
 use crate::wire::{self, Request, Response, SessionStat};
 use ltc_core::model::{Task, TaskId, Worker, WorkerId};
 use ltc_core::service::{
-    EventStream, RebalanceOutcome, ServiceError, ServiceMetrics, ServiceSnapshot, Session,
-    SessionInfo, StreamEvent, WindowAck,
+    EventFanout, EventStream, RebalanceOutcome, ServiceError, ServiceMetrics, ServiceSnapshot,
+    Session, SessionInfo, WindowAck,
 };
 use std::collections::VecDeque;
-use std::io::BufReader;
+use std::io::{BufReader, Write as _};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
-use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::mpsc::{self, Receiver};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -40,9 +40,9 @@ enum PendingKind {
 /// Locks the subscriber fanout, recovering from poisoning instead of
 /// propagating it: a subscriber that panicked mid-send must not wedge
 /// the reader thread (and with it every other subscriber) behind a
-/// permanently poisoned lock. The guarded `Vec<Sender>` is sound at
-/// every point a panic can unwind through — dead receivers are pruned
-/// on the next fanout anyway.
+/// permanently poisoned lock. The guarded fanout is sound at every
+/// point a panic can unwind through — dropped streams are detached on
+/// the next delivery anyway.
 fn lock_recovering<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -56,7 +56,11 @@ fn transport(what: impl Into<String>) -> ServiceError {
 /// one session view: requests are answered in order, and once
 /// [`subscribe`](Session::subscribe)d, the server forwards every event
 /// (in exact submission order) down the same connection, where a reader
-/// thread demultiplexes them from the responses.
+/// thread demultiplexes them from the responses. The reader delivers
+/// the events it has decoded as one batch before it would block on the
+/// socket and before it forwards any response, so everything the server
+/// sent ahead of a `drain` response is in the streams when
+/// [`drain`](Session::drain) returns.
 ///
 /// Everything observable is identical to driving the server's
 /// [`ServiceHandle`](ltc_core::service::ServiceHandle) in process:
@@ -92,7 +96,7 @@ fn transport(what: impl Into<String>) -> ServiceError {
 pub struct LtcClient {
     stream: TcpStream,
     responses: Receiver<Result<Response, String>>,
-    subscribers: Arc<Mutex<Vec<Sender<StreamEvent>>>>,
+    subscribers: Arc<Mutex<EventFanout>>,
     reader: Option<JoinHandle<()>>,
     info: SessionInfo,
     /// The bound session's id.
@@ -118,7 +122,8 @@ pub struct LtcClient {
     /// holding unsent frames — the buffer is flushed before every
     /// blocking wait (an ack that already arrived is taken without one:
     /// it answers a frame already sent), so the server never owes a
-    /// response to bytes still here.
+    /// response to bytes still here. A lockstep request is encoded here
+    /// too, once the window has drained, and sent at once.
     send_buf: String,
 }
 
@@ -149,53 +154,47 @@ impl LtcClient {
         };
 
         let (response_tx, responses) = mpsc::channel();
-        let subscribers: Arc<Mutex<Vec<Sender<StreamEvent>>>> = Arc::new(Mutex::new(Vec::new()));
+        let subscribers = Arc::new(Mutex::new(EventFanout::default()));
         let fanout = Arc::clone(&subscribers);
         let reader = std::thread::Builder::new()
             .name("ltc-client-reader".into())
             .spawn(move || {
-                // Every frame is read into this one buffer.
+                // Every frame is read into this one buffer, and decoded
+                // events collect in `batch` until the next delivery.
                 let mut line = Vec::new();
-                loop {
+                let mut batch = Vec::new();
+                let failure = loop {
+                    // About to block on the socket (no whole frame left
+                    // in the read buffer)? Deliver what is decoded first.
+                    if !batch.is_empty() && !reader.buffer().contains(&b'\n') {
+                        lock_recovering(&fanout).deliver(&mut batch);
+                    }
                     match wire::read_frame_into(&mut reader, &mut line) {
                         Ok(Some(frame)) if wire::is_event_frame(frame) => {
                             match wire::decode_event(frame) {
-                                Ok(event) => {
-                                    let mut subs = lock_recovering(&fanout);
-                                    // The usual single subscriber takes the
-                                    // decoded event itself; only a real
-                                    // fan-out pays for clones.
-                                    if let [only] = subs.as_slice() {
-                                        if only.send(event).is_err() {
-                                            subs.clear();
-                                        }
-                                    } else {
-                                        subs.retain(|tx| tx.send(event.clone()).is_ok());
-                                    }
-                                }
-                                Err(what) => {
-                                    response_tx
-                                        .send(Err(format!("bad event frame: {what}")))
-                                        .ok();
-                                    return;
-                                }
+                                Ok(event) => batch.push(event),
+                                Err(what) => break Some(format!("bad event frame: {what}")),
                             }
                         }
                         Ok(Some(frame)) => {
+                            // The events the server sent before this
+                            // response reach the streams before it.
+                            lock_recovering(&fanout).deliver(&mut batch);
                             let decoded = Response::decode(frame)
                                 .map_err(|what| format!("bad frame: {what}"));
                             let failed = decoded.is_err();
                             response_tx.send(decoded).ok();
                             if failed {
-                                return;
+                                break None;
                             }
                         }
-                        Ok(None) => return, // clean close: drop the channels
-                        Err(e) => {
-                            response_tx.send(Err(format!("read: {e}"))).ok();
-                            return;
-                        }
+                        Ok(None) => break None, // clean close: drop the channels
+                        Err(e) => break Some(format!("read: {e}")),
                     }
+                };
+                lock_recovering(&fanout).deliver(&mut batch);
+                if let Some(what) = failure {
+                    response_tx.send(Err(what)).ok();
                 }
             })
             .map_err(|_| transport("could not spawn the reader thread"))?;
@@ -329,16 +328,16 @@ impl LtcClient {
         while !self.pending.is_empty() {
             self.await_oldest()?;
         }
-        let mut frame = request.encode();
         // The session verbs already carry their target `"sid"`;
-        // everything else addresses the bound session.
-        if !matches!(
+        // everything else addresses the bound session. The drained
+        // window left `send_buf` empty, so the frame goes out alone.
+        let sid = (!matches!(
             request,
             Request::Open { .. } | Request::Attach { .. } | Request::Close { .. }
-        ) {
-            frame = wire::with_sid(frame, &self.sid);
-        }
-        wire::write_frame(&mut (&self.stream), &frame)
+        ))
+        .then_some(self.sid.as_str());
+        request.encode_into(&mut self.send_buf, sid);
+        self.write_send_buf()
             .map_err(|e| transport(format!("send: {e}")))?;
         match self.responses.recv_timeout(self.timeout) {
             Ok(Ok(Response::Err { message })) => Err(transport(message)),
@@ -460,14 +459,22 @@ impl LtcClient {
         if self.send_buf.is_empty() {
             return Ok(());
         }
-        use std::io::Write as _;
-        let result = (&self.stream).write_all(self.send_buf.as_bytes());
-        self.send_buf.clear();
+        let result = self.write_send_buf();
         if let Err(e) = result {
             self.closed = true;
             return Err(transport(format!("send: {e}")));
         }
         Ok(())
+    }
+
+    /// Writes `send_buf` in one `write_all` and empties it, freeing
+    /// what a huge frame (a wide `post` row) made it grow past twice the
+    /// batch threshold.
+    fn write_send_buf(&mut self) -> std::io::Result<()> {
+        let result = (&self.stream).write_all(self.send_buf.as_bytes());
+        self.send_buf.clear();
+        self.send_buf.shrink_to(2 * SEND_BATCH_CAP);
+        result
     }
 
     fn unexpected(response: Response) -> ServiceError {
@@ -576,29 +583,22 @@ impl Session for LtcClient {
     }
 
     fn subscribe(&mut self) -> Result<EventStream, ServiceError> {
-        // Register the local receiver *before* the wire round trip: the
+        // Attach the local stream *before* the wire round trip: the
         // server may race an event frame ahead of the Subscribe response
         // (another client's submission committing just after the
         // server-side subscribe), and the reader thread must already
         // have somewhere to deliver it. The server forwards each event
         // once per connection; local subscribers fan out from the reader
-        // thread, so only the first subscription crosses the wire.
-        let (tx, rx) = mpsc::channel();
-        lock_recovering(&self.subscribers).push(tx);
+        // thread, so only the first subscription crosses the wire. On a
+        // failure the stream is dropped here, which detaches it.
+        let stream = lock_recovering(&self.subscribers).subscribe();
         if !self.subscribed {
-            match self.request(&Request::Subscribe) {
-                Ok(Response::Subscribe) => self.subscribed = true,
-                Ok(other) => {
-                    lock_recovering(&self.subscribers).pop();
-                    return Err(Self::unexpected(other));
-                }
-                Err(e) => {
-                    lock_recovering(&self.subscribers).pop();
-                    return Err(e);
-                }
+            match self.request(&Request::Subscribe)? {
+                Response::Subscribe => self.subscribed = true,
+                other => return Err(Self::unexpected(other)),
             }
         }
-        Ok(EventStream::from_receiver(rx))
+        Ok(stream)
     }
 
     fn drain(&mut self) -> Result<(), ServiceError> {
@@ -665,5 +665,70 @@ impl Drop for LtcClient {
         if let Some(join) = self.reader.take() {
             join.join().ok();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ltc_core::model::{ProblemParams, TaskId};
+    use ltc_core::service::{ServiceBuilder, StreamEvent};
+    use ltc_spatial::{BoundingBox, Point};
+    use std::net::TcpListener;
+
+    /// The client half of `drain`'s happens-before barrier: events that
+    /// reached the socket ahead of a response are in the streams when
+    /// the client sees the response. A scripted peer sends a burst of
+    /// events and the `drain` response in one `write`.
+    #[test]
+    fn events_sent_before_a_response_are_buffered_when_it_returns() {
+        let params = ProblemParams::builder().build().unwrap();
+        let region = BoundingBox::new(Point::ORIGIN, Point::new(100.0, 100.0));
+        let info = ServiceBuilder::new(params, region).start().unwrap().info();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let sid = Some(wire::DEFAULT_SESSION);
+        // Round `r` sends `20 * r` events ahead of its response.
+        let burst = |round: u32| -> Vec<StreamEvent> {
+            (0..20 * round)
+                .map(|i| StreamEvent::TaskPosted {
+                    task: TaskId(round * 1_000 + i),
+                })
+                .collect()
+        };
+        let peer = std::thread::spawn(move || {
+            let (conn, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(conn.try_clone().unwrap());
+            let mut out = String::new();
+            let mut answer = |reply: &Response, events: &[StreamEvent]| {
+                wire::read_frame(&mut reader).unwrap().unwrap();
+                out.clear();
+                for event in events {
+                    wire::encode_event_into(&mut out, event, sid);
+                }
+                reply.encode_into(&mut out, sid);
+                (&conn).write_all(out.as_bytes()).unwrap();
+            };
+            let hello = Response::Hello {
+                info,
+                win: wire::MAX_WINDOW,
+            };
+            answer(&hello, &[]);
+            answer(&Response::Subscribe, &[]);
+            for round in 0..10 {
+                answer(&Response::Drain, &burst(round));
+            }
+            // Wait for the client to hang up.
+            wire::read_frame(&mut reader).ok();
+        });
+        let mut client = LtcClient::connect_v2(addr).unwrap();
+        let events = client.subscribe().unwrap();
+        for round in 0..10 {
+            client.drain().unwrap();
+            let buffered: Vec<StreamEvent> = std::iter::from_fn(|| events.try_recv()).collect();
+            assert_eq!(buffered, burst(round), "round {round}");
+        }
+        drop(client);
+        peer.join().unwrap();
     }
 }

@@ -15,10 +15,10 @@
 //! events — isolation falls out of the binding, not filtering.
 //!
 //! That is `v2`, the only dialect past the connection edge. A `v1`
-//! connection is translated there: [`admit`] refuses what `v1` never
+//! connection is translated there: `admit` refuses what `v1` never
 //! had (`"sid"`, `"seq"`, the session verbs) and addresses every other
 //! frame to the bound default session, which a `v1` connection can
-//! therefore never leave; [`Binding::sid`] keeps the sid off every frame
+//! therefore never leave; `Binding::sid` keeps the sid off every frame
 //! it is sent. The `v1` serving model is the single-session special case
 //! of the table, with byte-identical frames.
 //!
@@ -62,7 +62,7 @@
 //! wake-up sends the event it woke for plus every event already
 //! waiting, as whole frames in one `write`, and it only blocks on the
 //! stream with nothing left unsent. Delivery per subscriber is in exact
-//! submission order — the runtime's collector guarantees it, the
+//! submission order — the runtime's re-order ring guarantees it, the
 //! forwarder preserves it. The forwarder paces its waits so it can
 //! notice a departed peer, a stopping server, or an evicted session
 //! instead of blocking forever on an idle stream.
@@ -391,11 +391,11 @@ fn converse(
 
     // Acknowledgements to windowed frames batch here and go out in one
     // `write` when the pipelined burst is exhausted (or a lockstep
-    // response needs the wire first) — the server half of the windowed
+    // response joins them) — the server half of the windowed
     // throughput win. The client never blocks on bytes held here: it
     // only awaits acks for frames it finished sending, and the batch is
     // flushed before this thread blocks on the next read.
-    let mut acks = String::new();
+    let mut replies = String::new();
     // Every request frame is read into this one buffer.
     let mut line = Vec::new();
     loop {
@@ -403,7 +403,9 @@ fn converse(
         // (A partial frame in the read buffer means its remainder is
         // already in flight from a client that writes whole frames
         // before awaiting, so waiting for it cannot deadlock.)
-        if !acks.is_empty() && reader.buffer().is_empty() && flush_batch(writer, &mut acks).is_err()
+        if !replies.is_empty()
+            && reader.buffer().is_empty()
+            && flush_batch(writer, &mut replies).is_err()
         {
             return;
         }
@@ -433,28 +435,22 @@ fn converse(
         };
         // Responses carry the *post-execution* binding's sid, so a
         // successful open/attach is acknowledged under its new session.
+        // Every response is encoded straight into the batch, in FIFO
+        // position behind any acks still owed.
+        push_response(&mut replies, &response, binding.sid());
         if windowed {
             // Windowed acks (including refusals of windowed frames) are
-            // tiny and never `stop_after`; they are encoded straight
-            // into the batch, in FIFO position.
-            response.encode_into(&mut acks, binding.sid());
-            if acks.len() >= ACK_BATCH_CAP && flush_batch(writer, &mut acks).is_err() {
+            // tiny and never `stop_after`; they wait for the burst.
+            if replies.len() >= ACK_BATCH_CAP && flush_batch(writer, &mut replies).is_err() {
                 return;
             }
             continue;
         }
-        let mut encoded = response.encode();
-        if let Some(sid) = binding.sid() {
-            encoded = wire::with_sid(encoded, sid);
-        }
-        // Lockstep responses keep their immediate write, behind any
-        // batched acks still owed (FIFO across the whole connection).
-        if !acks.is_empty() && flush_batch(writer, &mut acks).is_err() {
-            return;
-        }
-        // The requester hears the outcome *before* the acceptor stops —
-        // a `shutdown` must be acknowledged, not met with a dead socket.
-        let written = write_frame(writer, encoded);
+        // A lockstep response goes out at once, in the same `write` as
+        // the acks before it. The requester hears the outcome *before*
+        // the acceptor stops — a `shutdown` must be acknowledged, not
+        // met with a dead socket.
+        let written = flush_batch(writer, &mut replies);
         if stop_after {
             shared.stop();
             return;
@@ -465,8 +461,8 @@ fn converse(
     }
 }
 
-/// Flush threshold for a batch of whole frames: windowed
-/// acknowledgements on the connection thread, events on the forwarder.
+/// Flush threshold for a batch of whole frames: responses on the
+/// connection thread, events on the forwarder.
 const ACK_BATCH_CAP: usize = 64 * 1024;
 
 /// Writes a batch of whole frames in one locked `write` (responses and
@@ -477,6 +473,9 @@ fn flush_batch(writer: &Arc<Mutex<TcpStream>>, batch: &mut String) -> io::Result
     let mut stream = lock_recovering(writer);
     let result = stream.write_all(batch.as_bytes());
     batch.clear();
+    // A batch only outgrows this by carrying a huge response (a
+    // snapshot); the connection should not keep that memory.
+    batch.shrink_to(2 * ACK_BATCH_CAP);
     result
 }
 
@@ -551,23 +550,29 @@ fn admit(request: &Request, sid: Option<&str>, binding: &Binding) -> Result<(), 
     Ok(())
 }
 
-/// Writes one already-encoded frame, degrading an oversized one into an
-/// error frame first — a response that would overflow the peer's frame
-/// cap (a snapshot of an enormous service) must stay recoverable;
-/// sending it anyway would kill the connection on the client side.
-fn write_frame(writer: &Arc<Mutex<TcpStream>>, frame: String) -> io::Result<()> {
-    let frame = if frame.len() >= wire::MAX_FRAME {
+/// Appends `response` to `batch` as one whole frame carrying `sid`,
+/// degrading an oversized one into an error frame — a response that
+/// would overflow the peer's frame cap (a snapshot of an enormous
+/// service) must stay recoverable; sending it anyway would kill the
+/// connection on the client side.
+fn push_response(batch: &mut String, response: &Response, sid: Option<&str>) {
+    let start = batch.len();
+    response.encode_into(batch, sid);
+    let len = batch.len() - start - 1;
+    if len >= wire::MAX_FRAME {
+        batch.truncate(start);
         Response::Err {
             message: format!(
-                "response of {} bytes exceeds the {}-byte frame cap",
-                frame.len(),
+                "response of {len} bytes exceeds the {}-byte frame cap",
                 wire::MAX_FRAME
             ),
         }
-        .encode()
-    } else {
-        frame
-    };
+        .encode_into(batch, sid);
+    }
+}
+
+/// Writes one already-encoded handshake frame.
+fn write_frame(writer: &Arc<Mutex<TcpStream>>, frame: String) -> io::Result<()> {
     let mut stream = lock_recovering(writer);
     wire::write_frame(&mut *stream, &frame)
 }
@@ -814,14 +819,13 @@ mod tests {
         ServiceBuilder::new(params, region).start().unwrap()
     }
 
-    /// Feeds `events` into a fresh stream (the sender is dropped, so
-    /// the stream holds exactly these).
+    /// Delivers `events` to a fresh stream as one batch (the fanout is
+    /// dropped, so the stream holds exactly these).
     fn stream_of(events: &[StreamEvent]) -> EventStream {
-        let (tx, rx) = std::sync::mpsc::channel();
-        for event in events {
-            tx.send(event.clone()).unwrap();
-        }
-        EventStream::from_receiver(rx)
+        let mut fanout = ltc_core::service::EventFanout::default();
+        let stream = fanout.subscribe();
+        fanout.deliver(&mut events.to_vec());
+        stream
     }
 
     fn posted(n: u32) -> Vec<StreamEvent> {
