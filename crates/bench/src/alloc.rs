@@ -20,6 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 static CURRENT: AtomicU64 = AtomicU64::new(0);
 static PEAK: AtomicU64 = AtomicU64::new(0);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     // `const` init keeps the TLS access itself allocation-free, and
@@ -37,6 +38,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
         let ptr = System.alloc(layout);
         if !ptr.is_null() {
             count_event();
+            ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
             add(layout.size() as u64);
         }
         ptr
@@ -51,6 +53,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
         let new_ptr = System.realloc(ptr, layout, new_size);
         if !new_ptr.is_null() {
             count_event();
+            ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
             CURRENT.fetch_sub(layout.size() as u64, Ordering::Relaxed);
             add(new_size as u64);
         }
@@ -100,6 +103,13 @@ pub fn reset_peak() -> u64 {
 /// threads since process start. Monotone; measure with deltas.
 pub fn alloc_count() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
+}
+
+/// Total bytes requested by allocation events (each `alloc`'s size and
+/// each `realloc`'s new size) across all threads since process start.
+/// Monotone; measure with deltas.
+pub fn allocated_bytes() -> u64 {
+    ALLOC_BYTES.load(Ordering::Relaxed)
 }
 
 /// Allocation events performed by the *current thread* since it started.

@@ -819,6 +819,227 @@ impl AssignmentEngine {
         }
         Ok(engine)
     }
+
+    /// The first half of moving tasks to another engine (a stripe
+    /// rebalance): removes the tasks `leaving` (ascending local ids) with
+    /// their quality, completion flag and assignments, and compacts what
+    /// stays in place, so the kept tasks are renumbered `0..` in their
+    /// old order. Appends the removed tasks to `moved` in ascending id
+    /// order, and their assignments to `assignments` in commit order,
+    /// each addressed to its task's index in `moved`.
+    ///
+    /// The engine is whole again only after [`AssignmentEngine::merge_in`]
+    /// (the spatial index and the uncompleted set still hold the old
+    /// ids). Sigmoid models only: a tabular model never runs sharded.
+    pub(crate) fn split_off(
+        &mut self,
+        leaving: &[u32],
+        moved: &mut Vec<MovedTask>,
+        assignments: &mut Vec<Assignment>,
+    ) {
+        debug_assert!(matches!(self.accuracy, AccuracyModel::Sigmoid));
+        debug_assert!(leaving.windows(2).all(|w| w[0] < w[1]));
+        if leaving.is_empty() {
+            return;
+        }
+        let first = moved.len() as u32;
+        // `uncompleted_pos` doubles as the old → new id table (`GONE`
+        // for a leaving task): `merge_in` rebuilds it anyway.
+        const GONE: u32 = u32::MAX;
+        let new_id = &mut self.uncompleted_pos;
+        let mut kept = 0;
+        let mut next_leaving = leaving.iter().copied().peekable();
+        for (t, id) in new_id.iter_mut().enumerate() {
+            if next_leaving.next_if_eq(&(t as u32)).is_some() {
+                moved.push(MovedTask {
+                    task: self.tasks[t],
+                    s: self.s[t],
+                    completed: self.completed[t],
+                });
+                let units = self.units[t];
+                if units > 0.0 {
+                    self.units_counts.remove(units);
+                    self.units_sum -= units;
+                }
+                *id = GONE;
+                continue;
+            }
+            self.tasks[kept] = self.tasks[t];
+            self.s[kept] = self.s[t];
+            self.completed[kept] = self.completed[t];
+            self.units[kept] = self.units[t];
+            *id = kept as u32;
+            kept += 1;
+        }
+        self.tasks.truncate(kept);
+        self.s.truncate(kept);
+        self.completed.truncate(kept);
+        self.units.truncate(kept);
+
+        // The log is in worker order, so its last entry holds the
+        // maximum.
+        let (log, max_worker) = self.arrangement.parts_mut();
+        debug_assert!(log.windows(2).all(|w| w[0].worker <= w[1].worker));
+        log.retain_mut(|a| match new_id[a.task.index()] {
+            GONE => {
+                let rank = leaving.partition_point(|&l| l < a.task.0) as u32;
+                assignments.push(Assignment {
+                    task: TaskId(first + rank),
+                    ..*a
+                });
+                false
+            }
+            id => {
+                a.task = TaskId(id);
+                true
+            }
+        });
+        *max_worker = log.last().map(|a| a.worker);
+    }
+
+    /// The second half of a move between engines: inserts `arriving`
+    /// tasks, each after the first `before[j]` kept tasks (`before` is
+    /// non-decreasing), and merges in their `assignments` (addressed to
+    /// indexes in `arriving`). Both this engine's log and `assignments`
+    /// must be in (worker arrival, task) order — the order every served
+    /// engine commits in — and the merge keeps that order.
+    ///
+    /// Then rebuilds what derives from the tasks: the uncompleted set,
+    /// and the spatial index, re-laid out over `region` plus the live
+    /// tasks with its growth trigger re-armed — exactly what
+    /// [`AssignmentEngine::from_state`] builds for the same tasks. Runs
+    /// after every [`AssignmentEngine::split_off`], with or without
+    /// arrivals.
+    pub(crate) fn merge_in(
+        &mut self,
+        before: &[u32],
+        arriving: &[MovedTask],
+        assignments: &[Assignment],
+        region: BoundingBox,
+    ) {
+        debug_assert!(matches!(self.accuracy, AccuracyModel::Sigmoid));
+        debug_assert_eq!(before.len(), arriving.len());
+        debug_assert!(before.windows(2).all(|w| w[0] <= w[1]));
+        // `uncompleted_pos` doubles as the kept rank → new id table (it
+        // is rebuilt below): a kept task moves up by the arrivals placed
+        // before it.
+        let new_id = &mut self.uncompleted_pos;
+        new_id.truncate(self.tasks.len());
+        let mut placed = 0;
+        for (rank, id) in new_id.iter_mut().enumerate() {
+            while placed < before.len() && before[placed] as usize <= rank {
+                placed += 1;
+            }
+            *id = (rank + placed) as u32;
+        }
+        let delta = self.delta;
+        let units_of = |m: &MovedTask| {
+            if m.completed {
+                0.0
+            } else {
+                (delta - m.s).max(0.0).ceil()
+            }
+        };
+        splice_in(&mut self.tasks, before, |j| arriving[j].task);
+        splice_in(&mut self.s, before, |j| arriving[j].s);
+        splice_in(&mut self.completed, before, |j| arriving[j].completed);
+        // Zero first, then `set_units`, so the sum and multiset follow.
+        splice_in(&mut self.units, before, |_| 0.0);
+        for (j, m) in arriving.iter().enumerate() {
+            self.set_units(before[j] as usize + j, units_of(m));
+        }
+
+        let key = |a: &Assignment| (a.worker, a.task);
+        let (log, max_worker) = self.arrangement.parts_mut();
+        debug_assert!(log.windows(2).all(|w| key(&w[0]) < key(&w[1])));
+        debug_assert!(assignments.windows(2).all(|w| key(&w[0]) < key(&w[1])));
+        // One backward pass: the arrivals' entries go in last first, and
+        // each run of kept entries above an insertion point moves up
+        // once, renumbered on the way (ids only move up, in rank order,
+        // so the log stays sorted); the run below the first insertion
+        // point is renumbered in place.
+        let new_id = &self.uncompleted_pos;
+        let renumbered = |a: Assignment| Assignment {
+            task: TaskId(new_id[a.task.index()]),
+            ..a
+        };
+        let mut end = log.len();
+        if let Some(&filler) = assignments.first() {
+            log.resize(end + assignments.len(), filler);
+            for (k, a) in assignments.iter().enumerate().rev() {
+                let incoming = Assignment {
+                    task: TaskId(before[a.task.index()] + a.task.0),
+                    ..*a
+                };
+                let at = log[..end].partition_point(|&a| key(&renumbered(a)) < key(&incoming));
+                for i in (at..end).rev() {
+                    log[i + k + 1] = renumbered(log[i]);
+                }
+                log[at + k] = incoming;
+                end = at;
+            }
+            *max_worker = log.last().map(|a| a.worker);
+        }
+        if !before.is_empty() {
+            for a in &mut log[..end] {
+                *a = renumbered(*a);
+            }
+        }
+
+        self.uncompleted_ids.clear();
+        self.uncompleted_pos.clear();
+        self.uncompleted_pos.resize(self.tasks.len(), 0);
+        for (t, &done) in self.completed.iter().enumerate() {
+            if !done {
+                self.uncompleted_pos[t] = self.uncompleted_ids.len() as u32;
+                self.uncompleted_ids.push(t as u32);
+            }
+        }
+        self.index_clamp_mark = self.index_clamped_insertions();
+        if let Some(index) = &mut self.task_index {
+            let tasks = &self.tasks;
+            let live = self
+                .uncompleted_ids
+                .iter()
+                .map(|&t| (t, tasks[t as usize].loc));
+            let bounds = BoundingBox::of_points(live.clone().map(|(_, p)| p))
+                .map_or(region, |l| region.union(l));
+            // The clamp counter keeps its history; a recount above it
+            // wins, as in `from_state`.
+            let history = self.index_clamp_mark;
+            index.reload(index.cell_size(), bounds, live);
+            let recount = index.n_clamped_insertions() - history;
+            index.restore_clamp_counter(history.max(recount));
+        }
+    }
+}
+
+/// One task's durable state while it moves between engines
+/// ([`AssignmentEngine::split_off`] → [`AssignmentEngine::merge_in`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct MovedTask {
+    pub(crate) task: Task,
+    /// Accumulated quality `S[t]`.
+    pub(crate) s: f64,
+    pub(crate) completed: bool,
+}
+
+/// Inserts `before.len()` new elements into `v` in one backward pass:
+/// new element `j` (built by `new(j)`) lands after the first
+/// `before[j]` old elements and after new elements `0..j`. `before`
+/// must be non-decreasing.
+pub(crate) fn splice_in<T: Copy>(v: &mut Vec<T>, before: &[u32], new: impl Fn(usize) -> T) {
+    if before.is_empty() {
+        return;
+    }
+    let mut end = v.len();
+    v.resize(end + before.len(), new(0));
+    for j in (0..before.len()).rev() {
+        let b = before[j] as usize;
+        v.copy_within(b..end, b + j + 1);
+        v[b + j] = new(j);
+        end = b;
+    }
 }
 
 /// The durable state of an [`AssignmentEngine`], produced by

@@ -60,6 +60,13 @@ impl Arrangement {
         &self.assignments
     }
 
+    /// The assignment log and its worker maximum, for an engine that
+    /// rewrites its log in place when tasks move between engines; the
+    /// caller keeps the maximum equal to the log's largest worker.
+    pub(crate) fn parts_mut(&mut self) -> (&mut Vec<Assignment>, &mut Option<WorkerId>) {
+        (&mut self.assignments, &mut self.max_worker)
+    }
+
     /// Number of committed assignments.
     #[inline]
     pub fn len(&self) -> usize {

@@ -102,6 +102,12 @@ impl LtcService {
         self.state.latency(&self.progress)
     }
 
+    /// The shards, for tests that compare engine internals.
+    #[cfg(test)]
+    pub(crate) fn shards(&self) -> &[Shard] {
+        &self.shards
+    }
+
     /// Accumulated quality `S[t]` of a (service-global) task.
     pub fn quality(&self, task: TaskId) -> f64 {
         let (s, local) = self.state.locate(task);
@@ -157,25 +163,20 @@ impl LtcService {
     ///
     /// Returns `Ok(None)` when there is nothing to do (single shard, or
     /// the balanced layout equals the current one); otherwise the
-    /// migration summary. Decisions are never affected: tasks move with
-    /// their exact quality/completion/assignment state and keep
-    /// ascending global order within each shard, so an N-shard service
-    /// remains differentially identical to a 1-shard one across any
-    /// number of rebalances (see `crates/core/tests/rebalance.rs`).
+    /// migration summary. The migration runs in place: only the tasks
+    /// whose stripe changed move, live or completed, with their exact
+    /// quality, completion flag and assignments, and every shard keeps
+    /// its tasks in ascending global order. Its cost follows the
+    /// shards' task and assignment counts, not a copy of their state.
+    /// Decisions are never affected: an N-shard service remains
+    /// differentially identical to a 1-shard one across any number of
+    /// rebalances (see `crates/core/tests/rebalance.rs`).
     ///
-    /// The pipelined front-end exposes the same operation at a quiesced
-    /// point: [`ServiceHandle::rebalance`](super::ServiceHandle::rebalance).
+    /// The pipelined front-end runs the same migration on its shard
+    /// threads at a quiesced point:
+    /// [`ServiceHandle::rebalance`](super::ServiceHandle::rebalance).
     pub fn rebalance(&mut self) -> Result<Option<RebalanceOutcome>, ServiceError> {
-        if self.shards.len() <= 1 {
-            return Ok(None);
-        }
-        let states: Vec<_> = self.shards.iter().map(|s| s.engine.to_state()).collect();
-        let shards = &mut self.shards;
-        self.state.rebalance(&states, |s, engine, globals| {
-            shards[s].engine = engine;
-            shards[s].globals = globals;
-            Ok(())
-        })
+        self.state.rebalance(self.shards.as_mut_slice())
     }
 
     /// Serves one worker check-in end to end and returns everything that

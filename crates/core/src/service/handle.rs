@@ -285,14 +285,15 @@ impl ServiceHandle {
     }
 
     /// Quiesces the runtime and runs a load-aware stripe rebalance: the
-    /// same exact task migration as
-    /// [`LtcService::rebalance`](super::LtcService::rebalance), applied
-    /// at a drained point — the mailboxes are empty when the shard
-    /// engines are swapped, so the session continues pipelining
+    /// same in-place task migration as
+    /// [`LtcService::rebalance`](super::LtcService::rebalance), run by
+    /// the shard threads in parallel at a drained point — the mailboxes
+    /// are empty while tasks move, so the session continues pipelining
     /// immediately with identical decisions and better load placement.
     /// Subscribers observe [`Lifecycle::Rebalanced`] (after the drain's
     /// [`Lifecycle::Drained`]); `Ok(None)` means there was nothing to
-    /// move.
+    /// move. A shard thread that dies once tasks have begun to move
+    /// stops the session ([`ServiceError::RuntimeStopped`]).
     ///
     /// The handle never rebalances on its own — a rebalance implies a
     /// drain, so the caller picks the quiesce points (the CLI's
@@ -302,21 +303,7 @@ impl ServiceHandle {
             return Ok(None);
         }
         self.drain()?;
-        let states: Vec<_> = self
-            .runtime
-            .ask(
-                |reply| ShardMsg::Snapshot { reply },
-                "a shard died during rebalance",
-            )?
-            .into_iter()
-            .map(|s| s.engine)
-            .collect();
-        let runtime = &self.runtime;
-        let Some(outcome) = self.state.rebalance(&states, |s, engine, globals| {
-            let engine = Box::new(engine);
-            runtime.send(s, ShardMsg::Install { engine, globals })
-        })?
-        else {
+        let Some(outcome) = self.state.rebalance(&mut self.runtime)? else {
             return Ok(None);
         };
         self.runtime.announce(Lifecycle::Rebalanced {

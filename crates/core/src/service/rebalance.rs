@@ -1,6 +1,6 @@
 //! Load-aware stripe rebalancing: re-splits the router's tile columns by
 //! observed live-task mass and migrates tasks between shard engines —
-//! exactly.
+//! exactly, in place, touching only what moves.
 //!
 //! Spatial striping is chosen once, from the declared region; a drifting
 //! or skewed workload then piles live tasks into a few columns (or into
@@ -15,29 +15,51 @@
 //!    ([`ShardRouter::balanced_starts`]), so each shard owns roughly
 //!    `1/n` of the remaining work.
 //!
-//! Migration is exact: every task (live or completed) moves with its
-//! accumulated quality, completion flag, and committed assignments,
-//! through the same [`EngineState`] representation snapshots use. Within
-//! each rebuilt shard, tasks keep **ascending global-id order** — the
-//! invariant that makes shard-local tie-breaks match global ones, on
-//! which the N-shard ≡ 1-shard differential guarantee rests. A rebalance
-//! therefore never changes a decision; it only changes *which shard*
-//! makes it (and how much work each shard holds).
+//! A rebalance is three round trips to the shards ([`Migration`]):
 //!
-//! Both front-ends apply the same [`plan_rebalance`]: the synchronous
-//! facade on the caller's thread ([`LtcService::rebalance`]), the
-//! pipelined handle at a drained quiesce point
+//! 1. **plan** — every shard reports its live tasks' x coordinates, and
+//!    the new router is cut from those alone; an unchanged layout ends
+//!    the rebalance there;
+//! 2. **emigrate** — every shard splits off each task, live or completed,
+//!    whose stripe changed, with its accumulated quality, completion flag
+//!    and committed assignments, and compacts what stays in place
+//!    ([`Shard::emigrate`]);
+//! 3. **immigrate** — the service routes the emigrants ([`route`]), and
+//!    every shard merges its arrivals in at their places in ascending
+//!    global-id order, then re-lays its spatial index over the region
+//!    plus its live tasks ([`Shard::immigrate`]).
+//!
+//! Within each shard, tasks keep **ascending global-id order** and the
+//! assignment log keeps (worker arrival, global id) order — the
+//! invariants that make shard-local tie-breaks match global ones, on
+//! which the N-shard ≡ 1-shard differential guarantee rests. Both hold
+//! before a rebalance (local picks commit in id order, cross-shard picks
+//! in global-id order), so a linear merge keeps them. A rebalance
+//! therefore never changes a decision; it only changes *which shard*
+//! makes it (and how much work each shard holds). The result equals a
+//! rebuild of every engine from its migrated [`EngineState`]; the
+//! `reference` module keeps that rebuild as the test oracle.
+//!
+//! Both front-ends run the same [`ServiceState::rebalance`] over the same
+//! [`Shard`] methods: the synchronous facade calls them on the caller's
+//! thread ([`LtcService::rebalance`]), the pipelined handle sends them to
+//! the shard threads at a drained quiesce point
 //! ([`ServiceHandle::rebalance`]), announcing
 //! [`Lifecycle::Rebalanced`](super::Lifecycle::Rebalanced) to
-//! subscribers.
+//! subscribers. WAL recovery replays rebalances through the handle.
 //!
+//! [`EngineState`]: crate::engine::EngineState
+//! [`ServiceState::rebalance`]: super::state::ServiceState::rebalance
 //! [`LtcService::rebalance`]: super::LtcService::rebalance
 //! [`ServiceHandle::rebalance`]: super::ServiceHandle::rebalance
 
+use super::shard::{Migrants, Shard};
 use super::ServiceError;
-use crate::engine::EngineState;
-use crate::model::{AccuracyModel, Assignment, Task, TaskId};
+use crate::model::{Assignment, TaskId};
 use ltc_spatial::{BoundingBox, ShardRouter};
+
+#[cfg(test)]
+mod reference;
 
 /// Upper bound on routing columns after an extent extension (the same
 /// defense as `GridIndex`'s cell cap): wider extents coarsen the routing
@@ -119,20 +141,14 @@ impl StripeLayout {
     }
 }
 
-/// Everything a rebalance changes, computed pure so both front-ends can
-/// apply it atomically (build every engine first, then commit).
-pub(crate) struct RebalancePlan {
-    pub(crate) router: ShardRouter,
-    pub(crate) task_map: Vec<(u32, u32)>,
-    pub(crate) engines: Vec<EngineState>,
-    pub(crate) globals: Vec<Vec<u32>>,
-    pub(crate) outcome: RebalanceOutcome,
-}
-
 /// The load-balanced router for a live-task x distribution: tiled
 /// extent = `region ∪ live_xs` (coarsening past the column cap),
 /// stripes cut by per-column mass.
-fn balanced_router(region: BoundingBox, router: &ShardRouter, live_xs: &[f64]) -> ShardRouter {
+pub(crate) fn balanced_router(
+    region: BoundingBox,
+    router: &ShardRouter,
+    live_xs: &[f64],
+) -> ShardRouter {
     let n_shards = router.n_shards();
     let mut x_lo = region.min.x;
     let mut x_hi = region.max.x;
@@ -163,158 +179,422 @@ fn balanced_router(region: BoundingBox, router: &ShardRouter, live_xs: &[f64]) -
         .expect("balanced_starts satisfies the layout invariants")
 }
 
-/// Plans a load-aware rebalance over quiesced shard states. Returns
-/// `Ok(None)` when rebalancing is a no-op: a single shard, a tabular
-/// accuracy model, or a computed stripe layout identical to the current
-/// one (including the empty-pool case).
-pub(crate) fn plan_rebalance(
-    region: BoundingBox,
-    router: &ShardRouter,
-    task_map: &[(u32, u32)],
-    states: &[EngineState],
-) -> Result<Option<RebalancePlan>, ServiceError> {
-    let n_shards = states.len();
-    if n_shards <= 1 {
-        return Ok(None);
-    }
-    // Tabular models are restricted to one shard at build/restore time;
-    // a multi-shard table here would mean corrupt state.
-    if states
-        .iter()
-        .any(|st| matches!(st.accuracy, AccuracyModel::Table(_)))
-    {
-        return Err(ServiceError::TabularNeedsSingleShard);
+/// The shard side of a rebalance, as a front-end reaches its shards:
+/// the facade calls the [`Shard`] methods inline, the handle sends them
+/// to the shard threads (which run them in parallel).
+pub(crate) trait Migration {
+    /// Every shard's live-task x coordinates, in any order.
+    fn live_xs(&mut self) -> Result<Vec<f64>, ServiceError>;
+
+    /// Every shard's emigrants under `router` ([`Shard::emigrate`]), in
+    /// shard order.
+    fn emigrate(&mut self, router: &ShardRouter) -> Result<Vec<Migrants>, ServiceError>;
+
+    /// Hands every shard its arrivals ([`Shard::immigrate`]); returns the
+    /// live-task loads in shard order.
+    fn immigrate(
+        &mut self,
+        arrivals: Vec<Migrants>,
+        region: BoundingBox,
+    ) -> Result<Vec<u64>, ServiceError>;
+}
+
+impl Migration for [Shard] {
+    fn live_xs(&mut self) -> Result<Vec<f64>, ServiceError> {
+        let mut xs = Vec::new();
+        for shard in self.iter() {
+            shard.live_xs(&mut xs);
+        }
+        Ok(xs)
     }
 
-    let live_xs: Vec<f64> = states
+    fn emigrate(&mut self, router: &ShardRouter) -> Result<Vec<Migrants>, ServiceError> {
+        Ok(self
+            .iter_mut()
+            .enumerate()
+            .map(|(s, shard)| shard.emigrate(s, router))
+            .collect())
+    }
+
+    fn immigrate(
+        &mut self,
+        arrivals: Vec<Migrants>,
+        region: BoundingBox,
+    ) -> Result<Vec<u64>, ServiceError> {
+        Ok(self
+            .iter_mut()
+            .zip(&arrivals)
+            .map(|(shard, arrivals)| shard.immigrate(arrivals, region))
+            .collect())
+    }
+}
+
+/// Routes every shard's emigrants (in shard order) to their shards
+/// under `router` and renumbers `task_map` to match: returns each
+/// shard's arrivals, its new task count, and how many tasks moved.
+///
+/// A task's new local id is its rank among its new shard's tasks in
+/// global-id order, so one pass over the task map renumbers it in place.
+pub(crate) fn route(
+    router: &ShardRouter,
+    emigrants: &[Migrants],
+    task_map: &mut [(u32, u32)],
+) -> (Vec<Migrants>, Vec<u32>, u64) {
+    let n_shards = emigrants.len();
+    // Every migrant by global id: (global, destination, source shard,
+    // source index).
+    let mut order: Vec<(u32, u32, u32, u32)> = emigrants
         .iter()
-        .flat_map(|st| {
-            st.tasks
+        .enumerate()
+        .flat_map(|(s, e)| {
+            e.globals
                 .iter()
-                .zip(&st.completed)
-                .filter(|&(_, &done)| !done)
-                .map(|(t, _)| t.loc.x)
+                .zip(&e.tasks)
+                .enumerate()
+                .map(move |(i, (&g, t))| {
+                    let to = router.shard_of(t.task.loc) as u32;
+                    (g, to, s as u32, i as u32)
+                })
         })
         .collect();
-    let new_router = balanced_router(region, router, &live_xs);
-    if new_router == *router {
-        return Ok(None);
-    }
+    order.sort_unstable();
 
-    // Rebuild the old local→global maps from the task map (validating it
-    // on the way — the states came over a channel, be defensive).
-    let mut old_globals: Vec<Vec<u32>> = vec![Vec::new(); n_shards];
-    for (g, &(s, local)) in task_map.iter().enumerate() {
-        let s = s as usize;
-        if s >= n_shards
-            || local as usize != old_globals[s].len()
-            || states[s].tasks.len() <= local as usize
-        {
-            return Err(ServiceError::BadSnapshot(
-                "rebalance found an inconsistent task map",
-            ));
-        }
-        old_globals[s].push(g as u32);
+    let mut arrivals: Vec<Migrants> = (0..n_shards).map(|_| Migrants::default()).collect();
+    // slot[s][i]: where source `s`'s migrant `i` lands in its arrivals.
+    let mut slot: Vec<Vec<(u32, u32)>> = emigrants
+        .iter()
+        .map(|e| vec![(0, 0); e.globals.len()])
+        .collect();
+    for &(g, to, s, i) in &order {
+        let (s, i) = (s as usize, i as usize);
+        let arriving = &mut arrivals[to as usize];
+        slot[s][i] = (to, arriving.globals.len() as u32);
+        arriving.globals.push(g);
+        arriving.tasks.push(emigrants[s].tasks[i]);
     }
-
-    // Repartition every task in ascending global order, preserving the
-    // local-order-follows-global-order invariant per shard.
-    let n_global = task_map.len();
-    let mut new_task_map = Vec::with_capacity(n_global);
-    let mut tasks: Vec<Vec<Task>> = vec![Vec::new(); n_shards];
-    let mut quality: Vec<Vec<f64>> = vec![Vec::new(); n_shards];
-    let mut completed: Vec<Vec<bool>> = vec![Vec::new(); n_shards];
-    let mut globals: Vec<Vec<u32>> = vec![Vec::new(); n_shards];
-    let mut live_loads = vec![0u64; n_shards];
-    let mut moved_tasks = 0u64;
-    for (g, &(os, ol)) in task_map.iter().enumerate() {
-        let (os, ol) = (os as usize, ol as usize);
-        let st = &states[os];
-        let task = st.tasks[ol];
-        let ns = new_router.shard_of(task.loc);
-        if ns != os {
-            moved_tasks += 1;
-        }
-        new_task_map.push((ns as u32, tasks[ns].len() as u32));
-        globals[ns].push(g as u32);
-        tasks[ns].push(task);
-        quality[ns].push(st.s[ol]);
-        let done = st.completed[ol];
-        completed[ns].push(done);
-        if !done {
-            live_loads[ns] += 1;
+    for (s, e) in emigrants.iter().enumerate() {
+        for a in &e.assignments {
+            let (to, at) = slot[s][a.task.index()];
+            arrivals[to as usize].assignments.push(Assignment {
+                task: TaskId(at),
+                ..*a
+            });
         }
     }
+    // Each source's assignments are in order already; interleave them.
+    for arriving in &mut arrivals {
+        arriving
+            .assignments
+            .sort_unstable_by_key(|a| (a.worker, a.task));
+    }
 
-    // Migrate the committed assignments with their tasks, restoring the
-    // canonical commit order (worker arrival, then ascending global id)
-    // inside each destination shard.
-    let mut assignments: Vec<Vec<(u64, u32, Assignment)>> = vec![Vec::new(); n_shards];
-    for (os, st) in states.iter().enumerate() {
-        for a in &st.assignments {
-            let Some(&g) = old_globals[os].get(a.task.index()) else {
-                return Err(ServiceError::BadSnapshot(
-                    "rebalance found an assignment to an unknown task",
-                ));
+    let mut shard_tasks = vec![0u32; n_shards];
+    let mut moved = order.iter().peekable();
+    for (g, entry) in task_map.iter_mut().enumerate() {
+        let s = match moved.next_if(|&&(mg, ..)| mg as usize == g) {
+            Some(&(_, to, ..)) => to,
+            None => entry.0,
+        };
+        *entry = (s, shard_tasks[s as usize]);
+        shard_tasks[s as usize] += 1;
+    }
+    (arrivals, shard_tasks, order.len() as u64)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::reference::rebalanced;
+    use crate::model::{ProblemParams, Task, Worker};
+    use crate::service::state::ServiceSnapshot;
+    use crate::service::{Algorithm, LtcService, ServiceBuilder, ServiceHandle};
+    use ltc_spatial::{BoundingBox, Point};
+    use proptest::prelude::*;
+    use std::num::NonZeroUsize;
+
+    fn region() -> BoundingBox {
+        BoundingBox::new(Point::ORIGIN, Point::new(1000.0, 1000.0))
+    }
+
+    /// What the rebalances of one session exercised.
+    #[derive(Debug, Default)]
+    struct Coverage {
+        /// `moved[completed][to a higher shard]`.
+        moved: [[bool; 2]; 2],
+        no_op: bool,
+        empty_shard: bool,
+        beyond_region: bool,
+        coarse_tile: bool,
+    }
+
+    impl Coverage {
+        fn note(&mut self, before: &ServiceSnapshot, after: &ServiceSnapshot) {
+            for (&(os, ol), &(ns, _)) in before.task_map.iter().zip(&after.task_map) {
+                if os != ns {
+                    let done = before.engines[os as usize].completed[ol as usize];
+                    self.moved[done as usize][(ns > os) as usize] = true;
+                }
+            }
+            self.empty_shard |= after.engines.iter().any(|e| e.tasks.is_empty());
+            if let Some(l) = &after.stripes {
+                let r = before.region;
+                self.beyond_region |= l.origin_x < r.min.x
+                    || l.origin_x + l.cols as f64 * l.cell_size > r.max.x + l.cell_size;
+                self.coarse_tile |= l.cell_size > before.cell_size;
+            }
+        }
+    }
+
+    /// What an engine derives from its durable state, which a snapshot
+    /// does not show: the worker-unit statistics, the uncompleted set in
+    /// its iteration order, the arrangement's worker maximum, and the
+    /// index's clamp telemetry.
+    type Derived = ((f64, f64), Vec<u32>, Option<u64>, u64);
+
+    fn derived(service: &LtcService) -> Vec<Derived> {
+        service
+            .shards()
+            .iter()
+            .map(|s| {
+                let e = &s.engine;
+                (
+                    e.remaining_units(),
+                    e.uncompleted_tasks().map(|t| t.0).collect(),
+                    e.arrangement().max_index(),
+                    e.index_clamped_insertions(),
+                )
+            })
+            .collect()
+    }
+
+    /// One session served three ways: `live` rebalances in place,
+    /// `oracle` is rebuilt from the reference's snapshot at every
+    /// rebalance, and `handle` rebalances in place on its shard threads.
+    struct Twins {
+        live: LtcService,
+        oracle: LtcService,
+        handle: ServiceHandle,
+        seen: Coverage,
+    }
+
+    impl Twins {
+        fn new(n_shards: usize, algorithm: Algorithm, grow: Option<u64>) -> Self {
+            let params = ProblemParams::builder()
+                .epsilon(0.25)
+                .capacity(2)
+                .d_max(30.0)
+                .build()
+                .unwrap();
+            let builder = || {
+                let b = ServiceBuilder::new(params, region())
+                    .algorithm(algorithm)
+                    .shards(NonZeroUsize::new(n_shards).unwrap());
+                match grow {
+                    Some(n) => b.grow_index_after(n),
+                    None => b,
+                }
             };
-            let (ns, nl) = new_task_map[g as usize];
-            assignments[ns as usize].push((
-                a.worker.0,
-                g,
-                Assignment {
-                    task: TaskId(nl),
-                    ..*a
-                },
-            ));
+            Self {
+                live: builder().build().unwrap(),
+                oracle: builder().build().unwrap(),
+                handle: builder().start().unwrap(),
+                seen: Coverage::default(),
+            }
+        }
+
+        fn post(&mut self, task: Task) {
+            let id = self.live.post_task(task).unwrap();
+            assert_eq!(self.oracle.post_task(task).unwrap(), id);
+            assert_eq!(self.handle.post_task(task).unwrap(), id);
+        }
+
+        fn check_in(&mut self, worker: &Worker) {
+            let events = self.live.check_in(worker);
+            assert_eq!(self.oracle.check_in(worker), events, "{worker:?}");
+            self.handle.submit_worker(worker).unwrap();
+        }
+
+        fn rebalance(&mut self) {
+            let before = self.oracle.snapshot();
+            assert_eq!(self.live.snapshot(), before);
+            let expect = rebalanced(&before).unwrap();
+            let got = self.live.rebalance().unwrap();
+            assert_eq!(self.handle.rebalance().unwrap(), got);
+            match expect {
+                None => {
+                    self.seen.no_op = true;
+                    assert_eq!(got, None);
+                    assert_eq!(self.live.snapshot(), before);
+                }
+                Some((after, outcome)) => {
+                    self.seen.note(&before, &after);
+                    assert_eq!(got, Some(outcome));
+                    assert_eq!(self.live.snapshot(), after);
+                    assert_eq!(self.handle.snapshot().unwrap(), after);
+                    self.oracle = LtcService::restore(after).unwrap();
+                    assert_eq!(derived(&self.live), derived(&self.oracle));
+                }
+            }
+        }
+
+        /// 200 more check-ins over the whole area, then a last
+        /// comparison of the three services' states.
+        fn finish(mut self, rng: &mut Rng) -> Coverage {
+            for _ in 0..200 {
+                let at = Point::new(rng.range(-400.0, 1600.0), rng.range(0.0, 1000.0));
+                self.check_in(&Worker::new(at, rng.range(0.7, 0.99)));
+            }
+            let end = self.live.snapshot();
+            assert_eq!(self.oracle.snapshot(), end);
+            assert_eq!(derived(&self.live), derived(&self.oracle));
+            assert_eq!(self.handle.snapshot().unwrap(), end);
+            self.handle.close().unwrap();
+            self.seen
         }
     }
 
-    let mut engines = Vec::with_capacity(n_shards);
-    for (i, st) in states.iter().enumerate() {
-        let mut moved = std::mem::take(&mut assignments[i]);
-        moved.sort_unstable_by_key(|&(w, g, _)| (w, g));
-        let shard_tasks = std::mem::take(&mut tasks[i]);
-        // Size each rebuilt index over the declared region plus the
-        // shard's own live tasks, so migrated-in out-of-region work does
-        // not clamp.
-        let index_geometry = st.index_geometry.map(|(cs, _)| {
-            let live = BoundingBox::of_points(
-                shard_tasks
-                    .iter()
-                    .zip(&completed[i])
-                    .filter(|&(_, &done)| !done)
-                    .map(|(t, _)| t.loc),
-            );
-            (cs, live.map_or(region, |l| region.union(l)))
-        });
-        engines.push(EngineState {
-            params: st.params,
-            accuracy: st.accuracy.clone(),
-            tasks: shard_tasks,
-            s: std::mem::take(&mut quality[i]),
-            completed: std::mem::take(&mut completed[i]),
-            assignments: moved.into_iter().map(|(_, _, a)| a).collect(),
-            next_arrival: st.next_arrival,
-            index_geometry,
-            // Clamp telemetry is per-shard index history, not per-task
-            // state: the cumulative counter stays with its shard (so the
-            // service-wide sum survives the migration), and the rebuilt
-            // index — freshly laid out over the live tasks — re-arms the
-            // growth threshold exactly like an adaptive growth would.
-            clamped_insertions: st.clamped_insertions,
-            clamp_mark: st.clamped_insertions,
-        });
+    /// A small deterministic generator (xorshift).
+    struct Rng(u64);
+
+    impl Rng {
+        fn unit(&mut self) -> f64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        fn range(&mut self, lo: f64, hi: f64) -> f64 {
+            lo + (hi - lo) * self.unit()
+        }
     }
 
-    Ok(Some(RebalancePlan {
-        outcome: RebalanceOutcome {
-            moved_tasks,
-            live_loads,
-            stripe_starts: new_router.stripe_starts().to_vec(),
+    /// One step of a generated session.
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// `tasks` posts within 40 of `(x, y)`, then `workers` check-ins
+        /// near it (completing some of them).
+        Burst {
+            x: f64,
+            y: f64,
+            tasks: usize,
+            workers: usize,
         },
-        router: new_router,
-        task_map: new_task_map,
-        engines,
-        globals,
-    }))
+        /// One task so far out that the routing tile coarsens to fit it.
+        Far,
+        Rebalance,
+    }
+
+    fn run(twins: &mut Twins, steps: &[Step], rng: &mut Rng) {
+        for step in steps {
+            match *step {
+                Step::Burst {
+                    x,
+                    y,
+                    tasks,
+                    workers,
+                } => {
+                    for _ in 0..tasks {
+                        let at = Point::new(x + rng.range(-40.0, 40.0), y + rng.range(-40.0, 40.0));
+                        twins.post(Task::new(at));
+                    }
+                    for _ in 0..workers {
+                        let at = Point::new(x + rng.range(-30.0, 30.0), y + rng.range(-30.0, 30.0));
+                        twins.check_in(&Worker::new(at, rng.range(0.8, 0.99)));
+                    }
+                }
+                Step::Far => twins.post(Task::new(Point::new(5.0e6, 500.0))),
+                Step::Rebalance => twins.rebalance(),
+            }
+        }
+    }
+
+    fn burst(x: f64, y: f64) -> Step {
+        Step::Burst {
+            x,
+            y,
+            tasks: 24,
+            workers: 40,
+        }
+    }
+
+    #[test]
+    fn in_place_rebalance_equals_the_full_rebuild_in_every_case() {
+        use Step::Rebalance;
+        let steps = [
+            burst(480.0, 500.0),
+            Rebalance,
+            burst(120.0, 300.0),
+            burst(880.0, 700.0),
+            Rebalance,
+            burst(1350.0, 600.0),
+            Rebalance,
+            burst(-250.0, 200.0),
+            burst(490.0, 500.0),
+            Rebalance,
+            Step::Far,
+            burst(700.0, 400.0),
+            Rebalance,
+            Rebalance,
+        ];
+        for n_shards in [2, 3, 4] {
+            let mut twins = Twins::new(n_shards, Algorithm::Laf, Some(8));
+            let mut rng = Rng(0x5EED + n_shards as u64);
+            run(&mut twins, &steps, &mut rng);
+            let seen = twins.finish(&mut rng);
+            assert_eq!(seen.moved, [[true; 2]; 2], "{n_shards} shards: {seen:?}");
+            assert!(seen.no_op, "{n_shards} shards: {seen:?}");
+            assert!(seen.beyond_region, "{n_shards} shards: {seen:?}");
+            assert!(seen.coarse_tile, "{n_shards} shards: {seen:?}");
+            if n_shards == 4 {
+                assert!(seen.empty_shard, "{seen:?}");
+            }
+        }
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        (
+            0u8..10,
+            -400.0..1600.0f64,
+            0.0..1000.0f64,
+            0usize..25,
+            0usize..40,
+        )
+            .prop_map(|(which, x, y, tasks, workers)| match which {
+                0..=5 => Step::Burst {
+                    x,
+                    y,
+                    tasks,
+                    workers,
+                },
+                6 => Step::Far,
+                _ => Step::Rebalance,
+            })
+    }
+
+    fn algorithm() -> impl Strategy<Value = Algorithm> {
+        (0u8..3, any::<u64>()).prop_map(|(which, seed)| match which {
+            0 => Algorithm::Laf,
+            1 => Algorithm::Aam,
+            _ => Algorithm::Random { seed },
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn in_place_rebalance_equals_the_full_rebuild(
+            n_shards in 2usize..=4,
+            algorithm in algorithm(),
+            grow in 0u64..32,
+            steps in prop::collection::vec(step(), 1..14),
+            seed in 1u64..u64::MAX,
+        ) {
+            let mut twins = Twins::new(n_shards, algorithm, (grow > 0).then_some(grow));
+            let mut rng = Rng(seed);
+            run(&mut twins, &steps, &mut rng);
+            twins.rebalance();
+            twins.finish(&mut rng);
+        }
+    }
 }

@@ -38,13 +38,15 @@
 //! deliveries changes; decisions and delivery order do not.
 
 use super::events::{event_channel, EventSink};
+use super::rebalance::Migration;
 use super::shard::{
-    append_merge_events, merge_and_truncate, Proposal, ProposeScratch, Shard, ShardMetrics,
-    ShardState,
+    append_merge_events, merge_and_truncate, Migrants, Proposal, ProposeScratch, Shard,
+    ShardMetrics, ShardState,
 };
 use super::state::Progress;
 use super::{Event, EventFanout, EventStream, Lifecycle, ServiceError, StreamEvent};
 use crate::model::{Task, TaskId, Worker, WorkerId};
+use ltc_spatial::{BoundingBox, ShardRouter};
 use std::collections::VecDeque;
 use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -410,11 +412,13 @@ impl Runtime {
             .map_err(|_| ServiceError::RuntimeStopped("a shard mailbox disconnected"))
     }
 
-    /// A control round trip to every shard, replies in shard order;
-    /// `died` describes a shard that never answered.
+    /// A control round trip to every shard, replies in shard order: the
+    /// requests go out to all shards before the first reply is awaited,
+    /// so the shards serve them in parallel. `died` describes a shard
+    /// that never answered.
     pub(crate) fn ask<T>(
         &self,
-        request: fn(SyncSender<T>) -> ShardMsg,
+        mut request: impl FnMut(SyncSender<T>) -> ShardMsg,
         died: &'static str,
     ) -> Result<Vec<T>, ServiceError> {
         let mut replies = Vec::with_capacity(self.shard_txs.len());
@@ -462,6 +466,15 @@ impl Runtime {
         }
     }
 
+    /// Passes `outcome` through, stopping the runtime first when it is
+    /// an error.
+    fn stop_on_error<T>(&mut self, outcome: Result<T, ServiceError>) -> Result<T, ServiceError> {
+        if outcome.is_err() {
+            self.stop().ok();
+        }
+        outcome
+    }
+
     /// Stops every thread: disconnect the mailboxes (shard threads exit
     /// after finishing their queues) and join them, then deliver what
     /// they left and end the subscribers' streams. Idempotent; a
@@ -479,6 +492,48 @@ impl Runtime {
             return Err(ServiceError::RuntimeStopped("a shard thread panicked"));
         }
         Ok(())
+    }
+}
+
+/// The handle's rebalance steps, each one round trip to every shard. A
+/// step that fails once tasks have begun to move stops the runtime: the
+/// shards and the service's task map are out of step then, and the
+/// session must not serve from them.
+impl Migration for Runtime {
+    fn live_xs(&mut self) -> Result<Vec<f64>, ServiceError> {
+        let xs = self.ask(
+            |reply| ShardMsg::LiveXs { reply },
+            "a shard died during rebalance",
+        )?;
+        Ok(xs.concat())
+    }
+
+    fn emigrate(&mut self, router: &ShardRouter) -> Result<Vec<Migrants>, ServiceError> {
+        let router = Arc::new(router.clone());
+        let emigrants = self.ask(
+            |reply| ShardMsg::Emigrate {
+                router: Arc::clone(&router),
+                reply,
+            },
+            "a shard died during rebalance",
+        );
+        self.stop_on_error(emigrants)
+    }
+
+    fn immigrate(
+        &mut self,
+        arrivals: Vec<Migrants>,
+        region: BoundingBox,
+    ) -> Result<Vec<u64>, ServiceError> {
+        let mut arrivals = arrivals.into_iter();
+        let loads = self.ask(
+            |reply| ShardMsg::Immigrate {
+                arrivals: Box::new((arrivals.next().unwrap_or_default(), region)),
+                reply,
+            },
+            "a shard died during rebalance",
+        );
+        self.stop_on_error(loads)
     }
 }
 
@@ -531,16 +586,32 @@ pub(crate) enum ShardMsg {
         /// Where to send the state.
         reply: SyncSender<ShardState>,
     },
-    /// Replace the shard's engine and id map with a rebalanced partition
-    /// (only sent quiesced, between a drain and any new submissions, so
-    /// it can never interleave with in-flight work). The policy instance
-    /// stays — RNG streams and regime state belong to the shard, not to
-    /// its task subset.
-    Install {
-        /// The rebuilt engine over the shard's new task subset.
-        engine: Box<crate::engine::AssignmentEngine>,
-        /// The new local→global id map.
-        globals: Vec<u32>,
+    /// Reply with the x coordinates of the shard's live tasks (a
+    /// rebalance's plan; only sent quiesced).
+    LiveXs {
+        /// Where to send them.
+        reply: SyncSender<Vec<f64>>,
+    },
+    /// Split off the tasks `router` places on other shards and reply
+    /// with them ([`Shard::emigrate`]; only sent quiesced, between a
+    /// drain and any new submissions, so it never interleaves with
+    /// in-flight work). The policy instance stays — RNG streams and
+    /// regime state belong to the shard, not to its task subset.
+    Emigrate {
+        /// The rebalanced router.
+        router: Arc<ShardRouter>,
+        /// Where to send the emigrants.
+        reply: SyncSender<Migrants>,
+    },
+    /// Merge in the tasks routed here and re-lay the spatial index
+    /// ([`Shard::immigrate`]); always follows an `Emigrate`.
+    Immigrate {
+        /// The arriving tasks, and the service region the index covers
+        /// at least (boxed: a mailbox slot is as large as its largest
+        /// message).
+        arrivals: Box<(Migrants, BoundingBox)>,
+        /// Where to send the shard's live-task count.
+        reply: SyncSender<u64>,
     },
     /// Reply with the shard's live operational counters.
     Metrics {
@@ -671,9 +742,20 @@ fn shard_loop(mut rt: ShardRuntime, rx: Receiver<ShardMsg>) {
                 rt.flush();
                 reply.send(rt.shard.metrics()).ok();
             }
-            ShardMsg::Install { engine, globals } => {
-                rt.shard.engine = *engine;
-                rt.shard.globals = globals;
+            ShardMsg::LiveXs { reply } => {
+                rt.flush();
+                let mut xs = Vec::new();
+                rt.shard.live_xs(&mut xs);
+                reply.send(xs).ok();
+            }
+            ShardMsg::Emigrate { router, reply } => {
+                rt.flush();
+                reply.send(rt.shard.emigrate(rt.shard_id, &router)).ok();
+            }
+            ShardMsg::Immigrate { arrivals, reply } => {
+                rt.flush();
+                let (arrivals, region) = *arrivals;
+                reply.send(rt.shard.immigrate(&arrivals, region)).ok();
             }
         }
     }
@@ -1056,6 +1138,98 @@ mod tests {
             matches!(outcome, Err(ServiceError::RuntimeStopped(_))),
             "a drain over a dead shard returned {outcome:?}"
         );
+    }
+
+    /// The handle's rebalance steps, except that shard `victim` dies
+    /// between the emigrate and immigrate round trips.
+    struct DiesAfterEmigrating<'a> {
+        runtime: &'a mut Runtime,
+        victim: usize,
+    }
+
+    impl Migration for DiesAfterEmigrating<'_> {
+        fn live_xs(&mut self) -> Result<Vec<f64>, ServiceError> {
+            self.runtime.live_xs()
+        }
+
+        fn emigrate(&mut self, router: &ShardRouter) -> Result<Vec<Migrants>, ServiceError> {
+            let emigrants = self.runtime.emigrate(router);
+            self.runtime.send(self.victim, poison()).unwrap();
+            emigrants
+        }
+
+        fn immigrate(
+            &mut self,
+            arrivals: Vec<Migrants>,
+            region: BoundingBox,
+        ) -> Result<Vec<u64>, ServiceError> {
+            self.runtime.immigrate(arrivals, region)
+        }
+    }
+
+    #[test]
+    fn a_rebalance_stops_the_runtime_when_a_shard_dies_mid_migration() {
+        let params = ProblemParams::builder()
+            .epsilon(0.3)
+            .capacity(2)
+            .d_max(10.0)
+            .build()
+            .unwrap();
+        let region = BoundingBox::new(Point::ORIGIN, Point::new(1000.0, 1000.0));
+        // Every task on shard 1's side of the default split, so the
+        // balanced layout moves about half of them to shard 0.
+        let tasks = (0..40)
+            .map(|i| Task::new(Point::new(600.0 + 10.0 * i as f64, 500.0)))
+            .collect();
+        let snapshot = ServiceBuilder::new(params, region)
+            .shards(NonZeroUsize::new(2).unwrap())
+            .tasks(tasks)
+            .genesis()
+            .unwrap();
+        let (mut state, shards, progress) = ServiceState::restore(snapshot).unwrap();
+        let mut runtime = Runtime::start(shards, 8, progress, 0).unwrap();
+        let (outcome_tx, outcome_rx) = mpsc::channel();
+        // Not a scoped thread: a rebalance that never returns must fail
+        // this test, not hang it.
+        std::thread::spawn(move || {
+            let mut dying = DiesAfterEmigrating {
+                runtime: &mut runtime,
+                victim: 1,
+            };
+            let outcome = state.rebalance(&mut dying);
+            outcome_tx.send((outcome, runtime)).ok();
+        });
+        let (outcome, mut runtime) = outcome_rx
+            .recv_timeout(Duration::from_secs(1))
+            .expect("the rebalance still waits 1 s after a shard died mid-migration");
+        assert!(
+            matches!(outcome, Err(ServiceError::RuntimeStopped(_))),
+            "a rebalance over a shard that died mid-migration returned {outcome:?}"
+        );
+        // The task map was renumbered for a migration that never
+        // finished: the session must not serve again.
+        assert!(runtime.is_stopped());
+        assert!(matches!(
+            runtime.send(0, local(0)),
+            Err(ServiceError::RuntimeStopped(_))
+        ));
+        assert!(matches!(
+            runtime.drain(),
+            Err(ServiceError::RuntimeStopped(_))
+        ));
+        // What `close` and `Drop` run: already stopped, so it returns at
+        // once.
+        let closing = Instant::now();
+        assert_eq!(runtime.stop(), Ok(()));
+        assert!(closing.elapsed() < Duration::from_secs(1));
+    }
+
+    #[test]
+    fn rebalance_messages_do_not_widen_a_mailbox_slot() {
+        // A mailbox preallocates its bound in slots of the largest
+        // message, so the rare rebalance payloads stay boxed behind the
+        // per-check-in messages' size.
+        assert!(std::mem::size_of::<ShardMsg>() <= 64);
     }
 
     #[test]

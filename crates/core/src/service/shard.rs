@@ -5,8 +5,9 @@
 //! construction.
 
 use super::{Event, Policy};
-use crate::engine::{AssignmentEngine, Candidate, EngineState};
-use crate::model::{Task, TaskId, Worker, WorkerId};
+use crate::engine::{splice_in, AssignmentEngine, Candidate, EngineState, MovedTask};
+use crate::model::{Assignment, Task, TaskId, Worker, WorkerId};
+use ltc_spatial::{BoundingBox, ShardRouter};
 
 /// One spatial shard: a full engine over its task subset, its policy
 /// instance, and the local→global id map.
@@ -26,7 +27,7 @@ pub(crate) struct Shard {
     pub(crate) grow_clamps: Option<u64>,
 }
 
-/// One shard's contribution to a snapshot or a rebalance plan.
+/// One shard's contribution to a snapshot.
 pub(crate) struct ShardState {
     pub(crate) engine: EngineState,
     pub(crate) rng_draws: Option<u64>,
@@ -38,6 +39,20 @@ pub(crate) struct ShardMetrics {
     pub(crate) clamped: u64,
     /// Live (uncompleted) tasks the shard currently holds.
     pub(crate) live: u64,
+}
+
+/// Tasks crossing between shards in a stripe rebalance, in ascending
+/// global-id order: what one shard sends ([`Shard::emigrate`]) or
+/// receives ([`Shard::immigrate`]).
+#[derive(Debug, Default)]
+pub(crate) struct Migrants {
+    /// Each task's service-global id.
+    pub(crate) globals: Vec<u32>,
+    /// Each task's durable state.
+    pub(crate) tasks: Vec<MovedTask>,
+    /// The tasks' committed assignments in (worker arrival, global id)
+    /// order, each addressed to its task's index in the vectors above.
+    pub(crate) assignments: Vec<Assignment>,
 }
 
 /// Reusable buffers for [`Shard::propose`] (candidate enumeration and
@@ -88,6 +103,61 @@ impl Shard {
             engine: self.engine.to_state(),
             rng_draws: self.policy.rng_draws(),
         }
+    }
+
+    /// Appends the x coordinate of every live task (in no particular
+    /// order) — what a rebalance cuts its stripes by.
+    pub(crate) fn live_xs(&self, out: &mut Vec<f64>) {
+        let tasks = self.engine.tasks();
+        out.extend(
+            self.engine
+                .uncompleted_tasks()
+                .map(|t| tasks[t.index()].loc.x),
+        );
+    }
+
+    /// Removes every task, live or completed, that `router` places on
+    /// another shard, and returns them with their state and assignments.
+    /// The tasks that stay are renumbered in place; the shard is whole
+    /// again once [`Shard::immigrate`] has run.
+    pub(crate) fn emigrate(&mut self, shard_id: usize, router: &ShardRouter) -> Migrants {
+        let mut out = Migrants::default();
+        let mut leaving = Vec::new();
+        for (local, task) in self.engine.tasks().iter().enumerate() {
+            if router.shard_of(task.loc) != shard_id {
+                leaving.push(local as u32);
+                out.globals.push(self.globals[local]);
+            }
+        }
+        if !leaving.is_empty() {
+            self.engine
+                .split_off(&leaving, &mut out.tasks, &mut out.assignments);
+            let mut next_leaving = leaving.iter().copied().peekable();
+            let mut local = 0;
+            self.globals.retain(|_| {
+                let leaves = next_leaving.next_if_eq(&local).is_some();
+                local += 1;
+                !leaves
+            });
+        }
+        out
+    }
+
+    /// Inserts `arrivals` at their places in ascending global-id order
+    /// and re-lays the spatial index over `region` plus the live tasks.
+    /// Runs on every shard in a rebalance, arrivals or not. Returns the
+    /// shard's live-task count.
+    pub(crate) fn immigrate(&mut self, arrivals: &Migrants, region: BoundingBox) -> u64 {
+        let globals = &self.globals;
+        let before: Vec<u32> = arrivals
+            .globals
+            .iter()
+            .map(|g| globals.partition_point(|x| x < g) as u32)
+            .collect();
+        self.engine
+            .merge_in(&before, &arrivals.tasks, &arrivals.assignments, region);
+        splice_in(&mut self.globals, &before, |j| arrivals.globals[j]);
+        self.engine.n_uncompleted() as u64
     }
 
     /// The shard's live operational counters.

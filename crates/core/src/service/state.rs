@@ -3,7 +3,7 @@
 //! [`ServiceSnapshot`]: the facade runs the state inline next to its
 //! shards; the handle runs it next to its shard threads.
 
-use super::rebalance::{plan_rebalance, RebalanceOutcome, StripeLayout};
+use super::rebalance::{balanced_router, route, Migration, RebalanceOutcome, StripeLayout};
 use super::shard::{Shard, ShardMetrics, ShardState};
 use super::{Algorithm, Event, ServiceError, ServiceMetrics};
 use crate::engine::{validate_post, AssignmentEngine, EngineState};
@@ -320,33 +320,43 @@ impl ServiceState {
         }
     }
 
-    /// Plans a load-aware rebalance over quiesced shard engine states
-    /// and, when it moves anything, hands every shard its rebuilt engine
-    /// and local→global map through `install`, then switches the
-    /// routing. Every engine is built before the first install, so a
-    /// corrupt plan leaves the session untouched.
+    /// Runs a load-aware rebalance over quiesced `shards` (see the
+    /// [`rebalance`](super::rebalance) module): plans the new router from
+    /// the live tasks, and when it differs, moves the tasks whose stripe
+    /// changed and renumbers the task map. `Ok(None)` when there is
+    /// nothing to do: a single shard, or a layout equal to the current
+    /// one (including the empty-pool case).
+    ///
+    /// A failure after the first task left its shard leaves the shards
+    /// and the task map out of step; the handle's [`Migration`] stops its
+    /// runtime then, so the session never serves from that state.
     pub(crate) fn rebalance(
         &mut self,
-        states: &[EngineState],
-        mut install: impl FnMut(usize, AssignmentEngine, Vec<u32>) -> Result<(), ServiceError>,
+        shards: &mut (impl Migration + ?Sized),
     ) -> Result<Option<RebalanceOutcome>, ServiceError> {
-        let Some(plan) = plan_rebalance(self.region, &self.router, &self.task_map, states)? else {
+        if self.n_shards() <= 1 {
             return Ok(None);
-        };
-        let engines = plan
-            .engines
-            .into_iter()
-            .map(AssignmentEngine::from_state)
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(ServiceError::Engine)?;
-        self.shard_tasks = plan.globals.iter().map(|g| g.len() as u32).collect();
-        for (s, (engine, globals)) in engines.into_iter().zip(plan.globals).enumerate() {
-            install(s, engine, globals)?;
         }
-        self.router = plan.router;
-        self.task_map = plan.task_map;
+        // Tabular models are restricted to one shard at build/restore
+        // time; a multi-shard table here would mean corrupt state.
+        if self.table_workers.is_some() {
+            return Err(ServiceError::TabularNeedsSingleShard);
+        }
+        let router = balanced_router(self.region, &self.router, &shards.live_xs()?);
+        if router == self.router {
+            return Ok(None);
+        }
+        let emigrants = shards.emigrate(&router)?;
+        let (arrivals, shard_tasks, moved_tasks) = route(&router, &emigrants, &mut self.task_map);
+        self.shard_tasks = shard_tasks;
+        self.router = router;
         self.rebalances += 1;
-        Ok(Some(plan.outcome))
+        let live_loads = shards.immigrate(arrivals, self.region)?;
+        Ok(Some(RebalanceOutcome {
+            moved_tasks,
+            live_loads,
+            stripe_starts: self.router.stripe_starts().to_vec(),
+        }))
     }
 
     /// Operational counters, from the released progress and every

@@ -397,7 +397,15 @@ impl<T: Copy> GridIndex<T> {
         }
     }
 
-    /// Rebuilds the slab and directory from `spare` by counting sort:
+    /// Rebuilds the slab and directory from `spare` (see
+    /// [`Self::place`]), keeping `spare` for reuse.
+    fn place_spare(&mut self, count_clamps: bool) {
+        let spare = std::mem::take(&mut self.spare);
+        self.place(spare.iter().copied(), count_clamps);
+        self.spare = spare;
+    }
+
+    /// Rebuilds the slab and directory from `entries` by counting sort:
     /// count per cell into `lens`, prefix-sum into `starts`, then place
     /// (using `caps` as cursors). The result is perfectly packed
     /// (`caps == lens`, no dead space). Reuses every buffer's capacity.
@@ -405,18 +413,18 @@ impl<T: Copy> GridIndex<T> {
     /// `count_clamps` makes entries outside the extent count as fresh
     /// clamped insertions (rebucket semantics); internal compaction
     /// passes `false` — maintenance must not inflate telemetry.
-    fn place_spare(&mut self, count_clamps: bool) {
+    fn place(&mut self, entries: impl Iterator<Item = (T, Point)> + Clone, count_clamps: bool) {
         let layout = self.layout();
         let n_cells = layout.cols * layout.rows;
-        assert!(
-            self.spare.len() <= u32::MAX as usize,
-            "grid slab exceeds u32 addressing"
-        );
         self.lens.clear();
         self.lens.resize(n_cells, 0);
-        for &(_, p) in &self.spare {
+        let mut len = 0usize;
+        for (_, p) in entries.clone() {
+            assert!(p.is_finite(), "grid index points must be finite, got {p}");
             self.lens[layout.cell_of(p)] += 1;
+            len += 1;
         }
+        assert!(len <= u32::MAX as usize, "grid slab exceeds u32 addressing");
         self.starts.clear();
         self.starts.resize(n_cells, 0);
         let mut acc = 0u32;
@@ -427,10 +435,10 @@ impl<T: Copy> GridIndex<T> {
         self.caps.clear();
         self.caps.resize(n_cells, 0);
         self.slab.clear();
-        if let Some(&filler) = self.spare.first() {
-            self.slab.resize(self.spare.len(), filler);
+        if let Some(filler) = entries.clone().next() {
+            self.slab.resize(len, filler);
         }
-        for &(id, p) in &self.spare {
+        for (id, p) in entries {
             if count_clamps && !layout.in_extent(p) {
                 self.clamped += 1;
             }
@@ -442,7 +450,7 @@ impl<T: Copy> GridIndex<T> {
         // The cursors ran up to the lengths: every block is exactly full.
         debug_assert_eq!(self.caps, self.lens);
         self.dead = 0;
-        self.len = self.spare.len();
+        self.len = len;
     }
 
     /// Removes one entry with this id stored at `point` (the location it
@@ -503,14 +511,40 @@ impl<T: Copy> GridIndex<T> {
     ///
     /// Panics if `cell_size` is not strictly positive and finite.
     pub fn rebucket(&mut self, cell_size: f64, bounds: BoundingBox) {
-        let layout = Layout::new(cell_size, bounds);
         self.gather_spare();
+        self.set_layout(cell_size, bounds);
+        self.place_spare(true);
+    }
+
+    /// Re-lays the grid out over new geometry holding exactly `entries`
+    /// in place of its current ones — a rebucket whose entries change
+    /// too (e.g. renumbered ids after tasks moved between indexes).
+    /// Reuses the slab and directory like [`GridIndex::rebucket`] (and
+    /// needs no scratch slab: `entries` is walked twice), and counts
+    /// entries outside the new extent as clamped insertions the same
+    /// way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cell_size` is not strictly positive and finite, or if
+    /// any point has a non-finite coordinate.
+    pub fn reload<I>(&mut self, cell_size: f64, bounds: BoundingBox, entries: I)
+    where
+        I: IntoIterator<Item = (T, Point)>,
+        I::IntoIter: Clone,
+    {
+        self.set_layout(cell_size, bounds);
+        self.place(entries.into_iter(), true);
+    }
+
+    /// Sets the geometry a following placement lays entries out over.
+    fn set_layout(&mut self, cell_size: f64, bounds: BoundingBox) {
+        let layout = Layout::new(cell_size, bounds);
         self.cell_size = layout.cell_size;
         self.origin = layout.origin;
         self.requested = bounds;
         self.cols = layout.cols;
         self.rows = layout.rows;
-        self.place_spare(true);
     }
 
     /// Keeps only the entries satisfying the predicate (order-preserving
@@ -852,6 +886,30 @@ mod tests {
         );
         assert_eq!(idx.n_clamped_insertions(), 2);
         assert_eq!(idx.within(Point::new(100.0, 100.0), 1.0).next(), Some(1));
+    }
+
+    #[test]
+    fn reload_replaces_the_entries_and_lays_out_anew() {
+        let bounds = BoundingBox::new(Point::ORIGIN, Point::new(10.0, 10.0));
+        let mut idx: GridIndex<u32> = GridIndex::with_bounds(2.0, bounds);
+        idx.insert(1, Point::new(5.0, 5.0));
+        idx.insert(2, Point::new(6.0, 6.0));
+        let wider = BoundingBox::new(Point::ORIGIN, Point::new(40.0, 10.0));
+        idx.reload(
+            2.0,
+            wider,
+            [(7, Point::new(6.0, 6.0)), (8, Point::new(35.0, 5.0))],
+        );
+        assert_eq!(idx.len(), 2);
+        assert_eq!(idx.requested_bounds(), wider);
+        assert_eq!(idx.n_clamped_insertions(), 0, "both entries fit");
+        let mut got: Vec<u32> = idx.within(Point::new(20.0, 5.0), 20.0).collect();
+        got.sort_unstable();
+        assert_eq!(got, vec![7, 8]);
+        // Entries outside the new extent count as clamped insertions.
+        idx.reload(2.0, bounds, [(9, Point::new(100.0, 5.0))]);
+        assert_eq!(idx.n_clamped_insertions(), 1);
+        assert_eq!(idx.within(Point::new(100.0, 5.0), 1.0).next(), Some(9));
     }
 
     #[test]

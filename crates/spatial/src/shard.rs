@@ -138,13 +138,6 @@ impl ShardRouter {
             .collect()
     }
 
-    /// Whether this router's stripes are the equal-width layout
-    /// [`ShardRouter::new`] would produce over the same columns (used to
-    /// decide whether a snapshot needs an explicit stripe record).
-    pub fn is_uniform(&self) -> bool {
-        self.starts == Self::uniform_starts(self.starts.len(), self.cols)
-    }
-
     /// Number of shards routed over.
     #[inline]
     pub fn n_shards(&self) -> usize {
@@ -178,7 +171,7 @@ impl ShardRouter {
 
     /// The tile column of an x coordinate, clamped into the tiled extent.
     #[inline]
-    pub fn column_of(&self, x: f64) -> usize {
+    fn column_of(&self, x: f64) -> usize {
         let c = ((x - self.origin_x) / self.cell_size).floor();
         (c.max(0.0) as usize).min(self.cols - 1)
     }
@@ -315,7 +308,7 @@ mod tests {
                     "col {col} of {cols} at {n} shards"
                 );
             }
-            assert!(r.is_uniform());
+            assert_eq!(r.stripe_starts(), ShardRouter::uniform_starts(n, cols));
         }
     }
 
@@ -402,7 +395,7 @@ mod tests {
         // Each hot column gets its own shard.
         let shards: Vec<usize> = (10..14).map(|c| r.shard_of_col(c)).collect();
         assert_eq!(shards, vec![0, 1, 2, 3]);
-        assert!(!r.is_uniform());
+        assert_ne!(r.stripe_starts(), ShardRouter::uniform_starts(4, 16));
     }
 
     #[test]
