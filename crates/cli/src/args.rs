@@ -64,8 +64,8 @@ rebalance NDJSON line).
 `snapshot` is `stream` that also writes the service state to --out when
 the check-ins are exhausted (or every task completed); `stream
 --snapshot-out` does the same. `resume` restores a service from such a
-snapshot file and keeps streaming where it left off (random policies
-continue their RNG streams bit-exactly). --metrics-out FILE additionally
+snapshot file and keeps streaming where it left off, bit-exactly for
+every policy. --metrics-out FILE additionally
 writes one machine-readable JSON line of final service metrics
 (assignments, clamped insertions, rebalances, per-shard load) for bench
 harnesses.

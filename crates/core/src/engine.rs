@@ -27,7 +27,7 @@ use crate::model::{
     AccuracyModel, Arrangement, Assignment, Eligibility, Instance, ProblemParams, QualityModel,
     RunOutcome, Task, TaskId, Worker, WorkerId,
 };
-use crate::online::OnlineAlgorithm;
+use crate::online::{OnlineAlgorithm, Pick};
 use crate::smallvec::SmallVec;
 use crate::units::UnitCounts;
 use ltc_spatial::{BoundingBox, GridIndex};
@@ -101,7 +101,7 @@ pub struct AssignmentEngine {
     units_counts: UnitCounts,
     /// Scratch buffers reused across `push_worker` calls.
     cand_buf: Vec<Candidate>,
-    picks_buf: Vec<TaskId>,
+    picks_buf: Vec<Pick>,
 }
 
 impl AssignmentEngine {
@@ -341,7 +341,7 @@ impl AssignmentEngine {
     /// Returns whether the extent actually changed (`false` when every
     /// live task already fits, or under
     /// [`Eligibility::Unrestricted`]).
-    pub fn grow_index(&mut self) -> bool {
+    fn grow_index(&mut self) -> bool {
         let Some(index) = &mut self.task_index else {
             return false;
         };
@@ -656,14 +656,14 @@ impl AssignmentEngine {
             debug_assert!(
                 picks
                     .iter()
-                    .all(|t| candidates.iter().any(|c| c.task == *t)),
+                    .all(|p| candidates.iter().any(|c| c.task == p.task)),
                 "{} picked a non-candidate task",
                 algo.name()
             );
             picks.truncate(capacity);
-            picks.sort_unstable();
-            picks.dedup();
-            for &t in &picks {
+            picks.sort_unstable_by_key(|p| p.task);
+            picks.dedup_by_key(|p| p.task);
+            for &Pick { task: t, .. } in &picks {
                 // Reuse the candidate computed during enumeration
                 // (candidates are sorted by task id); a pick outside the
                 // candidate set is skipped, per the defensive contract.

@@ -33,7 +33,7 @@
 //!   [`service::ServiceHandle::close`] give explicit lifecycle
 //!   control — the snapshot quiesces the mailboxes first, so the
 //!   versioned `ltc-snapshot v1` format (see [`snapshot`]) stays
-//!   bit-exact mid-stream, RNG stream positions included.
+//!   bit-exact mid-stream.
 //!
 //! * **[`service::LtcService`] — the synchronous facade** for
 //!   batch/replay work: the same sharded core served call by call on the

@@ -9,7 +9,6 @@ use super::{ProblemParams, Task, Worker};
 /// so a tabular variant is provided for worked examples and tests where the
 /// accuracy matrix is given directly (Table I of the paper).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum AccuracyModel {
     /// Eq. 1: `Acc(w,t) = p_w / (1 + exp(−(d_max − ‖l_w − l_t‖)))`.
     Sigmoid,
@@ -64,7 +63,6 @@ pub fn acc_star(acc: f64) -> f64 {
 /// contiguous [`AccuracyTable::push_task_row`] — no reshuffling of the
 /// existing entries.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AccuracyTable {
     n_workers: usize,
     /// Task-major values: `values[t * n_workers + w]`.

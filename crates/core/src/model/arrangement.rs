@@ -8,7 +8,6 @@ use std::fmt;
 /// One committed `(worker, task)` pair, with the accuracy values frozen at
 /// assignment time (useful for downstream answer simulation).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Assignment {
     /// The recruited worker.
     pub worker: WorkerId,
@@ -26,7 +25,6 @@ pub struct Assignment {
 /// Assignments are append-only, mirroring the paper's *invariable
 /// constraint* (a commitment cannot be revoked).
 #[derive(Debug, Clone, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Arrangement {
     assignments: Vec<Assignment>,
     max_worker: Option<WorkerId>,
@@ -155,7 +153,6 @@ impl Arrangement {
 
 /// The result of running an LTC algorithm over a worker stream.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RunOutcome {
     /// The arrangement the algorithm committed.
     pub arrangement: Arrangement,

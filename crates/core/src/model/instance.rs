@@ -8,7 +8,6 @@ use std::fmt;
 /// A complete LTC problem instance (offline view; the online algorithms
 /// simply consume [`Instance::workers`] in order without peeking ahead).
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Instance {
     tasks: Vec<Task>,
     workers: Vec<Worker>,
@@ -71,22 +70,6 @@ impl Instance {
             params,
             accuracy,
         })
-    }
-
-    /// Drops workers below the spam threshold (the paper's preprocessing:
-    /// "workers whose historical accuracies are below this threshold are
-    /// viewed as spams and can be reasonably ignored"), then builds the
-    /// instance. Later workers keep their relative arrival order.
-    pub fn filtering_spam(
-        tasks: Vec<Task>,
-        workers: Vec<Worker>,
-        params: ProblemParams,
-    ) -> Result<Self, InstanceError> {
-        let kept = workers
-            .into_iter()
-            .filter(|w| w.accuracy >= params.min_accuracy)
-            .collect();
-        Self::new(tasks, kept, params)
     }
 
     /// The task set `T`.
@@ -272,22 +255,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, InstanceError::BadWorkerAccuracy { .. }));
-    }
-
-    #[test]
-    fn filtering_spam_drops_low_accuracy_workers() {
-        let inst = Instance::filtering_spam(
-            vec![Task::new(Point::ORIGIN)],
-            vec![
-                Worker::new(Point::ORIGIN, 0.5),
-                Worker::new(Point::ORIGIN, 0.9),
-                Worker::new(Point::ORIGIN, 0.3),
-            ],
-            small_params(),
-        )
-        .unwrap();
-        assert_eq!(inst.n_workers(), 1);
-        assert_eq!(inst.workers()[0].accuracy, 0.9);
     }
 
     #[test]

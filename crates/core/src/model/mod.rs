@@ -15,7 +15,6 @@ use ltc_spatial::Point;
 
 /// Identifier of a task: its position in [`Instance::tasks`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TaskId(pub u32);
 
 /// Identifier of a worker: its position in [`Instance::workers`], i.e. its
@@ -27,7 +26,6 @@ pub struct TaskId(pub u32);
 /// second a `u32` would wrap in under 72 minutes of sustained Table-IV
 /// load, while a `u64` outlasts the hardware.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WorkerId(pub u64);
 
 impl TaskId {
@@ -60,7 +58,6 @@ impl WorkerId {
 /// platform-wide setting, per the paper's assumption ii), so it lives in
 /// [`ProblemParams`] rather than here.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Task {
     /// Location `l_t` of the POI the question is about.
     pub loc: Point,
@@ -79,7 +76,6 @@ impl Task {
 /// instance's worker vector; the capacity `K` is platform-wide and lives in
 /// [`ProblemParams`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Worker {
     /// Check-in location `l_w`.
     pub loc: Point,

@@ -15,7 +15,6 @@ pub(crate) const COMPLETION_EPS: f64 = 1e-9;
 /// baselines assign "tasks nearby", so the faithful reading (and our
 /// default) restricts assignments to nearby, positively-weighted pairs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Eligibility {
     /// `(w,t)` is assignable iff `‖l_w − l_t‖ ≤ d_max` and
     /// `Acc(w,t) ≥ 0.5` (non-negative majority-voting weight). Default.
@@ -29,7 +28,6 @@ pub enum Eligibility {
 
 /// How task quality accumulates and when a task counts as completed.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum QualityModel {
     /// The paper's model (Def. 4): each assignment contributes
     /// `Acc*(w,t) = (2·Acc(w,t) − 1)²` and a task completes at
@@ -44,7 +42,6 @@ pub enum QualityModel {
 
 /// Platform-wide parameters of an LTC instance (paper Sec. II-A).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ProblemParams {
     /// Tolerable error rate `ε ∈ (0, 1)` shared by all tasks.
     pub epsilon: f64,

@@ -162,8 +162,8 @@ impl McfLtc {
                 }
             }
             top.drain_into(&mut picks);
-            for &t in &picks {
-                engine.commit(worker, &workers[w as usize], t);
+            for p in &picks {
+                engine.commit(worker, &workers[w as usize], p.task);
             }
         }
     }

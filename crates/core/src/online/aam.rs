@@ -1,8 +1,8 @@
 //! Average And Maximum (Algorithm 3).
 
-use super::{OnlineAlgorithm, TopK};
+use super::{OnlineAlgorithm, Pick, TopK};
 use crate::engine::{AssignmentEngine, Candidate};
-use crate::model::{TaskId, WorkerId};
+use crate::model::WorkerId;
 
 /// **AAM** — Average And Maximum (paper Algorithm 3).
 ///
@@ -115,7 +115,7 @@ impl OnlineAlgorithm for Aam {
         engine: &AssignmentEngine,
         _worker: WorkerId,
         candidates: &[Candidate],
-        picks: &mut Vec<TaskId>,
+        picks: &mut Vec<Pick>,
     ) {
         let k = engine.params().capacity as usize;
 

@@ -1,8 +1,8 @@
 //! Largest Acc* First (Algorithm 2).
 
-use super::{OnlineAlgorithm, TopK};
+use super::{OnlineAlgorithm, Pick, TopK};
 use crate::engine::{AssignmentEngine, Candidate};
-use crate::model::{TaskId, WorkerId};
+use crate::model::WorkerId;
 
 /// **LAF** — Largest Acc\* First (paper Algorithm 2).
 ///
@@ -33,7 +33,7 @@ impl OnlineAlgorithm for Laf {
         engine: &AssignmentEngine,
         _worker: WorkerId,
         candidates: &[Candidate],
-        picks: &mut Vec<TaskId>,
+        picks: &mut Vec<Pick>,
     ) {
         let k = engine.params().capacity as usize;
         let mut top = TopK::new(k);

@@ -31,6 +31,18 @@ pub(crate) use topk::TopK;
 use crate::engine::{AssignmentEngine, Candidate};
 use crate::model::{Instance, RunOutcome, TaskId, WorkerId};
 
+/// One task an online policy picked for a worker, with the key the
+/// policy ranked it by. Every policy ranks by key descending, ties
+/// toward the smaller task id, so a sharded front-end can merge the
+/// picks of several engines with the policy's own rule.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Pick {
+    /// The ranking key (larger is better; never NaN).
+    pub key: f64,
+    /// The picked task.
+    pub task: TaskId,
+}
+
 /// Decision rule of an online LTC algorithm: given the arriving worker and
 /// their eligible uncompleted tasks, pick at most `K` of them.
 pub trait OnlineAlgorithm {
@@ -41,16 +53,18 @@ pub trait OnlineAlgorithm {
     ///
     /// `candidates` are the worker's eligible, uncompleted tasks in
     /// ascending task-id order; implementations append at most
-    /// `engine.params().capacity` *distinct* task ids from `candidates`
-    /// into `picks` (pre-cleared by the engine). The engine view is
-    /// read-only: per-task quality, remaining need, and parameters are
-    /// available, the commit itself is the engine's job.
+    /// `engine.params().capacity` *distinct* tasks from `candidates`
+    /// into `picks` (pre-cleared by the engine), each with the key it was
+    /// ranked by: the picks are the top `K` under (key descending, task
+    /// id ascending). The engine view is read-only: per-task quality,
+    /// remaining need, and parameters are available, the commit itself
+    /// is the engine's job.
     fn assign(
         &mut self,
         engine: &AssignmentEngine,
         worker: WorkerId,
         candidates: &[Candidate],
-        picks: &mut Vec<TaskId>,
+        picks: &mut Vec<Pick>,
     );
 }
 
@@ -89,9 +103,12 @@ mod tests {
             _engine: &AssignmentEngine,
             _worker: WorkerId,
             candidates: &[Candidate],
-            picks: &mut Vec<TaskId>,
+            picks: &mut Vec<Pick>,
         ) {
-            picks.extend(candidates.iter().map(|c| c.task));
+            picks.extend(candidates.iter().map(|c| Pick {
+                key: 0.0,
+                task: c.task,
+            }));
         }
     }
 

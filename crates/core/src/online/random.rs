@@ -1,44 +1,25 @@
 //! Random assignment — the paper's online baseline.
 
-use super::OnlineAlgorithm;
+use super::{OnlineAlgorithm, Pick, TopK};
 use crate::engine::{AssignmentEngine, Candidate};
 use crate::model::{TaskId, WorkerId};
-use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
 
 /// **Random** — the naive online baseline of the paper's evaluation:
 /// "tasks nearby are assigned randomly to the worker when s/he arrives".
 ///
-/// Picks `min(K, |candidates|)` distinct eligible uncompleted tasks
-/// uniformly at random (partial Fisher–Yates over the candidate list).
-/// Seeded for reproducible experiments.
-///
-/// The generator's *stream position* is tracked as a raw-draw counter
-/// ([`RandomAssign::draws_taken`]): a snapshot records `(seed, draws)`
-/// and a restore replays the draws ([`RandomAssign::advance`]), so a
-/// resumed random baseline continues **bit-exactly** instead of
-/// restarting its stream from the seed.
-#[derive(Debug, Clone)]
+/// Picks the `min(K, |candidates|)` eligible uncompleted tasks with the
+/// largest keyed hash `h = splitmix64(seed, worker arrival, task id)`,
+/// ranked with key `(h >> 11) as f64` (exact in an `f64`) and ties
+/// toward the smaller task id. The hash is a counter-based generator in
+/// the sense of Salmon et al., "Parallel random numbers: as easy as 1,
+/// 2, 3" (SC'11): each worker's pick is a uniformly random `K`-subset of
+/// its candidates, yet a pure function of the seed, the worker's arrival
+/// index and the task ids. There is no stream to carry, so a snapshot
+/// restores it from the seed alone and every shard of a service makes
+/// the single-engine decision.
+#[derive(Debug, Clone, Copy)]
 pub struct RandomAssign {
-    rng: StdRng,
-    /// Raw `next_u64` draws consumed so far (the stream position).
-    drawn: u64,
-}
-
-/// Counts every raw draw pulled through it, so the stream position is
-/// exact even when rejection sampling consumes a variable number of
-/// words per `gen_range` call.
-struct CountingRng<'a> {
-    inner: &'a mut StdRng,
-    drawn: &'a mut u64,
-}
-
-impl RngCore for CountingRng<'_> {
-    #[inline]
-    fn next_u64(&mut self) -> u64 {
-        *self.drawn += 1;
-        self.inner.next_u64()
-    }
+    seed: u64,
 }
 
 impl RandomAssign {
@@ -49,28 +30,27 @@ impl RandomAssign {
 
     /// Creates the baseline with an explicit seed.
     pub fn seeded(seed: u64) -> Self {
-        Self {
-            rng: StdRng::seed_from_u64(seed),
-            drawn: 0,
-        }
+        Self { seed }
     }
 
-    /// Number of raw 64-bit draws consumed so far — the generator's
-    /// stream position, serialized by service snapshots.
-    #[inline]
-    pub fn draws_taken(&self) -> u64 {
-        self.drawn
-    }
-
-    /// Fast-forwards a freshly seeded generator by `draws` raw draws
-    /// (replaying a recorded stream position). After
-    /// `RandomAssign::seeded(s)` + `advance(d)` the instance is
-    /// bit-identical to one that made `d` draws organically.
-    pub fn advance(&mut self, draws: u64) {
-        for _ in 0..draws {
-            self.rng.next_u64();
+    /// The pick for `worker` over `candidates` whose task `t` is known to
+    /// the hash as `global(t)`: the service-global id inside a shard,
+    /// the task id itself on a bare engine. `global` must be increasing,
+    /// so ties (key collisions) break toward the smaller global id too.
+    pub(crate) fn pick(
+        &self,
+        k: usize,
+        worker: WorkerId,
+        candidates: &[Candidate],
+        global: impl Fn(TaskId) -> u32,
+        picks: &mut Vec<Pick>,
+    ) {
+        let mut top = TopK::new(k);
+        for c in candidates {
+            let h = keyed_hash(self.seed, worker.0, global(c.task));
+            top.offer((h >> 11) as f64, c.task);
         }
-        self.drawn += draws;
+        top.drain_into(picks);
     }
 }
 
@@ -88,25 +68,30 @@ impl OnlineAlgorithm for RandomAssign {
     fn assign(
         &mut self,
         engine: &AssignmentEngine,
-        _worker: WorkerId,
+        worker: WorkerId,
         candidates: &[Candidate],
-        picks: &mut Vec<TaskId>,
+        picks: &mut Vec<Pick>,
     ) {
         let k = engine.params().capacity as usize;
-        let take = k.min(candidates.len());
-        let mut rng = CountingRng {
-            inner: &mut self.rng,
-            drawn: &mut self.drawn,
-        };
-        // Partial Fisher–Yates over an index scratch vector: O(|candidates|)
-        // setup, O(K) swaps.
-        let mut idx: Vec<usize> = (0..candidates.len()).collect();
-        for i in 0..take {
-            let j = rng.gen_range(i..idx.len());
-            idx.swap(i, j);
-            picks.push(candidates[idx[i]].task);
-        }
+        self.pick(k, worker, candidates, |t| t.0, picks);
     }
+}
+
+/// SplitMix64 (Steele, Lea and Flood, OOPSLA'14): one golden-gamma step
+/// followed by the output mix.
+#[inline]
+fn splitmix64(z: u64) -> u64 {
+    let z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// `splitmix64(seed, worker, task)`: the three words chained through
+/// SplitMix64 rounds.
+#[inline]
+fn keyed_hash(seed: u64, worker: u64, task: u32) -> u64 {
+    splitmix64(splitmix64(splitmix64(seed) ^ worker) ^ u64::from(task))
 }
 
 #[cfg(test)]
@@ -150,37 +135,5 @@ mod tests {
         let outcome = run_online(&inst, &mut RandomAssign::seeded(3));
         let load = outcome.arrangement.load_per_worker();
         assert!(load.values().all(|&l| l <= 2));
-    }
-
-    #[test]
-    fn advance_replays_the_stream_position_exactly() {
-        let inst = toy_instance(0.2);
-        // Run the stream in one go, noting the draw count mid-way.
-        let mut engine = crate::engine::AssignmentEngine::from_instance(&inst);
-        let mut whole = RandomAssign::seeded(17);
-        let mut mid_draws = 0;
-        let mut full: Vec<_> = Vec::new();
-        for (i, w) in inst.workers().iter().enumerate() {
-            full.extend(engine.push_worker(w, &mut whole).iter().copied());
-            if i == 3 {
-                mid_draws = whole.draws_taken();
-            }
-        }
-        assert!(whole.draws_taken() > 0);
-
-        // Replay: fresh engine + policy, fast-forwarded at the cut.
-        let mut engine = crate::engine::AssignmentEngine::from_instance(&inst);
-        let mut resumed = RandomAssign::seeded(17);
-        let mut stitched: Vec<_> = Vec::new();
-        for w in &inst.workers()[..4] {
-            stitched.extend(engine.push_worker(w, &mut resumed).iter().copied());
-        }
-        assert_eq!(resumed.draws_taken(), mid_draws, "draw accounting drifted");
-        let mut continued = RandomAssign::seeded(17);
-        continued.advance(mid_draws);
-        for w in &inst.workers()[4..] {
-            stitched.extend(engine.push_worker(w, &mut continued).iter().copied());
-        }
-        assert_eq!(full, stitched, "advance() did not restore the stream");
     }
 }

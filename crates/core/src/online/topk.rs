@@ -14,13 +14,14 @@
 //! the inline bound (only reachable through explicit configuration) spill
 //! to a heap-allocated buffer with identical semantics.
 
+use super::Pick;
 use crate::model::TaskId;
 
 /// Entries kept on the stack; capacities `K ≤ INLINE` never allocate.
 const INLINE: usize = 8;
 
-/// A max-K selector over `(f64 key, TaskId)` pairs: keeps the K pairs with
-/// the largest keys, tie-breaking toward smaller task ids.
+/// A max-K selector over [`Pick`]s: keeps the K picks with the largest
+/// keys, tie-breaking toward smaller task ids.
 #[derive(Debug)]
 pub(crate) struct TopK {
     k: usize,
@@ -29,9 +30,9 @@ pub(crate) struct TopK {
     /// full, so a losing offer costs one comparison, not a scan.
     worst: usize,
     /// Unordered kept entries for `k <= INLINE` (first `len` slots live).
-    inline: [(f64, TaskId); INLINE],
+    inline: [Pick; INLINE],
     /// Kept entries for `k > INLINE` (the inline array is unused then).
-    spill: Vec<(f64, TaskId)>,
+    spill: Vec<Pick>,
 }
 
 /// Whether `(key, task)` outranks `worst` — larger key wins, ties go to
@@ -39,8 +40,8 @@ pub(crate) struct TopK {
 /// `BinaryHeap` implementation encoded in its `Ord`, so the kept set is
 /// unchanged.
 #[inline]
-fn beats(key: f64, task: TaskId, worst: (f64, TaskId)) -> bool {
-    key > worst.0 || (key == worst.0 && task < worst.1)
+fn beats(p: Pick, worst: Pick) -> bool {
+    p.key > worst.key || (p.key == worst.key && p.task < worst.task)
 }
 
 impl TopK {
@@ -51,7 +52,10 @@ impl TopK {
             k,
             len: 0,
             worst: 0,
-            inline: [(0.0, TaskId(0)); INLINE],
+            inline: [Pick {
+                key: 0.0,
+                task: TaskId(0),
+            }; INLINE],
             spill: if k > INLINE {
                 Vec::with_capacity(k)
             } else {
@@ -68,11 +72,12 @@ impl TopK {
         if self.k == 0 {
             return;
         }
+        let pick = Pick { key, task };
         if self.len < self.k {
             if self.k <= INLINE {
-                self.inline[self.len] = (key, task);
+                self.inline[self.len] = pick;
             } else {
-                self.spill.push((key, task));
+                self.spill.push(pick);
             }
             self.len += 1;
             if self.len == self.k {
@@ -82,14 +87,14 @@ impl TopK {
         }
         let worst = self.worst;
         let buf = self.buf_mut();
-        if beats(key, task, buf[worst]) {
-            buf[worst] = (key, task);
+        if beats(pick, buf[worst]) {
+            buf[worst] = pick;
             self.worst = Self::find_worst(self.buf());
         }
     }
 
     #[inline]
-    fn buf(&self) -> &[(f64, TaskId)] {
+    fn buf(&self) -> &[Pick] {
         if self.k <= INLINE {
             &self.inline[..self.len]
         } else {
@@ -98,7 +103,7 @@ impl TopK {
     }
 
     #[inline]
-    fn buf_mut(&mut self) -> &mut [(f64, TaskId)] {
+    fn buf_mut(&mut self) -> &mut [Pick] {
         if self.k <= INLINE {
             &mut self.inline[..self.len]
         } else {
@@ -107,12 +112,12 @@ impl TopK {
     }
 
     /// Index of the worst kept entry (the one every other entry beats).
-    fn find_worst(buf: &[(f64, TaskId)]) -> usize {
+    fn find_worst(buf: &[Pick]) -> usize {
         let mut worst = 0;
         for (i, &entry) in buf.iter().enumerate().skip(1) {
             // `entry` is worse than the current worst iff the worst
             // beats it under the selection order.
-            if beats(buf[worst].0, buf[worst].1, entry) {
+            if beats(buf[worst], entry) {
                 worst = i;
             }
         }
@@ -122,15 +127,10 @@ impl TopK {
     /// Drains the kept entries into `out` (cleared), normalized to
     /// ascending task-id order for reproducibility of the committed
     /// assignment trace. Callers only need the *set*.
-    pub fn drain_into(&mut self, out: &mut Vec<TaskId>) {
+    pub fn drain_into(&mut self, out: &mut Vec<Pick>) {
         out.clear();
-        let buf: &[(f64, TaskId)] = if self.k <= INLINE {
-            &self.inline[..self.len]
-        } else {
-            &self.spill
-        };
-        out.extend(buf.iter().map(|&(_, task)| task));
-        out.sort_unstable();
+        out.extend_from_slice(self.buf());
+        out.sort_unstable_by_key(|p| p.task);
         self.len = 0;
         self.spill.clear();
     }
@@ -149,7 +149,7 @@ mod tests {
     fn collect(top: &mut TopK) -> Vec<u32> {
         let mut v = Vec::new();
         top.drain_into(&mut v);
-        v.into_iter().map(|t| t.0).collect()
+        v.into_iter().map(|p| p.task.0).collect()
     }
 
     #[test]
@@ -194,8 +194,7 @@ mod tests {
         top.drain_into(&mut out);
         assert_eq!(top.len(), 0);
         top.offer(0.7, TaskId(9));
-        top.drain_into(&mut out);
-        assert_eq!(out, vec![TaskId(9)]);
+        assert_eq!(collect(&mut top), vec![9]);
     }
 
     #[test]
@@ -240,8 +239,7 @@ mod tests {
                 for &(key, task) in &offers {
                     top.offer(key, task);
                 }
-                let mut got = Vec::new();
-                top.drain_into(&mut got);
+                let got: Vec<TaskId> = collect(&mut top).into_iter().map(TaskId).collect();
 
                 // Reference: sort all offers best-first, take k.
                 let mut sorted = offers.clone();

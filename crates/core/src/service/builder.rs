@@ -261,7 +261,6 @@ impl ServiceBuilder {
             next_arrival: 0,
             task_map,
             engines,
-            rng_draws: Vec::new(),
         })
     }
 }

@@ -220,7 +220,7 @@ impl LtcService {
         for s in arrival.reach {
             let shard = &mut self.shards[s];
             if let Some(units) = units {
-                shard.set_hybrid_units(units);
+                shard.policy.set_global_units(units);
             }
             shard.propose(s, w, worker, k, &mut scratch, &mut proposals);
         }
@@ -242,14 +242,13 @@ impl LtcService {
     }
 
     /// Extracts the full durable service state (configuration, shard
-    /// engines, routing maps, stripe layout, counters, RNG stream
-    /// positions) for crash recovery. Serialize it with
-    /// [`crate::snapshot::write_snapshot`].
+    /// engines, routing maps, stripe layout, counters) for crash
+    /// recovery. Serialize it with [`crate::snapshot::write_snapshot`].
     ///
     /// The restored service continues bit-identically for every policy:
-    /// LAF/AAM carry no hidden state, [`Algorithm::Random`] streams are
-    /// fast-forwarded to their recorded positions, and a rebalanced
-    /// stripe layout or grown index extent restores as-is.
+    /// no policy carries hidden state (LAF and AAM read the engines,
+    /// [`Algorithm::Random`] hashes its seed), and a rebalanced stripe
+    /// layout or grown index extent restores as-is.
     ///
     /// ```
     /// use ltc_core::model::{ProblemParams, Task, Worker};
@@ -272,7 +271,8 @@ impl LtcService {
     /// assert_eq!(service.check_in(&worker), restored.check_in(&worker));
     /// ```
     pub fn snapshot(&self) -> ServiceSnapshot {
-        self.state.snapshot(self.shards.iter().map(Shard::state))
+        self.state
+            .snapshot(self.shards.iter().map(|s| s.engine.to_state()).collect())
     }
 
     /// Rebuilds a service from a [`ServiceSnapshot`] (the inverse of
@@ -469,9 +469,8 @@ mod tests {
 
     #[test]
     fn random_snapshot_restore_is_bit_exact_mid_stream() {
-        // The RNG stream position rides in the snapshot, so a restored
-        // random baseline continues the stream instead of restarting
-        // from the seed (which used to diverge).
+        // Random is a keyed hash of the seed, the arrival and the task,
+        // so a restored random baseline continues from the seed alone.
         let tasks: Vec<Task> = (0..16)
             .map(|i| Task::new(Point::new((i % 4) as f64 * 250.0, (i / 4) as f64 * 250.0)))
             .collect();
@@ -501,10 +500,6 @@ mod tests {
                 stitched.push(first.check_in(w));
             }
             let snap = first.snapshot();
-            assert!(
-                snap.rng_draws.iter().all(|d| d.is_some()),
-                "random policies must record their stream positions"
-            );
             let mut restored = LtcService::restore(snap).unwrap();
             for w in &workers[120..] {
                 stitched.push(restored.check_in(w));

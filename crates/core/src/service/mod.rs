@@ -6,9 +6,8 @@
 //! * **inline**: [`LtcService`], the **synchronous facade** for
 //!   batch/replay work. Every call runs to completion on the caller's
 //!   thread, so output is deterministic call by call and `shards = 1` is
-//!   bit-identical to driving
-//!   [`AssignmentEngine`](crate::engine::AssignmentEngine) directly.
-//!   Built with [`ServiceBuilder::build`].
+//!   bit-identical to driving [`AssignmentEngine`] directly. Built with
+//!   [`ServiceBuilder::build`].
 //! * **threaded**: [`ServiceHandle`], the **pipelined session API** for
 //!   continuous traffic. [`ServiceBuilder::start`] spins up one
 //!   persistent thread per shard, each fed by a bounded mailbox, so
@@ -44,21 +43,21 @@
 //!
 //! Tasks are partitioned by location into `N` shards using a
 //! [`ShardRouter`](ltc_spatial::ShardRouter) striped over the grid tiles
-//! of the service region; each shard is a complete
-//! [`AssignmentEngine`](crate::engine::AssignmentEngine) over its own
-//! task subset. A worker check-in touches only the shards whose stripes
-//! intersect the worker's eligibility disk (radius `d_max`):
+//! of the service region; each shard is a complete [`AssignmentEngine`]
+//! over its own task subset. A worker check-in touches only the shards
+//! whose stripes intersect the worker's eligibility disk (radius
+//! `d_max`):
 //!
 //! * **interior workers** (one stripe) are handled entirely shard-locally
 //!   — with `shards = 1` every worker is interior and the service output
 //!   is **bit-identical** to the raw engine;
 //! * **boundary workers** (stripe-straddling disk) fan out: every
-//!   touched shard proposes its policy's picks, the proposals are merged
-//!   and the best `K` are committed. The merge ranks proposals by
-//!   **gain (contribution) descending, ties toward the smaller global
-//!   task id** — for LAF this is exactly the policy's own key, so a
-//!   multi-shard LAF service commits the same assignments as a
-//!   single-shard one.
+//!   touched shard proposes its policy's picks, each with the key the
+//!   policy ranked it by, the proposals are merged and the best `K` are
+//!   committed. The merge ranks proposals by **the policy's own key
+//!   descending, ties toward the smaller global task id** — the order
+//!   every policy selects by — so a multi-shard service commits the
+//!   same assignments as a single-shard one, for every policy.
 //!
 //! The spatial layout is **adaptive**: clamp telemetry can trigger
 //! exact index regrowth ([`ServiceBuilder::grow_index_after`]) and the
@@ -71,11 +70,12 @@
 //! statistics: a multi-shard service aggregates the per-shard O(1)
 //! sum/max on every check-in and injects the global view into the
 //! policy, so the `avg ≥ maxRemain` decision is the same one a
-//! single-engine AAM would make (the per-worker candidate sets can still
-//! differ for boundary workers, where the merge tie-break is not AAM's
-//! key). Seeded [`Algorithm::Random`] draws from per-shard RNG streams;
-//! snapshots record each stream's position so a restored random baseline
-//! continues bit-exactly.
+//! single-engine AAM would make. Seeded [`Algorithm::Random`] is a
+//! stateless keyed hash of the worker's arrival and each task's global
+//! id, so it needs no per-shard stream and restores from its seed alone.
+//! Together with the keyed merge, an N-shard service's decisions equal
+//! the bare engine's for every policy (differentially tested in
+//! `tests/service_parity.rs`).
 
 mod builder;
 mod events;
@@ -95,8 +95,9 @@ pub use rebalance::{RebalanceOutcome, StripeLayout};
 pub use session::{Session, SessionInfo, WindowAck};
 pub use state::ServiceSnapshot;
 
-use crate::engine::EngineError;
-use crate::online::{Aam, AamStrategy, Laf, OnlineAlgorithm, RandomAssign};
+use crate::engine::{AssignmentEngine, Candidate, EngineError};
+use crate::model::WorkerId;
+use crate::online::{Aam, AamStrategy, Laf, OnlineAlgorithm, Pick, RandomAssign};
 use std::fmt;
 
 /// Which online policy the service runs on every shard.
@@ -113,12 +114,12 @@ pub enum Algorithm {
     AamLgf,
     /// AAM pinned to Largest Remaining First (ablation).
     AamLrf,
-    /// The seeded random baseline. Shard `i` draws from
-    /// `seed.wrapping_add(i)`, so shard 0 of a single-shard service
-    /// reproduces `RandomAssign::seeded(seed)` exactly. Snapshots record
-    /// each stream's position, so resume is bit-exact.
+    /// The seeded random baseline ([`RandomAssign`]): a stateless keyed
+    /// hash of `(seed, worker arrival, global task id)`, so every shard
+    /// count and every restore picks what `RandomAssign::seeded(seed)`
+    /// picks on one engine.
     Random {
-        /// Base RNG seed.
+        /// The hash seed.
         seed: u64,
     },
 }
@@ -141,16 +142,15 @@ impl Algorithm {
         matches!(self, Algorithm::Aam)
     }
 
-    /// Instantiates the policy for one shard.
-    pub(crate) fn policy(self, shard: usize) -> Policy {
+    /// Instantiates the policy a shard runs: the same on every shard,
+    /// with the same seed.
+    pub(crate) fn policy(self) -> Policy {
         match self {
             Algorithm::Laf => Policy::Laf(Laf::new()),
             Algorithm::Aam => Policy::Aam(Aam::new()),
             Algorithm::AamLgf => Policy::Aam(Aam::with_strategy(AamStrategy::AlwaysLgf)),
             Algorithm::AamLrf => Policy::Aam(Aam::with_strategy(AamStrategy::AlwaysLrf)),
-            Algorithm::Random { seed } => {
-                Policy::Random(RandomAssign::seeded(seed.wrapping_add(shard as u64)))
-            }
+            Algorithm::Random { seed } => Policy::Random(RandomAssign::seeded(seed)),
         }
     }
 }
@@ -164,33 +164,12 @@ pub(crate) enum Policy {
 }
 
 impl Policy {
-    pub(crate) fn as_dyn(&mut self) -> &mut dyn OnlineAlgorithm {
-        match self {
-            Policy::Laf(p) => p,
-            Policy::Aam(p) => p,
-            Policy::Random(p) => p,
-        }
-    }
-
-    /// The RNG stream position (raw draws consumed), for policies that
-    /// carry one. Serialized by snapshots.
-    pub(crate) fn rng_draws(&self) -> Option<u64> {
-        match self {
-            Policy::Random(p) => Some(p.draws_taken()),
-            _ => None,
-        }
-    }
-
-    /// Fast-forwards a freshly built policy to a recorded RNG stream
-    /// position. Returns `false` when the policy has no stream to
-    /// advance (a snapshot claiming otherwise is corrupt).
-    pub(crate) fn advance_rng(&mut self, draws: u64) -> bool {
-        match self {
-            Policy::Random(p) => {
-                p.advance(draws);
-                true
-            }
-            _ => false,
+    /// The policy as the engine of a shard drives it, where the shard's
+    /// local task `t` is the service-global task `globals[t]`.
+    pub(crate) fn in_shard<'a>(&'a mut self, globals: &'a [u32]) -> InShard<'a> {
+        InShard {
+            policy: self,
+            globals,
         }
     }
 
@@ -199,6 +178,42 @@ impl Policy {
     pub(crate) fn set_global_units(&mut self, units: (f64, f64)) {
         if let Policy::Aam(p) = self {
             p.set_global_units(Some(units));
+        }
+    }
+}
+
+/// A shard's [`Policy`] bound to the shard's local→global id map:
+/// Random hashes each candidate's service-global id, so a shard ranks
+/// its tasks exactly as one engine over all tasks would.
+pub(crate) struct InShard<'a> {
+    policy: &'a mut Policy,
+    globals: &'a [u32],
+}
+
+impl OnlineAlgorithm for InShard<'_> {
+    fn name(&self) -> &'static str {
+        match &*self.policy {
+            Policy::Laf(p) => p.name(),
+            Policy::Aam(p) => p.name(),
+            Policy::Random(p) => p.name(),
+        }
+    }
+
+    fn assign(
+        &mut self,
+        engine: &AssignmentEngine,
+        worker: WorkerId,
+        candidates: &[Candidate],
+        picks: &mut Vec<Pick>,
+    ) {
+        match self.policy {
+            Policy::Laf(p) => p.assign(engine, worker, candidates, picks),
+            Policy::Aam(p) => p.assign(engine, worker, candidates, picks),
+            Policy::Random(p) => {
+                let k = engine.params().capacity as usize;
+                let globals = self.globals;
+                p.pick(k, worker, candidates, |t| globals[t.index()], picks);
+            }
         }
     }
 }

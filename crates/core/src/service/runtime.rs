@@ -41,10 +41,11 @@ use super::events::{event_channel, EventSink};
 use super::rebalance::Migration;
 use super::shard::{
     append_merge_events, merge_and_truncate, Migrants, Proposal, ProposeScratch, Shard,
-    ShardMetrics, ShardState,
+    ShardMetrics,
 };
 use super::state::Progress;
 use super::{Event, EventFanout, EventStream, Lifecycle, ServiceError, StreamEvent};
+use crate::engine::EngineState;
 use crate::model::{Task, TaskId, Worker, WorkerId};
 use ltc_spatial::{BoundingBox, ShardRouter};
 use std::collections::VecDeque;
@@ -584,7 +585,7 @@ pub(crate) enum ShardMsg {
     /// Reply with the shard's durable state (only sent quiesced).
     Snapshot {
         /// Where to send the state.
-        reply: SyncSender<ShardState>,
+        reply: SyncSender<EngineState>,
     },
     /// Reply with the x coordinates of the shard's live tasks (a
     /// rebalance's plan; only sent quiesced).
@@ -595,8 +596,8 @@ pub(crate) enum ShardMsg {
     /// Split off the tasks `router` places on other shards and reply
     /// with them ([`Shard::emigrate`]; only sent quiesced, between a
     /// drain and any new submissions, so it never interleaves with
-    /// in-flight work). The policy instance stays — RNG streams and
-    /// regime state belong to the shard, not to its task subset.
+    /// in-flight work). The policy instance stays — its regime state
+    /// belongs to the shard, not to its task subset.
     Emigrate {
         /// The rebalanced router.
         router: Arc<ShardRouter>,
@@ -736,7 +737,7 @@ fn shard_loop(mut rt: ShardRuntime, rx: Receiver<ShardMsg>) {
             }
             ShardMsg::Snapshot { reply } => {
                 rt.flush();
-                reply.send(rt.shard.state()).ok();
+                reply.send(rt.shard.engine.to_state()).ok();
             }
             ShardMsg::Metrics { reply } => {
                 rt.flush();
@@ -798,7 +799,7 @@ fn serve_rendezvous(
     let mut mine = Vec::new();
     if propose {
         if let Some(units) = units {
-            rt.shard.set_hybrid_units(units);
+            rt.shard.policy.set_global_units(units);
         }
         rt.shard
             .propose(rt.shard_id, w, worker, rv.k, &mut rt.scratch, &mut mine);

@@ -5,8 +5,9 @@
 //! construction.
 
 use super::{Event, Policy};
-use crate::engine::{splice_in, AssignmentEngine, Candidate, EngineState, MovedTask};
+use crate::engine::{splice_in, AssignmentEngine, Candidate, MovedTask};
 use crate::model::{Assignment, Task, TaskId, Worker, WorkerId};
+use crate::online::{OnlineAlgorithm, Pick};
 use ltc_spatial::{BoundingBox, ShardRouter};
 
 /// One spatial shard: a full engine over its task subset, its policy
@@ -25,12 +26,6 @@ pub(crate) struct Shard {
     /// since the last growth. `None` keeps the PR-3 fixed-extent
     /// behavior.
     pub(crate) grow_clamps: Option<u64>,
-}
-
-/// One shard's contribution to a snapshot.
-pub(crate) struct ShardState {
-    pub(crate) engine: EngineState,
-    pub(crate) rng_draws: Option<u64>,
 }
 
 /// One shard's contribution to [`ServiceMetrics`](super::ServiceMetrics).
@@ -60,7 +55,7 @@ pub(crate) struct Migrants {
 #[derive(Debug, Default)]
 pub(crate) struct ProposeScratch {
     cand: Vec<Candidate>,
-    picks: Vec<TaskId>,
+    picks: Vec<Pick>,
 }
 
 /// One shard's candidate pick for a worker, lifted to global ids so
@@ -73,6 +68,8 @@ pub(crate) struct Proposal {
     pub(crate) local: TaskId,
     /// The owning shard.
     pub(crate) shard: usize,
+    /// The key the shard's policy ranked the task by.
+    pub(crate) key: f64,
     /// The candidate record (accuracy + contribution) backing the pick.
     pub(crate) cand: Candidate,
 }
@@ -94,14 +91,6 @@ impl Shard {
         self.globals.push(global.0);
         if let Some(threshold) = self.grow_clamps {
             self.engine.maybe_grow_index(threshold);
-        }
-    }
-
-    /// The shard's durable state.
-    pub(crate) fn state(&self) -> ShardState {
-        ShardState {
-            engine: self.engine.to_state(),
-            rng_draws: self.policy.rng_draws(),
         }
     }
 
@@ -171,7 +160,9 @@ impl Shard {
     /// Serves one worker entirely shard-locally (the worker's disk lies
     /// inside this shard's stripe) under the global arrival id `w`.
     pub(crate) fn check_in_local(&mut self, w: WorkerId, worker: &Worker, out: &mut Vec<Event>) {
-        let batch = self.engine.push_worker_as(w, worker, self.policy.as_dyn());
+        let batch = self
+            .engine
+            .push_worker_as(w, worker, &mut self.policy.in_shard(&self.globals));
         if batch.is_empty() {
             out.push(Event::WorkerIdle { worker: w });
             return;
@@ -198,9 +189,9 @@ impl Shard {
     }
 
     /// Asks this shard's policy for its picks for `worker` and appends
-    /// them to `out` as globally-addressed [`Proposal`]s (at most `k`,
-    /// deduplicated, in ascending global-id order). Appends nothing when
-    /// the shard has no eligible uncompleted candidates.
+    /// them to `out` as globally-addressed [`Proposal`]s with their keys
+    /// (at most `k`, deduplicated, in ascending global-id order). Appends
+    /// nothing when the shard has no eligible uncompleted candidates.
     pub(crate) fn propose(
         &mut self,
         shard_id: usize,
@@ -219,11 +210,13 @@ impl Shard {
             return;
         }
         picks.clear();
-        self.policy.as_dyn().assign(&self.engine, w, cand, picks);
+        self.policy
+            .in_shard(&self.globals)
+            .assign(&self.engine, w, cand, picks);
         picks.truncate(k);
-        picks.sort_unstable();
-        picks.dedup();
-        for &t in picks.iter() {
+        picks.sort_unstable_by_key(|p| p.task);
+        picks.dedup_by_key(|p| p.task);
+        for &Pick { key, task: t } in picks.iter() {
             let Ok(i) = cand.binary_search_by_key(&t, |c| c.task) else {
                 continue; // defensive: a pick outside the candidates
             };
@@ -231,15 +224,10 @@ impl Shard {
                 global: self.globals[t.index()],
                 local: t,
                 shard: shard_id,
+                key,
                 cand: cand[i],
             });
         }
-    }
-
-    /// Installs the cross-shard worker-unit aggregate on a hybrid AAM
-    /// policy before an `assign` call (no-op for other policies).
-    pub(crate) fn set_hybrid_units(&mut self, units: (f64, f64)) {
-        self.policy.set_global_units(units);
     }
 }
 
@@ -257,16 +245,16 @@ pub(crate) fn global_units(shards: &[Shard]) -> (f64, f64) {
     (sum, max)
 }
 
-/// The documented cross-shard merge: rank proposals by gain
-/// (contribution) descending with ties toward the smaller global task
-/// id, keep the best `k`, and leave them in ascending global-id order —
-/// the same commit order the engine uses.
+/// The documented cross-shard merge: rank proposals by the policy's
+/// key descending with ties toward the smaller global task id — the
+/// order every policy selects by, so the kept `k` are the ones a single
+/// engine over all tasks would pick — and leave them in ascending
+/// global-id order, the same commit order the engine uses.
 pub(crate) fn merge_and_truncate(k: usize, proposals: &mut Vec<Proposal>) {
     proposals.sort_unstable_by(|a, b| {
-        b.cand
-            .contribution
-            .partial_cmp(&a.cand.contribution)
-            .expect("contributions are never NaN")
+        b.key
+            .partial_cmp(&a.key)
+            .expect("selection keys are never NaN")
             .then_with(|| a.global.cmp(&b.global))
     });
     proposals.truncate(k);

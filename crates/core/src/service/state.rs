@@ -4,7 +4,7 @@
 //! shards; the handle runs it next to its shard threads.
 
 use super::rebalance::{balanced_router, route, Migration, RebalanceOutcome, StripeLayout};
-use super::shard::{Shard, ShardMetrics, ShardState};
+use super::shard::{Shard, ShardMetrics};
 use super::{Algorithm, Event, ServiceError, ServiceMetrics};
 use crate::engine::{validate_post, AssignmentEngine, EngineState};
 use crate::model::{AccuracyModel, Eligibility, ProblemParams, Task, TaskId, Worker, WorkerId};
@@ -41,11 +41,6 @@ pub struct ServiceSnapshot {
     pub task_map: Vec<(u32, u32)>,
     /// Per-shard engine state.
     pub engines: Vec<EngineState>,
-    /// Per-shard RNG stream positions (raw draws consumed), present for
-    /// [`Algorithm::Random`] policies so resume is bit-exact; `None`
-    /// entries for deterministic policies. Either empty or one entry per
-    /// shard.
-    pub rng_draws: Vec<Option<u64>>,
 }
 
 /// What the released events have done so far. The facade counts them
@@ -133,11 +128,6 @@ impl ServiceState {
         if !(snapshot.cell_size.is_finite() && snapshot.cell_size > 0.0) {
             return Err(ServiceError::BadCellSize(snapshot.cell_size));
         }
-        if !snapshot.rng_draws.is_empty() && snapshot.rng_draws.len() != n_shards {
-            return Err(ServiceError::BadSnapshot(
-                "rng stream positions disagree with the shard count",
-            ));
-        }
         let router = match snapshot.stripes {
             None => ShardRouter::new(n_shards, snapshot.cell_size, snapshot.region),
             Some(layout) => {
@@ -193,17 +183,9 @@ impl ServiceState {
                 progress.max_assigned = Some(progress.max_assigned.map_or(idx, |m| m.max(idx)));
             }
             progress.n_completed += (engine.n_tasks() - engine.n_uncompleted()) as u64;
-            let mut policy = snapshot.algorithm.policy(s);
-            if let Some(draws) = snapshot.rng_draws.get(s).copied().flatten() {
-                if !policy.advance_rng(draws) {
-                    return Err(ServiceError::BadSnapshot(
-                        "rng stream position recorded for a deterministic policy",
-                    ));
-                }
-            }
             shards.push(Shard {
                 engine,
-                policy,
+                policy: snapshot.algorithm.policy(),
                 globals: std::mem::take(&mut globals[s]),
                 grow_clamps: snapshot.grow_clamps,
             });
@@ -299,8 +281,7 @@ impl ServiceState {
     }
 
     /// The full durable state, from every shard's state in shard order.
-    pub(crate) fn snapshot(&self, shards: impl IntoIterator<Item = ShardState>) -> ServiceSnapshot {
-        let (engines, rng_draws) = shards.into_iter().map(|s| (s.engine, s.rng_draws)).unzip();
+    pub(crate) fn snapshot(&self, engines: Vec<EngineState>) -> ServiceSnapshot {
         // The stripe record stays absent while the router has the layout
         // the configuration derives (which keeps pre-rebalance snapshots
         // byte-identical across versions).
@@ -316,7 +297,6 @@ impl ServiceState {
             next_arrival: self.next_arrival,
             task_map: self.task_map.clone(),
             engines,
-            rng_draws,
         }
     }
 

@@ -19,7 +19,7 @@
 //!        [grow <clamps>]
 //!        [stripes <n> <cell_size> <origin_x> <cols> <start ...>]
 //! taskmap <n> <shard-of-task ...>            // local ids are implied
-//! shard <i> <n_tasks> <next_arrival> [rng <draws>] [clamped <total> <mark>]
+//! shard <i> <n_tasks> <next_arrival> [clamped <total> <mark>]
 //!       <noindex | index cs x0 y0 x1 y1>
 //! tasks <x y ...>                            // per shard, local order
 //! quality <S[t] ...>
@@ -30,15 +30,11 @@
 //! end
 //! ```
 //!
-//! Four optional groups extend `v1` backward-compatibly (each is
+//! Three optional groups extend `v1` backward-compatibly (each is
 //! written only when its feature is in use, so snapshots of services
 //! that never enabled it stay byte-identical across versions, and older
 //! files without the group still parse):
 //!
-//! * `rng <draws>` (per shard) — a [`Algorithm::Random`] shard's RNG
-//!   stream position (raw draws consumed), so a restored random
-//!   baseline continues its stream bit-exactly instead of restarting
-//!   from the seed;
 //! * `grow <clamps>` — the adaptive-index threshold
 //!   ([`ServiceBuilder::grow_index_after`](crate::service::ServiceBuilder::grow_index_after)),
 //!   so a restored service keeps adapting the way the original did;
@@ -57,6 +53,13 @@
 //! Per-shard **index bounds** (`index cs x0 y0 x1 y1`) have been part of
 //! `v1` since the beginning and round-trip adaptive growth for free: a
 //! grown index serializes its grown extent and restores over it.
+//!
+//! A shard line that carries `rng <draws>` is refused with an error that
+//! names the field. Older builds wrote it for [`Algorithm::Random`]
+//! sessions, whose per-shard RNG streams were replaced by a stateless
+//! keyed hash: the recorded decisions came from the old rule, so the
+//! session cannot continue under the new one. Snapshots of every other
+//! policy never carried the field and load unchanged.
 //!
 //! Unknown versions and any structural inconsistency are rejected with a
 //! [`SnapshotError`]; the reader never panics on malformed input.
@@ -193,9 +196,6 @@ pub fn write_snapshot<W: Write>(snap: &ServiceSnapshot, mut out: W) -> io::Resul
     writeln!(out)?;
     for (i, e) in snap.engines.iter().enumerate() {
         write!(out, "shard {i} {} {} ", e.tasks.len(), e.next_arrival)?;
-        if let Some(draws) = snap.rng_draws.get(i).copied().flatten() {
-            write!(out, "rng {draws} ")?;
-        }
         if e.clamped_insertions > 0 {
             write!(out, "clamped {} {} ", e.clamped_insertions, e.clamp_mark)?;
         }
@@ -378,7 +378,6 @@ pub fn read_snapshot<R: BufRead>(reader: R) -> Result<ServiceSnapshot, SnapshotE
 
     // shards until `end`
     let mut engines: Vec<EngineState> = Vec::new();
-    let mut rng_draws: Vec<Option<u64>> = Vec::new();
     loop {
         let line = lines.next_line()?;
         let mut tk = Tokens::new(&line, lines.lineno);
@@ -397,13 +396,14 @@ pub fn read_snapshot<R: BufRead>(reader: R) -> Result<ServiceSnapshot, SnapshotE
         }
         let shard_next_arrival = tk.u64()?;
         let mut geometry_word = tk.word()?;
-        let shard_rng_draws = if geometry_word == "rng" {
-            let draws = tk.u64()?;
-            geometry_word = tk.word()?;
-            Some(draws)
-        } else {
-            None
-        };
+        if geometry_word == "rng" {
+            return Err(tk.bad(
+                "the `rng <draws>` field is not part of the format: it records a \
+                 per-shard RNG stream of an older Random, which is now a stateless \
+                 keyed hash and cannot continue that session"
+                    .into(),
+            ));
+        }
         let (clamped_insertions, clamp_mark) = if geometry_word == "clamped" {
             let total = tk.u64()?;
             let mark = tk.u64()?;
@@ -513,7 +513,6 @@ pub fn read_snapshot<R: BufRead>(reader: R) -> Result<ServiceSnapshot, SnapshotE
             clamped_insertions,
             clamp_mark,
         });
-        rng_draws.push(shard_rng_draws);
     }
     if per_shard_count.len() > engines.len() {
         return Err(SnapshotError::Parse {
@@ -533,7 +532,6 @@ pub fn read_snapshot<R: BufRead>(reader: R) -> Result<ServiceSnapshot, SnapshotE
         next_arrival,
         task_map,
         engines,
-        rng_draws,
     })
 }
 
@@ -742,7 +740,7 @@ mod tests {
     }
 
     #[test]
-    fn random_rng_stream_positions_round_trip() {
+    fn random_snapshots_round_trip() {
         let params = ProblemParams::builder()
             .epsilon(0.25)
             .capacity(2)
@@ -764,13 +762,45 @@ mod tests {
             service.check_in(&Worker::new(loc, 0.9));
         }
         let snap = service.snapshot();
-        assert!(snap.rng_draws.iter().any(|d| d.is_some_and(|n| n > 0)));
         let mut buf = Vec::new();
         write_snapshot(&snap, &mut buf).unwrap();
-        let text = String::from_utf8(buf.clone()).unwrap();
-        assert!(text.contains(" rng "), "{text}");
         let decoded = read_snapshot(io::Cursor::new(buf)).unwrap();
-        assert_eq!(snap, decoded, "rng stream positions must survive the wire");
+        assert_eq!(snap, decoded);
+    }
+
+    /// A Random session snapshotted by a build that kept per-shard RNG
+    /// streams (two check-ins, four draws).
+    const OLD_RANDOM_SNAPSHOT: &str = "\
+ltc-snapshot v1
+params 3fd3333333333333 2 403e000000000000 3fe51eb851eb851f within hoeffding
+region 4024000000000000 4024000000000000 4034000000000000 4032000000000000
+config random 5 403e000000000000 1024 2
+taskmap 3 0 0 0
+shard 0 3 0 rng 4 index 403e000000000000 4024000000000000 4024000000000000 4034000000000000 4032000000000000
+tasks 4024000000000000 4024000000000000 4034000000000000 4028000000000000 402c000000000000 4032000000000000
+quality 3ff2147ae13e4455 3fdf5c28f5b53499 3fe47ae147785472
+completed 000
+accuracy sigmoid
+assignments 4
+a 0 0 3fecccccccccb114 3fe47ae147adbbc5
+a 0 2 3fecccccccbc00ca 3fe47ae147785472
+a 1 0 3feb3333332c99a2 3fdf5c28f59d99c9
+a 1 1 3feb33333330d0b5 3fdf5c28f5b53499
+end
+";
+
+    #[test]
+    fn old_random_snapshots_are_refused_naming_the_rng_field() {
+        let err = read_snapshot(io::Cursor::new(OLD_RANDOM_SNAPSHOT)).unwrap_err();
+        let msg = err.to_string();
+        assert!(matches!(err, SnapshotError::Parse { line: 6, .. }), "{msg}");
+        assert!(msg.contains("`rng <draws>`"), "{msg}");
+        // The same session without the field is a valid snapshot: only
+        // the retired stream position is refused.
+        let without = OLD_RANDOM_SNAPSHOT.replace(" rng 4", "");
+        let mut service = load_service(io::Cursor::new(without)).unwrap();
+        assert_eq!(service.n_assignments(), 4);
+        service.check_in(&Worker::new(Point::new(18.0, 12.0), 0.95));
     }
 
     #[test]

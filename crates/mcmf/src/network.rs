@@ -65,24 +65,9 @@ impl FlowNetwork {
         id
     }
 
-    /// Adds `n` nodes, returning the id of the first; the ids are
-    /// consecutive.
-    pub fn add_nodes(&mut self, n: usize) -> NodeId {
-        let first = NodeId(self.adj.len() as u32);
-        for _ in 0..n {
-            self.adj.push(Vec::new());
-        }
-        first
-    }
-
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.adj.len()
-    }
-
-    /// Number of forward edges.
-    pub fn edge_count(&self) -> usize {
-        self.forward_cap.len()
     }
 
     /// Adds a directed edge `from → to` with the given capacity and
@@ -128,16 +113,6 @@ impl FlowNetwork {
         self.forward_cap[edge.0 as usize] - self.arcs[arc_idx].cap
     }
 
-    /// Clears any computed flow, restoring every edge to its original
-    /// capacity — cheaper than rebuilding when the same network is solved
-    /// repeatedly (e.g. in benchmarks or what-if analyses).
-    pub fn reset_flow(&mut self) {
-        for (e, &cap) in self.forward_cap.iter().enumerate() {
-            self.arcs[e * 2].cap = cap;
-            self.arcs[e * 2 + 1].cap = 0;
-        }
-    }
-
     /// Whether any forward edge was added with a negative cost.
     pub(crate) fn has_negative_cost(&self) -> bool {
         self.has_negative_cost
@@ -152,10 +127,10 @@ mod tests {
     fn nodes_are_dense() {
         let mut net = FlowNetwork::new();
         let a = net.add_node();
-        let b = net.add_nodes(3);
+        let b = net.add_node();
         assert_eq!(a.index(), 0);
         assert_eq!(b.index(), 1);
-        assert_eq!(net.node_count(), 4);
+        assert_eq!(net.node_count(), 2);
     }
 
     #[test]
@@ -164,26 +139,11 @@ mod tests {
         let a = net.add_node();
         let b = net.add_node();
         let e = net.add_edge(a, b, 5, 2.5);
-        assert_eq!(net.edge_count(), 1);
+        assert_eq!(net.forward_cap.len(), 1);
         assert_eq!(net.flow_on(e), 0);
         assert_eq!(net.arcs.len(), 2);
         assert_eq!(net.arcs[1].cap, 0);
         assert_eq!(net.arcs[1].cost, -2.5);
-    }
-
-    #[test]
-    fn reset_flow_restores_capacities() {
-        let mut net = FlowNetwork::new();
-        let s = net.add_node();
-        let t = net.add_node();
-        let e = net.add_edge(s, t, 4, 1.0);
-        let first = net.min_cost_max_flow(s, t);
-        assert_eq!(net.flow_on(e), 4);
-        net.reset_flow();
-        assert_eq!(net.flow_on(e), 0);
-        let second = net.min_cost_max_flow(s, t);
-        assert_eq!(first.flow, second.flow);
-        assert_eq!(first.cost, second.cost);
     }
 
     #[test]

@@ -6,7 +6,6 @@ use crate::Point;
 /// synthetic workloads live on a `[0, 1000] × [0, 1000]` grid) and to size
 /// the uniform grid index.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BoundingBox {
     /// Corner with the smallest coordinates.
     pub min: Point,

@@ -31,12 +31,13 @@
 //! Per-cell entry *order* is exactly what a `Vec`-per-cell layout would
 //! produce for the same operation sequence (append on insert,
 //! swap-remove, order-preserving retain), which the differential suite
-//! against [`reference::ReferenceGrid`] checks element-for-element.
+//! against the test-only `reference::ReferenceGrid` checks
+//! element-for-element.
 
 use crate::{BoundingBox, Point};
 
-#[cfg(any(test, feature = "grid-reference"))]
-pub mod reference;
+#[cfg(test)]
+mod reference;
 
 /// Smallest capacity a cell block gets on its first relocation.
 const MIN_CELL_CAP: usize = 4;

@@ -3,11 +3,10 @@
 //!
 //! This is the storage scheme the index used before the hot-path
 //! optimization pass: one heap-allocated bucket per cell. It is compiled
-//! only for tests (and under the `grid-reference` feature) and exists so
-//! property tests can drive random operation sequences against both
-//! layouts and assert observational equality — including element order,
-//! which is what makes the CSR layout bit-invisible to the assignment
-//! engine built on top.
+//! only for tests and exists so property tests can drive random
+//! operation sequences against both layouts and assert observational
+//! equality — including element order, which is what makes the CSR
+//! layout bit-invisible to the assignment engine built on top.
 
 use super::Layout;
 use crate::{BoundingBox, Point};

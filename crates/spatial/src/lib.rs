@@ -38,8 +38,6 @@ mod point;
 mod shard;
 
 pub use bbox::BoundingBox;
-#[cfg(feature = "grid-reference")]
-pub use grid::reference::ReferenceGrid;
 pub use grid::GridIndex;
 pub use hull::{convex_hull, ConvexPolygon};
 pub use point::Point;

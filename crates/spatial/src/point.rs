@@ -9,7 +9,6 @@ use std::fmt;
 /// 10 m in the synthetic datasets). Coordinates are `f64` so the same type
 /// serves grid coordinates and projected geographic coordinates.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Point {
     /// Horizontal coordinate.
     pub x: f64,

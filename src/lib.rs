@@ -98,7 +98,7 @@
 //! The same runtime powers the CLI: `ltc stream --shards N --pipeline D`
 //! serves NDJSON events with up to `D` check-ins in flight,
 //! `ltc snapshot`/`ltc resume` persist and continue a live session
-//! (random policies resume their RNG streams bit-exactly).
+//! bit-exactly, and every policy decides the same at any `--shards`.
 //!
 //! ## Remote sessions (the `Session` trait and `ltc-proto`)
 //!
@@ -178,7 +178,7 @@ pub mod prelude {
         ProblemParams, QualityModel, RunOutcome, Task, TaskId, Worker, WorkerId,
     };
     pub use ltc_core::offline::{BaseOff, ExactSolver, McfLtc};
-    pub use ltc_core::online::{run_online, Aam, Laf, OnlineAlgorithm, RandomAssign};
+    pub use ltc_core::online::{run_online, Aam, Laf, OnlineAlgorithm, Pick, RandomAssign};
     pub use ltc_core::service::{
         Algorithm, Event, EventStream, Lifecycle, LtcService, ServiceBuilder, ServiceError,
         ServiceHandle, ServiceMetrics, ServiceSnapshot, Session, SessionInfo, StreamEvent,

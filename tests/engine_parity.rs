@@ -3,7 +3,10 @@
 //! sequence, same latency) to an independent reference implementation of
 //! the seed driver semantics — brute-force candidate enumeration over a
 //! static task set, no spatial index, no eviction — for LAF, AAM, and
-//! seeded Random on seeded synthetic instances.
+//! seeded Random on seeded synthetic instances. Random's reference is
+//! the paper-level rule: rank the candidates by a keyed hash of the
+//! seed, the worker's arrival and the task id, descending (ties toward
+//! the smaller id), and take K.
 //!
 //! The reference reimplements the *decision rules* from the paper's
 //! pseudo-code rather than calling the production policies, so a shared
@@ -11,8 +14,6 @@
 
 use ltc::core::online::AamStrategy;
 use ltc::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Tolerance mirroring the engine's completion check.
 const EPS: f64 = 1e-9;
@@ -44,10 +45,6 @@ fn reference_run(instance: &Instance, algo: RefAlgo) -> (Vec<RefAssignment>, Opt
     let mut completed = vec![false; n_tasks];
     let mut n_uncompleted = n_tasks;
     let mut trace: Vec<RefAssignment> = Vec::new();
-    let mut rng = match algo {
-        RefAlgo::Random { seed } => Some(StdRng::seed_from_u64(seed)),
-        _ => None,
-    };
 
     for w in 0..instance.n_workers() as u64 {
         if n_uncompleted == 0 {
@@ -115,19 +112,14 @@ fn reference_run(instance: &Instance, algo: RefAlgo) -> (Vec<RefAssignment>, Opt
                 });
                 sorted.iter().take(capacity).map(|c| c.0).collect()
             }
-            RefAlgo::Random { .. } => {
-                // Partial Fisher–Yates over candidate indices, mirroring
-                // RandomAssign's RNG consumption exactly.
-                let rng = rng.as_mut().unwrap();
-                let take = capacity.min(candidates.len());
-                let mut idx: Vec<usize> = (0..candidates.len()).collect();
-                let mut picks = Vec::with_capacity(take);
-                for i in 0..take {
-                    let j = rng.gen_range(i..idx.len());
-                    idx.swap(i, j);
-                    picks.push(candidates[idx[i]].0);
-                }
-                picks
+            RefAlgo::Random { seed } => {
+                // The K largest keyed hashes, ties toward the smaller id.
+                let mut sorted = candidates.clone();
+                sorted.sort_by(|a, b| {
+                    let (ha, hb) = (random_key(seed, w, a.0), random_key(seed, w, b.0));
+                    hb.cmp(&ha).then_with(|| a.0.cmp(&b.0))
+                });
+                sorted.iter().take(capacity).map(|c| c.0).collect()
             }
         };
 
@@ -158,6 +150,21 @@ fn reference_run(instance: &Instance, algo: RefAlgo) -> (Vec<RefAssignment>, Opt
         None
     };
     (trace, latency)
+}
+
+/// SplitMix64: a golden-gamma step, then the output mix.
+fn splitmix64(z: u64) -> u64 {
+    let z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Random's documented rank key: the top 53 bits of
+/// `splitmix64(seed, worker arrival, task id)`, the three words chained
+/// through SplitMix64 rounds.
+fn random_key(seed: u64, worker: u64, task: u32) -> u64 {
+    splitmix64(splitmix64(splitmix64(seed) ^ worker) ^ u64::from(task)) >> 11
 }
 
 fn engine_run(instance: &Instance, algo: RefAlgo) -> (Vec<RefAssignment>, Option<u64>) {
@@ -248,6 +255,46 @@ fn aam_matches_reference_on_seeded_instances() {
 fn random_matches_reference_on_seeded_instances() {
     for seed in [7u64, 11, 13] {
         assert_parity(RefAlgo::Random { seed });
+    }
+}
+
+/// Random picks each worker's K tasks uniformly: over a fixed pool of
+/// candidates and 24k arrivals, every task's pick frequency lies within
+/// ±10% of K/n.
+#[test]
+fn random_picks_are_uniform_over_a_fixed_pool() {
+    const N: u32 = 12;
+    const K: u32 = 4;
+    const ARRIVALS: u64 = 24_000;
+    let params = ProblemParams::builder()
+        .epsilon(0.2)
+        .capacity(K)
+        .build()
+        .unwrap();
+    let region = ltc::spatial::BoundingBox::new(Point::ORIGIN, Point::new(10.0, 10.0));
+    let engine = AssignmentEngine::new(params, region).unwrap();
+    let candidates: Vec<Candidate> = (0..N)
+        .map(|t| Candidate {
+            task: TaskId(t),
+            acc: 0.9,
+            contribution: 0.6,
+        })
+        .collect();
+    let mut policy = RandomAssign::seeded(2024);
+    let mut counts = [0u64; N as usize];
+    let mut picks = Vec::new();
+    for w in 0..ARRIVALS {
+        picks.clear();
+        policy.assign(&engine, WorkerId(w), &candidates, &mut picks);
+        assert_eq!(picks.len(), K as usize);
+        for p in &picks {
+            counts[p.task.index()] += 1;
+        }
+    }
+    let expected = (ARRIVALS * u64::from(K)) as f64 / f64::from(N);
+    for (t, &c) in counts.iter().enumerate() {
+        let dev = (c as f64 - expected).abs() / expected;
+        assert!(dev <= 0.10, "task {t}: {c} picks, expected {expected:.0}");
     }
 }
 

@@ -5,20 +5,25 @@
 //!   instances (LAF's selection key *is* the service's merge tie-break,
 //!   so spatial sharding must not change its decisions), which in
 //!   particular means every worker is assigned tasks of equal gain;
-//! * **multi-shard AAM invariants** — the approximate multi-shard AAM
-//!   stays feasible: capacity respected, no duplicate pairs, completion
-//!   agrees with the accumulated qualities;
+//! * **shard invariance for every policy** — LAF, AAM, its LGF/LRF
+//!   ablations and seeded Random, served by the facade and by the
+//!   pipelined handle at 1, 2 and 4 shards, emit exactly the events of
+//!   `run_online` on one bare engine (each policy's picks carry the key
+//!   it ranked them by, and the merge ranks by that key), and the served
+//!   run stays feasible: capacity respected, no duplicate pairs,
+//!   completion agrees with the accumulated qualities;
 //! * **snapshot differential** — serialize → restore mid-stream and
 //!   continue: the stitched event stream must equal an uninterrupted
 //!   run's, byte for byte at the event level.
 
+use ltc::core::online::AamStrategy;
 use ltc::core::service::{
     Algorithm, Event, LtcService, ServiceBuilder, ServiceHandle, StreamEvent,
 };
 use ltc::core::snapshot::{load_service, save_service};
 use ltc::prelude::*;
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::num::NonZeroUsize;
 
 fn synthetic(seed: u64, n_tasks: usize, n_workers: usize, capacity: u32, epsilon: f64) -> Instance {
@@ -167,50 +172,173 @@ fn pipelined_laf_four_shards_matches_one_shard_and_the_facade() {
     }
 }
 
+/// The bare-engine policy an [`Algorithm`] names.
+fn bare_policy(algorithm: Algorithm) -> Box<dyn OnlineAlgorithm> {
+    match algorithm {
+        Algorithm::Laf => Box::new(Laf::new()),
+        Algorithm::Aam => Box::new(Aam::new()),
+        Algorithm::AamLgf => Box::new(Aam::with_strategy(AamStrategy::AlwaysLgf)),
+        Algorithm::AamLrf => Box::new(Aam::with_strategy(AamStrategy::AlwaysLrf)),
+        Algorithm::Random { seed } => Box::new(RandomAssign::seeded(seed)),
+    }
+}
+
+/// The events a service must emit, built from a bare engine driven like
+/// `run_online`: one batch per worker until every task completes, each
+/// assignment followed by the completion it caused.
+fn engine_events(instance: &Instance, algorithm: Algorithm) -> Vec<Vec<Event>> {
+    let mut engine = AssignmentEngine::from_instance(instance);
+    let mut policy = bare_policy(algorithm);
+    let mut out = Vec::new();
+    for (i, worker) in instance.workers().iter().enumerate() {
+        if engine.all_completed() {
+            break;
+        }
+        let w = WorkerId(i as u64);
+        let batch = engine.push_worker(worker, &mut *policy);
+        let mut events = Vec::new();
+        if batch.is_empty() {
+            events.push(Event::WorkerIdle { worker: w });
+        }
+        for a in batch.iter() {
+            events.push(Event::Assigned {
+                worker: w,
+                task: a.task,
+                acc: a.acc,
+                gain: a.contribution,
+            });
+            if engine.is_completed(a.task) {
+                events.push(Event::TaskCompleted {
+                    task: a.task,
+                    latency: w.arrival_index(),
+                });
+            }
+        }
+        out.push(events);
+    }
+    // The loop is `run_online`'s, step for step.
+    let outcome = run_online(instance, &mut *bare_policy(algorithm));
+    assert_eq!(
+        engine.arrangement().assignments(),
+        outcome.arrangement.assignments()
+    );
+    out
+}
+
+/// The feasibility invariants of a served run: capacity respected, no
+/// duplicate pairs, and completion events covering exactly the tasks the
+/// service reports complete, each with an accumulated gain of at least δ.
+fn check_feasible(instance: &Instance, events: &[Vec<Event>], svc: &LtcService) {
+    let mut load: HashMap<u64, u32> = HashMap::new();
+    let mut pairs = HashSet::new();
+    let mut quality = vec![0.0f64; instance.n_tasks()];
+    let mut completed_events = HashSet::new();
+    for e in events.iter().flatten() {
+        match e {
+            Event::Assigned {
+                worker, task, gain, ..
+            } => {
+                let l = load.entry(worker.0).or_insert(0);
+                *l += 1;
+                assert!(*l <= instance.params().capacity, "capacity violated");
+                assert!(pairs.insert((worker.0, task.0)), "duplicate pair");
+                quality[task.0 as usize] += gain;
+            }
+            Event::TaskCompleted { task, latency } => {
+                assert!(completed_events.insert(task.0), "task completed twice");
+                assert!(*latency >= 1);
+            }
+            Event::WorkerIdle { .. } => {}
+        }
+    }
+    let delta = instance.delta();
+    for t in 0..instance.n_tasks() as u32 {
+        assert_eq!(
+            svc.is_completed(TaskId(t)),
+            completed_events.contains(&t),
+            "completion events disagree with service state for task {t}"
+        );
+        if completed_events.contains(&t) {
+            assert!(quality[t as usize] >= delta - 1e-9);
+        }
+    }
+}
+
+/// Every policy's N-shard decisions are its bare-engine decisions: the
+/// facade and the pipelined handle at 1, 2 and 4 shards emit exactly the
+/// events of `run_online` on one engine, and the served run is feasible.
+fn check_shard_invariance(instance: &Instance, algorithm: Algorithm) {
+    let expected = engine_events(instance, algorithm);
+    for shards in [1usize, 2, 4] {
+        let mut facade = service(instance, shards, algorithm);
+        let served = stream_events(&mut facade, instance);
+        assert_eq!(
+            served, expected,
+            "{algorithm:?}: the {shards}-shard facade diverged from the engine"
+        );
+        check_feasible(instance, &served, &facade);
+
+        let mut handle = ServiceBuilder::from_instance(instance)
+            .algorithm(algorithm)
+            .shards(NonZeroUsize::new(shards).unwrap())
+            .start()
+            .unwrap();
+        let stream = handle.subscribe().unwrap();
+        for worker in &instance.workers()[..expected.len()] {
+            handle.submit_worker(worker).unwrap();
+        }
+        handle.drain().unwrap();
+        let pipelined: Vec<Vec<Event>> = std::iter::from_fn(|| stream.try_recv())
+            .filter_map(|e| match e {
+                StreamEvent::Worker { events, .. } => Some(events),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            pipelined, expected,
+            "{algorithm:?}: the {shards}-shard handle diverged from the engine"
+        );
+        handle.close().unwrap();
+    }
+}
+
+/// The five policies, Random seeded with `seed`.
+fn policies(seed: u64) -> [Algorithm; 5] {
+    [
+        Algorithm::Laf,
+        Algorithm::Aam,
+        Algorithm::AamLgf,
+        Algorithm::AamLrf,
+        Algorithm::Random { seed },
+    ]
+}
+
 #[test]
-fn multi_shard_aam_respects_the_core_invariants() {
+fn every_policy_matches_the_bare_engine_on_seeded_instances() {
     for seed in [3u64, 5, 7] {
         let inst = synthetic(seed, 50, 900, 3, 0.18);
-        let mut svc = service(&inst, 4, Algorithm::Aam);
-        let events: Vec<Event> = stream_events(&mut svc, &inst)
-            .into_iter()
-            .flatten()
-            .collect();
-        let mut load: HashMap<u64, u32> = HashMap::new();
-        let mut pairs = std::collections::HashSet::new();
-        let mut quality = vec![0.0f64; inst.n_tasks()];
-        let mut completed_events = std::collections::HashSet::new();
-        for e in &events {
-            match e {
-                Event::Assigned {
-                    worker, task, gain, ..
-                } => {
-                    let l = load.entry(worker.0).or_insert(0);
-                    *l += 1;
-                    assert!(*l <= inst.params().capacity, "capacity violated");
-                    assert!(pairs.insert((worker.0, task.0)), "duplicate pair");
-                    quality[task.0 as usize] += gain;
-                }
-                Event::TaskCompleted { task, latency } => {
-                    assert!(completed_events.insert(task.0), "task completed twice");
-                    assert!(*latency >= 1);
-                }
-                Event::WorkerIdle { .. } => {}
-            }
+        for algorithm in policies(seed) {
+            check_shard_invariance(&inst, algorithm);
         }
-        // Every task the service reports complete accumulated >= δ, and
-        // the TaskCompleted events cover exactly that set.
-        let delta = inst.delta();
-        for t in 0..inst.n_tasks() as u32 {
-            assert_eq!(
-                svc.is_completed(ltc::core::model::TaskId(t)),
-                completed_events.contains(&t),
-                "completion events disagree with service state for task {t}"
-            );
-            if completed_events.contains(&t) {
-                assert!(quality[t as usize] >= delta - 1e-9);
-            }
-        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Property form of shard invariance over random shapes, for all
+    /// five policies.
+    #[test]
+    fn every_policy_matches_the_bare_engine_at_1_2_4_shards(
+        seed in 0u64..10_000,
+        n_tasks in 5usize..60,
+        n_workers in 100usize..500,
+        capacity in 1u32..5,
+        which in 0usize..5,
+        random_seed in any::<u64>(),
+    ) {
+        let inst = synthetic(seed, n_tasks, n_workers, capacity, 0.2);
+        check_shard_invariance(&inst, policies(random_seed)[which]);
     }
 }
 
