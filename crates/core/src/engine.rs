@@ -694,9 +694,12 @@ impl AssignmentEngine {
     }
 
     /// Extracts the engine's durable state — everything needed to
-    /// continue the stream after a crash. Derived structures (the
-    /// uncompleted set, the spatial index, the worker-unit multiset) are
-    /// *not* included; [`AssignmentEngine::from_state`] rebuilds them.
+    /// continue the stream after a crash: copies of the task vectors and
+    /// of the assignment log, each sized exactly. The per-task derived
+    /// structures (the uncompleted set, the spatial index, the
+    /// worker-unit multiset) are *not* included;
+    /// [`AssignmentEngine::from_state`] rebuilds them from the task
+    /// vectors and adopts the log as it is.
     pub fn to_state(&self) -> EngineState {
         EngineState {
             params: self.params,
@@ -719,12 +722,17 @@ impl AssignmentEngine {
         }
     }
 
-    /// Rebuilds an engine from durable state (the inverse of
-    /// [`AssignmentEngine::to_state`]): every continuation observable —
-    /// candidate sets, qualities, completion, arrival ids — is identical
-    /// to the engine the state was taken from. The only internal
-    /// difference is bucket/iteration order in rebuilt structures, which
-    /// no decision path observes (candidates are re-sorted by id).
+    /// Builds an engine from durable state (the inverse of
+    /// [`AssignmentEngine::to_state`]), taking ownership of its vectors.
+    /// The assignment log becomes the engine's arrangement without a
+    /// copy, after one pass that refuses an assignment naming an unknown
+    /// task and finds the latest recruited worker; the per-task derived
+    /// structures are rebuilt from the task vectors. Every continuation
+    /// observable — candidate sets, qualities, completion, arrival ids —
+    /// is identical to the engine the state was taken from. The only
+    /// internal difference is bucket/iteration order in rebuilt
+    /// structures, which no decision path observes (candidates are
+    /// re-sorted by id).
     pub fn from_state(state: EngineState) -> Result<Self, EngineError> {
         state.params.validate().map_err(EngineError::Params)?;
         let n = state.tasks.len();
@@ -783,6 +791,9 @@ impl AssignmentEngine {
                 Some(index)
             }
         };
+        let arrangement = Arrangement::adopt(state.assignments, n).ok_or(
+            EngineError::CorruptState("arrangement references an unknown task"),
+        )?;
         let mut engine = Self {
             delta,
             params: state.params,
@@ -792,7 +803,7 @@ impl AssignmentEngine {
             completed: state.completed,
             uncompleted_ids: Vec::new(),
             uncompleted_pos: vec![0; n],
-            arrangement: Arrangement::new(),
+            arrangement,
             task_index,
             next_arrival: state.next_arrival,
             index_clamp_mark: state.clamp_mark,
@@ -808,14 +819,6 @@ impl AssignmentEngine {
                 engine.uncompleted_ids.push(i as u32);
                 engine.set_units(i, (delta - engine.s[i]).max(0.0).ceil());
             }
-        }
-        for a in state.assignments {
-            if a.task.index() >= n {
-                return Err(EngineError::CorruptState(
-                    "arrangement references an unknown task",
-                ));
-            }
-            engine.arrangement.push(a);
         }
         Ok(engine)
     }
@@ -1046,7 +1049,8 @@ pub(crate) fn splice_in<T: Copy>(v: &mut Vec<T>, before: &[u32], new: impl Fn(us
 /// [`AssignmentEngine::to_state`] and consumed by
 /// [`AssignmentEngine::from_state`]. Plain data: the service-level
 /// snapshot format (see [`crate::snapshot`]) serializes it field by
-/// field.
+/// field. `from_state` keeps its vectors rather than copying them, so
+/// a restore reads the assignment history once, to validate it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineState {
     /// Platform parameters.
@@ -1419,12 +1423,65 @@ mod tests {
         let mut restored = AssignmentEngine::from_state(engine.to_state()).unwrap();
         assert_eq!(restored.n_workers_seen(), engine.n_workers_seen());
         assert_eq!(restored.arrangement().len(), engine.arrangement().len());
+        assert_eq!(
+            restored.arrangement().max_index(),
+            engine.arrangement().max_index()
+        );
         assert_eq!(restored.remaining_units(), engine.remaining_units());
         for worker in &inst.workers()[3..] {
             let a = engine.push_worker(worker, &mut algo);
             let b = restored.push_worker(worker, &mut crate::online::Laf::new());
             assert_eq!(a.iter().collect::<Vec<_>>(), b.iter().collect::<Vec<_>>());
         }
+    }
+
+    #[test]
+    fn from_state_refuses_a_log_naming_an_unknown_task() {
+        let inst = instance();
+        let mut engine = AssignmentEngine::from_instance(&inst);
+        engine.push_worker(&inst.workers()[0], &mut crate::online::Laf::new());
+        let mut state = engine.to_state();
+        let known = state.assignments[0];
+        state.assignments.push(Assignment {
+            task: TaskId(3),
+            ..known
+        });
+        let err = AssignmentEngine::from_state(state).unwrap_err();
+        assert_eq!(
+            err,
+            EngineError::CorruptState("arrangement references an unknown task")
+        );
+        assert_eq!(
+            err.to_string(),
+            "corrupt engine state: arrangement references an unknown task"
+        );
+    }
+
+    #[test]
+    fn restore_finds_the_latest_worker_in_an_unordered_log() {
+        let inst = instance();
+        let mut engine = AssignmentEngine::from_instance(&inst);
+        engine.push_worker(&inst.workers()[0], &mut crate::online::Laf::new());
+        // A hand-built log out of arrival order: the latest worker sits
+        // in the middle, not at the end.
+        let mut state = engine.to_state();
+        let template = state.assignments[0];
+        state.assignments = [(5, 0), (7, 1), (2, 0), (0, 1)]
+            .into_iter()
+            .map(|(w, t)| Assignment {
+                worker: WorkerId(w),
+                task: TaskId(t),
+                ..template
+            })
+            .collect();
+        let mut pushed = Arrangement::new();
+        for &a in &state.assignments {
+            pushed.push(a);
+        }
+        let restored = AssignmentEngine::from_state(state).unwrap();
+        assert_eq!(restored.arrangement().len(), 4);
+        assert_eq!(restored.arrangement().max_index(), Some(8));
+        assert_eq!(restored.arrangement().max_index(), pushed.max_index());
     }
 
     #[test]

@@ -154,7 +154,11 @@ impl ServiceState {
         }
         // Rebuild each shard's local→global map from the task map and
         // validate the mapping is a bijection onto the engines' tasks.
-        let mut globals: Vec<Vec<u32>> = vec![Vec::new(); n_shards];
+        let mut globals: Vec<Vec<u32>> = snapshot
+            .engines
+            .iter()
+            .map(|e| Vec::with_capacity(e.tasks.len()))
+            .collect();
         for (g, &(s, local)) in snapshot.task_map.iter().enumerate() {
             let s = s as usize;
             if s >= n_shards {
@@ -177,11 +181,9 @@ impl ServiceState {
                 ));
             }
             let engine = AssignmentEngine::from_state(state).map_err(ServiceError::Engine)?;
-            for a in engine.arrangement().assignments() {
-                progress.n_assignments += 1;
-                let idx = a.worker.arrival_index();
-                progress.max_assigned = Some(progress.max_assigned.map_or(idx, |m| m.max(idx)));
-            }
+            let arrangement = engine.arrangement();
+            progress.n_assignments += arrangement.len() as u64;
+            progress.max_assigned = progress.max_assigned.max(arrangement.max_index());
             progress.n_completed += (engine.n_tasks() - engine.n_uncompleted()) as u64;
             shards.push(Shard {
                 engine,

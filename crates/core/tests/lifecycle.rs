@@ -8,7 +8,7 @@
 //!   switch reads the cross-shard aggregate via the rendezvous);
 //! * **lifecycle edges** — drain with in-flight mailbox entries,
 //!   snapshot-during-stream → restore → continue equals an uninterrupted
-//!   run (bit-exact through the text format, RNG streams included),
+//!   run (bit-exact through the text format, Random's keyed picks included),
 //!   a session moves handle → facade → handle through its snapshot
 //!   mid-stream, and a full mailbox
 //!   announces back-pressure instead of failing;
@@ -327,7 +327,8 @@ fn a_stall_episode_lasts_until_half_the_mailbox_drains() {
 #[test]
 fn snapshot_mid_stream_restore_continue_equals_uninterrupted() {
     // The quiesced-snapshot differential, through the text wire format,
-    // with the random policy so the RNG stream positions matter.
+    // with the random policy: its picks hash the seed and each task's
+    // global id, so both must survive the round trip.
     let ops = mixed_ops(23, 600);
     let algorithm = Algorithm::Random { seed: 0xBEEF };
     for n_shards in [1usize, 4] {
