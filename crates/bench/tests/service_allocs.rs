@@ -1,30 +1,40 @@
 //! Allocation gate for the served path: `ServiceHandle` end to end.
 //!
 //! The served path allocates on its shard threads, so this gate reads
-//! the process-wide [`alloc_count`], not the per-thread counter. A
-//! process-wide count is only exact while nothing else runs: under the
-//! parallel test harness another test's allocations would land in the
-//! window. This binary therefore holds exactly one test. Keep it the
+//! the process-wide [`alloc_count`], not the per-thread counter, and
+//! reads it only once the subscriber has taken every delivery it counts
+//! for. A process-wide count is only exact while nothing else runs:
+//! under the parallel test harness another test's allocations would
+//! land in the window. This binary therefore holds exactly one test. Keep it the
 //! only test here.
 //!
-//! What a check-in may cost, in steady state: the `Vec<Event>` the
-//! subscriber receives and owns, plus a share of the unbounded
-//! subscriber channel's block allocations (one block per 31 delivered
-//! batches). Everything else — the shard inboxes, the re-order ring,
-//! the batches the subscriber hands back — must reuse what it already
-//! holds. The gate covers shard-local check-ins: both task clusters
-//! below sit well inside one stripe each, the way `hotspot-sharded`
-//! serves every check-in on one shard. Cross-shard decisions allocate
-//! their rendezvous barrier; `service_allocs_boundary` gates those.
+//! What a check-in may cost, in steady state: nothing, when the
+//! subscriber borrows its deliveries (`EventStream::recv_each`), and
+//! the one `Vec<Event>` an owned `StreamEvent::Worker` carries when it
+//! takes them owned — built on the subscriber's own thread. Everything
+//! else — the shards' release buffers, the inboxes, the re-order ring,
+//! the event batches the subscriber hands back — must reuse what it
+//! already holds. The gate covers shard-local check-ins: both task
+//! clusters below sit well inside one stripe each, the way
+//! `hotspot-sharded` serves every check-in on one shard. Cross-shard
+//! decisions allocate their rendezvous barrier;
+//! `service_allocs_boundary` gates those.
 
 use ltc_bench::alloc::alloc_count;
 use ltc_core::model::{ProblemParams, Task, Worker};
-use ltc_core::service::{ServiceBuilder, ServiceHandle, StreamEvent};
+use ltc_core::service::{EventRef, EventStream, ServiceBuilder, ServiceHandle, StreamEvent};
 use ltc_spatial::{BoundingBox, Point};
 use std::num::NonZeroUsize;
+use std::ops::ControlFlow;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-/// Allocation events allowed per check-in.
-const BOUND: f64 = 1.1;
+/// Allocation events allowed per check-in when the subscriber takes
+/// owned events: its own `Vec<Event>`.
+const OWNED_BOUND: f64 = 1.1;
+/// Allocation events allowed per check-in when the subscriber borrows.
+const BORROWED_BOUND: f64 = 0.01;
 const WARMUP: u64 = 5_000;
 const MEASURED: u64 = 20_000;
 /// One task is posted per this many check-ins, so the pool stays live.
@@ -58,9 +68,42 @@ fn serve(handle: &mut ServiceHandle, state: &mut u64, n: u64) {
     handle.drain().unwrap();
 }
 
+/// Counts the stream's worker deliveries into `seen` until it ends,
+/// borrowing them or taking them owned.
+fn count_workers(mut events: EventStream, borrowed: bool, seen: &AtomicU64) {
+    let count = |worker: bool| {
+        if worker {
+            seen.fetch_add(1, Ordering::SeqCst);
+        }
+    };
+    if borrowed {
+        while events
+            .recv_each(None, |e| {
+                count(matches!(e, EventRef::Worker { .. }));
+                ControlFlow::Continue(())
+            })
+            .is_some()
+        {}
+    } else {
+        for e in events {
+            count(matches!(e, StreamEvent::Worker { .. }));
+        }
+    }
+}
+
+/// Waits until the subscriber has taken `n` worker deliveries, so that
+/// what it allocates for them falls on the right side of a count.
+fn wait_for(seen: &AtomicU64, n: u64) {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while seen.load(Ordering::SeqCst) < n {
+        assert!(Instant::now() < deadline, "the subscriber stalled");
+        std::thread::yield_now();
+    }
+}
+
 /// Allocation events per measured check-in on `shards` shards, with one
 /// subscriber draining the stream on its own thread.
-fn allocs_per_checkin(shards: usize) -> f64 {
+fn allocs_per_checkin(shards: usize, borrowed: bool) -> f64 {
     let params = ProblemParams::builder()
         .epsilon(0.2)
         .capacity(3)
@@ -75,30 +118,35 @@ fn allocs_per_checkin(shards: usize) -> f64 {
         .start()
         .unwrap();
     let events = handle.subscribe().unwrap();
-    let subscriber = std::thread::spawn(move || {
-        events
-            .filter(|e| matches!(e, StreamEvent::Worker { .. }))
-            .count() as u64
-    });
+    let seen = Arc::new(AtomicU64::new(0));
+    let counter = Arc::clone(&seen);
+    let subscriber = std::thread::spawn(move || count_workers(events, borrowed, &counter));
 
     serve(&mut handle, &mut state, WARMUP);
+    wait_for(&seen, WARMUP);
     let before = alloc_count();
     serve(&mut handle, &mut state, MEASURED);
+    wait_for(&seen, WARMUP + MEASURED);
     let allocs = alloc_count() - before;
 
     handle.close().unwrap();
-    assert_eq!(subscriber.join().unwrap(), WARMUP + MEASURED);
+    subscriber.join().unwrap();
+    assert_eq!(seen.load(Ordering::SeqCst), WARMUP + MEASURED);
     allocs as f64 / MEASURED as f64
 }
 
 #[test]
 fn served_check_ins_allocate_only_their_event_batch() {
-    for shards in [1, 2] {
-        let per_checkin = allocs_per_checkin(shards);
-        assert!(
-            per_checkin <= BOUND,
-            "{shards} shard(s): {per_checkin:.3} allocations per served check-in \
-             (bound {BOUND}) — the served path must reuse its buffers"
-        );
+    for (borrowed, bound) in [(false, OWNED_BOUND), (true, BORROWED_BOUND)] {
+        let receive = if borrowed { "borrowed" } else { "owned" };
+        for shards in [1, 2] {
+            let per_checkin = allocs_per_checkin(shards, borrowed);
+            println!("{shards} shard(s), {receive}: {per_checkin:.4} allocations per check-in");
+            assert!(
+                per_checkin <= bound,
+                "{shards} shard(s), {receive} receive: {per_checkin:.3} allocations per \
+                 served check-in (bound {bound}) — the served path must reuse its buffers"
+            );
+        }
     }
 }

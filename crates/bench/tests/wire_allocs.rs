@@ -6,11 +6,12 @@
 //! buffer and decoded by an exact-layout scan from a reused read
 //! buffer, so in steady state:
 //!
-//! * decoding a `worker` event frame allocates once, for the
-//!   `Vec<Event>` the subscriber receives and owns;
-//! * decoding a `task` event, a `submit` or `post`, or an
-//!   acknowledgement allocates nothing;
-//! * encoding any of them into a warm buffer allocates nothing.
+//! * decoding a `worker` or `task` event frame into a warm
+//!   [`EventBatch`] (the client reader's) allocates nothing;
+//! * decoding a `submit` or `post`, or an acknowledgement, allocates
+//!   nothing;
+//! * encoding any of them into a warm buffer allocates nothing, events
+//!   borrowed from an `EventBatch` (the server forwarder's) included.
 //!
 //! The counts are the per-thread allocation events of the
 //! [`CountingAllocator`](ltc_bench::alloc), so they are exact under the
@@ -18,7 +19,7 @@
 
 use ltc_bench::alloc::thread_alloc_count;
 use ltc_core::model::{Task, TaskId, Worker, WorkerId};
-use ltc_core::service::{Event, Lifecycle, StreamEvent};
+use ltc_core::service::{Event, EventBatch, EventRef, Lifecycle, StreamEvent};
 use ltc_proto::wire::{self, Request, Response};
 use ltc_spatial::Point;
 use std::io::Cursor;
@@ -80,7 +81,7 @@ fn stream_of(frames: &[String]) -> Vec<u8> {
 }
 
 #[test]
-fn decoding_event_frames_allocates_only_the_worker_batch() {
+fn decoding_event_frames_into_a_warm_batch_allocates_nothing() {
     let events: Vec<StreamEvent> = (0..64)
         .map(|i| match i % 4 {
             3 => StreamEvent::TaskPosted { task: TaskId(i) },
@@ -89,28 +90,27 @@ fn decoding_event_frames_allocates_only_the_worker_batch() {
         .collect();
     let bytes = stream_of(&events.iter().map(wire::encode_event).collect::<Vec<_>>());
     let mut line = Vec::new();
-    // Warm-up pass: the read buffer reaches the longest frame's length.
+    let mut batch = EventBatch::new();
+    // Warm-up pass: the read buffer reaches the longest frame's length,
+    // and the batch the size of the whole run.
     let mut warm = Cursor::new(bytes.as_slice());
-    while wire::read_frame_into(&mut warm, &mut line)
-        .unwrap()
-        .is_some()
-    {}
+    while let Some(frame) = wire::read_frame_into(&mut warm, &mut line).unwrap() {
+        wire::decode_event_into(frame, &mut batch).unwrap();
+    }
+    batch.clear();
 
     let mut reader = Cursor::new(bytes.as_slice());
-    for expected in &events {
+    for _ in &events {
         let before = thread_alloc_count();
         let frame = wire::read_frame_into(&mut reader, &mut line)
             .unwrap()
             .expect("one frame per event");
-        let decoded = wire::decode_event(frame).unwrap();
+        wire::decode_event_into(frame, &mut batch).unwrap();
         let allocs = thread_alloc_count() - before;
-        let bound = u64::from(matches!(expected, StreamEvent::Worker { .. }));
-        assert!(
-            allocs <= bound,
-            "decoding {frame} allocated {allocs} time(s), bound {bound}"
-        );
-        assert_eq!(&decoded, expected);
+        assert_eq!(allocs, 0, "decoding {frame} allocated {allocs} time(s)");
     }
+    let decoded: Vec<StreamEvent> = batch.iter().map(StreamEvent::from).collect();
+    assert_eq!(decoded, events);
 }
 
 #[test]
@@ -179,7 +179,7 @@ fn decoding_requests_and_acks_allocates_nothing() {
 
 #[test]
 fn encoding_hot_frames_into_a_warm_batch_allocates_nothing() {
-    let events: Vec<StreamEvent> = (0..16)
+    let owned: Vec<StreamEvent> = (0..16)
         .map(|i| worker_event(i << 33, (i % 5) as u32))
         .chain([
             StreamEvent::TaskPosted {
@@ -196,6 +196,12 @@ fn encoding_hot_frames_into_a_warm_batch_allocates_nothing() {
             }),
         ])
         .collect();
+    // Borrowed from one flat batch, as the server's forwarder encodes
+    // them.
+    let mut events = EventBatch::new();
+    for event in &owned {
+        events.push(EventRef::from(event));
+    }
     let acks = [
         Response::Submit {
             worker: WorkerId(u64::MAX),
@@ -224,7 +230,7 @@ fn encoding_hot_frames_into_a_warm_batch_allocates_nothing() {
     let mut batch = String::new();
     let fill = |batch: &mut String| {
         batch.clear();
-        for event in &events {
+        for event in events.iter() {
             wire::encode_event_into(batch, event, Some(SID));
         }
         for ack in &acks {

@@ -2,7 +2,7 @@
 
 use crate::model::{TaskId, WorkerId};
 use std::cell::RefCell;
-use std::collections::VecDeque;
+use std::ops::ControlFlow;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
@@ -147,19 +147,239 @@ pub enum StreamEvent {
     Lifecycle(Lifecycle),
 }
 
-/// Emptied batch buffers each stream keeps for its producer to refill;
-/// any beyond this are freed.
-const RECYCLED_BATCHES: usize = 4;
+/// One delivery on a subscription, borrowed from the [`EventBatch`]
+/// that carries it: the allocation-free view of a [`StreamEvent`],
+/// handed out by [`EventStream::recv_each`] and [`EventBatch::iter`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum EventRef<'a> {
+    /// See [`StreamEvent::Worker`].
+    Worker {
+        /// The check-in's service-global arrival id.
+        worker: WorkerId,
+        /// The worker's events, in commit order.
+        events: &'a [Event],
+    },
+    /// See [`StreamEvent::TaskPosted`].
+    TaskPosted {
+        /// The task's service-global id.
+        task: TaskId,
+    },
+    /// See [`StreamEvent::Lifecycle`].
+    Lifecycle(Lifecycle),
+}
 
-/// A batch buffer that grew past this many events is freed once
-/// emptied rather than handed back, so one burst does not pin its
-/// memory for the rest of the session.
-const RECYCLED_BATCH_CAP: usize = 256;
+impl<'a> From<&'a StreamEvent> for EventRef<'a> {
+    fn from(event: &'a StreamEvent) -> Self {
+        match event {
+            StreamEvent::Worker { worker, events } => EventRef::Worker {
+                worker: *worker,
+                events,
+            },
+            StreamEvent::TaskPosted { task } => EventRef::TaskPosted { task: *task },
+            StreamEvent::Lifecycle(l) => EventRef::Lifecycle(*l),
+        }
+    }
+}
 
-/// Room a fresh batch buffer starts with, in events, so that later
-/// small deliveries coalesce into it while the stream has not taken it
-/// yet.
-const FRESH_BATCH: usize = 64;
+impl From<EventRef<'_>> for StreamEvent {
+    /// Copies the delivery out; a worker's events become the one `Vec`
+    /// this allocates.
+    fn from(event: EventRef<'_>) -> Self {
+        match event {
+            EventRef::Worker { worker, events } => StreamEvent::Worker {
+                worker,
+                events: events.to_vec(),
+            },
+            EventRef::TaskPosted { task } => StreamEvent::TaskPosted { task },
+            EventRef::Lifecycle(l) => StreamEvent::Lifecycle(l),
+        }
+    }
+}
+
+/// One delivery of an [`EventBatch`]. A worker's events are the next
+/// `len` of the batch's flat event list.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Entry {
+    Worker { worker: WorkerId, len: usize },
+    TaskPosted { task: TaskId },
+    Lifecycle(Lifecycle),
+}
+
+/// How far a reader has got through an [`EventBatch`].
+#[derive(Debug, Clone, Copy, Default)]
+struct Cursor {
+    entry: usize,
+    event: usize,
+}
+
+/// An in-order run of deliveries, held flat: the entries, plus one
+/// `Vec<Event>` with every worker entry's events back to back. Events
+/// cross threads in these — from the shards through delivery into each
+/// stream, and from `ltc-proto`'s socket reader to its subscribers — so
+/// a check-in's events get a `Vec` of their own only when a consumer
+/// asks for an owned [`StreamEvent`]. Cleared, a batch keeps its
+/// capacity for the next run.
+///
+/// ```
+/// use ltc_core::model::{TaskId, WorkerId};
+/// use ltc_core::service::{Event, EventBatch, EventRef, StreamEvent};
+///
+/// let mut batch = EventBatch::new();
+/// batch.push(EventRef::TaskPosted { task: TaskId(4) });
+/// let worker = WorkerId(0);
+/// batch.push_worker_with(worker, |events| {
+///     events.push(Event::WorkerIdle { worker });
+///     Some(())
+/// });
+/// assert_eq!(batch.len(), 2);
+/// let owned: Vec<StreamEvent> = batch.iter().map(StreamEvent::from).collect();
+/// assert_eq!(
+///     owned[1],
+///     StreamEvent::Worker { worker, events: vec![Event::WorkerIdle { worker }] }
+/// );
+/// ```
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct EventBatch {
+    entries: Vec<Entry>,
+    events: Vec<Event>,
+}
+
+/// The events of the worker entry [`EventBatch::push_worker_with`] is
+/// appending.
+#[derive(Debug)]
+pub struct WorkerEvents<'a>(&'a mut Vec<Event>);
+
+impl WorkerEvents<'_> {
+    /// Appends one event to the worker's entry.
+    // ltc-lint: hot-path
+    pub fn push(&mut self, event: Event) {
+        self.0.push(event);
+    }
+
+    /// The batch's event list, for producers that append to a `Vec`.
+    pub(crate) fn list(&mut self) -> &mut Vec<Event> {
+        self.0
+    }
+}
+
+impl Extend<Event> for WorkerEvents<'_> {
+    fn extend<I: IntoIterator<Item = Event>>(&mut self, events: I) {
+        self.0.extend(events);
+    }
+}
+
+impl EventBatch {
+    /// An empty batch; it allocates once something is pushed.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The number of deliveries in the batch.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether the batch holds no delivery.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Removes every delivery, keeping the capacity.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+        self.events.clear();
+    }
+
+    /// Appends one delivery, copying a worker's events.
+    // ltc-lint: hot-path
+    pub fn push(&mut self, event: EventRef<'_>) {
+        match event {
+            EventRef::Worker { worker, events } => {
+                self.push_worker_with(worker, |list| {
+                    list.extend(events.iter().copied());
+                    Some(())
+                });
+            }
+            EventRef::TaskPosted { task } => self.entries.push(Entry::TaskPosted { task }),
+            EventRef::Lifecycle(l) => self.entries.push(Entry::Lifecycle(l)),
+        }
+    }
+
+    /// Appends a worker's delivery whose events `fill` pushes in place.
+    /// When `fill` returns `None` the batch is left as it was, so a
+    /// decoder can give up half-way through a frame.
+    // ltc-lint: hot-path
+    pub fn push_worker_with<T>(
+        &mut self,
+        worker: WorkerId,
+        fill: impl FnOnce(&mut WorkerEvents<'_>) -> Option<T>,
+    ) -> Option<T> {
+        let start = self.events.len();
+        let filled = fill(&mut WorkerEvents(&mut self.events));
+        if filled.is_some() {
+            let len = self.events.len() - start;
+            self.entries.push(Entry::Worker { worker, len });
+        } else {
+            self.events.truncate(start);
+        }
+        filled
+    }
+
+    /// The deliveries, in order.
+    pub fn iter(&self) -> impl Iterator<Item = EventRef<'_>> + '_ {
+        let mut cursor = Cursor::default();
+        std::iter::from_fn(move || self.at(&mut cursor))
+    }
+
+    /// The delivery at `cursor`, moving the cursor past it.
+    // ltc-lint: hot-path
+    fn at(&self, cursor: &mut Cursor) -> Option<EventRef<'_>> {
+        let entry = *self.entries.get(cursor.entry)?;
+        cursor.entry += 1;
+        Some(match entry {
+            Entry::Worker { worker, len } => {
+                let events = &self.events[cursor.event..cursor.event + len];
+                cursor.event += len;
+                EventRef::Worker { worker, events }
+            }
+            Entry::TaskPosted { task } => EventRef::TaskPosted { task },
+            Entry::Lifecycle(l) => EventRef::Lifecycle(l),
+        })
+    }
+
+    /// Empties the batch, keeping room for at most `entries` deliveries
+    /// and `events` events.
+    fn reset(&mut self, entries: usize, events: usize) {
+        self.clear();
+        self.entries.shrink_to(entries);
+        self.events.shrink_to(events);
+    }
+
+    /// Appends every delivery of `other`.
+    // ltc-lint: hot-path
+    fn append(&mut self, other: &EventBatch) {
+        self.entries.extend_from_slice(&other.entries);
+        self.events.extend_from_slice(&other.events);
+    }
+}
+
+/// The room, in deliveries, a delivered or read batch keeps once
+/// emptied: a burst that grew it further gives the rest back.
+const KEPT_ENTRIES: usize = 256;
+
+/// The room, in events, a delivered or read batch keeps once emptied.
+const KEPT_EVENTS: usize = 4 * KEPT_ENTRIES;
+
+/// A stream whose last [`QUIET_REFILLS`] refills each took at most this
+/// many deliveries (and [`QUIET_EVENTS`] events) keeps only this much
+/// room per buffer.
+const QUIET_ENTRIES: usize = 16;
+
+/// See [`QUIET_ENTRIES`].
+const QUIET_EVENTS: usize = 4 * QUIET_ENTRIES;
+
+/// See [`QUIET_ENTRIES`].
+const QUIET_REFILLS: u32 = 64;
 
 /// Locks a stream's queue, recovering from poisoning: the queue holds
 /// plain buffers that stay consistent at every point a panic could
@@ -179,18 +399,55 @@ struct Channel {
 
 #[derive(Debug, Default)]
 struct Queue {
-    /// Delivered events the stream has not taken yet, in batches,
-    /// oldest first. A delivery that fits in the newest batch's spare
-    /// room joins it.
-    batches: VecDeque<Vec<StreamEvent>>,
-    /// Emptied batch buffers the stream handed back.
-    spares: Vec<Vec<StreamEvent>>,
-    /// The stream is blocked waiting for a batch.
+    /// Every delivery the stream has not taken yet, in order. The
+    /// stream takes it whole and leaves its own emptied batch here in
+    /// exchange, so the two buffers take turns.
+    pending: EventBatch,
+    /// The stream is blocked waiting for a delivery.
     waiting: bool,
-    /// The producer is gone: no batch will follow those queued.
+    /// The producer is gone: nothing will follow what is pending.
     closed: bool,
     /// The stream is gone: deliveries are refused.
     detached: bool,
+}
+
+/// The batch a stream is yielding, and how far it has got.
+#[derive(Debug, Default)]
+struct Held {
+    batch: EventBatch,
+    cursor: Cursor,
+    /// Refills in a row that took little (see [`QUIET_ENTRIES`]).
+    quiet: u32,
+}
+
+impl Held {
+    // ltc-lint: hot-path
+    fn next(&mut self) -> Option<EventRef<'_>> {
+        self.batch.at(&mut self.cursor)
+    }
+
+    /// Empties the batch, which was read to its end, for the producer
+    /// to fill next. It keeps at most [`KEPT_ENTRIES`] deliveries' and
+    /// [`KEPT_EVENTS`] events' room, so one burst does not pin its
+    /// memory for the rest of the session, and only [`QUIET_ENTRIES`]'
+    /// and [`QUIET_EVENTS`]' once the stream's traffic has stayed that
+    /// small for [`QUIET_REFILLS`] refills in a row.
+    fn reset(&mut self) {
+        let batch = &mut self.batch;
+        let small = batch.entries.len() <= QUIET_ENTRIES && batch.events.len() <= QUIET_EVENTS;
+        self.quiet = if small {
+            self.quiet.saturating_add(1)
+        } else {
+            0
+        };
+        let (entries, events) = if self.quiet >= QUIET_REFILLS {
+            (QUIET_ENTRIES, QUIET_EVENTS)
+        } else {
+            (KEPT_ENTRIES, KEPT_EVENTS)
+        };
+        batch.reset(entries, events);
+        self.cursor = Cursor::default();
+    }
 }
 
 /// A subscription to a [`ServiceHandle`](super::ServiceHandle)'s event
@@ -200,17 +457,17 @@ struct Queue {
 ///
 /// Receiving is pull-based and never loses events: the producer
 /// buffers per-subscriber without bound, so slow consumers trade
-/// memory, not correctness. Events arrive in batches — each delivery is
-/// an in-order run of events, and deliveries the stream has not taken
-/// yet share a batch where they fit — and the stream yields them one at
-/// a time, handing each emptied batch buffer back for reuse. Iterate
-/// it, or poll with [`try_recv`](EventStream::try_recv) /
-/// [`recv_timeout`](EventStream::recv_timeout).
+/// memory, not correctness. Deliveries collect in one [`EventBatch`]
+/// until the stream takes them all at once, handing its emptied batch
+/// back for the producer to fill next. Iterate the stream, or poll with
+/// [`try_recv`](EventStream::try_recv) /
+/// [`recv_timeout`](EventStream::recv_timeout), for owned
+/// [`StreamEvent`]s; or borrow the ready deliveries in place with
+/// [`recv_each`](EventStream::recv_each), which allocates nothing.
 #[derive(Debug)]
 pub struct EventStream {
     channel: Arc<Channel>,
-    /// The batch being yielded, reversed so `pop` returns the next event.
-    held: RefCell<Vec<StreamEvent>>,
+    held: RefCell<Held>,
 }
 
 /// The producer's end of one [`EventStream`].
@@ -228,35 +485,15 @@ pub(crate) fn event_channel() -> (EventSink, EventStream) {
 }
 
 impl EventSink {
-    /// Queues `events` for the stream, moving them out when `last`
-    /// (leaving the buffer empty, with its capacity) and cloning them
-    /// otherwise. `false` once the stream is gone.
-    fn send(&self, events: &mut Vec<StreamEvent>, last: bool) -> bool {
+    /// Appends a copy of `batch` to what the stream has pending. `false`
+    /// once the stream is gone.
+    // ltc-lint: hot-path
+    fn send(&self, batch: &EventBatch) -> bool {
         let mut queue = lock(&self.0.queue);
         if queue.detached {
             return false;
         }
-        let n = events.len();
-        let fits = queue
-            .batches
-            .back()
-            .is_some_and(|tail| tail.capacity() - tail.len() >= n);
-        if !fits {
-            let fresh = queue
-                .spares
-                .pop()
-                .unwrap_or_else(|| Vec::with_capacity(n.max(FRESH_BATCH)));
-            queue.batches.push_back(fresh);
-        }
-        let batch = queue
-            .batches
-            .back_mut()
-            .expect("a batch with room for the events is queued");
-        if last {
-            batch.append(events);
-        } else {
-            batch.extend_from_slice(events);
-        }
+        queue.pending.append(batch);
         // Woken after the unlock, the stream finds the queue free.
         let waiting = queue.waiting;
         drop(queue);
@@ -283,8 +520,7 @@ impl Drop for EventStream {
     fn drop(&mut self) {
         let mut queue = lock(&self.channel.queue);
         queue.detached = true;
-        queue.batches.clear();
-        queue.spares.clear();
+        queue.pending = EventBatch::default();
     }
 }
 
@@ -297,13 +533,14 @@ impl Drop for EventStream {
 ///
 /// ```
 /// use ltc_core::model::TaskId;
-/// use ltc_core::service::{EventFanout, StreamEvent};
+/// use ltc_core::service::{EventBatch, EventFanout, EventRef, StreamEvent};
 ///
 /// let mut fanout = EventFanout::default();
 /// let stream = fanout.subscribe();
-/// let mut batch: Vec<StreamEvent> = (0..3)
-///     .map(|i| StreamEvent::TaskPosted { task: TaskId(i) })
-///     .collect();
+/// let mut batch = EventBatch::new();
+/// for i in 0..3 {
+///     batch.push(EventRef::TaskPosted { task: TaskId(i) });
+/// }
 /// fanout.deliver(&mut batch);
 /// assert!(batch.is_empty()); // ready to be refilled
 /// drop(fanout);
@@ -330,33 +567,21 @@ impl EventFanout {
     }
 
     /// Delivers `batch` to every attached stream as one in-order run
-    /// and empties it, keeping its capacity for the caller to refill:
-    /// each stream but the last receives copies, the last the events
-    /// themselves. Streams that were dropped are detached.
-    pub fn deliver(&mut self, batch: &mut Vec<StreamEvent>) {
+    /// and empties it for the caller to refill. The batch keeps room
+    /// for up to 256 deliveries and 1,024 events; a burst that grew it
+    /// further gives the rest back. Streams that were dropped are
+    /// detached.
+    // ltc-lint: hot-path
+    pub fn deliver(&mut self, batch: &mut EventBatch) {
         if batch.is_empty() {
             return;
         }
-        let mut i = 0;
-        while i + 1 < self.sinks.len() {
-            if self.sinks[i].send(batch, false) {
-                i += 1;
-            } else {
-                self.sinks.remove(i);
-            }
-        }
-        if self
-            .sinks
-            .last()
-            .is_some_and(|last| !last.send(batch, true))
-        {
-            self.sinks.pop();
-        }
-        batch.clear();
+        self.sinks.retain(|sink| sink.send(batch));
+        batch.reset(KEPT_ENTRIES, KEPT_EVENTS);
     }
 }
 
-/// How long [`EventStream::take`] may wait for a batch.
+/// How long [`EventStream::refill`] may wait for a batch.
 #[derive(Clone, Copy)]
 enum Wait {
     No,
@@ -364,25 +589,25 @@ enum Wait {
     Forever,
 }
 
-impl EventStream {
-    /// The next event of the batch being yielded.
-    fn pop(&self) -> Option<StreamEvent> {
-        self.held.borrow_mut().pop()
-    }
+/// What [`EventStream::refill`] found.
+enum Refill {
+    /// A batch is held.
+    Ready,
+    /// Nothing was delivered in time; the producer is still there.
+    Empty,
+    /// The producer is gone and everything delivered was taken.
+    Ended,
+}
 
-    /// Hands the emptied batch back and takes the next one, waiting as
-    /// `wait` allows, then yields its first event.
-    fn take(&self, wait: Wait) -> Option<StreamEvent> {
+impl EventStream {
+    /// Takes everything pending in exchange for the held batch, which
+    /// the caller has read to the end, waiting as `wait` allows.
+    fn refill(&self, wait: Wait) -> Refill {
+        let mut held = self.held.borrow_mut();
+        held.reset();
         let channel = &*self.channel;
         let mut queue = lock(&channel.queue);
-        let emptied = std::mem::take(&mut *self.held.borrow_mut());
-        if emptied.capacity() > 0
-            && emptied.capacity() <= RECYCLED_BATCH_CAP
-            && queue.spares.len() < RECYCLED_BATCHES
-        {
-            queue.spares.push(emptied);
-        }
-        let idle = |queue: &mut Queue| queue.batches.is_empty() && !queue.closed;
+        let idle = |queue: &mut Queue| queue.pending.is_empty() && !queue.closed;
         if !matches!(wait, Wait::No) && idle(&mut queue) {
             queue.waiting = true;
             queue = match wait {
@@ -401,17 +626,33 @@ impl EventStream {
             };
             queue.waiting = false;
         }
-        let mut batch = queue.batches.pop_front()?;
-        drop(queue);
-        batch.reverse();
-        *self.held.borrow_mut() = batch;
-        self.pop()
+        if !queue.pending.is_empty() {
+            std::mem::swap(&mut held.batch, &mut queue.pending);
+            Refill::Ready
+        } else if queue.closed {
+            Refill::Ended
+        } else {
+            Refill::Empty
+        }
+    }
+
+    /// The next delivery as an owned event, waiting as `wait` allows.
+    fn recv(&self, wait: Wait) -> Option<StreamEvent> {
+        loop {
+            let next = self.held.borrow_mut().next().map(StreamEvent::from);
+            if next.is_some() {
+                return next;
+            }
+            if !matches!(self.refill(wait), Refill::Ready) {
+                return None;
+            }
+        }
     }
 
     /// Blocks until the next event, or returns `None` once the producer
     /// has shut down and every delivered event was consumed.
     pub fn next_event(&self) -> Option<StreamEvent> {
-        self.pop().or_else(|| self.take(Wait::Forever))
+        self.recv(Wait::Forever)
     }
 
     /// Non-blocking receive: an already-delivered event, or `None` when
@@ -446,7 +687,7 @@ impl EventStream {
     /// assert_eq!(events.try_recv(), None); // buffer empty again
     /// ```
     pub fn try_recv(&self) -> Option<StreamEvent> {
-        self.pop().or_else(|| self.take(Wait::No))
+        self.recv(Wait::No)
     }
 
     /// Bounded-blocking receive: waits up to `timeout` for the next
@@ -454,7 +695,73 @@ impl EventStream {
     /// the buffer is empty. (The runtime internals pace their own waits
     /// with the same primitive; this is the public handle on it.)
     pub fn recv_timeout(&self, timeout: Duration) -> Option<StreamEvent> {
-        self.pop().or_else(|| self.take(Wait::For(timeout)))
+        self.recv(Wait::For(timeout))
+    }
+
+    /// Borrowed receive: waits up to `timeout` (`None`: for as long as
+    /// it takes) for a delivery, then hands `f` every delivery that is
+    /// ready, in order, without copying or allocating. When `f` returns
+    /// [`ControlFlow::Break`] the call ends there; the deliveries after
+    /// the one `f` broke on wait for the next receive. Returns how many
+    /// deliveries `f` was handed — `Some(0)` when the wait timed out —
+    /// or `None` once the producer has shut down and every delivery was
+    /// taken.
+    ///
+    /// ```
+    /// use ltc_core::model::TaskId;
+    /// use ltc_core::service::{EventBatch, EventFanout, EventRef};
+    /// use std::ops::ControlFlow;
+    /// use std::time::Duration;
+    ///
+    /// let mut fanout = EventFanout::default();
+    /// let mut stream = fanout.subscribe();
+    /// let mut batch = EventBatch::new();
+    /// for i in 0..5 {
+    ///     batch.push(EventRef::TaskPosted { task: TaskId(i) });
+    /// }
+    /// fanout.deliver(&mut batch);
+    /// // Stop after two; the other three stay for the next call.
+    /// let mut seen = Vec::new();
+    /// let handed = stream.recv_each(None, |event| {
+    ///     if let EventRef::TaskPosted { task } = event {
+    ///         seen.push(task);
+    ///     }
+    ///     if seen.len() == 2 { ControlFlow::Break(()) } else { ControlFlow::Continue(()) }
+    /// });
+    /// assert_eq!(handed, Some(2));
+    /// assert_eq!(seen, [TaskId(0), TaskId(1)]);
+    /// assert_eq!(stream.recv_each(None, |_| ControlFlow::Continue(())), Some(3));
+    /// assert_eq!(stream.recv_each(Some(Duration::ZERO), |_| ControlFlow::Continue(())), Some(0));
+    /// drop(fanout);
+    /// assert_eq!(stream.recv_each(None, |_| ControlFlow::Continue(())), None);
+    /// ```
+    // ltc-lint: hot-path
+    pub fn recv_each(
+        &mut self,
+        timeout: Option<Duration>,
+        mut f: impl FnMut(EventRef<'_>) -> ControlFlow<()>,
+    ) -> Option<usize> {
+        let mut handed = 0;
+        loop {
+            let held = self.held.get_mut();
+            while let Some(event) = held.next() {
+                handed += 1;
+                if f(event).is_break() {
+                    return Some(handed);
+                }
+            }
+            let wait = match timeout {
+                _ if handed > 0 => Wait::No,
+                None => Wait::Forever,
+                Some(timeout) if timeout.is_zero() => Wait::No,
+                Some(timeout) => Wait::For(timeout),
+            };
+            match self.refill(wait) {
+                Refill::Ready => {}
+                Refill::Empty => return Some(handed),
+                Refill::Ended => return (handed > 0).then_some(handed),
+            }
+        }
     }
 }
 
@@ -526,5 +833,171 @@ impl ServiceMetrics {
     /// Whether every posted task has reached its completion threshold.
     pub fn all_completed(&self) -> bool {
         self.n_completed == self.n_tasks
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The capacity `K` the generated worker entries assume: a check-in
+    /// carries up to `2K + 1` events.
+    const K: usize = 3;
+
+    /// One generated delivery: a worker's entry with 0 to `2K + 1`
+    /// events, a task post, or a lifecycle notice.
+    fn delivery() -> impl Strategy<Value = StreamEvent> {
+        (0u8..5, any::<u64>(), 0usize..=2 * K + 1).prop_map(|(kind, x, n)| match kind {
+            0..=2 => {
+                let worker = WorkerId(x >> 8);
+                let events = (0..n)
+                    .map(|i| match (x as usize + i) % 3 {
+                        0 => Event::Assigned {
+                            worker,
+                            task: TaskId(i as u32),
+                            acc: (x % 1000) as f64 / 1000.0,
+                            gain: i as f64 / 8.0,
+                        },
+                        1 => Event::TaskCompleted {
+                            task: TaskId(x as u32 ^ i as u32),
+                            latency: x >> 20,
+                        },
+                        _ => Event::WorkerIdle { worker },
+                    })
+                    .collect();
+                StreamEvent::Worker { worker, events }
+            }
+            3 => StreamEvent::TaskPosted {
+                task: TaskId(x as u32),
+            },
+            _ => StreamEvent::Lifecycle(match x % 8 {
+                0 => Lifecycle::Drained { workers_seen: x },
+                1 => Lifecycle::ShardStalled {
+                    shard: (x % 4) as usize,
+                    capacity: 64,
+                },
+                2 => Lifecycle::TaskOutOfRegion {
+                    task: TaskId(x as u32),
+                },
+                3 => Lifecycle::Rebalanced {
+                    moved_tasks: x >> 40,
+                    max_load: 7,
+                    mean_load: 3.5,
+                },
+                4 => Lifecycle::Checkpointed { seq: x },
+                5 => Lifecycle::SessionEvicted,
+                _ => Lifecycle::ShuttingDown,
+            }),
+        })
+    }
+
+    /// Reads up to `n` deliveries from `stream` into `got` the way
+    /// `mode` picks, never waiting on a delivery that was not made:
+    /// `delivered` deliveries were made, and `ended` says the producer
+    /// is gone. Returns whether the stream reported its end.
+    fn read(
+        stream: &mut EventStream,
+        mode: u8,
+        n: usize,
+        got: &mut Vec<StreamEvent>,
+        delivered: usize,
+        ended: bool,
+    ) -> bool {
+        for _ in 0..n {
+            if !ended && got.len() == delivered {
+                return false;
+            }
+            let next = match mode {
+                0 => stream.try_recv(),
+                1 => stream.recv_timeout(Duration::from_secs(5)),
+                2 => stream.next_event(),
+                _ => {
+                    // Borrowed: take the rest of this read's share, then
+                    // stop early.
+                    let mut left = n;
+                    let handed = stream.recv_each(Some(Duration::ZERO), |event| {
+                        got.push(event.into());
+                        left -= 1;
+                        if left == 0 {
+                            ControlFlow::Break(())
+                        } else {
+                            ControlFlow::Continue(())
+                        }
+                    });
+                    return handed.is_none();
+                }
+            };
+            match next {
+                Some(event) => got.push(event),
+                None => return true,
+            }
+        }
+        false
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn every_receive_yields_exactly_what_was_delivered(
+            runs in prop::collection::vec(prop::collection::vec(delivery(), 0..40), 1..12),
+            subscribers in 1usize..=3,
+            reads in prop::collection::vec((0u8..4, 1usize..60), 1..32),
+            dropped_after in 0usize..12,
+        ) {
+            let mut fanout = EventFanout::default();
+            let mut streams: Vec<Option<EventStream>> =
+                (0..subscribers).map(|_| Some(fanout.subscribe())).collect();
+            let mut got = vec![Vec::new(); subscribers];
+            let mut reads = reads.iter().cycle();
+            let mut batch = EventBatch::new();
+            let mut delivered = 0;
+            for (i, run) in runs.iter().enumerate() {
+                for event in run {
+                    batch.push(event.into());
+                }
+                fanout.deliver(&mut batch);
+                prop_assert!(batch.is_empty());
+                delivered += run.len();
+                if i == dropped_after && subscribers > 1 {
+                    streams[0] = None;
+                }
+                for (stream, got) in streams.iter_mut().zip(&mut got) {
+                    if let Some(stream) = stream {
+                        let &(mode, n) = reads.next().unwrap();
+                        let ended = read(stream, mode, n, got, delivered, false);
+                        prop_assert!(!ended, "a live stream reported its end");
+                    }
+                }
+            }
+            drop(fanout);
+            let all: Vec<StreamEvent> = runs.concat();
+            for (stream, got) in streams.iter_mut().zip(&mut got) {
+                match stream {
+                    Some(stream) => {
+                        while !read(stream, reads.next().unwrap().0, 64, got, delivered, true) {}
+                        prop_assert_eq!(&*got, &all[..]);
+                        prop_assert_eq!(stream.try_recv(), None);
+                    }
+                    // A dropped subscriber saw a prefix before it left.
+                    None => prop_assert_eq!(&*got, &all[..got.len()]),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_refused_worker_entry_leaves_the_batch_as_it_was() {
+        let mut batch = EventBatch::new();
+        batch.push(EventRef::TaskPosted { task: TaskId(1) });
+        let before = batch.clone();
+        let worker = WorkerId(5);
+        let refused = batch.push_worker_with(worker, |events| {
+            events.push(Event::WorkerIdle { worker });
+            None::<()>
+        });
+        assert_eq!(refused, None);
+        assert_eq!(batch, before);
     }
 }

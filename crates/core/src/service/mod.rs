@@ -88,7 +88,10 @@ mod shard;
 mod state;
 
 pub use builder::ServiceBuilder;
-pub use events::{Event, EventFanout, EventStream, Lifecycle, ServiceMetrics, StreamEvent};
+pub use events::{
+    Event, EventBatch, EventFanout, EventRef, EventStream, Lifecycle, ServiceMetrics, StreamEvent,
+    WorkerEvents,
+};
 pub use facade::LtcService;
 pub use handle::ServiceHandle;
 pub use rebalance::{RebalanceOutcome, StripeLayout};

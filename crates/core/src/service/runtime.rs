@@ -19,18 +19,19 @@
 //! ## Delivery without a delivery thread
 //!
 //! There is no thread between a shard and a subscriber. A shard
-//! collects its finished check-ins and posts in a reused buffer and
-//! appends them to its own inbox when it is about to block (empty
-//! mailbox, rendezvous, control reply) or the buffer reaches
+//! writes its finished check-ins and posts into a reused, flat release
+//! buffer (entries, and one event list they index, so no check-in
+//! allocates) and appends it to its own inbox when it is about to block
+//! (empty mailbox, rendezvous, control reply) or the buffer reaches
 //! [`BATCH_CAP`]. The handle has an inbox too, for drain markers, new
 //! subscribers and lifecycle notices. Whoever has just filled an inbox
 //! then tries to deliver: it takes the re-order ring with `try_lock`,
-//! parks every inbox's releases by sequence number, and sends the
-//! in-order prefix they complete to each subscriber as one batch. A
-//! thread that finds the ring taken returns at once; the holder
-//! re-checks every inbox after unlocking, so nothing is left behind
-//! (flat combining: Hendler et al., SPAA 2010). No shard ever waits
-//! behind another's delivery.
+//! parks every inbox's releases in that inbox's queue, merges the
+//! queues by sequence number, and sends the in-order prefix to each
+//! subscriber as one [`EventBatch`]. A thread that finds the ring taken
+//! returns at once; the holder re-checks every inbox after unlocking,
+//! so nothing is left behind (flat combining: Hendler et al., SPAA
+//! 2010). No shard ever waits behind another's delivery.
 //!
 //! A submitter that finds a mailbox full announces one stall and
 //! sleeps until the shard has drained it to half its bound, instead of
@@ -44,7 +45,7 @@ use super::shard::{
     ShardMetrics,
 };
 use super::state::Progress;
-use super::{Event, EventFanout, EventStream, Lifecycle, ServiceError, StreamEvent};
+use super::{Event, EventBatch, EventFanout, EventRef, EventStream, Lifecycle, ServiceError};
 use crate::engine::EngineState;
 use crate::model::{Task, TaskId, Worker, WorkerId};
 use ltc_spatial::{BoundingBox, ShardRouter};
@@ -79,10 +80,15 @@ const PEER_POLL: Duration = Duration::from_millis(10);
 /// the mailbox never runs empty.
 const BATCH_CAP: usize = 64;
 
-/// A delivery hands subscribers at most this many events at once: a
-/// long in-order prefix (one that waited behind a slow rendezvous) goes
-/// out in several batches, so delivery buffers stay near this size.
+/// A delivery hands subscribers at most this many deliveries at once:
+/// a long in-order prefix (one that waited behind a slow rendezvous)
+/// goes out in several batches, so delivery buffers stay near this
+/// size.
 const DELIVERY_CAP: usize = 4 * BATCH_CAP;
+
+/// A parked queue that a long-open re-order window grew past this many
+/// dues or events is shrunk back to it once it empties.
+const PARKED_KEEP: usize = 4 * DELIVERY_CAP;
 
 /// Locks an inbox or the ring, recovering from poisoning: both hold
 /// plain queues that stay consistent at every point a panic could
@@ -217,28 +223,28 @@ impl RuntimeStats {
 #[derive(Debug)]
 struct Delivery {
     /// One inbox per shard, then the handle's.
-    inboxes: Box<[Mutex<Vec<Release>>]>,
+    inboxes: Box<[Mutex<Releases>]>,
     /// Taken only with `try_lock` while the runtime runs.
     ring: Mutex<Ring>,
     stats: RuntimeStats,
 }
 
 impl Delivery {
-    /// Appends `releases` to inbox `inbox` (leaving the vector empty
+    /// Appends `releases` to inbox `inbox` (leaving its buffers empty
     /// for reuse) and delivers.
-    fn post(&self, inbox: usize, releases: &mut Vec<Release>) {
+    fn post(&self, inbox: usize, releases: &mut Releases) {
         lock(&self.inboxes[inbox]).append(releases);
         self.deliver();
     }
 
-    /// Appends one release to the handle's inbox, the last one.
-    fn queue_from_handle(&self, release: Release) {
-        lock(&self.inboxes[self.inboxes.len() - 1]).push(release);
+    /// The handle's inbox, the last one.
+    fn handle_inbox(&self) -> MutexGuard<'_, Releases> {
+        lock(&self.inboxes[self.inboxes.len() - 1])
     }
 
-    /// Appends one release to the handle's inbox and delivers.
-    fn post_from_handle(&self, release: Release) {
-        self.queue_from_handle(release);
+    /// Appends a control note to the handle's inbox and delivers.
+    fn post_control(&self, control: Control) {
+        self.handle_inbox().controls.push(control);
         self.deliver();
     }
 
@@ -311,7 +317,7 @@ impl Runtime {
                 shard,
                 shard_id: i,
                 delivery: Arc::clone(&delivery),
-                released: Vec::with_capacity(BATCH_CAP),
+                released: Releases::default(),
                 mailboxes: Arc::clone(&mailboxes),
                 scratch: ProposeScratch::default(),
             };
@@ -353,14 +359,14 @@ impl Runtime {
     pub(crate) fn subscribe(&self) -> Result<EventStream, ServiceError> {
         self.live()?;
         let (sink, stream) = event_channel();
-        self.delivery.post_from_handle(Release::Subscribe(sink));
+        self.delivery.post_control(Control::Subscribe(sink));
         Ok(stream)
     }
 
     /// Broadcasts an advisory lifecycle notice (a no-op once stopped).
     pub(crate) fn announce(&self, lifecycle: Lifecycle) {
         if !self.is_stopped() {
-            self.delivery.post_from_handle(Release::Announce(lifecycle));
+            self.delivery.post_control(Control::Announce(lifecycle));
         }
     }
 
@@ -371,7 +377,9 @@ impl Runtime {
     pub(crate) fn announce_with_next(&self, lifecycle: Lifecycle) {
         if !self.is_stopped() {
             self.delivery
-                .queue_from_handle(Release::Announce(lifecycle));
+                .handle_inbox()
+                .controls
+                .push(Control::Announce(lifecycle));
         }
     }
 
@@ -441,8 +449,11 @@ impl Runtime {
         self.live()?;
         let seq = self.take_seq();
         let (ack, acked) = mpsc::sync_channel(1);
-        self.delivery
-            .post_from_handle(Release::Due(seq, Pending::Flush { ack }));
+        self.delivery.handle_inbox().dues.push(Due {
+            seq,
+            what: Pending::Flush { ack },
+        });
+        self.delivery.deliver();
         let mut waited = Duration::ZERO;
         loop {
             match acked.recv_timeout(PEER_POLL) {
@@ -668,7 +679,7 @@ struct ShardRuntime {
     shard_id: usize,
     delivery: Arc<Delivery>,
     /// Finished submissions not yet handed to delivery.
-    released: Vec<Release>,
+    released: Releases,
     /// Every shard's mailbox state (this shard's, and its peers' exit
     /// flags for the rendezvous).
     mailboxes: Arc<[Mailbox]>,
@@ -676,15 +687,32 @@ struct ShardRuntime {
 }
 
 impl ShardRuntime {
-    fn release(&mut self, seq: u64, item: Pending) {
-        self.released.push(Release::Due(seq, item));
-        if self.released.len() >= BATCH_CAP {
+    /// Serves an interior worker, writing its events straight into the
+    /// release buffer.
+    // ltc-lint: hot-path
+    fn serve_local(&mut self, seq: u64, w: WorkerId, worker: &Worker) {
+        let shard = &mut self.shard;
+        self.released
+            .worker(seq, w, |events| shard.check_in_local(w, worker, events));
+        self.flush_if_full();
+    }
+
+    fn release_task(&mut self, seq: u64, task: TaskId) {
+        self.released.dues.push(Due {
+            seq,
+            what: Pending::Task { task },
+        });
+        self.flush_if_full();
+    }
+
+    fn flush_if_full(&mut self) {
+        if self.released.dues.len() >= BATCH_CAP {
             self.flush();
         }
     }
 
-    /// Appends the collected releases to this shard's inbox (the buffer
-    /// keeps its capacity) and delivers what they complete.
+    /// Appends the collected releases to this shard's inbox (the buffers
+    /// keep their capacity) and delivers what they complete.
     fn flush(&mut self) {
         if !self.released.is_empty() {
             self.delivery.post(self.shard_id, &mut self.released);
@@ -711,11 +739,7 @@ fn shard_loop(mut rt: ShardRuntime, rx: Receiver<ShardMsg>) {
         };
         rt.mailboxes[rt.shard_id].took_one();
         match msg {
-            ShardMsg::Local { seq, w, worker } => {
-                let mut events = Vec::new();
-                rt.shard.check_in_local(w, &worker, &mut events);
-                rt.release(seq, Pending::Worker { w, events });
-            }
+            ShardMsg::Local { seq, w, worker } => rt.serve_local(seq, w, &worker),
             ShardMsg::Gather {
                 seq,
                 w,
@@ -733,7 +757,7 @@ fn shard_loop(mut rt: ShardRuntime, rx: Receiver<ShardMsg>) {
                 accuracies,
             } => {
                 rt.shard.post(global, task, accuracies.as_deref());
-                rt.release(seq, Pending::Task { task: global });
+                rt.release_task(seq, global);
             }
             ShardMsg::Snapshot { reply } => {
                 rt.flush();
@@ -838,10 +862,11 @@ fn serve_rendezvous(
     st.completed.extend(completed);
     st.committed += 1;
     if st.committed == rv.expected {
-        let mut events = Vec::new();
-        append_merge_events(w, &st.proposals, &st.completed, &mut events);
+        rt.released.worker(seq, w, |events| {
+            append_merge_events(w, &st.proposals, &st.completed, events);
+        });
         drop(st);
-        rt.release(seq, Pending::Worker { w, events });
+        rt.flush_if_full();
     }
 }
 
@@ -877,25 +902,64 @@ fn wait_for_peers<'a>(
     st
 }
 
-/// Work handed to delivery through an inbox.
+/// Work handed to delivery through an inbox: finished submissions with
+/// their events laid flat, and the handle's control notes.
+#[derive(Debug, Default)]
+struct Releases {
+    /// Finished submissions, in increasing sequence order: a shard
+    /// finishes its mailbox in submission order, and the handle numbers
+    /// its drains as it sends them.
+    dues: Vec<Due>,
+    /// The worker dues' events, back to back in due order.
+    events: Vec<Event>,
+    /// New subscribers and advisory notices (the handle's inbox only).
+    controls: Vec<Control>,
+}
+
+impl Releases {
+    fn is_empty(&self) -> bool {
+        self.dues.is_empty() && self.controls.is_empty()
+    }
+
+    /// Moves everything in `other` to the end of this one, leaving
+    /// `other`'s buffers empty with their capacity.
+    // ltc-lint: hot-path
+    fn append(&mut self, other: &mut Releases) {
+        self.dues.append(&mut other.dues);
+        self.events.append(&mut other.events);
+        self.controls.append(&mut other.controls);
+    }
+
+    /// Releases worker `w`, submission `seq`, whose events `fill`
+    /// appends to the event list.
+    // ltc-lint: hot-path
+    fn worker(&mut self, seq: u64, w: WorkerId, fill: impl FnOnce(&mut Vec<Event>)) {
+        let start = self.events.len();
+        fill(&mut self.events);
+        let len = self.events.len() - start;
+        self.dues.push(Due {
+            seq,
+            what: Pending::Worker { w, len },
+        });
+    }
+}
+
+/// Submission `seq`'s outcome, delivered in sequence order (exactly one
+/// per submitted worker, posted task and drain).
 #[derive(Debug)]
-enum Release {
-    /// Submission `seq`'s outcome, delivered in sequence order
-    /// (exactly one per submitted worker, posted task and drain).
-    Due(u64, Pending),
-    /// A new subscriber, attached before the next delivery.
-    Subscribe(EventSink),
-    /// An advisory lifecycle notice, delivered with the next batch
-    /// (unordered).
-    Announce(Lifecycle),
+struct Due {
+    seq: u64,
+    what: Pending,
 }
 
 /// One submission's outcome, waiting for its turn in submission order.
 #[derive(Debug)]
 enum Pending {
+    /// A served check-in; its events are the next `len` of its inbox's
+    /// event list.
     Worker {
         w: WorkerId,
-        events: Vec<Event>,
+        len: usize,
     },
     Task {
         task: TaskId,
@@ -907,21 +971,63 @@ enum Pending {
     },
 }
 
+/// A note from the handle, acted on as soon as delivery takes it.
+#[derive(Debug)]
+enum Control {
+    /// A new subscriber, attached before the next delivery.
+    Subscribe(EventSink),
+    /// An advisory lifecycle notice, delivered with the next batch
+    /// (unordered).
+    Announce(Lifecycle),
+}
+
+/// One inbox's dues that delivery took but could not send yet, because
+/// an earlier submission (from another inbox) has not finished.
+#[derive(Debug, Default)]
+struct Parked {
+    dues: VecDeque<Due>,
+    /// The worker dues' events, in due order.
+    events: VecDeque<Event>,
+}
+
+impl Parked {
+    /// Whether the oldest due here is submission `seq`.
+    fn leads_with(&self, seq: u64) -> bool {
+        self.dues.front().is_some_and(|due| due.seq == seq)
+    }
+
+    /// Shrinks queues that a long-open window grew, once they emptied.
+    fn shrink_if_empty(&mut self) {
+        if self.dues.is_empty() {
+            self.dues.shrink_to(PARKED_KEEP);
+        }
+        if self.events.is_empty() {
+            self.events.shrink_to(PARKED_KEEP);
+        }
+    }
+}
+
 /// The re-order ring and everything a delivery uses, owned by whichever
-/// thread is delivering. Every buffer here keeps its capacity, so
-/// re-ordering and delivery allocate nothing once they have grown to
-/// the in-flight window.
+/// thread is delivering. Every buffer here keeps its capacity (a parked
+/// queue up to [`PARKED_KEEP`]), so re-ordering and delivery allocate
+/// nothing once they have grown to the in-flight window.
+///
+/// Each inbox's dues arrive in sequence order, so re-ordering is a
+/// merge: the next submission due is always at the front of one
+/// inbox's parked queue, and a queue only ever holds what its inbox
+/// finished ahead of the slowest one.
 #[derive(Debug, Default)]
 struct Ring {
-    /// `pending[i]` holds submission `next + i` once it has finished.
-    pending: VecDeque<Option<Pending>>,
+    /// One parked queue per inbox, in inbox order.
+    parked: Vec<Parked>,
+    /// The next submission to deliver.
     next: u64,
     subscribers: EventFanout,
     /// An inbox's releases, swapped out of it for parking (the inbox
     /// gets this buffer, emptied, in exchange).
-    taken: Vec<Release>,
+    taken: Releases,
     /// The delivery being assembled.
-    out: Vec<StreamEvent>,
+    out: EventBatch,
     /// Drains the delivery covers, acknowledged once it is sent.
     acks: Vec<SyncSender<()>>,
 }
@@ -933,41 +1039,70 @@ impl Ring {
     /// they complete to every subscriber as one batch (several past
     /// [`DELIVERY_CAP`]), adding it to the counters first. Only the
     /// ring's holder writes the counters.
-    fn combine(&mut self, inboxes: &[Mutex<Vec<Release>>], stats: &RuntimeStats) {
-        for inbox in inboxes {
+    // ltc-lint: hot-path
+    fn combine(&mut self, inboxes: &[Mutex<Releases>], stats: &RuntimeStats) {
+        if self.parked.len() < inboxes.len() {
+            self.parked.resize_with(inboxes.len(), Parked::default);
+        }
+        for (inbox, parked) in inboxes.iter().zip(self.parked.iter_mut()) {
             std::mem::swap(&mut *lock(inbox), &mut self.taken);
-            let mut taken = std::mem::take(&mut self.taken);
-            for release in taken.drain(..) {
-                match release {
-                    Release::Due(seq, item) => self.park(seq, item),
-                    Release::Subscribe(sink) => self.subscribers.attach(sink),
-                    Release::Announce(l) => self.out.push(StreamEvent::Lifecycle(l)),
+            for control in self.taken.controls.drain(..) {
+                match control {
+                    Control::Subscribe(sink) => self.subscribers.attach(sink),
+                    Control::Announce(l) => self.out.push(EventRef::Lifecycle(l)),
                 }
             }
-            self.taken = taken;
+            let mut last = parked.dues.back().map(|due| due.seq);
+            debug_assert!(
+                self.taken.dues.iter().all(|due| {
+                    let in_order = last < Some(due.seq);
+                    last = Some(due.seq);
+                    in_order
+                }),
+                "an inbox released out of sequence order"
+            );
+            parked.dues.extend(self.taken.dues.drain(..));
+            parked.events.extend(self.taken.events.drain(..));
         }
         let mut progress = Progress::default();
         let mut workers_seen = stats.workers_released.load(Ordering::Relaxed);
-        while let Some(slot) = self.pending.front_mut() {
-            let Some(item) = slot.take() else { break };
-            self.pending.pop_front();
+        let n = self.parked.len();
+        let mut from = 0;
+        while let Some(i) = (from..from + n)
+            .map(|k| k % n)
+            .find(|&i| self.parked[i].leads_with(self.next))
+        {
+            // The same inbox is likeliest to hold the next one too.
+            from = i;
+            let parked = &mut self.parked[i];
+            let Some(due) = parked.dues.pop_front() else {
+                break;
+            };
             self.next += 1;
-            let event = match item {
-                Pending::Worker { w, events } => {
-                    progress.note(&events);
+            match due.what {
+                Pending::Worker { w, len } => {
                     workers_seen += 1;
-                    StreamEvent::Worker { worker: w, events }
+                    self.out.push_worker_with(w, |events| {
+                        let list = events.list();
+                        let start = list.len();
+                        list.extend(parked.events.drain(..len));
+                        progress.note(&list[start..]);
+                        Some(())
+                    });
                 }
-                Pending::Task { task } => StreamEvent::TaskPosted { task },
+                Pending::Task { task } => self.out.push(EventRef::TaskPosted { task }),
                 Pending::Flush { ack } => {
                     self.acks.push(ack);
-                    StreamEvent::Lifecycle(Lifecycle::Drained { workers_seen })
+                    self.out
+                        .push(EventRef::Lifecycle(Lifecycle::Drained { workers_seen }));
                 }
-            };
-            self.out.push(event);
+            }
             if self.out.len() >= DELIVERY_CAP {
                 self.subscribers.deliver(&mut self.out);
             }
+        }
+        for parked in &mut self.parked {
+            parked.shrink_if_empty();
         }
         stats.add(&progress);
         stats
@@ -978,16 +1113,6 @@ impl Ring {
             ack.send(()).ok();
         }
     }
-
-    /// Parks submission `seq`'s outcome in the slot `seq - next` from
-    /// the front.
-    fn park(&mut self, seq: u64, item: Pending) {
-        let at = (seq - self.next) as usize;
-        if at >= self.pending.len() {
-            self.pending.resize_with(at + 1, || None);
-        }
-        self.pending[at] = Some(item);
-    }
 }
 
 #[cfg(test)]
@@ -996,8 +1121,10 @@ mod tests {
     use crate::model::ProblemParams;
     use crate::service::state::ServiceState;
     use crate::service::ServiceBuilder;
+    use crate::service::StreamEvent;
     use ltc_spatial::{BoundingBox, Point};
     use std::num::NonZeroUsize;
+    use std::ops::ControlFlow;
     use std::time::Instant;
 
     fn runtime(n_shards: usize, capacity: usize) -> Runtime {
@@ -1322,6 +1449,71 @@ mod tests {
             .collect();
         assert_eq!(workers, (0..400).collect::<Vec<_>>());
         handle.close().unwrap();
+    }
+
+    #[test]
+    fn a_window_two_shards_hold_open_parks_bounded_storage() {
+        // Shard 0 finishes the even submissions, shard 1 the odd ones,
+        // and shard 1 stays `LEAD` of its own ahead the whole run, so the
+        // re-order window never closes.
+        const LEAD: u64 = 100;
+        const ROUNDS: u64 = 50_000;
+        let delivery = Delivery {
+            inboxes: (0..3).map(|_| Mutex::default()).collect(),
+            ring: Mutex::default(),
+            stats: RuntimeStats::default(),
+        };
+        let (sink, mut stream) = event_channel();
+        delivery.post_control(Control::Subscribe(sink));
+        // Submission `seq` yields `seq % 4` events.
+        let finish = |releases: &mut Releases, seq: u64| {
+            releases.worker(seq, WorkerId(seq), |events| {
+                events.extend((0..seq % 4).map(|_| Event::WorkerIdle {
+                    worker: WorkerId(seq),
+                }));
+            });
+        };
+        let mut releases = Releases::default();
+        for r in 0..LEAD {
+            finish(&mut releases, 2 * r + 1);
+        }
+        delivery.post(1, &mut releases);
+        let mut next = 0;
+        let mut parked_max = 0;
+        for r in 0..ROUNDS {
+            finish(&mut releases, 2 * r);
+            delivery.post(0, &mut releases);
+            finish(&mut releases, 2 * (r + LEAD) + 1);
+            delivery.post(1, &mut releases);
+            let ring = lock(&delivery.ring);
+            assert_eq!(ring.parked[1].dues.len() as u64, LEAD, "round {r}");
+            let parked: usize = ring
+                .parked
+                .iter()
+                .map(|p| p.dues.capacity() + p.events.capacity())
+                .sum();
+            parked_max = parked_max.max(parked);
+            drop(ring);
+            stream.recv_each(Some(Duration::ZERO), |event| {
+                match event {
+                    EventRef::Worker { worker, events } => {
+                        assert_eq!(worker.0, next);
+                        assert_eq!(events.len() as u64, next % 4);
+                    }
+                    other => panic!("expected worker {next}, got {other:?}"),
+                }
+                next += 1;
+                ControlFlow::Continue(())
+            });
+        }
+        assert_eq!(next, 2 * ROUNDS);
+        // The window holds `LEAD` dues and at most `3 * LEAD` events; an
+        // arena that only reclaimed space once the window closed would
+        // have grown with the run instead.
+        assert!(
+            parked_max <= 8 * LEAD as usize,
+            "{parked_max} slots parked for a window of {LEAD}"
+        );
     }
 
     /// The names of this process's threads.

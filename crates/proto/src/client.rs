@@ -7,8 +7,8 @@ use crate::session_table::SessionConfig;
 use crate::wire::{self, Request, Response, SessionStat};
 use ltc_core::model::{Task, TaskId, Worker, WorkerId};
 use ltc_core::service::{
-    EventFanout, EventStream, RebalanceOutcome, ServiceError, ServiceMetrics, ServiceSnapshot,
-    Session, SessionInfo, WindowAck,
+    EventBatch, EventFanout, EventStream, RebalanceOutcome, ServiceError, ServiceMetrics,
+    ServiceSnapshot, Session, SessionInfo, WindowAck,
 };
 use std::collections::VecDeque;
 use std::io::{BufReader, Write as _};
@@ -160,9 +160,10 @@ impl LtcClient {
             .name("ltc-client-reader".into())
             .spawn(move || {
                 // Every frame is read into this one buffer, and decoded
-                // events collect in `batch` until the next delivery.
+                // events collect in `batch`, in place, until the next
+                // delivery.
                 let mut line = Vec::new();
-                let mut batch = Vec::new();
+                let mut batch = EventBatch::new();
                 let failure = loop {
                     // About to block on the socket (no whole frame left
                     // in the read buffer)? Deliver what is decoded first.
@@ -171,9 +172,8 @@ impl LtcClient {
                     }
                     match wire::read_frame_into(&mut reader, &mut line) {
                         Ok(Some(frame)) if wire::is_event_frame(frame) => {
-                            match wire::decode_event(frame) {
-                                Ok(event) => batch.push(event),
-                                Err(what) => break Some(format!("bad event frame: {what}")),
+                            if let Err(what) = wire::decode_event_into(frame, &mut batch) {
+                                break Some(format!("bad event frame: {what}"));
                             }
                         }
                         Ok(Some(frame)) => {
@@ -248,13 +248,6 @@ impl LtcClient {
     /// The address of the serving peer.
     pub fn peer_addr(&self) -> Option<std::net::SocketAddr> {
         self.stream.peer_addr().ok()
-    }
-
-    /// The session this connection is bound to (`"default"` until a
-    /// successful [`open_session`](LtcClient::open_session) or
-    /// [`attach_session`](LtcClient::attach_session)).
-    pub fn session_id(&self) -> &str {
-        &self.sid
     }
 
     /// Creates (and binds to) a named session on the server — the
@@ -704,7 +697,7 @@ mod tests {
                 wire::read_frame(&mut reader).unwrap().unwrap();
                 out.clear();
                 for event in events {
-                    wire::encode_event_into(&mut out, event, sid);
+                    wire::encode_event_into(&mut out, event.into(), sid);
                 }
                 reply.encode_into(&mut out, sid);
                 (&conn).write_all(out.as_bytes()).unwrap();

@@ -83,9 +83,10 @@
 
 use crate::session_table::{SessionConfig, SessionEntry, SessionTable};
 use crate::wire::{self, Request, Response};
-use ltc_core::service::{EventStream, ServiceError, Session, StreamEvent};
+use ltc_core::service::{EventStream, ServiceError, Session};
 use std::io::{self, BufReader};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -479,25 +480,28 @@ fn flush_batch(writer: &Arc<Mutex<TcpStream>>, batch: &mut String) -> io::Result
     result
 }
 
-/// Appends `first`, then every event the stream already has ready, to
-/// `batch` as whole `\n`-terminated event frames, encoded in place,
-/// each carrying `sid` when there is one ([`Binding::sid`]). Stops once
-/// the batch reaches [`ACK_BATCH_CAP`] (at a frame boundary; the rest
-/// stays queued for the next batch) or nothing more is ready.
-fn fill_event_batch(
-    stream: &EventStream,
-    first: StreamEvent,
+/// Waits up to `wait` for `stream` to have events, then appends every
+/// event that is ready to `batch` as whole `\n`-terminated event
+/// frames, encoded in place from the borrowed deliveries, each carrying
+/// `sid` when there is one ([`Binding::sid`]). Stops once the batch
+/// reaches [`ACK_BATCH_CAP`] (at a frame boundary; the rest stays
+/// queued for the next call) or nothing more is ready. Returns how many
+/// frames it appended, or `None` once the stream has ended.
+// ltc-lint: hot-path
+fn encode_ready_events(
+    stream: &mut EventStream,
+    wait: Duration,
     sid: Option<&str>,
     batch: &mut String,
-) {
-    let mut next = Some(first);
-    while let Some(event) = next {
-        wire::encode_event_into(batch, &event, sid);
+) -> Option<usize> {
+    stream.recv_each(Some(wait), |event| {
+        wire::encode_event_into(batch, event, sid);
         if batch.len() >= ACK_BATCH_CAP {
-            return;
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
         }
-        next = stream.try_recv();
-    }
+    })
 }
 
 /// The connection edge every decoded request passes before it runs.
@@ -625,7 +629,7 @@ fn execute(
             if forwarder.is_some() {
                 return (Response::Subscribe, false); // idempotent per connection
             }
-            let stream = {
+            let mut stream = {
                 let mut session = binding.entry.lock();
                 match session.subscribe() {
                     Ok(stream) => stream,
@@ -643,32 +647,33 @@ fn execute(
                     // Events that are already waiting go out together in
                     // one locked `write`; the forwarder only blocks (on
                     // the stream) with nothing left to send.
+                    let sid = sid.as_deref();
                     let mut batch = String::new();
                     loop {
-                        match stream.recv_timeout(FORWARDER_POLL) {
-                            Some(event) => {
-                                fill_event_batch(&stream, event, sid.as_deref(), &mut batch);
+                        match encode_ready_events(&mut stream, FORWARDER_POLL, sid, &mut batch) {
+                            Some(1..) => {
                                 if flush_batch(&writer, &mut batch).is_err() {
                                     return;
                                 }
                             }
                             // Idle (or the stream ended — the two are
-                            // indistinguishable here): keep pacing until
-                            // the peer leaves, the session is evicted, or
-                            // the server stops, then let the channel
-                            // drain one last time and exit.
-                            None => {
+                            // treated alike here): keep pacing until the
+                            // peer leaves, the session is evicted, or the
+                            // server stops, then let the channel drain
+                            // one last time and exit.
+                            Some(0) | None => {
                                 if gone.load(Ordering::SeqCst)
                                     || entry.is_closed()
                                     || shared.stopping.load(Ordering::SeqCst)
                                 {
-                                    while let Some(event) = stream.try_recv() {
-                                        fill_event_batch(
-                                            &stream,
-                                            event,
-                                            sid.as_deref(),
-                                            &mut batch,
-                                        );
+                                    while encode_ready_events(
+                                        &mut stream,
+                                        Duration::ZERO,
+                                        sid,
+                                        &mut batch,
+                                    )
+                                    .is_some_and(|n| n > 0)
+                                    {
                                         if flush_batch(&writer, &mut batch).is_err() {
                                             return;
                                         }
@@ -806,7 +811,7 @@ mod tests {
     use super::*;
     use crate::client::LtcClient;
     use ltc_core::model::{ProblemParams, Worker};
-    use ltc_core::service::ServiceBuilder;
+    use ltc_core::service::{EventBatch, EventRef, ServiceBuilder, StreamEvent};
     use ltc_spatial::{BoundingBox, Point};
 
     fn test_session() -> ltc_core::service::ServiceHandle {
@@ -824,7 +829,11 @@ mod tests {
     fn stream_of(events: &[StreamEvent]) -> EventStream {
         let mut fanout = ltc_core::service::EventFanout::default();
         let stream = fanout.subscribe();
-        fanout.deliver(&mut events.to_vec());
+        let mut batch = EventBatch::new();
+        for event in events {
+            batch.push(EventRef::from(event));
+        }
+        fanout.deliver(&mut batch);
         stream
     }
 
@@ -847,10 +856,12 @@ mod tests {
     #[test]
     fn an_event_batch_holds_every_ready_event_in_order() {
         let events = posted(40);
-        let stream = stream_of(&events);
+        let mut stream = stream_of(&events);
         let mut batch = String::new();
-        let first = stream.try_recv().unwrap();
-        fill_event_batch(&stream, first, Some("west"), &mut batch);
+        assert_eq!(
+            encode_ready_events(&mut stream, Duration::ZERO, Some("west"), &mut batch),
+            Some(events.len())
+        );
         assert_eq!(
             stream.try_recv(),
             None,
@@ -867,9 +878,9 @@ mod tests {
     #[test]
     fn a_v1_event_batch_is_byte_identical_to_single_frames() {
         let events = posted(5);
-        let stream = stream_of(&events);
+        let mut stream = stream_of(&events);
         let mut batch = String::new();
-        fill_event_batch(&stream, stream.try_recv().unwrap(), None, &mut batch);
+        encode_ready_events(&mut stream, Duration::ZERO, None, &mut batch);
         let expected: String = events
             .iter()
             .map(|e| format!("{}\n", wire::encode_event(e)))
@@ -885,12 +896,11 @@ mod tests {
             events.len() * frame_len > 2 * ACK_BATCH_CAP,
             "the burst must overflow"
         );
-        let stream = stream_of(&events);
+        let mut stream = stream_of(&events);
         let mut batch = String::new();
         let mut decoded = Vec::new();
         let mut batches = 0;
-        while let Some(first) = stream.try_recv() {
-            fill_event_batch(&stream, first, None, &mut batch);
+        while encode_ready_events(&mut stream, Duration::ZERO, None, &mut batch).is_some() {
             assert!(
                 batch.len() < ACK_BATCH_CAP + frame_len,
                 "{} bytes",

@@ -35,7 +35,7 @@
 //! Sessions with live bindings never expire, however quiet.
 
 use crate::wire;
-use ltc_core::service::{Algorithm, Lifecycle, ServiceError, Session, SessionInfo};
+use ltc_core::service::{Algorithm, Lifecycle, ServiceError, Session};
 use ltc_spatial::BoundingBox;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -387,12 +387,6 @@ impl SessionTable {
                 }
             })
             .collect()
-    }
-
-    /// Describes one live session without a connection binding (the
-    /// serve banner uses it for the default session).
-    pub fn info_of(&self, name: &str) -> Result<SessionInfo, ServiceError> {
-        Ok(self.get(name)?.lock().info())
     }
 
     /// Shuts every session down (server `shutdown` / stop). Sessions

@@ -71,7 +71,8 @@
 use crate::json::{self, Json};
 use ltc_core::model::{ProblemParams, QualityModel, Task, TaskId, Worker, WorkerId};
 use ltc_core::service::{
-    Algorithm, Event, Lifecycle, RebalanceOutcome, ServiceMetrics, SessionInfo, StreamEvent,
+    Algorithm, Event, EventBatch, EventRef, Lifecycle, RebalanceOutcome, ServiceMetrics,
+    SessionInfo, StreamEvent,
 };
 use ltc_spatial::{BoundingBox, Point};
 use std::borrow::Cow;
@@ -350,47 +351,43 @@ fn fast_decode_ack(frame: &str) -> Option<Response> {
     (rest == b"}").then_some(response)
 }
 
-/// The event fast path (see the block comment above): `worker` frames
-/// (`assign`/`done`/`idle` entries) and `task` frames, whose `"sid"`
-/// the client ignores exactly like the generic route does. The batch's
-/// `Vec` is its only allocation.
+/// The event fast path (see the block comment above): appends a
+/// `worker` frame (`assign`/`done`/`idle` entries) or a `task` frame to
+/// `batch`, ignoring its `"sid"` exactly like the generic route does.
+/// It writes the events straight into the batch, so a warm batch takes
+/// the frame without allocating; on `None` the batch is left as it was.
 // ltc-lint: hot-path
-fn fast_decode_event(frame: &str) -> Option<StreamEvent> {
+fn fast_decode_into(frame: &str, batch: &mut EventBatch) -> Option<()> {
     let bytes = frame.as_bytes();
     if let Some(rest) = bytes.strip_prefix(b"{\"ev\":\"task\",\"task\":") {
         let (task, rest) = eat_task_id(rest)?;
         let (_sid, rest) = eat_sid(rest)?;
-        return (rest == b"}").then_some(StreamEvent::TaskPosted { task });
+        (rest == b"}").then_some(())?;
+        batch.push(EventRef::TaskPosted { task });
+        return Some(());
     }
     let rest = bytes.strip_prefix(b"{\"ev\":\"worker\",\"worker\":")?;
     let (id, rest) = eat_u64(rest)?;
     let worker = WorkerId(id);
     let mut rest = rest.strip_prefix(b",\"batch\":[")?;
-    // Entries are flat objects, so the braces before the first `]`
-    // count them and the batch is sized once.
-    let entries = rest
-        .iter()
-        .take_while(|&&b| b != b']')
-        .filter(|&&b| b == b'{')
-        .count();
-    // ltc-lint: allow(L004) the delivered batch owns its events: one allocation per frame, sized up front
-    let mut events = Vec::with_capacity(entries);
-    if let Some(r) = rest.strip_prefix(b"]") {
-        rest = r;
-    } else {
-        loop {
-            let (event, r) = eat_batch_entry(rest, worker)?;
-            events.push(event);
-            if let Some(r) = r.strip_prefix(b",") {
-                rest = r;
-            } else {
-                rest = r.strip_prefix(b"]")?;
-                break;
+    batch.push_worker_with(worker, |events| {
+        if let Some(r) = rest.strip_prefix(b"]") {
+            rest = r;
+        } else {
+            loop {
+                let (event, r) = eat_batch_entry(rest, worker)?;
+                events.push(event);
+                if let Some(r) = r.strip_prefix(b",") {
+                    rest = r;
+                } else {
+                    rest = r.strip_prefix(b"]")?;
+                    break;
+                }
             }
         }
-    }
-    let (_sid, rest) = eat_sid(rest)?;
-    (rest == b"}").then_some(StreamEvent::Worker { worker, events })
+        let (_sid, rest) = eat_sid(rest)?;
+        (rest == b"}").then_some(())
+    })
 }
 
 /// Consumes one entry of a `worker` frame's batch.
@@ -1264,16 +1261,17 @@ pub fn is_event_frame(frame: &str) -> bool {
 /// Serializes one subscription delivery as an event frame.
 pub fn encode_event(event: &StreamEvent) -> String {
     let mut out = String::with_capacity(128);
-    push_event(&mut out, event);
+    push_event(&mut out, event.into());
     out
 }
 
 /// Appends one event frame to `out`: the [`encode_event`] bytes, then
-/// `sid` as [`with_sid`] would add it, then the `\n` delimiter. Every
-/// kind is written in place, so a warm buffer takes it without
-/// allocating.
+/// `sid` as [`with_sid`] would add it, then the `\n` delimiter. The
+/// delivery is borrowed (from an [`EventBatch`], or from a
+/// [`StreamEvent`] through `EventRef::from`) and every kind is written
+/// in place, so a warm buffer takes it without allocating.
 // ltc-lint: hot-path
-pub fn encode_event_into(out: &mut String, event: &StreamEvent, sid: Option<&str>) {
+pub fn encode_event_into(out: &mut String, event: EventRef<'_>, sid: Option<&str>) {
     push_event(out, event);
     finish_frame(out, sid);
 }
@@ -1281,9 +1279,9 @@ pub fn encode_event_into(out: &mut String, event: &StreamEvent, sid: Option<&str
 /// Appends the event frame itself, the layout [`encode_event`] and
 /// [`encode_event_into`] share.
 // ltc-lint: hot-path
-fn push_event(out: &mut String, event: &StreamEvent) {
+fn push_event(out: &mut String, event: EventRef<'_>) {
     match event {
-        StreamEvent::Worker { worker, events } => {
+        EventRef::Worker { worker, events } => {
             out.push_str("{\"ev\":\"worker\",\"worker\":");
             json::push_u64(out, worker.0);
             out.push_str(",\"batch\":[");
@@ -1315,14 +1313,14 @@ fn push_event(out: &mut String, event: &StreamEvent) {
             }
             out.push_str("]}");
         }
-        StreamEvent::TaskPosted { task } => {
+        EventRef::TaskPosted { task } => {
             out.push_str("{\"ev\":\"task\",\"task\":");
             json::push_u64(out, u64::from(task.0));
             out.push('}');
         }
-        StreamEvent::Lifecycle(l) => {
+        EventRef::Lifecycle(l) => {
             out.push_str("{\"ev\":\"life\",\"kind\":");
-            match l {
+            match &l {
                 Lifecycle::Drained { workers_seen } => {
                     out.push_str("\"drained\",\"workers\":");
                     json::push_u64(out, *workers_seen);
@@ -1362,15 +1360,28 @@ fn push_event(out: &mut String, event: &StreamEvent) {
     }
 }
 
-/// Parses an event frame back into the typed delivery.
+/// Parses an event frame back into the typed delivery: the owned
+/// counterpart of [`decode_event_into`].
 pub fn decode_event(frame: &str) -> Result<StreamEvent, WireError> {
-    if let Some(event) = fast_decode_event(frame) {
-        return Ok(event);
-    }
-    decode_event_generic(frame)
+    let mut batch = EventBatch::new();
+    decode_event_into(frame, &mut batch)?;
+    let event = batch.iter().next().map(StreamEvent::from);
+    event.ok_or_else(|| "an event frame decoded to no delivery".to_string())
 }
 
-/// The generic JSON route [`decode_event`] falls back to when the
+/// Parses an event frame and appends the delivery to `batch`. A
+/// `worker` or `task` frame in our own encoders' layout is decoded
+/// straight into the batch, without allocating once the batch is warm;
+/// any other frame takes the generic JSON route. On an error the batch
+/// is left as it was.
+pub fn decode_event_into(frame: &str, batch: &mut EventBatch) -> Result<(), WireError> {
+    if fast_decode_into(frame, batch).is_none() {
+        batch.push(EventRef::from(&decode_event_generic(frame)?));
+    }
+    Ok(())
+}
+
+/// The generic JSON route [`decode_event_into`] falls back to when the
 /// frame is not a hot-path event (also exercised directly by the
 /// fast-path differential test).
 fn decode_event_generic(frame: &str) -> Result<StreamEvent, WireError> {
@@ -1843,6 +1854,31 @@ mod tests {
         }
     }
 
+    /// The batch decoder's verdict on `frame`, decoded into a batch that
+    /// already holds a worker's delivery: the one delivery it appended,
+    /// or `None` with the batch exactly as it was.
+    fn fast_decode_event(frame: &str) -> Option<StreamEvent> {
+        let earlier = WorkerId(98);
+        let mut batch = EventBatch::new();
+        batch.push(EventRef::Worker {
+            worker: earlier,
+            events: &[Event::WorkerIdle { worker: earlier }],
+        });
+        let before = batch.clone();
+        if fast_decode_into(frame, &mut batch).is_none() {
+            assert_eq!(
+                batch, before,
+                "a refused frame changed the batch: {frame:?}"
+            );
+            return None;
+        }
+        let mut deliveries = batch.iter();
+        assert_eq!(deliveries.next(), before.iter().next(), "{frame:?}");
+        let decoded = deliveries.next().map(StreamEvent::from);
+        assert_eq!(deliveries.next(), None, "{frame:?}");
+        decoded
+    }
+
     #[test]
     fn fast_paths_agree_with_the_generic_parser() {
         // Requests: every hot-frame variant (seq/sid tails, windowed or
@@ -2016,7 +2052,7 @@ mod tests {
             };
             for event in sample_events() {
                 let mut out = String::from("prior\n");
-                encode_event_into(&mut out, &event, sid);
+                encode_event_into(&mut out, (&event).into(), sid);
                 assert_eq!(out, frame(encode_event(&event)));
             }
             for request in sample_requests() {

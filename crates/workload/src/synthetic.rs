@@ -114,11 +114,6 @@ impl Default for SyntheticConfig {
 }
 
 impl SyntheticConfig {
-    /// The paper's default synthetic setting (bold entries of Table IV).
-    pub fn table_iv_default() -> Self {
-        Self::default()
-    }
-
     /// The scalability setting of Table IV: the given `|T|`
     /// (10k–100k in the paper) with `|W| = 400 000`.
     pub fn scalability(n_tasks: usize) -> Self {
