@@ -3,13 +3,14 @@
 //! A check-in crosses the wire as three frames: the `submit` (or
 //! `post`) request, its acknowledgement, and the `worker` (or `task`)
 //! event. Windowed or lockstep, each is encoded straight into a reused
-//! buffer and decoded by an exact-layout scan from a reused read
-//! buffer, so in steady state:
+//! byte buffer and decoded by an exact-layout scan of the bytes a
+//! [`FrameReader`] hands out, so in steady state:
 //!
-//! * decoding a `worker` or `task` event frame into a warm
-//!   [`EventBatch`] (the client reader's) allocates nothing;
-//! * decoding a `submit` or `post`, or an acknowledgement, allocates
-//!   nothing;
+//! * reading and decoding any of them from a warm reader allocates
+//!   nothing: in place from the read buffer, and through the reused
+//!   buffer a frame that straddles a refill is assembled in, a `worker`
+//!   or `task` event into a warm [`EventBatch`] (the client reader's)
+//!   included;
 //! * encoding any of them into a warm buffer allocates nothing, events
 //!   borrowed from an `EventBatch` (the server forwarder's) included.
 //!
@@ -20,9 +21,9 @@
 use ltc_bench::alloc::thread_alloc_count;
 use ltc_core::model::{Task, TaskId, Worker, WorkerId};
 use ltc_core::service::{Event, EventBatch, EventRef, Lifecycle, StreamEvent};
-use ltc_proto::wire::{self, Request, Response};
+use ltc_proto::wire::{self, FrameReader, Request, Response};
 use ltc_spatial::Point;
-use std::io::Cursor;
+use std::io::{BufReader, Cursor};
 
 const SID: &str = "default";
 
@@ -72,12 +73,46 @@ fn windowed_post(seq: u64) -> Request {
     post(seq, Some(seq))
 }
 
-/// `frames` as one byte stream, each with the session id and `\n`.
+/// `frames` as one byte stream, each with the session id and `\n`,
+/// twice over: a warm-up pass, then the measured one.
 fn stream_of(frames: &[String]) -> Vec<u8> {
-    frames
+    let once: Vec<u8> = frames
         .iter()
         .flat_map(|f| format!("{}\n", wire::with_sid(f.clone(), SID)).into_bytes())
-        .collect()
+        .collect();
+    [once.as_slice(), once.as_slice()].concat()
+}
+
+/// Frame readers over `bytes`: one whose buffer holds the whole stream,
+/// so every frame is decoded in place, and one smaller than any frame,
+/// so every frame straddles a refill and is assembled in the reader's
+/// reused buffer.
+fn readers(bytes: &[u8]) -> [FrameReader<Cursor<&[u8]>>; 2] {
+    [bytes.len(), 16]
+        .map(|capacity| FrameReader::new(BufReader::with_capacity(capacity, Cursor::new(bytes))))
+}
+
+/// Reads `n` frames from `frames` without counting (the warm-up pass),
+/// then `n` more, asserting that reading and decoding each with
+/// `decode` allocates nothing.
+fn assert_warm_reads_allocate_nothing(
+    frames: &mut FrameReader<Cursor<&[u8]>>,
+    n: usize,
+    mut decode: impl FnMut(usize, &[u8]),
+) {
+    for i in 0..n {
+        let frame = frames.next_frame().unwrap().expect("the warm-up pass");
+        decode(i, frame);
+    }
+    for i in 0..n {
+        let before = thread_alloc_count();
+        let frame = frames.next_frame().unwrap().expect("the measured pass");
+        decode(i, frame);
+        let allocs = thread_alloc_count() - before;
+        let text = String::from_utf8_lossy(frame).into_owned();
+        assert_eq!(allocs, 0, "decoding {text} allocated {allocs} time(s)");
+    }
+    assert_eq!(frames.next_frame().unwrap(), None);
 }
 
 #[test]
@@ -89,28 +124,19 @@ fn decoding_event_frames_into_a_warm_batch_allocates_nothing() {
         })
         .collect();
     let bytes = stream_of(&events.iter().map(wire::encode_event).collect::<Vec<_>>());
-    let mut line = Vec::new();
-    let mut batch = EventBatch::new();
-    // Warm-up pass: the read buffer reaches the longest frame's length,
-    // and the batch the size of the whole run.
-    let mut warm = Cursor::new(bytes.as_slice());
-    while let Some(frame) = wire::read_frame_into(&mut warm, &mut line).unwrap() {
-        wire::decode_event_into(frame, &mut batch).unwrap();
+    for mut frames in readers(&bytes) {
+        // The batch grows to the size of the whole run in the warm-up
+        // pass, and is emptied before the measured one.
+        let mut batch = EventBatch::new();
+        assert_warm_reads_allocate_nothing(&mut frames, events.len(), |i, frame| {
+            if i == 0 {
+                batch.clear();
+            }
+            wire::decode_event_into(frame, &mut batch).unwrap();
+        });
+        let decoded: Vec<StreamEvent> = batch.iter().map(StreamEvent::from).collect();
+        assert_eq!(decoded, events);
     }
-    batch.clear();
-
-    let mut reader = Cursor::new(bytes.as_slice());
-    for _ in &events {
-        let before = thread_alloc_count();
-        let frame = wire::read_frame_into(&mut reader, &mut line)
-            .unwrap()
-            .expect("one frame per event");
-        wire::decode_event_into(frame, &mut batch).unwrap();
-        let allocs = thread_alloc_count() - before;
-        assert_eq!(allocs, 0, "decoding {frame} allocated {allocs} time(s)");
-    }
-    let decoded: Vec<StreamEvent> = batch.iter().map(StreamEvent::from).collect();
-    assert_eq!(decoded, events);
 }
 
 #[test]
@@ -143,37 +169,17 @@ fn decoding_requests_and_acks_allocates_nothing() {
         .collect();
     let request_bytes = stream_of(&requests.iter().map(Request::encode).collect::<Vec<_>>());
     let ack_bytes = stream_of(&acks.iter().map(Response::encode).collect::<Vec<_>>());
-    let mut line = Vec::new();
-    for bytes in [&request_bytes, &ack_bytes] {
-        let mut warm = Cursor::new(bytes.as_slice());
-        while wire::read_frame_into(&mut warm, &mut line)
-            .unwrap()
-            .is_some()
-        {}
+    for mut frames in readers(&request_bytes) {
+        assert_warm_reads_allocate_nothing(&mut frames, requests.len(), |i, frame| {
+            let (request, sid) = Request::decode_bytes(frame).unwrap();
+            assert_eq!(request, requests[i]);
+            assert_eq!(sid.as_deref(), Some(SID.as_bytes()));
+        });
     }
-
-    let mut reader = Cursor::new(request_bytes.as_slice());
-    for expected in &requests {
-        let before = thread_alloc_count();
-        let frame = wire::read_frame_into(&mut reader, &mut line)
-            .unwrap()
-            .expect("one frame per request");
-        let (request, sid) = Request::decode(frame).unwrap();
-        let allocs = thread_alloc_count() - before;
-        assert_eq!(allocs, 0, "decoding {frame} allocated {allocs} time(s)");
-        assert_eq!(&request, expected);
-        assert_eq!(sid.as_deref(), Some(SID));
-    }
-    let mut reader = Cursor::new(ack_bytes.as_slice());
-    for expected in &acks {
-        let before = thread_alloc_count();
-        let frame = wire::read_frame_into(&mut reader, &mut line)
-            .unwrap()
-            .expect("one frame per ack");
-        let ack = Response::decode(frame).unwrap();
-        let allocs = thread_alloc_count() - before;
-        assert_eq!(allocs, 0, "decoding {frame} allocated {allocs} time(s)");
-        assert_eq!(&ack, expected);
+    for mut frames in readers(&ack_bytes) {
+        assert_warm_reads_allocate_nothing(&mut frames, acks.len(), |i, frame| {
+            assert_eq!(Response::decode_bytes(frame).unwrap(), acks[i]);
+        });
     }
 }
 
@@ -227,8 +233,8 @@ fn encoding_hot_frames_into_a_warm_batch_allocates_nothing() {
         submit(7, None),
         post(8, None),
     ];
-    let mut batch = String::new();
-    let fill = |batch: &mut String| {
+    let mut batch = Vec::new();
+    let fill = |batch: &mut Vec<u8>| {
         batch.clear();
         for event in events.iter() {
             wire::encode_event_into(batch, event, Some(SID));

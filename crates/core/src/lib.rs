@@ -188,6 +188,7 @@
 
 pub mod bounds;
 pub mod engine;
+pub mod hex;
 pub mod metrics;
 pub mod model;
 pub mod offline;

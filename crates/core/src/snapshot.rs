@@ -65,6 +65,7 @@
 //! [`SnapshotError`]; the reader never panics on malformed input.
 
 use crate::engine::EngineState;
+use crate::hex;
 use crate::model::{
     AccuracyModel, AccuracyTable, Assignment, Eligibility, ProblemParams, QualityModel, Task,
     TaskId, WorkerId,
@@ -126,21 +127,29 @@ impl From<io::Error> for SnapshotError {
     }
 }
 
-fn bits(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
+/// Writes each of `values` as a space and then its 16-hex-digit bit
+/// pattern.
+fn put<W: Write>(out: &mut W, values: &[f64]) -> io::Result<()> {
+    for &v in values {
+        let mut word = [b' '; 17];
+        word[1..].copy_from_slice(&hex::f64_digits(v));
+        out.write_all(&word)?;
+    }
+    Ok(())
 }
 
 /// Serializes a [`ServiceSnapshot`] into the v1 text format.
 pub fn write_snapshot<W: Write>(snap: &ServiceSnapshot, mut out: W) -> io::Result<()> {
+    let out = &mut out;
     writeln!(out, "{SNAPSHOT_HEADER}")?;
     let p = &snap.params;
+    write!(out, "params")?;
+    put(out, &[p.epsilon])?;
+    write!(out, " {}", p.capacity)?;
+    put(out, &[p.d_max, p.min_accuracy])?;
     write!(
         out,
-        "params {} {} {} {} {}",
-        bits(p.epsilon),
-        p.capacity,
-        bits(p.d_max),
-        bits(p.min_accuracy),
+        " {}",
         match p.eligibility {
             Eligibility::WithinRange => "within",
             Eligibility::Unrestricted => "unrestricted",
@@ -148,16 +157,16 @@ pub fn write_snapshot<W: Write>(snap: &ServiceSnapshot, mut out: W) -> io::Resul
     )?;
     match p.quality {
         QualityModel::Hoeffding => writeln!(out, " hoeffding")?,
-        QualityModel::FixedThreshold(th) => writeln!(out, " fixed {}", bits(th))?,
+        QualityModel::FixedThreshold(th) => {
+            write!(out, " fixed")?;
+            put(out, &[th])?;
+            writeln!(out)?;
+        }
     }
-    writeln!(
-        out,
-        "region {} {} {} {}",
-        bits(snap.region.min.x),
-        bits(snap.region.min.y),
-        bits(snap.region.max.x),
-        bits(snap.region.max.y)
-    )?;
+    write!(out, "region")?;
+    let r = &snap.region;
+    put(out, &[r.min.x, r.min.y, r.max.x, r.max.y])?;
+    writeln!(out)?;
     let algo = match snap.algorithm {
         Algorithm::Laf => "laf".to_string(),
         Algorithm::Aam => "aam".to_string(),
@@ -165,25 +174,16 @@ pub fn write_snapshot<W: Write>(snap: &ServiceSnapshot, mut out: W) -> io::Resul
         Algorithm::AamLrf => "aam-lrf".to_string(),
         Algorithm::Random { seed } => format!("random {seed}"),
     };
-    write!(
-        out,
-        "config {algo} {} {} {}",
-        bits(snap.cell_size),
-        snap.batch_capacity,
-        snap.next_arrival
-    )?;
+    write!(out, "config {algo}")?;
+    put(out, &[snap.cell_size])?;
+    write!(out, " {} {}", snap.batch_capacity, snap.next_arrival)?;
     if let Some(clamps) = snap.grow_clamps {
         write!(out, " grow {clamps}")?;
     }
     if let Some(stripes) = &snap.stripes {
-        write!(
-            out,
-            " stripes {} {} {} {}",
-            stripes.starts.len(),
-            bits(stripes.cell_size),
-            bits(stripes.origin_x),
-            stripes.cols
-        )?;
+        write!(out, " stripes {}", stripes.starts.len())?;
+        put(out, &[stripes.cell_size, stripes.origin_x])?;
+        write!(out, " {}", stripes.cols)?;
         for &s in &stripes.starts {
             write!(out, " {s}")?;
         }
@@ -201,25 +201,19 @@ pub fn write_snapshot<W: Write>(snap: &ServiceSnapshot, mut out: W) -> io::Resul
         }
         match e.index_geometry {
             None => writeln!(out, "noindex")?,
-            Some((cs, b)) => writeln!(
-                out,
-                "index {} {} {} {} {}",
-                bits(cs),
-                bits(b.min.x),
-                bits(b.min.y),
-                bits(b.max.x),
-                bits(b.max.y)
-            )?,
+            Some((cs, b)) => {
+                write!(out, "index")?;
+                put(out, &[cs, b.min.x, b.min.y, b.max.x, b.max.y])?;
+                writeln!(out)?;
+            }
         }
         write!(out, "tasks")?;
         for t in &e.tasks {
-            write!(out, " {} {}", bits(t.loc.x), bits(t.loc.y))?;
+            put(out, &[t.loc.x, t.loc.y])?;
         }
         writeln!(out)?;
         write!(out, "quality")?;
-        for &s in &e.s {
-            write!(out, " {}", bits(s))?;
-        }
+        put(out, &e.s)?;
         writeln!(out)?;
         write!(out, "completed ")?;
         for &c in &e.completed {
@@ -230,22 +224,15 @@ pub fn write_snapshot<W: Write>(snap: &ServiceSnapshot, mut out: W) -> io::Resul
             AccuracyModel::Sigmoid => writeln!(out, "accuracy sigmoid")?,
             AccuracyModel::Table(table) => {
                 write!(out, "accuracy table {}", table.n_workers())?;
-                for &v in table.task_major_values() {
-                    write!(out, " {}", bits(v))?;
-                }
+                put(out, table.task_major_values())?;
                 writeln!(out)?;
             }
         }
         writeln!(out, "assignments {}", e.assignments.len())?;
         for a in &e.assignments {
-            writeln!(
-                out,
-                "a {} {} {} {}",
-                a.worker.0,
-                a.task.0,
-                bits(a.acc),
-                bits(a.contribution)
-            )?;
+            write!(out, "a {} {}", a.worker.0, a.task.0)?;
+            put(out, &[a.acc, a.contribution])?;
+            writeln!(out)?;
         }
     }
     writeln!(out, "end")?;
@@ -472,7 +459,7 @@ pub fn read_snapshot<R: BufRead>(reader: R) -> Result<ServiceSnapshot, SnapshotE
                 };
                 let mut values = Vec::with_capacity(n_values.min(MAX_PREALLOC));
                 for _ in 0..n_values {
-                    let v = tk.f64()?;
+                    let v: f64 = tk.f64()?;
                     if !(0.0..=1.0).contains(&v) {
                         // ltc-lint: allow(L001) parse-error diagnostic for humans; echoes the rejected value, never re-enters the snapshot
                         return Err(tk.bad(format!("table accuracy {v} outside [0, 1]")));
@@ -640,9 +627,8 @@ impl<'a> Tokens<'a> {
 
     fn f64(&mut self) -> Result<f64, SnapshotError> {
         let w = self.word()?;
-        u64::from_str_radix(w, 16)
-            .map(f64::from_bits)
-            .map_err(|e| self.bad(format!("bad f64 bit pattern `{w}`: {e}")))
+        hex::parse_f64(w.as_bytes())
+            .ok_or_else(|| self.bad(format!("bad f64 bit pattern `{w}`: not 16 hex digits")))
     }
 }
 
@@ -737,6 +723,28 @@ mod tests {
         save_service(&service, &mut buf).unwrap();
         buf.truncate(buf.len() / 2);
         assert!(read_snapshot(io::Cursor::new(buf)).is_err());
+    }
+
+    #[test]
+    fn a_float_word_is_exactly_sixteen_hex_digits() {
+        // `from_str_radix` took a sign and any width: it loaded
+        // `+3fcd70a3d70a3d7` as ε = 1.85e-289 and `3ff` as 5.05e-321.
+        let service = sample_service();
+        let mut buf = Vec::new();
+        save_service(&service, &mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        let epsilon = format!("params {:016x} ", 0.23f64.to_bits());
+        assert!(text.contains(&epsilon), "{text}");
+        assert!(read_snapshot(io::Cursor::new(text.as_bytes())).is_ok());
+        for bad in ["+3fcd70a3d70a3d7", "3ff"] {
+            let altered = text.replacen(&epsilon, &format!("params {bad} "), 1);
+            match read_snapshot(io::Cursor::new(altered.as_bytes())) {
+                Err(SnapshotError::Parse { line: 2, what }) => {
+                    assert!(what.contains(bad), "{what}");
+                }
+                other => panic!("loaded `params {bad}`: {other:?}"),
+            }
+        }
     }
 
     #[test]

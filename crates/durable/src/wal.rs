@@ -59,6 +59,7 @@
 //! deleting the file.
 
 use crate::DurableError;
+use ltc_core::hex;
 use ltc_core::model::{Task, Worker};
 use ltc_proto::json::{self, Json};
 use ltc_proto::wire;
@@ -184,16 +185,13 @@ const CRC_SUFFIX_LEN: usize = 18;
 /// Seals an encoded record (a complete `{…}` line) with its `crc`
 /// member: pops the closing brace, appends `,"crc":"<8 hex>"}` where
 /// the checksum covers the original line bytes.
-fn push_record_crc(out: &mut String, body_start: usize) {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
-    let crc = crc32(&out.as_bytes()[body_start..]);
-    debug_assert_eq!(out.as_bytes().last(), Some(&b'}'));
+fn push_record_crc(out: &mut Vec<u8>, body_start: usize) {
+    let crc = crc32(&out[body_start..]);
+    debug_assert_eq!(out.last(), Some(&b'}'));
     out.pop();
-    out.push_str(",\"crc\":\"");
-    for i in 0..8 {
-        out.push(HEX[((crc >> (28 - 4 * i)) & 0xF) as usize] as char);
-    }
-    out.push_str("\"}");
+    out.extend_from_slice(b",\"crc\":\"");
+    out.extend_from_slice(&hex::u32_digits(crc));
+    out.extend_from_slice(b"\"}");
 }
 
 /// Checks a record line's `crc` seal without decoding it. The
@@ -209,7 +207,7 @@ fn verify_record_crc(line: &str) -> Result<(), String> {
         return Err("record is missing its \"crc\" seal".into());
     }
     // Eight hex digits always fit a `u32`.
-    let stored = json::hex_digits(&suffix[8..16])
+    let stored = hex::parse_hex(&suffix[8..16])
         .map(|crc| crc as u32)
         .ok_or("record carries an unparsable \"crc\"")?;
     let actual = !crc32_update(crc32_update(!0, covered), b"}");
@@ -227,50 +225,50 @@ fn header_line(segment: u64, base_seq: u64) -> String {
 
 /// Encodes one record as its NDJSON line, without the trailing `\n`.
 pub fn encode_record(seq: u64, record: &WalRecord) -> String {
-    let mut out = String::with_capacity(128);
+    let mut out = Vec::with_capacity(128);
     encode_record_into(&mut out, seq, record);
-    out
+    String::from_utf8(out).expect("records are ASCII")
 }
 
 /// [`encode_record`] into a caller-owned buffer — the hot-path form
 /// ([`WalWriter::append`] reuses one buffer so steady-state logging
 /// allocates nothing).
-fn encode_record_into(out: &mut String, seq: u64, record: &WalRecord) {
+fn encode_record_into(out: &mut Vec<u8>, seq: u64, record: &WalRecord) {
     let body_start = out.len();
-    out.push_str("{\"seq\":");
+    out.extend_from_slice(b"{\"seq\":");
     json::push_u64(out, seq);
     match record {
         WalRecord::Submit { worker } => {
-            out.push_str(",\"op\":\"submit\",\"x\":\"");
-            wire::push_hex(out, worker.loc.x);
-            out.push_str("\",\"y\":\"");
-            wire::push_hex(out, worker.loc.y);
-            out.push_str("\",\"acc\":\"");
-            wire::push_hex(out, worker.accuracy);
-            out.push_str("\"}");
+            out.extend_from_slice(b",\"op\":\"submit\",\"x\":\"");
+            out.extend_from_slice(&hex::f64_digits(worker.loc.x));
+            out.extend_from_slice(b"\",\"y\":\"");
+            out.extend_from_slice(&hex::f64_digits(worker.loc.y));
+            out.extend_from_slice(b"\",\"acc\":\"");
+            out.extend_from_slice(&hex::f64_digits(worker.accuracy));
+            out.extend_from_slice(b"\"}");
         }
         WalRecord::Post { task, row } => {
-            out.push_str(",\"op\":\"post\",\"x\":\"");
-            wire::push_hex(out, task.loc.x);
-            out.push_str("\",\"y\":\"");
-            wire::push_hex(out, task.loc.y);
-            out.push('"');
+            out.extend_from_slice(b",\"op\":\"post\",\"x\":\"");
+            out.extend_from_slice(&hex::f64_digits(task.loc.x));
+            out.extend_from_slice(b"\",\"y\":\"");
+            out.extend_from_slice(&hex::f64_digits(task.loc.y));
+            out.push(b'"');
             if let Some(row) = row {
-                out.push_str(",\"row\":[");
+                out.extend_from_slice(b",\"row\":[");
                 for (i, acc) in row.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
-                    out.push('"');
-                    wire::push_hex(out, *acc);
-                    out.push('"');
+                    out.push(b'"');
+                    out.extend_from_slice(&hex::f64_digits(*acc));
+                    out.push(b'"');
                 }
-                out.push(']');
+                out.push(b']');
             }
-            out.push('}');
+            out.push(b'}');
         }
         WalRecord::Rebalance => {
-            out.push_str(",\"op\":\"rebalance\"}");
+            out.extend_from_slice(b",\"op\":\"rebalance\"}");
         }
     }
     push_record_crc(out, body_start);
@@ -343,7 +341,7 @@ pub struct WalWriter {
     next_seq: u64,
     sync: SyncPolicy,
     unsynced: u64,
-    line: String,
+    line: Vec<u8>,
 }
 
 impl WalWriter {
@@ -372,7 +370,7 @@ impl WalWriter {
             next_seq: base_seq,
             sync,
             unsynced: 0,
-            line: String::with_capacity(256),
+            line: Vec::with_capacity(256),
         })
     }
 
@@ -396,8 +394,8 @@ impl WalWriter {
         let seq = self.next_seq;
         self.line.clear();
         encode_record_into(&mut self.line, seq, record);
-        self.line.push('\n');
-        self.file.write_all(self.line.as_bytes())?;
+        self.line.push(b'\n');
+        self.file.write_all(&self.line)?;
         self.next_seq += 1;
         self.unsynced += 1;
         match self.sync {

@@ -4,16 +4,16 @@
 //! client never speaks it.
 
 use crate::session_table::SessionConfig;
-use crate::wire::{self, Request, Response, SessionStat};
+use crate::wire::{self, FrameError, FrameReader, Request, Response, SessionStat};
 use ltc_core::model::{Task, TaskId, Worker, WorkerId};
 use ltc_core::service::{
     EventBatch, EventFanout, EventStream, RebalanceOutcome, ServiceError, ServiceMetrics,
     ServiceSnapshot, Session, SessionInfo, WindowAck,
 };
 use std::collections::VecDeque;
-use std::io::{BufReader, Write as _};
+use std::io::{BufReader, Read, Write as _};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
-use std::sync::mpsc::{self, Receiver};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -124,7 +124,7 @@ pub struct LtcClient {
     /// it answers a frame already sent), so the server never owes a
     /// response to bytes still here. A lockstep request is encoded here
     /// too, once the window has drained, and sent at once.
-    send_buf: String,
+    send_buf: Vec<u8>,
 }
 
 impl LtcClient {
@@ -158,45 +158,7 @@ impl LtcClient {
         let fanout = Arc::clone(&subscribers);
         let reader = std::thread::Builder::new()
             .name("ltc-client-reader".into())
-            .spawn(move || {
-                // Every frame is read into this one buffer, and decoded
-                // events collect in `batch`, in place, until the next
-                // delivery.
-                let mut line = Vec::new();
-                let mut batch = EventBatch::new();
-                let failure = loop {
-                    // About to block on the socket (no whole frame left
-                    // in the read buffer)? Deliver what is decoded first.
-                    if !batch.is_empty() && !reader.buffer().contains(&b'\n') {
-                        lock_recovering(&fanout).deliver(&mut batch);
-                    }
-                    match wire::read_frame_into(&mut reader, &mut line) {
-                        Ok(Some(frame)) if wire::is_event_frame(frame) => {
-                            if let Err(what) = wire::decode_event_into(frame, &mut batch) {
-                                break Some(format!("bad event frame: {what}"));
-                            }
-                        }
-                        Ok(Some(frame)) => {
-                            // The events the server sent before this
-                            // response reach the streams before it.
-                            lock_recovering(&fanout).deliver(&mut batch);
-                            let decoded = Response::decode(frame)
-                                .map_err(|what| format!("bad frame: {what}"));
-                            let failed = decoded.is_err();
-                            response_tx.send(decoded).ok();
-                            if failed {
-                                break None;
-                            }
-                        }
-                        Ok(None) => break None, // clean close: drop the channels
-                        Err(e) => break Some(format!("read: {e}")),
-                    }
-                };
-                lock_recovering(&fanout).deliver(&mut batch);
-                if let Some(what) = failure {
-                    response_tx.send(Err(what)).ok();
-                }
-            })
+            .spawn(move || pump(FrameReader::new(reader), &fanout, &response_tx))
             .map_err(|_| transport("could not spawn the reader thread"))?;
 
         Ok(Self {
@@ -213,7 +175,7 @@ impl LtcClient {
             server_window: advertised.clamp(1, wire::MAX_WINDOW) as usize,
             next_seq: 0,
             pending: VecDeque::new(),
-            send_buf: String::new(),
+            send_buf: Vec::new(),
         })
     }
 
@@ -464,7 +426,7 @@ impl LtcClient {
     /// what a huge frame (a wide `post` row) made it grow past twice the
     /// batch threshold.
     fn write_send_buf(&mut self) -> std::io::Result<()> {
-        let result = (&self.stream).write_all(self.send_buf.as_bytes());
+        let result = (&self.stream).write_all(&self.send_buf);
         self.send_buf.clear();
         self.send_buf.shrink_to(2 * SEND_BATCH_CAP);
         result
@@ -472,6 +434,55 @@ impl LtcClient {
 
     fn unexpected(response: Response) -> ServiceError {
         transport(format!("out-of-order response {response:?}"))
+    }
+}
+
+/// The reader thread's loop, until the connection ends: events decode
+/// in place into one batch, which goes to the local streams before the
+/// thread would block on the socket and before any response is
+/// forwarded; responses go to the awaiting caller in arrival order. A
+/// transport failure or an undecodable frame ends the loop, and the
+/// failure reaches the caller as one last `Err`.
+fn pump<R: Read>(
+    mut frames: FrameReader<R>,
+    fanout: &Mutex<EventFanout>,
+    responses: &Sender<Result<Response, String>>,
+) {
+    let mut batch = EventBatch::new();
+    let failure = loop {
+        // About to block on the socket (no whole frame left in the read
+        // buffer)? Deliver what is decoded first.
+        if !batch.is_empty() && !frames.holds_frame() {
+            lock_recovering(fanout).deliver(&mut batch);
+        }
+        let frame = match frames.next_frame() {
+            Ok(Some(frame)) => frame,
+            Ok(None) => break None, // clean close: drop the channels
+            Err(e) => break Some(format!("read: {e}")),
+        };
+        if wire::is_event_frame(frame) {
+            match wire::decode_event_into(frame, &mut batch) {
+                Ok(()) => continue,
+                Err(FrameError::NotUtf8) => break Some(format!("read: {}", FrameError::NotUtf8)),
+                Err(what) => break Some(format!("bad event frame: {what}")),
+            }
+        }
+        // The events the server sent before this response reach the
+        // streams before it.
+        lock_recovering(fanout).deliver(&mut batch);
+        let decoded = match Response::decode_bytes(frame) {
+            Err(FrameError::NotUtf8) => break Some(format!("read: {}", FrameError::NotUtf8)),
+            decoded => decoded.map_err(|what| format!("bad frame: {what}")),
+        };
+        let failed = decoded.is_err();
+        responses.send(decoded).ok();
+        if failed {
+            break None;
+        }
+    };
+    lock_recovering(fanout).deliver(&mut batch);
+    if let Some(what) = failure {
+        responses.send(Err(what)).ok();
     }
 }
 
@@ -669,6 +680,132 @@ mod tests {
     use ltc_spatial::{BoundingBox, Point};
     use std::net::TcpListener;
 
+    /// What the reader loop is fed: every frame, event or response,
+    /// the server sends per check-in, and a few it sends rarely.
+    fn server_frames() -> Vec<Vec<u8>> {
+        let sid = Some(wire::DEFAULT_SESSION);
+        let worker = WorkerId(7);
+        let mut frames = Vec::new();
+        for n in 0..6u32 {
+            let mut frame = Vec::new();
+            let event = match n % 3 {
+                0 => StreamEvent::TaskPosted { task: TaskId(n) },
+                1 => StreamEvent::Worker {
+                    worker,
+                    events: vec![ltc_core::service::Event::Assigned {
+                        worker,
+                        task: TaskId(n),
+                        acc: 0.875,
+                        gain: 0.25 + f64::from(n),
+                    }],
+                },
+                _ => StreamEvent::Lifecycle(ltc_core::service::Lifecycle::ShuttingDown),
+            };
+            wire::encode_event_into(&mut frame, (&event).into(), sid);
+            frames.push(frame);
+            let mut frame = Vec::new();
+            let response = match n % 3 {
+                0 => Response::Submit {
+                    worker: WorkerId(u64::from(n)),
+                    seq: Some(u64::from(n)),
+                },
+                1 => Response::Post {
+                    task: TaskId(n),
+                    seq: None,
+                },
+                _ => Response::Err {
+                    message: "über capacity".into(),
+                },
+            };
+            response.encode_into(&mut frame, sid);
+            frames.push(frame);
+        }
+        frames
+    }
+
+    /// What the reader loop read before [`FrameReader`]: each frame by
+    /// `read_frame_into`, events decoded and responses in order, and
+    /// then the message the loop ended on, if any.
+    fn reference_pump(bytes: &[u8]) -> (Vec<StreamEvent>, Vec<Result<Response, String>>) {
+        let mut reader = std::io::Cursor::new(bytes);
+        let mut line = Vec::new();
+        let (mut events, mut responses) = (Vec::new(), Vec::new());
+        loop {
+            match wire::read_frame_into(&mut reader, &mut line) {
+                Ok(Some(frame)) if wire::is_event_frame(frame) => {
+                    events.push(wire::decode_event(frame).unwrap());
+                }
+                Ok(Some(frame)) => responses.push(Ok(Response::decode(frame).unwrap())),
+                Ok(None) => return (events, responses),
+                Err(e) => {
+                    responses.push(Err(format!("read: {e}")));
+                    return (events, responses);
+                }
+            }
+        }
+    }
+
+    /// The reader loop run over `bytes` through a buffer of `capacity`.
+    fn run_pump(
+        bytes: &[u8],
+        capacity: usize,
+    ) -> (Vec<StreamEvent>, Vec<Result<Response, String>>) {
+        let fanout = Mutex::new(EventFanout::default());
+        let events = lock_recovering(&fanout).subscribe();
+        let (tx, rx) = mpsc::channel();
+        let frames = FrameReader::new(BufReader::with_capacity(
+            capacity,
+            std::io::Cursor::new(bytes),
+        ));
+        pump(frames, &fanout, &tx);
+        drop(tx);
+        (
+            std::iter::from_fn(|| events.try_recv()).collect(),
+            rx.iter().collect(),
+        )
+    }
+
+    #[test]
+    fn the_reader_loop_reads_the_same_stream_at_every_refill_boundary() {
+        let frames = server_frames();
+        let whole = frames.concat();
+        let (events, responses) = reference_pump(&whole);
+        assert_eq!((events.len(), responses.len()), (6, 6));
+        // Every prefix: a cut mid-frame fails the session after the same
+        // deliveries.
+        for cut in 0..=whole.len() {
+            let stream = &whole[..cut];
+            let expected = reference_pump(stream);
+            for capacity in [1, 7, 8, 9, 16] {
+                assert_eq!(
+                    run_pump(stream, capacity),
+                    expected,
+                    "cut {cut}, capacity {capacity}"
+                );
+            }
+        }
+        // A frame that is not UTF-8, event or response, fails the session
+        // as a broken read, as it always has.
+        for bad in [
+            &b"{\"ev\":\"task\",\"task\":1,\"sid\":\"de\xfffault\"}\n"[..],
+            b"{\"ok\":\"drain\",\"sid\":\"de\xfffault\"}\n",
+        ] {
+            let hostile = [&frames[..4].concat(), bad, &frames[0]].concat();
+            let expected = reference_pump(&hostile);
+            assert_eq!(
+                expected.1.last(),
+                Some(&Err("read: frame is not UTF-8".to_string()))
+            );
+            for capacity in [1, 7, 8, 9, 16] {
+                assert_eq!(
+                    run_pump(&hostile, capacity),
+                    expected,
+                    "capacity {capacity}"
+                );
+            }
+        }
+    }
+
     /// The client half of `drain`'s happens-before barrier: events that
     /// reached the socket ahead of a response are in the streams when
     /// the client sees the response. A scripted peer sends a burst of
@@ -692,7 +829,7 @@ mod tests {
         let peer = std::thread::spawn(move || {
             let (conn, _) = listener.accept().unwrap();
             let mut reader = BufReader::new(conn.try_clone().unwrap());
-            let mut out = String::new();
+            let mut out = Vec::new();
             let mut answer = |reply: &Response, events: &[StreamEvent]| {
                 wire::read_frame(&mut reader).unwrap().unwrap();
                 out.clear();
@@ -700,7 +837,7 @@ mod tests {
                     wire::encode_event_into(&mut out, event.into(), sid);
                 }
                 reply.encode_into(&mut out, sid);
-                (&conn).write_all(out.as_bytes()).unwrap();
+                (&conn).write_all(&out).unwrap();
             };
             let hello = Response::Hello {
                 info,

@@ -313,42 +313,19 @@ impl<'a> Parser<'a> {
         if end > self.bytes.len() {
             return Err(self.err("truncated unicode escape"));
         }
-        let v =
-            hex_digits(&self.bytes[self.pos..end]).ok_or_else(|| self.err("bad unicode escape"))?;
+        let v = ltc_core::hex::parse_hex(&self.bytes[self.pos..end])
+            .ok_or_else(|| self.err("bad unicode escape"))?;
         self.pos = end;
         // Four hex digits fit a `u32` exactly.
         Ok(v as u32)
     }
 }
 
-/// Reads `digits` as one ASCII hexadecimal number: 1–16 bytes, each
-/// from `[0-9a-fA-F]`. Unlike `u64::from_str_radix`, it takes no sign,
-/// so a fixed-width field stays fixed-width (`+3fe000000000000` is 16
-/// bytes but 15 digits). This is the one digit check behind every
-/// fixed-width hex field: `\uXXXX` escapes here, `f64` bit patterns on
-/// the wire ([`crate::wire::unhex`]) and the write-ahead log's crc seal.
-pub fn hex_digits(digits: &[u8]) -> Option<u64> {
-    if digits.is_empty() || digits.len() > 16 {
-        return None;
-    }
-    let mut value = 0u64;
-    for &b in digits {
-        let digit = match b {
-            b'0'..=b'9' => b - b'0',
-            b'a'..=b'f' => b - b'a' + 10,
-            b'A'..=b'F' => b - b'A' + 10,
-            _ => return None,
-        };
-        value = (value << 4) | u64::from(digit);
-    }
-    Some(value)
-}
-
-/// Appends `v` in decimal without going through the `fmt` machinery —
-/// the form every in-place frame encoder (and the write-ahead log's
-/// append path) uses.
+/// Appends `v` in decimal without going through the `fmt` machinery or
+/// a UTF-8 check: the form every in-place frame encoder (and the
+/// write-ahead log's append path) uses.
 // ltc-lint: hot-path
-pub fn push_u64(out: &mut String, mut v: u64) {
+pub fn push_u64(out: &mut Vec<u8>, mut v: u64) {
     let mut buf = [0u8; 20];
     let mut i = buf.len();
     loop {
@@ -359,7 +336,7 @@ pub fn push_u64(out: &mut String, mut v: u64) {
             break;
         }
     }
-    out.push_str(std::str::from_utf8(&buf[i..]).expect("decimal digits are ASCII"));
+    out.extend_from_slice(&buf[i..]);
 }
 
 /// Appends `text` to `out` as a JSON string literal (quotes included),
@@ -455,24 +432,6 @@ mod tests {
         // `from_str_radix` would read `+041` as 0x41.
         for bad in ["\"\\u+041\"", "\"\\u-041\"", "\"\\u 041\"", "\"\\u004\""] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
-        }
-    }
-
-    #[test]
-    fn hex_digits_accepts_only_ascii_hex_digits() {
-        assert_eq!(hex_digits(b"0"), Some(0));
-        assert_eq!(hex_digits(b"3fE0"), Some(0x3fe0));
-        assert_eq!(hex_digits(b"ffffffffffffffff"), Some(u64::MAX));
-        for bad in [
-            &b""[..],
-            b"+1",
-            b"-1",
-            b" 1",
-            b"0x1",
-            b"g",
-            b"1ffffffffffffffff",
-        ] {
-            assert_eq!(hex_digits(bad), None, "accepted {bad:?}");
         }
     }
 }

@@ -82,9 +82,9 @@
 //! threads exit when the client disconnects.
 
 use crate::session_table::{SessionConfig, SessionEntry, SessionTable};
-use crate::wire::{self, Request, Response};
+use crate::wire::{self, AddressedRequest, FrameError, FrameReader, Request, Response, WireError};
 use ltc_core::service::{EventStream, ServiceError, Session};
-use std::io::{self, BufReader};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -323,7 +323,7 @@ fn serve_connection(conn: TcpStream, shared: Arc<Shared>) {
         conn.shutdown(Shutdown::Both).ok();
         return;
     };
-    let mut reader = BufReader::new(read_half);
+    let mut frames = FrameReader::new(BufReader::new(read_half));
     // Frames are written whole under this lock — responses from this
     // thread and events from the forwarder interleave only at frame
     // boundaries.
@@ -331,7 +331,7 @@ fn serve_connection(conn: TcpStream, shared: Arc<Shared>) {
     let gone = Arc::new(AtomicBool::new(false));
     let mut forwarder: Option<JoinHandle<()>> = None;
 
-    converse(&mut reader, &writer, &gone, &shared, &mut forwarder);
+    converse(&mut frames, &writer, &gone, &shared, &mut forwarder);
 
     gone.store(true, Ordering::SeqCst);
     lock_recovering(&writer).shutdown(Shutdown::Both).ok();
@@ -343,7 +343,7 @@ fn serve_connection(conn: TcpStream, shared: Arc<Shared>) {
 /// The request/response loop (separated out so `serve_connection` owns
 /// exactly one cleanup path).
 fn converse(
-    reader: &mut BufReader<TcpStream>,
+    frames: &mut FrameReader<TcpStream>,
     writer: &Arc<Mutex<TcpStream>>,
     gone: &Arc<AtomicBool>,
     shared: &Arc<Shared>,
@@ -351,10 +351,13 @@ fn converse(
 ) {
     // Handshake: exactly one hello, version-checked. Both dialects bind
     // the default session.
-    let Ok(Some(hello)) = wire::read_frame(reader) else {
+    let Ok(Some(hello)) = frames.next_frame() else {
         return;
     };
-    let v1 = match wire::decode_hello(&hello) {
+    let Ok(hello) = std::str::from_utf8(hello) else {
+        return;
+    };
+    let v1 = match wire::decode_hello(hello) {
         Ok(wire::PROTO_VERSION_V1) => true,
         Ok(wire::PROTO_VERSION_V2) => false,
         refused => {
@@ -396,25 +399,20 @@ fn converse(
     // throughput win. The client never blocks on bytes held here: it
     // only awaits acks for frames it finished sending, and the batch is
     // flushed before this thread blocks on the next read.
-    let mut replies = String::new();
-    // Every request frame is read into this one buffer.
-    let mut line = Vec::new();
+    let mut replies = Outbox::default();
     loop {
         // About to block? Everything batched must be on the wire first.
         // (A partial frame in the read buffer means its remainder is
         // already in flight from a client that writes whole frames
         // before awaiting, so waiting for it cannot deadlock.)
-        if !replies.is_empty()
-            && reader.buffer().is_empty()
-            && flush_batch(writer, &mut replies).is_err()
-        {
+        if !replies.frames.is_empty() && frames.is_drained() && replies.flush(writer).is_err() {
             return;
         }
-        let frame = match wire::read_frame_into(reader, &mut line) {
-            Ok(Some(frame)) => frame,
-            _ => return, // EOF, socket shutdown, or an oversized frame
+        // EOF, socket shutdown, an oversized frame, or one that is not
+        // UTF-8.
+        let Some(decoded) = read_request(frames) else {
+            return;
         };
-        let decoded = Request::decode(frame);
         let windowed = matches!(
             &decoded,
             Ok((
@@ -438,11 +436,11 @@ fn converse(
         // successful open/attach is acknowledged under its new session.
         // Every response is encoded straight into the batch, in FIFO
         // position behind any acks still owed.
-        push_response(&mut replies, &response, binding.sid());
+        push_response(&mut replies.frames, &response, binding.sid());
         if windowed {
             // Windowed acks (including refusals of windowed frames) are
             // tiny and never `stop_after`; they wait for the burst.
-            if replies.len() >= ACK_BATCH_CAP && flush_batch(writer, &mut replies).is_err() {
+            if replies.frames.len() >= ACK_BATCH_CAP && replies.flush(writer).is_err() {
                 return;
             }
             continue;
@@ -451,7 +449,7 @@ fn converse(
         // the acks before it. The requester hears the outcome *before*
         // the acceptor stops — a `shutdown` must be acknowledged, not
         // met with a dead socket.
-        let written = flush_batch(writer, &mut replies);
+        let written = replies.flush(writer);
         if stop_after {
             shared.stop();
             return;
@@ -462,22 +460,64 @@ fn converse(
     }
 }
 
+/// Reads and decodes the next request frame. `None` ends the
+/// connection: the stream ended or failed, the frame overflowed the cap,
+/// or it is not UTF-8 (a broken transport, never answered with an `err`
+/// frame).
+// ltc-lint: hot-path
+fn read_request<R: Read>(
+    frames: &mut FrameReader<R>,
+) -> Option<Result<AddressedRequest<'_>, WireError>> {
+    let frame = frames.next_frame().ok()??;
+    match Request::decode_bytes(frame) {
+        Ok(decoded) => Some(Ok(decoded)),
+        Err(FrameError::NotUtf8) => None,
+        Err(FrameError::Invalid(what)) => Some(Err(what)),
+    }
+}
+
 /// Flush threshold for a batch of whole frames: responses on the
 /// connection thread, events on the forwarder.
 const ACK_BATCH_CAP: usize = 64 * 1024;
 
-/// Writes a batch of whole frames in one locked `write` (responses and
-/// events from the two writer threads still interleave only at frame
-/// boundaries) and empties it for reuse.
-fn flush_batch(writer: &Arc<Mutex<TcpStream>>, batch: &mut String) -> io::Result<()> {
-    use std::io::Write as _;
-    let mut stream = lock_recovering(writer);
-    let result = stream.write_all(batch.as_bytes());
-    batch.clear();
-    // A batch only outgrows this by carrying a huge response (a
-    // snapshot); the connection should not keep that memory.
-    batch.shrink_to(2 * ACK_BATCH_CAP);
-    result
+/// A flush of at most this many bytes is small (see [`Outbox`]).
+const QUIET_BYTES: usize = 1024;
+
+/// See [`Outbox`].
+const QUIET_FLUSHES: u32 = 64;
+
+/// A batch of whole frames awaiting one `write`: the connection
+/// thread's responses, or the forwarder's events.
+#[derive(Debug, Default)]
+struct Outbox {
+    frames: Vec<u8>,
+    /// Flushes in a row that were small.
+    quiet: u32,
+}
+
+impl Outbox {
+    /// Writes the batch in one locked `write` (responses and events
+    /// from the two writer threads still interleave only at frame
+    /// boundaries) and empties it for reuse. The emptied batch keeps
+    /// room for twice [`ACK_BATCH_CAP`], so a huge response (a
+    /// snapshot) does not stay pinned, and only [`QUIET_BYTES`]' once
+    /// its last [`QUIET_FLUSHES`] flushes were each that small, so a
+    /// quiet connection does not keep its busiest burst's memory.
+    fn flush<W: Write>(&mut self, writer: &Mutex<W>) -> io::Result<()> {
+        let result = lock_recovering(writer).write_all(&self.frames);
+        self.quiet = if self.frames.len() <= QUIET_BYTES {
+            self.quiet.saturating_add(1)
+        } else {
+            0
+        };
+        self.frames.clear();
+        self.frames.shrink_to(if self.quiet >= QUIET_FLUSHES {
+            QUIET_BYTES
+        } else {
+            2 * ACK_BATCH_CAP
+        });
+        result
+    }
 }
 
 /// Waits up to `wait` for `stream` to have events, then appends every
@@ -492,7 +532,7 @@ fn encode_ready_events(
     stream: &mut EventStream,
     wait: Duration,
     sid: Option<&str>,
-    batch: &mut String,
+    batch: &mut Vec<u8>,
 ) -> Option<usize> {
     stream.recv_each(Some(wait), |event| {
         wire::encode_event_into(batch, event, sid);
@@ -510,7 +550,7 @@ fn encode_ready_events(
 /// otherwise addressed to the bound default session. Then the `v2`
 /// rule applies: the frame's `"sid"` must name the bound session —
 /// except on open/attach/close, where it *is* the target.
-fn admit(request: &Request, sid: Option<&str>, binding: &Binding) -> Result<(), String> {
+fn admit(request: &Request, sid: Option<&[u8]>, binding: &Binding) -> Result<(), String> {
     let session_verb = matches!(
         request,
         Request::Open { .. } | Request::Attach { .. } | Request::Close { .. } | Request::Sessions
@@ -535,7 +575,7 @@ fn admit(request: &Request, sid: Option<&str>, binding: &Binding) -> Result<(), 
                 wire::PROTO_VERSION_V2
             ));
         }
-        Some(binding.entry.name())
+        Some(binding.entry.name().as_bytes())
     } else {
         sid
     };
@@ -543,9 +583,10 @@ fn admit(request: &Request, sid: Option<&str>, binding: &Binding) -> Result<(), 
         let bound = binding.entry.name();
         match sid {
             None => return Err("missing `sid` (every v2 request carries one)".into()),
-            Some(sid) if sid != bound => {
+            Some(sid) if sid != bound.as_bytes() => {
                 return Err(format!(
-                    "request sid `{sid}` does not match the bound session `{bound}`"
+                    "request sid `{}` does not match the bound session `{bound}`",
+                    String::from_utf8_lossy(sid)
                 ));
             }
             Some(_) => {}
@@ -559,7 +600,7 @@ fn admit(request: &Request, sid: Option<&str>, binding: &Binding) -> Result<(), 
 /// would overflow the peer's frame cap (a snapshot of an enormous
 /// service) must stay recoverable; sending it anyway would kill the
 /// connection on the client side.
-fn push_response(batch: &mut String, response: &Response, sid: Option<&str>) {
+fn push_response(batch: &mut Vec<u8>, response: &Response, sid: Option<&str>) {
     let start = batch.len();
     response.encode_into(batch, sid);
     let len = batch.len() - start - 1;
@@ -648,11 +689,16 @@ fn execute(
                     // one locked `write`; the forwarder only blocks (on
                     // the stream) with nothing left to send.
                     let sid = sid.as_deref();
-                    let mut batch = String::new();
+                    let mut batch = Outbox::default();
                     loop {
-                        match encode_ready_events(&mut stream, FORWARDER_POLL, sid, &mut batch) {
+                        match encode_ready_events(
+                            &mut stream,
+                            FORWARDER_POLL,
+                            sid,
+                            &mut batch.frames,
+                        ) {
                             Some(1..) => {
-                                if flush_batch(&writer, &mut batch).is_err() {
+                                if batch.flush(&writer).is_err() {
                                     return;
                                 }
                             }
@@ -670,11 +716,11 @@ fn execute(
                                         &mut stream,
                                         Duration::ZERO,
                                         sid,
-                                        &mut batch,
+                                        &mut batch.frames,
                                     )
                                     .is_some_and(|n| n > 0)
                                     {
-                                        if flush_batch(&writer, &mut batch).is_err() {
+                                        if batch.flush(&writer).is_err() {
                                             return;
                                         }
                                     }
@@ -846,7 +892,8 @@ mod tests {
     }
 
     /// Splits a batch into its frames, checking every one is whole.
-    fn lines(batch: &str) -> Vec<&str> {
+    fn lines(batch: &[u8]) -> Vec<&str> {
+        let batch = std::str::from_utf8(batch).expect("frames are text");
         let body = batch
             .strip_suffix('\n')
             .expect("a batch ends on a frame boundary");
@@ -857,7 +904,7 @@ mod tests {
     fn an_event_batch_holds_every_ready_event_in_order() {
         let events = posted(40);
         let mut stream = stream_of(&events);
-        let mut batch = String::new();
+        let mut batch = Vec::new();
         assert_eq!(
             encode_ready_events(&mut stream, Duration::ZERO, Some("west"), &mut batch),
             Some(events.len())
@@ -879,13 +926,13 @@ mod tests {
     fn a_v1_event_batch_is_byte_identical_to_single_frames() {
         let events = posted(5);
         let mut stream = stream_of(&events);
-        let mut batch = String::new();
+        let mut batch = Vec::new();
         encode_ready_events(&mut stream, Duration::ZERO, None, &mut batch);
         let expected: String = events
             .iter()
             .map(|e| format!("{}\n", wire::encode_event(e)))
             .collect();
-        assert_eq!(batch, expected);
+        assert_eq!(batch, expected.into_bytes());
     }
 
     #[test]
@@ -897,7 +944,7 @@ mod tests {
             "the burst must overflow"
         );
         let mut stream = stream_of(&events);
-        let mut batch = String::new();
+        let mut batch = Vec::new();
         let mut decoded = Vec::new();
         let mut batches = 0;
         while encode_ready_events(&mut stream, Duration::ZERO, None, &mut batch).is_some() {
@@ -914,6 +961,147 @@ mod tests {
         }
         assert!(batches >= 3, "{batches} batches");
         assert_eq!(decoded, events);
+    }
+
+    /// What the connection loop read before [`FrameReader`]: each frame
+    /// by `read_frame_into`, decoded with the owned `"sid"`, until the
+    /// first read error.
+    fn reference_requests(bytes: &[u8]) -> Vec<Result<(Request, Option<String>), WireError>> {
+        let mut reader = std::io::Cursor::new(bytes);
+        let mut line = Vec::new();
+        let mut out = Vec::new();
+        while let Ok(Some(frame)) = wire::read_frame_into(&mut reader, &mut line) {
+            out.push(Request::decode_with_sid(frame));
+        }
+        out
+    }
+
+    #[test]
+    fn the_connection_loop_reads_the_same_requests_at_every_refill_boundary() {
+        let worker = |n: u32| Worker::new(Point::new(f64::from(n) * 1.5, 2.0), 0.9);
+        let mut frames: Vec<Vec<u8>> = Vec::new();
+        for n in 0..12u32 {
+            let request = match n % 4 {
+                0 => Request::Submit {
+                    worker: worker(n),
+                    seq: Some(u64::from(n)),
+                },
+                1 => Request::Post {
+                    task: ltc_core::model::Task::new(Point::new(1.0, f64::from(n))),
+                    row: None,
+                    seq: None,
+                },
+                2 => Request::Drain,
+                _ => Request::Attach { sid: "west".into() },
+            };
+            let mut frame = Vec::new();
+            request.encode_into(&mut frame, (n % 3 != 0).then_some("default"));
+            frames.push(frame);
+        }
+        // A foreign framing, malformed JSON and an empty line draw
+        // `err` replies, not the end of the connection.
+        for foreign in [
+            &b"{\"op\": \"drain\", \"sid\":\"default\"}\n"[..],
+            b"{\"op\":\n",
+            b"\n",
+        ] {
+            frames.push(foreign.to_vec());
+        }
+        let whole = frames.concat();
+        let reference = reference_requests(&whole);
+        assert_eq!(reference.len(), frames.len());
+        // Every prefix: a cut mid-frame ends the connection after the
+        // same requests.
+        for cut in 0..=whole.len() {
+            let stream = &whole[..cut];
+            let expected = reference_requests(stream);
+            for capacity in [1, 7, 8, 9, 16] {
+                let mut reader = FrameReader::new(BufReader::with_capacity(
+                    capacity,
+                    std::io::Cursor::new(stream),
+                ));
+                let mut got = Vec::new();
+                while let Some(decoded) = read_request(&mut reader) {
+                    got.push(decoded.map(|(request, sid)| {
+                        (
+                            request,
+                            sid.map(|sid| String::from_utf8(sid.into_owned()).unwrap()),
+                        )
+                    }));
+                }
+                assert_eq!(got, expected, "cut {cut}, capacity {capacity}");
+            }
+        }
+        // A frame that is not UTF-8 ends the connection where the
+        // reference reader's error did.
+        let mut hostile = frames[..3].concat();
+        hostile.extend_from_slice(b"{\"op\":\"drain\",\"sid\":\"d\xffefault\"}\n");
+        hostile.extend_from_slice(&frames[0]);
+        assert_eq!(reference_requests(&hostile).len(), 3);
+        let mut reader =
+            FrameReader::new(BufReader::with_capacity(7, std::io::Cursor::new(&hostile)));
+        let mut read = 0;
+        while read_request(&mut reader).is_some() {
+            read += 1;
+        }
+        assert_eq!(read, 3);
+    }
+
+    #[test]
+    fn a_non_utf8_frame_ends_the_connection_without_a_reply() {
+        let running = LtcServer::bind("127.0.0.1:0", test_session())
+            .unwrap()
+            .spawn()
+            .unwrap();
+        let conn = TcpStream::connect(running.addr()).unwrap();
+        let mut reader = BufReader::new(conn.try_clone().unwrap());
+        let send = |frame: &[u8]| (&conn).write_all(frame).unwrap();
+        send(format!("{}\n", wire::encode_hello_v2()).as_bytes());
+        assert!(wire::read_frame(&mut reader).unwrap().is_some(), "a hello");
+        // Malformed text draws an `err` reply on a live connection...
+        send(b"{\"op\":\"drain\",\"sid\":\n");
+        let reply = wire::read_frame(&mut reader).unwrap().expect("a reply");
+        assert!(reply.starts_with("{\"err\":"), "{reply}");
+        // ...but bytes that are not UTF-8 end it: no reply, then EOF.
+        send(b"{\"op\":\"drain\",\"sid\":\"def\xffult\"}\n");
+        assert!(
+            matches!(wire::read_frame(&mut reader), Ok(None) | Err(_)),
+            "a non-UTF-8 frame drew a reply"
+        );
+        let mut client = LtcClient::connect_v2(running.addr()).unwrap();
+        client.shutdown().unwrap();
+        running.wait().unwrap();
+    }
+
+    #[test]
+    fn a_quiet_outbox_gives_its_room_back() {
+        let sink = Mutex::new(Vec::new());
+        let mut outbox = Outbox::default();
+        // A burst grows the batch, and the batch keeps that room...
+        outbox.frames.resize(3 * ACK_BATCH_CAP / 2, b'x');
+        outbox.flush(&sink).unwrap();
+        assert!(outbox.frames.capacity() >= 3 * ACK_BATCH_CAP / 2);
+        // ...through a run of small flushes shorter than the rule's...
+        for _ in 1..QUIET_FLUSHES {
+            outbox.frames.extend_from_slice(&[b'y'; QUIET_BYTES]);
+            outbox.flush(&sink).unwrap();
+        }
+        assert!(outbox.frames.capacity() >= 3 * ACK_BATCH_CAP / 2);
+        // ...and gives it back once the run is long enough.
+        outbox.frames.extend_from_slice(b"{}\n");
+        outbox.flush(&sink).unwrap();
+        assert!(outbox.frames.capacity() <= QUIET_BYTES);
+        // A big flush ends the run: the next burst keeps its room again.
+        outbox.frames.resize(2 * QUIET_BYTES, b'z');
+        outbox.flush(&sink).unwrap();
+        outbox.frames.resize(ACK_BATCH_CAP, b'z');
+        outbox.flush(&sink).unwrap();
+        assert!(outbox.frames.capacity() >= ACK_BATCH_CAP);
+        let written = sink.into_inner().unwrap();
+        assert_eq!(
+            written.len(),
+            3 * ACK_BATCH_CAP / 2 + 63 * QUIET_BYTES + 3 + 2 * QUIET_BYTES + ACK_BATCH_CAP
+        );
     }
 
     /// Regression: a connection thread panicking while it holds a

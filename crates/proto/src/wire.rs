@@ -69,6 +69,7 @@
 //! versions in the handshake rather than guessing.
 
 use crate::json::{self, Json};
+use ltc_core::hex;
 use ltc_core::model::{ProblemParams, QualityModel, Task, TaskId, Worker, WorkerId};
 use ltc_core::service::{
     Algorithm, Event, EventBatch, EventRef, Lifecycle, RebalanceOutcome, ServiceMetrics,
@@ -76,7 +77,8 @@ use ltc_core::service::{
 };
 use ltc_spatial::{BoundingBox, Point};
 use std::borrow::Cow;
-use std::io::{self, BufRead, Read, Write};
+use std::fmt;
+use std::io::{self, BufRead, BufReader, Read, Write};
 
 /// The protocol name, sent in both handshake frames.
 pub const PROTO_NAME: &str = "ltc-proto";
@@ -97,32 +99,41 @@ pub const MAX_WINDOW: u64 = 256;
 /// `[A-Za-z0-9._-]`. The restriction keeps session ids free of JSON
 /// escapes, so they can ride every frame verbatim.
 pub fn valid_session_name(name: &str) -> bool {
+    is_session_name(name.as_bytes())
+}
+
+/// [`valid_session_name`] on bytes, the form the frame scanners check.
+// ltc-lint: hot-path
+fn is_session_name(name: &[u8]) -> bool {
     !name.is_empty()
         && name.len() <= 64
         && name
-            .bytes()
+            .iter()
             .all(|b| b.is_ascii_alphanumeric() || matches!(b, b'.' | b'_' | b'-'))
 }
+
+/// What opens the trailing `"sid"` member every frame carries.
+const SID_MEMBER: &[u8] = b",\"sid\":\"";
 
 /// Appends the trailing `"sid"` member every frame carries. The
 /// frame must be one JSON object (every encoder here emits exactly
 /// that) and the sid a [`valid_session_name`], so no escaping is
 /// needed.
 pub fn with_sid(frame: String, sid: &str) -> String {
-    let mut out = frame;
+    let mut out = frame.into_bytes();
     push_sid(&mut out, sid);
-    out
+    text(out)
 }
 
 /// [`with_sid`] on the frame that ends `out`.
 // ltc-lint: hot-path
-fn push_sid(out: &mut String, sid: &str) {
-    debug_assert!(out.ends_with('}'), "{out}");
+fn push_sid(out: &mut Vec<u8>, sid: &str) {
+    debug_assert_eq!(out.last(), Some(&b'}'));
     debug_assert!(valid_session_name(sid), "{sid}");
     out.pop();
-    out.push_str(",\"sid\":\"");
-    out.push_str(sid);
-    out.push_str("\"}");
+    out.extend_from_slice(SID_MEMBER);
+    out.extend_from_slice(sid.as_bytes());
+    out.extend_from_slice(b"\"}");
 }
 
 /// Closes a frame an in-place encoder just appended to `out`: the
@@ -130,11 +141,16 @@ fn push_sid(out: &mut String, sid: &str) {
 /// bytes are exactly [`with_sid`] of the `String` encoder's frame,
 /// plus `\n`.
 // ltc-lint: hot-path
-fn finish_frame(out: &mut String, sid: Option<&str>) {
+fn finish_frame(out: &mut Vec<u8>, sid: Option<&str>) {
     if let Some(sid) = sid {
         push_sid(out, sid);
     }
-    out.push('\n');
+    out.push(b'\n');
+}
+
+/// A frame a `String` encoder assembled as bytes, as text.
+fn text(frame: Vec<u8>) -> String {
+    String::from_utf8(frame).expect("the encoders write UTF-8")
 }
 
 /// The `"sid"` member of a frame, if present and well-formed.
@@ -157,46 +173,57 @@ pub const MAX_FRAME: usize = 1 << 26;
 /// A decode failure: what was wrong with the offending frame.
 pub type WireError = String;
 
+/// Why a byte decoder refused a frame.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FrameError {
+    /// The frame is not UTF-8: a broken transport, which ends the
+    /// connection, as [`read_frame`] does when it meets one.
+    NotUtf8,
+    /// The frame is text but not a valid message.
+    Invalid(WireError),
+}
+
+impl fmt::Display for FrameError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FrameError::NotUtf8 => f.write_str(NOT_UTF8),
+            FrameError::Invalid(what) => f.write_str(what),
+        }
+    }
+}
+
+impl std::error::Error for FrameError {}
+
+/// The generic JSON route's input: the frame as text, checked here and
+/// only here, once the exact-layout scanners have passed on it.
+fn utf8(frame: &[u8]) -> Result<&str, FrameError> {
+    std::str::from_utf8(frame).map_err(|_| FrameError::NotUtf8)
+}
+
 /// Renders an `f64` as its 16-hex-digit IEEE-754 bit pattern — the
 /// `ltc-snapshot v1` / `ltc-proto v1` exactness convention, shared by
-/// every layer that persists or transmits floats (the `ltc-durable`
-/// write-ahead log reuses it verbatim).
+/// every layer that persists or transmits floats through
+/// [`ltc_core::hex`].
 pub fn hex(v: f64) -> String {
-    let mut out = String::with_capacity(16);
-    push_hex(&mut out, v);
-    out
+    hex::f64_digits(v).iter().map(|&b| char::from(b)).collect()
 }
 
-/// Appends [`hex`]`(v)` to `out` without allocating — the form every
-/// in-place encoder (and the write-ahead log) uses.
+/// Appends [`hex`](hex())`(v)` to `out`, the form every in-place
+/// encoder uses.
 // ltc-lint: hot-path
-pub fn push_hex(out: &mut String, v: f64) {
-    const DIGITS: &[u8; 16] = b"0123456789abcdef";
-    let bits = v.to_bits();
-    let mut buf = [0u8; 16];
-    for (i, digit) in buf.iter_mut().enumerate() {
-        *digit = DIGITS[((bits >> (60 - 4 * i)) & 0xF) as usize];
-    }
-    out.push_str(std::str::from_utf8(&buf).expect("hex digits are ASCII"));
+fn push_hex(out: &mut Vec<u8>, v: f64) {
+    out.extend_from_slice(&hex::f64_digits(v));
 }
 
-/// Parses a [`hex`]-rendered bit pattern back into the identical `f64`,
-/// rejecting anything that is not exactly 16 hex digits inside a JSON
-/// string.
+/// Parses a [`hex`](hex())-rendered bit pattern back into the
+/// identical `f64`, rejecting anything that is not exactly 16 hex digits
+/// inside a JSON string.
 pub fn unhex(field: &'static str, v: Option<&Json>) -> Result<f64, WireError> {
     let s = v
         .and_then(Json::as_str)
         .ok_or_else(|| format!("missing or non-string `{field}`"))?;
-    parse_hex16(s.as_bytes())
+    hex::parse_f64(s.as_bytes())
         .ok_or_else(|| format!("`{field}` is not a 16-hex-digit f64 bit pattern"))
-}
-
-/// Exactly 16 ASCII hex digits, read as an `f64` bit pattern.
-fn parse_hex16(digits: &[u8]) -> Option<f64> {
-    if digits.len() != 16 {
-        return None;
-    }
-    json::hex_digits(digits).map(f64::from_bits)
 }
 
 fn uint(field: &'static str, v: Option<&Json>) -> Result<u64, WireError> {
@@ -212,23 +239,21 @@ fn word<'a>(field: &'static str, v: Option<&'a Json>) -> Result<&'a str, WireErr
 // ---------------------------------------------------------------------
 // Exact-layout fast paths for the frames that flow once per check-in on
 // a streaming connection: the `submit`/`post` request, its
-// acknowledgement, and the `worker`/`task` event. Each accepts
-// precisely the byte layout our own encoders emit (fixed member order,
-// canonical integers, optional `"seq"`/`"sid"` tails) and decodes to
-// exactly what the generic JSON route would produce, without building
-// a `Json` tree; any deviation returns `None` and falls back to the
-// generic parser, so foreign-but-valid framings still work and hostile
-// input hits the same guarded path it always did. The differential
-// unit tests pin the agreement.
+// acknowledgement, and the `worker`/`task` event. Each scans the frame's
+// bytes, accepts precisely the layout our own encoders emit (fixed
+// member order, canonical integers, optional `"seq"`/`"sid"` tails) and
+// decodes to exactly what the generic JSON route would produce, without
+// building a `Json` tree or checking UTF-8 (an accepted frame is ASCII);
+// any deviation returns `None` and falls back to the generic parser, so
+// foreign-but-valid framings still work and hostile input hits the same
+// guarded path it always did. The differential unit tests pin the
+// agreement.
 
-/// Consumes exactly 16 hex digits (a [`hex`]-rendered `f64`).
+/// Consumes exactly 16 hex digits (a [`hex`](hex())-rendered `f64`).
 // ltc-lint: hot-path
 fn eat_hex16(rest: &[u8]) -> Option<(f64, &[u8])> {
-    if rest.len() < 16 {
-        return None;
-    }
-    let (digits, rest) = rest.split_at(16);
-    Some((parse_hex16(digits)?, rest))
+    let (digits, rest) = rest.split_first_chunk::<16>()?;
+    Some((hex::parse_f64(digits)?, rest))
 }
 
 /// Consumes a canonical JSON unsigned integer (no sign, no leading
@@ -272,18 +297,15 @@ fn eat_seq(rest: &[u8]) -> Option<(Option<u64>, &[u8])> {
 }
 
 /// Consumes the optional `,"sid":"name"` tail ([`valid_session_name`]
-/// enforced, like [`frame_sid`]).
+/// enforced, like [`frame_sid`]). The name is ASCII, and stays bytes.
 // ltc-lint: hot-path
-fn eat_sid(rest: &[u8]) -> Option<(Option<&str>, &[u8])> {
-    match rest.strip_prefix(b",\"sid\":\"") {
+fn eat_sid(rest: &[u8]) -> Option<(Option<&[u8]>, &[u8])> {
+    match rest.strip_prefix(SID_MEMBER) {
         None => Some((None, rest)),
         Some(r) => {
             let quote = r.iter().position(|&b| b == b'"')?;
-            let name = std::str::from_utf8(&r[..quote]).ok()?;
-            if !valid_session_name(name) {
-                return None;
-            }
-            Some((Some(name), &r[quote + 1..]))
+            let name = &r[..quote];
+            is_session_name(name).then_some((Some(name), &r[quote + 1..]))
         }
     }
 }
@@ -291,8 +313,7 @@ fn eat_sid(rest: &[u8]) -> Option<(Option<&str>, &[u8])> {
 /// The request fast path (see the block comment above): `submit`, and
 /// `post` without an accuracy row, each with its optional tails.
 // ltc-lint: hot-path
-fn fast_decode_request(frame: &str) -> Option<(Request, Option<&str>)> {
-    let bytes = frame.as_bytes();
+fn fast_request(bytes: &[u8]) -> Option<(Request, Option<&[u8]>)> {
     let (submit, rest) = match bytes.strip_prefix(b"{\"op\":\"submit\",\"x\":\"") {
         Some(rest) => (true, rest),
         None => (false, bytes.strip_prefix(b"{\"op\":\"post\",\"x\":\"")?),
@@ -328,8 +349,7 @@ fn fast_decode_request(frame: &str) -> Option<(Request, Option<&str>)> {
 /// `submit`/`post` success responses, whose `"sid"` the client ignores
 /// exactly like the generic route does.
 // ltc-lint: hot-path
-fn fast_decode_ack(frame: &str) -> Option<Response> {
-    let bytes = frame.as_bytes();
+fn fast_ack(bytes: &[u8]) -> Option<Response> {
     let (response, rest) = if let Some(rest) = bytes.strip_prefix(b"{\"ok\":\"submit\",\"worker\":")
     {
         let (id, rest) = eat_u64(rest)?;
@@ -357,8 +377,7 @@ fn fast_decode_ack(frame: &str) -> Option<Response> {
 /// It writes the events straight into the batch, so a warm batch takes
 /// the frame without allocating; on `None` the batch is left as it was.
 // ltc-lint: hot-path
-fn fast_decode_into(frame: &str, batch: &mut EventBatch) -> Option<()> {
-    let bytes = frame.as_bytes();
+fn fast_event_into(bytes: &[u8], batch: &mut EventBatch) -> Option<()> {
     if let Some(rest) = bytes.strip_prefix(b"{\"ev\":\"task\",\"task\":") {
         let (task, rest) = eat_task_id(rest)?;
         let (_sid, rest) = eat_sid(rest)?;
@@ -388,6 +407,28 @@ fn fast_decode_into(frame: &str, batch: &mut EventBatch) -> Option<()> {
         let (_sid, rest) = eat_sid(rest)?;
         (rest == b"}").then_some(())
     })
+}
+
+/// [`fast_request`] on text, the `"sid"` as text: the form the
+/// differential tests compare against the generic route.
+#[cfg(test)]
+fn fast_decode_request(frame: &str) -> Option<(Request, Option<&str>)> {
+    let (request, sid) = fast_request(frame.as_bytes())?;
+    // An accepted `"sid"` is the frame's last member, just before `"}`.
+    let end = frame.len() - 2;
+    Some((request, sid.map(|sid| &frame[end - sid.len()..end])))
+}
+
+/// [`fast_ack`] on text.
+#[cfg(test)]
+fn fast_decode_ack(frame: &str) -> Option<Response> {
+    fast_ack(frame.as_bytes())
+}
+
+/// [`fast_event_into`] on text.
+#[cfg(test)]
+fn fast_decode_into(frame: &str, batch: &mut EventBatch) -> Option<()> {
+    fast_event_into(frame.as_bytes(), batch)
 }
 
 /// Consumes one entry of a `worker` frame's batch.
@@ -451,19 +492,191 @@ pub fn read_frame_into<'b, R: BufRead>(
         return Ok(None);
     }
     if buf.last() != Some(&b'\n') {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            if n >= MAX_FRAME {
-                "frame exceeds the protocol size cap"
-            } else {
-                "connection closed mid-frame"
-            },
-        ));
+        return Err(invalid_data(if n >= MAX_FRAME {
+            OVER_CAP
+        } else {
+            MID_FRAME
+        }));
     }
     buf.pop();
     std::str::from_utf8(buf)
         .map(Some)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame is not UTF-8"))
+        .map_err(|_| invalid_data(NOT_UTF8))
+}
+
+const OVER_CAP: &str = "frame exceeds the protocol size cap";
+const MID_FRAME: &str = "connection closed mid-frame";
+const NOT_UTF8: &str = "frame is not UTF-8";
+
+fn invalid_data(what: &'static str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, what)
+}
+
+/// The reader the per-check-in loops use (the server's connection
+/// thread, the client's reader thread). It finds each frame's `\n` once,
+/// a word at a time, and hands the frame out as bytes straight from the
+/// [`BufReader`]'s buffer; only a frame that straddles a refill is
+/// copied, into one reused buffer. It returns the frames
+/// [`read_frame_into`] returns, under the same [`MAX_FRAME`] cap and with
+/// the same errors, except that it leaves UTF-8 to the decoders: their
+/// exact-layout scanners accept only ASCII, and their generic route
+/// refuses a non-UTF-8 frame with [`FrameError::NotUtf8`].
+#[derive(Debug)]
+pub struct FrameReader<R> {
+    reader: BufReader<R>,
+    /// Where a frame that straddles a refill is assembled.
+    spill: Vec<u8>,
+    /// Bytes of the frame last handed out that are still buffered.
+    used: usize,
+    /// What is known of the `\n` that ends the next buffered frame.
+    next: Scan,
+}
+
+/// A [`FrameReader`]'s knowledge of the buffered bytes past the frame it
+/// last handed out.
+#[derive(Debug, Clone, Copy)]
+enum Scan {
+    /// Not searched yet.
+    Unknown,
+    /// The next frame's `\n` is at this offset.
+    At(usize),
+    /// They hold no `\n`.
+    Absent,
+}
+
+impl<R: Read> FrameReader<R> {
+    /// Reads frames from `reader`, starting with whatever it buffers.
+    pub fn new(reader: BufReader<R>) -> Self {
+        Self {
+            reader,
+            spill: Vec::new(),
+            used: 0,
+            next: Scan::Unknown,
+        }
+    }
+
+    /// Whether nothing is buffered past the frame last handed out, so
+    /// the next [`next_frame`](FrameReader::next_frame) reads from the
+    /// underlying reader (and may block).
+    pub fn is_drained(&self) -> bool {
+        self.reader.buffer().len() == self.used
+    }
+
+    /// Whether the next frame lies whole in the buffer, so
+    /// [`next_frame`](FrameReader::next_frame) returns it without
+    /// reading. The search is kept, not repeated.
+    // ltc-lint: hot-path
+    pub fn holds_frame(&mut self) -> bool {
+        self.settle();
+        self.scan().is_some()
+    }
+
+    /// The next frame, without its `\n`. `Ok(None)` is a clean end of
+    /// stream at a frame boundary; a frame truncated by end of stream or
+    /// overflowing [`MAX_FRAME`] is an error.
+    // ltc-lint: hot-path
+    pub fn next_frame(&mut self) -> io::Result<Option<&[u8]>> {
+        self.settle();
+        if self.reader.buffer().is_empty() {
+            self.next = Scan::Unknown;
+            if fill(&mut self.reader)? == 0 {
+                return Ok(None);
+            }
+        }
+        let end = self.scan();
+        self.next = Scan::Unknown;
+        match end {
+            Some(end) if end < MAX_FRAME => {
+                self.used = end + 1;
+                Ok(Some(&self.reader.buffer()[..end]))
+            }
+            Some(_) => Err(invalid_data(OVER_CAP)),
+            None => self.gather().map(Some),
+        }
+    }
+
+    /// Consumes the frame last handed out.
+    fn settle(&mut self) {
+        if self.used > 0 {
+            self.reader.consume(self.used);
+            self.used = 0;
+        }
+    }
+
+    /// Where the next buffered frame ends, searching at most once.
+    fn scan(&mut self) -> Option<usize> {
+        if let Scan::Unknown = self.next {
+            self.next = match find_newline(self.reader.buffer()) {
+                Some(end) => Scan::At(end),
+                None => Scan::Absent,
+            };
+        }
+        match self.next {
+            Scan::At(end) => Some(end),
+            Scan::Unknown | Scan::Absent => None,
+        }
+    }
+
+    /// Assembles a frame that straddles a refill in `spill`, starting
+    /// from the buffered bytes, which hold no `\n`.
+    fn gather(&mut self) -> io::Result<&[u8]> {
+        self.spill.clear();
+        self.spill.shrink_to(REUSED_FRAME_KEEP);
+        let mut end = None;
+        loop {
+            let available = self.reader.buffer();
+            let take = end.unwrap_or(available.len());
+            // The cap counts the `\n`: a frame must end within it.
+            if self.spill.len() + take >= MAX_FRAME {
+                return Err(invalid_data(OVER_CAP));
+            }
+            self.spill.extend_from_slice(&available[..take]);
+            if end.is_some() {
+                self.reader.consume(take + 1);
+                return Ok(&self.spill);
+            }
+            self.reader.consume(take);
+            if fill(&mut self.reader)? == 0 {
+                return Err(invalid_data(MID_FRAME));
+            }
+            end = find_newline(self.reader.buffer());
+        }
+    }
+}
+
+/// Refills an empty buffer, retrying an interrupted read as
+/// `read_until` does; returns how much is buffered (0 at end of stream).
+fn fill<R: Read>(reader: &mut BufReader<R>) -> io::Result<usize> {
+    loop {
+        match reader.fill_buf() {
+            Ok(buffered) => return Ok(buffered.len()),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+}
+
+/// The offset of the first `\n` in `bytes`, eight bytes per step: a
+/// word XORed with `\n` in every byte has a zero byte exactly where the
+/// `\n`s are, and the lowest flagged byte of `(x - 0x01…) & !x & 0x80…`
+/// is the first zero byte.
+// ltc-lint: hot-path
+fn find_newline(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    let mut words = bytes.chunks_exact(8);
+    let mut at = 0;
+    for word in &mut words {
+        let mut le = [0u8; 8];
+        le.copy_from_slice(word);
+        let x = u64::from_le_bytes(le) ^ (u64::from(b'\n') * ONES);
+        let zeros = x.wrapping_sub(ONES) & !x & (0x80 * ONES);
+        if zeros != 0 {
+            return Some(at + (zeros.trailing_zeros() / 8) as usize);
+        }
+        at += 8;
+    }
+    let tail = words.remainder();
+    tail.iter().position(|&b| b == b'\n').map(|i| at + i)
 }
 
 /// Writes one frame and flushes it (frames are the unit of progress;
@@ -568,9 +781,9 @@ pub enum Request {
 
 /// Appends the optional `,"seq":N` member of a windowed frame.
 // ltc-lint: hot-path
-fn push_seq(out: &mut String, seq: Option<u64>) {
+fn push_seq(out: &mut Vec<u8>, seq: Option<u64>) {
     if let Some(seq) = seq {
-        out.push_str(",\"seq\":");
+        out.extend_from_slice(b",\"seq\":");
         json::push_u64(out, seq);
     }
 }
@@ -580,9 +793,9 @@ impl Request {
     pub fn encode(&self) -> String {
         match self {
             Request::Submit { .. } | Request::Post { .. } => {
-                let mut out = String::with_capacity(96);
+                let mut out = Vec::with_capacity(96);
                 self.push_hot(&mut out);
-                out
+                text(out)
             }
             Request::Subscribe => "{\"op\":\"subscribe\"}".into(),
             Request::Drain => "{\"op\":\"drain\"}".into(),
@@ -627,9 +840,9 @@ impl Request {
     /// [`with_sid`] would add it, then the `\n` delimiter. The
     /// per-check-in kinds (`submit`, `post`) are written in place, so a
     /// warm buffer takes them without allocating.
-    pub fn encode_into(&self, out: &mut String, sid: Option<&str>) {
+    pub fn encode_into(&self, out: &mut Vec<u8>, sid: Option<&str>) {
         if !self.push_hot(out) {
-            out.push_str(&self.encode());
+            out.extend_from_slice(self.encode().as_bytes());
         }
         finish_frame(out, sid);
     }
@@ -637,41 +850,41 @@ impl Request {
     /// Appends the frame in place if it is a per-check-in kind
     /// (`submit`, `post`); `false` leaves `out` untouched.
     // ltc-lint: hot-path
-    fn push_hot(&self, out: &mut String) -> bool {
+    fn push_hot(&self, out: &mut Vec<u8>) -> bool {
         match self {
             Request::Submit { worker, seq } => {
-                out.push_str("{\"op\":\"submit\",\"x\":\"");
+                out.extend_from_slice(b"{\"op\":\"submit\",\"x\":\"");
                 push_hex(out, worker.loc.x);
-                out.push_str("\",\"y\":\"");
+                out.extend_from_slice(b"\",\"y\":\"");
                 push_hex(out, worker.loc.y);
-                out.push_str("\",\"acc\":\"");
+                out.extend_from_slice(b"\",\"acc\":\"");
                 push_hex(out, worker.accuracy);
-                out.push('"');
+                out.push(b'"');
                 push_seq(out, *seq);
             }
             Request::Post { task, row, seq } => {
-                out.push_str("{\"op\":\"post\",\"x\":\"");
+                out.extend_from_slice(b"{\"op\":\"post\",\"x\":\"");
                 push_hex(out, task.loc.x);
-                out.push_str("\",\"y\":\"");
+                out.extend_from_slice(b"\",\"y\":\"");
                 push_hex(out, task.loc.y);
-                out.push('"');
+                out.push(b'"');
                 if let Some(row) = row {
-                    out.push_str(",\"row\":[");
+                    out.extend_from_slice(b",\"row\":[");
                     for (i, &a) in row.iter().enumerate() {
                         if i > 0 {
-                            out.push(',');
+                            out.push(b',');
                         }
-                        out.push('"');
+                        out.push(b'"');
                         push_hex(out, a);
-                        out.push('"');
+                        out.push(b'"');
                     }
-                    out.push(']');
+                    out.push(b']');
                 }
                 push_seq(out, *seq);
             }
             _ => return false,
         }
-        out.push('}');
+        out.push(b'}');
         true
     }
 
@@ -680,20 +893,23 @@ impl Request {
     /// target session); `None` when the frame carries none (every `v1`
     /// frame).
     pub fn decode_with_sid(frame: &str) -> Result<(Request, Option<String>), WireError> {
-        let (request, sid) = Self::decode(frame)?;
-        Ok((request, sid.map(Cow::into_owned)))
+        let (request, sid) = Self::decode_bytes(frame.as_bytes()).map_err(|e| e.to_string())?;
+        let sid = sid.map(|sid| String::from_utf8_lossy(&sid).into_owned());
+        Ok((request, sid))
     }
 
-    /// [`decode_with_sid`](Request::decode_with_sid) with the `"sid"`
-    /// borrowed from the frame where it can be: a `submit` or row-less
-    /// `post` in our own layout decodes without allocating.
-    pub fn decode(frame: &str) -> Result<(Request, Option<Cow<'_, str>>), WireError> {
-        if let Some((request, sid)) = fast_decode_request(frame) {
+    /// Parses a request frame from its bytes, with the `"sid"` (ASCII,
+    /// a [`valid_session_name`]) borrowed from the frame where it can
+    /// be: a `submit` or row-less `post` in our own layout decodes
+    /// without allocating or checking UTF-8.
+    pub fn decode_bytes(frame: &[u8]) -> Result<AddressedRequest<'_>, FrameError> {
+        if let Some((request, sid)) = fast_request(frame) {
             return Ok((request, sid.map(Cow::Borrowed)));
         }
-        let v = json::parse(frame).map_err(|e| e.to_string())?;
-        let sid = frame_sid(&v)?.map(|sid| Cow::Owned(sid.to_owned()));
-        let request = Self::decode_value(&v)?;
+        let v = json::parse(utf8(frame)?).map_err(|e| FrameError::Invalid(e.to_string()))?;
+        let sid = frame_sid(&v).map_err(FrameError::Invalid)?;
+        let sid = sid.map(|sid| Cow::Owned(sid.as_bytes().to_vec()));
+        let request = Self::decode_value(&v).map_err(FrameError::Invalid)?;
         Ok((request, sid))
     }
 
@@ -771,6 +987,10 @@ impl Request {
         }
     }
 }
+
+/// A request and the `"sid"` member it carries, as bytes borrowed from
+/// the frame where they can be ([`Request::decode_bytes`]).
+pub type AddressedRequest<'a> = (Request, Option<Cow<'a, [u8]>>);
 
 /// The optional `"seq"` correlation member of a windowed `submit`/
 /// `post` frame (and its response). Absent is lockstep; present but
@@ -1007,9 +1227,9 @@ impl Response {
                 out
             }
             Response::Submit { .. } | Response::Post { .. } => {
-                let mut out = String::with_capacity(64);
+                let mut out = Vec::with_capacity(64);
                 self.push_hot(&mut out);
-                out
+                text(out)
             }
             Response::Subscribe => "{\"ok\":\"subscribe\"}".into(),
             Response::Drain => "{\"ok\":\"drain\"}".into(),
@@ -1101,9 +1321,9 @@ impl Response {
     /// would add it, then the `\n` delimiter. The `submit`/`post`
     /// acknowledgements are written in place, so a warm buffer takes
     /// them without allocating.
-    pub fn encode_into(&self, out: &mut String, sid: Option<&str>) {
+    pub fn encode_into(&self, out: &mut Vec<u8>, sid: Option<&str>) {
         if !self.push_hot(out) {
-            out.push_str(&self.encode());
+            out.extend_from_slice(self.encode().as_bytes());
         }
         finish_frame(out, sid);
     }
@@ -1111,30 +1331,38 @@ impl Response {
     /// Appends the frame in place if it is a `submit`/`post`
     /// acknowledgement; `false` leaves `out` untouched.
     // ltc-lint: hot-path
-    fn push_hot(&self, out: &mut String) -> bool {
+    fn push_hot(&self, out: &mut Vec<u8>) -> bool {
         match self {
             Response::Submit { worker, seq } => {
-                out.push_str("{\"ok\":\"submit\",\"worker\":");
+                out.extend_from_slice(b"{\"ok\":\"submit\",\"worker\":");
                 json::push_u64(out, worker.0);
                 push_seq(out, *seq);
             }
             Response::Post { task, seq } => {
-                out.push_str("{\"ok\":\"post\",\"task\":");
+                out.extend_from_slice(b"{\"ok\":\"post\",\"task\":");
                 json::push_u64(out, u64::from(task.0));
                 push_seq(out, *seq);
             }
             _ => return false,
         }
-        out.push('}');
+        out.push(b'}');
         true
     }
 
-    /// Parses a response frame (which must not be an event frame).
+    /// Parses a response frame (which must not be an event frame):
+    /// [`decode_bytes`](Response::decode_bytes) on text.
     pub fn decode(frame: &str) -> Result<Response, WireError> {
-        if let Some(response) = fast_decode_ack(frame) {
+        Self::decode_bytes(frame.as_bytes()).map_err(|e| e.to_string())
+    }
+
+    /// Parses a response frame from its bytes: a `submit`/`post`
+    /// acknowledgement in our own layout without checking UTF-8, any
+    /// other frame by the generic route.
+    pub fn decode_bytes(frame: &[u8]) -> Result<Response, FrameError> {
+        if let Some(response) = fast_ack(frame) {
             return Ok(response);
         }
-        Self::decode_generic(frame)
+        Self::decode_generic(utf8(frame)?).map_err(FrameError::Invalid)
     }
 
     /// The generic JSON route [`Response::decode`] falls back to when
@@ -1253,16 +1481,17 @@ impl Response {
 /// Whether a frame is an event frame (`"ev"` key) — the server→client
 /// demultiplexer: event frames interleave between responses once a
 /// connection subscribes.
-pub fn is_event_frame(frame: &str) -> bool {
+// ltc-lint: hot-path
+pub fn is_event_frame<F: AsRef<[u8]> + ?Sized>(frame: &F) -> bool {
     // Cheap structural probe; the real parse happens in decode_event.
-    frame.starts_with("{\"ev\":")
+    frame.as_ref().starts_with(b"{\"ev\":")
 }
 
 /// Serializes one subscription delivery as an event frame.
 pub fn encode_event(event: &StreamEvent) -> String {
-    let mut out = String::with_capacity(128);
+    let mut out = Vec::with_capacity(128);
     push_event(&mut out, event.into());
-    out
+    text(out)
 }
 
 /// Appends one event frame to `out`: the [`encode_event`] bytes, then
@@ -1271,7 +1500,7 @@ pub fn encode_event(event: &StreamEvent) -> String {
 /// [`StreamEvent`] through `EventRef::from`) and every kind is written
 /// in place, so a warm buffer takes it without allocating.
 // ltc-lint: hot-path
-pub fn encode_event_into(out: &mut String, event: EventRef<'_>, sid: Option<&str>) {
+pub fn encode_event_into(out: &mut Vec<u8>, event: EventRef<'_>, sid: Option<&str>) {
     push_event(out, event);
     finish_frame(out, sid);
 }
@@ -1279,60 +1508,60 @@ pub fn encode_event_into(out: &mut String, event: EventRef<'_>, sid: Option<&str
 /// Appends the event frame itself, the layout [`encode_event`] and
 /// [`encode_event_into`] share.
 // ltc-lint: hot-path
-fn push_event(out: &mut String, event: EventRef<'_>) {
+fn push_event(out: &mut Vec<u8>, event: EventRef<'_>) {
     match event {
         EventRef::Worker { worker, events } => {
-            out.push_str("{\"ev\":\"worker\",\"worker\":");
+            out.extend_from_slice(b"{\"ev\":\"worker\",\"worker\":");
             json::push_u64(out, worker.0);
-            out.push_str(",\"batch\":[");
+            out.extend_from_slice(b",\"batch\":[");
             for (i, e) in events.iter().enumerate() {
                 if i > 0 {
-                    out.push(',');
+                    out.push(b',');
                 }
                 match e {
                     Event::Assigned {
                         task, acc, gain, ..
                     } => {
-                        out.push_str("{\"k\":\"assign\",\"task\":");
+                        out.extend_from_slice(b"{\"k\":\"assign\",\"task\":");
                         json::push_u64(out, u64::from(task.0));
-                        out.push_str(",\"acc\":\"");
+                        out.extend_from_slice(b",\"acc\":\"");
                         push_hex(out, *acc);
-                        out.push_str("\",\"gain\":\"");
+                        out.extend_from_slice(b"\",\"gain\":\"");
                         push_hex(out, *gain);
-                        out.push_str("\"}");
+                        out.extend_from_slice(b"\"}");
                     }
                     Event::TaskCompleted { task, latency } => {
-                        out.push_str("{\"k\":\"done\",\"task\":");
+                        out.extend_from_slice(b"{\"k\":\"done\",\"task\":");
                         json::push_u64(out, u64::from(task.0));
-                        out.push_str(",\"latency\":");
+                        out.extend_from_slice(b",\"latency\":");
                         json::push_u64(out, *latency);
-                        out.push('}');
+                        out.push(b'}');
                     }
-                    Event::WorkerIdle { .. } => out.push_str("{\"k\":\"idle\"}"),
+                    Event::WorkerIdle { .. } => out.extend_from_slice(b"{\"k\":\"idle\"}"),
                 }
             }
-            out.push_str("]}");
+            out.extend_from_slice(b"]}");
         }
         EventRef::TaskPosted { task } => {
-            out.push_str("{\"ev\":\"task\",\"task\":");
+            out.extend_from_slice(b"{\"ev\":\"task\",\"task\":");
             json::push_u64(out, u64::from(task.0));
-            out.push('}');
+            out.push(b'}');
         }
         EventRef::Lifecycle(l) => {
-            out.push_str("{\"ev\":\"life\",\"kind\":");
+            out.extend_from_slice(b"{\"ev\":\"life\",\"kind\":");
             match &l {
                 Lifecycle::Drained { workers_seen } => {
-                    out.push_str("\"drained\",\"workers\":");
+                    out.extend_from_slice(b"\"drained\",\"workers\":");
                     json::push_u64(out, *workers_seen);
                 }
                 Lifecycle::ShardStalled { shard, capacity } => {
-                    out.push_str("\"stalled\",\"shard\":");
+                    out.extend_from_slice(b"\"stalled\",\"shard\":");
                     json::push_u64(out, *shard as u64);
-                    out.push_str(",\"capacity\":");
+                    out.extend_from_slice(b",\"capacity\":");
                     json::push_u64(out, *capacity as u64);
                 }
                 Lifecycle::TaskOutOfRegion { task } => {
-                    out.push_str("\"oor\",\"task\":");
+                    out.extend_from_slice(b"\"oor\",\"task\":");
                     json::push_u64(out, u64::from(task.0));
                 }
                 Lifecycle::Rebalanced {
@@ -1340,22 +1569,22 @@ fn push_event(out: &mut String, event: EventRef<'_>) {
                     max_load,
                     mean_load,
                 } => {
-                    out.push_str("\"rebalanced\",\"moved\":");
+                    out.extend_from_slice(b"\"rebalanced\",\"moved\":");
                     json::push_u64(out, *moved_tasks);
-                    out.push_str(",\"max\":");
+                    out.extend_from_slice(b",\"max\":");
                     json::push_u64(out, *max_load);
-                    out.push_str(",\"mean\":\"");
+                    out.extend_from_slice(b",\"mean\":\"");
                     push_hex(out, *mean_load);
-                    out.push('"');
+                    out.push(b'"');
                 }
                 Lifecycle::Checkpointed { seq } => {
-                    out.push_str("\"checkpointed\",\"seq\":");
+                    out.extend_from_slice(b"\"checkpointed\",\"seq\":");
                     json::push_u64(out, *seq);
                 }
-                Lifecycle::SessionEvicted => out.push_str("\"evicted\""),
-                Lifecycle::ShuttingDown => out.push_str("\"bye\""),
+                Lifecycle::SessionEvicted => out.extend_from_slice(b"\"evicted\""),
+                Lifecycle::ShuttingDown => out.extend_from_slice(b"\"bye\""),
             }
-            out.push('}');
+            out.push(b'}');
         }
     }
 }
@@ -1364,19 +1593,20 @@ fn push_event(out: &mut String, event: EventRef<'_>) {
 /// counterpart of [`decode_event_into`].
 pub fn decode_event(frame: &str) -> Result<StreamEvent, WireError> {
     let mut batch = EventBatch::new();
-    decode_event_into(frame, &mut batch)?;
+    decode_event_into(frame.as_bytes(), &mut batch).map_err(|e| e.to_string())?;
     let event = batch.iter().next().map(StreamEvent::from);
     event.ok_or_else(|| "an event frame decoded to no delivery".to_string())
 }
 
-/// Parses an event frame and appends the delivery to `batch`. A
-/// `worker` or `task` frame in our own encoders' layout is decoded
-/// straight into the batch, without allocating once the batch is warm;
-/// any other frame takes the generic JSON route. On an error the batch
-/// is left as it was.
-pub fn decode_event_into(frame: &str, batch: &mut EventBatch) -> Result<(), WireError> {
-    if fast_decode_into(frame, batch).is_none() {
-        batch.push(EventRef::from(&decode_event_generic(frame)?));
+/// Parses an event frame from its bytes and appends the delivery to
+/// `batch`. A `worker` or `task` frame in our own encoders' layout is
+/// decoded straight into the batch, without allocating once the batch is
+/// warm and without checking UTF-8; any other frame takes the generic
+/// JSON route. On an error the batch is left as it was.
+pub fn decode_event_into(frame: &[u8], batch: &mut EventBatch) -> Result<(), FrameError> {
+    if fast_event_into(frame, batch).is_none() {
+        let event = decode_event_generic(utf8(frame)?).map_err(FrameError::Invalid)?;
+        batch.push(EventRef::from(&event));
     }
     Ok(())
 }
@@ -1768,6 +1998,175 @@ mod tests {
         assert!(read_frame(&mut non_utf8).is_err());
     }
 
+    /// Buffer capacities that put refills at every offset of the short
+    /// frames and inside every long one, plus the default.
+    const CAPACITIES: [usize; 6] = [1, 7, 8, 9, 16, 8 * 1024];
+
+    /// Every frame `read_frame_into` reads from `bytes`, then how the
+    /// stream ended: `None` cleanly, or the error's kind and text.
+    fn reference_frames(bytes: &[u8]) -> (Vec<Vec<u8>>, Option<(io::ErrorKind, String)>) {
+        let mut reader = io::Cursor::new(bytes);
+        let mut line = Vec::new();
+        let mut frames = Vec::new();
+        loop {
+            match read_frame_into(&mut reader, &mut line) {
+                Ok(Some(frame)) => frames.push(frame.as_bytes().to_vec()),
+                Ok(None) => return (frames, None),
+                Err(e) => return (frames, Some((e.kind(), e.to_string()))),
+            }
+        }
+    }
+
+    /// [`reference_frames`] through a [`FrameReader`] over a buffer of
+    /// `capacity` bytes.
+    fn frame_reader_frames(
+        bytes: &[u8],
+        capacity: usize,
+    ) -> (Vec<Vec<u8>>, Option<(io::ErrorKind, String)>) {
+        let mut reader =
+            FrameReader::new(BufReader::with_capacity(capacity, io::Cursor::new(bytes)));
+        let mut frames = Vec::new();
+        loop {
+            // Asking first, as the client's reader does while it holds
+            // undelivered events, must not change what is read next.
+            if frames.len() % 2 == 1 {
+                let held = reader.holds_frame();
+                assert!(!held || !reader.is_drained(), "a held frame is buffered");
+            }
+            match reader.next_frame() {
+                Ok(Some(frame)) => frames.push(frame.to_vec()),
+                Ok(None) => return (frames, None),
+                Err(e) => return (frames, Some((e.kind(), e.to_string()))),
+            }
+        }
+    }
+
+    #[test]
+    fn the_frame_reader_reads_read_frame_intos_frames_at_every_refill_boundary() {
+        let mut text: Vec<String> = sample_requests().iter().map(Request::encode).collect();
+        text.extend(sample_responses().iter().map(Response::encode));
+        text.extend(sample_events().iter().map(encode_event));
+        text.extend(["".to_string(), "x".to_string(), "{}".to_string()]);
+        let mut bytes = Vec::new();
+        for (i, frame) in text.iter().enumerate() {
+            let frame = if i % 2 == 0 && frame.ends_with('}') {
+                with_sid(frame.clone(), "s-1")
+            } else {
+                frame.clone()
+            };
+            bytes.extend_from_slice(frame.as_bytes());
+            bytes.push(b'\n');
+        }
+        // Cuts of the stream at every frame boundary and every third
+        // byte: a clean end at a boundary, or the mid-frame error after
+        // the same frames.
+        let cuts = (0..=bytes.len()).filter(|&cut| cut % 3 == 0 || bytes[cut - 1] == b'\n');
+        for cut in cuts {
+            let stream = &bytes[..cut];
+            let expected = reference_frames(stream);
+            if cut == bytes.len() {
+                assert_eq!(expected.0.len(), text.len());
+                assert_eq!(expected.1, None);
+            }
+            for capacity in CAPACITIES {
+                assert_eq!(
+                    frame_reader_frames(stream, capacity),
+                    expected,
+                    "cut {cut}, capacity {capacity}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_frame_reader_keeps_the_cap_and_its_error() {
+        // The largest legal frame, `\n` included, is `MAX_FRAME` bytes;
+        // one byte more is refused, whether it ends or not.
+        let mut largest = vec![b'x'; MAX_FRAME - 1];
+        largest.push(b'\n');
+        largest.extend_from_slice(b"{}\n");
+        let mut over = vec![b'x'; MAX_FRAME];
+        over.push(b'\n');
+        let unended = vec![b'x'; MAX_FRAME + 10];
+        // Through a buffer the frames straddle, and for the frame one
+        // byte over, through one that holds it whole.
+        for (stream, capacities) in [
+            (&largest, &[4096][..]),
+            (&over, &[4096, MAX_FRAME + 16]),
+            (&unended, &[4096]),
+        ] {
+            let expected = reference_frames(stream);
+            for &capacity in capacities {
+                assert_eq!(
+                    frame_reader_frames(stream, capacity),
+                    expected,
+                    "{} bytes, capacity {capacity}",
+                    stream.len()
+                );
+            }
+        }
+        assert_eq!(reference_frames(&largest).0.len(), 2);
+        let (frames, error) = reference_frames(&over);
+        assert!(frames.is_empty());
+        assert_eq!(
+            error,
+            Some((io::ErrorKind::InvalidData, OVER_CAP.to_string()))
+        );
+    }
+
+    #[test]
+    fn newlines_are_found_at_every_offset() {
+        // Every other byte value around a `\n` at every offset (and a
+        // second `\n` after it), then random bytes, which mix the
+        // lanes of each word.
+        for filler in (0..=255u8).filter(|&b| b != b'\n') {
+            for len in 0..20 {
+                for at in 0..=len {
+                    let mut bytes = vec![filler; len];
+                    if at < len {
+                        bytes[at] = b'\n';
+                    }
+                    if at + 3 < len {
+                        bytes[at + 3] = b'\n';
+                    }
+                    let expected = bytes.iter().position(|&b| b == b'\n');
+                    assert_eq!(find_newline(&bytes), expected, "{bytes:?}");
+                }
+            }
+        }
+        let mut rng = XorShift(0x1CDE_2018_0000_0004);
+        for _ in 0..4096 {
+            let len = (rng.next() % 40) as usize;
+            let bytes: Vec<u8> = (0..len)
+                .map(|_| match rng.next() % 8 {
+                    0 => b'\n',
+                    _ => (rng.next() >> 32) as u8,
+                })
+                .collect();
+            let expected = bytes.iter().position(|&b| b == b'\n');
+            assert_eq!(find_newline(&bytes), expected, "{bytes:?}");
+        }
+    }
+
+    #[test]
+    fn a_non_utf8_frame_is_refused_as_such_by_every_byte_decoder() {
+        for frame in [
+            &b"{\"op\":\"drain\",\"sid\":\"\xff\"}"[..],
+            b"{\"ok\":\"submit\",\"worker\":3\xc3}",
+            b"{\"ev\":\"task\",\"task\":3,\"sid\":\"\xe2\x82\"}",
+        ] {
+            assert_eq!(Request::decode_bytes(frame), Err(FrameError::NotUtf8));
+            assert_eq!(Response::decode_bytes(frame), Err(FrameError::NotUtf8));
+            let mut batch = EventBatch::new();
+            assert_eq!(
+                decode_event_into(frame, &mut batch),
+                Err(FrameError::NotUtf8)
+            );
+            assert!(batch.is_empty());
+        }
+        assert_eq!(FrameError::NotUtf8.to_string(), NOT_UTF8);
+    }
+
     /// A `Write` that records every `write` call separately.
     #[derive(Default)]
     struct CountingWriter {
@@ -2047,21 +2446,21 @@ mod tests {
         // plus `\n`, after whatever the buffer already holds.
         for sid in [None, Some("s-1")] {
             let frame = |encoded: String| match sid {
-                Some(sid) => format!("prior\n{}\n", with_sid(encoded, sid)),
-                None => format!("prior\n{encoded}\n"),
+                Some(sid) => format!("prior\n{}\n", with_sid(encoded, sid)).into_bytes(),
+                None => format!("prior\n{encoded}\n").into_bytes(),
             };
             for event in sample_events() {
-                let mut out = String::from("prior\n");
+                let mut out = b"prior\n".to_vec();
                 encode_event_into(&mut out, (&event).into(), sid);
                 assert_eq!(out, frame(encode_event(&event)));
             }
             for request in sample_requests() {
-                let mut out = String::from("prior\n");
+                let mut out = b"prior\n".to_vec();
                 request.encode_into(&mut out, sid);
                 assert_eq!(out, frame(request.encode()));
             }
             for response in sample_responses() {
-                let mut out = String::from("prior\n");
+                let mut out = b"prior\n".to_vec();
                 response.encode_into(&mut out, sid);
                 assert_eq!(out, frame(response.encode()));
             }
