@@ -8,8 +8,8 @@
 //! time, allocates at least the log's size again (pushing allocates
 //! each doubling on the way, about twice the log). One that adopts the
 //! snapshot's log allocates only for what it rebuilds per task: the
-//! uncompleted set, the worker-unit counts, the spatial index and the
-//! shards' local-to-global maps.
+//! uncompleted set, the worker-unit counts, the spatial index, the
+//! shards' id-to-slot tables and the service's task-owner map.
 //!
 //! This reads the process-wide [`allocated_bytes`], which is exact only
 //! while nothing else runs, so this binary holds exactly one test. Keep

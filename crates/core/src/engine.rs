@@ -41,6 +41,9 @@ const COMPLETION_EPS: f64 = 1e-9;
 /// experiments use `K = 6`; batches only touch the heap when `K > 8`.
 pub const INLINE_BATCH: usize = 8;
 
+/// The id table's entry for an id the engine does not hold.
+const NO_SLOT: u32 = u32::MAX;
+
 /// The assignments one worker received from
 /// [`AssignmentEngine::push_worker`].
 pub type AssignmentBatch = SmallVec<Assignment, INLINE_BATCH>;
@@ -60,25 +63,31 @@ pub struct Candidate {
 /// An owned, incremental streaming engine for the LTC problem: per-task
 /// accumulated quality `S`, completion tracking, the committed
 /// [`Arrangement`], and an evicting spatial index over the *uncompleted*
-/// tasks.
+/// tasks. Tasks keep their ids for life; internally they sit in slots in
+/// ascending id order, a layout that never leaves the engine.
 #[derive(Debug, Clone)]
 pub struct AssignmentEngine {
     params: ProblemParams,
     accuracy: AccuracyModel,
     delta: f64,
+    /// Per-slot task state, in ascending id order.
+    ids: Vec<TaskId>,
     tasks: Vec<Task>,
     /// Accumulated contribution per task (the paper's `S`).
     s: Vec<f64>,
     completed: Vec<bool>,
-    /// Dense set of uncompleted task ids (unordered; swap-removed on
-    /// completion) plus each task's position in it, so iterating the
+    /// `slot_of[id - id_base]`: the slot holding task `id`, or `NO_SLOT`.
+    slot_of: Vec<u32>,
+    id_base: u32,
+    /// Dense set of uncompleted slots (unordered; swap-removed on
+    /// completion) plus each slot's position in it, so iterating the
     /// remaining work is `O(n_uncompleted)`.
-    uncompleted_ids: Vec<u32>,
+    uncompleted: Vec<u32>,
     uncompleted_pos: Vec<u32>,
     arrangement: Arrangement,
-    /// Spatial index over the locations of *uncompleted* tasks (cell size
-    /// `d_max`), used under the nearby-only eligibility policy. `None`
-    /// under [`Eligibility::Unrestricted`].
+    /// Spatial index over the ids and locations of *uncompleted* tasks
+    /// (cell size `d_max`), used under the nearby-only eligibility
+    /// policy. `None` under [`Eligibility::Unrestricted`].
     task_index: Option<GridIndex<u32>>,
     /// Arrival counter: the id the next pushed worker receives.
     next_arrival: u64,
@@ -87,7 +96,7 @@ pub struct AssignmentEngine {
     /// state: a restore re-counts clamps from re-inserting the live
     /// tasks, which is self-consistent with the restored geometry.
     index_clamp_mark: u64,
-    /// Per-task remaining worker-units `⌈(δ − S[t])⁺⌉` (0 once
+    /// Per-slot remaining worker-units `⌈(δ − S[t])⁺⌉` (0 once
     /// completed), maintained incrementally so AAM's regime scan needs no
     /// per-worker pass over the uncompleted set.
     units: Vec<f64>,
@@ -118,31 +127,20 @@ impl AssignmentEngine {
             Eligibility::WithinRange => Some(GridIndex::with_bounds(params.d_max, region)),
             Eligibility::Unrestricted => None,
         };
-        let delta = params.delta();
-        Ok(Self {
-            delta,
+        Ok(Self::assemble(
             params,
-            accuracy: AccuracyModel::Sigmoid,
-            tasks: Vec::new(),
-            s: Vec::new(),
-            completed: Vec::new(),
-            uncompleted_ids: Vec::new(),
-            uncompleted_pos: Vec::new(),
-            arrangement: Arrangement::new(),
+            AccuracyModel::Sigmoid,
             task_index,
-            next_arrival: 0,
-            index_clamp_mark: 0,
-            units: Vec::new(),
-            units_sum: 0.0,
-            units_counts: UnitCounts::for_delta(delta),
-            cand_buf: Vec::new(),
-            picks_buf: Vec::new(),
-        })
+            Vec::new(),
+            Vec::new(),
+            Vec::new(),
+            Vec::new(),
+        ))
     }
 
-    /// An engine pre-loaded with a batch instance's tasks, parameters,
-    /// and accuracy model, ready to stream the instance's workers (or any
-    /// other stream) through it.
+    /// An engine pre-loaded with a batch instance's tasks (task `i` under
+    /// id `i`), parameters, and accuracy model, ready to stream the
+    /// instance's workers (or any other stream) through it.
     pub fn from_instance(instance: &Instance) -> Self {
         let params = *instance.params();
         let tasks = instance.tasks().to_vec();
@@ -154,42 +152,82 @@ impl AssignmentEngine {
             )),
             Eligibility::Unrestricted => None,
         };
+        Self::assemble(
+            params,
+            instance.accuracy_model().clone(),
+            task_index,
+            (0..n as u32).map(TaskId).collect(),
+            tasks,
+            vec![0.0; n],
+            vec![false; n],
+        )
+    }
+
+    /// An engine holding the tasks `ids` (ascending) with their quality
+    /// and completion flags and no history yet; derives the id table,
+    /// the uncompleted set and the worker-units from them.
+    fn assemble(
+        params: ProblemParams,
+        accuracy: AccuracyModel,
+        task_index: Option<GridIndex<u32>>,
+        ids: Vec<TaskId>,
+        tasks: Vec<Task>,
+        s: Vec<f64>,
+        completed: Vec<bool>,
+    ) -> Self {
         let delta = params.delta();
-        let full_units = delta.ceil();
-        let mut units_counts = UnitCounts::for_delta(delta);
-        if n > 0 {
-            units_counts.add_count(full_units, n as u32);
-        }
-        Self {
+        let n = tasks.len();
+        let mut engine = Self {
             delta,
             params,
-            accuracy: instance.accuracy_model().clone(),
+            accuracy,
+            ids,
             tasks,
-            s: vec![0.0; n],
-            completed: vec![false; n],
-            uncompleted_ids: (0..n as u32).collect(),
-            uncompleted_pos: (0..n as u32).collect(),
+            s,
+            completed,
+            slot_of: Vec::new(),
+            id_base: 0,
+            uncompleted: Vec::new(),
+            uncompleted_pos: Vec::new(),
             arrangement: Arrangement::new(),
             task_index,
             next_arrival: 0,
             index_clamp_mark: 0,
-            units: vec![full_units; n],
-            units_sum: full_units * n as f64,
-            units_counts,
+            units: vec![0.0; n],
+            units_sum: 0.0,
+            units_counts: UnitCounts::for_delta(delta),
             cand_buf: Vec::new(),
             picks_buf: Vec::new(),
-        }
+        };
+        engine.reindex();
+        engine
     }
 
-    /// Posts a new task mid-stream. It becomes assignable to every
-    /// subsequent worker.
+    /// Posts a new task mid-stream under the next id (`0, 1, 2, …`). It
+    /// becomes assignable to every subsequent worker.
     ///
     /// Fails when the location is non-finite, or when the accuracy model
     /// is tabular — a table has no way to predict accuracies for a task
     /// it has no row for; post such tasks through
     /// [`AssignmentEngine::add_task_with_accuracies`] instead.
     pub fn add_task(&mut self, task: Task) -> Result<TaskId, EngineError> {
-        self.post_task(task, None)
+        let id = self.next_id();
+        self.post_task(id, task, None)?;
+        Ok(id)
+    }
+
+    /// [`AssignmentEngine::add_task`] under an id the caller chose. A
+    /// [`crate::service::LtcService`] posts each task to its shard's
+    /// engine under the service-wide id, so the shard's candidates and
+    /// assignments name tasks the way the service does. The engine
+    /// indexes a table by id, so one engine's ids should be dense.
+    ///
+    /// # Panics
+    ///
+    /// Panics (with a descriptive message) when `id` is not above every
+    /// id the engine holds.
+    pub fn add_task_as(&mut self, id: TaskId, task: Task) -> Result<(), EngineError> {
+        self.post_task(id, task, None)
     }
 
     /// Posts a new task mid-stream under a tabular accuracy model,
@@ -202,33 +240,65 @@ impl AssignmentEngine {
         task: Task,
         accuracies: &[f64],
     ) -> Result<TaskId, EngineError> {
-        self.post_task(task, Some(accuracies))
+        let id = self.next_id();
+        self.post_task(id, task, Some(accuracies))?;
+        Ok(id)
     }
 
-    /// Both posting paths: validation, the table row, id allocation,
+    /// One past the largest id the engine holds.
+    fn next_id(&self) -> TaskId {
+        TaskId(self.id_base.wrapping_add(self.slot_of.len() as u32))
+    }
+
+    /// Every posting path: validation, the table row, the slot,
     /// quality/unit bookkeeping, and index insertion.
-    fn post_task(&mut self, task: Task, accuracies: Option<&[f64]>) -> Result<TaskId, EngineError> {
+    pub(crate) fn post_task(
+        &mut self,
+        id: TaskId,
+        task: Task,
+        accuracies: Option<&[f64]>,
+    ) -> Result<(), EngineError> {
         validate_post(
             self.accuracy.table_workers(),
             &task,
             accuracies,
             self.tasks.len(),
         )?;
+        if self.slot_of.is_empty() {
+            self.id_base = id.0;
+        }
+        let fresh = id.0.checked_sub(self.id_base);
+        assert!(
+            fresh.is_some_and(|at| at as usize >= self.slot_of.len()),
+            "task id {} is not above every id the engine holds",
+            id.0
+        );
         if let (AccuracyModel::Table(table), Some(row)) = (&mut self.accuracy, accuracies) {
             table.push_task_row(row);
         }
-        let id = self.tasks.len() as u32;
+        let slot = self.tasks.len();
+        let at = (id.0 - self.id_base) as usize;
+        self.slot_of.resize(at + 1, NO_SLOT);
+        self.slot_of[at] = slot as u32;
+        self.ids.push(id);
         self.tasks.push(task);
         self.s.push(0.0);
         self.completed.push(false);
-        self.uncompleted_pos.push(self.uncompleted_ids.len() as u32);
-        self.uncompleted_ids.push(id);
+        self.uncompleted_pos.push(self.uncompleted.len() as u32);
+        self.uncompleted.push(slot as u32);
         self.units.push(0.0);
-        self.set_units(id as usize, self.delta.ceil());
+        self.set_units(slot, self.delta.ceil());
         if let Some(index) = &mut self.task_index {
-            index.insert(id, task.loc);
+            index.insert(id.0, task.loc);
         }
-        Ok(TaskId(id))
+        Ok(())
+    }
+
+    /// The slot holding task `t`; `NO_SLOT` (an id the engine does not
+    /// hold) indexes past every per-slot vector.
+    #[inline]
+    fn slot(&self, t: TaskId) -> usize {
+        self.slot_of[t.0.wrapping_sub(self.id_base) as usize] as usize
     }
 
     /// Platform parameters.
@@ -249,13 +319,13 @@ impl AssignmentEngine {
         self.delta
     }
 
-    /// The task set posted so far.
+    /// A task the engine holds.
     #[inline]
-    pub fn tasks(&self) -> &[Task] {
-        &self.tasks
+    pub(crate) fn task(&self, t: TaskId) -> &Task {
+        &self.tasks[self.slot(t)]
     }
 
-    /// Number of tasks posted so far.
+    /// Number of tasks the engine holds.
     #[inline]
     pub fn n_tasks(&self) -> usize {
         self.tasks.len()
@@ -279,11 +349,11 @@ impl AssignmentEngine {
         (self.units_sum, self.units_counts.max_value())
     }
 
-    /// Re-points `units[idx]` to `new`, keeping the sum and multiset in
+    /// Re-points `units[slot]` to `new`, keeping the sum and multiset in
     /// step. Zero units are kept out of the multiset so the maximum query
     /// sees only open deficits.
-    fn set_units(&mut self, idx: usize, new: f64) {
-        let old = self.units[idx];
+    fn set_units(&mut self, slot: usize, new: f64) {
+        let old = self.units[slot];
         if old == new {
             return;
         }
@@ -294,7 +364,7 @@ impl AssignmentEngine {
             self.units_counts.add(new);
         }
         self.units_sum += new - old;
-        self.units[idx] = new;
+        self.units[slot] = new;
     }
 
     /// Cumulative count of task insertions the spatial index clamped into
@@ -361,7 +431,7 @@ impl AssignmentEngine {
     /// Accumulated quality of a task (`S[t]`).
     #[inline]
     pub fn quality(&self, t: TaskId) -> f64 {
-        self.s[t.index()]
+        self.s[self.slot(t)]
     }
 
     /// Remaining quality a task still needs. Zero for completed tasks (a
@@ -369,35 +439,36 @@ impl AssignmentEngine {
     /// `S[t]` a hair under it).
     #[inline]
     pub fn remaining(&self, t: TaskId) -> f64 {
-        if self.completed[t.index()] {
+        let slot = self.slot(t);
+        if self.completed[slot] {
             0.0
         } else {
-            (self.delta - self.s[t.index()]).max(0.0)
+            (self.delta - self.s[slot]).max(0.0)
         }
     }
 
     /// Whether the task reached `δ`.
     #[inline]
     pub fn is_completed(&self, t: TaskId) -> bool {
-        self.completed[t.index()]
+        self.completed[self.slot(t)]
     }
 
     /// Number of tasks still below `δ`.
     #[inline]
     pub fn n_uncompleted(&self) -> usize {
-        self.uncompleted_ids.len()
+        self.uncompleted.len()
     }
 
     /// Whether every posted task reached `δ`.
     #[inline]
     pub fn all_completed(&self) -> bool {
-        self.uncompleted_ids.is_empty()
+        self.uncompleted.is_empty()
     }
 
     /// Iterates the uncompleted task ids, in unspecified order, in
     /// `O(n_uncompleted)`.
     pub fn uncompleted_tasks(&self) -> impl Iterator<Item = TaskId> + '_ {
-        self.uncompleted_ids.iter().map(|&t| TaskId(t))
+        self.uncompleted.iter().map(|&slot| self.ids[slot as usize])
     }
 
     /// The arrangement committed so far.
@@ -420,36 +491,34 @@ impl AssignmentEngine {
     /// task.
     #[inline]
     pub fn acc(&self, w: WorkerId, worker: &Worker, t: TaskId) -> f64 {
-        self.accuracy.acc(
-            w.index(),
-            worker,
-            t.index(),
-            &self.tasks[t.index()],
-            &self.params,
-        )
+        self.candidate(w, worker, t).acc
     }
 
     /// Quality contribution of assigning `t` to `worker`: `Acc*` under
     /// the Hoeffding model, plain `Acc` under a fixed threshold.
     #[inline]
     pub fn contribution(&self, w: WorkerId, worker: &Worker, t: TaskId) -> f64 {
-        let acc = self.acc(w, worker, t);
-        match self.params.quality {
-            QualityModel::Hoeffding => crate::model::acc_star(acc),
-            QualityModel::FixedThreshold(_) => acc,
-        }
+        self.candidate(w, worker, t).contribution
     }
 
     /// Builds the [`Candidate`] record for a pair (no eligibility check).
     #[inline]
     pub fn candidate(&self, w: WorkerId, worker: &Worker, t: TaskId) -> Candidate {
-        let acc = self.acc(w, worker, t);
+        self.candidate_at(w, worker, self.slot(t))
+    }
+
+    /// [`AssignmentEngine::candidate`] by slot (table rows follow slots).
+    #[inline]
+    fn candidate_at(&self, w: WorkerId, worker: &Worker, slot: usize) -> Candidate {
+        let acc = self
+            .accuracy
+            .acc(w.index(), worker, slot, &self.tasks[slot], &self.params);
         let contribution = match self.params.quality {
             QualityModel::Hoeffding => crate::model::acc_star(acc),
             QualityModel::FixedThreshold(_) => acc,
         };
         Candidate {
-            task: t,
+            task: self.ids[slot],
             acc,
             contribution,
         }
@@ -508,10 +577,11 @@ impl AssignmentEngine {
                 out[start..].sort_unstable_by_key(|c| c.task);
             }
             None => {
+                // Slots are in id order already.
                 out.extend(
-                    (0..self.tasks.len() as u32)
-                        .filter(|&t| !self.completed[t as usize])
-                        .map(|t| self.candidate(w, worker, TaskId(t))),
+                    (0..self.tasks.len())
+                        .filter(|&slot| !self.completed[slot])
+                        .map(|slot| self.candidate_at(w, worker, slot)),
                 );
             }
         }
@@ -533,47 +603,56 @@ impl AssignmentEngine {
     /// correctness of the *choice* is the algorithm's responsibility —
     /// this method only maintains state.
     pub fn commit(&mut self, w: WorkerId, worker: &Worker, t: TaskId) -> f64 {
-        let c = self.candidate(w, worker, t);
-        self.commit_candidate(w, c);
+        let slot = self.slot(t);
+        let c = self.candidate_at(w, worker, slot);
+        self.commit_at(w, slot, c);
         c.contribution
     }
 
-    /// [`AssignmentEngine::commit`] with an already-built [`Candidate`]
-    /// (avoids recomputing the accuracy model on hot paths).
-    fn commit_candidate(&mut self, w: WorkerId, c: Candidate) {
+    /// [`AssignmentEngine::commit`] with the [`Candidate`] built when the
+    /// worker's candidates were enumerated (no accuracy recomputation).
+    /// Returns whether the task is completed now.
+    pub(crate) fn commit_candidate(&mut self, w: WorkerId, c: Candidate) -> bool {
+        let slot = self.slot(c.task);
+        self.commit_at(w, slot, c);
+        self.completed[slot]
+    }
+
+    fn commit_at(&mut self, w: WorkerId, slot: usize, c: Candidate) {
         self.arrangement.push(Assignment {
             worker: w,
             task: c.task,
             acc: c.acc,
             contribution: c.contribution,
         });
-        let idx = c.task.index();
-        self.s[idx] += c.contribution;
-        if !self.completed[idx] && self.s[idx] >= self.delta - COMPLETION_EPS {
-            self.complete(c.task);
-        } else if !self.completed[idx] {
-            self.set_units(idx, (self.delta - self.s[idx]).max(0.0).ceil());
+        self.s[slot] += c.contribution;
+        if self.completed[slot] {
+            return;
+        }
+        if self.s[slot] >= self.delta - COMPLETION_EPS {
+            self.complete(slot);
+        } else {
+            self.set_units(slot, (self.delta - self.s[slot]).max(0.0).ceil());
         }
     }
 
     /// Marks a task completed, evicting it from the index and the dense
     /// uncompleted set.
-    fn complete(&mut self, t: TaskId) {
-        let idx = t.index();
-        self.completed[idx] = true;
-        self.set_units(idx, 0.0);
+    fn complete(&mut self, slot: usize) {
+        self.completed[slot] = true;
+        self.set_units(slot, 0.0);
         // Swap-remove from the dense uncompleted set.
-        let pos = self.uncompleted_pos[idx] as usize;
+        let pos = self.uncompleted_pos[slot] as usize;
         let last = *self
-            .uncompleted_ids
+            .uncompleted
             .last()
             .expect("completing a task requires it to be uncompleted");
-        self.uncompleted_ids.swap_remove(pos);
-        if pos < self.uncompleted_ids.len() {
+        self.uncompleted.swap_remove(pos);
+        if pos < self.uncompleted.len() {
             self.uncompleted_pos[last as usize] = pos as u32;
         }
         if let Some(index) = &mut self.task_index {
-            index.remove(t.0, self.tasks[idx].loc);
+            index.remove(self.ids[slot].0, self.tasks[slot].loc);
         }
     }
 
@@ -617,13 +696,28 @@ impl AssignmentEngine {
     /// Panics (with a descriptive message) when `w` exceeds the row count
     /// of a fixed [`AccuracyModel::Table`] — tabular models cover a
     /// closed worker set.
-    // ltc-lint: hot-path
     pub fn push_worker_as<A: OnlineAlgorithm + ?Sized>(
         &mut self,
         w: WorkerId,
         worker: &Worker,
         algo: &mut A,
     ) -> AssignmentBatch {
+        let mut batch = AssignmentBatch::new();
+        self.serve(w, worker, algo, |a, _| batch.push(a));
+        batch
+    }
+
+    /// [`AssignmentEngine::push_worker_as`] without the batch: hands
+    /// each committed assignment, in ascending task-id order, to
+    /// `committed` together with whether it completed its task.
+    // ltc-lint: hot-path
+    pub(crate) fn serve<A: OnlineAlgorithm + ?Sized>(
+        &mut self,
+        w: WorkerId,
+        worker: &Worker,
+        algo: &mut A,
+        mut committed: impl FnMut(Assignment, bool),
+    ) {
         if let AccuracyModel::Table(table) = &self.accuracy {
             assert!(
                 w.index() < table.n_workers(),
@@ -633,9 +727,8 @@ impl AssignmentEngine {
                 table.n_workers()
             );
         }
-        let mut batch = AssignmentBatch::new();
         if self.all_completed() {
-            return batch;
+            return;
         }
 
         // Detach the scratch buffers so the algorithm can borrow the
@@ -671,24 +764,26 @@ impl AssignmentEngine {
                     continue;
                 };
                 let c = candidates[i];
-                self.commit_candidate(w, c);
-                batch.push(Assignment {
-                    worker: w,
-                    task: t,
-                    acc: c.acc,
-                    contribution: c.contribution,
-                });
+                let done = self.commit_candidate(w, c);
+                committed(
+                    Assignment {
+                        worker: w,
+                        task: t,
+                        acc: c.acc,
+                        contribution: c.contribution,
+                    },
+                    done,
+                );
             }
         }
         self.cand_buf = candidates;
         self.picks_buf = picks;
-        batch
     }
 
     /// Finalizes the engine into a [`RunOutcome`].
     pub fn into_outcome(self) -> RunOutcome {
         RunOutcome {
-            completed: self.uncompleted_ids.is_empty(),
+            completed: self.uncompleted.is_empty(),
             arrangement: self.arrangement,
         }
     }
@@ -696,14 +791,15 @@ impl AssignmentEngine {
     /// Extracts the engine's durable state — everything needed to
     /// continue the stream after a crash: copies of the task vectors and
     /// of the assignment log, each sized exactly. The per-task derived
-    /// structures (the uncompleted set, the spatial index, the
-    /// worker-unit multiset) are *not* included;
+    /// structures (the uncompleted set, the id table, the spatial index,
+    /// the worker-unit multiset) are *not* included;
     /// [`AssignmentEngine::from_state`] rebuilds them from the task
     /// vectors and adopts the log as it is.
     pub fn to_state(&self) -> EngineState {
         EngineState {
             params: self.params,
             accuracy: self.accuracy.clone(),
+            ids: self.ids.clone(),
             tasks: self.tasks.clone(),
             s: self.s.clone(),
             completed: self.completed.clone(),
@@ -725,24 +821,29 @@ impl AssignmentEngine {
     /// Builds an engine from durable state (the inverse of
     /// [`AssignmentEngine::to_state`]), taking ownership of its vectors.
     /// The assignment log becomes the engine's arrangement without a
-    /// copy, after one pass that refuses an assignment naming an unknown
-    /// task and finds the latest recruited worker; the per-task derived
-    /// structures are rebuilt from the task vectors. Every continuation
-    /// observable — candidate sets, qualities, completion, arrival ids —
-    /// is identical to the engine the state was taken from. The only
-    /// internal difference is bucket/iteration order in rebuilt
-    /// structures, which no decision path observes (candidates are
-    /// re-sorted by id).
+    /// copy, after one pass that refuses an assignment naming a task the
+    /// state does not hold and finds the latest recruited worker; the
+    /// per-task derived structures are rebuilt from the task vectors.
+    /// Every continuation observable — candidate sets, qualities,
+    /// completion, arrival ids — is identical to the engine the state
+    /// was taken from. The only internal difference is bucket/iteration
+    /// order in rebuilt structures, which no decision path observes
+    /// (candidates are re-sorted by id).
     pub fn from_state(state: EngineState) -> Result<Self, EngineError> {
         state.params.validate().map_err(EngineError::Params)?;
         let n = state.tasks.len();
-        if state.s.len() != n || state.completed.len() != n {
+        if state.ids.len() != n || state.s.len() != n || state.completed.len() != n {
             return Err(EngineError::CorruptState(
                 "per-task vectors disagree on the task count",
             ));
         }
         if n > u32::MAX as usize {
             return Err(EngineError::TooManyTasks);
+        }
+        if state.ids.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(EngineError::CorruptState(
+                "task ids are not strictly increasing",
+            ));
         }
         if let AccuracyModel::Table(table) = &state.accuracy {
             if table.n_tasks() != n {
@@ -756,7 +857,6 @@ impl AssignmentEngine {
                 return Err(EngineError::BadTaskLocation);
             }
         }
-        let delta = state.params.delta();
         let task_index = match (state.params.eligibility, state.index_geometry) {
             (Eligibility::Unrestricted, _) => None,
             (Eligibility::WithinRange, geometry) => {
@@ -776,7 +876,7 @@ impl AssignmentEngine {
                 let mut index = GridIndex::with_bounds(cell_size, bounds);
                 for (i, task) in state.tasks.iter().enumerate() {
                     if !state.completed[i] {
-                        index.insert(i as u32, task.loc);
+                        index.insert(state.ids[i].0, task.loc);
                     }
                 }
                 // Restore the durable clamp telemetry. Re-insertion only
@@ -791,220 +891,175 @@ impl AssignmentEngine {
                 Some(index)
             }
         };
-        let arrangement = Arrangement::adopt(state.assignments, n).ok_or(
-            EngineError::CorruptState("arrangement references an unknown task"),
-        )?;
-        let mut engine = Self {
-            delta,
-            params: state.params,
-            accuracy: state.accuracy,
-            tasks: state.tasks,
-            s: state.s,
-            completed: state.completed,
-            uncompleted_ids: Vec::new(),
-            uncompleted_pos: vec![0; n],
-            arrangement,
+        let mut engine = Self::assemble(
+            state.params,
+            state.accuracy,
             task_index,
-            next_arrival: state.next_arrival,
-            index_clamp_mark: state.clamp_mark,
-            units: vec![0.0; n],
-            units_sum: 0.0,
-            units_counts: UnitCounts::for_delta(delta),
-            cand_buf: Vec::new(),
-            picks_buf: Vec::new(),
-        };
-        for i in 0..n {
-            if !engine.completed[i] {
-                engine.uncompleted_pos[i] = engine.uncompleted_ids.len() as u32;
-                engine.uncompleted_ids.push(i as u32);
-                engine.set_units(i, (delta - engine.s[i]).max(0.0).ceil());
-            }
-        }
+            state.ids,
+            state.tasks,
+            state.s,
+            state.completed,
+        );
+        engine.next_arrival = state.next_arrival;
+        engine.index_clamp_mark = state.clamp_mark;
+        let (slot_of, base) = (&engine.slot_of, engine.id_base);
+        engine.arrangement = Arrangement::adopt(state.assignments, |t| {
+            slot_of
+                .get(t.0.wrapping_sub(base) as usize)
+                .is_some_and(|&slot| slot != NO_SLOT)
+        })
+        .ok_or(EngineError::CorruptState(
+            "arrangement references an unknown task",
+        ))?;
         Ok(engine)
     }
 
+    /// Re-derives, in their allocations, the id table, the uncompleted
+    /// set (in slot order) and each live task's worker-units (a
+    /// completed task's must be 0 already).
+    fn reindex(&mut self) {
+        self.slot_of.clear();
+        if let (Some(first), Some(last)) = (self.ids.first(), self.ids.last()) {
+            self.id_base = first.0;
+            self.slot_of
+                .resize((last.0 - first.0) as usize + 1, NO_SLOT);
+        }
+        for (slot, id) in self.ids.iter().enumerate() {
+            self.slot_of[(id.0 - self.id_base) as usize] = slot as u32;
+        }
+        self.uncompleted.clear();
+        self.uncompleted_pos.clear();
+        self.uncompleted_pos.resize(self.tasks.len(), 0);
+        for slot in 0..self.tasks.len() {
+            if !self.completed[slot] {
+                self.uncompleted_pos[slot] = self.uncompleted.len() as u32;
+                self.uncompleted.push(slot as u32);
+                self.set_units(slot, (self.delta - self.s[slot]).max(0.0).ceil());
+            }
+        }
+    }
+
     /// The first half of moving tasks to another engine (a stripe
-    /// rebalance): removes the tasks `leaving` (ascending local ids) with
-    /// their quality, completion flag and assignments, and compacts what
-    /// stays in place, so the kept tasks are renumbered `0..` in their
-    /// old order. Appends the removed tasks to `moved` in ascending id
-    /// order, and their assignments to `assignments` in commit order,
-    /// each addressed to its task's index in `moved`.
+    /// rebalance): removes every task `leaves` picks, with its quality,
+    /// completion flag and assignments, and compacts what stays in
+    /// place. Returns the removed tasks in ascending id order and their
+    /// assignments in commit order.
     ///
     /// The engine is whole again only after [`AssignmentEngine::merge_in`]
-    /// (the spatial index and the uncompleted set still hold the old
-    /// ids). Sigmoid models only: a tabular model never runs sharded.
-    pub(crate) fn split_off(
-        &mut self,
-        leaving: &[u32],
-        moved: &mut Vec<MovedTask>,
-        assignments: &mut Vec<Assignment>,
-    ) {
+    /// (the spatial index and the uncompleted set still hold the leavers).
+    /// Sigmoid models only: a tabular model never runs sharded.
+    pub(crate) fn split_off(&mut self, leaves: impl Fn(&Task) -> bool) -> Migrants {
         debug_assert!(matches!(self.accuracy, AccuracyModel::Sigmoid));
-        debug_assert!(leaving.windows(2).all(|w| w[0] < w[1]));
-        if leaving.is_empty() {
-            return;
-        }
-        let first = moved.len() as u32;
-        // `uncompleted_pos` doubles as the old → new id table (`GONE`
-        // for a leaving task): `merge_in` rebuilds it anyway.
-        const GONE: u32 = u32::MAX;
-        let new_id = &mut self.uncompleted_pos;
+        let mut out = Migrants::default();
         let mut kept = 0;
-        let mut next_leaving = leaving.iter().copied().peekable();
-        for (t, id) in new_id.iter_mut().enumerate() {
-            if next_leaving.next_if_eq(&(t as u32)).is_some() {
-                moved.push(MovedTask {
-                    task: self.tasks[t],
-                    s: self.s[t],
-                    completed: self.completed[t],
+        for slot in 0..self.tasks.len() {
+            let id = self.ids[slot];
+            let at = (id.0 - self.id_base) as usize;
+            if leaves(&self.tasks[slot]) {
+                out.tasks.push(MovedTask {
+                    id,
+                    task: self.tasks[slot],
+                    s: self.s[slot],
+                    completed: self.completed[slot],
                 });
-                let units = self.units[t];
-                if units > 0.0 {
-                    self.units_counts.remove(units);
-                    self.units_sum -= units;
-                }
-                *id = GONE;
+                self.set_units(slot, 0.0);
+                self.slot_of[at] = NO_SLOT;
                 continue;
             }
-            self.tasks[kept] = self.tasks[t];
-            self.s[kept] = self.s[t];
-            self.completed[kept] = self.completed[t];
-            self.units[kept] = self.units[t];
-            *id = kept as u32;
+            self.ids[kept] = id;
+            self.tasks[kept] = self.tasks[slot];
+            self.s[kept] = self.s[slot];
+            self.completed[kept] = self.completed[slot];
+            self.units[kept] = self.units[slot];
+            self.slot_of[at] = kept as u32;
             kept += 1;
         }
+        if out.tasks.is_empty() {
+            return out;
+        }
+        self.ids.truncate(kept);
         self.tasks.truncate(kept);
         self.s.truncate(kept);
         self.completed.truncate(kept);
         self.units.truncate(kept);
 
+        let (slot_of, base) = (&self.slot_of, self.id_base);
+        let (log, max_worker) = self.arrangement.parts_mut();
+        log.retain(|a| {
+            let stays = slot_of[(a.task.0 - base) as usize] != NO_SLOT;
+            if !stays {
+                out.assignments.push(*a);
+            }
+            stays
+        });
         // The log is in worker order, so its last entry holds the
         // maximum.
-        let (log, max_worker) = self.arrangement.parts_mut();
-        debug_assert!(log.windows(2).all(|w| w[0].worker <= w[1].worker));
-        log.retain_mut(|a| match new_id[a.task.index()] {
-            GONE => {
-                let rank = leaving.partition_point(|&l| l < a.task.0) as u32;
-                assignments.push(Assignment {
-                    task: TaskId(first + rank),
-                    ..*a
-                });
-                false
-            }
-            id => {
-                a.task = TaskId(id);
-                true
-            }
-        });
         *max_worker = log.last().map(|a| a.worker);
+        out
     }
 
-    /// The second half of a move between engines: inserts `arriving`
-    /// tasks, each after the first `before[j]` kept tasks (`before` is
-    /// non-decreasing), and merges in their `assignments` (addressed to
-    /// indexes in `arriving`). Both this engine's log and `assignments`
-    /// must be in (worker arrival, task) order — the order every served
-    /// engine commits in — and the merge keeps that order.
+    /// The second half of a move between engines: inserts the
+    /// `arrivals` (ascending ids) among the kept tasks in id order and
+    /// merges their assignments into the log. Both this engine's log and
+    /// the arrivals' must be in (worker arrival, task) order — the order
+    /// every served engine commits in — and the merge keeps that order.
     ///
-    /// Then rebuilds what derives from the tasks: the uncompleted set,
-    /// and the spatial index, re-laid out over `region` plus the live
-    /// tasks with its growth trigger re-armed — exactly what
-    /// [`AssignmentEngine::from_state`] builds for the same tasks. Runs
-    /// after every [`AssignmentEngine::split_off`], with or without
+    /// Then rebuilds what derives from the tasks: the id table, the
+    /// uncompleted set, and the spatial index, re-laid out over `region`
+    /// plus the live tasks with its growth trigger re-armed — exactly
+    /// what [`AssignmentEngine::from_state`] builds for the same tasks.
+    /// Runs after every [`AssignmentEngine::split_off`], with or without
     /// arrivals.
-    pub(crate) fn merge_in(
-        &mut self,
-        before: &[u32],
-        arriving: &[MovedTask],
-        assignments: &[Assignment],
-        region: BoundingBox,
-    ) {
+    pub(crate) fn merge_in(&mut self, arrivals: &Migrants, region: BoundingBox) {
         debug_assert!(matches!(self.accuracy, AccuracyModel::Sigmoid));
-        debug_assert_eq!(before.len(), arriving.len());
-        debug_assert!(before.windows(2).all(|w| w[0] <= w[1]));
-        // `uncompleted_pos` doubles as the kept rank → new id table (it
-        // is rebuilt below): a kept task moves up by the arrivals placed
-        // before it.
-        let new_id = &mut self.uncompleted_pos;
-        new_id.truncate(self.tasks.len());
-        let mut placed = 0;
-        for (rank, id) in new_id.iter_mut().enumerate() {
-            while placed < before.len() && before[placed] as usize <= rank {
-                placed += 1;
-            }
-            *id = (rank + placed) as u32;
-        }
-        let delta = self.delta;
-        let units_of = |m: &MovedTask| {
-            if m.completed {
-                0.0
-            } else {
-                (delta - m.s).max(0.0).ceil()
-            }
-        };
-        splice_in(&mut self.tasks, before, |j| arriving[j].task);
-        splice_in(&mut self.s, before, |j| arriving[j].s);
-        splice_in(&mut self.completed, before, |j| arriving[j].completed);
-        // Zero first, then `set_units`, so the sum and multiset follow.
-        splice_in(&mut self.units, before, |_| 0.0);
-        for (j, m) in arriving.iter().enumerate() {
-            self.set_units(before[j] as usize + j, units_of(m));
-        }
+        let arriving = &arrivals.tasks;
+        debug_assert!(arriving.windows(2).all(|w| w[0].id < w[1].id));
+        // Where each arrival lands: after the kept tasks with smaller ids.
+        let mut kept = 0;
+        let before: Vec<u32> = arriving
+            .iter()
+            .map(|m| {
+                while kept < self.ids.len() && self.ids[kept] < m.id {
+                    kept += 1;
+                }
+                kept as u32
+            })
+            .collect();
+        splice_in(&mut self.ids, &before, |j| arriving[j].id);
+        splice_in(&mut self.tasks, &before, |j| arriving[j].task);
+        splice_in(&mut self.s, &before, |j| arriving[j].s);
+        splice_in(&mut self.completed, &before, |j| arriving[j].completed);
+        // Zero, so the rebuild below adds the arrivals' units.
+        splice_in(&mut self.units, &before, |_| 0.0);
 
+        // One backward merge of the two (worker, task)-ordered logs.
         let key = |a: &Assignment| (a.worker, a.task);
         let (log, max_worker) = self.arrangement.parts_mut();
         debug_assert!(log.windows(2).all(|w| key(&w[0]) < key(&w[1])));
-        debug_assert!(assignments.windows(2).all(|w| key(&w[0]) < key(&w[1])));
-        // One backward pass: the arrivals' entries go in last first, and
-        // each run of kept entries above an insertion point moves up
-        // once, renumbered on the way (ids only move up, in rank order,
-        // so the log stays sorted); the run below the first insertion
-        // point is renumbered in place.
-        let new_id = &self.uncompleted_pos;
-        let renumbered = |a: Assignment| Assignment {
-            task: TaskId(new_id[a.task.index()]),
-            ..a
-        };
-        let mut end = log.len();
-        if let Some(&filler) = assignments.first() {
-            log.resize(end + assignments.len(), filler);
-            for (k, a) in assignments.iter().enumerate().rev() {
-                let incoming = Assignment {
-                    task: TaskId(before[a.task.index()] + a.task.0),
-                    ..*a
-                };
-                let at = log[..end].partition_point(|&a| key(&renumbered(a)) < key(&incoming));
-                for i in (at..end).rev() {
-                    log[i + k + 1] = renumbered(log[i]);
+        if let Some(&filler) = arrivals.assignments.first() {
+            let mut end = log.len();
+            log.resize(end + arrivals.assignments.len(), filler);
+            let mut out = log.len();
+            for a in arrivals.assignments.iter().rev() {
+                while end > 0 && key(&log[end - 1]) > key(a) {
+                    end -= 1;
+                    out -= 1;
+                    log[out] = log[end];
                 }
-                log[at + k] = incoming;
-                end = at;
+                out -= 1;
+                log[out] = *a;
             }
             *max_worker = log.last().map(|a| a.worker);
         }
-        if !before.is_empty() {
-            for a in &mut log[..end] {
-                *a = renumbered(*a);
-            }
-        }
 
-        self.uncompleted_ids.clear();
-        self.uncompleted_pos.clear();
-        self.uncompleted_pos.resize(self.tasks.len(), 0);
-        for (t, &done) in self.completed.iter().enumerate() {
-            if !done {
-                self.uncompleted_pos[t] = self.uncompleted_ids.len() as u32;
-                self.uncompleted_ids.push(t as u32);
-            }
-        }
+        self.reindex();
         self.index_clamp_mark = self.index_clamped_insertions();
         if let Some(index) = &mut self.task_index {
-            let tasks = &self.tasks;
-            let live = self
-                .uncompleted_ids
-                .iter()
-                .map(|&t| (t, tasks[t as usize].loc));
+            let (ids, tasks) = (&self.ids, &self.tasks);
+            let live = self.uncompleted.iter().map(|&slot| {
+                let slot = slot as usize;
+                (ids[slot].0, tasks[slot].loc)
+            });
             let bounds = BoundingBox::of_points(live.clone().map(|(_, p)| p))
                 .map_or(region, |l| region.union(l));
             // The clamp counter keeps its history; a recount above it
@@ -1021,17 +1076,29 @@ impl AssignmentEngine {
 /// ([`AssignmentEngine::split_off`] → [`AssignmentEngine::merge_in`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct MovedTask {
+    pub(crate) id: TaskId,
     pub(crate) task: Task,
     /// Accumulated quality `S[t]`.
     pub(crate) s: f64,
     pub(crate) completed: bool,
 }
 
+/// Tasks crossing between engines in a stripe rebalance: what one
+/// engine sends ([`AssignmentEngine::split_off`]) or receives
+/// ([`AssignmentEngine::merge_in`]).
+#[derive(Debug, Default)]
+pub(crate) struct Migrants {
+    /// The tasks in ascending id order.
+    pub(crate) tasks: Vec<MovedTask>,
+    /// Their committed assignments in (worker arrival, task) order.
+    pub(crate) assignments: Vec<Assignment>,
+}
+
 /// Inserts `before.len()` new elements into `v` in one backward pass:
 /// new element `j` (built by `new(j)`) lands after the first
 /// `before[j]` old elements and after new elements `0..j`. `before`
 /// must be non-decreasing.
-pub(crate) fn splice_in<T: Copy>(v: &mut Vec<T>, before: &[u32], new: impl Fn(usize) -> T) {
+fn splice_in<T: Copy>(v: &mut Vec<T>, before: &[u32], new: impl Fn(usize) -> T) {
     if before.is_empty() {
         return;
     }
@@ -1051,19 +1118,24 @@ pub(crate) fn splice_in<T: Copy>(v: &mut Vec<T>, before: &[u32], new: impl Fn(us
 /// snapshot format (see [`crate::snapshot`]) serializes it field by
 /// field. `from_state` keeps its vectors rather than copying them, so
 /// a restore reads the assignment history once, to validate it.
+///
+/// The per-task vectors run parallel, one entry per task the engine
+/// holds, in ascending id order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineState {
     /// Platform parameters.
     pub params: ProblemParams,
     /// The accuracy model (including any appended table rows).
     pub accuracy: AccuracyModel,
-    /// Every task posted so far.
+    /// Each task's id, strictly increasing.
+    pub ids: Vec<TaskId>,
+    /// The tasks.
     pub tasks: Vec<Task>,
     /// Accumulated quality per task.
     pub s: Vec<f64>,
     /// Completion flags per task.
     pub completed: Vec<bool>,
-    /// The committed arrangement in commit order.
+    /// The committed arrangement in commit order, naming tasks by id.
     pub assignments: Vec<Assignment>,
     /// The engine-local arrival counter.
     pub next_arrival: u64,
@@ -1335,6 +1407,60 @@ mod tests {
         // The appended row is what the engine now predicts for the task.
         let w0 = inst.workers()[0];
         assert_eq!(engine.acc(WorkerId(0), &w0, t), 0.94);
+    }
+
+    #[test]
+    fn tasks_keep_the_ids_they_were_posted_under() {
+        let params = ProblemParams::builder()
+            .epsilon(0.3)
+            .capacity(2)
+            .d_max(30.0)
+            .build()
+            .unwrap();
+        let region = BoundingBox::new(Point::ORIGIN, Point::new(100.0, 100.0));
+        let mut engine = AssignmentEngine::new(params, region).unwrap();
+        for (id, x) in [(7, 10.0), (9, 12.0), (30, 80.0)] {
+            engine
+                .add_task_as(TaskId(id), Task::new(Point::new(x, 0.0)))
+                .unwrap();
+        }
+        let worker = Worker::new(Point::new(11.0, 0.0), 0.95);
+        let mut buf = Vec::new();
+        engine.candidates(WorkerId(0), &worker, &mut buf);
+        let ids: Vec<u32> = buf.iter().map(|c| c.task.0).collect();
+        assert_eq!(ids, vec![7, 9]);
+        let batch = engine.push_worker(&worker, &mut crate::online::Laf::new());
+        assert_eq!(batch.len(), 2);
+        assert!(engine.quality(TaskId(9)) > 0.0);
+        // The ids survive a state round trip, log included.
+        let state = engine.to_state();
+        assert_eq!(state.ids, vec![TaskId(7), TaskId(9), TaskId(30)]);
+        let restored = AssignmentEngine::from_state(state.clone()).unwrap();
+        assert_eq!(restored.to_state(), state);
+        assert_eq!(restored.quality(TaskId(9)), engine.quality(TaskId(9)));
+        // The next own id is one past the largest held.
+        assert_eq!(engine.add_task(Task::new(Point::ORIGIN)), Ok(TaskId(31)));
+        // A state whose ids do not ascend is refused.
+        let mut unordered = state;
+        unordered.ids.swap(0, 1);
+        assert_eq!(
+            AssignmentEngine::from_state(unordered).unwrap_err(),
+            EngineError::CorruptState("task ids are not strictly increasing")
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "is not above every id the engine holds")]
+    fn an_id_below_a_held_one_panics() {
+        let params = ProblemParams::builder().build().unwrap();
+        let region = BoundingBox::new(Point::ORIGIN, Point::new(10.0, 10.0));
+        let mut engine = AssignmentEngine::new(params, region).unwrap();
+        engine
+            .add_task_as(TaskId(5), Task::new(Point::ORIGIN))
+            .unwrap();
+        engine
+            .add_task_as(TaskId(5), Task::new(Point::ORIGIN))
+            .unwrap();
     }
 
     #[test]

@@ -44,13 +44,16 @@ impl Arrangement {
     }
 
     /// Adopts a restored log without copying it. One pass over the log
-    /// checks that every assignment names a task below `n_tasks` and
+    /// checks that every assignment names a task `known` accepts and
     /// finds the worker maximum; `None` if some assignment names an
     /// unknown task.
-    pub(crate) fn adopt(assignments: Vec<Assignment>, n_tasks: usize) -> Option<Self> {
+    pub(crate) fn adopt(
+        assignments: Vec<Assignment>,
+        known: impl Fn(TaskId) -> bool,
+    ) -> Option<Self> {
         let mut max_worker = None;
         for a in &assignments {
-            if a.task.index() >= n_tasks {
+            if !known(a.task) {
                 return None;
             }
             max_worker = max_worker.max(Some(a.worker));
@@ -332,7 +335,7 @@ mod tests {
         let mut log = Vec::with_capacity(5);
         log.extend((0..5).map(at));
         assert_eq!(log.capacity(), 5);
-        let mut adopted = Arrangement::adopt(log, 1).unwrap();
+        let mut adopted = Arrangement::adopt(log, |t| t.0 < 1).unwrap();
         assert_eq!(adopted.assignments.capacity(), 5);
         assert_eq!(adopted.max_index(), Some(5));
         adopted.push(at(5));

@@ -2,7 +2,7 @@
 
 use super::{OnlineAlgorithm, Pick, TopK};
 use crate::engine::{AssignmentEngine, Candidate};
-use crate::model::{TaskId, WorkerId};
+use crate::model::WorkerId;
 
 /// **Random** — the naive online baseline of the paper's evaluation:
 /// "tasks nearby are assigned randomly to the worker when s/he arrives".
@@ -32,26 +32,6 @@ impl RandomAssign {
     pub fn seeded(seed: u64) -> Self {
         Self { seed }
     }
-
-    /// The pick for `worker` over `candidates` whose task `t` is known to
-    /// the hash as `global(t)`: the service-global id inside a shard,
-    /// the task id itself on a bare engine. `global` must be increasing,
-    /// so ties (key collisions) break toward the smaller global id too.
-    pub(crate) fn pick(
-        &self,
-        k: usize,
-        worker: WorkerId,
-        candidates: &[Candidate],
-        global: impl Fn(TaskId) -> u32,
-        picks: &mut Vec<Pick>,
-    ) {
-        let mut top = TopK::new(k);
-        for c in candidates {
-            let h = keyed_hash(self.seed, worker.0, global(c.task));
-            top.offer((h >> 11) as f64, c.task);
-        }
-        top.drain_into(picks);
-    }
 }
 
 impl Default for RandomAssign {
@@ -72,8 +52,12 @@ impl OnlineAlgorithm for RandomAssign {
         candidates: &[Candidate],
         picks: &mut Vec<Pick>,
     ) {
-        let k = engine.params().capacity as usize;
-        self.pick(k, worker, candidates, |t| t.0, picks);
+        let mut top = TopK::new(engine.params().capacity as usize);
+        for c in candidates {
+            let h = keyed_hash(self.seed, worker.0, c.task.0);
+            top.offer((h >> 11) as f64, c.task);
+        }
+        top.drain_into(picks);
     }
 }
 

@@ -4,7 +4,7 @@ use super::facade::LtcService;
 use super::handle::ServiceHandle;
 use super::{Algorithm, ServiceError, ServiceSnapshot};
 use crate::engine::{EngineError, EngineState};
-use crate::model::{AccuracyModel, Eligibility, Instance, ProblemParams, Task};
+use crate::model::{AccuracyModel, Eligibility, Instance, ProblemParams, Task, TaskId};
 use ltc_spatial::{BoundingBox, Point, ShardRouter};
 use std::num::NonZeroUsize;
 
@@ -217,26 +217,24 @@ impl ServiceBuilder {
         let cell_size = self.params.d_max;
         let router = ShardRouter::new(n_shards, cell_size, self.region);
 
-        // Partition the seeded tasks: global ids follow the seeded order,
-        // local ids follow each shard's insertion order, so within one
-        // shard local order and global order agree (the property that
-        // makes local tie-breaks match global ones).
-        let mut task_map = Vec::with_capacity(self.tasks.len());
-        let mut shard_tasks: Vec<Vec<Task>> = vec![Vec::new(); n_shards];
-        for task in &self.tasks {
+        // Partition the seeded tasks: ids follow the seeded order, and
+        // each shard holds its tasks in id order.
+        let mut per_shard: Vec<(Vec<TaskId>, Vec<Task>)> = vec![Default::default(); n_shards];
+        for (id, task) in self.tasks.iter().enumerate() {
             let s = if n_shards == 1 {
                 0
             } else {
                 router.shard_of(task.loc)
             };
-            task_map.push((s as u32, shard_tasks[s].len() as u32));
-            shard_tasks[s].push(*task);
+            per_shard[s].0.push(TaskId(id as u32));
+            per_shard[s].1.push(*task);
         }
-        let engines = shard_tasks
+        let engines = per_shard
             .into_iter()
-            .map(|tasks| EngineState {
+            .map(|(ids, tasks)| EngineState {
                 params: self.params,
                 accuracy: self.accuracy.clone(),
+                ids,
                 s: vec![0.0; tasks.len()],
                 completed: vec![false; tasks.len()],
                 tasks,
@@ -259,7 +257,6 @@ impl ServiceBuilder {
             grow_clamps: self.grow_clamps,
             stripes: None,
             next_arrival: 0,
-            task_map,
             engines,
         })
     }

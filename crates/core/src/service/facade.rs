@@ -29,7 +29,7 @@ pub struct LtcService {
     /// Scratch buffers for the merge path.
     scratch: ProposeScratch,
     proposal_buf: Vec<Proposal>,
-    completed_buf: Vec<u32>,
+    completed_buf: Vec<TaskId>,
 }
 
 impl LtcService {
@@ -71,7 +71,7 @@ impl LtcService {
     /// Number of tasks posted so far (service-wide).
     #[inline]
     pub fn n_tasks(&self) -> usize {
-        self.state.task_map.len()
+        self.state.n_tasks()
     }
 
     /// Number of workers checked in so far.
@@ -110,14 +110,14 @@ impl LtcService {
 
     /// Accumulated quality `S[t]` of a (service-global) task.
     pub fn quality(&self, task: TaskId) -> f64 {
-        let (s, local) = self.state.locate(task);
-        self.shards[s].engine.quality(local)
+        self.shards[self.state.owner(task)].engine.quality(task)
     }
 
     /// Whether a (service-global) task reached `δ`.
     pub fn is_completed(&self, task: TaskId) -> bool {
-        let (s, local) = self.state.locate(task);
-        self.shards[s].engine.is_completed(local)
+        self.shards[self.state.owner(task)]
+            .engine
+            .is_completed(task)
     }
 
     /// Operational counters, including the border-clamp telemetry of the
@@ -184,31 +184,21 @@ impl LtcService {
     /// arrival id whether or not anything was assignable (mirroring the
     /// engine's arrival semantics).
     pub fn check_in(&mut self, worker: &Worker) -> Vec<Event> {
-        let mut events = Vec::new();
-        self.check_in_into(worker, &mut events);
-        events
-    }
-
-    /// The buffer-reusing twin of [`LtcService::check_in`]: appends the
-    /// check-in's events (same contents, same order) to `events` instead
-    /// of returning a fresh `Vec`. Callers streaming many check-ins can
-    /// clear and reuse one buffer and keep the whole serve path free of
-    /// per-call heap allocations once warmed up.
-    pub fn check_in_into(&mut self, worker: &Worker, events: &mut Vec<Event>) {
         let arrival = self.state.admit_worker(worker);
-        let start = events.len();
+        let mut events = Vec::new();
         match arrival.local_shard() {
-            Some(s) => self.shards[s].check_in_local(arrival.id, worker, events),
-            None => self.check_in_merge(arrival, worker, events),
+            Some(s) => self.shards[s].check_in_local(arrival.id, worker, &mut events),
+            None => self.check_in_merge(arrival, worker, &mut events),
         }
-        self.progress.note(&events[start..]);
+        self.progress.note(&events);
+        events
     }
 
     /// The merge path: every reachable shard proposes its policy's
     /// picks (hybrid AAM policies first receive the exact global
-    /// worker-unit aggregate), the merged proposals are ranked by gain
-    /// descending (ties toward the smaller global task id), and the best
-    /// `K` are committed in ascending global-id order — the same commit
+    /// worker-unit aggregate), the merged proposals are ranked by the
+    /// policy's key descending (ties toward the smaller task id), and the
+    /// best `K` are committed in ascending id order — the same commit
     /// order the engine uses.
     fn check_in_merge(&mut self, arrival: Arrival, worker: &Worker, events: &mut Vec<Event>) {
         let w = arrival.id;
@@ -230,10 +220,8 @@ impl LtcService {
         let mut completed = std::mem::take(&mut self.completed_buf);
         completed.clear();
         for p in &proposals {
-            let shard = &mut self.shards[p.shard];
-            shard.engine.commit(w, worker, p.local);
-            if shard.engine.is_completed(p.local) {
-                completed.push(p.global);
+            if self.shards[p.shard].engine.commit_candidate(w, p.cand) {
+                completed.push(p.cand.task);
             }
         }
         append_merge_events(w, &proposals, &completed, events);
@@ -381,8 +369,8 @@ mod tests {
             .unwrap();
         assert_eq!(service.n_tasks(), 2);
         assert_ne!(
-            service.state.task_map[far_left.index()].0,
-            service.state.task_map[far_right.index()].0,
+            service.state.owner(far_left),
+            service.state.owner(far_right),
             "opposite region ends must land on different shards"
         );
         // Drive both to completion with co-located workers.
@@ -540,7 +528,8 @@ mod tests {
         let mut single = build(1);
         let mut sharded = build(2);
         assert_ne!(
-            sharded.state.task_map[0].0, sharded.state.task_map[1].0,
+            sharded.state.owner(TaskId(0)),
+            sharded.state.owner(TaskId(1)),
             "clusters must land on different shards for the test to bite"
         );
         for (i, w) in workers.iter().enumerate() {

@@ -102,7 +102,7 @@ impl ServiceHandle {
     /// Number of tasks posted so far.
     #[inline]
     pub fn n_tasks(&self) -> usize {
-        self.state.task_map.len()
+        self.state.n_tasks()
     }
 
     /// Number of check-ins submitted so far (they may still be in

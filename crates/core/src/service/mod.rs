@@ -1,7 +1,7 @@
 //! The sharded service layer — the primary public API of the crate.
 //!
-//! One service state — the configuration, the shard router, the global
-//! task map, and the session counters — runs under two executors:
+//! One service state — the configuration, the shard router, each task's
+//! owning shard, and the session counters — runs under two executors:
 //!
 //! * **inline**: [`LtcService`], the **synchronous facade** for
 //!   batch/replay work. Every call runs to completion on the caller's
@@ -44,8 +44,10 @@
 //! Tasks are partitioned by location into `N` shards using a
 //! [`ShardRouter`](ltc_spatial::ShardRouter) striped over the grid tiles
 //! of the service region; each shard is a complete [`AssignmentEngine`]
-//! over its own task subset. A worker check-in touches only the shards
-//! whose stripes intersect the worker's eligibility disk (radius
+//! over its own task subset, holding each task under its one
+//! service-global id, so a shard's candidates, picks and events name
+//! tasks the way the service does. A worker check-in touches only the
+//! shards whose stripes intersect the worker's eligibility disk (radius
 //! `d_max`):
 //!
 //! * **interior workers** (one stripe) are handled entirely shard-locally
@@ -55,9 +57,9 @@
 //!   touched shard proposes its policy's picks, each with the key the
 //!   policy ranked it by, the proposals are merged and the best `K` are
 //!   committed. The merge ranks proposals by **the policy's own key
-//!   descending, ties toward the smaller global task id** — the order
-//!   every policy selects by — so a multi-shard service commits the
-//!   same assignments as a single-shard one, for every policy.
+//!   descending, ties toward the smaller task id** — the order every
+//!   policy selects by — so a multi-shard service commits the same
+//!   assignments as a single-shard one, for every policy.
 //!
 //! The spatial layout is **adaptive**: clamp telemetry can trigger
 //! exact index regrowth ([`ServiceBuilder::grow_index_after`]) and the
@@ -71,8 +73,8 @@
 //! sum/max on every check-in and injects the global view into the
 //! policy, so the `avg ≥ maxRemain` decision is the same one a
 //! single-engine AAM would make. Seeded [`Algorithm::Random`] is a
-//! stateless keyed hash of the worker's arrival and each task's global
-//! id, so it needs no per-shard stream and restores from its seed alone.
+//! stateless keyed hash of the worker's arrival and each task's id, so
+//! it needs no per-shard stream and restores from its seed alone.
 //! Together with the keyed merge, an N-shard service's decisions equal
 //! the bare engine's for every policy (differentially tested in
 //! `tests/service_parity.rs`).
@@ -167,15 +169,6 @@ pub(crate) enum Policy {
 }
 
 impl Policy {
-    /// The policy as the engine of a shard drives it, where the shard's
-    /// local task `t` is the service-global task `globals[t]`.
-    pub(crate) fn in_shard<'a>(&'a mut self, globals: &'a [u32]) -> InShard<'a> {
-        InShard {
-            policy: self,
-            globals,
-        }
-    }
-
     /// Installs the cross-shard worker-unit aggregate on a hybrid AAM
     /// policy (no-op for every other policy).
     pub(crate) fn set_global_units(&mut self, units: (f64, f64)) {
@@ -185,17 +178,12 @@ impl Policy {
     }
 }
 
-/// A shard's [`Policy`] bound to the shard's local→global id map:
-/// Random hashes each candidate's service-global id, so a shard ranks
-/// its tasks exactly as one engine over all tasks would.
-pub(crate) struct InShard<'a> {
-    policy: &'a mut Policy,
-    globals: &'a [u32],
-}
-
-impl OnlineAlgorithm for InShard<'_> {
+/// A shard drives its policy like any [`OnlineAlgorithm`]: candidates
+/// carry service-global ids, so every policy ranks a shard's tasks
+/// exactly as one engine over all tasks would.
+impl OnlineAlgorithm for Policy {
     fn name(&self) -> &'static str {
-        match &*self.policy {
+        match self {
             Policy::Laf(p) => p.name(),
             Policy::Aam(p) => p.name(),
             Policy::Random(p) => p.name(),
@@ -209,14 +197,10 @@ impl OnlineAlgorithm for InShard<'_> {
         candidates: &[Candidate],
         picks: &mut Vec<Pick>,
     ) {
-        match self.policy {
+        match self {
             Policy::Laf(p) => p.assign(engine, worker, candidates, picks),
             Policy::Aam(p) => p.assign(engine, worker, candidates, picks),
-            Policy::Random(p) => {
-                let k = engine.params().capacity as usize;
-                let globals = self.globals;
-                p.pick(k, worker, candidates, |t| globals[t.index()], picks);
-            }
+            Policy::Random(p) => p.assign(engine, worker, candidates, picks),
         }
     }
 }

@@ -24,21 +24,20 @@
 //!    whose stripe changed, with its accumulated quality, completion flag
 //!    and committed assignments, and compacts what stays in place
 //!    ([`Shard::emigrate`]);
-//! 3. **immigrate** — the service routes the emigrants ([`route`]), and
-//!    every shard merges its arrivals in at their places in ascending
-//!    global-id order, then re-lays its spatial index over the region
-//!    plus its live tasks ([`Shard::immigrate`]).
+//! 3. **immigrate** — the service routes the emigrants to their new
+//!    shards and records the new owners ([`route`]), and every shard
+//!    merges its arrivals in by id, then re-lays its spatial index over
+//!    the region plus its live tasks ([`Shard::immigrate`]).
 //!
-//! Within each shard, tasks keep **ascending global-id order** and the
-//! assignment log keeps (worker arrival, global id) order — the
-//! invariants that make shard-local tie-breaks match global ones, on
-//! which the N-shard ≡ 1-shard differential guarantee rests. Both hold
-//! before a rebalance (local picks commit in id order, cross-shard picks
-//! in global-id order), so a linear merge keeps them. A rebalance
-//! therefore never changes a decision; it only changes *which shard*
-//! makes it (and how much work each shard holds). The result equals a
-//! rebuild of every engine from its migrated [`EngineState`]; the
-//! `reference` module keeps that rebuild as the test oracle.
+//! A task keeps its service-global id through a migration: no step
+//! renumbers a task, a log entry or an owner record. Decisions depend
+//! on ids only, never on which shard holds a task, so a rebalance never
+//! changes a decision; it only changes *which shard* makes it (and how
+//! much work each shard holds). Each shard still keeps its tasks in
+//! ascending id order and its log in (worker arrival, id) order, the
+//! order a fresh build would give them, so the result equals a rebuild
+//! of every engine from its migrated [`EngineState`]; the `reference`
+//! module keeps that rebuild as the test oracle.
 //!
 //! Both front-ends run the same [`ServiceState::rebalance`] over the same
 //! [`Shard`] methods: the synchronous facade calls them on the caller's
@@ -53,9 +52,9 @@
 //! [`LtcService::rebalance`]: super::LtcService::rebalance
 //! [`ServiceHandle::rebalance`]: super::ServiceHandle::rebalance
 
-use super::shard::{Migrants, Shard};
+use super::shard::Shard;
 use super::ServiceError;
-use crate::model::{Assignment, TaskId};
+use crate::engine::Migrants;
 use ltc_spatial::{BoundingBox, ShardRouter};
 
 #[cfg(test)]
@@ -229,76 +228,38 @@ impl Migration for [Shard] {
     }
 }
 
-/// Routes every shard's emigrants (in shard order) to their shards
-/// under `router` and renumbers `task_map` to match: returns each
-/// shard's arrivals, its new task count, and how many tasks moved.
-///
-/// A task's new local id is its rank among its new shard's tasks in
-/// global-id order, so one pass over the task map renumbers it in place.
+/// Routes every shard's emigrants to their shards under `router` and
+/// records each moved task's new shard in `owner`: returns each shard's
+/// arrivals, tasks in ascending id order and assignments in (worker
+/// arrival, id) order, and how many tasks moved.
 pub(crate) fn route(
     router: &ShardRouter,
-    emigrants: &[Migrants],
-    task_map: &mut [(u32, u32)],
-) -> (Vec<Migrants>, Vec<u32>, u64) {
-    let n_shards = emigrants.len();
-    // Every migrant by global id: (global, destination, source shard,
-    // source index).
-    let mut order: Vec<(u32, u32, u32, u32)> = emigrants
-        .iter()
-        .enumerate()
-        .flat_map(|(s, e)| {
-            e.globals
-                .iter()
-                .zip(&e.tasks)
-                .enumerate()
-                .map(move |(i, (&g, t))| {
-                    let to = router.shard_of(t.task.loc) as u32;
-                    (g, to, s as u32, i as u32)
-                })
-        })
-        .collect();
-    order.sort_unstable();
-
-    let mut arrivals: Vec<Migrants> = (0..n_shards).map(|_| Migrants::default()).collect();
-    // slot[s][i]: where source `s`'s migrant `i` lands in its arrivals.
-    let mut slot: Vec<Vec<(u32, u32)>> = emigrants
-        .iter()
-        .map(|e| vec![(0, 0); e.globals.len()])
-        .collect();
-    for &(g, to, s, i) in &order {
-        let (s, i) = (s as usize, i as usize);
-        let arriving = &mut arrivals[to as usize];
-        slot[s][i] = (to, arriving.globals.len() as u32);
-        arriving.globals.push(g);
-        arriving.tasks.push(emigrants[s].tasks[i]);
-    }
-    for (s, e) in emigrants.iter().enumerate() {
-        for a in &e.assignments {
-            let (to, at) = slot[s][a.task.index()];
-            arrivals[to as usize].assignments.push(Assignment {
-                task: TaskId(at),
-                ..*a
-            });
+    emigrants: Vec<Migrants>,
+    owner: &mut [u32],
+) -> (Vec<Migrants>, u64) {
+    let mut arrivals: Vec<Migrants> = emigrants.iter().map(|_| Migrants::default()).collect();
+    let mut moved = 0;
+    for e in &emigrants {
+        for m in &e.tasks {
+            let to = router.shard_of(m.task.loc);
+            owner[m.id.index()] = to as u32;
+            arrivals[to].tasks.push(*m);
+            moved += 1;
         }
     }
-    // Each source's assignments are in order already; interleave them.
+    for a in emigrants.iter().flat_map(|e| &e.assignments) {
+        arrivals[owner[a.task.index()] as usize]
+            .assignments
+            .push(*a);
+    }
+    // Each source's migrants are in order already; interleave them.
     for arriving in &mut arrivals {
+        arriving.tasks.sort_unstable_by_key(|m| m.id);
         arriving
             .assignments
             .sort_unstable_by_key(|a| (a.worker, a.task));
     }
-
-    let mut shard_tasks = vec![0u32; n_shards];
-    let mut moved = order.iter().peekable();
-    for (g, entry) in task_map.iter_mut().enumerate() {
-        let s = match moved.next_if(|&&(mg, ..)| mg as usize == g) {
-            Some(&(_, to, ..)) => to,
-            None => entry.0,
-        };
-        *entry = (s, shard_tasks[s as usize]);
-        shard_tasks[s as usize] += 1;
-    }
-    (arrivals, shard_tasks, order.len() as u64)
+    (arrivals, moved)
 }
 
 #[cfg(test)]
@@ -309,6 +270,7 @@ mod tests {
     use crate::service::{Algorithm, LtcService, ServiceBuilder, ServiceHandle};
     use ltc_spatial::{BoundingBox, Point};
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
     use std::num::NonZeroUsize;
 
     fn region() -> BoundingBox {
@@ -328,9 +290,17 @@ mod tests {
 
     impl Coverage {
         fn note(&mut self, before: &ServiceSnapshot, after: &ServiceSnapshot) {
-            for (&(os, ol), &(ns, _)) in before.task_map.iter().zip(&after.task_map) {
+            let owner = |snap: &ServiceSnapshot| {
+                let mut owner = BTreeMap::new();
+                for (s, e) in snap.engines.iter().enumerate() {
+                    for (i, id) in e.ids.iter().enumerate() {
+                        owner.insert(*id, (s, e.completed[i]));
+                    }
+                }
+                owner
+            };
+            for ((_, &(os, done)), (_, &(ns, _))) in owner(before).iter().zip(&owner(after)) {
                 if os != ns {
-                    let done = before.engines[os as usize].completed[ol as usize];
                     self.moved[done as usize][(ns > os) as usize] = true;
                 }
             }

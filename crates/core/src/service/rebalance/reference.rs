@@ -1,7 +1,7 @@
 //! The full-rebuild rebalance, kept as the oracle the in-place
 //! migration is tested against: copy every shard's [`EngineState`],
-//! repartition every task and sort every assignment, then rebuild each
-//! engine with [`AssignmentEngine::from_state`]. Test-only.
+//! repartition every task in id order and sort every assignment, then
+//! rebuild each engine with [`AssignmentEngine::from_state`]. Test-only.
 
 use super::{balanced_router, RebalanceOutcome, StripeLayout};
 use crate::engine::{AssignmentEngine, EngineState};
@@ -9,6 +9,7 @@ use crate::model::{AccuracyModel, Assignment, Task, TaskId};
 use crate::service::state::ServiceSnapshot;
 use crate::service::ServiceError;
 use ltc_spatial::{BoundingBox, ShardRouter};
+use std::collections::BTreeMap;
 
 /// A service snapshot rebalanced by full rebuild: `Ok(None)` for a
 /// no-op, else the rebalanced snapshot and what the rebalance did.
@@ -21,13 +22,7 @@ pub(crate) fn rebalanced(
         Some(layout) => layout.clone().into_router().expect("a valid layout"),
         None => uniform.clone(),
     };
-    let Some(plan) = plan_rebalance(
-        snapshot.region,
-        &router,
-        &snapshot.task_map,
-        &snapshot.engines,
-    )?
-    else {
+    let Some(plan) = plan_rebalance(snapshot.region, &router, &snapshot.engines)? else {
         return Ok(None);
     };
     let engines = plan
@@ -38,7 +33,6 @@ pub(crate) fn rebalanced(
         .map_err(ServiceError::Engine)?;
     let rebalanced = ServiceSnapshot {
         stripes: (plan.router != uniform).then(|| StripeLayout::of(&plan.router)),
-        task_map: plan.task_map,
         engines,
         ..snapshot.clone()
     };
@@ -48,7 +42,6 @@ pub(crate) fn rebalanced(
 /// Everything a rebalance changes.
 struct RebalancePlan {
     router: ShardRouter,
-    task_map: Vec<(u32, u32)>,
     engines: Vec<EngineState>,
     outcome: RebalanceOutcome,
 }
@@ -60,7 +53,6 @@ struct RebalancePlan {
 fn plan_rebalance(
     region: BoundingBox,
     router: &ShardRouter,
-    task_map: &[(u32, u32)],
     states: &[EngineState],
 ) -> Result<Option<RebalancePlan>, ServiceError> {
     let n_shards = states.len();
@@ -91,43 +83,35 @@ fn plan_rebalance(
         return Ok(None);
     }
 
-    // Rebuild the old local→global maps from the task map (validating it
-    // on the way — the states came over a channel, be defensive).
-    let mut old_globals: Vec<Vec<u32>> = vec![Vec::new(); n_shards];
-    for (g, &(s, local)) in task_map.iter().enumerate() {
-        let s = s as usize;
-        if s >= n_shards
-            || local as usize != old_globals[s].len()
-            || states[s].tasks.len() <= local as usize
-        {
-            return Err(ServiceError::BadSnapshot(
-                "rebalance found an inconsistent task map",
-            ));
-        }
-        old_globals[s].push(g as u32);
-    }
+    // Every task with its old shard and slot, in ascending id order.
+    let mut all: Vec<(TaskId, usize, usize)> = states
+        .iter()
+        .enumerate()
+        .flat_map(|(s, st)| st.ids.iter().enumerate().map(move |(i, &id)| (id, s, i)))
+        .collect();
+    all.sort_unstable();
 
-    // Repartition every task in ascending global order, preserving the
-    // local-order-follows-global-order invariant per shard.
-    let n_global = task_map.len();
-    let mut new_task_map = Vec::with_capacity(n_global);
+    // Repartition every task in ascending id order, so each shard holds
+    // its tasks in id order.
+    let mut owner = BTreeMap::new();
+    let mut ids: Vec<Vec<TaskId>> = vec![Vec::new(); n_shards];
     let mut tasks: Vec<Vec<Task>> = vec![Vec::new(); n_shards];
     let mut quality: Vec<Vec<f64>> = vec![Vec::new(); n_shards];
     let mut completed: Vec<Vec<bool>> = vec![Vec::new(); n_shards];
     let mut live_loads = vec![0u64; n_shards];
     let mut moved_tasks = 0u64;
-    for &(os, ol) in task_map {
-        let (os, ol) = (os as usize, ol as usize);
+    for &(id, os, i) in &all {
         let st = &states[os];
-        let task = st.tasks[ol];
+        let task = st.tasks[i];
         let ns = new_router.shard_of(task.loc);
         if ns != os {
             moved_tasks += 1;
         }
-        new_task_map.push((ns as u32, tasks[ns].len() as u32));
+        owner.insert(id, ns);
+        ids[ns].push(id);
         tasks[ns].push(task);
-        quality[ns].push(st.s[ol]);
-        let done = st.completed[ol];
+        quality[ns].push(st.s[i]);
+        let done = st.completed[i];
         completed[ns].push(done);
         if !done {
             live_loads[ns] += 1;
@@ -135,32 +119,22 @@ fn plan_rebalance(
     }
 
     // Migrate the committed assignments with their tasks, restoring the
-    // canonical commit order (worker arrival, then ascending global id)
-    // inside each destination shard.
-    let mut assignments: Vec<Vec<(u64, u32, Assignment)>> = vec![Vec::new(); n_shards];
-    for (os, st) in states.iter().enumerate() {
-        for a in &st.assignments {
-            let Some(&g) = old_globals[os].get(a.task.index()) else {
-                return Err(ServiceError::BadSnapshot(
-                    "rebalance found an assignment to an unknown task",
-                ));
-            };
-            let (ns, nl) = new_task_map[g as usize];
-            assignments[ns as usize].push((
-                a.worker.0,
-                g,
-                Assignment {
-                    task: TaskId(nl),
-                    ..*a
-                },
+    // canonical commit order (worker arrival, then ascending id) inside
+    // each destination shard.
+    let mut assignments: Vec<Vec<Assignment>> = vec![Vec::new(); n_shards];
+    for a in states.iter().flat_map(|st| &st.assignments) {
+        let Some(&ns) = owner.get(&a.task) else {
+            return Err(ServiceError::BadSnapshot(
+                "rebalance found an assignment to an unknown task",
             ));
-        }
+        };
+        assignments[ns].push(*a);
     }
 
     let mut engines = Vec::with_capacity(n_shards);
     for (i, st) in states.iter().enumerate() {
         let mut moved = std::mem::take(&mut assignments[i]);
-        moved.sort_unstable_by_key(|&(w, g, _)| (w, g));
+        moved.sort_unstable_by_key(|a| (a.worker, a.task));
         let shard_tasks = std::mem::take(&mut tasks[i]);
         // Size each rebuilt index over the declared region plus the
         // shard's own live tasks, so migrated-in out-of-region work does
@@ -178,10 +152,11 @@ fn plan_rebalance(
         engines.push(EngineState {
             params: st.params,
             accuracy: st.accuracy.clone(),
+            ids: std::mem::take(&mut ids[i]),
             tasks: shard_tasks,
             s: std::mem::take(&mut quality[i]),
             completed: std::mem::take(&mut completed[i]),
-            assignments: moved.into_iter().map(|(_, _, a)| a).collect(),
+            assignments: moved,
             next_arrival: st.next_arrival,
             index_geometry,
             // Clamp telemetry is per-shard index history, not per-task
@@ -201,7 +176,6 @@ fn plan_rebalance(
             stripe_starts: new_router.stripe_starts().to_vec(),
         },
         router: new_router,
-        task_map: new_task_map,
         engines,
     }))
 }

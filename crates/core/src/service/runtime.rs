@@ -41,12 +41,11 @@
 use super::events::{event_channel, EventSink};
 use super::rebalance::Migration;
 use super::shard::{
-    append_merge_events, merge_and_truncate, Migrants, Proposal, ProposeScratch, Shard,
-    ShardMetrics,
+    append_merge_events, merge_and_truncate, Proposal, ProposeScratch, Shard, ShardMetrics,
 };
 use super::state::Progress;
 use super::{Event, EventBatch, EventFanout, EventRef, EventStream, Lifecycle, ServiceError};
-use crate::engine::EngineState;
+use crate::engine::{EngineState, Migrants};
 use crate::model::{Task, TaskId, Worker, WorkerId};
 use ltc_spatial::{BoundingBox, ShardRouter};
 use std::collections::VecDeque;
@@ -509,7 +508,7 @@ impl Runtime {
 
 /// The handle's rebalance steps, each one round trip to every shard. A
 /// step that fails once tasks have begun to move stops the runtime: the
-/// shards and the service's task map are out of step then, and the
+/// shards and the service's task owners are out of step then, and the
 /// session must not serve from them.
 impl Migration for Runtime {
     fn live_xs(&mut self) -> Result<Vec<f64>, ServiceError> {
@@ -657,7 +656,7 @@ struct RvState {
     proposals: Vec<Proposal>,
     decided: bool,
     committed: usize,
-    completed: Vec<u32>,
+    completed: Vec<TaskId>,
 }
 
 impl Rendezvous {
@@ -852,9 +851,8 @@ fn serve_rendezvous(
     // (delivery order is restored by the ring's sequence numbers).
     let mut completed = Vec::new();
     for p in &my_picks {
-        rt.shard.engine.commit(w, worker, p.local);
-        if rt.shard.engine.is_completed(p.local) {
-            completed.push(p.global);
+        if rt.shard.engine.commit_candidate(w, p.cand) {
+            completed.push(p.cand.task);
         }
     }
     // ltc-lint: allow(L003) commit tally: a poisoned barrier must stop the event batch from shipping, so the panic propagates to the joinable shard thread
@@ -1334,7 +1332,7 @@ mod tests {
             matches!(outcome, Err(ServiceError::RuntimeStopped(_))),
             "a rebalance over a shard that died mid-migration returned {outcome:?}"
         );
-        // The task map was renumbered for a migration that never
+        // The task owners were updated for a migration that never
         // finished: the session must not serve again.
         assert!(runtime.is_stopped());
         assert!(matches!(

@@ -1,7 +1,7 @@
-//! The service state both front-ends share: configuration, routing, the
-//! global task map, and the session counters. Both are the restore of a
-//! [`ServiceSnapshot`]: the facade runs the state inline next to its
-//! shards; the handle runs it next to its shard threads.
+//! The service state both front-ends share: configuration, routing,
+//! which shard holds each task, and the session counters. Both are the
+//! restore of a [`ServiceSnapshot`]: the facade runs the state inline
+//! next to its shards; the handle runs it next to its shard threads.
 
 use super::rebalance::{balanced_router, route, Migration, RebalanceOutcome, StripeLayout};
 use super::shard::{Shard, ShardMetrics};
@@ -37,10 +37,30 @@ pub struct ServiceSnapshot {
     pub stripes: Option<StripeLayout>,
     /// The service-global arrival counter.
     pub next_arrival: u64,
-    /// `task_map[global] = (shard, local)`.
-    pub task_map: Vec<(u32, u32)>,
-    /// Per-shard engine state.
+    /// Per-shard engine state. Each service task id `0..n` is held by
+    /// exactly one shard.
     pub engines: Vec<EngineState>,
+}
+
+impl ServiceSnapshot {
+    /// Each task's shard, when every shard's ids ascend and every id
+    /// below the task count is held by exactly one shard.
+    pub(crate) fn owners(&self) -> Option<Vec<u32>> {
+        let n_tasks = self.engines.iter().map(|e| e.ids.len()).sum();
+        let mut owner = vec![u32::MAX; n_tasks];
+        for (s, e) in self.engines.iter().enumerate() {
+            let mut above = 0;
+            for id in &e.ids {
+                if id.index() < above {
+                    return None;
+                }
+                let o = owner.get_mut(id.index()).filter(|o| **o == u32::MAX)?;
+                *o = s as u32;
+                above = id.index() + 1;
+            }
+        }
+        Some(owner)
+    }
 }
 
 /// What the released events have done so far. The facade counts them
@@ -100,10 +120,8 @@ pub(crate) struct ServiceState {
     pub(crate) mailbox_capacity: usize,
     grow_clamps: Option<u64>,
     router: ShardRouter,
-    /// `task_map[global] = (shard, local)`.
-    pub(crate) task_map: Vec<(u32, u32)>,
-    /// Tasks per shard (the next local id of each).
-    shard_tasks: Vec<u32>,
+    /// `owner[id]`: the shard holding each task.
+    owner: Vec<u32>,
     /// `Some(n_workers)` when the accuracy model is tabular.
     table_workers: Option<usize>,
     /// Service-global arrival counter.
@@ -128,6 +146,11 @@ impl ServiceState {
         if !(snapshot.cell_size.is_finite() && snapshot.cell_size > 0.0) {
             return Err(ServiceError::BadCellSize(snapshot.cell_size));
         }
+        // Checked before any engine is built: an engine's id table
+        // spans its ids, so they must be known to be in range.
+        let owner = snapshot.owners().ok_or(ServiceError::BadSnapshot(
+            "task ids are not one per task across the shards",
+        ))?;
         let router = match snapshot.stripes {
             None => ShardRouter::new(n_shards, snapshot.cell_size, snapshot.region),
             Some(layout) => {
@@ -152,34 +175,10 @@ impl ServiceState {
         {
             return Err(ServiceError::TabularNeedsSingleShard);
         }
-        // Rebuild each shard's local→global map from the task map and
-        // validate the mapping is a bijection onto the engines' tasks.
-        let mut globals: Vec<Vec<u32>> = snapshot
-            .engines
-            .iter()
-            .map(|e| Vec::with_capacity(e.tasks.len()))
-            .collect();
-        for (g, &(s, local)) in snapshot.task_map.iter().enumerate() {
-            let s = s as usize;
-            if s >= n_shards {
-                return Err(ServiceError::BadSnapshot("task routed to unknown shard"));
-            }
-            if local as usize != globals[s].len() {
-                return Err(ServiceError::BadSnapshot(
-                    "task map out of order for its shard",
-                ));
-            }
-            globals[s].push(g as u32);
-        }
         let table_workers = snapshot.engines[0].accuracy.table_workers();
         let mut progress = Progress::default();
         let mut shards = Vec::with_capacity(n_shards);
-        for (s, state) in snapshot.engines.into_iter().enumerate() {
-            if state.tasks.len() != globals[s].len() {
-                return Err(ServiceError::BadSnapshot(
-                    "task map disagrees with a shard engine's task count",
-                ));
-            }
+        for state in snapshot.engines {
             let engine = AssignmentEngine::from_state(state).map_err(ServiceError::Engine)?;
             let arrangement = engine.arrangement();
             progress.n_assignments += arrangement.len() as u64;
@@ -188,7 +187,6 @@ impl ServiceState {
             shards.push(Shard {
                 engine,
                 policy: snapshot.algorithm.policy(),
-                globals: std::mem::take(&mut globals[s]),
                 grow_clamps: snapshot.grow_clamps,
             });
         }
@@ -200,8 +198,7 @@ impl ServiceState {
             mailbox_capacity: snapshot.batch_capacity.max(1),
             grow_clamps: snapshot.grow_clamps,
             router,
-            task_map: snapshot.task_map,
-            shard_tasks: shards.iter().map(|s| s.globals.len() as u32).collect(),
+            owner,
             table_workers,
             next_arrival: snapshot.next_arrival,
             rebalances: 0,
@@ -212,18 +209,23 @@ impl ServiceState {
     /// Number of shards.
     #[inline]
     pub(crate) fn n_shards(&self) -> usize {
-        self.shard_tasks.len()
+        self.router.n_shards()
     }
 
-    /// `(shard, local id)` of a service-global task.
-    pub(crate) fn locate(&self, task: TaskId) -> (usize, TaskId) {
-        let (s, local) = self.task_map[task.index()];
-        (s as usize, TaskId(local))
+    /// Number of tasks posted so far.
+    #[inline]
+    pub(crate) fn n_tasks(&self) -> usize {
+        self.owner.len()
+    }
+
+    /// The shard holding a task.
+    pub(crate) fn owner(&self, task: TaskId) -> usize {
+        self.owner[task.index()] as usize
     }
 
     /// Whether every posted task reached `δ`.
     pub(crate) fn all_completed(&self, progress: &Progress) -> bool {
-        progress.n_completed == self.task_map.len() as u64
+        progress.n_completed == self.n_tasks() as u64
     }
 
     /// The paper's objective, defined once every task completed.
@@ -236,24 +238,23 @@ impl ServiceState {
     }
 
     /// Admits a task post: validates it with the engine's checks,
-    /// routes it to the shard owning its tile, and records it in the
-    /// task map. Returns the shard and the task's service-global id.
+    /// routes it to the shard owning its tile, and records the owner.
+    /// Returns the shard and the task's service-global id.
     pub(crate) fn admit_post(
         &mut self,
         task: &Task,
         accuracies: Option<&[f64]>,
     ) -> Result<(usize, TaskId), ServiceError> {
-        validate_post(self.table_workers, task, accuracies, self.task_map.len())
+        validate_post(self.table_workers, task, accuracies, self.n_tasks())
             .map_err(ServiceError::Engine)?;
         let s = if self.n_shards() == 1 {
             0
         } else {
             self.router.shard_of(task.loc)
         };
-        let global = TaskId(self.task_map.len() as u32);
-        self.task_map.push((s as u32, self.shard_tasks[s]));
-        self.shard_tasks[s] += 1;
-        Ok((s, global))
+        let id = TaskId(self.n_tasks() as u32);
+        self.owner.push(s as u32);
+        Ok((s, id))
     }
 
     /// Admits a check-in: the next arrival id and the shards that take
@@ -297,7 +298,6 @@ impl ServiceState {
             grow_clamps: self.grow_clamps,
             stripes: (self.router != uniform).then(|| StripeLayout::of(&self.router)),
             next_arrival: self.next_arrival,
-            task_map: self.task_map.clone(),
             engines,
         }
     }
@@ -305,12 +305,12 @@ impl ServiceState {
     /// Runs a load-aware rebalance over quiesced `shards` (see the
     /// [`rebalance`](super::rebalance) module): plans the new router from
     /// the live tasks, and when it differs, moves the tasks whose stripe
-    /// changed and renumbers the task map. `Ok(None)` when there is
+    /// changed and records their new owners. `Ok(None)` when there is
     /// nothing to do: a single shard, or a layout equal to the current
     /// one (including the empty-pool case).
     ///
     /// A failure after the first task left its shard leaves the shards
-    /// and the task map out of step; the handle's [`Migration`] stops its
+    /// and the owners out of step; the handle's [`Migration`] stops its
     /// runtime then, so the session never serves from that state.
     pub(crate) fn rebalance(
         &mut self,
@@ -329,8 +329,7 @@ impl ServiceState {
             return Ok(None);
         }
         let emigrants = shards.emigrate(&router)?;
-        let (arrivals, shard_tasks, moved_tasks) = route(&router, &emigrants, &mut self.task_map);
-        self.shard_tasks = shard_tasks;
+        let (arrivals, moved_tasks) = route(&router, emigrants, &mut self.owner);
         self.router = router;
         self.rebalances += 1;
         let live_loads = shards.immigrate(arrivals, self.region)?;
@@ -357,7 +356,7 @@ impl ServiceState {
         ServiceMetrics {
             n_workers_seen: self.next_arrival,
             n_assignments: progress.n_assignments,
-            n_tasks: self.task_map.len() as u64,
+            n_tasks: self.n_tasks() as u64,
             n_completed: progress.n_completed,
             clamped_insertions,
             rebalances: self.rebalances,

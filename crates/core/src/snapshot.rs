@@ -18,10 +18,10 @@
 //! config <algo...> <cell_size> <batch_capacity> <next_arrival>
 //!        [grow <clamps>]
 //!        [stripes <n> <cell_size> <origin_x> <cols> <start ...>]
-//! taskmap <n> <shard-of-task ...>            // local ids are implied
+//! taskmap <n> <shard-of-task ...>            // task ids are 0..n
 //! shard <i> <n_tasks> <next_arrival> [clamped <total> <mark>]
 //!       <noindex | index cs x0 y0 x1 y1>
-//! tasks <x y ...>                            // per shard, local order
+//! tasks <x y ...>                            // per shard, ascending id
 //! quality <S[t] ...>
 //! completed <bitstring>
 //! accuracy sigmoid | accuracy table <n_workers> <task-major values ...>
@@ -29,6 +29,12 @@
 //! a <worker> <local-task> <acc> <contribution>   // × n, commit order
 //! end
 //! ```
+//!
+//! A task's *local* index exists only in this text: it is the rank of
+//! the task's id among its shard's tasks, which the `taskmap` line
+//! implies. In memory every engine names its tasks by their
+//! service-global ids ([`EngineState::ids`]); the writer derives the
+//! local indexes and the reader maps them back.
 //!
 //! Three optional groups extend `v1` backward-compatibly (each is
 //! written only when its feature is in use, so snapshots of services
@@ -139,7 +145,15 @@ fn put<W: Write>(out: &mut W, values: &[f64]) -> io::Result<()> {
 }
 
 /// Serializes a [`ServiceSnapshot`] into the v1 text format.
+///
+/// Fails with [`io::ErrorKind::InvalidData`] when the shards' ids do
+/// not ascend or are not `0..n` each held once, or an assignment names
+/// a task its shard does not hold: the text could not place them.
 pub fn write_snapshot<W: Write>(snap: &ServiceSnapshot, mut out: W) -> io::Result<()> {
+    let invalid = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
+    let owner = snap
+        .owners()
+        .ok_or_else(|| invalid("task ids are not one per task across the shards"))?;
     let out = &mut out;
     writeln!(out, "{SNAPSHOT_HEADER}")?;
     let p = &snap.params;
@@ -189,8 +203,8 @@ pub fn write_snapshot<W: Write>(snap: &ServiceSnapshot, mut out: W) -> io::Resul
         }
     }
     writeln!(out)?;
-    write!(out, "taskmap {}", snap.task_map.len())?;
-    for &(shard, _) in &snap.task_map {
+    write!(out, "taskmap {}", owner.len())?;
+    for shard in &owner {
         write!(out, " {shard}")?;
     }
     writeln!(out)?;
@@ -230,7 +244,12 @@ pub fn write_snapshot<W: Write>(snap: &ServiceSnapshot, mut out: W) -> io::Resul
         }
         writeln!(out, "assignments {}", e.assignments.len())?;
         for a in &e.assignments {
-            write!(out, "a {} {}", a.worker.0, a.task.0)?;
+            // The text's local index: the id's rank among the shard's.
+            let local = e
+                .ids
+                .binary_search(&a.task)
+                .map_err(|_| invalid("an assignment names a task its shard does not hold"))?;
+            write!(out, "a {} {local}", a.worker.0)?;
             put(out, &[a.acc, a.contribution])?;
             writeln!(out)?;
         }
@@ -337,8 +356,8 @@ pub fn read_snapshot<R: BufRead>(reader: R) -> Result<ServiceSnapshot, SnapshotE
         }
     }
 
-    // taskmap: shard ids in global order; local ids are the running
-    // per-shard counts. Counts come from untrusted input: allocations are
+    // taskmap: each id's shard, in id order, so each shard's ids come
+    // out ascending. Counts come from untrusted input: allocations are
     // capped up front (growth past the cap is driven by actually-parsed
     // tokens, so a lying header errors on the missing token instead of
     // allocating).
@@ -349,19 +368,18 @@ pub fn read_snapshot<R: BufRead>(reader: R) -> Result<ServiceSnapshot, SnapshotE
     if n_tasks > u32::MAX as usize {
         return Err(tk.bad(format!("task count {n_tasks} exceeds the u32 id space")));
     }
-    let mut task_map = Vec::with_capacity(n_tasks.min(MAX_PREALLOC));
-    let mut per_shard_count: Vec<u32> = Vec::new();
-    for _ in 0..n_tasks {
+    let mut shard_ids: Vec<Vec<TaskId>> = Vec::new();
+    for id in 0..n_tasks {
         let s = tk.u64()? as usize;
         if s >= MAX_SHARDS {
             return Err(tk.bad(format!("shard id {s} exceeds the {MAX_SHARDS}-shard limit")));
         }
-        if s >= per_shard_count.len() {
-            per_shard_count.resize(s + 1, 0);
+        if s >= shard_ids.len() {
+            shard_ids.resize_with(s + 1, Vec::new);
         }
-        task_map.push((s as u32, per_shard_count[s]));
-        per_shard_count[s] += 1;
+        shard_ids[s].push(TaskId(id as u32));
     }
+    let n_mapped = shard_ids.len();
 
     // shards until `end`
     let mut engines: Vec<EngineState> = Vec::new();
@@ -378,8 +396,15 @@ pub fn read_snapshot<R: BufRead>(reader: R) -> Result<ServiceSnapshot, SnapshotE
             return Err(tk.bad(format!("shard {idx} out of order")));
         }
         let n = tk.u64()? as usize;
-        if n > u32::MAX as usize {
-            return Err(tk.bad(format!("shard task count {n} exceeds the u32 id space")));
+        let ids = shard_ids
+            .get_mut(idx)
+            .map(std::mem::take)
+            .unwrap_or_default();
+        if n != ids.len() {
+            return Err(tk.bad(format!(
+                "shard {idx} has {n} tasks, the task map gives it {}",
+                ids.len()
+            )));
         }
         let shard_next_arrival = tk.u64()?;
         let mut geometry_word = tk.word()?;
@@ -480,9 +505,14 @@ pub fn read_snapshot<R: BufRead>(reader: R) -> Result<ServiceSnapshot, SnapshotE
             let line = lines.next_line()?;
             let mut tk = Tokens::new(&line, lines.lineno);
             tk.literal("a")?;
+            let worker = WorkerId(tk.u64()?);
+            let local = tk.u64()?;
+            let Some(&task) = usize::try_from(local).ok().and_then(|l| ids.get(l)) else {
+                return Err(tk.bad(format!("assignment names local task {local} of {n}")));
+            };
             assignments.push(Assignment {
-                worker: WorkerId(tk.u64()?),
-                task: TaskId(tk.u64()? as u32),
+                worker,
+                task,
                 acc: tk.f64()?,
                 contribution: tk.f64()?,
             });
@@ -491,6 +521,7 @@ pub fn read_snapshot<R: BufRead>(reader: R) -> Result<ServiceSnapshot, SnapshotE
         engines.push(EngineState {
             params,
             accuracy,
+            ids,
             tasks,
             s,
             completed,
@@ -501,7 +532,7 @@ pub fn read_snapshot<R: BufRead>(reader: R) -> Result<ServiceSnapshot, SnapshotE
             clamp_mark,
         });
     }
-    if per_shard_count.len() > engines.len() {
+    if n_mapped > engines.len() {
         return Err(SnapshotError::Parse {
             line: lines.lineno,
             what: "task map references more shards than were serialized".into(),
@@ -517,7 +548,6 @@ pub fn read_snapshot<R: BufRead>(reader: R) -> Result<ServiceSnapshot, SnapshotE
         grow_clamps,
         stripes,
         next_arrival,
-        task_map,
         engines,
     })
 }

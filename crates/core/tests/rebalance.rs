@@ -361,13 +361,24 @@ fn unsplittable_hot_column_settles_instead_of_thrashing() {
     assert_eq!(service.rebalance().unwrap(), None, "layout must settle");
 }
 
+/// The policies whose N-shard decisions must survive migrations: LAF,
+/// AAM (whose regime reads the cross-shard unit aggregate) and seeded
+/// Random (which hashes each task's service-global id).
+fn policy() -> impl Strategy<Value = Algorithm> {
+    (0u8..3, any::<u64>()).prop_map(|(which, seed)| match which {
+        0 => Algorithm::Laf,
+        1 => Algorithm::Aam,
+        _ => Algorithm::Random { seed },
+    })
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The satellite property: random interleavings of hot-cell post
     /// bursts and check-ins, with rebalances triggered at random
     /// cadences, stay event-for-event identical to a never-rebalancing
-    /// 1-shard run.
+    /// 1-shard run, for every policy.
     #[test]
     fn hot_cell_bursts_with_rebalances_match_single_shard(
         seed in 0u64..10_000,
@@ -376,10 +387,12 @@ proptest! {
         burst in 1usize..5,
         cadence in 15usize..60,
         x_end in 900u32..2200,
+        algorithm in policy(),
     ) {
         let ops = drift_ops(seed, n_steps, burst, x_end as f64);
-        let mut single = builder(1).build().unwrap();
+        let mut single = builder(1).algorithm(algorithm).build().unwrap();
         let mut sharded = builder(n_shards)
+            .algorithm(algorithm)
             .grow_index_after(24)
             .build()
             .unwrap();
