@@ -5,9 +5,8 @@
 //! allocation-event counts via the thread-local counter. Two gates:
 //!
 //! 1. **Zero-alloc steady state** — after a warmup prefix (scratch
-//!    buffers reach their watermarks) and with the arrangement log
-//!    pre-reserved, `AssignmentEngine::push_worker` performs **no heap
-//!    allocation at all**. This is the tentpole invariant of the
+//!    buffers reach their watermarks), `AssignmentEngine::push_worker`
+//!    performs **no heap allocation at all**. This is the tentpole invariant of the
 //!    hot-path optimization pass; any future change that re-introduces
 //!    per-worker allocation (a stray `Vec`, `format!`, boxed candidate
 //!    list, `BTreeMap` aggregate...) fails here, deterministically,
@@ -28,12 +27,11 @@ use ltc_spatial::{BoundingBox, GridIndex, Point};
 use ltc_workload::SyntheticConfig;
 
 /// The evicting engine's serve path allocates nothing per worker once
-/// warmed up and with the arrangement log reserved.
+/// warmed up.
 #[test]
 fn push_worker_is_allocation_free_after_warmup() {
     let instance = SyntheticConfig::default().scaled_down(8).generate();
     let mut engine = AssignmentEngine::from_instance(&instance);
-    engine.reserve_assignments(instance.n_workers() * instance.params().capacity as usize);
     let mut algo = Laf::new();
 
     let workers = instance.workers();

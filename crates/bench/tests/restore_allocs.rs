@@ -1,15 +1,13 @@
 //! Allocation gate for a restore: the bytes one `LtcService::restore`
-//! allocates must stay well below the size of the assignment log it
-//! restores.
+//! allocates must stay well below the size the session's assignments
+//! would take as a log.
 //!
-//! A long-running session's snapshot is mostly completed history: its
-//! assignment log runs to several entries per task. A restore that
-//! copies the log, or pushes it into a fresh vector one assignment at a
-//! time, allocates at least the log's size again (pushing allocates
-//! each doubling on the way, about twice the log). One that adopts the
-//! snapshot's log allocates only for what it rebuilds per task: the
-//! uncompleted set, the worker-unit counts, the spatial index, the
-//! shards' id-to-slot tables and the service's task-owner map.
+//! A long-running session commits several assignments per task. A
+//! snapshot carries only their two counters, and a restore allocates
+//! only for what it rebuilds per task: the uncompleted set, the
+//! worker-unit counts, the spatial index, the shards' id-to-slot tables
+//! and the service's task-owner map. A restore that rebuilt or copied
+//! any per-assignment state would allocate at least the log's size.
 //!
 //! This reads the process-wide [`allocated_bytes`], which is exact only
 //! while nothing else runs, so this binary holds exactly one test. Keep
@@ -21,7 +19,8 @@ use ltc_core::service::{LtcService, ServiceBuilder};
 use ltc_spatial::{BoundingBox, Point};
 use std::num::NonZeroUsize;
 
-/// Largest allowed ratio of the restore's bytes to the log's bytes.
+/// Largest allowed ratio of the restore's bytes to the bytes of a log
+/// of the session's assignments.
 const BOUND: f64 = 0.5;
 /// Tasks posted (and completed) per round of history.
 const ROUND_TASKS: u64 = 1_000;
@@ -85,8 +84,8 @@ fn restore_allocates_less_than_half_its_log() {
     let ratio = bytes as f64 / log_bytes as f64;
     assert!(
         ratio < BOUND,
-        "restoring a {log_bytes}-byte log allocated {bytes} bytes (ratio {ratio:.2}, \
-         bound {BOUND}) — the restore must adopt the log, not copy it"
+        "restoring a session of {log_bytes} log bytes allocated {bytes} bytes (ratio {ratio:.2}, \
+         bound {BOUND}) — a restore must rebuild per-task state only"
     );
     assert_eq!(restored.n_assignments(), n_assignments);
     assert!(service.latency().is_some());

@@ -1684,7 +1684,7 @@ mod tests {
         assert!(out.contains("\"recover\":true"), "{out}");
         assert!(out.contains("\"next_seq\":10"), "{out}");
         let text = std::fs::read_to_string(&snap_path).unwrap();
-        assert!(text.starts_with("ltc-snapshot v1\n"), "{text}");
+        assert!(text.starts_with("ltc-snapshot v2\n"), "{text}");
         read_snapshot(text.as_bytes()).expect("recovered snapshot must parse");
 
         // Recovery seals the log with a covering checkpoint, so a

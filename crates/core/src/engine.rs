@@ -22,10 +22,20 @@
 //! the same engine through its lower-level [`AssignmentEngine::commit`] /
 //! [`AssignmentEngine::append_candidates`] API, so candidate enumeration
 //! and quality bookkeeping live in exactly one place.
+//!
+//! The engine does not record its decisions. No policy reads a past
+//! assignment — LAF, AAM and Random decide from the live tasks' `S`,
+//! remaining units and `K` — so the engine keeps two counters (the
+//! assignments it committed and the latest arrival it recruited) and
+//! hands every committed [`Assignment`] to its caller. A caller that
+//! wants the record keeps it: [`crate::online::run_online`] and the
+//! offline solvers build their [`crate::model::RunOutcome`]'s
+//! [`crate::model::Arrangement`] from the commits, and a service's event
+//! stream is its decision history.
 
 use crate::model::{
-    AccuracyModel, Arrangement, Assignment, Eligibility, Instance, ProblemParams, QualityModel,
-    RunOutcome, Task, TaskId, Worker, WorkerId,
+    AccuracyModel, Assignment, Eligibility, Instance, ProblemParams, QualityModel, Task, TaskId,
+    Worker, WorkerId,
 };
 use crate::online::{OnlineAlgorithm, Pick};
 use crate::smallvec::SmallVec;
@@ -61,9 +71,8 @@ pub struct Candidate {
 }
 
 /// An owned, incremental streaming engine for the LTC problem: per-task
-/// accumulated quality `S`, completion tracking, the committed
-/// [`Arrangement`], and an evicting spatial index over the *uncompleted*
-/// tasks. Tasks keep their ids for life; internally they sit in slots in
+/// accumulated quality `S`, completion tracking, two commit counters,
+/// and an evicting spatial index over the *uncompleted* tasks. Tasks keep their ids for life; internally they sit in slots in
 /// ascending id order, a layout that never leaves the engine.
 #[derive(Debug, Clone)]
 pub struct AssignmentEngine {
@@ -84,7 +93,10 @@ pub struct AssignmentEngine {
     /// remaining work is `O(n_uncompleted)`.
     uncompleted: Vec<u32>,
     uncompleted_pos: Vec<u32>,
-    arrangement: Arrangement,
+    /// Assignments committed since the engine was built or restored.
+    n_assignments: u64,
+    /// The latest arrival recruited since then.
+    latest_assigned: Option<WorkerId>,
     /// Spatial index over the ids and locations of *uncompleted* tasks
     /// (cell size `d_max`), used under the nearby-only eligibility
     /// policy. `None` under [`Eligibility::Unrestricted`].
@@ -189,7 +201,8 @@ impl AssignmentEngine {
             id_base: 0,
             uncompleted: Vec::new(),
             uncompleted_pos: Vec::new(),
-            arrangement: Arrangement::new(),
+            n_assignments: 0,
+            latest_assigned: None,
             task_index,
             next_arrival: 0,
             index_clamp_mark: 0,
@@ -471,20 +484,28 @@ impl AssignmentEngine {
         self.uncompleted.iter().map(|&slot| self.ids[slot as usize])
     }
 
-    /// The arrangement committed so far.
+    /// Assignments committed since the engine was built or restored
+    /// (an [`EngineState`] carries no counters: see its docs).
     #[inline]
-    pub fn arrangement(&self) -> &Arrangement {
-        &self.arrangement
+    pub fn n_assignments(&self) -> u64 {
+        self.n_assignments
     }
 
-    /// Reserves capacity for at least `additional` more committed
-    /// assignments. The append-only arrangement log is the one unbounded
-    /// growth site on the [`AssignmentEngine::push_worker`] hot path
-    /// (every other buffer reaches a steady capacity after warmup), so a
-    /// caller that knows its stream volume — a benchmark, a batch replay —
-    /// can pre-size it and stream with zero heap allocations per worker.
-    pub fn reserve_assignments(&mut self, additional: usize) {
-        self.arrangement.reserve(additional);
+    /// The largest arrival index among the workers recruited since the
+    /// engine was built or restored; `None` before the first commit.
+    #[inline]
+    pub fn latest_assigned(&self) -> Option<u64> {
+        self.latest_assigned.map(WorkerId::arrival_index)
+    }
+
+    /// The paper's objective `MinMax(M)`: the latest recruited arrival,
+    /// defined once every task reached `δ`.
+    pub fn latency(&self) -> Option<u64> {
+        if self.all_completed() {
+            self.latest_assigned()
+        } else {
+            None
+        }
     }
 
     /// Predicted accuracy `Acc(w,t)` of `worker` (arriving as `w`) on a
@@ -595,18 +616,24 @@ impl AssignmentEngine {
         self.append_candidates(w, worker, out);
     }
 
-    /// Commits `(w, t)` to the arrangement and updates `S[t]`; when the
-    /// task reaches `δ` it is marked completed and **evicted from the
-    /// spatial index**. Returns the contribution added.
+    /// Commits `(w, t)` and updates `S[t]`; when the task reaches `δ` it
+    /// is marked completed and **evicted from the spatial index**.
+    /// Returns the committed assignment, for a caller that keeps the
+    /// arrangement.
     ///
     /// Assignments are irrevocable (the paper's invariable constraint);
     /// correctness of the *choice* is the algorithm's responsibility —
     /// this method only maintains state.
-    pub fn commit(&mut self, w: WorkerId, worker: &Worker, t: TaskId) -> f64 {
+    pub fn commit(&mut self, w: WorkerId, worker: &Worker, t: TaskId) -> Assignment {
         let slot = self.slot(t);
         let c = self.candidate_at(w, worker, slot);
         self.commit_at(w, slot, c);
-        c.contribution
+        Assignment {
+            worker: w,
+            task: t,
+            acc: c.acc,
+            contribution: c.contribution,
+        }
     }
 
     /// [`AssignmentEngine::commit`] with the [`Candidate`] built when the
@@ -619,12 +646,8 @@ impl AssignmentEngine {
     }
 
     fn commit_at(&mut self, w: WorkerId, slot: usize, c: Candidate) {
-        self.arrangement.push(Assignment {
-            worker: w,
-            task: c.task,
-            acc: c.acc,
-            contribution: c.contribution,
-        });
+        self.n_assignments += 1;
+        self.latest_assigned = self.latest_assigned.max(Some(w));
         self.s[slot] += c.contribution;
         if self.completed[slot] {
             return;
@@ -780,21 +803,12 @@ impl AssignmentEngine {
         self.picks_buf = picks;
     }
 
-    /// Finalizes the engine into a [`RunOutcome`].
-    pub fn into_outcome(self) -> RunOutcome {
-        RunOutcome {
-            completed: self.uncompleted.is_empty(),
-            arrangement: self.arrangement,
-        }
-    }
-
     /// Extracts the engine's durable state — everything needed to
-    /// continue the stream after a crash: copies of the task vectors and
-    /// of the assignment log, each sized exactly. The per-task derived
-    /// structures (the uncompleted set, the id table, the spatial index,
-    /// the worker-unit multiset) are *not* included;
-    /// [`AssignmentEngine::from_state`] rebuilds them from the task
-    /// vectors and adopts the log as it is.
+    /// continue the stream after a crash: copies of the task vectors,
+    /// each sized exactly. The per-task derived structures (the
+    /// uncompleted set, the id table, the spatial index, the worker-unit
+    /// multiset) are *not* included; [`AssignmentEngine::from_state`]
+    /// rebuilds them from the task vectors.
     pub fn to_state(&self) -> EngineState {
         EngineState {
             params: self.params,
@@ -803,7 +817,6 @@ impl AssignmentEngine {
             tasks: self.tasks.clone(),
             s: self.s.clone(),
             completed: self.completed.clone(),
-            assignments: self.arrangement.assignments().to_vec(),
             next_arrival: self.next_arrival,
             // The *requested* bounds, not the laid-out extent: rebuilding
             // with these reproduces the layout, so restore → snapshot is
@@ -819,16 +832,13 @@ impl AssignmentEngine {
     }
 
     /// Builds an engine from durable state (the inverse of
-    /// [`AssignmentEngine::to_state`]), taking ownership of its vectors.
-    /// The assignment log becomes the engine's arrangement without a
-    /// copy, after one pass that refuses an assignment naming a task the
-    /// state does not hold and finds the latest recruited worker; the
-    /// per-task derived structures are rebuilt from the task vectors.
-    /// Every continuation observable — candidate sets, qualities,
-    /// completion, arrival ids — is identical to the engine the state
-    /// was taken from. The only internal difference is bucket/iteration
-    /// order in rebuilt structures, which no decision path observes
-    /// (candidates are re-sorted by id).
+    /// [`AssignmentEngine::to_state`]), taking ownership of its vectors;
+    /// the per-task derived structures are rebuilt from them and the
+    /// commit counters start at zero. Every continuation observable —
+    /// candidate sets, qualities, completion, arrival ids — is identical
+    /// to the engine the state was taken from. The only internal
+    /// difference is bucket/iteration order in rebuilt structures, which
+    /// no decision path observes (candidates are re-sorted by id).
     pub fn from_state(state: EngineState) -> Result<Self, EngineError> {
         state.params.validate().map_err(EngineError::Params)?;
         let n = state.tasks.len();
@@ -902,15 +912,6 @@ impl AssignmentEngine {
         );
         engine.next_arrival = state.next_arrival;
         engine.index_clamp_mark = state.clamp_mark;
-        let (slot_of, base) = (&engine.slot_of, engine.id_base);
-        engine.arrangement = Arrangement::adopt(state.assignments, |t| {
-            slot_of
-                .get(t.0.wrapping_sub(base) as usize)
-                .is_some_and(|&slot| slot != NO_SLOT)
-        })
-        .ok_or(EngineError::CorruptState(
-            "arrangement references an unknown task",
-        ))?;
         Ok(engine)
     }
 
@@ -940,10 +941,10 @@ impl AssignmentEngine {
     }
 
     /// The first half of moving tasks to another engine (a stripe
-    /// rebalance): removes every task `leaves` picks, with its quality,
-    /// completion flag and assignments, and compacts what stays in
-    /// place. Returns the removed tasks in ascending id order and their
-    /// assignments in commit order.
+    /// rebalance): removes every task `leaves` picks, with its quality
+    /// and completion flag, and compacts what stays in place. Returns the
+    /// removed tasks in ascending id order. The commit counters stay:
+    /// they count this engine's commits, not its tasks'.
     ///
     /// The engine is whole again only after [`AssignmentEngine::merge_in`]
     /// (the spatial index and the uncompleted set still hold the leavers).
@@ -982,27 +983,11 @@ impl AssignmentEngine {
         self.s.truncate(kept);
         self.completed.truncate(kept);
         self.units.truncate(kept);
-
-        let (slot_of, base) = (&self.slot_of, self.id_base);
-        let (log, max_worker) = self.arrangement.parts_mut();
-        log.retain(|a| {
-            let stays = slot_of[(a.task.0 - base) as usize] != NO_SLOT;
-            if !stays {
-                out.assignments.push(*a);
-            }
-            stays
-        });
-        // The log is in worker order, so its last entry holds the
-        // maximum.
-        *max_worker = log.last().map(|a| a.worker);
         out
     }
 
     /// The second half of a move between engines: inserts the
-    /// `arrivals` (ascending ids) among the kept tasks in id order and
-    /// merges their assignments into the log. Both this engine's log and
-    /// the arrivals' must be in (worker arrival, task) order — the order
-    /// every served engine commits in — and the merge keeps that order.
+    /// `arrivals` (ascending ids) among the kept tasks in id order.
     ///
     /// Then rebuilds what derives from the tasks: the id table, the
     /// uncompleted set, and the spatial index, re-laid out over `region`
@@ -1031,26 +1016,6 @@ impl AssignmentEngine {
         splice_in(&mut self.completed, &before, |j| arriving[j].completed);
         // Zero, so the rebuild below adds the arrivals' units.
         splice_in(&mut self.units, &before, |_| 0.0);
-
-        // One backward merge of the two (worker, task)-ordered logs.
-        let key = |a: &Assignment| (a.worker, a.task);
-        let (log, max_worker) = self.arrangement.parts_mut();
-        debug_assert!(log.windows(2).all(|w| key(&w[0]) < key(&w[1])));
-        if let Some(&filler) = arrivals.assignments.first() {
-            let mut end = log.len();
-            log.resize(end + arrivals.assignments.len(), filler);
-            let mut out = log.len();
-            for a in arrivals.assignments.iter().rev() {
-                while end > 0 && key(&log[end - 1]) > key(a) {
-                    end -= 1;
-                    out -= 1;
-                    log[out] = log[end];
-                }
-                out -= 1;
-                log[out] = *a;
-            }
-            *max_worker = log.last().map(|a| a.worker);
-        }
 
         self.reindex();
         self.index_clamp_mark = self.index_clamped_insertions();
@@ -1090,8 +1055,6 @@ pub(crate) struct MovedTask {
 pub(crate) struct Migrants {
     /// The tasks in ascending id order.
     pub(crate) tasks: Vec<MovedTask>,
-    /// Their committed assignments in (worker arrival, task) order.
-    pub(crate) assignments: Vec<Assignment>,
 }
 
 /// Inserts `before.len()` new elements into `v` in one backward pass:
@@ -1116,8 +1079,12 @@ fn splice_in<T: Copy>(v: &mut Vec<T>, before: &[u32], new: impl Fn(usize) -> T) 
 /// [`AssignmentEngine::to_state`] and consumed by
 /// [`AssignmentEngine::from_state`]. Plain data: the service-level
 /// snapshot format (see [`crate::snapshot`]) serializes it field by
-/// field. `from_state` keeps its vectors rather than copying them, so
-/// a restore reads the assignment history once, to validate it.
+/// field, and `from_state` keeps its vectors rather than copying them.
+///
+/// It is O(tasks): no decision history and no commit counters. A
+/// service's counters belong to the service, where a rebalance moving
+/// tasks between engines cannot blur them
+/// ([`ServiceSnapshot`](crate::service::ServiceSnapshot)).
 ///
 /// The per-task vectors run parallel, one entry per task the engine
 /// holds, in ascending id order.
@@ -1135,8 +1102,6 @@ pub struct EngineState {
     pub s: Vec<f64>,
     /// Completion flags per task.
     pub completed: Vec<bool>,
-    /// The committed arrangement in commit order, naming tasks by id.
-    pub assignments: Vec<Assignment>,
     /// The engine-local arrival counter.
     pub next_arrival: u64,
     /// `(cell_size, bounds)` of the spatial index, `None` under
@@ -1299,7 +1264,7 @@ mod tests {
         let mut engine = AssignmentEngine::from_instance(&inst);
         assert_eq!(engine.n_uncompleted(), 3);
         let w = &inst.workers()[0];
-        let c = engine.commit(WorkerId(0), w, TaskId(0));
+        let c = engine.commit(WorkerId(0), w, TaskId(0)).contribution;
         assert!(c > 0.7 && c < 1.0);
         assert!((engine.quality(TaskId(0)) - c).abs() < 1e-12);
         assert!(!engine.all_completed());
@@ -1325,12 +1290,34 @@ mod tests {
     }
 
     #[test]
-    fn outcome_reflects_completion() {
+    fn latency_needs_every_task_completed() {
         let inst = instance();
-        let engine = AssignmentEngine::from_instance(&inst);
-        let outcome = engine.into_outcome();
-        assert!(!outcome.completed);
-        assert_eq!(outcome.latency(), None);
+        let mut engine = AssignmentEngine::from_instance(&inst);
+        assert_eq!(engine.latency(), None);
+        let w = &inst.workers()[0];
+        engine.commit(WorkerId(4), w, TaskId(0));
+        assert_eq!(engine.latest_assigned(), Some(5));
+        assert_eq!(engine.latency(), None, "two tasks are still open");
+    }
+
+    #[test]
+    fn commits_are_counted_not_recorded() {
+        let inst = instance();
+        let mut engine = AssignmentEngine::from_instance(&inst);
+        let mut algo = crate::online::Laf::new();
+        let (mut committed, mut latest) = (0, None);
+        for worker in inst.workers() {
+            let batch = engine.push_worker(worker, &mut algo);
+            committed += batch.len() as u64;
+            latest = batch
+                .iter()
+                .map(|a| a.worker.arrival_index())
+                .max()
+                .or(latest);
+        }
+        assert!(committed > 0);
+        assert_eq!(engine.n_assignments(), committed);
+        assert_eq!(engine.latest_assigned(), latest);
     }
 
     #[test]
@@ -1548,66 +1535,13 @@ mod tests {
         }
         let mut restored = AssignmentEngine::from_state(engine.to_state()).unwrap();
         assert_eq!(restored.n_workers_seen(), engine.n_workers_seen());
-        assert_eq!(restored.arrangement().len(), engine.arrangement().len());
-        assert_eq!(
-            restored.arrangement().max_index(),
-            engine.arrangement().max_index()
-        );
+        assert_eq!(restored.n_assignments(), 0, "the state carries no counters");
         assert_eq!(restored.remaining_units(), engine.remaining_units());
         for worker in &inst.workers()[3..] {
             let a = engine.push_worker(worker, &mut algo);
             let b = restored.push_worker(worker, &mut crate::online::Laf::new());
             assert_eq!(a.iter().collect::<Vec<_>>(), b.iter().collect::<Vec<_>>());
         }
-    }
-
-    #[test]
-    fn from_state_refuses_a_log_naming_an_unknown_task() {
-        let inst = instance();
-        let mut engine = AssignmentEngine::from_instance(&inst);
-        engine.push_worker(&inst.workers()[0], &mut crate::online::Laf::new());
-        let mut state = engine.to_state();
-        let known = state.assignments[0];
-        state.assignments.push(Assignment {
-            task: TaskId(3),
-            ..known
-        });
-        let err = AssignmentEngine::from_state(state).unwrap_err();
-        assert_eq!(
-            err,
-            EngineError::CorruptState("arrangement references an unknown task")
-        );
-        assert_eq!(
-            err.to_string(),
-            "corrupt engine state: arrangement references an unknown task"
-        );
-    }
-
-    #[test]
-    fn restore_finds_the_latest_worker_in_an_unordered_log() {
-        let inst = instance();
-        let mut engine = AssignmentEngine::from_instance(&inst);
-        engine.push_worker(&inst.workers()[0], &mut crate::online::Laf::new());
-        // A hand-built log out of arrival order: the latest worker sits
-        // in the middle, not at the end.
-        let mut state = engine.to_state();
-        let template = state.assignments[0];
-        state.assignments = [(5, 0), (7, 1), (2, 0), (0, 1)]
-            .into_iter()
-            .map(|(w, t)| Assignment {
-                worker: WorkerId(w),
-                task: TaskId(t),
-                ..template
-            })
-            .collect();
-        let mut pushed = Arrangement::new();
-        for &a in &state.assignments {
-            pushed.push(a);
-        }
-        let restored = AssignmentEngine::from_state(state).unwrap();
-        assert_eq!(restored.arrangement().len(), 4);
-        assert_eq!(restored.arrangement().max_index(), Some(8));
-        assert_eq!(restored.arrangement().max_index(), pushed.max_index());
     }
 
     #[test]

@@ -36,51 +36,9 @@ impl Arrangement {
         Self::default()
     }
 
-    /// Reserves capacity for at least `additional` more assignments, so a
-    /// caller that knows its commit volume up front can keep the append
-    /// path allocation-free.
-    pub fn reserve(&mut self, additional: usize) {
-        self.assignments.reserve(additional);
-    }
-
-    /// Adopts a restored log without copying it. One pass over the log
-    /// checks that every assignment names a task `known` accepts and
-    /// finds the worker maximum; `None` if some assignment names an
-    /// unknown task.
-    pub(crate) fn adopt(
-        assignments: Vec<Assignment>,
-        known: impl Fn(TaskId) -> bool,
-    ) -> Option<Self> {
-        let mut max_worker = None;
-        for a in &assignments {
-            if !known(a.task) {
-                return None;
-            }
-            max_worker = max_worker.max(Some(a.worker));
-        }
-        Some(Self {
-            assignments,
-            max_worker,
-        })
-    }
-
     /// Commits an assignment (append-only).
-    ///
-    /// A full log grows to the next power of two (at least 4), not to
-    /// twice its length. A log pushed from empty passes through the same
-    /// capacities either way. A log restored from a snapshot starts at
-    /// capacity equal to its length, and this rule brings it back onto
-    /// the capacities an uninterrupted log has at its first growth.
     pub fn push(&mut self, assignment: Assignment) {
-        let len = self.assignments.len();
-        if len == self.assignments.capacity() {
-            self.assignments
-                .reserve_exact((len + 1).next_power_of_two().max(4) - len);
-        }
-        self.max_worker = Some(match self.max_worker {
-            Some(m) => m.max(assignment.worker),
-            None => assignment.worker,
-        });
+        self.max_worker = self.max_worker.max(Some(assignment.worker));
         self.assignments.push(assignment);
     }
 
@@ -88,13 +46,6 @@ impl Arrangement {
     #[inline]
     pub fn assignments(&self) -> &[Assignment] {
         &self.assignments
-    }
-
-    /// The assignment log and its worker maximum, for an engine that
-    /// rewrites its log in place when tasks move between engines; the
-    /// caller keeps the maximum equal to the log's largest worker.
-    pub(crate) fn parts_mut(&mut self) -> (&mut Vec<Assignment>, &mut Option<WorkerId>) {
-        (&mut self.assignments, &mut self.max_worker)
     }
 
     /// Number of committed assignments.
@@ -320,37 +271,6 @@ mod tests {
         arr.push(assign(&inst, 2, 0));
         arr.push(assign(&inst, 0, 0));
         assert_eq!(arr.max_index(), Some(3));
-    }
-
-    #[test]
-    fn adopted_logs_rejoin_the_power_of_two_capacities() {
-        // Capacity is all this test reads; the accuracy values are
-        // placeholders.
-        let at = |w| Assignment {
-            worker: WorkerId(w),
-            task: TaskId(0),
-            acc: 0.9,
-            contribution: 0.5,
-        };
-        let mut log = Vec::with_capacity(5);
-        log.extend((0..5).map(at));
-        assert_eq!(log.capacity(), 5);
-        let mut adopted = Arrangement::adopt(log, |t| t.0 < 1).unwrap();
-        assert_eq!(adopted.assignments.capacity(), 5);
-        assert_eq!(adopted.max_index(), Some(5));
-        adopted.push(at(5));
-        assert_eq!(adopted.assignments.capacity(), 8);
-
-        let mut pushed = Arrangement::new();
-        let mut capacities = Vec::new();
-        for w in 0..16 {
-            pushed.push(at(w));
-            let cap = pushed.assignments.capacity();
-            if capacities.last() != Some(&cap) {
-                capacities.push(cap);
-            }
-        }
-        assert_eq!(capacities, [4, 8, 16]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Base-off: the paper's offline baseline.
 
 use crate::engine::{AssignmentEngine, Candidate};
-use crate::model::{Instance, RunOutcome, TaskId, WorkerId};
+use crate::model::{Arrangement, Instance, RunOutcome, TaskId, WorkerId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -31,6 +31,7 @@ impl BaseOff {
     /// Runs the baseline over the full (offline) instance.
     pub fn run(&self, instance: &Instance) -> RunOutcome {
         let mut engine = AssignmentEngine::from_instance(instance);
+        let mut arrangement = Arrangement::new();
         let workers = instance.workers();
         let capacity = instance.params().capacity as usize;
 
@@ -67,10 +68,13 @@ impl BaseOff {
             }
             for _ in 0..capacity.min(buf.len()) {
                 let Reverse((_, task)) = heap.pop().expect("heap sized by candidates");
-                engine.commit(wid, worker, task);
+                arrangement.push(engine.commit(wid, worker, task));
             }
         }
-        engine.into_outcome()
+        RunOutcome {
+            arrangement,
+            completed: engine.all_completed(),
+        }
     }
 }
 

@@ -19,7 +19,7 @@
 //!    `δ` even if **every** later worker serves it, the branch dies.
 
 use crate::engine::AssignmentEngine;
-use crate::model::{Instance, RunOutcome, TaskId, WorkerId};
+use crate::model::{Arrangement, Instance, RunOutcome, TaskId, WorkerId};
 
 /// Outcome of an exact solve.
 #[derive(Debug, Clone)]
@@ -162,10 +162,14 @@ impl<'a> Search<'a> {
             return None;
         }
         let mut engine = AssignmentEngine::from_instance(self.instance);
+        let mut arrangement = Arrangement::new();
         for &(w, t) in &self.trace {
-            engine.commit(w, &self.instance.workers()[w.index()], t);
+            arrangement.push(engine.commit(w, &self.instance.workers()[w.index()], t));
         }
-        let outcome = engine.into_outcome();
+        let outcome = RunOutcome {
+            arrangement,
+            completed: engine.all_completed(),
+        };
         debug_assert!(outcome.completed);
         Some(outcome)
     }

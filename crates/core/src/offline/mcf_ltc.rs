@@ -2,10 +2,9 @@
 
 use crate::bounds::batch_size;
 use crate::engine::{AssignmentEngine, Candidate};
-use crate::model::{Instance, RunOutcome, TaskId, WorkerId};
+use crate::model::{Arrangement, Instance, RunOutcome, TaskId, WorkerId};
 use crate::online::TopK;
 use ltc_mcmf::{EdgeId, FlowNetwork, NodeId};
-use std::collections::HashSet;
 use std::ops::Range;
 
 /// **MCF-LTC** (paper Algorithm 1) — the offline 7.5-approximation.
@@ -92,25 +91,37 @@ impl McfLtc {
             ((m as f64 * self.first_batch_factor / self.batch_scale).floor() as usize).max(1);
 
         let mut arena = CandidateArena::default();
+        let mut arrangement = Arrangement::new();
         let mut cursor = 0usize;
         let mut batch_no = 0usize;
         while cursor < n_workers && !engine.all_completed() {
             let size = if batch_no == 0 { first } else { m };
             let end = (cursor + size).min(n_workers);
-            self.process_batch(&mut engine, instance, cursor as u32..end as u32, &mut arena);
+            self.process_batch(
+                &mut engine,
+                instance,
+                cursor as u32..end as u32,
+                &mut arena,
+                &mut arrangement,
+            );
             cursor = end;
             batch_no += 1;
         }
-        engine.into_outcome()
+        RunOutcome {
+            arrangement,
+            completed: engine.all_completed(),
+        }
     }
 
-    /// Lines 4–15 of Algorithm 1 for one batch of workers.
+    /// Lines 4–15 of Algorithm 1 for one batch of workers, appending its
+    /// commits to `arrangement`.
     fn process_batch(
         &self,
         engine: &mut AssignmentEngine,
         instance: &Instance,
         batch: Range<u32>,
         arena: &mut CandidateArena,
+        arrangement: &mut Arrangement,
     ) {
         let workers = instance.workers();
         let capacity = instance.params().capacity;
@@ -129,20 +140,18 @@ impl McfLtc {
                 arena.cands.truncate(start);
             }
         }
+        let flow_start = arrangement.len();
         if !arena.spans.is_empty() {
-            self.flow_phase(engine, instance, arena);
+            self.flow_phase(engine, instance, arena, arrangement);
         }
+        let flow_end = arrangement.len();
 
         // Greedy top-up (lines 8–15): spare capacity goes to the most
         // reliable uncompleted tasks the worker does not already perform.
-        let mut load: std::collections::HashMap<WorkerId, u32> = std::collections::HashMap::new();
-        let mut performed: HashSet<(WorkerId, TaskId)> = HashSet::new();
-        for a in engine.arrangement().assignments() {
-            if batch.contains(&(a.worker.0 as u32)) {
-                *load.entry(a.worker).or_insert(0) += 1;
-                performed.insert((a.worker, a.task));
-            }
-        }
+        // A batch's workers commit only in this batch, and the flow phase
+        // commits in (worker, task) order, so each worker's flow commits
+        // are the next run of `arrangement[flow_start..flow_end]`.
+        let mut next = flow_start;
         let mut buf: Vec<Candidate> = Vec::new();
         let mut picks = Vec::new();
         for w in batch {
@@ -150,20 +159,25 @@ impl McfLtc {
                 break;
             }
             let worker = WorkerId(w as u64);
-            let spare = capacity - load.get(&worker).copied().unwrap_or(0);
+            let start = next;
+            while next < flow_end && arrangement.assignments()[next].worker == worker {
+                next += 1;
+            }
+            let spare = capacity - (next - start) as u32;
             if spare == 0 {
                 continue;
             }
+            let performed = &arrangement.assignments()[start..next];
             engine.candidates(worker, &workers[w as usize], &mut buf);
             let mut top = TopK::new(spare as usize);
             for c in &buf {
-                if !performed.contains(&(worker, c.task)) {
+                if !performed.iter().any(|a| a.task == c.task) {
                     top.offer(c.contribution, c.task);
                 }
             }
             top.drain_into(&mut picks);
             for p in &picks {
-                engine.commit(worker, &workers[w as usize], p.task);
+                arrangement.push(engine.commit(worker, &workers[w as usize], p.task));
             }
         }
     }
@@ -174,6 +188,7 @@ impl McfLtc {
         engine: &mut AssignmentEngine,
         instance: &Instance,
         arena: &CandidateArena,
+        arrangement: &mut Arrangement,
     ) {
         let workers = instance.workers();
         let capacity = instance.params().capacity as i64;
@@ -211,7 +226,7 @@ impl McfLtc {
         // (flow_edges is already grouped by ascending worker id).
         for (worker, task, edge) in flow_edges {
             if net.flow_on(edge) > 0 {
-                engine.commit(worker, &workers[worker.index()], task);
+                arrangement.push(engine.commit(worker, &workers[worker.index()], task));
             }
         }
     }

@@ -29,7 +29,7 @@ pub use random::RandomAssign;
 pub(crate) use topk::TopK;
 
 use crate::engine::{AssignmentEngine, Candidate};
-use crate::model::{Instance, RunOutcome, TaskId, WorkerId};
+use crate::model::{Arrangement, Instance, RunOutcome, TaskId, WorkerId};
 
 /// One task an online policy picked for a worker, with the key the
 /// policy ranked it by. Every policy ranks by key descending, ties
@@ -72,16 +72,23 @@ pub trait OnlineAlgorithm {
 ///
 /// A thin driver over [`AssignmentEngine`]: workers are pushed in arrival
 /// order, each commitment is irrevocable, and the run stops early once
-/// all tasks are completed.
+/// all tasks are completed. The outcome's arrangement is the batches the
+/// engine returned, in arrival order.
 pub fn run_online<A: OnlineAlgorithm + ?Sized>(instance: &Instance, algo: &mut A) -> RunOutcome {
     let mut engine = AssignmentEngine::from_instance(instance);
+    let mut arrangement = Arrangement::new();
     for worker in instance.workers() {
         if engine.all_completed() {
             break;
         }
-        engine.push_worker(worker, algo);
+        for a in engine.push_worker(worker, algo).iter() {
+            arrangement.push(*a);
+        }
     }
-    engine.into_outcome()
+    RunOutcome {
+        arrangement,
+        completed: engine.all_completed(),
+    }
 }
 
 #[cfg(test)]
@@ -160,7 +167,7 @@ mod tests {
         let batch = engine.push_worker(&inst.workers()[0], &mut algo);
         assert_eq!(batch.len(), 2, "capacity-2 worker takes two tasks");
         assert!(batch.iter().all(|a| a.worker == WorkerId(0)));
-        assert_eq!(engine.arrangement().len(), 2);
+        assert_eq!(engine.n_assignments(), 2);
     }
 
     #[test]
@@ -204,8 +211,6 @@ mod tests {
         engine.push_worker(&worker, &mut algo);
         engine.push_worker(&worker, &mut algo);
         assert!(engine.all_completed());
-        let outcome = engine.into_outcome();
-        assert!(outcome.completed);
-        assert_eq!(outcome.latency(), Some(4));
+        assert_eq!(engine.latency(), Some(4));
     }
 }

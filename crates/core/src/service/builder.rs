@@ -238,7 +238,6 @@ impl ServiceBuilder {
                 s: vec![0.0; tasks.len()],
                 completed: vec![false; tasks.len()],
                 tasks,
-                assignments: Vec::new(),
                 next_arrival: 0,
                 index_geometry: match self.params.eligibility {
                     Eligibility::WithinRange => Some((cell_size, self.region)),
@@ -257,6 +256,8 @@ impl ServiceBuilder {
             grow_clamps: self.grow_clamps,
             stripes: None,
             next_arrival: 0,
+            n_assignments: 0,
+            latest_assigned: None,
             engines,
         })
     }

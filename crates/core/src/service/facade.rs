@@ -259,8 +259,8 @@ impl LtcService {
     /// assert_eq!(service.check_in(&worker), restored.check_in(&worker));
     /// ```
     pub fn snapshot(&self) -> ServiceSnapshot {
-        self.state
-            .snapshot(self.shards.iter().map(|s| s.engine.to_state()).collect())
+        let engines = self.shards.iter().map(|s| s.engine.to_state()).collect();
+        self.state.snapshot(&self.progress, engines)
     }
 
     /// Rebuilds a service from a [`ServiceSnapshot`] (the inverse of
@@ -351,7 +351,8 @@ mod tests {
             assert_eq!(assigned, expect);
         }
         assert_eq!(service.all_completed(), engine.all_completed());
-        assert_eq!(service.n_assignments() as usize, engine.arrangement().len());
+        assert_eq!(service.n_assignments(), engine.n_assignments());
+        assert_eq!(service.latency(), engine.latency());
     }
 
     #[test]

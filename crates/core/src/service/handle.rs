@@ -281,7 +281,7 @@ impl ServiceHandle {
             |reply| ShardMsg::Snapshot { reply },
             "a shard died during snapshot",
         )?;
-        Ok(self.state.snapshot(shards))
+        Ok(self.state.snapshot(&self.runtime.progress(), shards))
     }
 
     /// Quiesces the runtime and runs a load-aware stripe rebalance: the

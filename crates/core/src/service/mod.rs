@@ -18,7 +18,7 @@
 //!   [`subscribe`](ServiceHandle::subscribe)rs as typed [`StreamEvent`]s
 //!   in exact submission order, and explicit lifecycle control —
 //!   [`drain`](ServiceHandle::drain), [`snapshot`](ServiceHandle::snapshot)
-//!   (quiesces the mailboxes so the versioned `ltc-snapshot v1` format
+//!   (quiesces the mailboxes so the versioned `ltc-snapshot v2` format
 //!   stays bit-exact mid-stream), [`close`](ServiceHandle::close) —
 //!   keeps the session manageable.
 //!

@@ -21,23 +21,24 @@
 //!    the new router is cut from those alone; an unchanged layout ends
 //!    the rebalance there;
 //! 2. **emigrate** — every shard splits off each task, live or completed,
-//!    whose stripe changed, with its accumulated quality, completion flag
-//!    and committed assignments, and compacts what stays in place
-//!    ([`Shard::emigrate`]);
+//!    whose stripe changed, with its accumulated quality and completion
+//!    flag, and compacts what stays in place ([`Shard::emigrate`]);
 //! 3. **immigrate** — the service routes the emigrants to their new
 //!    shards and records the new owners ([`route`]), and every shard
 //!    merges its arrivals in by id, then re-lays its spatial index over
 //!    the region plus its live tasks ([`Shard::immigrate`]).
 //!
 //! A task keeps its service-global id through a migration: no step
-//! renumbers a task, a log entry or an owner record. Decisions depend
-//! on ids only, never on which shard holds a task, so a rebalance never
-//! changes a decision; it only changes *which shard* makes it (and how
-//! much work each shard holds). Each shard still keeps its tasks in
-//! ascending id order and its log in (worker arrival, id) order, the
-//! order a fresh build would give them, so the result equals a rebuild
-//! of every engine from its migrated [`EngineState`]; the `reference`
-//! module keeps that rebuild as the test oracle.
+//! renumbers a task or an owner record. Decisions depend on ids only,
+//! never on which shard holds a task, so a rebalance never changes a
+//! decision; it only changes *which shard* makes it (and how much work
+//! each shard holds). No decision history moves either: engines keep
+//! none, and the session's assignment counters live in the service
+//! state, which a rebalance does not touch. Each shard still keeps its
+//! tasks in ascending id order, the order a fresh build would give
+//! them, so the result equals a rebuild of every engine from its
+//! migrated [`EngineState`]; the `reference` module keeps that rebuild
+//! as the test oracle.
 //!
 //! Both front-ends run the same [`ServiceState::rebalance`] over the same
 //! [`Shard`] methods: the synchronous facade calls them on the caller's
@@ -71,7 +72,7 @@ const MAX_ROUTER_COLS: usize = 1 << 16;
 #[derive(Debug, Clone, PartialEq)]
 pub struct RebalanceOutcome {
     /// Tasks whose owning shard changed (live and completed — completed
-    /// tasks migrate too, carrying their assignment history).
+    /// tasks migrate too, carrying their quality and completion flag).
     pub moved_tasks: u64,
     /// Live (uncompleted) tasks per shard *after* the rebalance.
     pub live_loads: Vec<u64>,
@@ -230,8 +231,7 @@ impl Migration for [Shard] {
 
 /// Routes every shard's emigrants to their shards under `router` and
 /// records each moved task's new shard in `owner`: returns each shard's
-/// arrivals, tasks in ascending id order and assignments in (worker
-/// arrival, id) order, and how many tasks moved.
+/// arrivals in ascending id order, and how many tasks moved.
 pub(crate) fn route(
     router: &ShardRouter,
     emigrants: Vec<Migrants>,
@@ -247,17 +247,9 @@ pub(crate) fn route(
             moved += 1;
         }
     }
-    for a in emigrants.iter().flat_map(|e| &e.assignments) {
-        arrivals[owner[a.task.index()] as usize]
-            .assignments
-            .push(*a);
-    }
     // Each source's migrants are in order already; interleave them.
     for arriving in &mut arrivals {
         arriving.tasks.sort_unstable_by_key(|m| m.id);
-        arriving
-            .assignments
-            .sort_unstable_by_key(|a| (a.worker, a.task));
     }
     (arrivals, moved)
 }
@@ -316,9 +308,8 @@ mod tests {
 
     /// What an engine derives from its durable state, which a snapshot
     /// does not show: the worker-unit statistics, the uncompleted set in
-    /// its iteration order, the arrangement's worker maximum, and the
-    /// index's clamp telemetry.
-    type Derived = ((f64, f64), Vec<u32>, Option<u64>, u64);
+    /// its iteration order, and the index's clamp telemetry.
+    type Derived = ((f64, f64), Vec<u32>, u64);
 
     fn derived(service: &LtcService) -> Vec<Derived> {
         service
@@ -329,7 +320,6 @@ mod tests {
                 (
                     e.remaining_units(),
                     e.uncompleted_tasks().map(|t| t.0).collect(),
-                    e.arrangement().max_index(),
                     e.index_clamped_insertions(),
                 )
             })

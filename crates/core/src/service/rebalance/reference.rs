@@ -1,15 +1,14 @@
 //! The full-rebuild rebalance, kept as the oracle the in-place
 //! migration is tested against: copy every shard's [`EngineState`],
-//! repartition every task in id order and sort every assignment, then
-//! rebuild each engine with [`AssignmentEngine::from_state`]. Test-only.
+//! repartition every task in id order, then rebuild each engine with
+//! [`AssignmentEngine::from_state`]. Test-only.
 
 use super::{balanced_router, RebalanceOutcome, StripeLayout};
 use crate::engine::{AssignmentEngine, EngineState};
-use crate::model::{AccuracyModel, Assignment, Task, TaskId};
+use crate::model::{AccuracyModel, Task, TaskId};
 use crate::service::state::ServiceSnapshot;
 use crate::service::ServiceError;
 use ltc_spatial::{BoundingBox, ShardRouter};
-use std::collections::BTreeMap;
 
 /// A service snapshot rebalanced by full rebuild: `Ok(None)` for a
 /// no-op, else the rebalanced snapshot and what the rebalance did.
@@ -93,7 +92,6 @@ fn plan_rebalance(
 
     // Repartition every task in ascending id order, so each shard holds
     // its tasks in id order.
-    let mut owner = BTreeMap::new();
     let mut ids: Vec<Vec<TaskId>> = vec![Vec::new(); n_shards];
     let mut tasks: Vec<Vec<Task>> = vec![Vec::new(); n_shards];
     let mut quality: Vec<Vec<f64>> = vec![Vec::new(); n_shards];
@@ -107,7 +105,6 @@ fn plan_rebalance(
         if ns != os {
             moved_tasks += 1;
         }
-        owner.insert(id, ns);
         ids[ns].push(id);
         tasks[ns].push(task);
         quality[ns].push(st.s[i]);
@@ -118,23 +115,8 @@ fn plan_rebalance(
         }
     }
 
-    // Migrate the committed assignments with their tasks, restoring the
-    // canonical commit order (worker arrival, then ascending id) inside
-    // each destination shard.
-    let mut assignments: Vec<Vec<Assignment>> = vec![Vec::new(); n_shards];
-    for a in states.iter().flat_map(|st| &st.assignments) {
-        let Some(&ns) = owner.get(&a.task) else {
-            return Err(ServiceError::BadSnapshot(
-                "rebalance found an assignment to an unknown task",
-            ));
-        };
-        assignments[ns].push(*a);
-    }
-
     let mut engines = Vec::with_capacity(n_shards);
     for (i, st) in states.iter().enumerate() {
-        let mut moved = std::mem::take(&mut assignments[i]);
-        moved.sort_unstable_by_key(|a| (a.worker, a.task));
         let shard_tasks = std::mem::take(&mut tasks[i]);
         // Size each rebuilt index over the declared region plus the
         // shard's own live tasks, so migrated-in out-of-region work does
@@ -156,7 +138,6 @@ fn plan_rebalance(
             tasks: shard_tasks,
             s: std::mem::take(&mut quality[i]),
             completed: std::mem::take(&mut completed[i]),
-            assignments: moved,
             next_arrival: st.next_arrival,
             index_geometry,
             // Clamp telemetry is per-shard index history, not per-task

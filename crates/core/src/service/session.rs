@@ -31,7 +31,7 @@
 //!   already fixed).
 //! * **`snapshot` quiesces first.** The returned
 //!   [`ServiceSnapshot`] is bit-exact against the submission prefix —
-//!   serializing it yields the same `ltc-snapshot v1` text no matter
+//!   serializing it yields the same `ltc-snapshot v2` text no matter
 //!   which implementation produced it.
 //!
 //! Together these make transports *differentially testable*: the same

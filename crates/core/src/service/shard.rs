@@ -78,7 +78,7 @@ impl Shard {
     }
 
     /// Removes every task, live or completed, that `router` places on
-    /// another shard, and returns them with their state and assignments.
+    /// another shard, and returns them with their state.
     /// The shard is whole again once [`Shard::immigrate`] has run.
     pub(crate) fn emigrate(&mut self, shard_id: usize, router: &ShardRouter) -> Migrants {
         self.engine

@@ -37,6 +37,17 @@ pub struct ServiceSnapshot {
     pub stripes: Option<StripeLayout>,
     /// The service-global arrival counter.
     pub next_arrival: u64,
+    /// Assignments committed over the session, across every shard.
+    pub n_assignments: u64,
+    /// The latest worker recruited over the session (the paper's
+    /// latency, once every task completed); `None` exactly when
+    /// `n_assignments` is 0.
+    ///
+    /// These two counters are the session's whole decision history: the
+    /// decisions themselves are the event stream's. They are kept here,
+    /// not per engine, because a rebalance moves tasks between engines
+    /// but cannot move the commits that served them.
+    pub latest_assigned: Option<WorkerId>,
     /// Per-shard engine state. Each service task id `0..n` is held by
     /// exactly one shard.
     pub engines: Vec<EngineState>,
@@ -61,6 +72,36 @@ impl ServiceSnapshot {
         }
         Some(owner)
     }
+}
+
+/// Refuses counters no session could have written: a latest worker
+/// exactly when something was assigned, below the arrival counter, at
+/// most `K` assignments per arrival, and at least one per task that
+/// gained quality. Reads each task's quality once; allocates nothing.
+fn check_counters(snapshot: &ServiceSnapshot) -> Result<(), ServiceError> {
+    let n = snapshot.n_assignments;
+    let bad = |what| Err(ServiceError::BadSnapshot(what));
+    match snapshot.latest_assigned {
+        None if n > 0 => return bad("assignments were counted but no latest worker"),
+        Some(_) if n == 0 => return bad("a latest worker but no assignments"),
+        Some(w) if w.0 >= snapshot.next_arrival => {
+            return bad("the latest assigned worker has not arrived yet")
+        }
+        _ => {}
+    }
+    let per_arrival = u64::from(snapshot.params.capacity);
+    if n > snapshot.next_arrival.saturating_mul(per_arrival) {
+        return bad("more assignments than the arrivals had capacity for");
+    }
+    let touched: u64 = snapshot
+        .engines
+        .iter()
+        .map(|e| e.s.iter().filter(|&&s| s != 0.0).count() as u64)
+        .sum();
+    if touched > n {
+        return bad("more tasks gained quality than assignments were counted");
+    }
+    Ok(())
 }
 
 /// What the released events have done so far. The facade counts them
@@ -132,7 +173,7 @@ pub(crate) struct ServiceState {
 
 impl ServiceState {
     /// Rebuilds a session from a snapshot: its state, its shards, and
-    /// the progress the shards' arrangements record.
+    /// the progress its counters and completion flags record.
     pub(crate) fn restore(
         snapshot: ServiceSnapshot,
     ) -> Result<(Self, Vec<Shard>, Progress), ServiceError> {
@@ -151,6 +192,7 @@ impl ServiceState {
         let owner = snapshot.owners().ok_or(ServiceError::BadSnapshot(
             "task ids are not one per task across the shards",
         ))?;
+        check_counters(&snapshot)?;
         let router = match snapshot.stripes {
             None => ShardRouter::new(n_shards, snapshot.cell_size, snapshot.region),
             Some(layout) => {
@@ -176,13 +218,14 @@ impl ServiceState {
             return Err(ServiceError::TabularNeedsSingleShard);
         }
         let table_workers = snapshot.engines[0].accuracy.table_workers();
-        let mut progress = Progress::default();
+        let mut progress = Progress {
+            n_assignments: snapshot.n_assignments,
+            n_completed: 0,
+            max_assigned: snapshot.latest_assigned.map(WorkerId::arrival_index),
+        };
         let mut shards = Vec::with_capacity(n_shards);
         for state in snapshot.engines {
             let engine = AssignmentEngine::from_state(state).map_err(ServiceError::Engine)?;
-            let arrangement = engine.arrangement();
-            progress.n_assignments += arrangement.len() as u64;
-            progress.max_assigned = progress.max_assigned.max(arrangement.max_index());
             progress.n_completed += (engine.n_tasks() - engine.n_uncompleted()) as u64;
             shards.push(Shard {
                 engine,
@@ -283,8 +326,13 @@ impl ServiceState {
         }
     }
 
-    /// The full durable state, from every shard's state in shard order.
-    pub(crate) fn snapshot(&self, engines: Vec<EngineState>) -> ServiceSnapshot {
+    /// The full durable state, from the released progress and every
+    /// shard's state in shard order.
+    pub(crate) fn snapshot(
+        &self,
+        progress: &Progress,
+        engines: Vec<EngineState>,
+    ) -> ServiceSnapshot {
         // The stripe record stays absent while the router has the layout
         // the configuration derives (which keeps pre-rebalance snapshots
         // byte-identical across versions).
@@ -298,6 +346,8 @@ impl ServiceState {
             grow_clamps: self.grow_clamps,
             stripes: (self.router != uniform).then(|| StripeLayout::of(&self.router)),
             next_arrival: self.next_arrival,
+            n_assignments: progress.n_assignments,
+            latest_assigned: progress.max_assigned.map(|index| WorkerId(index - 1)),
             engines,
         }
     }

@@ -1,6 +1,6 @@
 //! Versioned snapshot serialization for [`LtcService`] crash recovery.
 //!
-//! The wire format (`ltc-snapshot v1`) is line-oriented text with
+//! The wire format (`ltc-snapshot v2`) is line-oriented text with
 //! whitespace-separated tokens. Every `f64` is written as the 16-hex-digit
 //! IEEE-754 bit pattern (`f64::to_bits`), so a snapshot→restore round
 //! trip is **bit-exact** — no decimal-formatting drift can change a
@@ -12,7 +12,7 @@
 //! compatibility policy lives in `docs/SNAPSHOT_FORMAT.md`):
 //!
 //! ```text
-//! ltc-snapshot v1
+//! ltc-snapshot v2
 //! params <eps> <K> <d_max> <min_acc> <within|unrestricted> <hoeffding|fixed> [th]
 //! region <min_x> <min_y> <max_x> <max_y>
 //! config <algo...> <cell_size> <batch_capacity> <next_arrival>
@@ -25,21 +25,25 @@
 //! quality <S[t] ...>
 //! completed <bitstring>
 //! accuracy sigmoid | accuracy table <n_workers> <task-major values ...>
-//! assignments <n>
-//! a <worker> <local-task> <acc> <contribution>   // × n, commit order
+//! assigned <n_assignments> [<latest_worker>]  // the session's counters
 //! end
 //! ```
 //!
-//! A task's *local* index exists only in this text: it is the rank of
-//! the task's id among its shard's tasks, which the `taskmap` line
-//! implies. In memory every engine names its tasks by their
-//! service-global ids ([`EngineState::ids`]); the writer derives the
-//! local indexes and the reader maps them back.
+//! A snapshot is O(tasks): it holds no decision history. The `assigned`
+//! record carries the session's two counters
+//! ([`ServiceSnapshot::n_assignments`] and
+//! [`ServiceSnapshot::latest_assigned`], the latter present exactly when
+//! something was assigned); the decisions themselves are the event
+//! stream's. `v2` replaced `v1`'s per-shard `assignments`/`a` log with
+//! that record, and there is no `v1` reader: a `v1` file is refused by
+//! its header.
 //!
-//! Three optional groups extend `v1` backward-compatibly (each is
-//! written only when its feature is in use, so snapshots of services
-//! that never enabled it stay byte-identical across versions, and older
-//! files without the group still parse):
+//! Shard sections list their tasks in ascending id order, so each
+//! section's tasks are the ids the `taskmap` line gives that shard.
+//!
+//! Three optional groups extend the format (each is written only when
+//! its feature is in use, so snapshots of services that never enabled
+//! it write none, and files without the group still parse):
 //!
 //! * `grow <clamps>` — the adaptive-index threshold
 //!   ([`ServiceBuilder::grow_index_after`](crate::service::ServiceBuilder::grow_index_after)),
@@ -56,8 +60,7 @@
 //!   zero clamps, or an older file — the restored index re-counts from
 //!   its live re-insertions, the pre-group behavior).
 //!
-//! Per-shard **index bounds** (`index cs x0 y0 x1 y1`) have been part of
-//! `v1` since the beginning and round-trip adaptive growth for free: a
+//! Per-shard **index bounds** (`index cs x0 y0 x1 y1`) round-trip adaptive growth for free: a
 //! grown index serializes its grown extent and restores over it.
 //!
 //! A shard line that carries `rng <draws>` is refused with an error that
@@ -73,16 +76,15 @@
 use crate::engine::EngineState;
 use crate::hex;
 use crate::model::{
-    AccuracyModel, AccuracyTable, Assignment, Eligibility, ProblemParams, QualityModel, Task,
-    TaskId, WorkerId,
+    AccuracyModel, AccuracyTable, Eligibility, ProblemParams, QualityModel, Task, TaskId, WorkerId,
 };
 use crate::service::{Algorithm, LtcService, ServiceError, ServiceSnapshot, StripeLayout};
 use ltc_spatial::{BoundingBox, Point};
 use std::fmt;
 use std::io::{self, BufRead, Read, Write};
 
-/// The header the v1 format starts with.
-pub const SNAPSHOT_HEADER: &str = "ltc-snapshot v1";
+/// The header the format starts with.
+pub const SNAPSHOT_HEADER: &str = "ltc-snapshot v2";
 
 /// Upper bound on any single up-front allocation while parsing untrusted
 /// snapshot input; vectors grow past it only as tokens actually parse.
@@ -144,11 +146,11 @@ fn put<W: Write>(out: &mut W, values: &[f64]) -> io::Result<()> {
     Ok(())
 }
 
-/// Serializes a [`ServiceSnapshot`] into the v1 text format.
+/// Serializes a [`ServiceSnapshot`] into the v2 text format.
 ///
 /// Fails with [`io::ErrorKind::InvalidData`] when the shards' ids do
-/// not ascend or are not `0..n` each held once, or an assignment names
-/// a task its shard does not hold: the text could not place them.
+/// not ascend or are not `0..n` each held once: the text could not
+/// place them.
 pub fn write_snapshot<W: Write>(snap: &ServiceSnapshot, mut out: W) -> io::Result<()> {
     let invalid = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
     let owner = snap
@@ -242,18 +244,12 @@ pub fn write_snapshot<W: Write>(snap: &ServiceSnapshot, mut out: W) -> io::Resul
                 writeln!(out)?;
             }
         }
-        writeln!(out, "assignments {}", e.assignments.len())?;
-        for a in &e.assignments {
-            // The text's local index: the id's rank among the shard's.
-            let local = e
-                .ids
-                .binary_search(&a.task)
-                .map_err(|_| invalid("an assignment names a task its shard does not hold"))?;
-            write!(out, "a {} {local}", a.worker.0)?;
-            put(out, &[a.acc, a.contribution])?;
-            writeln!(out)?;
-        }
     }
+    write!(out, "assigned {}", snap.n_assignments)?;
+    if let Some(w) = snap.latest_assigned {
+        write!(out, " {}", w.0)?;
+    }
+    writeln!(out)?;
     writeln!(out, "end")?;
     Ok(())
 }
@@ -264,10 +260,19 @@ pub fn save_service<W: Write>(service: &LtcService, out: W) -> io::Result<()> {
     write_snapshot(&service.snapshot(), out)
 }
 
-/// Reads a v1 snapshot back into a [`ServiceSnapshot`].
+/// Reads a v2 snapshot back into a [`ServiceSnapshot`]. Any other
+/// header is refused by name, `v1` included (its assignment log has no
+/// v2 reading).
 pub fn read_snapshot<R: BufRead>(reader: R) -> Result<ServiceSnapshot, SnapshotError> {
     let mut lines = Lines::new(reader);
     let header = lines.next_line()?;
+    if header.trim() == "ltc-snapshot v1" {
+        return Err(lines.err(format!(
+            "`ltc-snapshot v1` is not readable: v1 kept the assignment log, which \
+             `{SNAPSHOT_HEADER}` replaced by the session's counters, and there is no \
+             converter"
+        )));
+    }
     if header.trim() != SNAPSHOT_HEADER {
         return Err(lines.err(format!(
             "unsupported snapshot header `{}` (expected `{SNAPSHOT_HEADER}`)",
@@ -381,15 +386,30 @@ pub fn read_snapshot<R: BufRead>(reader: R) -> Result<ServiceSnapshot, SnapshotE
     }
     let n_mapped = shard_ids.len();
 
-    // shards until `end`
+    // shards until the `assigned` counters
     let mut engines: Vec<EngineState> = Vec::new();
-    loop {
+    let (n_assignments, latest_assigned) = loop {
         let line = lines.next_line()?;
         let mut tk = Tokens::new(&line, lines.lineno);
         match tk.word()? {
-            "end" => break,
+            "assigned" => {
+                let n = tk.u64()?;
+                let latest = match (n, tk.maybe_word()) {
+                    (0, None) => None,
+                    (0, Some(_)) => return Err(tk.bad("a latest worker but no assignments".into())),
+                    (_, None) => return Err(tk.bad("assignments but no latest worker".into())),
+                    (_, Some(w)) => Some(WorkerId(
+                        w.parse()
+                            .map_err(|e| tk.bad(format!("bad integer `{w}`: {e}")))?,
+                    )),
+                };
+                if let Some(extra) = tk.maybe_word() {
+                    return Err(tk.bad(format!("unexpected `{extra}` after the counters")));
+                }
+                break (n, latest);
+            }
             "shard" => {}
-            other => return Err(tk.bad(format!("expected `shard` or `end`, got `{other}`"))),
+            other => return Err(tk.bad(format!("expected `shard` or `assigned`, got `{other}`"))),
         }
         let idx = tk.u64()? as usize;
         if idx != engines.len() {
@@ -496,28 +516,6 @@ pub fn read_snapshot<R: BufRead>(reader: R) -> Result<ServiceSnapshot, SnapshotE
             other => return Err(tk.bad(format!("unknown accuracy model `{other}`"))),
         };
 
-        let line = lines.next_line()?;
-        let mut tk = Tokens::new(&line, lines.lineno);
-        tk.literal("assignments")?;
-        let n_assign = tk.u64()? as usize;
-        let mut assignments = Vec::with_capacity(n_assign.min(1 << 20));
-        for _ in 0..n_assign {
-            let line = lines.next_line()?;
-            let mut tk = Tokens::new(&line, lines.lineno);
-            tk.literal("a")?;
-            let worker = WorkerId(tk.u64()?);
-            let local = tk.u64()?;
-            let Some(&task) = usize::try_from(local).ok().and_then(|l| ids.get(l)) else {
-                return Err(tk.bad(format!("assignment names local task {local} of {n}")));
-            };
-            assignments.push(Assignment {
-                worker,
-                task,
-                acc: tk.f64()?,
-                contribution: tk.f64()?,
-            });
-        }
-
         engines.push(EngineState {
             params,
             accuracy,
@@ -525,13 +523,14 @@ pub fn read_snapshot<R: BufRead>(reader: R) -> Result<ServiceSnapshot, SnapshotE
             tasks,
             s,
             completed,
-            assignments,
             next_arrival: shard_next_arrival,
             index_geometry,
             clamped_insertions,
             clamp_mark,
         });
-    }
+    };
+    let line = lines.next_line()?;
+    Tokens::new(&line, lines.lineno).literal("end")?;
     if n_mapped > engines.len() {
         return Err(SnapshotError::Parse {
             line: lines.lineno,
@@ -548,6 +547,8 @@ pub fn read_snapshot<R: BufRead>(reader: R) -> Result<ServiceSnapshot, SnapshotE
         grow_clamps,
         stripes,
         next_arrival,
+        n_assignments,
+        latest_assigned,
         engines,
     })
 }
@@ -729,8 +730,9 @@ mod tests {
         for text in [
             "".to_string(),
             "not-a-snapshot".to_string(),
-            "ltc-snapshot v2\n".to_string(),
-            "ltc-snapshot v1\nparams zz\n".to_string(),
+            "ltc-snapshot v3\n".to_string(),
+            format!("{SNAPSHOT_HEADER}\n"),
+            format!("{SNAPSHOT_HEADER}\nparams zz\n"),
             format!("{SNAPSHOT_HEADER}\nparams"),
             // Hostile counts must error, not allocate or panic: a lying
             // task count, an absurd shard id, and an overflowing/huge
@@ -753,6 +755,63 @@ mod tests {
         save_service(&service, &mut buf).unwrap();
         buf.truncate(buf.len() / 2);
         assert!(read_snapshot(io::Cursor::new(buf)).is_err());
+    }
+
+    #[test]
+    fn a_v1_snapshot_is_refused_by_its_version() {
+        let service = sample_service();
+        let mut buf = Vec::new();
+        save_service(&service, &mut buf).unwrap();
+        let v1 = String::from_utf8(buf)
+            .unwrap()
+            .replacen(SNAPSHOT_HEADER, "ltc-snapshot v1", 1);
+        let err = read_snapshot(io::Cursor::new(v1.as_bytes())).unwrap_err();
+        assert!(matches!(err, SnapshotError::Parse { line: 1, .. }), "{err}");
+        assert!(err.to_string().contains("`ltc-snapshot v1`"), "{err}");
+    }
+
+    #[test]
+    fn counters_no_session_could_write_are_refused() {
+        let service = sample_service();
+        let snap = service.snapshot();
+        let (n, latest) = (snap.n_assignments, snap.latest_assigned.unwrap());
+        assert!(n > 0);
+        let mut buf = Vec::new();
+        write_snapshot(&snap, &mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        let line = format!("assigned {n} {}\n", latest.0);
+        assert!(text.contains(&line), "{text}");
+        // The reader: a latest worker exactly when something was assigned.
+        for bad in [format!("assigned {n}\n"), "assigned 0 3\n".into()] {
+            let altered = text.replace(&line, &bad);
+            assert!(
+                read_snapshot(io::Cursor::new(altered.as_bytes())).is_err(),
+                "read `{bad}`"
+            );
+        }
+        // The restore: counters the session's own state contradicts.
+        let k = u64::from(snap.params.capacity);
+        for (n, latest, what) in [
+            (n, snap.next_arrival, "not arrived yet"),
+            (k * snap.next_arrival + 1, latest.0, "capacity"),
+            (1, latest.0, "gained quality"),
+        ] {
+            let bad = ServiceSnapshot {
+                n_assignments: n,
+                latest_assigned: Some(WorkerId(latest)),
+                ..snap.clone()
+            };
+            match LtcService::restore(bad) {
+                Err(ServiceError::BadSnapshot(msg)) => assert!(msg.contains(what), "{msg}"),
+                other => panic!("restored ({n}, {latest}): {other:?}"),
+            }
+        }
+        let none = ServiceSnapshot {
+            latest_assigned: None,
+            ..snap.clone()
+        };
+        assert!(LtcService::restore(none).is_err());
+        assert!(LtcService::restore(snap).is_ok());
     }
 
     #[test]
@@ -807,9 +866,9 @@ mod tests {
     }
 
     /// A Random session snapshotted by a build that kept per-shard RNG
-    /// streams (two check-ins, four draws).
+    /// streams (two check-ins, four draws), in today's text otherwise.
     const OLD_RANDOM_SNAPSHOT: &str = "\
-ltc-snapshot v1
+ltc-snapshot v2
 params 3fd3333333333333 2 403e000000000000 3fe51eb851eb851f within hoeffding
 region 4024000000000000 4024000000000000 4034000000000000 4032000000000000
 config random 5 403e000000000000 1024 2
@@ -819,11 +878,7 @@ tasks 4024000000000000 4024000000000000 4034000000000000 4028000000000000 402c00
 quality 3ff2147ae13e4455 3fdf5c28f5b53499 3fe47ae147785472
 completed 000
 accuracy sigmoid
-assignments 4
-a 0 0 3fecccccccccb114 3fe47ae147adbbc5
-a 0 2 3fecccccccbc00ca 3fe47ae147785472
-a 1 0 3feb3333332c99a2 3fdf5c28f59d99c9
-a 1 1 3feb33333330d0b5 3fdf5c28f5b53499
+assigned 4 1
 end
 ";
 
@@ -909,7 +964,7 @@ end
             "config laf 403e000000000000 64 0 stripes 99999999999999999",
             "config laf 403e000000000000 64 0 stripes 2 403e000000000000 0000000000000000 8 0",
         ] {
-            let text = format!("{prelude}{config}\ntaskmap 0\nend\n");
+            let text = format!("{prelude}{config}\ntaskmap 0\nassigned 0\nend\n");
             assert!(
                 read_snapshot(io::Cursor::new(text.into_bytes())).is_err(),
                 "accepted malformed config `{config}`"
@@ -917,7 +972,8 @@ end
         }
         // The retired auto-rebalance group is refused, not skipped.
         let text = format!(
-            "{prelude}config laf 403e000000000000 64 0 rebalance 3ff6666666666666\ntaskmap 0\nend\n"
+            "{prelude}config laf 403e000000000000 64 0 rebalance 3ff6666666666666\ntaskmap 0\n\
+             assigned 0\nend\n"
         );
         let err = read_snapshot(io::Cursor::new(text.into_bytes())).unwrap_err();
         assert!(
@@ -928,7 +984,7 @@ end
         let text = format!(
             "{prelude}config laf 403e000000000000 64 0 stripes 1 403e000000000000 \
              0000000000000000 8 5\ntaskmap 0\nshard 0 0 0 noindex\ntasks\nquality\n\
-             completed \naccuracy sigmoid\nassignments 0\nend\n"
+             completed \naccuracy sigmoid\nassigned 0\nend\n"
         );
         let decoded = read_snapshot(io::Cursor::new(text.into_bytes())).unwrap();
         assert!(matches!(
@@ -1016,7 +1072,7 @@ end
         ] {
             let text = format!(
                 "{prelude}{shard}\ntasks\nquality\ncompleted \naccuracy sigmoid\n\
-                 assignments 0\nend\n"
+                 assigned 0\nend\n"
             );
             assert!(
                 read_snapshot(io::Cursor::new(text.into_bytes())).is_err(),

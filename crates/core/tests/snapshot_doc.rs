@@ -31,8 +31,8 @@ fn worked_example() -> String {
 fn the_docs_worked_example_parses_and_round_trips_byte_identically() {
     let text = worked_example();
     assert!(
-        text.starts_with("ltc-snapshot v1\n"),
-        "the example must start with the v1 header, got {text:?}"
+        text.starts_with("ltc-snapshot v2\n"),
+        "the example must start with the v2 header, got {text:?}"
     );
     let decoded = read_snapshot(text.as_bytes())
         .expect("the documented example must parse with the real reader");
@@ -44,6 +44,8 @@ fn the_docs_worked_example_parses_and_round_trips_byte_identically() {
     assert_eq!(decoded.engines.len(), 2);
     assert_eq!(decoded.engines[1].clamped_insertions, 1, "clamped group");
     assert_eq!(decoded.engines[1].clamp_mark, 1);
+    assert_eq!(decoded.n_assignments, 4, "assigned record");
+    assert_eq!(decoded.latest_assigned.map(|w| w.0), Some(3));
 
     // Writer(reader(doc)) is byte-identical: the doc shows exactly what
     // the implementation produces.
@@ -61,5 +63,6 @@ fn the_docs_worked_example_parses_and_round_trips_byte_identically() {
     assert_eq!(restored.n_shards(), 2);
     assert_eq!(restored.n_tasks(), 3);
     assert_eq!(restored.metrics().clamped_insertions, 1);
+    assert_eq!(restored.n_assignments(), 4);
     assert_eq!(restored.snapshot(), decoded);
 }

@@ -1,10 +1,10 @@
 //! Golden bytes for snapshots taken after stripe migrations: a 3-shard
 //! session per policy posts and serves tasks, rebalances twice (moving
 //! live and completed tasks to higher and to lower shards), and writes a
-//! snapshot mid-session and at the end. The `ltc-snapshot v1` text of
+//! snapshot mid-session and at the end. The `ltc-snapshot v2` text of
 //! both must equal the committed fixtures byte for byte, so a change to
 //! how shards hold, number or migrate their tasks cannot move a task,
-//! a quality or an assignment line within the text unnoticed.
+//! a quality or the session counters within the text unnoticed.
 
 use ltc_core::model::{ProblemParams, Task, Worker};
 use ltc_core::service::{Algorithm, LtcService, ServiceBuilder};

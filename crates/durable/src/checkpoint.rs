@@ -1,7 +1,7 @@
 //! Checkpoints: whole-state snapshots written next to the log.
 //!
 //! A checkpoint file `checkpoint-<seq>.ltc` holds the service state,
-//! as `ltc-snapshot v1` text, after every operation below sequence
+//! as `ltc-snapshot v2` text, after every operation below sequence
 //! number `seq` — so recovery restores it and replays only the log
 //! records stamped `seq` and above. Files are written to a temporary
 //! name and renamed into place, so a crash mid-checkpoint leaves at
@@ -86,6 +86,13 @@ pub fn load_checkpoint(path: &Path) -> Result<ServiceSnapshot, DurableError> {
     let text =
         std::str::from_utf8(&bytes).map_err(|_| corrupt("checkpoint is not UTF-8".into()))?;
     if !text.starts_with(SNAPSHOT_HEADER) {
+        let header = text.lines().next().unwrap_or_default();
+        if header.starts_with("ltc-snapshot v") {
+            return Err(DurableError::UnsupportedCheckpoint {
+                path: path.to_path_buf(),
+                header: header.to_string(),
+            });
+        }
         return Err(corrupt(format!(
             "checkpoint does not open with \"{SNAPSHOT_HEADER}\""
         )));
@@ -97,14 +104,18 @@ pub fn load_checkpoint(path: &Path) -> Result<ServiceSnapshot, DurableError> {
 /// Restores the newest checkpoint that actually decodes, returning its
 /// covered sequence number, its snapshot, and how many newer-but-broken
 /// checkpoints were skipped on the way down. `Ok(None)` means the
-/// directory holds no readable checkpoint at all.
+/// directory holds no readable checkpoint at all. A checkpoint in
+/// another snapshot format version is not broken, and is not skipped:
+/// it fails the load ([`DurableError::UnsupportedCheckpoint`]).
 #[allow(clippy::type_complexity)]
 pub fn load_latest(dir: &Path) -> Result<Option<(u64, ServiceSnapshot, u64)>, DurableError> {
     let mut skipped = 0;
     for (seq, path) in list_checkpoints(dir)?.into_iter().rev() {
         match load_checkpoint(&path) {
             Ok(snapshot) => return Ok(Some((seq, snapshot, skipped))),
-            Err(DurableError::Io(e)) => return Err(DurableError::Io(e)),
+            Err(e @ (DurableError::Io(_) | DurableError::UnsupportedCheckpoint { .. })) => {
+                return Err(e)
+            }
             Err(_) => skipped += 1,
         }
     }
@@ -177,6 +188,25 @@ mod tests {
         assert_eq!(seq, 7);
         assert_eq!(skipped, 1);
         assert_eq!(text_of(&loaded), text_of(&snap));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_checkpoint_of_another_format_version_fails_the_load_untouched() {
+        let dir = temp_dir("version");
+        let snap = sample_snapshot();
+        write_checkpoint(&dir, 0, &snap).unwrap();
+        // A v1 checkpoint (it held the assignment log) is not damage to
+        // skip past: the older, readable checkpoint must not be used.
+        let v1 = text_of(&snap).replacen(SNAPSHOT_HEADER, "ltc-snapshot v1", 1);
+        fs::write(checkpoint_path(&dir, 5), &v1).unwrap();
+        let err = load_latest(&dir).unwrap_err();
+        assert!(
+            matches!(&err, DurableError::UnsupportedCheckpoint { header, .. } if header == "ltc-snapshot v1"),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("`ltc-snapshot v1`"), "{err}");
+        assert_eq!(fs::read_to_string(checkpoint_path(&dir, 5)).unwrap(), v1);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -3,7 +3,7 @@
 //!
 //! The engine underneath [`ServiceHandle`] is deterministic: the same
 //! submission sequence always produces the same assignments, the same
-//! event stream, and the same `ltc-snapshot v1` text. That determinism
+//! event stream, and the same `ltc-snapshot v2` text. That determinism
 //! is the whole durability story — nothing about the engine's *state*
 //! has to reach disk on the hot path, only the *inputs*. This crate
 //! packages that observation as three pieces:
@@ -23,7 +23,7 @@
 //!   sequence number `S` makes every log record below `S` dead weight,
 //!   so the log rotates to a fresh segment at each checkpoint and fully
 //!   covered segments are deleted. Checkpoints are the engine's own
-//!   `ltc-snapshot v1` text.
+//!   `ltc-snapshot v2` text.
 //! * [`recover`](recover()) — restores the newest readable checkpoint,
 //!   truncates a torn final record if the crash left one, and replays
 //!   the surviving log suffix through the ordinary session API. The
@@ -66,6 +66,11 @@ pub enum DurableError {
     Service(ltc_core::service::ServiceError),
     /// The directory holds no readable checkpoint to restore from.
     NoCheckpoint(PathBuf),
+    /// A checkpoint is snapshot text of a format version this build does
+    /// not read (carries the path and the file's header line). Unlike a
+    /// damaged checkpoint it is not skipped: recovery stops, and touches
+    /// nothing.
+    UnsupportedCheckpoint { path: PathBuf, header: String },
     /// [`DurableHandle::create`] refused a directory that already holds
     /// a log; resume it instead of silently clobbering history.
     AlreadyInitialized(PathBuf),
@@ -85,6 +90,13 @@ impl fmt::Display for DurableError {
             DurableError::NoCheckpoint(dir) => {
                 write!(f, "no readable checkpoint in {}", dir.display())
             }
+            DurableError::UnsupportedCheckpoint { path, header } => write!(
+                f,
+                "checkpoint {} is `{header}` text, and this build reads only `{}`: \
+                 recover the directory with the build that wrote it",
+                path.display(),
+                ltc_core::snapshot::SNAPSHOT_HEADER
+            ),
             DurableError::AlreadyInitialized(dir) => write!(
                 f,
                 "{} already holds a write-ahead log; resume it instead of creating over it",

@@ -2,7 +2,7 @@
 //! recover lifecycle, deterministic and property-based.
 //!
 //! The contract under test is the one `docs/DURABILITY.md` promises: a
-//! recovered session is **byte-identical**, as `ltc-snapshot v1` text,
+//! recovered session is **byte-identical**, as `ltc-snapshot v2` text,
 //! to an uninterrupted session fed the same prefix of operations — for
 //! every policy, shard count, sync policy, checkpoint cadence, and
 //! crash point, including a crash that tears the final log record (or

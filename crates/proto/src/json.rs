@@ -99,6 +99,7 @@ impl std::error::Error for JsonError {}
 /// non-whitespace is an error — a frame is exactly one value.
 pub fn parse(text: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -112,6 +113,7 @@ pub fn parse(text: &str) -> Result<Json, JsonError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -295,14 +297,16 @@ impl<'a> Parser<'a> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("unescaped control character")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar. The frame arrived as
-                    // &str and the cursor only ever stops on char
-                    // boundaries, so the suffix re-validates cheaply.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("bad UTF-8"))?;
-                    let ch = rest.chars().next().ok_or_else(|| self.err("bad UTF-8"))?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the run of unescaped bytes up to the next
+                    // quote, backslash or control byte in one piece. The
+                    // frame arrived as &str and the run starts and ends
+                    // at an ASCII byte (or the end), so both ends are
+                    // char boundaries and nothing needs re-validating.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(c) if c >= 0x20 && c != b'"' && c != b'\\') {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -400,6 +404,19 @@ mod tests {
             parse("\"\\ud83d\\ude00\"").unwrap().as_str(),
             Some("\u{1F600}")
         );
+    }
+
+    /// A snapshot reply carries its whole text as one string literal,
+    /// so decoding a literal must cost one pass over it, not one pass
+    /// over the rest of the frame per character.
+    #[test]
+    fn a_four_mib_string_literal_decodes_in_one_pass() {
+        let line = "shard 0 3 0 index 403e000000000000 ✓ \"quoted\" \\ end\n";
+        let text = line.repeat((4 << 20) / line.len() + 1);
+        assert!(text.len() >= 4 << 20);
+        let mut lit = String::new();
+        push_escaped(&mut lit, &text);
+        assert_eq!(parse(&lit).unwrap().as_str(), Some(text.as_str()));
     }
 
     #[test]

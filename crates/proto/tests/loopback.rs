@@ -636,7 +636,7 @@ fn v1_clients_bind_the_default_session_with_unchanged_frames() {
     assert_eq!(
         v1.ask("{\"op\":\"snapshot\"}"),
         format!(
-            "{{\"ok\":\"snapshot\",\"data\":\"ltc-snapshot v1\\n\
+            "{{\"ok\":\"snapshot\",\"data\":\"ltc-snapshot v2\\n\
              params 3fd0000000000000 2 403e000000000000 3fe51eb851eb851f within hoeffding\\n\
              region 0000000000000000 0000000000000000 408f400000000000 408f400000000000\\n\
              config laf 403e000000000000 1024 1\\n\
@@ -647,7 +647,7 @@ fn v1_clients_bind_the_default_session_with_unchanged_frames() {
              quality{}\\n\
              completed {}\\n\
              accuracy sigmoid\\n\
-             assignments 0\\n\
+             assigned 0\\n\
              end\\n\"}}",
             " 0".repeat(25),
             " 0000000000000000".repeat(25),
