@@ -282,9 +282,7 @@ impl LtcService {
 mod tests {
     use super::super::{Algorithm, Event, ServiceBuilder, ServiceError};
     use super::*;
-    use crate::engine::AssignmentEngine;
-    use crate::model::{Instance, ProblemParams, WorkerId};
-    use crate::online::Aam;
+    use crate::model::{ProblemParams, WorkerId};
     use ltc_spatial::Point;
     use std::num::NonZeroUsize;
 
@@ -303,56 +301,6 @@ mod tests {
 
     fn shards(n: usize) -> NonZeroUsize {
         NonZeroUsize::new(n).unwrap()
-    }
-
-    #[test]
-    fn single_shard_matches_the_engine_bitwise() {
-        let tasks: Vec<Task> = (0..20)
-            .map(|i| Task::new(Point::new((i % 5) as f64 * 40.0, (i / 5) as f64 * 40.0)))
-            .collect();
-        let workers: Vec<Worker> = (0..200)
-            .map(|i| {
-                Worker::new(
-                    Point::new((i % 23) as f64 * 8.0, (i % 17) as f64 * 11.0),
-                    0.7 + 0.29 * ((i % 13) as f64 / 13.0),
-                )
-            })
-            .collect();
-        let mut service = ServiceBuilder::new(params(2), region())
-            .tasks(tasks.clone())
-            .algorithm(Algorithm::Aam)
-            .build()
-            .unwrap();
-
-        let mut engine = {
-            let inst = Instance::new(tasks, workers.clone(), params(2)).unwrap();
-            AssignmentEngine::from_instance(&inst)
-        };
-        let mut policy = Aam::new();
-        for worker in &workers {
-            let events = service.check_in(worker);
-            let batch = engine.push_worker(worker, &mut policy);
-            let assigned: Vec<(u64, u32, f64, f64)> = events
-                .iter()
-                .filter_map(|e| match e {
-                    Event::Assigned {
-                        worker,
-                        task,
-                        acc,
-                        gain,
-                    } => Some((worker.0, task.0, *acc, *gain)),
-                    _ => None,
-                })
-                .collect();
-            let expect: Vec<(u64, u32, f64, f64)> = batch
-                .iter()
-                .map(|a| (a.worker.0, a.task.0, a.acc, a.contribution))
-                .collect();
-            assert_eq!(assigned, expect);
-        }
-        assert_eq!(service.all_completed(), engine.all_completed());
-        assert_eq!(service.n_assignments(), engine.n_assignments());
-        assert_eq!(service.latency(), engine.latency());
     }
 
     #[test]
@@ -423,78 +371,6 @@ mod tests {
             .post_task_with_accuracies(Task::new(Point::new(1.0, 1.0)), &row)
             .unwrap();
         assert_eq!(t.index(), inst.n_tasks());
-    }
-
-    #[test]
-    fn snapshot_restore_continues_identically() {
-        let tasks: Vec<Task> = (0..30)
-            .map(|i| Task::new(Point::new((i % 6) as f64 * 160.0, (i / 6) as f64 * 200.0)))
-            .collect();
-        let workers: Vec<Worker> = (0..400)
-            .map(|i| {
-                Worker::new(
-                    Point::new((i % 31) as f64 * 32.0, (i % 29) as f64 * 34.0),
-                    0.7 + 0.29 * ((i % 11) as f64 / 11.0),
-                )
-            })
-            .collect();
-        let mut service = ServiceBuilder::new(params(2), region())
-            .tasks(tasks)
-            .shards(shards(3))
-            .algorithm(Algorithm::Laf)
-            .build()
-            .unwrap();
-        for worker in &workers[..150] {
-            service.check_in(worker);
-        }
-        let mut restored = LtcService::restore(service.snapshot()).unwrap();
-        assert_eq!(restored.n_workers_seen(), service.n_workers_seen());
-        assert_eq!(restored.n_assignments(), service.n_assignments());
-        for worker in &workers[150..] {
-            assert_eq!(service.check_in(worker), restored.check_in(worker));
-        }
-        assert_eq!(service.latency(), restored.latency());
-    }
-
-    #[test]
-    fn random_snapshot_restore_is_bit_exact_mid_stream() {
-        // Random is a keyed hash of the seed, the arrival and the task,
-        // so a restored random baseline continues from the seed alone.
-        let tasks: Vec<Task> = (0..16)
-            .map(|i| Task::new(Point::new((i % 4) as f64 * 250.0, (i / 4) as f64 * 250.0)))
-            .collect();
-        let workers: Vec<Worker> = (0..300)
-            .map(|i| {
-                Worker::new(
-                    Point::new((i % 41) as f64 * 25.0, (i % 37) as f64 * 27.0),
-                    0.8 + (i % 5) as f64 * 0.03,
-                )
-            })
-            .collect();
-        for n_shards in [1usize, 3] {
-            let build = || {
-                ServiceBuilder::new(params(2), region())
-                    .tasks(tasks.clone())
-                    .shards(shards(n_shards))
-                    .algorithm(Algorithm::Random { seed: 0xFACE })
-                    .build()
-                    .unwrap()
-            };
-            let mut uninterrupted = build();
-            let full: Vec<Vec<Event>> = workers.iter().map(|w| uninterrupted.check_in(w)).collect();
-
-            let mut first = build();
-            let mut stitched: Vec<Vec<Event>> = Vec::new();
-            for w in &workers[..120] {
-                stitched.push(first.check_in(w));
-            }
-            let snap = first.snapshot();
-            let mut restored = LtcService::restore(snap).unwrap();
-            for w in &workers[120..] {
-                stitched.push(restored.check_in(w));
-            }
-            assert_eq!(full, stitched, "{n_shards}-shard random resume diverged");
-        }
     }
 
     #[test]

@@ -36,8 +36,8 @@
 //! threads process their mailboxes in submission order and synchronize
 //! through a rendezvous whenever a decision needs more than one shard,
 //! so a pipelined run is event-for-event equal to feeding the same
-//! sequence through [`LtcService::check_in`] (differentially tested in
-//! `crates/core/tests/lifecycle.rs` and `tests/service_parity.rs`).
+//! sequence through [`LtcService::check_in`] (both are checked against
+//! the bare engine by the conformance harness, `tests/conform/`).
 //!
 //! ## Sharding model
 //!
@@ -76,8 +76,8 @@
 //! stateless keyed hash of the worker's arrival and each task's id, so
 //! it needs no per-shard stream and restores from its seed alone.
 //! Together with the keyed merge, an N-shard service's decisions equal
-//! the bare engine's for every policy (differentially tested in
-//! `tests/service_parity.rs`).
+//! the bare engine's for every policy (checked by the conformance
+//! harness, `tests/conform/`, at 1–5 shards).
 
 mod builder;
 mod events;

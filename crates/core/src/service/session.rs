@@ -35,8 +35,8 @@
 //!   which implementation produced it.
 //!
 //! Together these make transports *differentially testable*: the same
-//! submission sequence driven through any two implementations must yield
-//! byte-identical event streams (see `crates/proto/tests/loopback.rs`).
+//! submission sequence driven through any implementation must yield the
+//! bare engine's events (the conformance harness, `tests/conform/`).
 
 use super::handle::ServiceHandle;
 use super::rebalance::RebalanceOutcome;

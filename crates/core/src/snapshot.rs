@@ -6,7 +6,7 @@
 //! trip is **bit-exact** — no decimal-formatting drift can change a
 //! quality total or an accuracy, which is what lets a restored service
 //! continue a stream with output identical to an uninterrupted run (see
-//! the differential test in `tests/service_parity.rs`).
+//! the conformance harness in `tests/conform/`).
 //!
 //! Layout (one section per line, in order; the full grammar with the
 //! compatibility policy lives in `docs/SNAPSHOT_FORMAT.md`):
@@ -19,7 +19,7 @@
 //!        [grow <clamps>]
 //!        [stripes <n> <cell_size> <origin_x> <cols> <start ...>]
 //! taskmap <n> <shard-of-task ...>            // task ids are 0..n
-//! shard <i> <n_tasks> <next_arrival> [clamped <total> <mark>]
+//! shard <i> <n_tasks> 0 [clamped <total> <mark>]   // always 0, see below
 //!       <noindex | index cs x0 y0 x1 y1>
 //! tasks <x y ...>                            // per shard, ascending id
 //! quality <S[t] ...>
@@ -63,8 +63,10 @@
 //! Per-shard **index bounds** (`index cs x0 y0 x1 y1`) round-trip adaptive growth for free: a
 //! grown index serializes its grown extent and restores over it.
 //!
-//! A shard line that carries `rng <draws>` is refused with an error that
-//! names the field. Older builds wrote it for [`Algorithm::Random`]
+//! A shard line's third token, once the shard engine's arrival counter,
+//! is always `0` (shard engines take the service's arrival ids): a
+//! nonzero value is refused by name. So is a shard line that carries
+//! `rng <draws>`, which older builds wrote for [`Algorithm::Random`]
 //! sessions, whose per-shard RNG streams were replaced by a stateless
 //! keyed hash: the recorded decisions came from the old rule, so the
 //! session cannot continue under the new one. Snapshots of every other
@@ -426,7 +428,11 @@ pub fn read_snapshot<R: BufRead>(reader: R) -> Result<ServiceSnapshot, SnapshotE
                 ids.len()
             )));
         }
-        let shard_next_arrival = tk.u64()?;
+        if tk.u64()? != 0 {
+            let what = "the shard `<next_arrival>` token must be 0: shard engines take the \
+                        service's arrival ids";
+            return Err(tk.bad(what.into()));
+        }
         let mut geometry_word = tk.word()?;
         if geometry_word == "rng" {
             return Err(tk.bad(
@@ -523,7 +529,7 @@ pub fn read_snapshot<R: BufRead>(reader: R) -> Result<ServiceSnapshot, SnapshotE
             tasks,
             s,
             completed,
-            next_arrival: shard_next_arrival,
+            next_arrival: 0,
             index_geometry,
             clamped_insertions,
             clamp_mark,
@@ -719,6 +725,8 @@ mod tests {
         assert_eq!(restored.n_uncompleted(), service.n_uncompleted());
     }
 
+    const NONZERO_SHARD_ARRIVAL: &str = "taskmap 0\nshard 0 0 7 noindex\ntasks\n";
+
     #[test]
     fn malformed_snapshots_are_rejected_cleanly() {
         let prelude = format!(
@@ -740,6 +748,8 @@ mod tests {
             format!("{prelude}taskmap 17000000000000000000 0\n"),
             format!("{prelude}taskmap 1 99999999999\n"),
             format!("{prelude}taskmap 0\nshard 0 17000000000000000000 0 noindex\ntasks\n"),
+            // A shard arrival counter other than the 0 every shard writes.
+            format!("{prelude}{NONZERO_SHARD_ARRIVAL}"),
             format!(
                 "{prelude}taskmap 0\nshard 0 2 0 noindex\ntasks {z} {z} {z} {z}\n\
                  quality {z} {z}\ncompleted 00\naccuracy table 9999999999999999999 0\n",
@@ -749,6 +759,8 @@ mod tests {
             let err = read_snapshot(io::Cursor::new(text.as_bytes().to_vec()));
             assert!(err.is_err(), "accepted malformed snapshot {text:?}");
         }
+        let err = read_snapshot(format!("{prelude}{NONZERO_SHARD_ARRIVAL}").as_bytes());
+        assert!(err.unwrap_err().to_string().contains("`<next_arrival>`"));
         // Truncated mid-stream.
         let service = sample_service();
         let mut buf = Vec::new();

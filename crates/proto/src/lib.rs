@@ -31,8 +31,8 @@
 //!   session* = connection-interleaved arrival order, decided by one
 //!   mutex per session), and [`LtcClient`] implements the same
 //!   [`Session`](ltc_core::service::Session) trait remotely — one code
-//!   path drives in-process and remote runs, differentially tested
-//!   byte-identical (`tests/loopback.rs`, plus the CLI parity tests),
+//!   path drives in-process and remote runs, checked against the bare
+//!   engine (the root package's `tests/conform/`, and the CLI),
 //!   with the session verbs ([`LtcClient::open_session`] /
 //!   `attach_session` / `close_session` / `list_sessions`) on top.
 //!

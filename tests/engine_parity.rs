@@ -12,6 +12,8 @@
 //! pseudo-code rather than calling the production policies, so a shared
 //! bug cannot cancel out.
 
+mod conform;
+
 use ltc::core::online::AamStrategy;
 use ltc::prelude::*;
 
@@ -191,27 +193,15 @@ fn engine_run(instance: &Instance, algo: RefAlgo) -> (Vec<RefAssignment>, Option
 /// different ε / K, a couple of hundred workers each, plus the Table-IV
 /// default at 1/64 scale and its long tail (ε = 0.06).
 fn parity_instances() -> Vec<(String, Instance)> {
-    let mut out = Vec::new();
-    for (seed, n_tasks, n_workers, capacity, epsilon, grid) in [
+    let shapes = [
         (1u64, 30usize, 400usize, 2u32, 0.20f64, 120.0f64),
         (2, 50, 800, 6, 0.14, 200.0),
         (3, 12, 300, 1, 0.30, 80.0),
         (4, 80, 1200, 4, 0.10, 300.0),
-    ] {
-        let cfg = SyntheticConfig {
-            n_tasks,
-            n_workers,
-            capacity,
-            epsilon,
-            grid_size: grid,
-            seed,
-            ..SyntheticConfig::default()
-        };
-        out.push((
-            format!("seed{seed}_t{n_tasks}_w{n_workers}_k{capacity}_e{epsilon}"),
-            cfg.generate(),
-        ));
-    }
+    ];
+    let mut out: Vec<_> = shapes
+        .map(|dims| (format!("{dims:?}"), conform::synthetic(dims)))
+        .into();
     for epsilon in [0.14, 0.06] {
         let cfg = SyntheticConfig {
             epsilon,
@@ -298,88 +288,22 @@ fn random_picks_are_uniform_over_a_fixed_pool() {
     }
 }
 
-/// Streams the instance through a single-shard [`LtcService`] and
-/// extracts the committed trace from its typed events.
-fn service_run(instance: &Instance, algo: RefAlgo) -> (Vec<RefAssignment>, Option<u64>) {
-    use ltc::core::service::{Algorithm, Event, ServiceBuilder};
-    let algorithm = match algo {
-        RefAlgo::Laf => Algorithm::Laf,
-        RefAlgo::Aam => Algorithm::Aam,
-        RefAlgo::Random { seed } => Algorithm::Random { seed },
-    };
-    let mut service = ServiceBuilder::from_instance(instance)
-        .algorithm(algorithm)
-        .build()
-        .unwrap();
-    let mut trace = Vec::new();
-    for worker in instance.workers() {
-        if service.all_completed() {
-            break;
-        }
-        for event in service.check_in(worker) {
-            if let Event::Assigned {
-                worker,
-                task,
-                acc,
-                gain,
-            } = event
-            {
-                trace.push(RefAssignment {
-                    worker: worker.0,
-                    task: task.0,
-                    acc,
-                    contribution: gain,
-                });
-            }
-        }
-    }
-    (trace, service.latency())
-}
-
-/// The acceptance bar for the service facade: with `shards = 1` it must
-/// be **bit-identical** to `AssignmentEngine::push_worker` on the whole
-/// parity suite, for every online policy.
+/// The acceptance bar for the service: with one shard it must be
+/// bit-identical to `AssignmentEngine::push_worker` on the whole parity
+/// suite, for every online policy. The conformance harness checks the
+/// handle's events against the bare engine's, and the facade's too.
 #[test]
 fn single_shard_service_is_bit_identical_to_the_engine() {
-    let algos = [
-        RefAlgo::Laf,
-        RefAlgo::Aam,
-        RefAlgo::Random { seed: 7 },
-        RefAlgo::Random { seed: 13 },
+    let algorithms = [
+        Algorithm::Laf,
+        Algorithm::Aam,
+        Algorithm::Random { seed: 7 },
+        Algorithm::Random { seed: 13 },
     ];
-    for (name, inst) in parity_instances() {
-        for algo in algos {
-            let (eng_trace, eng_latency) = engine_run(&inst, algo);
-            let (svc_trace, svc_latency) = service_run(&inst, algo);
-            assert_eq!(
-                eng_trace.len(),
-                svc_trace.len(),
-                "{algo:?} on {name}: assignment counts diverge"
-            );
-            for (i, (e, s)) in eng_trace.iter().zip(svc_trace.iter()).enumerate() {
-                assert_eq!(
-                    e.worker, s.worker,
-                    "{algo:?} on {name}: worker of assignment #{i} diverges"
-                );
-                assert_eq!(
-                    e.task, s.task,
-                    "{algo:?} on {name}: task of assignment #{i} diverges"
-                );
-                assert_eq!(
-                    e.acc.to_bits(),
-                    s.acc.to_bits(),
-                    "{algo:?} on {name}: acc of assignment #{i} diverges"
-                );
-                assert_eq!(
-                    e.contribution.to_bits(),
-                    s.contribution.to_bits(),
-                    "{algo:?} on {name}: contribution of assignment #{i} diverges"
-                );
-            }
-            assert_eq!(
-                eng_latency, svc_latency,
-                "{algo:?} on {name}: latency diverges"
-            );
+    for (_, instance) in parity_instances() {
+        for algorithm in algorithms {
+            let case = conform::Case::instance(&instance, algorithm, 1);
+            conform::conform(conform::Stack::HANDLE, &case);
         }
     }
 }
