@@ -101,13 +101,13 @@ before it is applied, and periodic checkpoints bound the replay work.
 (fsync every N records), or `os` (leave flushing to the kernel; default
 — survives process crashes, not host power loss). --checkpoint-every N
 checkpoints after every N logged records (default 4096), each one an
-`ltc-snapshot v2` text file. A DIR that already holds a log resumes
+`ltc-snapshot v3` text file. A DIR that already holds a log resumes
 it: the dataset is only used on first initialization. `recover --wal
 DIR` repairs and replays such a log without serving: it truncates a
 torn tail, restores the newest valid checkpoint, replays the suffix,
 writes a fresh covering checkpoint, compacts the log, and prints a
 summary line (optionally writing the recovered state to --snapshot-out
-as `ltc-snapshot v2` text, resumable with `ltc resume`).";
+as `ltc-snapshot v3` text, resumable with `ltc resume`).";
 
 /// Which arrangement algorithm a command should run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -318,7 +318,7 @@ pub enum Command {
     Recover {
         /// The WAL directory to repair and replay.
         wal: String,
-        /// Where to also write the recovered state as `ltc-snapshot v2`
+        /// Where to also write the recovered state as `ltc-snapshot v3`
         /// text, if anywhere.
         snapshot_out: Option<String>,
     },

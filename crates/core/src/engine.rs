@@ -12,10 +12,11 @@
 //!   pluggable [`OnlineAlgorithm`] pick at most `K` tasks, commits them,
 //!   and returns the worker's assignment batch;
 //! * [`AssignmentEngine::add_task`] posts a new task mid-stream;
-//! * completed tasks are **evicted** from the spatial index the moment
-//!   they reach `δ`, so the per-worker eligibility query costs
-//!   `O(tasks still uncompleted nearby)` instead of `O(all tasks ever
-//!   posted nearby)` — the hot path shrinks as the system makes progress.
+//! * completed tasks **leave** the engine the moment they reach `δ`: out
+//!   of the spatial index, so the per-worker eligibility query costs
+//!   `O(tasks still uncompleted nearby)`, and out of every per-task
+//!   structure, so the engine's memory, its [`EngineState`] and a
+//!   rebalance's work follow the live pool, not the tasks ever posted.
 //!
 //! The offline algorithms ([`crate::offline::McfLtc`],
 //! [`crate::offline::BaseOff`], [`crate::offline::ExactSolver`]) drive
@@ -24,12 +25,12 @@
 //! and quality bookkeeping live in exactly one place.
 //!
 //! The engine does not record its decisions. No policy reads a past
-//! assignment — LAF, AAM and Random decide from the live tasks' `S`,
-//! remaining units and `K` — so the engine keeps two counters (the
-//! assignments it committed and the latest arrival it recruited) and
-//! hands every committed [`Assignment`] to its caller. A caller that
-//! wants the record keeps it: [`crate::online::run_online`] and the
-//! offline solvers build their [`crate::model::RunOutcome`]'s
+//! assignment or a completed task — LAF, AAM and Random decide from the
+//! live tasks' `S`, remaining units and `K` — so the engine keeps two
+//! counters (the assignments it committed and the latest arrival it
+//! recruited) and hands every committed [`Assignment`] to its caller. A
+//! caller that wants the record keeps it: [`crate::online::run_online`]
+//! and the offline solvers build their [`crate::model::RunOutcome`]'s
 //! [`crate::model::Arrangement`] from the commits, and a service's event
 //! stream is its decision history.
 
@@ -41,7 +42,9 @@ use crate::online::{OnlineAlgorithm, Pick};
 use crate::smallvec::SmallVec;
 use crate::units::UnitCounts;
 use ltc_spatial::{BoundingBox, GridIndex};
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Tolerance for `S[t] ≥ δ` completion checks (see
 /// `crate::model::params`).
@@ -50,9 +53,6 @@ const COMPLETION_EPS: f64 = 1e-9;
 /// Inline capacity of a per-worker assignment batch. The paper's
 /// experiments use `K = 6`; batches only touch the heap when `K > 8`.
 pub const INLINE_BATCH: usize = 8;
-
-/// The id table's entry for an id the engine does not hold.
-const NO_SLOT: u32 = u32::MAX;
 
 /// The assignments one worker received from
 /// [`AssignmentEngine::push_worker`].
@@ -70,52 +70,75 @@ pub struct Candidate {
     pub contribution: f64,
 }
 
-/// An owned, incremental streaming engine for the LTC problem: per-task
-/// accumulated quality `S`, completion tracking, two commit counters,
-/// and an evicting spatial index over the *uncompleted* tasks. Tasks keep their ids for life; internally they sit in slots in
-/// ascending id order, a layout that never leaves the engine.
+/// One live task: its id, the task, and its accumulated quality `S`.
+#[derive(Debug, Clone, Copy)]
+struct LiveTask {
+    id: TaskId,
+    task: Task,
+    s: f64,
+}
+
+/// Hashes a task id by one multiplication: ids are dense integers, so
+/// the product's bits are already well spread, and the slot lookup on
+/// every commit stays a few instructions.
+#[derive(Debug, Default, Clone, Copy)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, id: u32) {
+        self.write_u64(u64::from(id));
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0 ^ v).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
+/// An owned, incremental streaming engine for the LTC problem over its
+/// **live** tasks: their accumulated quality `S`, two commit counters,
+/// and an evicting spatial index. A task keeps its id for life; it sits
+/// in a slot (in no particular order) until it reaches `δ`, and then it
+/// leaves: the engine keeps nothing of a completed task.
 #[derive(Debug, Clone)]
 pub struct AssignmentEngine {
     params: ProblemParams,
     accuracy: AccuracyModel,
     delta: f64,
-    /// Per-slot task state, in ascending id order.
-    ids: Vec<TaskId>,
-    tasks: Vec<Task>,
-    /// Accumulated contribution per task (the paper's `S`).
-    s: Vec<f64>,
-    completed: Vec<bool>,
-    /// `slot_of[id - id_base]`: the slot holding task `id`, or `NO_SLOT`.
-    slot_of: Vec<u32>,
-    id_base: u32,
-    /// Dense set of uncompleted slots (unordered; swap-removed on
-    /// completion) plus each slot's position in it, so iterating the
-    /// remaining work is `O(n_uncompleted)`.
-    uncompleted: Vec<u32>,
-    uncompleted_pos: Vec<u32>,
+    /// The live tasks, one per slot. A completing task is swap-removed.
+    live: Vec<LiveTask>,
+    /// The slot of each live task, by id.
+    slot_of: HashMap<TaskId, u32, BuildHasherDefault<IdHasher>>,
+    /// One past the largest id the engine was given: the next id
+    /// [`AssignmentEngine::add_task`] hands out.
+    next_id: u32,
     /// Assignments committed since the engine was built or restored.
     n_assignments: u64,
     /// The latest arrival recruited since then.
     latest_assigned: Option<WorkerId>,
-    /// Spatial index over the ids and locations of *uncompleted* tasks
-    /// (cell size `d_max`), used under the nearby-only eligibility
-    /// policy. `None` under [`Eligibility::Unrestricted`].
+    /// Spatial index over the ids and locations of the live tasks (cell
+    /// size `d_max`), used under the nearby-only eligibility policy.
+    /// `None` under [`Eligibility::Unrestricted`].
     task_index: Option<GridIndex<u32>>,
     /// Arrival counter: the id the next pushed worker receives.
     next_arrival: u64,
     /// The index clamp count observed at the last index growth (or at
-    /// build), so growth triggers on clamps *since* then. Not durable
-    /// state: a restore re-counts clamps from re-inserting the live
-    /// tasks, which is self-consistent with the restored geometry.
+    /// build), so growth triggers on clamps *since* then.
     index_clamp_mark: u64,
-    /// Per-slot remaining worker-units `⌈(δ − S[t])⁺⌉` (0 once
-    /// completed), maintained incrementally so AAM's regime scan needs no
-    /// per-worker pass over the uncompleted set.
-    units: Vec<f64>,
-    /// Exact sum of `units` (integer-valued, so f64 addition is exact
-    /// below 2^53 regardless of update order).
+    /// Exact sum of the live tasks' remaining worker-units
+    /// `⌈(δ − S[t])⁺⌉` (integer-valued, so f64 addition is exact below
+    /// 2^53 regardless of update order).
     units_sum: f64,
-    /// Multiset of the nonzero `units` values, bucketed by whole-unit
+    /// Multiset of the live tasks' worker-units, bucketed by whole-unit
     /// value (pre-sized to `⌈δ⌉`), so every update is O(1) and
     /// allocation-free and the maximum is read directly (see
     /// [`crate::units::UnitCounts`]).
@@ -144,9 +167,7 @@ impl AssignmentEngine {
             AccuracyModel::Sigmoid,
             task_index,
             Vec::new(),
-            Vec::new(),
-            Vec::new(),
-            Vec::new(),
+            0,
         ))
     }
 
@@ -155,8 +176,7 @@ impl AssignmentEngine {
     /// instance's workers (or any other stream) through it.
     pub fn from_instance(instance: &Instance) -> Self {
         let params = *instance.params();
-        let tasks = instance.tasks().to_vec();
-        let n = tasks.len();
+        let tasks = instance.tasks();
         let task_index = match params.eligibility {
             Eligibility::WithinRange => Some(GridIndex::build(
                 params.d_max,
@@ -164,55 +184,56 @@ impl AssignmentEngine {
             )),
             Eligibility::Unrestricted => None,
         };
+        let live = tasks
+            .iter()
+            .enumerate()
+            .map(|(i, &task)| LiveTask {
+                id: TaskId(i as u32),
+                task,
+                s: 0.0,
+            })
+            .collect();
         Self::assemble(
             params,
             instance.accuracy_model().clone(),
             task_index,
-            (0..n as u32).map(TaskId).collect(),
-            tasks,
-            vec![0.0; n],
-            vec![false; n],
+            live,
+            tasks.len() as u32,
         )
     }
 
-    /// An engine holding the tasks `ids` (ascending) with their quality
-    /// and completion flags and no history yet; derives the id table,
-    /// the uncompleted set and the worker-units from them.
+    /// An engine holding the `live` tasks with no history yet; derives
+    /// the id lookup and the worker-units from them.
     fn assemble(
         params: ProblemParams,
         accuracy: AccuracyModel,
         task_index: Option<GridIndex<u32>>,
-        ids: Vec<TaskId>,
-        tasks: Vec<Task>,
-        s: Vec<f64>,
-        completed: Vec<bool>,
+        live: Vec<LiveTask>,
+        next_id: u32,
     ) -> Self {
         let delta = params.delta();
-        let n = tasks.len();
         let mut engine = Self {
             delta,
             params,
             accuracy,
-            ids,
-            tasks,
-            s,
-            completed,
-            slot_of: Vec::new(),
-            id_base: 0,
-            uncompleted: Vec::new(),
-            uncompleted_pos: Vec::new(),
+            live,
+            slot_of: HashMap::default(),
+            next_id,
             n_assignments: 0,
             latest_assigned: None,
             task_index,
             next_arrival: 0,
             index_clamp_mark: 0,
-            units: vec![0.0; n],
             units_sum: 0.0,
             units_counts: UnitCounts::for_delta(delta),
             cand_buf: Vec::new(),
             picks_buf: Vec::new(),
         };
         engine.reindex();
+        for i in 0..engine.live.len() {
+            let units = engine.units_of(engine.live[i].s);
+            engine.move_units(0.0, units);
+        }
         engine
     }
 
@@ -224,7 +245,7 @@ impl AssignmentEngine {
     /// it has no row for; post such tasks through
     /// [`AssignmentEngine::add_task_with_accuracies`] instead.
     pub fn add_task(&mut self, task: Task) -> Result<TaskId, EngineError> {
-        let id = self.next_id();
+        let id = TaskId(self.next_id);
         self.post_task(id, task, None)?;
         Ok(id)
     }
@@ -232,13 +253,12 @@ impl AssignmentEngine {
     /// [`AssignmentEngine::add_task`] under an id the caller chose. A
     /// [`crate::service::LtcService`] posts each task to its shard's
     /// engine under the service-wide id, so the shard's candidates and
-    /// assignments name tasks the way the service does. The engine
-    /// indexes a table by id, so one engine's ids should be dense.
+    /// assignments name tasks the way the service does.
     ///
     /// # Panics
     ///
     /// Panics (with a descriptive message) when `id` is not above every
-    /// id the engine holds.
+    /// id the engine was given.
     pub fn add_task_as(&mut self, id: TaskId, task: Task) -> Result<(), EngineError> {
         self.post_task(id, task, None)
     }
@@ -253,14 +273,9 @@ impl AssignmentEngine {
         task: Task,
         accuracies: &[f64],
     ) -> Result<TaskId, EngineError> {
-        let id = self.next_id();
+        let id = TaskId(self.next_id);
         self.post_task(id, task, Some(accuracies))?;
         Ok(id)
-    }
-
-    /// One past the largest id the engine holds.
-    fn next_id(&self) -> TaskId {
-        TaskId(self.id_base.wrapping_add(self.slot_of.len() as u32))
     }
 
     /// Every posting path: validation, the table row, the slot,
@@ -271,47 +286,38 @@ impl AssignmentEngine {
         task: Task,
         accuracies: Option<&[f64]>,
     ) -> Result<(), EngineError> {
-        validate_post(
-            self.accuracy.table_workers(),
-            &task,
-            accuracies,
-            self.tasks.len(),
-        )?;
-        if self.slot_of.is_empty() {
-            self.id_base = id.0;
-        }
-        let fresh = id.0.checked_sub(self.id_base);
+        validate_post(self.accuracy.table_workers(), &task, accuracies, id.index())?;
         assert!(
-            fresh.is_some_and(|at| at as usize >= self.slot_of.len()),
-            "task id {} is not above every id the engine holds",
+            id.0 >= self.next_id,
+            "task id {} is not above every id the engine was given",
             id.0
         );
         if let (AccuracyModel::Table(table), Some(row)) = (&mut self.accuracy, accuracies) {
             table.push_task_row(row);
         }
-        let slot = self.tasks.len();
-        let at = (id.0 - self.id_base) as usize;
-        self.slot_of.resize(at + 1, NO_SLOT);
-        self.slot_of[at] = slot as u32;
-        self.ids.push(id);
-        self.tasks.push(task);
-        self.s.push(0.0);
-        self.completed.push(false);
-        self.uncompleted_pos.push(self.uncompleted.len() as u32);
-        self.uncompleted.push(slot as u32);
-        self.units.push(0.0);
-        self.set_units(slot, self.delta.ceil());
+        self.next_id = id.0 + 1;
+        self.slot_of.insert(id, self.live.len() as u32);
+        self.live.push(LiveTask { id, task, s: 0.0 });
+        self.move_units(0.0, self.units_of(0.0));
         if let Some(index) = &mut self.task_index {
             index.insert(id.0, task.loc);
         }
         Ok(())
     }
 
-    /// The slot holding task `t`; `NO_SLOT` (an id the engine does not
-    /// hold) indexes past every per-slot vector.
+    /// The slot holding task `t`, if it is live here.
     #[inline]
-    fn slot(&self, t: TaskId) -> usize {
-        self.slot_of[t.0.wrapping_sub(self.id_base) as usize] as usize
+    fn slot(&self, t: TaskId) -> Option<usize> {
+        self.slot_of.get(&t).map(|&slot| slot as usize)
+    }
+
+    /// The slot of a task the caller knows is live here.
+    #[inline]
+    fn live_slot(&self, t: TaskId) -> usize {
+        match self.slot(t) {
+            Some(slot) => slot,
+            None => panic!("task {} is not live in this engine", t.0),
+        }
     }
 
     /// Platform parameters.
@@ -332,18 +338,6 @@ impl AssignmentEngine {
         self.delta
     }
 
-    /// A task the engine holds.
-    #[inline]
-    pub(crate) fn task(&self, t: TaskId) -> &Task {
-        &self.tasks[self.slot(t)]
-    }
-
-    /// Number of tasks the engine holds.
-    #[inline]
-    pub fn n_tasks(&self) -> usize {
-        self.tasks.len()
-    }
-
     /// Number of workers pushed so far.
     #[inline]
     pub fn n_workers_seen(&self) -> u64 {
@@ -352,8 +346,8 @@ impl AssignmentEngine {
 
     /// `(Σ_t ⌈(δ − S[t])⁺⌉, max_t ⌈(δ − S[t])⁺⌉)` over the uncompleted
     /// tasks — the worker-unit statistics driving AAM's regime switch —
-    /// maintained incrementally on every commit (O(log) per update, O(1)
-    /// to read) instead of rescanned per worker.
+    /// maintained incrementally on every commit (O(1) per update and to
+    /// read) instead of rescanned per worker.
     ///
     /// Both values are integer-valued f64s; the sum is exact below 2^53,
     /// so it equals a fresh scan in any order.
@@ -362,11 +356,16 @@ impl AssignmentEngine {
         (self.units_sum, self.units_counts.max_value())
     }
 
-    /// Re-points `units[slot]` to `new`, keeping the sum and multiset in
-    /// step. Zero units are kept out of the multiset so the maximum query
-    /// sees only open deficits.
-    fn set_units(&mut self, slot: usize, new: f64) {
-        let old = self.units[slot];
+    /// A live task's worker-units at quality `s`: `⌈(δ − s)⁺⌉`.
+    #[inline]
+    fn units_of(&self, s: f64) -> f64 {
+        (self.delta - s).max(0.0).ceil()
+    }
+
+    /// Re-points one task's worker-units from `old` to `new`, keeping
+    /// the sum and multiset in step. Zero units are kept out of the
+    /// multiset so the maximum query sees only open deficits.
+    fn move_units(&mut self, old: f64, new: f64) {
         if old == new {
             return;
         }
@@ -377,16 +376,15 @@ impl AssignmentEngine {
             self.units_counts.add(new);
         }
         self.units_sum += new - old;
-        self.units[slot] = new;
     }
 
     /// Cumulative count of task insertions the spatial index clamped into
     /// border cells because they fell outside its declared region — the
     /// operator signal that the region guess under-covers the workload
     /// (queries stay exact but border buckets absorb extra distance
-    /// checks). Zero under [`Eligibility::Unrestricted`]. Not persisted
-    /// by snapshots (a restore re-inserts and re-counts the still-open
-    /// tasks).
+    /// checks). Zero under [`Eligibility::Unrestricted`]. Durable: it
+    /// rides [`EngineState::clamped_insertions`], because a restore
+    /// re-inserts only the live tasks.
     #[inline]
     pub fn index_clamped_insertions(&self) -> u64 {
         self.task_index
@@ -441,10 +439,11 @@ impl AssignmentEngine {
         changed
     }
 
-    /// Accumulated quality of a task (`S[t]`).
+    /// Accumulated quality `S[t]` of a live task; `None` once the task
+    /// completed (or for an id the engine never held).
     #[inline]
-    pub fn quality(&self, t: TaskId) -> f64 {
-        self.s[self.slot(t)]
+    pub fn quality(&self, t: TaskId) -> Option<f64> {
+        self.slot(t).map(|slot| self.live[slot].s)
     }
 
     /// Remaining quality a task still needs. Zero for completed tasks (a
@@ -452,36 +451,44 @@ impl AssignmentEngine {
     /// `S[t]` a hair under it).
     #[inline]
     pub fn remaining(&self, t: TaskId) -> f64 {
-        let slot = self.slot(t);
-        if self.completed[slot] {
-            0.0
-        } else {
-            (self.delta - self.s[slot]).max(0.0)
-        }
+        self.slot(t)
+            .map_or(0.0, |slot| (self.delta - self.live[slot].s).max(0.0))
     }
 
-    /// Whether the task reached `δ`.
+    /// Whether the engine holds `t` as a live task.
+    #[inline]
+    pub fn holds(&self, t: TaskId) -> bool {
+        self.slot_of.contains_key(&t)
+    }
+
+    /// Whether a task given to this engine reached `δ`: its id is below
+    /// every id still to come and the engine no longer holds it.
     #[inline]
     pub fn is_completed(&self, t: TaskId) -> bool {
-        self.completed[self.slot(t)]
+        t.0 < self.next_id && !self.holds(t)
     }
 
-    /// Number of tasks still below `δ`.
+    /// Number of tasks still below `δ`: the tasks the engine holds.
     #[inline]
     pub fn n_uncompleted(&self) -> usize {
-        self.uncompleted.len()
+        self.live.len()
     }
 
     /// Whether every posted task reached `δ`.
     #[inline]
     pub fn all_completed(&self) -> bool {
-        self.uncompleted.is_empty()
+        self.live.is_empty()
     }
 
     /// Iterates the uncompleted task ids, in unspecified order, in
     /// `O(n_uncompleted)`.
     pub fn uncompleted_tasks(&self) -> impl Iterator<Item = TaskId> + '_ {
-        self.uncompleted.iter().map(|&slot| self.ids[slot as usize])
+        self.live.iter().map(|t| t.id)
+    }
+
+    /// The live tasks, in unspecified order.
+    pub(crate) fn live_tasks(&self) -> impl Iterator<Item = &Task> + '_ {
+        self.live.iter().map(|t| &t.task)
     }
 
     /// Assignments committed since the engine was built or restored
@@ -509,37 +516,44 @@ impl AssignmentEngine {
     }
 
     /// Predicted accuracy `Acc(w,t)` of `worker` (arriving as `w`) on a
-    /// task.
+    /// live task.
     #[inline]
     pub fn acc(&self, w: WorkerId, worker: &Worker, t: TaskId) -> f64 {
         self.candidate(w, worker, t).acc
     }
 
-    /// Quality contribution of assigning `t` to `worker`: `Acc*` under
-    /// the Hoeffding model, plain `Acc` under a fixed threshold.
+    /// Quality contribution of assigning a live task `t` to `worker`:
+    /// `Acc*` under the Hoeffding model, plain `Acc` under a fixed
+    /// threshold.
     #[inline]
     pub fn contribution(&self, w: WorkerId, worker: &Worker, t: TaskId) -> f64 {
         self.candidate(w, worker, t).contribution
     }
 
     /// Builds the [`Candidate`] record for a pair (no eligibility check).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `t` is not live in this engine: a completed task's
+    /// location is gone with it.
     #[inline]
     pub fn candidate(&self, w: WorkerId, worker: &Worker, t: TaskId) -> Candidate {
-        self.candidate_at(w, worker, self.slot(t))
+        self.candidate_at(w, worker, self.live_slot(t))
     }
 
-    /// [`AssignmentEngine::candidate`] by slot (table rows follow slots).
+    /// [`AssignmentEngine::candidate`] by slot (table rows follow ids).
     #[inline]
     fn candidate_at(&self, w: WorkerId, worker: &Worker, slot: usize) -> Candidate {
+        let LiveTask { id, task, .. } = &self.live[slot];
         let acc = self
             .accuracy
-            .acc(w.index(), worker, slot, &self.tasks[slot], &self.params);
+            .acc(w.index(), worker, id.index(), task, &self.params);
         let contribution = match self.params.quality {
             QualityModel::Hoeffding => crate::model::acc_star(acc),
             QualityModel::FixedThreshold(_) => acc,
         };
         Candidate {
-            task: self.ids[slot],
+            task: *id,
             acc,
             contribution,
         }
@@ -551,7 +565,8 @@ impl AssignmentEngine {
     ///
     /// Under the nearby-only policy this is a radius query against the
     /// evicting index — its cost tracks the number of *uncompleted* tasks
-    /// near the worker. Under the unrestricted policy it scans all tasks.
+    /// near the worker. Under the unrestricted policy it scans the live
+    /// tasks.
     pub fn append_candidates(
         &self,
         w: WorkerId,
@@ -559,53 +574,43 @@ impl AssignmentEngine {
         out: &mut Vec<Candidate>,
     ) -> usize {
         let start = out.len();
-        match &self.task_index {
-            Some(index) => {
-                match &self.accuracy {
-                    AccuracyModel::Sigmoid => {
-                        // Eq. 1 needs only the worker and the task
-                        // location, and the index stores each task's
-                        // location next to its id — computing the
-                        // candidate from the stored point skips a
-                        // dependent `tasks[t]` load per hit.
-                        let d_max = self.params.d_max;
-                        let quality = self.params.quality;
-                        index.for_each_within_entries(worker.loc, d_max, |t, p| {
-                            let d = worker.loc.distance(p);
-                            let acc = worker.accuracy / (1.0 + (-(d_max - d)).exp());
-                            if acc >= 0.5 {
-                                let contribution = match quality {
-                                    QualityModel::Hoeffding => crate::model::acc_star(acc),
-                                    QualityModel::FixedThreshold(_) => acc,
-                                };
-                                out.push(Candidate {
-                                    task: TaskId(t),
-                                    acc,
-                                    contribution,
-                                });
-                            }
+        match (&self.task_index, &self.accuracy) {
+            (Some(index), AccuracyModel::Sigmoid) => {
+                // Eq. 1 needs only the worker and the task location, and
+                // the index stores each task's location next to its id —
+                // computing the candidate from the stored point skips a
+                // dependent slot lookup per hit.
+                let d_max = self.params.d_max;
+                let quality = self.params.quality;
+                index.for_each_within_entries(worker.loc, d_max, |t, p| {
+                    let d = worker.loc.distance(p);
+                    let acc = worker.accuracy / (1.0 + (-(d_max - d)).exp());
+                    if acc >= 0.5 {
+                        let contribution = match quality {
+                            QualityModel::Hoeffding => crate::model::acc_star(acc),
+                            QualityModel::FixedThreshold(_) => acc,
+                        };
+                        out.push(Candidate {
+                            task: TaskId(t),
+                            acc,
+                            contribution,
                         });
                     }
-                    AccuracyModel::Table(_) => out.extend(
-                        index
-                            .within(worker.loc, self.params.d_max)
-                            .map(|t| self.candidate(w, worker, TaskId(t)))
-                            .filter(|c| c.acc >= 0.5),
-                    ),
-                }
-                // The grid yields tasks in cell order; restore id order
-                // for deterministic downstream tie-breaking.
-                out[start..].sort_unstable_by_key(|c| c.task);
+                });
             }
-            None => {
-                // Slots are in id order already.
-                out.extend(
-                    (0..self.tasks.len())
-                        .filter(|&slot| !self.completed[slot])
-                        .map(|slot| self.candidate_at(w, worker, slot)),
-                );
+            (Some(index), AccuracyModel::Table(_)) => out.extend(
+                index
+                    .within(worker.loc, self.params.d_max)
+                    .map(|t| self.candidate(w, worker, TaskId(t)))
+                    .filter(|c| c.acc >= 0.5),
+            ),
+            (None, _) => {
+                out.extend((0..self.live.len()).map(|slot| self.candidate_at(w, worker, slot)))
             }
         }
+        // The grid yields tasks in cell order and the slots are in no
+        // order; restore id order for deterministic tie-breaking.
+        out[start..].sort_unstable_by_key(|c| c.task);
         out.len() - start
     }
 
@@ -616,66 +621,58 @@ impl AssignmentEngine {
         self.append_candidates(w, worker, out);
     }
 
-    /// Commits `(w, t)` and updates `S[t]`; when the task reaches `δ` it
-    /// is marked completed and **evicted from the spatial index**.
-    /// Returns the committed assignment, for a caller that keeps the
-    /// arrangement.
+    /// Commits the candidate `c` for worker `w` and updates its task's
+    /// `S`; when the task reaches `δ` it **leaves the engine** (its slot
+    /// and the spatial index). Returns the committed assignment, for a
+    /// caller that keeps the arrangement.
+    ///
+    /// A candidate whose task already completed is still committed and
+    /// counted; its task, being gone, gains nothing more. An offline
+    /// flow can commit one at the completion tolerance's edge.
     ///
     /// Assignments are irrevocable (the paper's invariable constraint);
     /// correctness of the *choice* is the algorithm's responsibility —
     /// this method only maintains state.
-    pub fn commit(&mut self, w: WorkerId, worker: &Worker, t: TaskId) -> Assignment {
-        let slot = self.slot(t);
-        let c = self.candidate_at(w, worker, slot);
-        self.commit_at(w, slot, c);
+    pub fn commit(&mut self, w: WorkerId, c: Candidate) -> Assignment {
+        self.commit_candidate(w, c);
         Assignment {
             worker: w,
-            task: t,
+            task: c.task,
             acc: c.acc,
             contribution: c.contribution,
         }
     }
 
-    /// [`AssignmentEngine::commit`] with the [`Candidate`] built when the
-    /// worker's candidates were enumerated (no accuracy recomputation).
-    /// Returns whether the task is completed now.
+    /// [`AssignmentEngine::commit`] without the record: returns whether
+    /// this commit completed the task.
     pub(crate) fn commit_candidate(&mut self, w: WorkerId, c: Candidate) -> bool {
-        let slot = self.slot(c.task);
-        self.commit_at(w, slot, c);
-        self.completed[slot]
-    }
-
-    fn commit_at(&mut self, w: WorkerId, slot: usize, c: Candidate) {
         self.n_assignments += 1;
         self.latest_assigned = self.latest_assigned.max(Some(w));
-        self.s[slot] += c.contribution;
-        if self.completed[slot] {
-            return;
+        let Some(slot) = self.slot(c.task) else {
+            return false;
+        };
+        let old = self.live[slot].s;
+        let s = old + c.contribution;
+        self.live[slot].s = s;
+        let done = s >= self.delta - COMPLETION_EPS;
+        let units = if done { 0.0 } else { self.units_of(s) };
+        self.move_units(self.units_of(old), units);
+        if done {
+            self.evict(slot);
         }
-        if self.s[slot] >= self.delta - COMPLETION_EPS {
-            self.complete(slot);
-        } else {
-            self.set_units(slot, (self.delta - self.s[slot]).max(0.0).ceil());
-        }
+        done
     }
 
-    /// Marks a task completed, evicting it from the index and the dense
-    /// uncompleted set.
-    fn complete(&mut self, slot: usize) {
-        self.completed[slot] = true;
-        self.set_units(slot, 0.0);
-        // Swap-remove from the dense uncompleted set.
-        let pos = self.uncompleted_pos[slot] as usize;
-        let last = *self
-            .uncompleted
-            .last()
-            .expect("completing a task requires it to be uncompleted");
-        self.uncompleted.swap_remove(pos);
-        if pos < self.uncompleted.len() {
-            self.uncompleted_pos[last as usize] = pos as u32;
+    /// Takes a completed task out of its slot (swap-remove), the id
+    /// lookup and the spatial index.
+    fn evict(&mut self, slot: usize) {
+        let gone = self.live.swap_remove(slot);
+        self.slot_of.remove(&gone.id);
+        if let Some(moved) = self.live.get(slot) {
+            self.slot_of.insert(moved.id, slot as u32);
         }
         if let Some(index) = &mut self.task_index {
-            index.remove(self.ids[slot].0, self.tasks[slot].loc);
+            index.remove(gone.id.0, gone.task.loc);
         }
     }
 
@@ -804,19 +801,20 @@ impl AssignmentEngine {
     }
 
     /// Extracts the engine's durable state — everything needed to
-    /// continue the stream after a crash: copies of the task vectors,
-    /// each sized exactly. The per-task derived structures (the
-    /// uncompleted set, the id table, the spatial index, the worker-unit
-    /// multiset) are *not* included; [`AssignmentEngine::from_state`]
-    /// rebuilds them from the task vectors.
+    /// continue the stream after a crash: the live tasks in ascending id
+    /// order, each vector sized exactly. The derived structures (the id
+    /// lookup, the spatial index, the worker-unit multiset) are *not*
+    /// included; [`AssignmentEngine::from_state`] rebuilds them.
     pub fn to_state(&self) -> EngineState {
+        let mut live = self.live.clone();
+        live.sort_unstable_by_key(|t| t.id);
         EngineState {
             params: self.params,
             accuracy: self.accuracy.clone(),
-            ids: self.ids.clone(),
-            tasks: self.tasks.clone(),
-            s: self.s.clone(),
-            completed: self.completed.clone(),
+            ids: live.iter().map(|t| t.id).collect(),
+            tasks: live.iter().map(|t| t.task).collect(),
+            s: live.iter().map(|t| t.s).collect(),
+            next_id: self.next_id,
             next_arrival: self.next_arrival,
             // The *requested* bounds, not the laid-out extent: rebuilding
             // with these reproduces the layout, so restore → snapshot is
@@ -832,40 +830,46 @@ impl AssignmentEngine {
     }
 
     /// Builds an engine from durable state (the inverse of
-    /// [`AssignmentEngine::to_state`]), taking ownership of its vectors;
-    /// the per-task derived structures are rebuilt from them and the
-    /// commit counters start at zero. Every continuation observable —
-    /// candidate sets, qualities, completion, arrival ids — is identical
-    /// to the engine the state was taken from. The only internal
-    /// difference is bucket/iteration order in rebuilt structures, which
-    /// no decision path observes (candidates are re-sorted by id).
+    /// [`AssignmentEngine::to_state`]); the derived structures are
+    /// rebuilt from the live tasks and the commit counters start at
+    /// zero. Every continuation observable — candidate sets, qualities,
+    /// completion, arrival ids — is identical to the engine the state
+    /// was taken from. The only internal difference is slot and bucket
+    /// order, which no decision path observes (candidates are re-sorted
+    /// by id).
     pub fn from_state(state: EngineState) -> Result<Self, EngineError> {
         state.params.validate().map_err(EngineError::Params)?;
         let n = state.tasks.len();
-        if state.ids.len() != n || state.s.len() != n || state.completed.len() != n {
+        if state.ids.len() != n || state.s.len() != n {
             return Err(EngineError::CorruptState(
                 "per-task vectors disagree on the task count",
             ));
-        }
-        if n > u32::MAX as usize {
-            return Err(EngineError::TooManyTasks);
         }
         if state.ids.windows(2).any(|w| w[0] >= w[1]) {
             return Err(EngineError::CorruptState(
                 "task ids are not strictly increasing",
             ));
         }
+        if state.ids.last().is_some_and(|id| id.0 >= state.next_id) {
+            return Err(EngineError::CorruptState(
+                "a task id is not below the engine's next id",
+            ));
+        }
         if let AccuracyModel::Table(table) = &state.accuracy {
-            if table.n_tasks() != n {
+            if table.n_tasks() != state.next_id as usize {
                 return Err(EngineError::CorruptState(
-                    "accuracy table rows disagree with the task count",
+                    "accuracy table rows disagree with the tasks posted",
                 ));
             }
         }
-        for t in &state.tasks {
-            if !t.loc.is_finite() {
-                return Err(EngineError::BadTaskLocation);
-            }
+        let open = 0.0..state.params.delta() - COMPLETION_EPS;
+        if state.s.iter().any(|s| !open.contains(s)) {
+            return Err(EngineError::CorruptState(
+                "a live task's quality lies outside [0, δ)",
+            ));
+        }
+        if state.tasks.iter().any(|t| !t.loc.is_finite()) {
+            return Err(EngineError::BadTaskLocation);
         }
         let task_index = match (state.params.eligibility, state.index_geometry) {
             (Eligibility::Unrestricted, _) => None,
@@ -884,10 +888,8 @@ impl AssignmentEngine {
                     )
                 });
                 let mut index = GridIndex::with_bounds(cell_size, bounds);
-                for (i, task) in state.tasks.iter().enumerate() {
-                    if !state.completed[i] {
-                        index.insert(state.ids[i].0, task.loc);
-                    }
+                for (id, task) in state.ids.iter().zip(&state.tasks) {
+                    index.insert(id.0, task.loc);
                 }
                 // Restore the durable clamp telemetry. Re-insertion only
                 // counted the currently-live out-of-extent tasks, which
@@ -901,130 +903,83 @@ impl AssignmentEngine {
                 Some(index)
             }
         };
+        let live = (state.ids.iter().zip(&state.tasks).zip(&state.s))
+            .map(|((&id, &task), &s)| LiveTask { id, task, s })
+            .collect();
         let mut engine = Self::assemble(
             state.params,
             state.accuracy,
             task_index,
-            state.ids,
-            state.tasks,
-            state.s,
-            state.completed,
+            live,
+            state.next_id,
         );
         engine.next_arrival = state.next_arrival;
         engine.index_clamp_mark = state.clamp_mark;
         Ok(engine)
     }
 
-    /// Re-derives, in their allocations, the id table, the uncompleted
-    /// set (in slot order) and each live task's worker-units (a
-    /// completed task's must be 0 already).
+    /// Re-derives the id lookup from the slots, in its allocation.
     fn reindex(&mut self) {
         self.slot_of.clear();
-        if let (Some(first), Some(last)) = (self.ids.first(), self.ids.last()) {
-            self.id_base = first.0;
-            self.slot_of
-                .resize((last.0 - first.0) as usize + 1, NO_SLOT);
-        }
-        for (slot, id) in self.ids.iter().enumerate() {
-            self.slot_of[(id.0 - self.id_base) as usize] = slot as u32;
-        }
-        self.uncompleted.clear();
-        self.uncompleted_pos.clear();
-        self.uncompleted_pos.resize(self.tasks.len(), 0);
-        for slot in 0..self.tasks.len() {
-            if !self.completed[slot] {
-                self.uncompleted_pos[slot] = self.uncompleted.len() as u32;
-                self.uncompleted.push(slot as u32);
-                self.set_units(slot, (self.delta - self.s[slot]).max(0.0).ceil());
-            }
+        self.slot_of.reserve(self.live.len());
+        for (slot, t) in self.live.iter().enumerate() {
+            self.slot_of.insert(t.id, slot as u32);
         }
     }
 
     /// The first half of moving tasks to another engine (a stripe
-    /// rebalance): removes every task `leaves` picks, with its quality
-    /// and completion flag, and compacts what stays in place. Returns the
-    /// removed tasks in ascending id order. The commit counters stay:
-    /// they count this engine's commits, not its tasks'.
+    /// rebalance): removes every live task `leaves` picks, with its
+    /// quality, and returns them. The commit counters stay: they count
+    /// this engine's commits, not its tasks'.
     ///
     /// The engine is whole again only after [`AssignmentEngine::merge_in`]
-    /// (the spatial index and the uncompleted set still hold the leavers).
+    /// (the id lookup and the spatial index still hold the leavers).
     /// Sigmoid models only: a tabular model never runs sharded.
     pub(crate) fn split_off(&mut self, leaves: impl Fn(&Task) -> bool) -> Migrants {
         debug_assert!(matches!(self.accuracy, AccuracyModel::Sigmoid));
         let mut out = Migrants::default();
-        let mut kept = 0;
-        for slot in 0..self.tasks.len() {
-            let id = self.ids[slot];
-            let at = (id.0 - self.id_base) as usize;
-            if leaves(&self.tasks[slot]) {
+        self.live.retain(|t| {
+            let go = leaves(&t.task);
+            if go {
                 out.tasks.push(MovedTask {
-                    id,
-                    task: self.tasks[slot],
-                    s: self.s[slot],
-                    completed: self.completed[slot],
+                    id: t.id,
+                    task: t.task,
+                    s: t.s,
                 });
-                self.set_units(slot, 0.0);
-                self.slot_of[at] = NO_SLOT;
-                continue;
             }
-            self.ids[kept] = id;
-            self.tasks[kept] = self.tasks[slot];
-            self.s[kept] = self.s[slot];
-            self.completed[kept] = self.completed[slot];
-            self.units[kept] = self.units[slot];
-            self.slot_of[at] = kept as u32;
-            kept += 1;
+            !go
+        });
+        for m in &out.tasks {
+            self.move_units(self.units_of(m.s), 0.0);
         }
-        if out.tasks.is_empty() {
-            return out;
-        }
-        self.ids.truncate(kept);
-        self.tasks.truncate(kept);
-        self.s.truncate(kept);
-        self.completed.truncate(kept);
-        self.units.truncate(kept);
         out
     }
 
-    /// The second half of a move between engines: inserts the
-    /// `arrivals` (ascending ids) among the kept tasks in id order.
+    /// The second half of a move between engines: takes in the
+    /// `arrivals` and puts every live task back in ascending id order.
     ///
-    /// Then rebuilds what derives from the tasks: the id table, the
-    /// uncompleted set, and the spatial index, re-laid out over `region`
-    /// plus the live tasks with its growth trigger re-armed — exactly
-    /// what [`AssignmentEngine::from_state`] builds for the same tasks.
-    /// Runs after every [`AssignmentEngine::split_off`], with or without
+    /// Then rebuilds what derives from the tasks: the id lookup and the
+    /// spatial index, re-laid out over `region` plus the live tasks with
+    /// its growth trigger re-armed — exactly what
+    /// [`AssignmentEngine::from_state`] builds for the same tasks. Runs
+    /// after every [`AssignmentEngine::split_off`], with or without
     /// arrivals.
     pub(crate) fn merge_in(&mut self, arrivals: &Migrants, region: BoundingBox) {
         debug_assert!(matches!(self.accuracy, AccuracyModel::Sigmoid));
-        let arriving = &arrivals.tasks;
-        debug_assert!(arriving.windows(2).all(|w| w[0].id < w[1].id));
-        // Where each arrival lands: after the kept tasks with smaller ids.
-        let mut kept = 0;
-        let before: Vec<u32> = arriving
-            .iter()
-            .map(|m| {
-                while kept < self.ids.len() && self.ids[kept] < m.id {
-                    kept += 1;
-                }
-                kept as u32
-            })
-            .collect();
-        splice_in(&mut self.ids, &before, |j| arriving[j].id);
-        splice_in(&mut self.tasks, &before, |j| arriving[j].task);
-        splice_in(&mut self.s, &before, |j| arriving[j].s);
-        splice_in(&mut self.completed, &before, |j| arriving[j].completed);
-        // Zero, so the rebuild below adds the arrivals' units.
-        splice_in(&mut self.units, &before, |_| 0.0);
-
+        for m in &arrivals.tasks {
+            self.live.push(LiveTask {
+                id: m.id,
+                task: m.task,
+                s: m.s,
+            });
+            self.move_units(0.0, self.units_of(m.s));
+            self.next_id = self.next_id.max(m.id.0 + 1);
+        }
+        self.live.sort_unstable_by_key(|t| t.id);
         self.reindex();
         self.index_clamp_mark = self.index_clamped_insertions();
         if let Some(index) = &mut self.task_index {
-            let (ids, tasks) = (&self.ids, &self.tasks);
-            let live = self.uncompleted.iter().map(|&slot| {
-                let slot = slot as usize;
-                (ids[slot].0, tasks[slot].loc)
-            });
+            let live = self.live.iter().map(|t| (t.id.0, t.task.loc));
             let bounds = BoundingBox::of_points(live.clone().map(|(_, p)| p))
                 .map_or(region, |l| region.union(l));
             // The clamp counter keeps its history; a recount above it
@@ -1037,7 +992,7 @@ impl AssignmentEngine {
     }
 }
 
-/// One task's durable state while it moves between engines
+/// One live task's durable state while it moves between engines
 /// ([`AssignmentEngine::split_off`] → [`AssignmentEngine::merge_in`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct MovedTask {
@@ -1045,63 +1000,47 @@ pub(crate) struct MovedTask {
     pub(crate) task: Task,
     /// Accumulated quality `S[t]`.
     pub(crate) s: f64,
-    pub(crate) completed: bool,
 }
 
-/// Tasks crossing between engines in a stripe rebalance: what one
+/// Live tasks crossing between engines in a stripe rebalance: what one
 /// engine sends ([`AssignmentEngine::split_off`]) or receives
-/// ([`AssignmentEngine::merge_in`]).
+/// ([`AssignmentEngine::merge_in`]), in no particular order.
 #[derive(Debug, Default)]
 pub(crate) struct Migrants {
-    /// The tasks in ascending id order.
     pub(crate) tasks: Vec<MovedTask>,
-}
-
-/// Inserts `before.len()` new elements into `v` in one backward pass:
-/// new element `j` (built by `new(j)`) lands after the first
-/// `before[j]` old elements and after new elements `0..j`. `before`
-/// must be non-decreasing.
-fn splice_in<T: Copy>(v: &mut Vec<T>, before: &[u32], new: impl Fn(usize) -> T) {
-    if before.is_empty() {
-        return;
-    }
-    let mut end = v.len();
-    v.resize(end + before.len(), new(0));
-    for j in (0..before.len()).rev() {
-        let b = before[j] as usize;
-        v.copy_within(b..end, b + j + 1);
-        v[b + j] = new(j);
-        end = b;
-    }
 }
 
 /// The durable state of an [`AssignmentEngine`], produced by
 /// [`AssignmentEngine::to_state`] and consumed by
 /// [`AssignmentEngine::from_state`]. Plain data: the service-level
 /// snapshot format (see [`crate::snapshot`]) serializes it field by
-/// field, and `from_state` keeps its vectors rather than copying them.
+/// field.
 ///
-/// It is O(tasks): no decision history and no commit counters. A
-/// service's counters belong to the service, where a rebalance moving
-/// tasks between engines cannot blur them
+/// It is O(live tasks): no completed task, no decision history and no
+/// commit counters. A service's counters belong to the service, where a
+/// rebalance moving tasks between engines cannot blur them
 /// ([`ServiceSnapshot`](crate::service::ServiceSnapshot)).
 ///
-/// The per-task vectors run parallel, one entry per task the engine
-/// holds, in ascending id order.
+/// The per-task vectors run parallel, one entry per live task, in
+/// ascending id order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineState {
     /// Platform parameters.
     pub params: ProblemParams,
-    /// The accuracy model (including any appended table rows).
+    /// The accuracy model (a table keeps a row for every id below
+    /// `next_id`: rows are keyed by task id).
     pub accuracy: AccuracyModel,
-    /// Each task's id, strictly increasing.
+    /// Each live task's id, strictly increasing.
     pub ids: Vec<TaskId>,
-    /// The tasks.
+    /// The live tasks.
     pub tasks: Vec<Task>,
-    /// Accumulated quality per task.
+    /// Accumulated quality per live task, below `δ`.
     pub s: Vec<f64>,
-    /// Completion flags per task.
-    pub completed: Vec<bool>,
+    /// One past the largest id the engine was given: every id below it
+    /// that `ids` lacks is a completed task (or, for a service shard,
+    /// one another shard holds). A service writes its posted-task count
+    /// here for every shard.
+    pub next_id: u32,
     /// The engine-local arrival counter.
     pub next_arrival: u64,
     /// `(cell_size, bounds)` of the spatial index, `None` under
@@ -1122,14 +1061,14 @@ pub struct EngineState {
 /// The checks a task post must pass, in their one order: the accuracy
 /// row (present exactly when the model is tabular — `table_workers` is
 /// its declared worker count — with that width and every value in
-/// `[0, 1]`), then the location, then the id space (`n_tasks` already
-/// posted). The engine's add paths run it, and so does the service when
+/// `[0, 1]`), then the location, then the id space (`id`, the id the post
+/// takes). The engine's add paths run it, and so does the service when
 /// it admits a post, so every front-end rejects a post the same way.
 pub(crate) fn validate_post(
     table_workers: Option<usize>,
     task: &Task,
     accuracies: Option<&[f64]>,
-    n_tasks: usize,
+    id: usize,
 ) -> Result<(), EngineError> {
     match (table_workers, accuracies) {
         (None, None) => {}
@@ -1150,7 +1089,7 @@ pub(crate) fn validate_post(
     if !task.loc.is_finite() {
         return Err(EngineError::BadTaskLocation);
     }
-    if n_tasks >= u32::MAX as usize {
+    if id >= u32::MAX as usize {
         return Err(EngineError::TooManyTasks);
     }
     Ok(())
@@ -1220,6 +1159,12 @@ mod tests {
     use crate::model::{ProblemParams, Task, Worker};
     use ltc_spatial::Point;
 
+    /// Commits `(w, t)` for a live task `t`.
+    fn commit(engine: &mut AssignmentEngine, w: u64, worker: &Worker, t: u32) -> Assignment {
+        let c = engine.candidate(WorkerId(w), worker, TaskId(t));
+        engine.commit(WorkerId(w), c)
+    }
+
     fn instance() -> Instance {
         let params = ProblemParams::builder()
             .epsilon(0.3)
@@ -1251,7 +1196,7 @@ mod tests {
 
         // Complete task 0 and re-query: the index evicted it.
         while !engine.is_completed(TaskId(0)) {
-            engine.commit(WorkerId(0), w0, TaskId(0));
+            commit(&mut engine, 0, w0, 0);
         }
         engine.candidates(WorkerId(1), &inst.workers()[1], &mut buf);
         let ids: Vec<u32> = buf.iter().map(|c| c.task.0).collect();
@@ -1264,14 +1209,17 @@ mod tests {
         let mut engine = AssignmentEngine::from_instance(&inst);
         assert_eq!(engine.n_uncompleted(), 3);
         let w = &inst.workers()[0];
-        let c = engine.commit(WorkerId(0), w, TaskId(0)).contribution;
+        let c = commit(&mut engine, 0, w, 0).contribution;
         assert!(c > 0.7 && c < 1.0);
-        assert!((engine.quality(TaskId(0)) - c).abs() < 1e-12);
+        assert!((engine.quality(TaskId(0)).unwrap() - c).abs() < 1e-12);
         assert!(!engine.all_completed());
         // δ(0.3) ≈ 2.408, each contribution ≈ 0.81 ⇒ 3 commits complete.
-        engine.commit(WorkerId(1), w, TaskId(0));
-        engine.commit(WorkerId(2), w, TaskId(0));
+        commit(&mut engine, 1, w, 0);
+        commit(&mut engine, 2, w, 0);
         assert!(engine.is_completed(TaskId(0)));
+        // A completed task leaves the engine: no slot, no quality.
+        assert!(!engine.holds(TaskId(0)));
+        assert_eq!(engine.quality(TaskId(0)), None);
         assert_eq!(engine.n_uncompleted(), 2);
         let mut uncompleted: Vec<u32> = engine.uncompleted_tasks().map(|t| t.0).collect();
         uncompleted.sort_unstable();
@@ -1283,10 +1231,40 @@ mod tests {
         let inst = instance();
         let mut engine = AssignmentEngine::from_instance(&inst);
         let w = &inst.workers()[0];
-        for i in 0..4 {
-            engine.commit(WorkerId(i), w, TaskId(0));
+        for i in 0..3 {
+            commit(&mut engine, i, w, 0);
         }
+        assert!(engine.is_completed(TaskId(0)));
         assert_eq!(engine.remaining(TaskId(0)), 0.0);
+    }
+
+    #[test]
+    fn a_commit_on_a_completed_task_counts_and_keeps_its_record() {
+        // An offline flow can commit a task it planned for after an
+        // earlier commit of the batch completed it.
+        let inst = instance();
+        let mut engine = AssignmentEngine::from_instance(&inst);
+        let w = &inst.workers()[0];
+        let c = engine.candidate(WorkerId(3), w, TaskId(0));
+        for i in 0..3 {
+            commit(&mut engine, i, w, 0);
+        }
+        assert!(engine.is_completed(TaskId(0)));
+        let units = engine.remaining_units();
+        let a = engine.commit(WorkerId(3), c);
+        assert_eq!(
+            a,
+            Assignment {
+                worker: WorkerId(3),
+                task: TaskId(0),
+                acc: c.acc,
+                contribution: c.contribution,
+            }
+        );
+        assert_eq!(engine.n_assignments(), 4);
+        assert_eq!(engine.latest_assigned(), Some(4));
+        assert_eq!(engine.remaining_units(), units, "a gone task gains nothing");
+        assert_eq!(engine.n_uncompleted(), 2);
     }
 
     #[test]
@@ -1295,7 +1273,7 @@ mod tests {
         let mut engine = AssignmentEngine::from_instance(&inst);
         assert_eq!(engine.latency(), None);
         let w = &inst.workers()[0];
-        engine.commit(WorkerId(4), w, TaskId(0));
+        commit(&mut engine, 4, w, 0);
         assert_eq!(engine.latest_assigned(), Some(5));
         assert_eq!(engine.latency(), None, "two tasks are still open");
     }
@@ -1340,6 +1318,30 @@ mod tests {
     }
 
     #[test]
+    fn unrestricted_candidates_stay_in_id_order_after_completions() {
+        // Completing task 0 swap-removes it: task 3 takes its slot, so
+        // the slots leave id order and the scan must re-sort.
+        let params = ProblemParams::builder()
+            .epsilon(0.3)
+            .eligibility(Eligibility::Unrestricted)
+            .build()
+            .unwrap();
+        let tasks = (0..4)
+            .map(|i| Task::new(Point::new(i as f64, 0.0)))
+            .collect();
+        let worker = Worker::new(Point::new(1.0, 0.0), 0.95);
+        let inst = Instance::new(tasks, vec![worker], params).unwrap();
+        let mut engine = AssignmentEngine::from_instance(&inst);
+        while engine.holds(TaskId(0)) {
+            commit(&mut engine, 0, &worker, 0);
+        }
+        let mut buf = Vec::new();
+        engine.candidates(WorkerId(1), &worker, &mut buf);
+        let ids: Vec<u32> = buf.iter().map(|c| c.task.0).collect();
+        assert_eq!(ids, vec![1, 2, 3]);
+    }
+
+    #[test]
     fn add_task_requires_a_row_under_tables_and_finite_locations() {
         let inst = crate::toy::toy_instance(0.2);
         let mut engine = AssignmentEngine::from_instance(&inst);
@@ -1356,7 +1358,7 @@ mod tests {
             Err(EngineError::BadTaskLocation)
         );
         assert!(engine.add_task(Task::new(Point::new(1.0, 1.0))).is_ok());
-        assert_eq!(engine.n_tasks(), 1);
+        assert_eq!(engine.n_uncompleted(), 1);
         // A sigmoid engine predicts accuracies itself.
         assert_eq!(
             engine.add_task_with_accuracies(Task::new(Point::ORIGIN), &[0.9]),
@@ -1369,7 +1371,7 @@ mod tests {
         let inst = crate::toy::toy_instance(0.2);
         let mut engine = AssignmentEngine::from_instance(&inst);
         let n_workers = inst.n_workers();
-        let before = engine.n_tasks();
+        let before = engine.n_uncompleted();
 
         // Wrong row length is rejected without mutating the engine.
         assert!(matches!(
@@ -1383,17 +1385,38 @@ mod tests {
             engine.add_task_with_accuracies(Task::new(Point::ORIGIN), &bad),
             Err(EngineError::AccuracyOutOfRange(1.5))
         );
-        assert_eq!(engine.n_tasks(), before);
+        assert_eq!(engine.n_uncompleted(), before);
 
         let row = vec![0.94; n_workers];
         let t = engine
             .add_task_with_accuracies(Task::new(Point::new(2.0, 2.0)), &row)
             .unwrap();
         assert_eq!(t.index(), before);
-        assert_eq!(engine.n_tasks(), before + 1);
+        assert_eq!(engine.n_uncompleted(), before + 1);
         // The appended row is what the engine now predicts for the task.
         let w0 = inst.workers()[0];
         assert_eq!(engine.acc(WorkerId(0), &w0, t), 0.94);
+    }
+
+    #[test]
+    fn tabular_rows_follow_task_ids_across_completions() {
+        // Rows are keyed by id: completing task 0 moves the last task
+        // into its slot, and the moved task keeps its own row.
+        let inst = crate::toy::toy_instance(0.2);
+        let mut engine = AssignmentEngine::from_instance(&inst);
+        let w0 = inst.workers()[0];
+        let last = TaskId(inst.n_tasks() as u32 - 1);
+        let want = inst.acc(WorkerId(0), last);
+        while engine.holds(TaskId(0)) {
+            commit(&mut engine, 0, &w0, 0);
+        }
+        assert_eq!(engine.acc(WorkerId(0), &w0, last), want);
+        // A restore keeps the whole table and only the live tasks.
+        let state = engine.to_state();
+        assert_eq!(state.ids.first(), Some(&TaskId(1)));
+        let restored = AssignmentEngine::from_state(state).unwrap();
+        assert_eq!(restored.acc(WorkerId(0), &w0, last), want);
+        assert!(restored.is_completed(TaskId(0)));
     }
 
     #[test]
@@ -1418,10 +1441,11 @@ mod tests {
         assert_eq!(ids, vec![7, 9]);
         let batch = engine.push_worker(&worker, &mut crate::online::Laf::new());
         assert_eq!(batch.len(), 2);
-        assert!(engine.quality(TaskId(9)) > 0.0);
-        // The ids survive a state round trip, log included.
+        assert!(engine.quality(TaskId(9)).unwrap() > 0.0);
+        // The ids survive a state round trip.
         let state = engine.to_state();
         assert_eq!(state.ids, vec![TaskId(7), TaskId(9), TaskId(30)]);
+        assert_eq!(state.next_id, 31);
         let restored = AssignmentEngine::from_state(state.clone()).unwrap();
         assert_eq!(restored.to_state(), state);
         assert_eq!(restored.quality(TaskId(9)), engine.quality(TaskId(9)));
@@ -1431,13 +1455,39 @@ mod tests {
         let mut unordered = state;
         unordered.ids.swap(0, 1);
         assert_eq!(
-            AssignmentEngine::from_state(unordered).unwrap_err(),
+            AssignmentEngine::from_state(unordered.clone()).unwrap_err(),
             EngineError::CorruptState("task ids are not strictly increasing")
+        );
+        // So is a live task at or past the completion threshold.
+        unordered.ids.swap(0, 1);
+        unordered.s[2] = engine.delta();
+        assert_eq!(
+            AssignmentEngine::from_state(unordered).unwrap_err(),
+            EngineError::CorruptState("a live task's quality lies outside [0, δ)")
         );
     }
 
     #[test]
-    #[should_panic(expected = "is not above every id the engine holds")]
+    fn a_completed_task_leaves_the_state_and_a_restore_knows_it_completed() {
+        let inst = instance();
+        let mut engine = AssignmentEngine::from_instance(&inst);
+        let w = inst.workers()[0];
+        while engine.holds(TaskId(1)) {
+            commit(&mut engine, 0, &w, 1);
+        }
+        let state = engine.to_state();
+        assert_eq!(state.ids, vec![TaskId(0), TaskId(2)]);
+        assert_eq!(state.next_id, 3);
+        let mut restored = AssignmentEngine::from_state(state).unwrap();
+        assert!(restored.is_completed(TaskId(1)));
+        assert!(!restored.is_completed(TaskId(0)));
+        assert!(!restored.is_completed(TaskId(3)), "never posted");
+        // The next own id does not reuse a completed one.
+        assert_eq!(restored.add_task(Task::new(Point::ORIGIN)), Ok(TaskId(3)));
+    }
+
+    #[test]
+    #[should_panic(expected = "is not above every id the engine was given")]
     fn an_id_below_a_held_one_panics() {
         let params = ProblemParams::builder().build().unwrap();
         let region = BoundingBox::new(Point::ORIGIN, Point::new(10.0, 10.0));
@@ -1467,12 +1517,14 @@ mod tests {
         };
         assert_eq!(engine.remaining_units(), scan(&engine));
         for i in 0..6u64 {
-            engine.commit(WorkerId(i), w, TaskId((i % 2) as u32));
+            if engine.holds(TaskId((i % 2) as u32)) {
+                commit(&mut engine, i, w, (i % 2) as u32);
+            }
             assert_eq!(engine.remaining_units(), scan(&engine));
         }
-        // Drive task 0 to completion: its units must leave the multiset.
-        while !engine.is_completed(TaskId(0)) {
-            engine.commit(WorkerId(99), w, TaskId(0));
+        // Drive task 1 to completion: its units must leave the multiset.
+        while !engine.is_completed(TaskId(1)) {
+            commit(&mut engine, 99, w, 1);
         }
         assert_eq!(engine.remaining_units(), scan(&engine));
     }
@@ -1565,7 +1617,6 @@ mod tests {
             let inst = instance();
             AssignmentEngine::from_instance(&inst)
         };
-        assert_eq!(engine.n_tasks(), 3);
         assert_eq!(engine.n_uncompleted(), 3);
     }
 }

@@ -1,6 +1,6 @@
 //! The hexadecimal codec every text format here shares. An `f64`
 //! travels as the 16 hex digits of its IEEE-754 bit pattern, in
-//! `ltc-snapshot v2`, on the `ltc-proto` wire and in the `ltc-durable`
+//! `ltc-snapshot v3`, on the `ltc-proto` wire and in the `ltc-durable`
 //! write-ahead log, so no decimal formatting can perturb a value between
 //! processes.
 //!

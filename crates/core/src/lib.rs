@@ -32,7 +32,7 @@
 //!   [`service::ServiceHandle::snapshot`] /
 //!   [`service::ServiceHandle::close`] give explicit lifecycle
 //!   control — the snapshot quiesces the mailboxes first, so the
-//!   versioned `ltc-snapshot v2` format (see [`snapshot`]) stays
+//!   versioned `ltc-snapshot v3` format (see [`snapshot`]) stays
 //!   bit-exact mid-stream.
 //!
 //! * **[`service::LtcService`] — the synchronous facade** for

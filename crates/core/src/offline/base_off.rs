@@ -68,7 +68,10 @@ impl BaseOff {
             }
             for _ in 0..capacity.min(buf.len()) {
                 let Reverse((_, task)) = heap.pop().expect("heap sized by candidates");
-                arrangement.push(engine.commit(wid, worker, task));
+                let i = buf
+                    .binary_search_by_key(&task, |c| c.task)
+                    .expect("the heap holds candidates");
+                arrangement.push(engine.commit(wid, buf[i]));
             }
         }
         RunOutcome {

@@ -18,7 +18,7 @@
 //! 2. Suffix potentials prune hopeless prefixes: if some task cannot reach
 //!    `δ` even if **every** later worker serves it, the branch dies.
 
-use crate::engine::AssignmentEngine;
+use crate::engine::{AssignmentEngine, Candidate};
 use crate::model::{Arrangement, Instance, RunOutcome, TaskId, WorkerId};
 
 /// Outcome of an exact solve.
@@ -164,7 +164,12 @@ impl<'a> Search<'a> {
         let mut engine = AssignmentEngine::from_instance(self.instance);
         let mut arrangement = Arrangement::new();
         for &(w, t) in &self.trace {
-            arrangement.push(engine.commit(w, &self.instance.workers()[w.index()], t));
+            let c = Candidate {
+                task: t,
+                acc: self.instance.acc(w, t),
+                contribution: self.instance.contribution(w, t),
+            };
+            arrangement.push(engine.commit(w, c));
         }
         let outcome = RunOutcome {
             arrangement,

@@ -177,7 +177,10 @@ impl McfLtc {
             }
             top.drain_into(&mut picks);
             for p in &picks {
-                arrangement.push(engine.commit(worker, &workers[w as usize], p.task));
+                let i = buf
+                    .binary_search_by_key(&p.task, |c| c.task)
+                    .expect("picks come from the candidates");
+                arrangement.push(engine.commit(worker, buf[i]));
             }
         }
     }
@@ -190,7 +193,6 @@ impl McfLtc {
         arena: &CandidateArena,
         arrangement: &mut Arrangement,
     ) {
-        let workers = instance.workers();
         let capacity = instance.params().capacity as i64;
 
         // Map the uncompleted tasks touched by this batch to flow nodes.
@@ -202,7 +204,7 @@ impl McfLtc {
         let ed = net.add_node();
 
         // Worker → task edges, cost shifted to 1 − contribution ∈ [0, 1].
-        let mut flow_edges: Vec<(WorkerId, TaskId, EdgeId)> = Vec::with_capacity(n_edges_guess);
+        let mut flow_edges: Vec<(WorkerId, Candidate, EdgeId)> = Vec::with_capacity(n_edges_guess);
         for (worker, span) in &arena.spans {
             let wn = net.add_node();
             net.add_edge(st, wn, capacity, 0.0);
@@ -216,17 +218,19 @@ impl McfLtc {
                     tn
                 });
                 let edge = net.add_edge(wn, tn, 1, 1.0 - c.contribution);
-                flow_edges.push((*worker, c.task, edge));
+                flow_edges.push((*worker, *c, edge));
             }
         }
 
         net.min_cost_max_flow(st, ed);
 
         // Commit saturated worker→task edges in worker-arrival order
-        // (flow_edges is already grouped by ascending worker id).
-        for (worker, task, edge) in flow_edges {
+        // (flow_edges is already grouped by ascending worker id), with
+        // the candidates frozen at batch start: an edge may reach a task
+        // an earlier edge of the batch completed.
+        for (worker, c, edge) in flow_edges {
             if net.flow_on(edge) > 0 {
-                arrangement.push(engine.commit(worker, &workers[worker.index()], task));
+                arrangement.push(engine.commit(worker, c));
             }
         }
     }

@@ -229,6 +229,7 @@ impl ServiceBuilder {
             per_shard[s].0.push(TaskId(id as u32));
             per_shard[s].1.push(*task);
         }
+        let posted = self.tasks.len() as u32;
         let engines = per_shard
             .into_iter()
             .map(|(ids, tasks)| EngineState {
@@ -236,8 +237,8 @@ impl ServiceBuilder {
                 accuracy: self.accuracy.clone(),
                 ids,
                 s: vec![0.0; tasks.len()],
-                completed: vec![false; tasks.len()],
                 tasks,
+                next_id: posted,
                 next_arrival: 0,
                 index_geometry: match self.params.eligibility {
                     Eligibility::WithinRange => Some((cell_size, self.region)),
@@ -256,6 +257,7 @@ impl ServiceBuilder {
             grow_clamps: self.grow_clamps,
             stripes: None,
             next_arrival: 0,
+            posted,
             n_assignments: 0,
             latest_assigned: None,
             engines,

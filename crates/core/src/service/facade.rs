@@ -108,16 +108,22 @@ impl LtcService {
         &self.shards
     }
 
-    /// Accumulated quality `S[t]` of a (service-global) task.
-    pub fn quality(&self, task: TaskId) -> f64 {
-        self.shards[self.state.owner(task)].engine.quality(task)
+    /// Accumulated quality `S[t]` of a (service-global) live task;
+    /// `None` once the task completed, or for an id never posted. The
+    /// service keeps nothing of a completed task.
+    pub fn quality(&self, task: TaskId) -> Option<f64> {
+        self.shards.iter().find_map(|s| s.engine.quality(task))
     }
 
-    /// Whether a (service-global) task reached `δ`.
+    /// Whether a (service-global) task reached `δ`: it was posted, and
+    /// no shard holds it any more.
     pub fn is_completed(&self, task: TaskId) -> bool {
-        self.shards[self.state.owner(task)]
-            .engine
-            .is_completed(task)
+        task.index() < self.state.n_tasks() && self.owner(task).is_none()
+    }
+
+    /// The shard holding a live task.
+    fn owner(&self, task: TaskId) -> Option<usize> {
+        self.shards.iter().position(|s| s.engine.holds(task))
     }
 
     /// Operational counters, including the border-clamp telemetry of the
@@ -163,11 +169,10 @@ impl LtcService {
     ///
     /// Returns `Ok(None)` when there is nothing to do (single shard, or
     /// the balanced layout equals the current one); otherwise the
-    /// migration summary. The migration runs in place: only the tasks
-    /// whose stripe changed move, live or completed, with their exact
-    /// quality, completion flag and assignments, and every shard keeps
-    /// its tasks in ascending global order. Its cost follows the
-    /// shards' task and assignment counts, not a copy of their state.
+    /// migration summary. The migration runs in place: only the live
+    /// tasks whose stripe changed move, with their exact quality, and
+    /// every shard ends with its tasks in ascending global order. Its
+    /// cost follows the live pool, not the tasks ever posted.
     /// Decisions are never affected: an N-shard service remains
     /// differentially identical to a 1-shard one across any number of
     /// rebalances (see `crates/core/tests/rebalance.rs`).
@@ -318,8 +323,8 @@ mod tests {
             .unwrap();
         assert_eq!(service.n_tasks(), 2);
         assert_ne!(
-            service.state.owner(far_left),
-            service.state.owner(far_right),
+            service.owner(far_left),
+            service.owner(far_right),
             "opposite region ends must land on different shards"
         );
         // Drive both to completion with co-located workers.
@@ -405,8 +410,8 @@ mod tests {
         let mut single = build(1);
         let mut sharded = build(2);
         assert_ne!(
-            sharded.state.owner(TaskId(0)),
-            sharded.state.owner(TaskId(1)),
+            sharded.owner(TaskId(0)),
+            sharded.owner(TaskId(1)),
             "clusters must land on different shards for the test to bite"
         );
         for (i, w) in workers.iter().enumerate() {

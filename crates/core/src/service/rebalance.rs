@@ -1,6 +1,6 @@
 //! Load-aware stripe rebalancing: re-splits the router's tile columns by
-//! observed live-task mass and migrates tasks between shard engines —
-//! exactly, in place, touching only what moves.
+//! observed live-task mass and migrates live tasks between shard engines
+//! — exactly, in place, touching only what moves.
 //!
 //! Spatial striping is chosen once, from the declared region; a drifting
 //! or skewed workload then piles live tasks into a few columns (or into
@@ -20,16 +20,17 @@
 //! 1. **plan** — every shard reports its live tasks' x coordinates, and
 //!    the new router is cut from those alone; an unchanged layout ends
 //!    the rebalance there;
-//! 2. **emigrate** — every shard splits off each task, live or completed,
-//!    whose stripe changed, with its accumulated quality and completion
-//!    flag, and compacts what stays in place ([`Shard::emigrate`]);
+//! 2. **emigrate** — every shard splits off each live task whose stripe
+//!    changed, with its accumulated quality ([`Shard::emigrate`]); a
+//!    completed task is in no shard, so there is nothing of it to move;
 //! 3. **immigrate** — the service routes the emigrants to their new
-//!    shards and records the new owners ([`route`]), and every shard
-//!    merges its arrivals in by id, then re-lays its spatial index over
+//!    shards ([`route`]), and every shard takes its arrivals in, puts
+//!    its tasks back in id order, then re-lays its spatial index over
 //!    the region plus its live tasks ([`Shard::immigrate`]).
 //!
 //! A task keeps its service-global id through a migration: no step
-//! renumbers a task or an owner record. Decisions depend on ids only,
+//! renumbers a task, and the service keeps no per-task record to
+//! update. Decisions depend on ids only,
 //! never on which shard holds a task, so a rebalance never changes a
 //! decision; it only changes *which shard* makes it (and how much work
 //! each shard holds). No decision history moves either: engines keep
@@ -71,8 +72,8 @@ const MAX_ROUTER_COLS: usize = 1 << 16;
 /// [`ServiceHandle::rebalance`](super::ServiceHandle::rebalance).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RebalanceOutcome {
-    /// Tasks whose owning shard changed (live and completed — completed
-    /// tasks migrate too, carrying their quality and completion flag).
+    /// Live tasks whose shard changed (completed tasks are in no shard
+    /// and never move).
     pub moved_tasks: u64,
     /// Live (uncompleted) tasks per shard *after* the rebalance.
     pub live_loads: Vec<u64>,
@@ -186,8 +187,8 @@ pub(crate) trait Migration {
     /// Every shard's live-task x coordinates, in any order.
     fn live_xs(&mut self) -> Result<Vec<f64>, ServiceError>;
 
-    /// Every shard's emigrants under `router` ([`Shard::emigrate`]), in
-    /// shard order.
+    /// Every shard's emigrating live tasks under `router`
+    /// ([`Shard::emigrate`]), in shard order.
     fn emigrate(&mut self, router: &ShardRouter) -> Result<Vec<Migrants>, ServiceError>;
 
     /// Hands every shard its arrivals ([`Shard::immigrate`]); returns the
@@ -229,27 +230,16 @@ impl Migration for [Shard] {
     }
 }
 
-/// Routes every shard's emigrants to their shards under `router` and
-/// records each moved task's new shard in `owner`: returns each shard's
-/// arrivals in ascending id order, and how many tasks moved.
-pub(crate) fn route(
-    router: &ShardRouter,
-    emigrants: Vec<Migrants>,
-    owner: &mut [u32],
-) -> (Vec<Migrants>, u64) {
+/// Routes every shard's emigrants to their shards under `router`:
+/// returns each shard's arrivals, and how many tasks moved.
+pub(crate) fn route(router: &ShardRouter, emigrants: Vec<Migrants>) -> (Vec<Migrants>, u64) {
     let mut arrivals: Vec<Migrants> = emigrants.iter().map(|_| Migrants::default()).collect();
     let mut moved = 0;
     for e in &emigrants {
         for m in &e.tasks {
-            let to = router.shard_of(m.task.loc);
-            owner[m.id.index()] = to as u32;
-            arrivals[to].tasks.push(*m);
+            arrivals[router.shard_of(m.task.loc)].tasks.push(*m);
             moved += 1;
         }
-    }
-    // Each source's migrants are in order already; interleave them.
-    for arriving in &mut arrivals {
-        arriving.tasks.sort_unstable_by_key(|m| m.id);
     }
     (arrivals, moved)
 }
@@ -272,8 +262,8 @@ mod tests {
     /// What the rebalances of one session exercised.
     #[derive(Debug, Default)]
     struct Coverage {
-        /// `moved[completed][to a higher shard]`.
-        moved: [[bool; 2]; 2],
+        /// `moved[to a higher shard]`.
+        moved: [bool; 2],
         no_op: bool,
         empty_shard: bool,
         beyond_region: bool,
@@ -282,18 +272,20 @@ mod tests {
 
     impl Coverage {
         fn note(&mut self, before: &ServiceSnapshot, after: &ServiceSnapshot) {
-            let owner = |snap: &ServiceSnapshot| {
-                let mut owner = BTreeMap::new();
+            let shard_of = |snap: &ServiceSnapshot| {
+                let mut shard_of = BTreeMap::new();
                 for (s, e) in snap.engines.iter().enumerate() {
-                    for (i, id) in e.ids.iter().enumerate() {
-                        owner.insert(*id, (s, e.completed[i]));
+                    for id in &e.ids {
+                        shard_of.insert(*id, s);
                     }
                 }
-                owner
+                shard_of
             };
-            for ((_, &(os, done)), (_, &(ns, _))) in owner(before).iter().zip(&owner(after)) {
+            let (from, to) = (shard_of(before), shard_of(after));
+            assert!(from.keys().eq(to.keys()), "a rebalance keeps the live set");
+            for (os, ns) in from.values().zip(to.values()) {
                 if os != ns {
-                    self.moved[done as usize][(ns > os) as usize] = true;
+                    self.moved[(ns > os) as usize] = true;
                 }
             }
             self.empty_shard |= after.engines.iter().any(|e| e.tasks.is_empty());
@@ -501,7 +493,7 @@ mod tests {
             let mut rng = Rng(0x5EED + n_shards as u64);
             run(&mut twins, &steps, &mut rng);
             let seen = twins.finish(&mut rng);
-            assert_eq!(seen.moved, [[true; 2]; 2], "{n_shards} shards: {seen:?}");
+            assert_eq!(seen.moved, [true; 2], "{n_shards} shards: {seen:?}");
             assert!(seen.no_op, "{n_shards} shards: {seen:?}");
             assert!(seen.beyond_region, "{n_shards} shards: {seen:?}");
             assert!(seen.coarse_tile, "{n_shards} shards: {seen:?}");

@@ -1,6 +1,6 @@
 //! The full-rebuild rebalance, kept as the oracle the in-place
 //! migration is tested against: copy every shard's [`EngineState`],
-//! repartition every task in id order, then rebuild each engine with
+//! repartition every live task in id order, then rebuild each engine with
 //! [`AssignmentEngine::from_state`]. Test-only.
 
 use super::{balanced_router, RebalanceOutcome, StripeLayout};
@@ -69,20 +69,14 @@ fn plan_rebalance(
 
     let live_xs: Vec<f64> = states
         .iter()
-        .flat_map(|st| {
-            st.tasks
-                .iter()
-                .zip(&st.completed)
-                .filter(|&(_, &done)| !done)
-                .map(|(t, _)| t.loc.x)
-        })
+        .flat_map(|st| st.tasks.iter().map(|t| t.loc.x))
         .collect();
     let new_router = balanced_router(region, router, &live_xs);
     if new_router == *router {
         return Ok(None);
     }
 
-    // Every task with its old shard and slot, in ascending id order.
+    // Every live task with its old shard and slot, in ascending id order.
     let mut all: Vec<(TaskId, usize, usize)> = states
         .iter()
         .enumerate()
@@ -90,13 +84,11 @@ fn plan_rebalance(
         .collect();
     all.sort_unstable();
 
-    // Repartition every task in ascending id order, so each shard holds
-    // its tasks in id order.
+    // Repartition every live task in ascending id order, so each shard
+    // holds its tasks in id order.
     let mut ids: Vec<Vec<TaskId>> = vec![Vec::new(); n_shards];
     let mut tasks: Vec<Vec<Task>> = vec![Vec::new(); n_shards];
     let mut quality: Vec<Vec<f64>> = vec![Vec::new(); n_shards];
-    let mut completed: Vec<Vec<bool>> = vec![Vec::new(); n_shards];
-    let mut live_loads = vec![0u64; n_shards];
     let mut moved_tasks = 0u64;
     for &(id, os, i) in &all {
         let st = &states[os];
@@ -108,12 +100,8 @@ fn plan_rebalance(
         ids[ns].push(id);
         tasks[ns].push(task);
         quality[ns].push(st.s[i]);
-        let done = st.completed[i];
-        completed[ns].push(done);
-        if !done {
-            live_loads[ns] += 1;
-        }
     }
+    let live_loads = ids.iter().map(|ids| ids.len() as u64).collect();
 
     let mut engines = Vec::with_capacity(n_shards);
     for (i, st) in states.iter().enumerate() {
@@ -122,13 +110,7 @@ fn plan_rebalance(
         // shard's own live tasks, so migrated-in out-of-region work does
         // not clamp.
         let index_geometry = st.index_geometry.map(|(cs, _)| {
-            let live = BoundingBox::of_points(
-                shard_tasks
-                    .iter()
-                    .zip(&completed[i])
-                    .filter(|&(_, &done)| !done)
-                    .map(|(t, _)| t.loc),
-            );
+            let live = BoundingBox::of_points(shard_tasks.iter().map(|t| t.loc));
             (cs, live.map_or(region, |l| region.union(l)))
         });
         engines.push(EngineState {
@@ -137,7 +119,7 @@ fn plan_rebalance(
             ids: std::mem::take(&mut ids[i]),
             tasks: shard_tasks,
             s: std::mem::take(&mut quality[i]),
-            completed: std::mem::take(&mut completed[i]),
+            next_id: st.next_id,
             next_arrival: st.next_arrival,
             index_geometry,
             // Clamp telemetry is per-shard index history, not per-task

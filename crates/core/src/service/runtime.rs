@@ -508,7 +508,7 @@ impl Runtime {
 
 /// The handle's rebalance steps, each one round trip to every shard. A
 /// step that fails once tasks have begun to move stops the runtime: the
-/// shards and the service's task owners are out of step then, and the
+/// shards and the service's router are out of step then, and the
 /// session must not serve from them.
 impl Migration for Runtime {
     fn live_xs(&mut self) -> Result<Vec<f64>, ServiceError> {
@@ -1332,8 +1332,8 @@ mod tests {
             matches!(outcome, Err(ServiceError::RuntimeStopped(_))),
             "a rebalance over a shard that died mid-migration returned {outcome:?}"
         );
-        // The task owners were updated for a migration that never
-        // finished: the session must not serve again.
+        // Tasks left their shards in a migration that never finished:
+        // the session must not serve again.
         assert!(runtime.is_stopped());
         assert!(matches!(
             runtime.send(0, local(0)),

@@ -73,20 +73,20 @@ impl Shard {
     /// Appends the x coordinate of every live task (in no particular
     /// order) — what a rebalance cuts its stripes by.
     pub(crate) fn live_xs(&self, out: &mut Vec<f64>) {
-        let engine = &self.engine;
-        out.extend(engine.uncompleted_tasks().map(|t| engine.task(t).loc.x));
+        out.extend(self.engine.live_tasks().map(|t| t.loc.x));
     }
 
-    /// Removes every task, live or completed, that `router` places on
-    /// another shard, and returns them with their state.
-    /// The shard is whole again once [`Shard::immigrate`] has run.
+    /// Removes every live task that `router` places on another shard,
+    /// and returns them with their quality. The shard is whole again
+    /// once [`Shard::immigrate`] has run.
     pub(crate) fn emigrate(&mut self, shard_id: usize, router: &ShardRouter) -> Migrants {
         self.engine
             .split_off(|task| router.shard_of(task.loc) != shard_id)
     }
 
-    /// Inserts `arrivals` at their places in ascending id order and
-    /// re-lays the spatial index over `region` plus the live tasks. Runs
+    /// Takes in `arrivals`, puts the shard's tasks back in ascending id
+    /// order and re-lays the spatial index over `region` plus the live
+    /// tasks. Runs
     /// on every shard in a rebalance, arrivals or not. Returns the
     /// shard's live-task count.
     pub(crate) fn immigrate(&mut self, arrivals: &Migrants, region: BoundingBox) -> u64 {

@@ -1,7 +1,9 @@
 //! The service state both front-ends share: configuration, routing,
-//! which shard holds each task, and the session counters. Both are the
-//! restore of a [`ServiceSnapshot`]: the facade runs the state inline
-//! next to its shards; the handle runs it next to its shard threads.
+//! and the session counters. No per-task record lives here: a task is
+//! wherever its stripe routed it, and a completed one is nowhere. Both
+//! front-ends are the restore of a [`ServiceSnapshot`]: the facade runs
+//! the state inline next to its shards; the handle runs it next to its
+//! shard threads.
 
 use super::rebalance::{balanced_router, route, Migration, RebalanceOutcome, StripeLayout};
 use super::shard::{Shard, ShardMetrics};
@@ -37,6 +39,9 @@ pub struct ServiceSnapshot {
     pub stripes: Option<StripeLayout>,
     /// The service-global arrival counter.
     pub next_arrival: u64,
+    /// Tasks posted over the session: the ids `0..posted` were handed
+    /// out, and every one no shard holds has completed.
+    pub posted: u32,
     /// Assignments committed over the session, across every shard.
     pub n_assignments: u64,
     /// The latest worker recruited over the session (the paper's
@@ -48,36 +53,49 @@ pub struct ServiceSnapshot {
     /// not per engine, because a rebalance moves tasks between engines
     /// but cannot move the commits that served them.
     pub latest_assigned: Option<WorkerId>,
-    /// Per-shard engine state. Each service task id `0..n` is held by
-    /// exactly one shard.
+    /// Per-shard engine state: each shard's live tasks. A live id is
+    /// held by exactly one shard, and every shard's `next_id` is
+    /// `posted`.
     pub engines: Vec<EngineState>,
 }
 
-impl ServiceSnapshot {
-    /// Each task's shard, when every shard's ids ascend and every id
-    /// below the task count is held by exactly one shard.
-    pub(crate) fn owners(&self) -> Option<Vec<u32>> {
-        let n_tasks = self.engines.iter().map(|e| e.ids.len()).sum();
-        let mut owner = vec![u32::MAX; n_tasks];
-        for (s, e) in self.engines.iter().enumerate() {
-            let mut above = 0;
-            for id in &e.ids {
-                if id.index() < above {
-                    return None;
-                }
-                let o = owner.get_mut(id.index()).filter(|o| **o == u32::MAX)?;
-                *o = s as u32;
-                above = id.index() + 1;
-            }
-        }
-        Some(owner)
+/// Number of tasks live across a snapshot's shards.
+fn n_live(snapshot: &ServiceSnapshot) -> u64 {
+    snapshot.engines.iter().map(|e| e.ids.len() as u64).sum()
+}
+
+/// Refuses shard states no session could have written: an id bound
+/// other than the posted count, or a live id two shards hold. Each
+/// engine checks that its own ids ascend below the bound. Allocates
+/// for the live ids only.
+fn check_ids(snapshot: &ServiceSnapshot) -> Result<(), ServiceError> {
+    let bad = |what| Err(ServiceError::BadSnapshot(what));
+    if snapshot
+        .engines
+        .iter()
+        .any(|e| e.next_id != snapshot.posted)
+    {
+        return bad("a shard's id bound disagrees with the posted count");
     }
+    if snapshot.engines.len() > 1 {
+        let mut ids: Vec<u32> = snapshot
+            .engines
+            .iter()
+            .flat_map(|e| e.ids.iter().map(|id| id.0))
+            .collect();
+        ids.sort_unstable();
+        if ids.windows(2).any(|w| w[0] == w[1]) {
+            return bad("a task is live on two shards");
+        }
+    }
+    Ok(())
 }
 
 /// Refuses counters no session could have written: a latest worker
 /// exactly when something was assigned, below the arrival counter, at
 /// most `K` assignments per arrival, and at least one per task that
-/// gained quality. Reads each task's quality once; allocates nothing.
+/// gained quality (every completed task did). Reads each live task's
+/// quality once; allocates nothing.
 fn check_counters(snapshot: &ServiceSnapshot) -> Result<(), ServiceError> {
     let n = snapshot.n_assignments;
     let bad = |what| Err(ServiceError::BadSnapshot(what));
@@ -93,12 +111,13 @@ fn check_counters(snapshot: &ServiceSnapshot) -> Result<(), ServiceError> {
     if n > snapshot.next_arrival.saturating_mul(per_arrival) {
         return bad("more assignments than the arrivals had capacity for");
     }
+    let completed = u64::from(snapshot.posted).saturating_sub(n_live(snapshot));
     let touched: u64 = snapshot
         .engines
         .iter()
         .map(|e| e.s.iter().filter(|&&s| s != 0.0).count() as u64)
         .sum();
-    if touched > n {
+    if touched + completed > n {
         return bad("more tasks gained quality than assignments were counted");
     }
     Ok(())
@@ -161,8 +180,8 @@ pub(crate) struct ServiceState {
     pub(crate) mailbox_capacity: usize,
     grow_clamps: Option<u64>,
     router: ShardRouter,
-    /// `owner[id]`: the shard holding each task.
-    owner: Vec<u32>,
+    /// Tasks posted so far: the next task's id.
+    posted: u32,
     /// `Some(n_workers)` when the accuracy model is tabular.
     table_workers: Option<usize>,
     /// Service-global arrival counter.
@@ -173,7 +192,7 @@ pub(crate) struct ServiceState {
 
 impl ServiceState {
     /// Rebuilds a session from a snapshot: its state, its shards, and
-    /// the progress its counters and completion flags record.
+    /// the progress its counters and posted count record.
     pub(crate) fn restore(
         snapshot: ServiceSnapshot,
     ) -> Result<(Self, Vec<Shard>, Progress), ServiceError> {
@@ -187,11 +206,13 @@ impl ServiceState {
         if !(snapshot.cell_size.is_finite() && snapshot.cell_size > 0.0) {
             return Err(ServiceError::BadCellSize(snapshot.cell_size));
         }
-        // Checked before any engine is built: an engine's id table
-        // spans its ids, so they must be known to be in range.
-        let owner = snapshot.owners().ok_or(ServiceError::BadSnapshot(
-            "task ids are not one per task across the shards",
-        ))?;
+        let live = n_live(&snapshot);
+        if live > u64::from(snapshot.posted) {
+            return Err(ServiceError::BadSnapshot(
+                "more tasks are live than were posted",
+            ));
+        }
+        check_ids(&snapshot)?;
         check_counters(&snapshot)?;
         let router = match snapshot.stripes {
             None => ShardRouter::new(n_shards, snapshot.cell_size, snapshot.region),
@@ -218,15 +239,14 @@ impl ServiceState {
             return Err(ServiceError::TabularNeedsSingleShard);
         }
         let table_workers = snapshot.engines[0].accuracy.table_workers();
-        let mut progress = Progress {
+        let progress = Progress {
             n_assignments: snapshot.n_assignments,
-            n_completed: 0,
+            n_completed: u64::from(snapshot.posted) - live,
             max_assigned: snapshot.latest_assigned.map(WorkerId::arrival_index),
         };
         let mut shards = Vec::with_capacity(n_shards);
         for state in snapshot.engines {
             let engine = AssignmentEngine::from_state(state).map_err(ServiceError::Engine)?;
-            progress.n_completed += (engine.n_tasks() - engine.n_uncompleted()) as u64;
             shards.push(Shard {
                 engine,
                 policy: snapshot.algorithm.policy(),
@@ -241,7 +261,7 @@ impl ServiceState {
             mailbox_capacity: snapshot.batch_capacity.max(1),
             grow_clamps: snapshot.grow_clamps,
             router,
-            owner,
+            posted: snapshot.posted,
             table_workers,
             next_arrival: snapshot.next_arrival,
             rebalances: 0,
@@ -258,12 +278,7 @@ impl ServiceState {
     /// Number of tasks posted so far.
     #[inline]
     pub(crate) fn n_tasks(&self) -> usize {
-        self.owner.len()
-    }
-
-    /// The shard holding a task.
-    pub(crate) fn owner(&self, task: TaskId) -> usize {
-        self.owner[task.index()] as usize
+        self.posted as usize
     }
 
     /// Whether every posted task reached `δ`.
@@ -280,9 +295,9 @@ impl ServiceState {
         }
     }
 
-    /// Admits a task post: validates it with the engine's checks,
-    /// routes it to the shard owning its tile, and records the owner.
-    /// Returns the shard and the task's service-global id.
+    /// Admits a task post: validates it with the engine's checks and
+    /// routes it to the shard owning its tile. Returns the shard and the
+    /// task's service-global id.
     pub(crate) fn admit_post(
         &mut self,
         task: &Task,
@@ -295,8 +310,8 @@ impl ServiceState {
         } else {
             self.router.shard_of(task.loc)
         };
-        let id = TaskId(self.n_tasks() as u32);
-        self.owner.push(s as u32);
+        let id = TaskId(self.posted);
+        self.posted += 1;
         Ok((s, id))
     }
 
@@ -327,12 +342,16 @@ impl ServiceState {
     }
 
     /// The full durable state, from the released progress and every
-    /// shard's state in shard order.
+    /// shard's state in shard order. Each shard's id bound becomes the
+    /// posted count: a shard engine only knows the ids it was given.
     pub(crate) fn snapshot(
         &self,
         progress: &Progress,
-        engines: Vec<EngineState>,
+        mut engines: Vec<EngineState>,
     ) -> ServiceSnapshot {
+        for e in &mut engines {
+            e.next_id = self.posted;
+        }
         // The stripe record stays absent while the router has the layout
         // the configuration derives (which keeps pre-rebalance snapshots
         // byte-identical across versions).
@@ -346,6 +365,7 @@ impl ServiceState {
             grow_clamps: self.grow_clamps,
             stripes: (self.router != uniform).then(|| StripeLayout::of(&self.router)),
             next_arrival: self.next_arrival,
+            posted: self.posted,
             n_assignments: progress.n_assignments,
             latest_assigned: progress.max_assigned.map(|index| WorkerId(index - 1)),
             engines,
@@ -354,13 +374,13 @@ impl ServiceState {
 
     /// Runs a load-aware rebalance over quiesced `shards` (see the
     /// [`rebalance`](super::rebalance) module): plans the new router from
-    /// the live tasks, and when it differs, moves the tasks whose stripe
-    /// changed and records their new owners. `Ok(None)` when there is
+    /// the live tasks, and when it differs, moves the live tasks whose
+    /// stripe changed. `Ok(None)` when there is
     /// nothing to do: a single shard, or a layout equal to the current
     /// one (including the empty-pool case).
     ///
     /// A failure after the first task left its shard leaves the shards
-    /// and the owners out of step; the handle's [`Migration`] stops its
+    /// and the router out of step; the handle's [`Migration`] stops its
     /// runtime then, so the session never serves from that state.
     pub(crate) fn rebalance(
         &mut self,
@@ -379,7 +399,7 @@ impl ServiceState {
             return Ok(None);
         }
         let emigrants = shards.emigrate(&router)?;
-        let (arrivals, moved_tasks) = route(&router, emigrants, &mut self.owner);
+        let (arrivals, moved_tasks) = route(&router, emigrants);
         self.router = router;
         self.rebalances += 1;
         let live_loads = shards.immigrate(arrivals, self.region)?;

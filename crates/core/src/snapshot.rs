@@ -1,6 +1,6 @@
 //! Versioned snapshot serialization for [`LtcService`] crash recovery.
 //!
-//! The wire format (`ltc-snapshot v2`) is line-oriented text with
+//! The wire format (`ltc-snapshot v3`) is line-oriented text with
 //! whitespace-separated tokens. Every `f64` is written as the 16-hex-digit
 //! IEEE-754 bit pattern (`f64::to_bits`), so a snapshot→restore round
 //! trip is **bit-exact** — no decimal-formatting drift can change a
@@ -12,34 +12,34 @@
 //! compatibility policy lives in `docs/SNAPSHOT_FORMAT.md`):
 //!
 //! ```text
-//! ltc-snapshot v2
+//! ltc-snapshot v3
 //! params <eps> <K> <d_max> <min_acc> <within|unrestricted> <hoeffding|fixed> [th]
 //! region <min_x> <min_y> <max_x> <max_y>
 //! config <algo...> <cell_size> <batch_capacity> <next_arrival>
 //!        [grow <clamps>]
 //!        [stripes <n> <cell_size> <origin_x> <cols> <start ...>]
-//! taskmap <n> <shard-of-task ...>            // task ids are 0..n
-//! shard <i> <n_tasks> 0 [clamped <total> <mark>]   // always 0, see below
+//! posted <n>                                 // task ids 0..n were handed out
+//! shard <i> <n_live> [clamped <total> <mark>]
 //!       <noindex | index cs x0 y0 x1 y1>
-//! tasks <x y ...>                            // per shard, ascending id
+//! ids <id ...>                               // the shard's live tasks, ascending
+//! tasks <x y ...>
 //! quality <S[t] ...>
-//! completed <bitstring>
 //! accuracy sigmoid | accuracy table <n_workers> <task-major values ...>
 //! assigned <n_assignments> [<latest_worker>]  // the session's counters
 //! end
 //! ```
 //!
-//! A snapshot is O(tasks): it holds no decision history. The `assigned`
-//! record carries the session's two counters
+//! A snapshot is O(live tasks): it holds no completed task and no
+//! decision history. `posted` counts every task the session handed an
+//! id to; an id below it that no shard lists is a completed task. The
+//! `assigned` record carries the session's two counters
 //! ([`ServiceSnapshot::n_assignments`] and
 //! [`ServiceSnapshot::latest_assigned`], the latter present exactly when
 //! something was assigned); the decisions themselves are the event
-//! stream's. `v2` replaced `v1`'s per-shard `assignments`/`a` log with
-//! that record, and there is no `v1` reader: a `v1` file is refused by
-//! its header.
-//!
-//! Shard sections list their tasks in ascending id order, so each
-//! section's tasks are the ids the `taskmap` line gives that shard.
+//! stream's. There is one encoding: `v3` replaced `v2`'s `taskmap`, its
+//! per-shard `completed` flags and the shard line's always-0
+//! `<next_arrival>` token, and a `v1` or `v2` file is refused by its
+//! header.
 //!
 //! Three optional groups extend the format (each is written only when
 //! its feature is in use, so snapshots of services that never enabled
@@ -63,10 +63,8 @@
 //! Per-shard **index bounds** (`index cs x0 y0 x1 y1`) round-trip adaptive growth for free: a
 //! grown index serializes its grown extent and restores over it.
 //!
-//! A shard line's third token, once the shard engine's arrival counter,
-//! is always `0` (shard engines take the service's arrival ids): a
-//! nonzero value is refused by name. So is a shard line that carries
-//! `rng <draws>`, which older builds wrote for [`Algorithm::Random`]
+//! A shard line that carries `rng <draws>`, which older builds wrote
+//! for [`Algorithm::Random`]
 //! sessions, whose per-shard RNG streams were replaced by a stateless
 //! keyed hash: the recorded decisions came from the old rule, so the
 //! session cannot continue under the new one. Snapshots of every other
@@ -86,14 +84,14 @@ use std::fmt;
 use std::io::{self, BufRead, Read, Write};
 
 /// The header the format starts with.
-pub const SNAPSHOT_HEADER: &str = "ltc-snapshot v2";
+pub const SNAPSHOT_HEADER: &str = "ltc-snapshot v3";
 
 /// Upper bound on any single up-front allocation while parsing untrusted
 /// snapshot input; vectors grow past it only as tokens actually parse.
 const MAX_PREALLOC: usize = 1 << 20;
 
-/// Hard ceiling on shard ids a snapshot may reference (far above any
-/// real deployment; a guard against hostile `taskmap` entries).
+/// Hard ceiling on shards a snapshot may declare (far above any real
+/// deployment; a guard against hostile `stripes` counts).
 const MAX_SHARDS: usize = 1 << 20;
 
 /// Hard ceiling on one snapshot line (64 MiB — whole task/quality
@@ -148,16 +146,8 @@ fn put<W: Write>(out: &mut W, values: &[f64]) -> io::Result<()> {
     Ok(())
 }
 
-/// Serializes a [`ServiceSnapshot`] into the v2 text format.
-///
-/// Fails with [`io::ErrorKind::InvalidData`] when the shards' ids do
-/// not ascend or are not `0..n` each held once: the text could not
-/// place them.
+/// Serializes a [`ServiceSnapshot`] into the v3 text format.
 pub fn write_snapshot<W: Write>(snap: &ServiceSnapshot, mut out: W) -> io::Result<()> {
-    let invalid = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
-    let owner = snap
-        .owners()
-        .ok_or_else(|| invalid("task ids are not one per task across the shards"))?;
     let out = &mut out;
     writeln!(out, "{SNAPSHOT_HEADER}")?;
     let p = &snap.params;
@@ -207,13 +197,9 @@ pub fn write_snapshot<W: Write>(snap: &ServiceSnapshot, mut out: W) -> io::Resul
         }
     }
     writeln!(out)?;
-    write!(out, "taskmap {}", owner.len())?;
-    for shard in &owner {
-        write!(out, " {shard}")?;
-    }
-    writeln!(out)?;
+    writeln!(out, "posted {}", snap.posted)?;
     for (i, e) in snap.engines.iter().enumerate() {
-        write!(out, "shard {i} {} {} ", e.tasks.len(), e.next_arrival)?;
+        write!(out, "shard {i} {} ", e.tasks.len())?;
         if e.clamped_insertions > 0 {
             write!(out, "clamped {} {} ", e.clamped_insertions, e.clamp_mark)?;
         }
@@ -225,6 +211,11 @@ pub fn write_snapshot<W: Write>(snap: &ServiceSnapshot, mut out: W) -> io::Resul
                 writeln!(out)?;
             }
         }
+        write!(out, "ids")?;
+        for id in &e.ids {
+            write!(out, " {}", id.0)?;
+        }
+        writeln!(out)?;
         write!(out, "tasks")?;
         for t in &e.tasks {
             put(out, &[t.loc.x, t.loc.y])?;
@@ -232,11 +223,6 @@ pub fn write_snapshot<W: Write>(snap: &ServiceSnapshot, mut out: W) -> io::Resul
         writeln!(out)?;
         write!(out, "quality")?;
         put(out, &e.s)?;
-        writeln!(out)?;
-        write!(out, "completed ")?;
-        for &c in &e.completed {
-            write!(out, "{}", if c { '1' } else { '0' })?;
-        }
         writeln!(out)?;
         match &e.accuracy {
             AccuracyModel::Sigmoid => writeln!(out, "accuracy sigmoid")?,
@@ -262,17 +248,21 @@ pub fn save_service<W: Write>(service: &LtcService, out: W) -> io::Result<()> {
     write_snapshot(&service.snapshot(), out)
 }
 
-/// Reads a v2 snapshot back into a [`ServiceSnapshot`]. Any other
-/// header is refused by name, `v1` included (its assignment log has no
-/// v2 reading).
+/// Reads a v3 snapshot back into a [`ServiceSnapshot`]. Any other
+/// header is refused by name, `v1` and `v2` included.
 pub fn read_snapshot<R: BufRead>(reader: R) -> Result<ServiceSnapshot, SnapshotError> {
     let mut lines = Lines::new(reader);
     let header = lines.next_line()?;
-    if header.trim() == "ltc-snapshot v1" {
+    let retired = match header.trim() {
+        "ltc-snapshot v1" => Some("v1 kept the assignment log and every task ever posted"),
+        "ltc-snapshot v2" => Some("v2 kept every task ever posted, completed ones included"),
+        _ => None,
+    };
+    if let Some(why) = retired {
         return Err(lines.err(format!(
-            "`ltc-snapshot v1` is not readable: v1 kept the assignment log, which \
-             `{SNAPSHOT_HEADER}` replaced by the session's counters, and there is no \
-             converter"
+            "`{}` is not readable: {why}, and `{SNAPSHOT_HEADER}` holds the live tasks \
+             only (a v2 text converts with scripts/snapshot_v2_to_v3.py)",
+            header.trim()
         )));
     }
     if header.trim() != SNAPSHOT_HEADER {
@@ -363,32 +353,19 @@ pub fn read_snapshot<R: BufRead>(reader: R) -> Result<ServiceSnapshot, SnapshotE
         }
     }
 
-    // taskmap: each id's shard, in id order, so each shard's ids come
-    // out ascending. Counts come from untrusted input: allocations are
-    // capped up front (growth past the cap is driven by actually-parsed
-    // tokens, so a lying header errors on the missing token instead of
-    // allocating).
+    // posted: the ids handed out so far.
     let line = lines.next_line()?;
     let mut tk = Tokens::new(&line, lines.lineno);
-    tk.literal("taskmap")?;
-    let n_tasks = tk.u64()? as usize;
-    if n_tasks > u32::MAX as usize {
-        return Err(tk.bad(format!("task count {n_tasks} exceeds the u32 id space")));
-    }
-    let mut shard_ids: Vec<Vec<TaskId>> = Vec::new();
-    for id in 0..n_tasks {
-        let s = tk.u64()? as usize;
-        if s >= MAX_SHARDS {
-            return Err(tk.bad(format!("shard id {s} exceeds the {MAX_SHARDS}-shard limit")));
-        }
-        if s >= shard_ids.len() {
-            shard_ids.resize_with(s + 1, Vec::new);
-        }
-        shard_ids[s].push(TaskId(id as u32));
-    }
-    let n_mapped = shard_ids.len();
+    tk.literal("posted")?;
+    let posted = tk.u64()?;
+    let Ok(posted) = u32::try_from(posted) else {
+        return Err(tk.bad(format!("{posted} tasks exceed the u32 id space")));
+    };
 
-    // shards until the `assigned` counters
+    // shards until the `assigned` counters. Counts come from untrusted
+    // input: allocations are capped up front (growth past the cap is
+    // driven by actually-parsed tokens, so a lying count errors on the
+    // missing token instead of allocating).
     let mut engines: Vec<EngineState> = Vec::new();
     let (n_assignments, latest_assigned) = loop {
         let line = lines.next_line()?;
@@ -418,20 +395,8 @@ pub fn read_snapshot<R: BufRead>(reader: R) -> Result<ServiceSnapshot, SnapshotE
             return Err(tk.bad(format!("shard {idx} out of order")));
         }
         let n = tk.u64()? as usize;
-        let ids = shard_ids
-            .get_mut(idx)
-            .map(std::mem::take)
-            .unwrap_or_default();
-        if n != ids.len() {
-            return Err(tk.bad(format!(
-                "shard {idx} has {n} tasks, the task map gives it {}",
-                ids.len()
-            )));
-        }
-        if tk.u64()? != 0 {
-            let what = "the shard `<next_arrival>` token must be 0: shard engines take the \
-                        service's arrival ids";
-            return Err(tk.bad(what.into()));
+        if n > posted as usize {
+            return Err(tk.bad(format!("shard {idx} has {n} live tasks of {posted} posted")));
         }
         let mut geometry_word = tk.word()?;
         if geometry_word == "rng" {
@@ -469,6 +434,18 @@ pub fn read_snapshot<R: BufRead>(reader: R) -> Result<ServiceSnapshot, SnapshotE
 
         let line = lines.next_line()?;
         let mut tk = Tokens::new(&line, lines.lineno);
+        tk.literal("ids")?;
+        let mut ids = Vec::with_capacity(n.min(MAX_PREALLOC));
+        for _ in 0..n {
+            let id = tk.u64()?;
+            match u32::try_from(id) {
+                Ok(id) if id < posted => ids.push(TaskId(id)),
+                _ => return Err(tk.bad(format!("task id {id} was never posted"))),
+            }
+        }
+
+        let line = lines.next_line()?;
+        let mut tk = Tokens::new(&line, lines.lineno);
         tk.literal("tasks")?;
         let mut tasks = Vec::with_capacity(n.min(MAX_PREALLOC));
         for _ in 0..n {
@@ -485,28 +462,17 @@ pub fn read_snapshot<R: BufRead>(reader: R) -> Result<ServiceSnapshot, SnapshotE
 
         let line = lines.next_line()?;
         let mut tk = Tokens::new(&line, lines.lineno);
-        tk.literal("completed")?;
-        let flags = tk.word().unwrap_or("");
-        if flags.len() != n {
-            return Err(tk.bad(format!(
-                "completed bitstring has {} flags, shard has {n} tasks",
-                flags.len()
-            )));
-        }
-        let completed: Vec<bool> = flags.chars().map(|c| c == '1').collect();
-
-        let line = lines.next_line()?;
-        let mut tk = Tokens::new(&line, lines.lineno);
         tk.literal("accuracy")?;
         let accuracy = match tk.word()? {
             "sigmoid" => AccuracyModel::Sigmoid,
             "table" => {
+                // One row per posted task: rows are keyed by task id.
                 let n_workers = tk.u64()? as usize;
                 if n_workers == 0 {
                     return Err(tk.bad("a table needs at least one worker".into()));
                 }
-                let Some(n_values) = n_workers.checked_mul(n) else {
-                    return Err(tk.bad(format!("table size {n_workers}x{n} overflows")));
+                let Some(n_values) = n_workers.checked_mul(posted as usize) else {
+                    return Err(tk.bad(format!("table size {n_workers}x{posted} overflows")));
                 };
                 let mut values = Vec::with_capacity(n_values.min(MAX_PREALLOC));
                 for _ in 0..n_values {
@@ -528,7 +494,7 @@ pub fn read_snapshot<R: BufRead>(reader: R) -> Result<ServiceSnapshot, SnapshotE
             ids,
             tasks,
             s,
-            completed,
+            next_id: posted,
             next_arrival: 0,
             index_geometry,
             clamped_insertions,
@@ -537,12 +503,6 @@ pub fn read_snapshot<R: BufRead>(reader: R) -> Result<ServiceSnapshot, SnapshotE
     };
     let line = lines.next_line()?;
     Tokens::new(&line, lines.lineno).literal("end")?;
-    if n_mapped > engines.len() {
-        return Err(SnapshotError::Parse {
-            line: lines.lineno,
-            what: "task map references more shards than were serialized".into(),
-        });
-    }
 
     Ok(ServiceSnapshot {
         params,
@@ -553,6 +513,7 @@ pub fn read_snapshot<R: BufRead>(reader: R) -> Result<ServiceSnapshot, SnapshotE
         grow_clamps,
         stripes,
         next_arrival,
+        posted,
         n_assignments,
         latest_assigned,
         engines,
@@ -725,8 +686,6 @@ mod tests {
         assert_eq!(restored.n_uncompleted(), service.n_uncompleted());
     }
 
-    const NONZERO_SHARD_ARRIVAL: &str = "taskmap 0\nshard 0 0 7 noindex\ntasks\n";
-
     #[test]
     fn malformed_snapshots_are_rejected_cleanly() {
         let prelude = format!(
@@ -738,29 +697,28 @@ mod tests {
         for text in [
             "".to_string(),
             "not-a-snapshot".to_string(),
-            "ltc-snapshot v3\n".to_string(),
+            "ltc-snapshot v4\n".to_string(),
             format!("{SNAPSHOT_HEADER}\n"),
             format!("{SNAPSHOT_HEADER}\nparams zz\n"),
             format!("{SNAPSHOT_HEADER}\nparams"),
-            // Hostile counts must error, not allocate or panic: a lying
-            // task count, an absurd shard id, and an overflowing/huge
-            // table declaration.
-            format!("{prelude}taskmap 17000000000000000000 0\n"),
-            format!("{prelude}taskmap 1 99999999999\n"),
-            format!("{prelude}taskmap 0\nshard 0 17000000000000000000 0 noindex\ntasks\n"),
-            // A shard arrival counter other than the 0 every shard writes.
-            format!("{prelude}{NONZERO_SHARD_ARRIVAL}"),
+            // Hostile counts must error, not allocate or panic: a posted
+            // count past the id space, a lying live count, an id never
+            // posted, and an overflowing/huge table declaration.
+            format!("{prelude}posted 17000000000000000000\n"),
+            format!("{prelude}posted 5\nshard 0 17000000000000000000 noindex\nids\n"),
+            format!("{prelude}posted 5\nshard 0 2 noindex\nids 1 99999999999\n"),
+            format!("{prelude}posted 2\nshard 0 1 noindex\nids 2\n"),
             format!(
-                "{prelude}taskmap 0\nshard 0 2 0 noindex\ntasks {z} {z} {z} {z}\n\
-                 quality {z} {z}\ncompleted 00\naccuracy table 9999999999999999999 0\n",
+                "{prelude}posted 2\nshard 0 2 noindex\nids 0 1\ntasks {z} {z} {z} {z}\n\
+                 quality {z} {z}\naccuracy table 9999999999999999999 0\n",
                 z = "0000000000000000"
             ),
+            // The v2 shard line's retired `<next_arrival>` token.
+            format!("{prelude}posted 0\nshard 0 0 0 noindex\nids\n"),
         ] {
             let err = read_snapshot(io::Cursor::new(text.as_bytes().to_vec()));
             assert!(err.is_err(), "accepted malformed snapshot {text:?}");
         }
-        let err = read_snapshot(format!("{prelude}{NONZERO_SHARD_ARRIVAL}").as_bytes());
-        assert!(err.unwrap_err().to_string().contains("`<next_arrival>`"));
         // Truncated mid-stream.
         let service = sample_service();
         let mut buf = Vec::new();
@@ -770,16 +728,58 @@ mod tests {
     }
 
     #[test]
-    fn a_v1_snapshot_is_refused_by_its_version() {
+    fn v1_and_v2_snapshots_are_refused_by_their_version() {
         let service = sample_service();
         let mut buf = Vec::new();
         save_service(&service, &mut buf).unwrap();
-        let v1 = String::from_utf8(buf)
-            .unwrap()
-            .replacen(SNAPSHOT_HEADER, "ltc-snapshot v1", 1);
-        let err = read_snapshot(io::Cursor::new(v1.as_bytes())).unwrap_err();
-        assert!(matches!(err, SnapshotError::Parse { line: 1, .. }), "{err}");
-        assert!(err.to_string().contains("`ltc-snapshot v1`"), "{err}");
+        let text = String::from_utf8(buf).unwrap();
+        for old in ["ltc-snapshot v1", "ltc-snapshot v2"] {
+            let retired = text.replacen(SNAPSHOT_HEADER, old, 1);
+            let err = read_snapshot(io::Cursor::new(retired.as_bytes())).unwrap_err();
+            assert!(matches!(err, SnapshotError::Parse { line: 1, .. }), "{err}");
+            assert!(err.to_string().contains(&format!("`{old}`")), "{err}");
+        }
+    }
+
+    #[test]
+    fn only_live_tasks_are_written_and_completed_ids_are_implied() {
+        let mut service = sample_service();
+        // Complete task 0 (at the origin, alone within reach).
+        while !service.is_completed(TaskId(0)) {
+            service.check_in(&Worker::new(Point::new(1.0, 1.0), 0.95));
+        }
+        let snap = service.snapshot();
+        let live: usize = snap.engines.iter().map(|e| e.ids.len()).sum();
+        assert_eq!(snap.posted, 12);
+        assert!(live < 12);
+        assert_eq!(live, service.n_uncompleted());
+        let mut buf = Vec::new();
+        write_snapshot(&snap, &mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        assert!(text.contains("\nposted 12\n"), "{text}");
+        let restored = load_service(io::Cursor::new(text.as_bytes())).unwrap();
+        for t in (0..12).map(TaskId) {
+            assert_eq!(restored.is_completed(t), service.is_completed(t), "{t:?}");
+            assert_eq!(restored.quality(t), service.quality(t), "{t:?}");
+        }
+        // A live id on two shards, or a shard whose id bound is not the
+        // posted count, is refused.
+        let mut twice = snap.clone();
+        let id = twice.engines[0].ids[0];
+        twice.engines[1].ids.insert(0, id);
+        let task = twice.engines[0].tasks[0];
+        twice.engines[1].tasks.insert(0, task);
+        twice.engines[1].s.insert(0, 0.0);
+        assert!(matches!(
+            LtcService::restore(twice),
+            Err(ServiceError::BadSnapshot(_))
+        ));
+        let mut bound = snap;
+        bound.engines[1].next_id = 13;
+        assert!(matches!(
+            LtcService::restore(bound),
+            Err(ServiceError::BadSnapshot(_))
+        ));
     }
 
     #[test]
@@ -880,15 +880,15 @@ mod tests {
     /// A Random session snapshotted by a build that kept per-shard RNG
     /// streams (two check-ins, four draws), in today's text otherwise.
     const OLD_RANDOM_SNAPSHOT: &str = "\
-ltc-snapshot v2
+ltc-snapshot v3
 params 3fd3333333333333 2 403e000000000000 3fe51eb851eb851f within hoeffding
 region 4024000000000000 4024000000000000 4034000000000000 4032000000000000
 config random 5 403e000000000000 1024 2
-taskmap 3 0 0 0
-shard 0 3 0 rng 4 index 403e000000000000 4024000000000000 4024000000000000 4034000000000000 4032000000000000
+posted 3
+shard 0 3 rng 4 index 403e000000000000 4024000000000000 4024000000000000 4034000000000000 4032000000000000
+ids 0 1 2
 tasks 4024000000000000 4024000000000000 4034000000000000 4028000000000000 402c000000000000 4032000000000000
 quality 3ff2147ae13e4455 3fdf5c28f5b53499 3fe47ae147785472
-completed 000
 accuracy sigmoid
 assigned 4 1
 end
@@ -976,7 +976,7 @@ end
             "config laf 403e000000000000 64 0 stripes 99999999999999999",
             "config laf 403e000000000000 64 0 stripes 2 403e000000000000 0000000000000000 8 0",
         ] {
-            let text = format!("{prelude}{config}\ntaskmap 0\nassigned 0\nend\n");
+            let text = format!("{prelude}{config}\nposted 0\nassigned 0\nend\n");
             assert!(
                 read_snapshot(io::Cursor::new(text.into_bytes())).is_err(),
                 "accepted malformed config `{config}`"
@@ -984,7 +984,7 @@ end
         }
         // The retired auto-rebalance group is refused, not skipped.
         let text = format!(
-            "{prelude}config laf 403e000000000000 64 0 rebalance 3ff6666666666666\ntaskmap 0\n\
+            "{prelude}config laf 403e000000000000 64 0 rebalance 3ff6666666666666\nposted 0\n\
              assigned 0\nend\n"
         );
         let err = read_snapshot(io::Cursor::new(text.into_bytes())).unwrap_err();
@@ -995,8 +995,8 @@ end
         // An invalid stripe layout parses but must fail restoration.
         let text = format!(
             "{prelude}config laf 403e000000000000 64 0 stripes 1 403e000000000000 \
-             0000000000000000 8 5\ntaskmap 0\nshard 0 0 0 noindex\ntasks\nquality\n\
-             completed \naccuracy sigmoid\nassigned 0\nend\n"
+             0000000000000000 8 5\nposted 0\nshard 0 0 noindex\nids\ntasks\nquality\n\
+             accuracy sigmoid\nassigned 0\nend\n"
         );
         let decoded = read_snapshot(io::Cursor::new(text.into_bytes())).unwrap();
         assert!(matches!(
@@ -1074,16 +1074,16 @@ end
             "{SNAPSHOT_HEADER}\n\
              params 3fc999999999999a 2 403e000000000000 3fe51eb851eb851f within hoeffding\n\
              region 0000000000000000 0000000000000000 4059000000000000 4059000000000000\n\
-             config laf 403e000000000000 64 0\ntaskmap 0\n"
+             config laf 403e000000000000 64 0\nposted 0\n"
         );
         for shard in [
-            "shard 0 0 0 clamped noindex",
-            "shard 0 0 0 clamped 5 noindex",
+            "shard 0 0 clamped noindex",
+            "shard 0 0 clamped 5 noindex",
             // A mark past the cumulative counter is structurally absurd.
-            "shard 0 0 0 clamped 2 7 noindex",
+            "shard 0 0 clamped 2 7 noindex",
         ] {
             let text = format!(
-                "{prelude}{shard}\ntasks\nquality\ncompleted \naccuracy sigmoid\n\
+                "{prelude}{shard}\nids\ntasks\nquality\naccuracy sigmoid\n\
                  assigned 0\nend\n"
             );
             assert!(

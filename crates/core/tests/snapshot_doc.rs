@@ -4,6 +4,7 @@
 //! drift from the parser (a doc edit that breaks the grammar — or a
 //! format change that invalidates the doc — fails this test).
 
+use ltc_core::model::TaskId;
 use ltc_core::service::LtcService;
 use ltc_core::snapshot::{read_snapshot, write_snapshot};
 
@@ -31,8 +32,8 @@ fn worked_example() -> String {
 fn the_docs_worked_example_parses_and_round_trips_byte_identically() {
     let text = worked_example();
     assert!(
-        text.starts_with("ltc-snapshot v2\n"),
-        "the example must start with the v2 header, got {text:?}"
+        text.starts_with("ltc-snapshot v3\n"),
+        "the example must start with the v3 header, got {text:?}"
     );
     let decoded = read_snapshot(text.as_bytes())
         .expect("the documented example must parse with the real reader");
@@ -62,6 +63,11 @@ fn the_docs_worked_example_parses_and_round_trips_byte_identically() {
     let restored = LtcService::restore(decoded.clone()).expect("the example must restore");
     assert_eq!(restored.n_shards(), 2);
     assert_eq!(restored.n_tasks(), 3);
+    assert_eq!(restored.n_uncompleted(), 2);
+    assert!(
+        restored.is_completed(TaskId(2)),
+        "the unlisted id completed"
+    );
     assert_eq!(restored.metrics().clamped_insertions, 1);
     assert_eq!(restored.n_assignments(), 4);
     assert_eq!(restored.snapshot(), decoded);

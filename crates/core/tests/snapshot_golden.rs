@@ -1,15 +1,19 @@
 //! Golden bytes for snapshots taken after stripe migrations: a 3-shard
 //! session per policy posts and serves tasks, rebalances twice (moving
-//! live and completed tasks to higher and to lower shards), and writes a
-//! snapshot mid-session and at the end. The `ltc-snapshot v2` text of
-//! both must equal the committed fixtures byte for byte, so a change to
-//! how shards hold, number or migrate their tasks cannot move a task,
-//! a quality or the session counters within the text unnoticed.
+//! live tasks to higher and to lower shards), and writes a snapshot
+//! mid-session and at the end. The `ltc-snapshot v3` text of both must
+//! equal the committed fixtures byte for byte, so a change to how shards
+//! hold, number or migrate their tasks cannot move a task, a quality or
+//! the session counters within the text unnoticed.
+//!
+//! The fixtures were regenerated when v3 replaced v2, and each equals
+//! `scripts/snapshot_v2_to_v3.py` applied to its v2 version.
 
 use ltc_core::model::{ProblemParams, Task, Worker};
 use ltc_core::service::{Algorithm, LtcService, ServiceBuilder};
 use ltc_core::snapshot::{read_snapshot, write_snapshot};
 use ltc_spatial::{BoundingBox, Point};
+use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
 
 const LAF_MID: &str = include_str!("fixtures/golden_laf_mid.ltc");
@@ -42,37 +46,29 @@ fn text(service: &LtcService) -> String {
     String::from_utf8(out).unwrap()
 }
 
-/// `(owner shard, completed)` per task id, read from the text alone: the
-/// `taskmap` line gives each id's shard, and each shard's `completed`
-/// flags follow its tasks in ascending id order.
-fn placement(text: &str) -> Vec<(usize, bool)> {
-    let mut lines = text.lines();
-    let owners: Vec<usize> = lines
-        .find_map(|l| l.strip_prefix("taskmap "))
-        .unwrap()
-        .split_whitespace()
-        .skip(1)
-        .map(|s| s.parse().unwrap())
-        .collect();
-    let flags: Vec<Vec<bool>> = lines
-        .filter_map(|l| l.strip_prefix("completed "))
-        .map(|f| f.chars().map(|c| c == '1').collect())
-        .collect();
-    let mut seen = vec![0; flags.len()];
-    owners
-        .iter()
-        .map(|&s| {
-            seen[s] += 1;
-            (s, flags[s][seen[s] - 1])
-        })
-        .collect()
+/// The shard of each live task id, read from the text alone: each
+/// shard section's `ids` line lists the live tasks it holds.
+fn placement(text: &str) -> BTreeMap<u32, usize> {
+    let mut shard_of = BTreeMap::new();
+    let sections = text.lines().filter_map(|l| l.strip_prefix("ids"));
+    for (shard, ids) in sections.enumerate() {
+        for id in ids.split_whitespace() {
+            shard_of.insert(id.parse().unwrap(), shard);
+        }
+    }
+    shard_of
 }
 
-/// Which `[completed][to a higher shard]` moves a rebalance made.
-fn moves(before: &str, after: &str, seen: &mut [[bool; 2]; 2]) {
-    for (&(from, done), &(to, _)) in placement(before).iter().zip(&placement(after)) {
+/// Which `[to a higher shard]` moves a rebalance made.
+fn moves(before: &str, after: &str, seen: &mut [bool; 2]) {
+    let (before, after) = (placement(before), placement(after));
+    assert!(
+        before.keys().eq(after.keys()),
+        "a rebalance keeps the live set"
+    );
+    for (from, to) in before.values().zip(after.values()) {
         if from != to {
-            seen[done as usize][(to > from) as usize] = true;
+            seen[(to > from) as usize] = true;
         }
     }
 }
@@ -103,11 +99,11 @@ fn session(algorithm: Algorithm) -> (String, String) {
         .build()
         .unwrap();
     let mut rng = Rng(0x601D);
-    let mut seen = [[false; 2]; 2];
+    let mut seen = [false; 2];
 
     // Work spread over all three stripes, then a hotspot in the middle
     // one: the first rebalance narrows the middle stripe, pushing its
-    // outer tasks, live and completed, to both neighbours.
+    // outer live tasks to both neighbours.
     for x in [150.0, 450.0, 750.0] {
         burst(&mut service, &mut rng, (x, 450.0), 6, 24);
     }
@@ -136,7 +132,7 @@ fn session(algorithm: Algorithm) -> (String, String) {
         .expect("the drift skews the load");
     moves(&before, &text(&service), &mut seen);
     burst(&mut service, &mut rng, (600.0, 700.0), 6, 20);
-    assert_eq!(seen, [[true; 2]; 2], "{algorithm:?}: moves seen {seen:?}");
+    assert_eq!(seen, [true; 2], "{algorithm:?}: moves seen {seen:?}");
     (mid, text(&service))
 }
 

@@ -1,7 +1,7 @@
 //! Checkpoints: whole-state snapshots written next to the log.
 //!
 //! A checkpoint file `checkpoint-<seq>.ltc` holds the service state,
-//! as `ltc-snapshot v2` text, after every operation below sequence
+//! as `ltc-snapshot v3` text, after every operation below sequence
 //! number `seq` — so recovery restores it and replays only the log
 //! records stamped `seq` and above. Files are written to a temporary
 //! name and renamed into place, so a crash mid-checkpoint leaves at
@@ -196,17 +196,20 @@ mod tests {
         let dir = temp_dir("version");
         let snap = sample_snapshot();
         write_checkpoint(&dir, 0, &snap).unwrap();
-        // A v1 checkpoint (it held the assignment log) is not damage to
-        // skip past: the older, readable checkpoint must not be used.
-        let v1 = text_of(&snap).replacen(SNAPSHOT_HEADER, "ltc-snapshot v1", 1);
-        fs::write(checkpoint_path(&dir, 5), &v1).unwrap();
-        let err = load_latest(&dir).unwrap_err();
-        assert!(
-            matches!(&err, DurableError::UnsupportedCheckpoint { header, .. } if header == "ltc-snapshot v1"),
-            "{err:?}"
-        );
-        assert!(err.to_string().contains("`ltc-snapshot v1`"), "{err}");
-        assert_eq!(fs::read_to_string(checkpoint_path(&dir, 5)).unwrap(), v1);
+        // A v1 or v2 checkpoint (v1 held the assignment log, v2 every
+        // task ever posted) is not damage to skip past: the older,
+        // readable checkpoint must not be used.
+        for old in ["ltc-snapshot v1", "ltc-snapshot v2"] {
+            let text = text_of(&snap).replacen(SNAPSHOT_HEADER, old, 1);
+            fs::write(checkpoint_path(&dir, 5), &text).unwrap();
+            let err = load_latest(&dir).unwrap_err();
+            assert!(
+                matches!(&err, DurableError::UnsupportedCheckpoint { header, .. } if header == old),
+                "{err:?}"
+            );
+            assert!(err.to_string().contains(&format!("`{old}`")), "{err}");
+            assert_eq!(fs::read_to_string(checkpoint_path(&dir, 5)).unwrap(), text);
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -3,7 +3,7 @@
 //!
 //! The engine underneath [`ServiceHandle`] is deterministic: the same
 //! submission sequence always produces the same assignments, the same
-//! event stream, and the same `ltc-snapshot v2` text. That determinism
+//! event stream, and the same `ltc-snapshot v3` text. That determinism
 //! is the whole durability story — nothing about the engine's *state*
 //! has to reach disk on the hot path, only the *inputs*. This crate
 //! packages that observation as three pieces:
@@ -23,7 +23,7 @@
 //!   sequence number `S` makes every log record below `S` dead weight,
 //!   so the log rotates to a fresh segment at each checkpoint and fully
 //!   covered segments are deleted. Checkpoints are the engine's own
-//!   `ltc-snapshot v2` text.
+//!   `ltc-snapshot v3` text.
 //! * [`recover`](recover()) — restores the newest readable checkpoint,
 //!   truncates a torn final record if the crash left one, and replays
 //!   the surviving log suffix through the ordinary session API. The

@@ -2,7 +2,7 @@
 //! and a durability failure closing the handle.
 //!
 //! The contract `docs/DURABILITY.md` promises — a recovered session is
-//! **byte-identical**, as `ltc-snapshot v2` text, to an uninterrupted
+//! **byte-identical**, as `ltc-snapshot v3` text, to an uninterrupted
 //! session fed the same prefix of operations, for every policy, shard
 //! count, sync policy, checkpoint cadence and crash point — is checked
 //! by the conformance harness (`tests/conform/` in the root

@@ -55,7 +55,7 @@
 //! ## Exactness
 //!
 //! Every `f64` crosses the wire as its 16-hex-digit IEEE-754 bit
-//! pattern inside a JSON string (the `ltc-snapshot v2` convention), so
+//! pattern inside a JSON string (the `ltc-snapshot v3` convention), so
 //! a remote session observes bit-identical accuracies, gains, and
 //! coordinates — the property the byte-identical NDJSON differential
 //! tests rest on. Ids and counters are plain JSON integers (the parser
@@ -201,7 +201,7 @@ fn utf8(frame: &[u8]) -> Result<&str, FrameError> {
 }
 
 /// Renders an `f64` as its 16-hex-digit IEEE-754 bit pattern — the
-/// `ltc-snapshot v2` / `ltc-proto v1` exactness convention, shared by
+/// `ltc-snapshot v3` / `ltc-proto v1` exactness convention, shared by
 /// every layer that persists or transmits floats through
 /// [`ltc_core::hex`].
 pub fn hex(v: f64) -> String {
@@ -741,7 +741,7 @@ pub enum Request {
     Subscribe,
     /// `drain`.
     Drain,
-    /// `snapshot` (the reply embeds `ltc-snapshot v2` text).
+    /// `snapshot` (the reply embeds `ltc-snapshot v3` text).
     Snapshot,
     /// `rebalance`.
     Rebalance,
@@ -1046,7 +1046,7 @@ pub enum Response {
     Subscribe,
     /// Every prior submission is processed and delivered.
     Drain,
-    /// The quiesced session state as `ltc-snapshot v2` text.
+    /// The quiesced session state as `ltc-snapshot v3` text.
     Snapshot {
         /// The snapshot document.
         text: String,
@@ -1816,7 +1816,7 @@ mod tests {
             Response::Subscribe,
             Response::Drain,
             Response::Snapshot {
-                text: "ltc-snapshot v2\nparams …\nend\n".into(),
+                text: "ltc-snapshot v3\nparams …\nend\n".into(),
             },
             Response::Rebalance { outcome: None },
             Response::Rebalance {

@@ -533,22 +533,21 @@ fn v1_clients_bind_the_default_session_with_unchanged_frames() {
     assert_eq!(
         v1.ask("{\"op\":\"snapshot\"}"),
         format!(
-            "{{\"ok\":\"snapshot\",\"data\":\"ltc-snapshot v2\\n\
+            "{{\"ok\":\"snapshot\",\"data\":\"ltc-snapshot v3\\n\
              params 3fd0000000000000 2 403e000000000000 3fe51eb851eb851f within hoeffding\\n\
              region 0000000000000000 0000000000000000 408f400000000000 408f400000000000\\n\
              config laf 403e000000000000 1024 1\\n\
-             taskmap 25{}\\n\
-             shard 0 25 0 index 403e000000000000 0000000000000000 0000000000000000 \
+             posted 25\\n\
+             shard 0 25 index 403e000000000000 0000000000000000 0000000000000000 \
              408f400000000000 408f400000000000\\n\
+             ids{}\\n\
              tasks{task_xy} 4080000000000000 4080000000000000\\n\
              quality{}\\n\
-             completed {}\\n\
              accuracy sigmoid\\n\
              assigned 0\\n\
              end\\n\"}}",
-            " 0".repeat(25),
+            (0..25).map(|t| format!(" {t}")).collect::<String>(),
             " 0000000000000000".repeat(25),
-            "0".repeat(25),
         )
     );
 

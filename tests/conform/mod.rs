@@ -390,7 +390,7 @@ fn check_feasible(owed: &[Owed], reference: &LtcService) {
     let delta = reference.delta();
     for t in (0..reference.n_tasks() as u32).map(TaskId) {
         let done = completed.contains(&t);
-        let reached = reference.quality(t) >= delta - 1e-9;
+        let reached = reference.quality(t).is_none_or(|s| s >= delta - 1e-9);
         let gains = gained[t.index()] >= delta - 1e-9;
         let state = (reference.is_completed(t), reached, gains);
         assert_eq!(state, (done, done, done), "{t:?}: done, S ≥ δ, gains");
