@@ -10,10 +10,9 @@
 //! pool it plans from, and for the index it re-lays over the live
 //! tasks — the same in both sessions.
 //!
-//! The history sits on the shard that only sends tasks. A shard that
-//! receives tasks grows its vectors the way a post does (amortized
-//! doubling), so a single call there may reallocate a vector sized by
-//! its whole history; here the receiving shard holds only the live pool.
+//! The history sits once on the shard that only sends tasks and once
+//! on the shard that receives them: completed tasks leave their shard,
+//! so neither shard's vectors are sized by them.
 //!
 //! This reads the process-wide [`allocated_bytes`], which is exact only
 //! while nothing else runs, so this binary holds exactly one test. Keep
@@ -43,10 +42,11 @@ fn point(state: &mut u64, x0: f64, w: f64, y0: f64, h: f64) -> Point {
 }
 
 /// A two-shard session with `history` completed tasks at
-/// `850 ≤ x < 950`, and the live pool at `550 ≤ x < 950` — all on
-/// shard 1 of the default split at `x ≈ 510`, and far enough apart in
-/// `y` that no worker reaches both. Part of the pool has assignments.
-fn session(history: u64) -> ServiceHandle {
+/// `history_x ≤ x < history_x + 100`, and the live pool at
+/// `550 ≤ x < 950` — on shard 1 of the default split at `x ≈ 510` —
+/// far enough apart in `y` that no worker reaches both. Part of the
+/// pool has assignments. The rebalance moves pool tasks to shard 0.
+fn session(history: u64, history_x: f64) -> ServiceHandle {
     let params = ProblemParams::builder()
         .epsilon(0.2)
         .capacity(3)
@@ -60,12 +60,12 @@ fn session(history: u64) -> ServiceHandle {
         .unwrap();
     let mut state = 5;
     for _ in 0..history {
-        let at = point(&mut state, 850.0, 100.0, 100.0, 100.0);
+        let at = point(&mut state, history_x, 100.0, 100.0, 100.0);
         handle.post_task(Task::new(at)).unwrap();
     }
     while !handle.all_completed() {
         for _ in 0..500 {
-            let at = point(&mut state, 850.0, 100.0, 100.0, 100.0);
+            let at = point(&mut state, history_x, 100.0, 100.0, 100.0);
             handle.submit_worker(&Worker::new(at, 0.9)).unwrap();
         }
         handle.drain().unwrap();
@@ -85,8 +85,8 @@ fn session(history: u64) -> ServiceHandle {
 
 /// Bytes allocated by one rebalance of a session with `history`
 /// completed tasks, and what the rebalance did.
-fn rebalance_bytes(history: u64) -> (u64, RebalanceOutcome) {
-    let mut handle = session(history);
+fn rebalance_bytes(history: u64, history_x: f64) -> (u64, RebalanceOutcome) {
+    let mut handle = session(history, history_x);
     let before = allocated_bytes();
     let outcome = handle.rebalance().unwrap().expect("the pool is skewed");
     let bytes = allocated_bytes() - before;
@@ -96,14 +96,18 @@ fn rebalance_bytes(history: u64) -> (u64, RebalanceOutcome) {
 
 #[test]
 fn rebalance_bytes_do_not_grow_with_history() {
-    let (small, small_outcome) = rebalance_bytes(HISTORY);
-    let (large, large_outcome) = rebalance_bytes(4 * HISTORY);
-    assert_eq!(small_outcome, large_outcome, "the migrations must match");
-    assert!(small_outcome.moved_tasks > 0);
-    let ratio = large as f64 / small as f64;
-    assert!(
-        ratio <= BOUND,
-        "a rebalance with 4x the history allocated {large} bytes against {small} \
-         (ratio {ratio:.2}, bound {BOUND}) — it must not copy the history"
-    );
+    // On the sending shard (x ≥ 850), then on the receiving one (x < 150).
+    for history_x in [850.0, 50.0] {
+        let (small, small_outcome) = rebalance_bytes(HISTORY, history_x);
+        let (large, large_outcome) = rebalance_bytes(4 * HISTORY, history_x);
+        assert_eq!(small_outcome, large_outcome, "the migrations must match");
+        assert!(small_outcome.moved_tasks > 0);
+        let ratio = large as f64 / small as f64;
+        assert!(
+            ratio <= BOUND,
+            "history at x {history_x}: a rebalance with 4x the history allocated {large} \
+             bytes against {small} (ratio {ratio:.2}, bound {BOUND}) — it must not copy \
+             the history"
+        );
+    }
 }

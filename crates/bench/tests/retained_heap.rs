@@ -26,13 +26,12 @@ use ltc_core::model::{ProblemParams, Task, Worker};
 use ltc_core::service::{ServiceBuilder, ServiceHandle};
 use ltc_spatial::{BoundingBox, Point};
 
-/// Bytes the session may retain per task posted between the reads:
-/// about 50 bytes of engine and service state per task (id, location,
-/// quality, completion flag, worker-units, id-table and uncompleted-set
-/// entries, owner). The tables grow by doubling, so tripling the task
-/// count can grow their capacity by up to 2.5 times the posts; the rest
-/// is slack for the spatial index's buckets.
-const PER_TASK_BOUND: u64 = 160;
+/// Bytes the session may retain per task posted between the reads. A
+/// completed task leaves every per-task structure (engines hold live
+/// tasks only, and the service keeps a posted counter, not a per-task
+/// map), so at a steady live pool the heap is flat in posts; the bound
+/// allows one id-table word per post with doubling slack.
+const PER_TASK_BOUND: u64 = 16;
 /// Check-ins before the first read.
 const N: u64 = 20_000;
 /// One task is posted per this many check-ins.
