@@ -1,13 +1,13 @@
 //! Allocation gate for a restore: the bytes one `LtcService::restore`
 //! allocates must stay well below the size the session's assignments
-//! would take as a log.
+//! would take as a log, and must not grow with the completed history.
 //!
 //! A long-running session commits several assignments per task. A
-//! snapshot carries only their two counters, and a restore allocates
-//! only for what it rebuilds per task: the uncompleted set, the
-//! worker-unit counts, the spatial index, the shards' id-to-slot tables
-//! and the service's task-owner map. A restore that rebuilt or copied
-//! any per-assignment state would allocate at least the log's size.
+//! snapshot carries only their two counters and the live tasks, and a
+//! restore allocates only for what it rebuilds per live task: the slots,
+//! the id-to-slot lookups and the spatial index. A restore that rebuilt
+//! or copied any per-assignment state would allocate at least the log's
+//! size; one that kept completed tasks would grow with their number.
 //!
 //! This reads the process-wide [`allocated_bytes`], which is exact only
 //! while nothing else runs, so this binary holds exactly one test. Keep
@@ -25,6 +25,11 @@ const BOUND: f64 = 0.5;
 /// Tasks posted (and completed) per round of history.
 const ROUND_TASKS: u64 = 1_000;
 const ROUNDS: u64 = 4;
+/// Largest allowed ratio of the restore bytes of a session with
+/// [`ROUNDS`]× the completed history to those of one with 1×.
+const FLAT_BOUND: f64 = 1.1;
+/// Open tasks behind the history in the flatness comparison.
+const LIVE_POOL: u64 = 600;
 
 /// A deterministic point in the `1000 × 1000` region.
 fn point(state: &mut u64) -> Point {
@@ -38,8 +43,9 @@ fn point(state: &mut u64) -> Point {
 }
 
 /// A two-shard facade session whose every task is completed, posted and
-/// served in rounds, so its log holds several assignments per task.
-fn session() -> LtcService {
+/// served in `rounds` rounds, so its log holds several assignments per
+/// task, followed by `live` tasks posted and left open.
+fn session(rounds: u64, live: u64) -> LtcService {
     let params = ProblemParams::builder()
         .epsilon(0.2)
         .capacity(3)
@@ -52,7 +58,7 @@ fn session() -> LtcService {
         .build()
         .unwrap();
     let mut state = 7;
-    for _ in 0..ROUNDS {
+    for _ in 0..rounds {
         for _ in 0..ROUND_TASKS {
             service.post_task(Task::new(point(&mut state))).unwrap();
         }
@@ -60,12 +66,26 @@ fn session() -> LtcService {
             service.check_in(&Worker::new(point(&mut state), 0.9));
         }
     }
+    let mut state = 13;
+    for _ in 0..live {
+        service.post_task(Task::new(point(&mut state))).unwrap();
+    }
     service
+}
+
+/// Bytes one restore of `service`'s snapshot allocates.
+fn restore_bytes(service: &LtcService) -> u64 {
+    let snapshot = service.snapshot();
+    let before = allocated_bytes();
+    let restored = LtcService::restore(snapshot).unwrap();
+    let bytes = allocated_bytes() - before;
+    drop(restored);
+    bytes
 }
 
 #[test]
 fn restore_allocates_less_than_half_its_log() {
-    let service = session();
+    let service = session(ROUNDS, 0);
     let n_assignments = service.n_assignments();
     let n_tasks = service.n_tasks() as u64;
     assert!(
@@ -91,4 +111,15 @@ fn restore_allocates_less_than_half_its_log() {
     assert!(service.latency().is_some());
     assert_eq!(restored.latency(), service.latency());
     assert_eq!(restored.snapshot(), expected);
+
+    // Flat in the completed history: the same live pool behind 1x and
+    // 4x the completed rounds restores with the same bytes.
+    let small = restore_bytes(&session(1, LIVE_POOL));
+    let large = restore_bytes(&session(ROUNDS, LIVE_POOL));
+    let ratio = large as f64 / small as f64;
+    assert!(
+        ratio <= FLAT_BOUND,
+        "restoring 4x the completed history allocated {large} bytes against {small} \
+         (ratio {ratio:.2}, bound {FLAT_BOUND}) — a restore must rebuild live tasks only"
+    );
 }
