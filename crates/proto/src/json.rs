@@ -332,16 +332,31 @@ impl<'a> Parser<'a> {
 pub fn push_u64(out: &mut Vec<u8>, mut v: u64) {
     let mut buf = [0u8; 20];
     let mut i = buf.len();
-    loop {
+    // Two digits per division, from the pair table.
+    while v >= 100 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if v >= 10 {
+        let pair = v as usize * 2;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
         i -= 1;
-        buf[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
+        buf[i] = b'0' + v as u8;
     }
     out.extend_from_slice(&buf[i..]);
 }
+
+/// `"00" "01" … "99"`: the two decimal digits of every value below 100.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+0001020304050607080910111213141516171819\
+2021222324252627282930313233343536373839\
+4041424344454647484950515253545556575859\
+6061626364656667686970717273747576777879\
+8081828384858687888990919293949596979899";
 
 /// Appends `text` to `out` as a JSON string literal (quotes included),
 /// escaping the characters JSON requires.
@@ -365,6 +380,29 @@ pub fn push_escaped(out: &mut String, text: &str) {
 
 #[cfg(test)]
 mod tests {
+
+    #[test]
+    fn push_u64_writes_what_to_string_writes() {
+        let mut values = vec![0, 9, 10, 99, 100, u64::MAX];
+        let mut p = 1u64;
+        for _ in 0..20 {
+            values.extend([p, p - 1, p + 1]);
+            p = p.saturating_mul(10);
+        }
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..10_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            values.push(state >> (state % 64));
+        }
+        let mut out = Vec::new();
+        for v in values {
+            out.clear();
+            push_u64(&mut out, v);
+            assert_eq!(out, v.to_string().as_bytes(), "{v}");
+        }
+    }
     use super::*;
 
     #[test]
