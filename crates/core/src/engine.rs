@@ -42,13 +42,14 @@ use crate::online::{OnlineAlgorithm, Pick};
 use crate::smallvec::SmallVec;
 use crate::units::UnitCounts;
 use ltc_spatial::{BoundingBox, GridIndex};
-use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// Tolerance for `S[t] ≥ δ` completion checks (see
 /// `crate::model::params`).
 const COMPLETION_EPS: f64 = 1e-9;
+
+/// `slot_of` entry of an id the engine does not hold.
+const NO_SLOT: u32 = u32::MAX;
 
 /// Inline capacity of a per-worker assignment batch. The paper's
 /// experiments use `K = 6`; batches only touch the heap when `K > 8`.
@@ -78,32 +79,6 @@ struct LiveTask {
     s: f64,
 }
 
-/// Hashes a task id by one multiplication: ids are dense integers, so
-/// the product's bits are already well spread, and the slot lookup on
-/// every commit stays a few instructions.
-#[derive(Debug, Default, Clone, Copy)]
-struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u32(&mut self, id: u32) {
-        self.write_u64(u64::from(id));
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0 ^ v).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-}
-
 /// An owned, incremental streaming engine for the LTC problem over its
 /// **live** tasks: their accumulated quality `S`, two commit counters,
 /// and an evicting spatial index. A task keeps its id for life; it sits
@@ -116,8 +91,13 @@ pub struct AssignmentEngine {
     delta: f64,
     /// The live tasks, one per slot. A completing task is swap-removed.
     live: Vec<LiveTask>,
-    /// The slot of each live task, by id.
-    slot_of: HashMap<TaskId, u32, BuildHasherDefault<IdHasher>>,
+    /// `slot_of[id − id_base]`: the slot of live task `id`, or
+    /// `NO_SLOT`. It spans the live ids: the entries below `front` are
+    /// all `NO_SLOT`, and that prefix is dropped once it is half the
+    /// table.
+    slot_of: Vec<u32>,
+    id_base: u32,
+    front: usize,
     /// One past the largest id the engine was given: the next id
     /// [`AssignmentEngine::add_task`] hands out.
     next_id: u32,
@@ -203,7 +183,7 @@ impl AssignmentEngine {
     }
 
     /// An engine holding the `live` tasks with no history yet; derives
-    /// the id lookup and the worker-units from them.
+    /// the id table and the worker-units from them.
     fn assemble(
         params: ProblemParams,
         accuracy: AccuracyModel,
@@ -217,7 +197,9 @@ impl AssignmentEngine {
             params,
             accuracy,
             live,
-            slot_of: HashMap::default(),
+            slot_of: Vec::new(),
+            id_base: 0,
+            front: 0,
             next_id,
             n_assignments: 0,
             latest_assigned: None,
@@ -296,7 +278,13 @@ impl AssignmentEngine {
             table.push_task_row(row);
         }
         self.next_id = id.0 + 1;
-        self.slot_of.insert(id, self.live.len() as u32);
+        if self.slot_of.is_empty() {
+            self.id_base = id.0;
+            self.front = 0;
+        }
+        let at = (id.0 - self.id_base) as usize;
+        self.slot_of.resize(at + 1, NO_SLOT);
+        self.slot_of[at] = self.live.len() as u32;
         self.live.push(LiveTask { id, task, s: 0.0 });
         self.move_units(0.0, self.units_of(0.0));
         if let Some(index) = &mut self.task_index {
@@ -308,7 +296,10 @@ impl AssignmentEngine {
     /// The slot holding task `t`, if it is live here.
     #[inline]
     fn slot(&self, t: TaskId) -> Option<usize> {
-        self.slot_of.get(&t).map(|&slot| slot as usize)
+        match self.slot_of.get(t.0.wrapping_sub(self.id_base) as usize) {
+            Some(&slot) if slot != NO_SLOT => Some(slot as usize),
+            _ => None,
+        }
     }
 
     /// The slot of a task the caller knows is live here.
@@ -458,7 +449,7 @@ impl AssignmentEngine {
     /// Whether the engine holds `t` as a live task.
     #[inline]
     pub fn holds(&self, t: TaskId) -> bool {
-        self.slot_of.contains_key(&t)
+        self.slot(t).is_some()
     }
 
     /// Whether a task given to this engine reached `δ`: its id is below
@@ -664,12 +655,25 @@ impl AssignmentEngine {
     }
 
     /// Takes a completed task out of its slot (swap-remove), the id
-    /// lookup and the spatial index.
+    /// table and the spatial index.
     fn evict(&mut self, slot: usize) {
         let gone = self.live.swap_remove(slot);
-        self.slot_of.remove(&gone.id);
+        let at = (gone.id.0 - self.id_base) as usize;
+        self.slot_of[at] = NO_SLOT;
         if let Some(moved) = self.live.get(slot) {
-            self.slot_of.insert(moved.id, slot as u32);
+            self.slot_of[(moved.id.0 - self.id_base) as usize] = slot as u32;
+        }
+        if at == self.front {
+            // Each entry is passed once and each drop moves at most as
+            // many entries as it drops, so both are amortised O(1).
+            while self.slot_of.get(self.front) == Some(&NO_SLOT) {
+                self.front += 1;
+            }
+            if 2 * self.front >= self.slot_of.len() {
+                self.slot_of.drain(..self.front);
+                self.id_base += self.front as u32;
+                self.front = 0;
+            }
         }
         if let Some(index) = &mut self.task_index {
             index.remove(gone.id.0, gone.task.loc);
@@ -862,8 +866,10 @@ impl AssignmentEngine {
                 ));
             }
         }
-        let open = 0.0..state.params.delta() - COMPLETION_EPS;
-        if state.s.iter().any(|s| !open.contains(s)) {
+        // A commit completes a task at `δ − COMPLETION_EPS`; an unserved
+        // task sits at exactly 0, also where that bound is not positive.
+        let done = state.params.delta() - COMPLETION_EPS;
+        if state.s.iter().any(|&s| s != 0.0 && !(s > 0.0 && s < done)) {
             return Err(EngineError::CorruptState(
                 "a live task's quality lies outside [0, δ)",
             ));
@@ -918,12 +924,19 @@ impl AssignmentEngine {
         Ok(engine)
     }
 
-    /// Re-derives the id lookup from the slots, in its allocation.
+    /// Re-derives the id table from the slots, which are in ascending id
+    /// order here, over the live ids' span, in its allocation.
     fn reindex(&mut self) {
+        debug_assert!(self.live.windows(2).all(|w| w[0].id < w[1].id));
         self.slot_of.clear();
-        self.slot_of.reserve(self.live.len());
+        self.front = 0;
+        if let (Some(first), Some(last)) = (self.live.first(), self.live.last()) {
+            self.id_base = first.id.0;
+            self.slot_of
+                .resize((last.id.0 - first.id.0) as usize + 1, NO_SLOT);
+        }
         for (slot, t) in self.live.iter().enumerate() {
-            self.slot_of.insert(t.id, slot as u32);
+            self.slot_of[(t.id.0 - self.id_base) as usize] = slot as u32;
         }
     }
 
@@ -933,7 +946,7 @@ impl AssignmentEngine {
     /// this engine's commits, not its tasks'.
     ///
     /// The engine is whole again only after [`AssignmentEngine::merge_in`]
-    /// (the id lookup and the spatial index still hold the leavers).
+    /// (the id table and the spatial index still hold the leavers).
     /// Sigmoid models only: a tabular model never runs sharded.
     pub(crate) fn split_off(&mut self, leaves: impl Fn(&Task) -> bool) -> Migrants {
         debug_assert!(matches!(self.accuracy, AccuracyModel::Sigmoid));
@@ -958,7 +971,7 @@ impl AssignmentEngine {
     /// The second half of a move between engines: takes in the
     /// `arrivals` and puts every live task back in ascending id order.
     ///
-    /// Then rebuilds what derives from the tasks: the id lookup and the
+    /// Then rebuilds what derives from the tasks: the id table and the
     /// spatial index, re-laid out over `region` plus the live tasks with
     /// its growth trigger re-armed — exactly what
     /// [`AssignmentEngine::from_state`] builds for the same tasks. Runs
@@ -1484,6 +1497,78 @@ mod tests {
         assert!(!restored.is_completed(TaskId(3)), "never posted");
         // The next own id does not reuse a completed one.
         assert_eq!(restored.add_task(Task::new(Point::ORIGIN)), Ok(TaskId(3)));
+    }
+
+    #[test]
+    fn an_unserved_task_restores_under_a_tiny_threshold() {
+        // δ ≤ COMPLETION_EPS: any commit completes a task, and a task no
+        // one served still sits at S = 0 and must restore.
+        let region = BoundingBox::new(Point::ORIGIN, Point::new(10.0, 10.0));
+        for quality in [QualityModel::FixedThreshold(1e-12), QualityModel::Hoeffding] {
+            let params = ProblemParams::builder()
+                .epsilon(1.0 - 1e-12)
+                .quality(quality)
+                .build()
+                .unwrap();
+            assert!(params.delta() <= COMPLETION_EPS, "{quality:?}");
+            let mut engine = AssignmentEngine::new(params, region).unwrap();
+            engine.add_task(Task::new(Point::new(1.0, 1.0))).unwrap();
+            engine.add_task(Task::new(Point::new(9.0, 9.0))).unwrap();
+            let worker = Worker::new(Point::new(1.0, 1.0), 0.95);
+            commit(&mut engine, 0, &worker, 0);
+            assert!(engine.is_completed(TaskId(0)));
+            let state = engine.to_state();
+            assert_eq!(state.s, vec![0.0]);
+            let restored = AssignmentEngine::from_state(state.clone()).unwrap();
+            assert_eq!(restored.to_state(), state);
+            assert!(restored.holds(TaskId(1)));
+            // A positive quality at that threshold is one a commit would
+            // already have completed.
+            let mut served = state;
+            served.s[0] = 1e-13;
+            assert!(AssignmentEngine::from_state(served).is_err());
+        }
+    }
+
+    #[test]
+    fn the_id_table_follows_the_live_ids() {
+        // Tasks complete oldest first and out of order; the lookups stay
+        // right, and once every old task is gone the table spans only
+        // the live ids.
+        let params = ProblemParams::builder().epsilon(0.3).build().unwrap();
+        let region = BoundingBox::new(Point::ORIGIN, Point::new(100.0, 100.0));
+        let mut engine = AssignmentEngine::new(params, region).unwrap();
+        let worker = Worker::new(Point::new(50.0, 50.0), 0.95);
+        for id in 0..40u32 {
+            engine
+                .add_task_as(TaskId(3 * id), Task::new(Point::new(50.0, 50.0)))
+                .unwrap();
+        }
+        for id in (0..30u32).rev() {
+            while engine.holds(TaskId(3 * id)) {
+                commit(&mut engine, 0, &worker, 3 * id);
+            }
+        }
+        for id in 0..120u32 {
+            let live = id % 3 == 0 && id >= 90;
+            assert_eq!(engine.holds(TaskId(id)), live, "id {id}");
+            assert_eq!(engine.is_completed(TaskId(id)), !live && id < 118);
+        }
+        assert!(engine.slot_of.len() <= 2 * 30, "{}", engine.slot_of.len());
+        commit(&mut engine, 1, &worker, 117);
+        assert!(engine.quality(TaskId(117)).unwrap() > 0.0);
+        assert_eq!(engine.quality(TaskId(114)), Some(0.0));
+        // Everything completes: the table empties, and the next post
+        // starts it afresh.
+        for id in 30..40u32 {
+            while engine.holds(TaskId(3 * id)) {
+                commit(&mut engine, 2, &worker, 3 * id);
+            }
+        }
+        assert!(engine.slot_of.is_empty());
+        assert_eq!(engine.add_task(Task::new(Point::ORIGIN)), Ok(TaskId(118)));
+        assert_eq!(engine.quality(TaskId(118)), Some(0.0));
+        assert_eq!(engine.slot_of.len(), 1);
     }
 
     #[test]

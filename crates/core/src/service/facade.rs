@@ -380,28 +380,19 @@ mod tests {
 
     #[test]
     fn global_regime_makes_interior_sharded_aam_match_single_shard() {
-        // Two task clusters, each deep inside its own stripe, workers
-        // co-located with the clusters: every check-in is interior, so
-        // with the cross-shard unit aggregate the 2-shard AAM must make
-        // exactly the single-shard decisions (the ROADMAP open item).
-        let tasks: Vec<Task> = (0..12)
-            .map(|i| {
-                let x = if i % 2 == 0 { 150.0 } else { 850.0 };
-                Task::new(Point::new(x + (i / 2) as f64 * 4.0, 500.0))
-            })
-            .collect();
-        let workers: Vec<Worker> = (0..220)
-            .map(|i| {
-                let x = if i % 3 == 0 { 151.0 } else { 851.0 };
-                Worker::new(
-                    Point::new(x + (i % 7) as f64, 498.0 + (i % 5) as f64),
-                    0.72 + 0.27 * ((i % 9) as f64 / 9.0),
-                )
-            })
+        // Cluster A, deep inside shard 0, is a pool of tasks no worker
+        // reaches, so the global `Σ units / K ≥ max units` reads LGF
+        // throughout. Cluster B, deep inside shard 1, is small and busy:
+        // its own aggregate keeps falling to LRF. Every check-in is
+        // interior to shard 1, so the 2-shard AAM makes the single-shard
+        // decisions only if shard 1 switches on the global aggregate.
+        const K: u32 = 4;
+        let pool: Vec<Task> = (0..8)
+            .map(|i| Task::new(Point::new(150.0 + i as f64 * 4.0, 500.0)))
             .collect();
         let build = |n: usize| {
-            ServiceBuilder::new(params(2), region())
-                .tasks(tasks.clone())
+            ServiceBuilder::new(params(K), region())
+                .tasks(pool.clone())
                 .algorithm(Algorithm::Aam)
                 .shards(shards(n))
                 .build()
@@ -409,19 +400,33 @@ mod tests {
         };
         let mut single = build(1);
         let mut sharded = build(2);
-        assert_ne!(
-            sharded.owner(TaskId(0)),
-            sharded.owner(TaskId(1)),
-            "clusters must land on different shards for the test to bite"
-        );
-        for (i, w) in workers.iter().enumerate() {
+        let mut local_lrf = 0;
+        for i in 0..120 {
+            if i % 4 != 3 {
+                let t = Task::new(Point::new(850.0 + (i % 7) as f64 * 3.0, 500.0));
+                assert_eq!(single.post_task(t), sharded.post_task(t));
+            }
+            let w = Worker::new(
+                Point::new(852.0 + (i % 5) as f64 * 2.0, 499.0 + (i % 3) as f64),
+                0.72 + 0.27 * ((i % 9) as f64 / 9.0),
+            );
+            let [a, b] = &sharded.shards[..] else {
+                panic!("two shards")
+            };
+            let (sum, max) = b.engine.remaining_units();
+            let k = f64::from(K);
+            local_lrf += usize::from(b.engine.n_uncompleted() > K as usize && sum / k < max);
+            assert_eq!(a.engine.n_uncompleted(), pool.len(), "A is never served");
             assert_eq!(
-                single.check_in(w),
-                sharded.check_in(w),
+                single.check_in(&w),
+                sharded.check_in(&w),
                 "worker {i}: sharded AAM regime diverged from single-shard"
             );
         }
-        assert_eq!(single.latency(), sharded.latency());
+        assert!(
+            local_lrf > 0,
+            "shard 1's own regime never left the global one"
+        );
     }
 
     #[test]
