@@ -5,7 +5,7 @@
 //! A long-running session commits several assignments per task. A
 //! snapshot carries only their two counters and the live tasks, and a
 //! restore allocates only for what it rebuilds per live task: the slots,
-//! the id-to-slot lookups and the spatial index. A restore that rebuilt
+//! the id-to-slot tables and the spatial index. A restore that rebuilt
 //! or copied any per-assignment state would allocate at least the log's
 //! size; one that kept completed tasks would grow with their number.
 //!
