@@ -15,10 +15,6 @@ USAGE:
                | --connect HOST:PORT [--session NAME] )
                [--checkins FILE] [--pipeline D] [--rebalance N]
                [--snapshot-out FILE] [--metrics-out FILE]
-  ltc snapshot ( --input FILE --algo <aam|laf|random> [--seed S] [--shards N]
-               | --connect HOST:PORT [--session NAME] ) --out FILE
-               [--checkins FILE] [--pipeline D] [--rebalance N]
-               [--metrics-out FILE]
   ltc resume   --snapshot FILE [--checkins FILE] [--pipeline D]
                [--rebalance N] [--snapshot-out FILE] [--metrics-out FILE]
   ltc serve    --input FILE --algo <aam|laf|random> --addr HOST:PORT
@@ -61,11 +57,10 @@ by live-task load (task migration is exact, so assignments are
 unchanged; skipped rebalances print nothing, applied ones emit a
 rebalance NDJSON line).
 
-`snapshot` is `stream` that also writes the service state to --out when
-the check-ins are exhausted (or every task completed); `stream
---snapshot-out` does the same. `resume` restores a service from such a
-snapshot file and keeps streaming where it left off, bit-exactly for
-every policy. --metrics-out FILE additionally
+`stream --snapshot-out FILE` also writes the service state to FILE when
+the check-ins are exhausted (or every task completed). `resume` restores
+a service from such a snapshot file and keeps streaming where it left
+off, bit-exactly for every policy. --metrics-out FILE additionally
 writes one machine-readable JSON line of final service metrics
 (assignments, clamped insertions, rebalances, per-shard load) for bench
 harnesses.
@@ -74,10 +69,10 @@ harnesses.
 docs/PROTOCOL.md): it builds the service from --input exactly like
 `stream` would, listens on --addr (port 0 picks a free port; the bound
 address is printed first), and serves any number of concurrent clients
-until one sends a shutdown. `stream --connect HOST:PORT` (and `snapshot
---connect`) then drive that remote session instead of an in-process one
-— same NDJSON output, byte for byte; --connect replaces --input/--algo/
---shards/--seed, which the server already owns. A snapshot taken over
+until one sends a shutdown. `stream --connect HOST:PORT` then drives
+that remote session instead of an in-process one — same NDJSON output,
+byte for byte; --connect replaces --input/--algo/--shards/--seed,
+which the server already owns. A snapshot taken over
 --connect is produced server-side at a quiesced point and written
 locally.
 
@@ -92,7 +87,7 @@ lifecycle event before their stream ends). `stream --connect --session
 NAME` binds the stream to the named session, opening it if it does not
 exist yet; `ltc sessions --connect` lists a server's live sessions, one
 NDJSON line each. Without --max-sessions the server carries exactly its
-one default session (the v1 serving model; `open` is refused).
+one default session (`open` is refused).
 
 `serve --wal DIR` makes the served session durable (docs/DURABILITY.md):
 every state-changing request is appended to a write-ahead log in DIR
@@ -198,7 +193,7 @@ pub struct WalChoice {
     pub options: DurableOptions,
 }
 
-/// Where `ltc stream`/`ltc snapshot` get their session from.
+/// Where `ltc stream`/`ltc resume` get their session from.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StreamSource {
     /// Build the service in process from a dataset.
@@ -220,6 +215,11 @@ pub enum StreamSource {
         /// Named session to bind on a multi-session server (opened on
         /// first use; `None` = the server's default session).
         session: Option<String>,
+    },
+    /// Restore the service in process from a snapshot file (`ltc resume`).
+    Snapshot {
+        /// Snapshot file written by `stream --snapshot-out`.
+        path: String,
     },
 }
 
@@ -248,10 +248,10 @@ pub enum Command {
         /// Print extended statistics.
         stats: bool,
     },
-    /// `ltc stream` (and `ltc snapshot`, which is `stream` with a
-    /// mandatory snapshot destination).
+    /// `ltc stream` and `ltc resume`.
     Stream {
-        /// In-process dataset service or remote `ltc serve` session.
+        /// In-process dataset or snapshot service, or remote `ltc serve`
+        /// session.
         source: StreamSource,
         /// Check-in source (`None` = stdin).
         checkins: Option<String>,
@@ -263,23 +263,6 @@ pub enum Command {
         /// check-ins (`None` = never).
         rebalance: Option<u64>,
         /// Where to write the final service snapshot, if anywhere.
-        snapshot_out: Option<String>,
-        /// Where to write the final machine-readable metrics line, if
-        /// anywhere.
-        metrics_out: Option<String>,
-    },
-    /// `ltc resume`.
-    Resume {
-        /// Snapshot file written by `ltc snapshot`/`stream --snapshot-out`.
-        snapshot: String,
-        /// Check-in source (`None` = stdin).
-        checkins: Option<String>,
-        /// Check-ins kept in flight across the session.
-        pipeline: usize,
-        /// Rebalance the shard stripes every this many accepted
-        /// check-ins (`None` = never).
-        rebalance: Option<u64>,
-        /// Where to write the updated snapshot, if anywhere.
         snapshot_out: Option<String>,
         /// Where to write the final machine-readable metrics line, if
         /// anywhere.
@@ -457,9 +440,9 @@ impl Command {
                     stats: flags.present("--stats"),
                 })
             }
-            "stream" | "snapshot" => {
-                let known: &[&str] = if cmd == "stream" {
-                    &[
+            "stream" | "resume" => {
+                let source = if cmd == "stream" {
+                    flags.reject_unknown(&[
                         "--input",
                         "--algo",
                         "--connect",
@@ -471,59 +454,26 @@ impl Command {
                         "--rebalance",
                         "--snapshot-out",
                         "--metrics-out",
-                    ]
+                    ])?;
+                    parse_stream_source(&mut flags, cmd)?
                 } else {
-                    &[
-                        "--input",
-                        "--algo",
-                        "--connect",
-                        "--session",
+                    flags.reject_unknown(&[
+                        "--snapshot",
                         "--checkins",
-                        "--seed",
-                        "--shards",
                         "--pipeline",
                         "--rebalance",
-                        "--out",
+                        "--snapshot-out",
                         "--metrics-out",
-                    ]
-                };
-                flags.reject_unknown(known)?;
-                let source = parse_stream_source(&mut flags, cmd)?;
-                let pipeline = parse_pipeline(&mut flags)?;
-                let rebalance = parse_rebalance(&mut flags)?;
-                let snapshot_out = if cmd == "stream" {
-                    flags.value("--snapshot-out")?.map(str::to_string)
-                } else {
-                    Some(
-                        flags
-                            .value("--out")?
-                            .ok_or_else(|| ParseError("snapshot requires --out".into()))?
+                    ])?;
+                    StreamSource::Snapshot {
+                        path: flags
+                            .value("--snapshot")?
+                            .ok_or_else(|| ParseError("resume requires --snapshot FILE".into()))?
                             .to_string(),
-                    )
+                    }
                 };
                 Ok(Command::Stream {
                     source,
-                    checkins: flags.value("--checkins")?.map(str::to_string),
-                    pipeline,
-                    rebalance,
-                    snapshot_out,
-                    metrics_out: flags.value("--metrics-out")?.map(str::to_string),
-                })
-            }
-            "resume" => {
-                flags.reject_unknown(&[
-                    "--snapshot",
-                    "--checkins",
-                    "--pipeline",
-                    "--rebalance",
-                    "--snapshot-out",
-                    "--metrics-out",
-                ])?;
-                Ok(Command::Resume {
-                    snapshot: flags
-                        .value("--snapshot")?
-                        .ok_or_else(|| ParseError("resume requires --snapshot FILE".into()))?
-                        .to_string(),
                     checkins: flags.value("--checkins")?.map(str::to_string),
                     pipeline: parse_pipeline(&mut flags)?,
                     rebalance: parse_rebalance(&mut flags)?,
@@ -638,7 +588,7 @@ impl Command {
 }
 
 /// The `--input --algo [--seed] [--shards]` vs `--connect` choice shared
-/// by `stream`, `snapshot`, and (dataset half only) `serve`.
+/// by `stream` and (dataset half only) `serve`.
 fn parse_stream_source(flags: &mut Flags<'_>, cmd: &str) -> Result<StreamSource, ParseError> {
     if let Some(addr) = flags.value("--connect")? {
         // The server owns the service configuration; accepting these
@@ -953,8 +903,11 @@ mod tests {
         ] {
             assert!(Command::parse(&argv(clash)).is_err(), "{clash}");
         }
-        // snapshot --connect still needs its local --out.
-        let cmd = Command::parse(&argv("snapshot --connect 127.0.0.1:7171 --out s.ltc")).unwrap();
+        // A snapshot taken over --connect is written locally.
+        let cmd = Command::parse(&argv(
+            "stream --connect 127.0.0.1:7171 --snapshot-out s.ltc",
+        ))
+        .unwrap();
         assert!(matches!(
             cmd,
             Command::Stream {
@@ -1130,8 +1083,9 @@ mod tests {
         let cmd = Command::parse(&argv("resume --snapshot s.ltc --rebalance 100")).unwrap();
         assert!(matches!(
             cmd,
-            Command::Resume {
+            Command::Stream {
                 rebalance: Some(100),
+                source: StreamSource::Snapshot { .. },
                 ..
             }
         ));
@@ -1146,15 +1100,12 @@ mod tests {
         assert!(matches!(cmd, Command::Stream { pipeline: 256, .. }));
         let cmd = Command::parse(&argv("stream --input x.tsv --algo aam --pipeline 16")).unwrap();
         assert!(matches!(cmd, Command::Stream { pipeline: 16, .. }));
-        assert!(Command::parse(&argv(
-            "snapshot --connect 127.0.0.1:1 --out s.ltc --pipeline 16"
-        ))
-        .is_ok());
+        let cmd = Command::parse(&argv("resume --snapshot s.ltc --pipeline 16")).unwrap();
+        assert!(matches!(cmd, Command::Stream { pipeline: 16, .. }));
         assert!(Command::parse(&argv("stream --connect 127.0.0.1:1 --pipeline 0")).is_err());
         // There is no second knob for the same depth.
         for cmd in [
             "stream --input x.tsv --algo aam --window 4",
-            "snapshot --connect 127.0.0.1:1 --out s.ltc --window 4",
             "resume --snapshot s.ltc --window 4",
         ] {
             let err = Command::parse(&argv(cmd)).unwrap_err();
@@ -1172,34 +1123,17 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_requires_out_and_resume_requires_snapshot() {
-        let cmd = Command::parse(&argv("snapshot --input x.tsv --algo laf --out s.ltc")).unwrap();
-        assert_eq!(
-            cmd,
-            Command::Stream {
-                source: StreamSource::Dataset {
-                    input: "x.tsv".into(),
-                    algo: AlgoChoice::Laf,
-                    seed: 0x5EED,
-                    shards: 1,
-                },
-                checkins: None,
-                pipeline: 1,
-                rebalance: None,
-                snapshot_out: Some("s.ltc".into()),
-                metrics_out: None,
-            }
-        );
-        assert!(Command::parse(&argv("snapshot --input x.tsv --algo laf")).is_err());
-
+    fn resume_streams_from_a_snapshot_it_requires() {
         let cmd = Command::parse(&argv(
             "resume --snapshot s.ltc --checkins c.tsv --pipeline 8 --snapshot-out s2.ltc",
         ))
         .unwrap();
         assert_eq!(
             cmd,
-            Command::Resume {
-                snapshot: "s.ltc".into(),
+            Command::Stream {
+                source: StreamSource::Snapshot {
+                    path: "s.ltc".into(),
+                },
                 checkins: Some("c.tsv".into()),
                 pipeline: 8,
                 rebalance: None,
@@ -1208,6 +1142,8 @@ mod tests {
             }
         );
         assert!(Command::parse(&argv("resume --checkins c.tsv")).is_err());
+        // A resume takes its configuration from the snapshot.
+        assert!(Command::parse(&argv("resume --snapshot s.ltc --algo laf")).is_err());
     }
 
     #[test]

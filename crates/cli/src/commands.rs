@@ -50,22 +50,6 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> CmdResult {
             metrics_out.as_deref(),
             out,
         ),
-        Command::Resume {
-            snapshot,
-            checkins,
-            pipeline,
-            rebalance,
-            snapshot_out,
-            metrics_out,
-        } => resume_cmd(
-            &snapshot,
-            checkins.as_deref(),
-            pipeline,
-            rebalance,
-            snapshot_out.as_deref(),
-            metrics_out.as_deref(),
-            out,
-        ),
         Command::Serve {
             input,
             algo,
@@ -296,8 +280,8 @@ fn service_algorithm(algo: AlgoChoice, seed: u64) -> Algorithm {
     }
 }
 
-/// Builds the pipelined in-process session `stream`/`snapshot`/`serve`
-/// run on a dataset.
+/// Builds the pipelined in-process session `stream`/`serve` run on a
+/// dataset.
 fn start_dataset_session(
     input: &str,
     algo: AlgoChoice,
@@ -311,10 +295,11 @@ fn start_dataset_session(
         .start()?)
 }
 
-/// `ltc stream` / `ltc snapshot`: serve a line-by-line check-in stream
-/// through a [`Session`] — the in-process pipelined runtime for
-/// `--input`, a remote `ltc serve` process for `--connect`; both run
-/// the same [`drive_stream`] code path and emit identical NDJSON.
+/// `ltc stream` / `ltc resume`: serve a line-by-line check-in stream
+/// through a [`Session`] — the in-process pipelined runtime built from
+/// `--input` or restored from a `--snapshot` file, or a remote
+/// `ltc serve` process for `--connect`; all run the same
+/// [`drive_stream`] code path and emit identical NDJSON.
 fn stream_cmd(
     source: &StreamSource,
     checkins: Option<&str>,
@@ -340,33 +325,13 @@ fn stream_cmd(
             ),
             Some(name) => Box::new(connect_session(addr, name)?),
         },
+        StreamSource::Snapshot { path } => {
+            let file =
+                std::fs::File::open(path).map_err(|e| format!("cannot open `{path}`: {e}"))?;
+            let decoded = snapshot_format::read_snapshot(std::io::BufReader::new(file))?;
+            Box::new(ServiceHandle::restore(decoded)?)
+        }
     };
-    drive_stream(
-        session.as_mut(),
-        checkins,
-        pipeline,
-        rebalance,
-        snapshot_out,
-        metrics_out,
-        out,
-    )
-}
-
-/// `ltc resume`: restore a session from a snapshot file and keep
-/// streaming (through the same `dyn Session` path as `stream`).
-fn resume_cmd(
-    snapshot: &str,
-    checkins: Option<&str>,
-    pipeline: usize,
-    rebalance: Option<u64>,
-    snapshot_out: Option<&str>,
-    metrics_out: Option<&str>,
-    out: &mut dyn Write,
-) -> CmdResult {
-    let file =
-        std::fs::File::open(snapshot).map_err(|e| format!("cannot open `{snapshot}`: {e}"))?;
-    let decoded = snapshot_format::read_snapshot(std::io::BufReader::new(file))?;
-    let mut session: Box<dyn Session> = Box::new(ServiceHandle::restore(decoded)?);
     drive_stream(
         session.as_mut(),
         checkins,
@@ -662,7 +627,7 @@ fn register_acks(acks: Vec<WindowAck>, mine: &mut std::collections::HashSet<u64>
     }
 }
 
-/// The shared streaming loop behind `stream`, `snapshot`, and `resume`
+/// The shared streaming loop behind `stream` and `resume`
 /// — written against `dyn Session`, so the in-process runtime and a
 /// remote `ltc serve` session run the *same* code path and emit
 /// byte-identical NDJSON (differentially tested). Submissions keep up
@@ -1200,7 +1165,8 @@ mod tests {
         assert_eq!(code, 0, "{full}");
 
         let (code, first) = run_cli(&format!(
-            "snapshot --input {data_path} --algo aam --checkins {first_half} --out {snap_path}"
+            "stream --input {data_path} --algo aam --checkins {first_half} \
+             --snapshot-out {snap_path}"
         ));
         assert_eq!(code, 0, "{first}");
         assert!(first.contains("\"snapshot\""), "{first}");

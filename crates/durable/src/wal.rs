@@ -77,7 +77,7 @@ pub const WAL_NAME: &str = "ltc-wal";
 pub const WAL_VERSION: u64 = 2;
 
 /// Upper bound on one log line, delimiter included — the same cap as an
-/// `ltc-proto v1` frame, enforced *while reading* so a hostile or
+/// `ltc-proto` frame, enforced *while reading* so a hostile or
 /// garbage segment cannot balloon memory.
 pub const MAX_RECORD: usize = 1 << 26;
 

@@ -1,7 +1,6 @@
 //! The remote [`Session`] implementation: a TCP client speaking
 //! `ltc-proto v2` (the session namespace and windowed submission) to an
-//! `ltc serve` process. The server also serves `v1` clients; this
-//! client never speaks it.
+//! `ltc serve` process.
 
 use crate::session_table::SessionConfig;
 use crate::wire::{self, FrameError, FrameReader, Request, Response, SessionStat};
@@ -195,21 +194,6 @@ impl LtcClient {
     /// pre-windowing server).
     pub fn server_window(&self) -> usize {
         self.server_window
-    }
-
-    /// The currently granted submission window (1 = lockstep).
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
-    /// How many windowed submissions are in flight right now.
-    pub fn window_in_flight(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// The address of the serving peer.
-    pub fn peer_addr(&self) -> Option<std::net::SocketAddr> {
-        self.stream.peer_addr().ok()
     }
 
     /// Creates (and binds to) a named session on the server — the

@@ -1,5 +1,5 @@
 //! A minimal, dependency-free JSON reader/writer — just enough for the
-//! fixed message shapes of `ltc-proto` v2 and v1 (see [`crate::wire`]).
+//! fixed message shapes of `ltc-proto` (see [`crate::wire`]).
 //!
 //! Like `ltc_core::snapshot`, this is hand-rolled because the build
 //! environment has no crate registry; unlike a general-purpose JSON

@@ -1,9 +1,8 @@
 //! `ltc-proto` — the wire protocol that lifts the
 //! [`Session`](ltc_core::service::Session) API onto a transport, so
 //! requesters and workers can be remote processes instead of linking
-//! `ltc_core`. Inside this crate there is one dialect, `v2` (a session
-//! namespace); the server also serves `v1` (one implicit session) as a
-//! translation at the connection edge, with byte-identical frames.
+//! `ltc_core`. It speaks one dialect, `v2` (a session namespace); a
+//! hello asking for any other version is refused by name.
 //!
 //! Four layers, bottom up:
 //!

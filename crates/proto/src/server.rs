@@ -14,13 +14,9 @@
 //! it back. A connection bound to session A never observes session B's
 //! events — isolation falls out of the binding, not filtering.
 //!
-//! That is `v2`, the only dialect past the connection edge. A `v1`
-//! connection is translated there: `admit` refuses what `v1` never
-//! had (`"sid"`, `"seq"`, the session verbs) and addresses every other
-//! frame to the bound default session, which a `v1` connection can
-//! therefore never leave; `Binding::sid` keeps the sid off every frame
-//! it is sent. The `v1` serving model is the single-session special case
-//! of the table, with byte-identical frames.
+//! That is `v2`, the only dialect the server speaks: a hello asking for
+//! any other version is answered with one `err` frame naming it, and
+//! the connection closes.
 //!
 //! ## Ordering model
 //!
@@ -35,7 +31,7 @@
 //! response, so clients can reconstruct the per-session order after the
 //! fact.
 //!
-//! Windowed submission (`v2`) changes none of this: a client firing up
+//! Windowed submission changes none of this: a client firing up
 //! to W `submit`/`post` frames ahead of their acknowledgements simply
 //! keeps the connection's read loop saturated — the frames queue in the
 //! socket, each is applied under the session lock in arrival order, and
@@ -69,13 +65,13 @@
 //!
 //! ## Lifecycle and shutdown
 //!
-//! A `v2` `close` evicts **one** named session: its subscribers receive
+//! A `close` evicts **one** named session: its subscribers receive
 //! [`Lifecycle::SessionEvicted`](ltc_core::service::Lifecycle::SessionEvicted),
 //! the session drains and shuts down
 //! ([`Lifecycle::ShuttingDown`](ltc_core::service::Lifecycle::ShuttingDown)
 //! ends the streams), and its name becomes free. The idle policy
 //! ([`SessionTable::with_factory`]) evicts the same way, from a reaper
-//! thread. A `shutdown` request (either dialect) still ends the *whole
+//! thread. A `shutdown` request still ends the *whole
 //! server*: every session shuts down, subscribers' streams end, the
 //! requester gets its response, and then the acceptor stops. Requests
 //! on surviving connections get an error response (never a hang); their
@@ -145,8 +141,8 @@ impl Shared {
 }
 
 /// A bound, not-yet-running `ltc-proto` server over a [`SessionTable`]
-/// (or, via [`LtcServer::bind`], a single [`Session`] — the `v1`
-/// serving model). [`LtcServer::run`] serves on the calling thread
+/// (or, via [`LtcServer::bind`], a single [`Session`] — the table's
+/// only, default session). [`LtcServer::run`] serves on the calling thread
 /// until a client requests shutdown; [`LtcServer::spawn`] does the same
 /// on a background thread (tests, and anything that needs the bound
 /// address before serving).
@@ -279,27 +275,23 @@ fn reap_idle(shared: &Shared, timeout: Duration) {
 }
 
 /// A connection's session binding: counted on the entry, so the idle
-/// policy can see live bindings, and moved by the `v2` rebind verbs.
+/// policy can see live bindings, and moved by the rebind verbs.
 /// Dropping the binding (the connection ended) releases the count and
 /// restarts the session's idle clock.
 struct Binding {
     entry: Arc<SessionEntry>,
-    /// The connection said `v1` in its hello: set by the handshake,
-    /// read only by [`admit`] and [`Binding::sid`].
-    v1: bool,
 }
 
 impl Binding {
-    fn new(entry: Arc<SessionEntry>, v1: bool) -> Self {
+    fn new(entry: Arc<SessionEntry>) -> Self {
         entry.bind();
-        Self { entry, v1 }
+        Self { entry }
     }
 
     /// The `"sid"` every frame sent on this connection carries — the
-    /// hello, each response, each event: the bound session's on `v2`,
-    /// none on `v1`.
-    fn sid(&self) -> Option<&str> {
-        (!self.v1).then(|| self.entry.name())
+    /// hello, each response, each event: the bound session's.
+    fn sid(&self) -> &str {
+        self.entry.name()
     }
 
     fn rebind(&mut self, entry: Arc<SessionEntry>) {
@@ -349,46 +341,38 @@ fn converse(
     shared: &Arc<Shared>,
     forwarder: &mut Option<JoinHandle<()>>,
 ) {
-    // Handshake: exactly one hello, version-checked. Both dialects bind
-    // the default session.
+    // Handshake: exactly one hello, version-checked; it binds the
+    // default session.
     let Ok(Some(hello)) = frames.next_frame() else {
         return;
     };
     let Ok(hello) = std::str::from_utf8(hello) else {
         return;
     };
-    let v1 = match wire::decode_hello(hello) {
-        Ok(wire::PROTO_VERSION_V1) => true,
-        Ok(wire::PROTO_VERSION_V2) => false,
-        refused => {
-            let message = match refused {
-                Ok(version) => format!(
-                    "unsupported {} version {version} (serving {} and {})",
-                    wire::PROTO_NAME,
-                    wire::PROTO_VERSION_V1,
-                    wire::PROTO_VERSION_V2
-                ),
-                Err(what) => format!("bad handshake: {what}"),
-            };
-            write_frame(writer, Response::Err { message }.encode()).ok();
-            return;
-        }
+    let refusal = match wire::decode_hello(hello) {
+        Ok(wire::PROTO_VERSION_V2) => None,
+        Ok(version) => Some(format!(
+            "unsupported {} version {version} (serving {})",
+            wire::PROTO_NAME,
+            wire::PROTO_VERSION_V2
+        )),
+        Err(what) => Some(format!("bad handshake: {what}")),
     };
-    let mut binding = Binding::new(shared.table.default_entry(), v1);
+    if let Some(message) = refusal {
+        write_frame(writer, Response::Err { message }.encode()).ok();
+        return;
+    }
+    let mut binding = Binding::new(shared.table.default_entry());
     let info = binding.entry.lock().info();
-    let reply = match binding.sid() {
-        // A `v2` hello advertises the submission window the server
-        // honors; `v1`'s stays byte-identical (lockstep).
-        Some(sid) => wire::with_sid(
-            Response::Hello {
-                info,
-                win: wire::MAX_WINDOW,
-            }
-            .encode(),
-            sid,
-        ),
-        None => wire::encode_hello_response_v1(&info),
-    };
+    // The hello advertises the submission window the server honors.
+    let reply = wire::with_sid(
+        Response::Hello {
+            info,
+            win: wire::MAX_WINDOW,
+        }
+        .encode(),
+        binding.sid(),
+    );
     if write_frame(writer, reply).is_err() {
         return;
     }
@@ -523,7 +507,7 @@ impl Outbox {
 /// Waits up to `wait` for `stream` to have events, then appends every
 /// event that is ready to `batch` as whole `\n`-terminated event
 /// frames, encoded in place from the borrowed deliveries, each carrying
-/// `sid` when there is one ([`Binding::sid`]). Stops once the batch
+/// `sid` ([`Binding::sid`]). Stops once the batch
 /// reaches [`ACK_BATCH_CAP`] (at a frame boundary; the rest stays
 /// queued for the next call) or nothing more is ready. Returns how many
 /// frames it appended, or `None` once the stream has ended.
@@ -531,11 +515,11 @@ impl Outbox {
 fn encode_ready_events(
     stream: &mut EventStream,
     wait: Duration,
-    sid: Option<&str>,
+    sid: &str,
     batch: &mut Vec<u8>,
 ) -> Option<usize> {
     stream.recv_each(Some(wait), |event| {
-        wire::encode_event_into(batch, event, sid);
+        wire::encode_event_into(batch, event, Some(sid));
         if batch.len() >= ACK_BATCH_CAP {
             ControlFlow::Break(())
         } else {
@@ -544,55 +528,25 @@ fn encode_ready_events(
     })
 }
 
-/// The connection edge every decoded request passes before it runs.
-/// A `v1` frame is translated onto `v2` first: refused if it uses
-/// anything `v1` never had (a session verb, `"sid"`, windowed `"seq"`),
-/// otherwise addressed to the bound default session. Then the `v2`
-/// rule applies: the frame's `"sid"` must name the bound session —
-/// except on open/attach/close, where it *is* the target.
+/// The connection edge every decoded request passes before it runs:
+/// the frame's `"sid"` must name the bound session — except on
+/// open/attach/close, where it *is* the target.
 fn admit(request: &Request, sid: Option<&[u8]>, binding: &Binding) -> Result<(), String> {
-    let session_verb = matches!(
+    if matches!(
         request,
-        Request::Open { .. } | Request::Attach { .. } | Request::Close { .. } | Request::Sessions
-    );
-    let sid = if binding.v1 {
-        let v2_only = if session_verb {
-            Some("session verbs require")
-        } else if sid.is_some() {
-            Some("`sid` requires")
-        } else if matches!(
-            request,
-            Request::Submit { seq: Some(_), .. } | Request::Post { seq: Some(_), .. }
-        ) {
-            Some("windowed submission (`seq`) requires")
-        } else {
-            None
-        };
-        if let Some(what) = v2_only {
-            return Err(format!(
-                "{what} {} v{}",
-                wire::PROTO_NAME,
-                wire::PROTO_VERSION_V2
-            ));
-        }
-        Some(binding.entry.name().as_bytes())
-    } else {
-        sid
-    };
-    if matches!(request, Request::Sessions) || !session_verb {
-        let bound = binding.entry.name();
-        match sid {
-            None => return Err("missing `sid` (every v2 request carries one)".into()),
-            Some(sid) if sid != bound.as_bytes() => {
-                return Err(format!(
-                    "request sid `{}` does not match the bound session `{bound}`",
-                    String::from_utf8_lossy(sid)
-                ));
-            }
-            Some(_) => {}
-        }
+        Request::Open { .. } | Request::Attach { .. } | Request::Close { .. }
+    ) {
+        return Ok(());
     }
-    Ok(())
+    let bound = binding.sid();
+    match sid {
+        None => Err("missing `sid` (every v2 request carries one)".into()),
+        Some(sid) if sid != bound.as_bytes() => Err(format!(
+            "request sid `{}` does not match the bound session `{bound}`",
+            String::from_utf8_lossy(sid)
+        )),
+        Some(_) => Ok(()),
+    }
 }
 
 /// Appends `response` to `batch` as one whole frame carrying `sid`,
@@ -600,9 +554,9 @@ fn admit(request: &Request, sid: Option<&[u8]>, binding: &Binding) -> Result<(),
 /// would overflow the peer's frame cap (a snapshot of an enormous
 /// service) must stay recoverable; sending it anyway would kill the
 /// connection on the client side.
-fn push_response(batch: &mut Vec<u8>, response: &Response, sid: Option<&str>) {
+fn push_response(batch: &mut Vec<u8>, response: &Response, sid: &str) {
     let start = batch.len();
-    response.encode_into(batch, sid);
+    response.encode_into(batch, Some(sid));
     let len = batch.len() - start - 1;
     if len >= wire::MAX_FRAME {
         batch.truncate(start);
@@ -612,7 +566,7 @@ fn push_response(batch: &mut Vec<u8>, response: &Response, sid: Option<&str>) {
                 wire::MAX_FRAME
             ),
         }
-        .encode_into(batch, sid);
+        .encode_into(batch, Some(sid));
     }
 }
 
@@ -681,20 +635,19 @@ fn execute(
             let gone = Arc::clone(gone);
             let shared = Arc::clone(shared);
             let entry = Arc::clone(&binding.entry);
-            let sid = binding.sid().map(str::to_owned);
+            let sid = binding.sid().to_owned();
             let join = std::thread::Builder::new()
                 .name("ltc-serve-events".into())
                 .spawn(move || {
                     // Events that are already waiting go out together in
                     // one locked `write`; the forwarder only blocks (on
                     // the stream) with nothing left to send.
-                    let sid = sid.as_deref();
                     let mut batch = Outbox::default();
                     loop {
                         match encode_ready_events(
                             &mut stream,
                             FORWARDER_POLL,
-                            sid,
+                            &sid,
                             &mut batch.frames,
                         ) {
                             Some(1..) => {
@@ -715,7 +668,7 @@ fn execute(
                                     while encode_ready_events(
                                         &mut stream,
                                         Duration::ZERO,
-                                        sid,
+                                        &sid,
                                         &mut batch.frames,
                                     )
                                     .is_some_and(|n| n > 0)
@@ -906,7 +859,7 @@ mod tests {
         let mut stream = stream_of(&events);
         let mut batch = Vec::new();
         assert_eq!(
-            encode_ready_events(&mut stream, Duration::ZERO, Some("west"), &mut batch),
+            encode_ready_events(&mut stream, Duration::ZERO, "west", &mut batch),
             Some(events.len())
         );
         assert_eq!(
@@ -923,22 +876,11 @@ mod tests {
     }
 
     #[test]
-    fn a_v1_event_batch_is_byte_identical_to_single_frames() {
-        let events = posted(5);
-        let mut stream = stream_of(&events);
-        let mut batch = Vec::new();
-        encode_ready_events(&mut stream, Duration::ZERO, None, &mut batch);
-        let expected: String = events
-            .iter()
-            .map(|e| format!("{}\n", wire::encode_event(e)))
-            .collect();
-        assert_eq!(batch, expected.into_bytes());
-    }
-
-    #[test]
     fn a_burst_beyond_the_cap_splits_at_a_frame_boundary() {
         let events = posted(10_000);
-        let frame_len = wire::encode_event(&events[events.len() - 1]).len() + 1;
+        let sid = wire::DEFAULT_SESSION;
+        let frame_len =
+            wire::with_sid(wire::encode_event(&events[events.len() - 1]), sid).len() + 1;
         assert!(
             events.len() * frame_len > 2 * ACK_BATCH_CAP,
             "the burst must overflow"
@@ -947,7 +889,7 @@ mod tests {
         let mut batch = Vec::new();
         let mut decoded = Vec::new();
         let mut batches = 0;
-        while encode_ready_events(&mut stream, Duration::ZERO, None, &mut batch).is_some() {
+        while encode_ready_events(&mut stream, Duration::ZERO, sid, &mut batch).is_some() {
             assert!(
                 batch.len() < ACK_BATCH_CAP + frame_len,
                 "{} bytes",
@@ -1062,6 +1004,13 @@ mod tests {
         send(b"{\"op\":\"drain\",\"sid\":\n");
         let reply = wire::read_frame(&mut reader).unwrap().expect("a reply");
         assert!(reply.starts_with("{\"err\":"), "{reply}");
+        // ...as does a request without its `"sid"`, which applies nothing...
+        let worker = Worker::new(Point::new(1.0, 1.0), 0.9);
+        let mut unaddressed = Vec::new();
+        Request::Submit { worker, seq: None }.encode_into(&mut unaddressed, None);
+        send(&unaddressed);
+        let reply = wire::read_frame(&mut reader).unwrap().expect("a reply");
+        assert!(reply.starts_with("{\"err\":\"missing `sid`"), "{reply}");
         // ...but bytes that are not UTF-8 end it: no reply, then EOF.
         send(b"{\"op\":\"drain\",\"sid\":\"def\xffult\"}\n");
         assert!(
@@ -1069,6 +1018,7 @@ mod tests {
             "a non-UTF-8 frame drew a reply"
         );
         let mut client = LtcClient::connect_v2(running.addr()).unwrap();
+        assert_eq!(client.metrics().unwrap().n_workers_seen, 0);
         client.shutdown().unwrap();
         running.wait().unwrap();
     }

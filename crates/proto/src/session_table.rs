@@ -4,12 +4,10 @@
 //! A [`SessionTable`] owns every session the server hosts. Each entry
 //! is its own [`Session`] behind its own mutex — sessions never
 //! serialize against each other, and *within* one session the lock
-//! order is still the global submission order (the `v1` ordering
-//! contract, now per session). The table always holds the
-//! **default session** (the one `v1` clients bind through the version
-//! handshake and fresh `v2` connections start on); additional sessions
-//! come and go through the `v2` `open`/`close` verbs or the idle
-//! reaper.
+//! order is still the global submission order, per session. The table
+//! always holds the **default session** (the one every connection is
+//! bound to by the version handshake); additional sessions come and go
+//! through the `open`/`close` verbs or the idle reaper.
 //!
 //! ## Lifecycle
 //!
@@ -191,7 +189,7 @@ impl std::fmt::Debug for SessionTable {
 impl SessionTable {
     /// A fixed single-session table: just the default session, no
     /// factory — `open` is refused. This is what `LtcServer::bind`
-    /// wraps a bare session in, preserving the `v1` serving model.
+    /// wraps a bare session in.
     pub fn single(default: impl Session + Send + 'static) -> Self {
         Self {
             entries: Mutex::new(BTreeMap::from([(
@@ -238,7 +236,7 @@ impl SessionTable {
         self.idle_timeout
     }
 
-    /// The session a `v1` hello (or a fresh `v2` connection) binds.
+    /// The session a fresh connection binds.
     pub fn default_entry(&self) -> Arc<SessionEntry> {
         Arc::clone(
             lock_recovering(&self.entries)

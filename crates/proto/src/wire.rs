@@ -1,6 +1,5 @@
 //! The `ltc-proto` message vocabulary and its NDJSON codec: the `v2`
-//! dialect ([`PROTO_VERSION_V2`]), plus the one `v1` frame the server
-//! cannot derive from it ([`encode_hello_response_v1`]).
+//! dialect ([`PROTO_VERSION_V2`]), the only one a server accepts.
 //!
 //! ## Framing
 //!
@@ -31,14 +30,6 @@
 //! [`Request::Sessions`] manage the server's session table. Every
 //! request, response, and event frame carries the session id as a
 //! trailing `"sid"` member ([`with_sid`]).
-//!
-//! ## `v1`
-//!
-//! The server still serves `v1` clients (`{"proto":"ltc-proto","v":1}`)
-//! as a translation at the connection edge: a `v1` connection is bound
-//! to the default session, its frames are the `v2` frames without
-//! `"sid"`, and `"sid"`, `"seq"` and the session verbs are refused.
-//! Every `v1` frame stays byte-identical to what it always was.
 //!
 //! ## Windowed submission
 //!
@@ -82,13 +73,10 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 
 /// The protocol name, sent in both handshake frames.
 pub const PROTO_NAME: &str = "ltc-proto";
-/// The baseline protocol version: one implicit session per server. The
-/// server still accepts it in the handshake; nothing else speaks it.
-pub const PROTO_VERSION_V1: u64 = 1;
-/// The session-namespace protocol version: named sessions behind one
-/// server, a `"sid"` member on every frame.
+/// The protocol version: named sessions behind one server, a `"sid"`
+/// member on every frame.
 pub const PROTO_VERSION_V2: u64 = 2;
-/// The session a fresh connection (and every `v1` one) is bound to.
+/// The session a fresh connection is bound to.
 pub const DEFAULT_SESSION: &str = "default";
 /// The largest submission window a server grants (and advertises in its
 /// `v2` hello response): how many `submit`/`post` frames one connection
@@ -201,7 +189,7 @@ fn utf8(frame: &[u8]) -> Result<&str, FrameError> {
 }
 
 /// Renders an `f64` as its 16-hex-digit IEEE-754 bit pattern — the
-/// `ltc-snapshot v3` / `ltc-proto v1` exactness convention, shared by
+/// `ltc-snapshot v3` / `ltc-proto` exactness convention, shared by
 /// every layer that persists or transmits floats through
 /// [`ltc_core::hex`].
 pub fn hex(v: f64) -> String {
@@ -697,16 +685,6 @@ pub fn encode_hello_v2() -> String {
     format!("{{\"proto\":\"{PROTO_NAME}\",\"v\":{PROTO_VERSION_V2}}}")
 }
 
-/// The server half of a `v1` handshake: the [`Response::Hello`] frame
-/// with `"v":1` and no window advertisement — exactly what `v1` clients
-/// have always been sent.
-pub fn encode_hello_response_v1(info: &SessionInfo) -> String {
-    let mut out = format!("{{\"proto\":\"{PROTO_NAME}\",\"v\":{PROTO_VERSION_V1},\"info\":");
-    encode_info(&mut out, info);
-    out.push('}');
-    out
-}
-
 /// Validates a client hello, returning the version it asked for.
 pub fn decode_hello(frame: &str) -> Result<u64, WireError> {
     let v = json::parse(frame).map_err(|e| e.to_string())?;
@@ -890,8 +868,7 @@ impl Request {
 
     /// Parses a request frame, also returning its `"sid"` member — the
     /// session the request addresses (for the session verbs, the
-    /// target session); `None` when the frame carries none (every `v1`
-    /// frame).
+    /// target session); `None` when the frame carries none.
     pub fn decode_with_sid(frame: &str) -> Result<(Request, Option<String>), WireError> {
         let (request, sid) = Self::decode_bytes(frame.as_bytes()).map_err(|e| e.to_string())?;
         let sid = sid.map(|sid| String::from_utf8_lossy(&sid).into_owned());
@@ -1437,15 +1414,10 @@ impl Response {
                         Some(Json::Null) => None,
                         other => Some(uint("latency", other)?),
                     },
-                    // Added after v1 shipped: absent on frames from
-                    // older peers, so default rather than reject.
-                    wal_records: v.get("wal").and_then(Json::as_u64).unwrap_or(0),
-                    checkpoints: v.get("checkpoints").and_then(Json::as_u64).unwrap_or(0),
-                    sessions_open: v.get("sessions_open").and_then(Json::as_u64).unwrap_or(0),
-                    sessions_evicted: v
-                        .get("sessions_evicted")
-                        .and_then(Json::as_u64)
-                        .unwrap_or(0),
+                    wal_records: uint("wal", v.get("wal"))?,
+                    checkpoints: uint("checkpoints", v.get("checkpoints"))?,
+                    sessions_open: uint("sessions_open", v.get("sessions_open"))?,
+                    sessions_evicted: uint("sessions_evicted", v.get("sessions_evicted"))?,
                 },
             }),
             "shutdown" => Ok(Response::Shutdown),
@@ -1942,33 +1914,16 @@ mod tests {
     }
 
     #[test]
-    fn metrics_frames_without_durability_fields_still_decode() {
-        // A pre-durability v1 peer omits `wal`/`checkpoints`; the
-        // compatibility policy (ignore unknown, default absent) makes
-        // that a zero, not an error.
-        let frame = "{\"ok\":\"metrics\",\"workers\":1,\"assignments\":0,\"tasks\":0,\
-                     \"completed\":0,\"clamped\":0,\"rebalances\":0,\"loads\":[0],\
-                     \"latency\":null}";
-        match Response::decode(frame).unwrap() {
-            Response::Metrics { metrics } => {
-                assert_eq!(metrics.wal_records, 0);
-                assert_eq!(metrics.checkpoints, 0);
-            }
-            other => panic!("decoded {other:?}"),
-        }
-    }
-
-    #[test]
     fn handshake_frames_validate() {
         assert_eq!(decode_hello(&encode_hello_v2()).unwrap(), PROTO_VERSION_V2);
-        assert_eq!(
-            decode_hello("{\"proto\":\"ltc-proto\",\"v\":1}").unwrap(),
-            PROTO_VERSION_V1
-        );
         assert!(decode_hello("{\"proto\":\"other\",\"v\":1}").is_err());
         assert!(decode_hello("{\"v\":1}").is_err());
         assert!(decode_hello("garbage").is_err());
-        // A future version parses (the *server* decides to refuse it).
+        // Any other version parses (the *server* decides to refuse it).
+        assert_eq!(
+            decode_hello("{\"proto\":\"ltc-proto\",\"v\":1}").unwrap(),
+            1
+        );
         assert_eq!(
             decode_hello("{\"proto\":\"ltc-proto\",\"v\":9}").unwrap(),
             9
@@ -2813,5 +2768,18 @@ mod tests {
         assert_ne!(garbled, hello);
         let err = Response::decode(&garbled).expect_err("a non-integer `win` must be refused");
         assert!(err.contains("win"), "{err}");
+        // Every server sends the durability and session counters: a
+        // `metrics` reply without one is refused, not zero-filled.
+        let metrics = "{\"ok\":\"metrics\",\"workers\":1,\"assignments\":0,\"tasks\":0,\
+                       \"completed\":0,\"clamped\":0,\"rebalances\":0,\"loads\":[0],\
+                       \"latency\":null,\"checkpoints\":0,\"sessions_open\":1,\
+                       \"sessions_evicted\":0}";
+        let err = Response::decode(metrics).expect_err("a `metrics` reply without `wal`");
+        assert!(err.contains("wal"), "{err}");
+        let whole = metrics.replace("\"checkpoints\"", "\"wal\":0,\"checkpoints\"");
+        assert!(
+            matches!(Response::decode(&whole), Ok(Response::Metrics { .. })),
+            "{whole}"
+        );
     }
 }

@@ -1,13 +1,11 @@
 //! Loopback tests for the `ltc-proto` transport (the `v2` session
-//! namespace, and `v1` frames at the edge). That one client's session,
-//! lockstep or windowed, is event for event and bit for bit what the
-//! bare engine decides is checked by the conformance harness
-//! (`tests/conform/` in the root package). Here: concurrent
-//! clients must equal a replay of their interleaving, sessions
-//! co-hosted on one table must be bit-identical to dedicated servers,
-//! `v1` clients must see byte-identical frames against either, and
-//! wedged servers, hostile frames, mid-frame drops and shutdown must end
-//! cleanly.
+//! namespace). That one client's session, lockstep or windowed, is
+//! event for event and bit for bit what the bare engine decides is
+//! checked by the conformance harness (`tests/conform/` in the root
+//! package). Here: concurrent clients must equal a replay of their
+//! interleaving, sessions co-hosted on one table must be bit-identical
+//! to dedicated servers, and wedged servers, hostile frames, mid-frame
+//! drops and shutdown must end cleanly.
 //!
 //! CI runs this file in the timeout-guarded job: a wedged connection or
 //! a deadlocked quiesce must fail loudly, never hang the build.
@@ -197,19 +195,23 @@ fn version_mismatch_is_refused_cleanly() {
         .unwrap()
         .spawn()
         .unwrap();
-    let mut conn = std::net::TcpStream::connect(server.addr()).unwrap();
-    wire::write_frame(&mut conn, "{\"proto\":\"ltc-proto\",\"v\":99}").unwrap();
-    let mut reader = BufReader::new(conn.try_clone().unwrap());
-    let reply = wire::read_frame(&mut reader).unwrap().unwrap();
-    match wire::Response::decode(&reply).unwrap() {
-        wire::Response::Err { message } => {
-            assert!(message.contains("version 99"), "{message}");
+    // Any version but 2 (a future one, or `v1`) gets exactly one `err`
+    // frame naming it, then the connection closes.
+    for version in [99, 1] {
+        let mut conn = std::net::TcpStream::connect(server.addr()).unwrap();
+        let hello = format!("{{\"proto\":\"ltc-proto\",\"v\":{version}}}");
+        wire::write_frame(&mut conn, &hello).unwrap();
+        let mut reader = BufReader::new(conn.try_clone().unwrap());
+        let reply = wire::read_frame(&mut reader).unwrap().unwrap();
+        match wire::Response::decode(&reply).unwrap() {
+            wire::Response::Err { message } => assert_eq!(
+                message,
+                format!("unsupported ltc-proto version {version} (serving 2)")
+            ),
+            other => panic!("expected a refusal, got {other:?}"),
         }
-        other => panic!("expected a refusal, got {other:?}"),
+        assert_eq!(wire::read_frame(&mut reader).unwrap(), None);
     }
-    // The connection is closed after the refusal.
-    assert_eq!(wire::read_frame(&mut reader).unwrap(), None);
-    drop(reader);
 
     // A well-versed client still gets in afterwards.
     let mut ok = LtcClient::connect_v2(server.addr()).unwrap();
@@ -408,184 +410,6 @@ fn concurrent_clients_per_session_match_their_replays() {
     }
 
     obs_a.shutdown().unwrap();
-    server.wait().unwrap();
-}
-
-/// One raw frame-level connection: writes literal request frames and
-/// reads the reply to each, setting aside any event frames that arrive
-/// in between (their order against a response is not fixed).
-struct RawConn {
-    conn: std::net::TcpStream,
-    reader: BufReader<std::net::TcpStream>,
-    events: Vec<String>,
-}
-
-impl RawConn {
-    fn open(addr: std::net::SocketAddr) -> Self {
-        let conn = std::net::TcpStream::connect(addr).unwrap();
-        let reader = BufReader::new(conn.try_clone().unwrap());
-        Self {
-            conn,
-            reader,
-            events: Vec::new(),
-        }
-    }
-
-    fn ask(&mut self, frame: &str) -> String {
-        wire::write_frame(&mut self.conn, frame).unwrap();
-        loop {
-            let reply = wire::read_frame(&mut self.reader)
-                .unwrap()
-                .expect("a reply");
-            if !wire::is_event_frame(&reply) {
-                return reply;
-            }
-            self.events.push(reply);
-        }
-    }
-
-    fn next_event(&mut self) -> String {
-        if !self.events.is_empty() {
-            return self.events.remove(0);
-        }
-        let event = wire::read_frame(&mut self.reader)
-            .unwrap()
-            .expect("an event");
-        assert!(wire::is_event_frame(&event), "{event}");
-        event
-    }
-}
-
-#[test]
-fn v1_clients_bind_the_default_session_with_unchanged_frames() {
-    // Backward-compat regression: a whole raw v1 conversation — the
-    // literal frames an external v1 client writes and reads — binds the
-    // default session and gets byte-identical replies. No `sid` ever
-    // rides a v1 frame, and `"sid"`, `"seq"` and the four v2 session
-    // verbs are refused with a pointer at v2, changing nothing.
-    let server = LtcServer::bind("127.0.0.1:0", handle(1, Algorithm::Laf))
-        .unwrap()
-        .spawn()
-        .unwrap();
-    let mut v1 = RawConn::open(server.addr());
-    const PARAMS: &str = "\"params\":{\"epsilon\":\"3fd0000000000000\",\"capacity\":2,\
-                          \"d_max\":\"403e000000000000\",\"min_accuracy\":\"3fe51eb851eb851f\",\
-                          \"eligibility\":\"within\",\"quality\":\"hoeffding\"}";
-
-    assert_eq!(
-        v1.ask("{\"proto\":\"ltc-proto\",\"v\":1}"),
-        format!(
-            "{{\"proto\":\"ltc-proto\",\"v\":1,\"info\":{{\"algo\":\"laf\",\"shards\":1,\
-             \"tasks\":24,{PARAMS}}}}}"
-        )
-    );
-
-    // The state-touching verbs answer with the exact pre-session literals.
-    let submit = "{\"op\":\"submit\",\"x\":\"4040000000000000\",\
-                  \"y\":\"4040000000000000\",\"acc\":\"3fee666666666666\"}";
-    assert_eq!(v1.ask(submit), "{\"ok\":\"submit\",\"worker\":0}");
-    assert_eq!(
-        v1.ask("{\"op\":\"post\",\"x\":\"4080000000000000\",\"y\":\"4080000000000000\"}"),
-        "{\"ok\":\"post\",\"task\":24}"
-    );
-    assert_eq!(v1.ask("{\"op\":\"drain\"}"), "{\"ok\":\"drain\"}");
-
-    // Session verbs, explicit sids and windowed `"seq"` are v2-only.
-    let verbs = "{\"err\":\"session verbs require ltc-proto v2\"}";
-    let sid = "{\"err\":\"`sid` requires ltc-proto v2\"}";
-    let seq = "{\"err\":\"windowed submission (`seq`) requires ltc-proto v2\"}";
-    for (refused, reply) in [
-        ("{\"op\":\"open\",\"sid\":\"fresh\"}", verbs),
-        ("{\"op\":\"attach\",\"sid\":\"default\"}", verbs),
-        ("{\"op\":\"close\",\"sid\":\"fresh\"}", verbs),
-        ("{\"op\":\"sessions\"}", verbs),
-        ("{\"op\":\"drain\",\"sid\":\"default\"}", sid),
-        (
-            "{\"op\":\"submit\",\"x\":\"4040000000000000\",\"y\":\"4040000000000000\",\
-             \"acc\":\"3fee666666666666\",\"seq\":0}",
-            seq,
-        ),
-        (
-            "{\"op\":\"post\",\"x\":\"4080000000000000\",\"y\":\"4080000000000000\",\"seq\":1}",
-            seq,
-        ),
-    ] {
-        assert_eq!(v1.ask(refused), reply, "{refused}");
-    }
-
-    // The refusals applied nothing: one worker, 24 + 1 tasks.
-    assert_eq!(
-        v1.ask("{\"op\":\"metrics\"}"),
-        "{\"ok\":\"metrics\",\"workers\":1,\"assignments\":0,\"tasks\":25,\"completed\":0,\
-         \"clamped\":0,\"rebalances\":0,\"loads\":[25],\"latency\":null,\"wal\":0,\
-         \"checkpoints\":0,\"sessions_open\":1,\"sessions_evicted\":0}"
-    );
-    assert_eq!(
-        v1.ask("{\"op\":\"rebalance\"}"),
-        "{\"ok\":\"rebalance\",\"outcome\":null}"
-    );
-    let task_xy: String = (0..24)
-        .map(|i| {
-            let t = &tasks()[i];
-            format!(" {} {}", wire::hex(t.loc.x), wire::hex(t.loc.y))
-        })
-        .collect();
-    assert_eq!(
-        v1.ask("{\"op\":\"snapshot\"}"),
-        format!(
-            "{{\"ok\":\"snapshot\",\"data\":\"ltc-snapshot v3\\n\
-             params 3fd0000000000000 2 403e000000000000 3fe51eb851eb851f within hoeffding\\n\
-             region 0000000000000000 0000000000000000 408f400000000000 408f400000000000\\n\
-             config laf 403e000000000000 1024 1\\n\
-             posted 25\\n\
-             shard 0 25 index 403e000000000000 0000000000000000 0000000000000000 \
-             408f400000000000 408f400000000000\\n\
-             ids{}\\n\
-             tasks{task_xy} 4080000000000000 4080000000000000\\n\
-             quality{}\\n\
-             accuracy sigmoid\\n\
-             assigned 0\\n\
-             end\\n\"}}",
-            (0..25).map(|t| format!(" {t}")).collect::<String>(),
-            " 0000000000000000".repeat(25),
-        )
-    );
-
-    // Events reach a v1 subscriber in the v1 shape: the v2 frame for
-    // the same event minus its session id.
-    let mut v2 = RawConn::open(server.addr());
-    v2.ask("{\"proto\":\"ltc-proto\",\"v\":2}");
-    assert_eq!(
-        v2.ask("{\"op\":\"subscribe\",\"sid\":\"default\"}"),
-        "{\"ok\":\"subscribe\",\"sid\":\"default\"}"
-    );
-    assert_eq!(v1.ask("{\"op\":\"subscribe\"}"), "{\"ok\":\"subscribe\"}");
-    let mut feeder = LtcClient::connect_v2(server.addr()).unwrap();
-    feeder
-        .submit_worker(&Worker::new(Point::new(20.0, 10.0), 0.95))
-        .unwrap();
-    let event = v1.next_event();
-    assert_eq!(
-        event,
-        "{\"ev\":\"worker\",\"worker\":1,\"batch\":[{\"k\":\"assign\",\"task\":0,\
-         \"acc\":\"3fee666665594805\",\"gain\":\"3fe9eb851aef7e27\"}]}"
-    );
-    assert_eq!(v2.next_event().replace(",\"sid\":\"default\"", ""), event);
-
-    // `shutdown` is acknowledged; whatever farewell events make it out
-    // before the socket closes are v1-shaped lifecycle frames.
-    assert_eq!(v1.ask("{\"op\":\"shutdown\"}"), "{\"ok\":\"shutdown\"}");
-    for event in &v1.events {
-        assert!(
-            [
-                "{\"ev\":\"life\",\"kind\":\"drained\",\"workers\":2}",
-                "{\"ev\":\"life\",\"kind\":\"bye\"}"
-            ]
-            .contains(&event.as_str()),
-            "{event}"
-        );
-    }
-    drop(feeder);
     server.wait().unwrap();
 }
 
@@ -857,7 +681,11 @@ fn with_timeout_fails_a_wedged_server_in_seconds() {
 fn a_v1_hello_reply_to_a_v2_hello_is_refused() {
     // The client speaks only v2: a server answering its hello in v1 is
     // a protocol violation, refused as a transport error at connect.
-    let hello = wire::encode_hello_response_v1(&fake_info());
+    let hello = "{\"proto\":\"ltc-proto\",\"v\":1,\"info\":{\"algo\":\"laf\",\"shards\":1,\
+                 \"tasks\":0,\"params\":{\"epsilon\":\"3fd0000000000000\",\"capacity\":2,\
+                 \"d_max\":\"403e000000000000\",\"min_accuracy\":\"3fe51eb851eb851f\",\
+                 \"eligibility\":\"within\",\"quality\":\"hoeffding\"}}}"
+        .to_string();
     let (addr, join) = fake_server(hello, |_conn, _reader| {});
     let err = LtcClient::connect_v2(addr).expect_err("a v1 reply must be refused");
     assert!(

@@ -97,7 +97,7 @@
 //!
 //! The same runtime powers the CLI: `ltc stream --shards N --pipeline D`
 //! serves NDJSON events with up to `D` check-ins in flight,
-//! `ltc snapshot`/`ltc resume` persist and continue a live session
+//! `ltc stream --snapshot-out`/`ltc resume` persist and continue a live session
 //! bit-exactly, and every policy decides the same at any `--shards`.
 //!
 //! ## Remote sessions (the `Session` trait and `ltc-proto`)
